@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """UDP collector benchmark: wire-speed ingest over loopback.
 
-Three measurements:
+Four measurements:
 
-* **decode rate (v5)** — the vectorized datagram decoder alone over
-  pre-built 30-record export packets, no sockets: the hot-path
-  ceiling;
-* **decode rate (v9)** — the template-driven decoder over data sets
-  referencing a cached template, the per-record slow path;
+* **decode rate (v5, v9, IPFIX)** — ``decode_datagram(...).rows`` one
+  30-record datagram at a time, no sockets: the one-datagram API. All
+  three formats run the same wire-plan code, so the template formats
+  must stay within 2x of v5;
+* **chunk decode (mixed)** — the listener's path without the socket:
+  four interleaved exporters (2 v5, v9, IPFIX) parsed per datagram,
+  staged in a :class:`~repro.collector.ChunkBatcher` and decoded once
+  per 8192-row flush;
 * **sustained loopback ingest** — a sender thread blasting the same
   v5 packets at a live :class:`repro.collector.FlowCollector` while
   the consumer drains chunks, end to end through the listener thread,
@@ -18,7 +21,8 @@ Three measurements:
 Run:  PYTHONPATH=src python benchmarks/bench_collector.py [--flows N]
 
 Writes ``BENCH_collector.json``; ``--check`` gates on the 100k
-flows/s acceptance floor for the end-to-end loopback path.
+flows/s acceptance floor for the end-to-end loopback path and on the
+relative floor: v9 and IPFIX decode at no less than half the v5 rate.
 """
 
 from __future__ import annotations
@@ -36,14 +40,15 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.collector import (  # noqa: E402
+    ChunkBatcher,
     FlowCollector,
     Template,
     TemplateCache,
+    decode_datagram,
 )
 from repro.collector.decode import (  # noqa: E402
-    decode_template_datagram,
-    decode_v5_datagram,
     encode_data_set,
+    encode_ipfix_datagram,
     encode_template_set,
     encode_v9_datagram,
 )
@@ -51,10 +56,13 @@ from repro.flows.netflow_v5 import encode_stream  # noqa: E402
 from repro.flows.record import FlowRecord  # noqa: E402
 
 ACCEPTANCE_FLOWS_PER_SEC = 100_000.0
-V9_TEMPLATE = Template(256, (
+#: Template decode (v9, IPFIX) over v5 decode, one datagram at a time.
+ACCEPTANCE_TEMPLATE_OVER_V5 = 0.5
+_COMMON = (
     (8, 4), (12, 4), (7, 2), (11, 2), (4, 1), (6, 1), (2, 4), (1, 4),
-    (22, 4), (21, 4),
-))
+)
+V9_TEMPLATE = Template(256, _COMMON + ((22, 4), (21, 4)))
+IPFIX_TEMPLATE = Template(257, _COMMON + ((152, 8), (153, 8)))
 
 
 def synth_records(count: int, seed: int = 7) -> list[FlowRecord]:
@@ -86,34 +94,85 @@ def synth_records(count: int, seed: int = 7) -> list[FlowRecord]:
 def v5_decode_rate(packets: list[bytes], flows: int) -> float:
     t0 = time.perf_counter()
     for packet in packets:
-        decode_v5_datagram(packet, 0.0)
+        decode_datagram(packet, 0.0).rows
     return flows / (time.perf_counter() - t0)
 
 
-def v9_decode_rate(rows_per_set: int = 30, sets: int = 2_000) -> dict:
-    """Decode rate of the template path with a warm cache."""
+def template_datagrams(
+    ipfix: bool, rows_per_set: int = 30
+) -> tuple[bytes, bytes]:
+    """``(template datagram, data datagram)`` of one exporter."""
     rows = [
         {8: 0x0A000001 + i, 12: 0xC0A80001, 7: 1024 + i, 11: 443,
          4: 6, 6: 0x18, 2: 10, 1: 5000, 22: 1000 * i,
-         21: 1000 * i + 500}
+         21: 1000 * i + 500, 152: 1_700_000_000_000 + 1000 * i,
+         153: 1_700_000_000_500 + 1000 * i}
         for i in range(rows_per_set)
     ]
-    datagram = encode_v9_datagram(
-        [encode_data_set(V9_TEMPLATE, rows)],
-        sequence=0, source_id=1, export_secs=100,
+    if ipfix:
+        return (
+            encode_ipfix_datagram(
+                [encode_template_set([IPFIX_TEMPLATE], ipfix=True)],
+                domain=2),
+            encode_ipfix_datagram(
+                [encode_data_set(IPFIX_TEMPLATE, rows)],
+                sequence=0, domain=2, export_secs=100),
+        )
+    return (
+        encode_v9_datagram(
+            [encode_template_set([V9_TEMPLATE])], source_id=1),
+        encode_v9_datagram(
+            [encode_data_set(V9_TEMPLATE, rows)],
+            sequence=0, source_id=1, export_secs=100),
     )
+
+
+def template_decode_rate(
+    ipfix: bool, rows_per_set: int = 30, sets: int = 4_000
+) -> dict:
+    """One-datagram decode rate of a template format, warm cache."""
+    template, datagram = template_datagrams(ipfix, rows_per_set)
     cache = TemplateCache()
-    decode_template_datagram(
-        encode_v9_datagram([encode_template_set([V9_TEMPLATE])]),
-        0.0, cache,
-    )
+    decode_datagram(template, 0.0, cache)
     t0 = time.perf_counter()
     for _ in range(sets):
-        decode_template_datagram(datagram, 0.0, cache)
+        decode_datagram(datagram, 0.0, cache).rows
     wall = time.perf_counter() - t0
     return {
         "flows": rows_per_set * sets,
         "flows_per_sec": rows_per_set * sets / wall,
+    }
+
+
+def chunk_decode_rate(packets: list[bytes], rounds: int = 4_000) -> dict:
+    """Interleaved 4-exporter mix through parse, staging and flush."""
+    # One cache per template exporter, keyed by the version byte.
+    caches = {9: TemplateCache(), 10: TemplateCache()}
+    mix = [packets[0], packets[1]]
+    for ipfix in (False, True):
+        template, datagram = template_datagrams(ipfix)
+        decode_datagram(template, 0.0, caches[template[1]])
+        mix.append(datagram)
+    emitted = [0]
+
+    def on_flush(table, reason) -> bool:
+        emitted[0] += len(table)
+        return True
+
+    batcher = ChunkBatcher(on_flush, chunk_rows=8192)
+    t0 = time.perf_counter()
+    for _ in range(rounds):
+        for datagram in mix:
+            batcher.add(decode_datagram(
+                datagram, 0.0, caches.get(datagram[1])
+            ).regions)
+    batcher.flush()
+    wall = time.perf_counter() - t0
+    return {
+        "flows": emitted[0],
+        "chunks": batcher.flushes,
+        "flows_per_sec": emitted[0] / wall,
+        "us_per_datagram": wall / (rounds * len(mix)) * 1e6,
     }
 
 
@@ -200,7 +259,9 @@ def main() -> int:
     parser.add_argument(
         "--check", action="store_true",
         help="exit non-zero when loopback ingest misses the "
-             f"{ACCEPTANCE_FLOWS_PER_SEC:,.0f} flows/s floor",
+             f"{ACCEPTANCE_FLOWS_PER_SEC:,.0f} flows/s floor or "
+             "v9/IPFIX decode falls below "
+             f"{ACCEPTANCE_TEMPLATE_OVER_V5}x the v5 rate",
     )
     args = parser.parse_args()
 
@@ -209,8 +270,13 @@ def main() -> int:
     del records
 
     decode_v5 = v5_decode_rate(packets, args.flows)
-    decode_v9 = v9_decode_rate()
+    decode_v9 = template_decode_rate(ipfix=False)
+    decode_ipfix = template_decode_rate(ipfix=True)
+    chunk = chunk_decode_rate(packets)
     ingest = loopback_ingest(packets, args.flows)
+    template_over_v5 = min(
+        decode_v9["flows_per_sec"], decode_ipfix["flows_per_sec"]
+    ) / decode_v5
 
     payload = {
         "benchmark": "collector_loopback_ingest",
@@ -220,10 +286,15 @@ def main() -> int:
         "numpy": np.__version__,
         "decode_v5_flows_per_sec": decode_v5,
         "decode_v9": decode_v9,
+        "decode_ipfix": decode_ipfix,
+        "chunk_decode_mixed": chunk,
         "loopback": ingest,
         "acceptance_min_flows_per_sec": ACCEPTANCE_FLOWS_PER_SEC,
+        "acceptance_min_template_over_v5": ACCEPTANCE_TEMPLATE_OVER_V5,
+        "template_over_v5": template_over_v5,
         "acceptance_pass":
-            ingest["flows_per_sec"] >= ACCEPTANCE_FLOWS_PER_SEC,
+            ingest["flows_per_sec"] >= ACCEPTANCE_FLOWS_PER_SEC
+            and template_over_v5 >= ACCEPTANCE_TEMPLATE_OVER_V5,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -232,6 +303,13 @@ def main() -> int:
     print(f"  v5 decode only    {decode_v5:12,.0f} flows/s")
     print(f"  v9 decode only    "
           f"{decode_v9['flows_per_sec']:12,.0f} flows/s")
+    print(f"  IPFIX decode only "
+          f"{decode_ipfix['flows_per_sec']:12,.0f} flows/s "
+          f"(slower template format = {template_over_v5:.2f}x v5)")
+    print(f"  chunk decode, mix "
+          f"{chunk['flows_per_sec']:12,.0f} flows/s "
+          f"({chunk['us_per_datagram']:.1f} us/datagram, "
+          f"{chunk['chunks']} flushes)")
     print(f"  loopback ingest   "
           f"{ingest['flows_per_sec']:12,.0f} flows/s "
           f"({ingest['wall_s']:.2f}s wall, "

@@ -1,14 +1,20 @@
-"""Row batching between the datagram decoder and the stream engine.
+"""Record staging between the datagram parser and the stream engine.
 
 A datagram carries at most ~30 v5 records; feeding the engine one
 :class:`~repro.flows.table.FlowTable` per datagram would drown it in
 per-chunk overhead (ring routing, watermark updates, IPC frames under
-``ShardedStreamEngine``). The :class:`ChunkBatcher` accumulates the
-decoder's raw ``FLOW_DTYPE`` arrays and flushes one concatenated table
-when either trigger fires:
+``ShardedStreamEngine``), and decoding one datagram at a time would
+drown the listener in per-call numpy overhead. The
+:class:`ChunkBatcher` therefore stages *bytes, not rows*: the
+:class:`~repro.collector.decode.Region` values the parser found, in
+arrival order. A flush runs each staged wire plan once over its
+regions (:func:`~repro.collector.decode.decode_regions`) and emits one
+table, when either trigger fires:
 
-* **size** — the batch reached ``chunk_rows`` (throughput path);
-* **age** — ``max_batch_seconds`` passed since the first row of the
+* **size** — the stage reached ``chunk_rows`` records (throughput
+  path), so it never holds more than ``chunk_rows`` records of wire
+  bytes plus the datagram that crossed the line;
+* **age** — ``max_batch_seconds`` passed since the first record of the
   batch arrived (latency path: a trickle of datagrams still reaches
   the detector within a bounded delay, and the engine watermark keeps
   advancing).
@@ -21,17 +27,16 @@ them, so the listener owns the bounded-queue/drop policy in one place.
 from __future__ import annotations
 
 import time
-from typing import Callable
+from typing import Callable, Iterable
 
-import numpy as np
-
-from repro.flows.table import FLOW_DTYPE, FlowTable
+from repro.collector.decode import Region, decode_regions
+from repro.flows.table import FlowTable
 
 __all__ = ["ChunkBatcher"]
 
 
 class ChunkBatcher:
-    """Accumulate decoded row arrays into size/age-bounded tables."""
+    """Stage record regions; decode them into size/age-bounded tables."""
 
     def __init__(
         self,
@@ -39,12 +44,14 @@ class ChunkBatcher:
         chunk_rows: int = 8192,
         max_batch_seconds: float = 0.25,
         clock: Callable[[], float] = time.monotonic,
+        boot_time: float = 0.0,
     ) -> None:
         self.on_flush = on_flush
         self.chunk_rows = max(1, int(chunk_rows))
         self.max_batch_seconds = max_batch_seconds
+        self.boot_time = boot_time
         self._clock = clock
-        self._parts: list[np.ndarray] = []
+        self._staged: list[Region] = []
         self._rows = 0
         self._oldest: float | None = None
         self.flushes = 0
@@ -54,14 +61,13 @@ class ChunkBatcher:
     def pending_rows(self) -> int:
         return self._rows
 
-    def add(self, rows: np.ndarray) -> None:
-        """Queue one decoded array; size-flush when the batch fills."""
-        if not len(rows):
-            return
-        if self._oldest is None:
+    def add(self, regions: Iterable[Region]) -> None:
+        """Stage a datagram's regions; size-flush when the batch fills."""
+        for region in regions:
+            self._staged.append(region)
+            self._rows += region.count
+        if self._rows and self._oldest is None:
             self._oldest = self._clock()
-        self._parts.append(rows)
-        self._rows += len(rows)
         while self._rows >= self.chunk_rows:
             self._flush_rows(self.chunk_rows, "size")
 
@@ -85,22 +91,24 @@ class ChunkBatcher:
         return True
 
     def _flush_rows(self, rows: int, reason: str) -> None:
-        take: list[np.ndarray] = []
-        taken = 0
-        while taken < rows and self._parts:
-            part = self._parts[0]
-            need = rows - taken
-            if len(part) <= need:
-                take.append(self._parts.pop(0))
-                taken += len(part)
-            else:
-                take.append(part[:need])
-                self._parts[0] = part[need:]
-                taken += need
-        self._rows -= taken
+        staged = self._staged
+        taken = cut = 0
+        while taken < rows:
+            taken += staged[cut].count
+            cut += 1
+        take = staged[:cut]
+        del staged[:cut]
+        if taken > rows:
+            # The region that crossed the line straddles two chunks.
+            take[-1], rest = take[-1].split(
+                take[-1].count - (taken - rows)
+            )
+            staged.insert(0, rest)
+        self._rows -= rows
         self._oldest = None if not self._rows else self._clock()
-        data = take[0] if len(take) == 1 else np.concatenate(take)
-        # Wire decoding already masked every column to its legal
-        # range, so the validating from_columns pass is unnecessary.
+        # The wire plans mask every column to its legal range, so the
+        # validating from_columns pass is unnecessary.
         self.flushes += 1
-        self.on_flush(FlowTable(np.ascontiguousarray(data)), reason)
+        self.on_flush(
+            FlowTable(decode_regions(take, self.boot_time)), reason
+        )

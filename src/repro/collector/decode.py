@@ -1,27 +1,31 @@
-"""Wire decoders for the UDP collector: NetFlow v5, v9 and IPFIX.
+"""Wire plans and datagram parsing: NetFlow v5, v9 and IPFIX.
 
-The listener hot path hands every datagram to :func:`decode_datagram`
-and gets back a :class:`DecodedDatagram`: a ``FLOW_DTYPE`` row array
-ready for :class:`~repro.flows.table.FlowTable` batching plus the
-accounting the exporter tracker needs (sequence position, malformed
-count, template activity). Three formats share that surface:
+All three formats decode through one mechanism. A :class:`WirePlan` is
+a big-endian numpy record dtype over the wire bytes plus a *column
+program* that copies each mapped element into its ``FLOW_DTYPE``
+column — masked or clamped so hostile values can never violate
+``FlowTable`` bounds — converts uptime/second/millisecond time
+elements and fills the ``sampling_rate``, start and end defaults. v5
+is the plan of the fixed 48-byte record (``_V5_WIRE_DTYPE``), built at
+import; v9/IPFIX plans are compiled once per distinct
+``Template.fields`` layout and cached with a bound, so a template
+refresh never recompiles and a redefined layout is simply another
+plan. Any field length compiles: 1/2/4/8 bytes are native fields, odd
+and wider ones are assembled from native pieces to what
+``int.from_bytes`` plus the mask/clamp gives, unmapped and enterprise
+elements are padding.
 
-* **NetFlow v5** — the fixed 48-byte record layout already implemented
-  by :mod:`repro.flows.netflow_v5`. The collector reuses that codec's
-  structs and semantics but decodes *vectorized*: one
-  ``np.frombuffer`` over the record region and a handful of column
-  assignments replace the per-record ``struct.unpack`` loop, which is
-  what makes 100k+ flows/s on a single listener thread possible.
-  Truncated trailing records are counted malformed, never raised
-  (the tolerant contract of
-  :func:`repro.flows.netflow_v5.decode_packet_tolerant`).
-
-* **NetFlow v9 / IPFIX** — template-driven sets. Templates stream in
-  the same UDP channel as data, so a :class:`TemplateCache` (one per
-  exporter, owned by :mod:`repro.collector.exporters`) remembers
-  template definitions and buffers data sets that arrive before their
-  template — bounded, with an expiry sweep, because a dead exporter
-  must not pin memory forever.
+:func:`decode_datagram` is header arithmetic only. It parses the export
+header, walks the sets — templates stream in the same UDP channel as
+data, so a per-exporter :class:`TemplateCache` remembers definitions
+and buffers (bounded, with an expiry sweep) data sets that arrive
+before their template — and returns the records it found as
+:class:`Region` values: record bytes, their plan, and a count that is
+``len(region) // record_size``. The column work is deferred to
+:func:`decode_regions`, which runs each plan once over the joined
+bytes of its regions and scatters the rows back into arrival order:
+once per chunk in the batcher, once per datagram behind
+``DecodedDatagram.rows``.
 
 Timestamp convention: all three formats reconstruct absolute times the
 same way the file codec does — ``boot_time + sysuptime_ms / 1000.0``
@@ -40,9 +44,11 @@ way to keep them honest.
 
 from __future__ import annotations
 
+import functools
+import logging
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,10 +63,17 @@ __all__ = [
     "IPFIX_HEADER_SIZE",
     "ELEMENT_COLUMNS",
     "DecodedDatagram",
+    "Header",
+    "Region",
     "Template",
     "TemplateCache",
+    "WirePlan",
+    "V5_PLAN",
+    "compile_plan",
+    "parse_header",
     "peek_exporter",
     "decode_datagram",
+    "decode_regions",
     "decode_v5_datagram",
     "decode_template_datagram",
     "encode_v9_datagram",
@@ -68,6 +81,8 @@ __all__ = [
     "encode_template_set",
     "encode_data_set",
 ]
+
+logger = logging.getLogger(__name__)
 
 NETFLOW_V9_VERSION = 9
 IPFIX_VERSION = 10
@@ -81,6 +96,9 @@ _IPFIX_HEADER = struct.Struct("!HHIII")
 IPFIX_HEADER_SIZE = _IPFIX_HEADER.size  # 16
 
 _SET_HEADER = struct.Struct("!HH")  # set_id(2) length(2)
+
+#: The set length is 16 bits, so no data set carries more record bytes.
+_MAX_SET_PAYLOAD = 0xFFFF - _SET_HEADER.size
 
 #: Set ids below this are reserved; data sets reference template ids
 #: from 256 up (RFC 7011 §3.4.3 / Cisco v9 spec).
@@ -110,17 +128,15 @@ ELEMENT_COLUMNS: dict[int, str] = {
     34: "sampling_rate",  # samplingInterval
 }
 
-_LAST_SWITCHED = 21    # sysuptime ms
-_FIRST_SWITCHED = 22   # sysuptime ms
-_FLOW_START_SECONDS = 150
-_FLOW_END_SECONDS = 151
-_FLOW_START_MS = 152
-_FLOW_END_MS = 153
-
+#: Time elements → (``start``/``end``, divisor to seconds, relative
+#: to ``boot_time``): sysuptime ms, epoch seconds, epoch ms.
 _TIME_ELEMENTS = {
-    _LAST_SWITCHED, _FIRST_SWITCHED,
-    _FLOW_START_SECONDS, _FLOW_END_SECONDS,
-    _FLOW_START_MS, _FLOW_END_MS,
+    21: ("end", 1000.0, True),     # LAST_SWITCHED
+    22: ("start", 1000.0, True),   # FIRST_SWITCHED
+    150: ("start", 1.0, False),    # flowStartSeconds
+    151: ("end", 1.0, False),      # flowEndSeconds
+    152: ("start", 1000.0, False),  # flowStartMilliseconds
+    153: ("end", 1000.0, False),   # flowEndMilliseconds
 }
 
 #: Clamp masks/ceilings per column so hostile wire values can never
@@ -136,10 +152,12 @@ _COLUMN_MASKS = {
     "sampling_rate": 0xFFFFFFFF,
 }
 _I64_MAX = 2**63 - 1
+#: Time elements wider than 8 bytes saturate here instead of
+#: overflowing the float conversion.
+_U64_MAX = 2**64 - 1
 
 #: The 48-byte v5 record region as a big-endian numpy view; field
-#: order mirrors ``netflow_v5._RECORD``. Decoding a datagram is one
-#: ``np.frombuffer`` over this dtype plus column copies.
+#: order mirrors ``netflow_v5._RECORD``.
 _V5_WIRE_DTYPE = np.dtype([
     ("src_ip", ">u4"),
     ("dst_ip", ">u4"),
@@ -164,34 +182,251 @@ _V5_WIRE_DTYPE = np.dtype([
 ])
 assert _V5_WIRE_DTYPE.itemsize == v5.RECORD_SIZE
 
+#: v5 record fields that carry an IANA element (first/last are
+#: sysuptime ms, like v9's FIRST/LAST_SWITCHED).
+_V5_ELEMENTS = {
+    "src_ip": 8, "dst_ip": 12, "input": 10, "packets": 2, "octets": 1,
+    "first": 22, "last": 21, "src_port": 7, "dst_port": 11,
+    "tcp_flags": 6, "proto": 4,
+}
+
+
+# -- wire plans ---------------------------------------------------------------
+
+
+class _Element(NamedTuple):
+    """One mapped wire element inside a plan's record dtype."""
+
+    #: ``(native sub-field, left shift)`` over the element's low
+    #: bytes, high to low; none for a zero-length field (reads as 0).
+    pieces: tuple[tuple[str, int], ...]
+    #: Set when the field is wider than its column.
+    mask: int | None
+    #: Where a 64-bit target saturates, and the ``u1`` sub-array of
+    #: the bytes above the low 8: any bit there exceeds every ceiling.
+    ceiling: int | None
+    overflow: str | None
+    #: ``(divisor, relative)`` of a time element, else None.
+    time: tuple[float, bool] | None
+
+    def read(self, wire: np.ndarray, boot_time: float):
+        """The element of every record: bounded integers, or seconds."""
+        if len(self.pieces) == 1:
+            value = wire[self.pieces[0][0]]
+        else:
+            value = 0
+            for name, shift in self.pieces:
+                value = value | (
+                    wire[name].astype(np.uint64) << np.uint64(shift)
+                )
+        if self.mask is not None:
+            value = value & self.mask
+        if self.ceiling is not None:
+            ceiling = np.uint64(self.ceiling)
+            value = np.minimum(value, ceiling)
+            if self.overflow is not None:
+                value = np.where(
+                    wire[self.overflow].any(axis=1), ceiling, value
+                )
+        if self.time is None:
+            return value
+        divisor, relative = self.time
+        return boot_time + value / divisor if relative else value / divisor
+
+
+class WirePlan:
+    """The record dtype of one field layout plus its column program.
+
+    ``fields`` are ``(element_id, length)`` pairs in wire order, any
+    length. Unmapped and enterprise elements are padding; a later
+    duplicate of an element wins, as it would in a per-record loop
+    assigning in wire order.
+    """
+
+    __slots__ = ("dtype", "elements")
+
+    def __init__(self, fields: tuple[tuple[int, int], ...]) -> None:
+        names: list[str] = []
+        formats: list = []
+        offsets: list[int] = []
+
+        def declare(fmt, at: int) -> str:
+            names.append(f"f{len(names)}")
+            formats.append(fmt)
+            offsets.append(at)
+            return names[-1]
+
+        #: ``FLOW_DTYPE`` column → element, mapped columns only.
+        self.elements: dict[str, _Element] = {}
+        offset = 0
+        for element, length in fields:
+            where, offset = offset, offset + length
+            column, *time = _TIME_ELEMENTS.get(element) \
+                or (ELEMENT_COLUMNS.get(element),)
+            if column is None:
+                continue
+            bound = _COLUMN_MASKS.get(column)
+            wide = bound is None  # int64 counter or float64 time
+            # Only the low bytes survive a mask; 64-bit targets keep 8.
+            low = min(length, 8 if wide else 4)
+            at, left, pieces = where + length - low, low, []
+            for size in (8, 4, 2, 1):
+                if low & size:
+                    left -= size
+                    pieces.append((declare(f">u{size}", at), 8 * left))
+                    at += size
+            mask = None if wide or 8 * low <= bound.bit_length() else bound
+            overflow = declare(("u1", (length - 8,)), where) \
+                if wide and length > 8 else None
+            ceiling = None
+            if overflow or (wide and not time and low == 8):
+                ceiling = _U64_MAX if time else _I64_MAX
+            self.elements[column] = _Element(
+                tuple(pieces), mask, ceiling, overflow,
+                tuple(time) or None,
+            )
+        self.dtype = np.dtype({
+            "names": names, "formats": formats, "offsets": offsets,
+            "itemsize": offset,
+        })
+
+    def decode(
+        self, blob: bytes, boot_time: float, sampling=1, export_secs=0
+    ) -> np.ndarray:
+        """Rows of the whole records in ``blob``.
+
+        ``sampling`` and ``export_secs`` are the header values that
+        stand in for missing elements, scalars or one per record.
+        """
+        wire = np.frombuffer(blob, dtype=self.dtype)
+        values = {
+            column: element.read(wire, boot_time)
+            for column, element in self.elements.items()
+        }
+        if "sampling_rate" in values:  # unsampled exporters encode 0
+            sampling = np.maximum(values["sampling_rate"], 1)
+        values["sampling_rate"] = sampling
+        if "start" not in values:
+            values["start"] = values["end"] if "end" in values \
+                else np.asarray(export_secs, "f8")
+        values.setdefault("end", values["start"])
+        out = np.zeros(len(wire), dtype=FLOW_DTYPE)
+        for column, value in values.items():
+            out[column] = value
+        return out
+
+
+#: One plan per distinct layout, bounded: a template refresh never
+#: recompiles, a redefined layout is simply a different plan.
+compile_plan = functools.lru_cache(maxsize=256)(WirePlan)
+
+V5_PLAN = compile_plan(tuple(
+    (_V5_ELEMENTS.get(name, -1), _V5_WIRE_DTYPE[name].itemsize)
+    for name in _V5_WIRE_DTYPE.names
+))
+
+
+class Region(NamedTuple):
+    """Whole records of one plan, as found in one datagram, with the
+    header values the plan may need as defaults."""
+
+    plan: WirePlan
+    payload: bytes
+    count: int
+    sampling: int = 1
+    export_secs: int = 0
+
+    def split(self, count: int) -> tuple["Region", "Region"]:
+        """The first ``count`` records and the rest."""
+        cut = count * self.plan.dtype.itemsize
+        return (
+            self._replace(payload=self.payload[:cut], count=count),
+            self._replace(
+                payload=self.payload[cut:], count=self.count - count
+            ),
+        )
+
+
+def decode_regions(
+    regions: Sequence[Region], boot_time: float
+) -> np.ndarray:
+    """``FLOW_DTYPE`` rows of ``regions``, in their (arrival) order.
+
+    Each distinct plan runs once over the concatenated bytes of its
+    regions; with more than one plan the blocks are scattered back to
+    where their regions sit in the sequence.
+    """
+    groups: dict[WirePlan, tuple[list[Region], list[int]]] = {}
+    total = 0
+    for region in regions:
+        members, starts = groups.setdefault(region.plan, ([], []))
+        members.append(region)
+        starts.append(total)
+        total += region.count
+    out = np.empty(total, dtype=FLOW_DTYPE)
+    # Rows move as opaque bytes: a fancy-indexed structured assignment
+    # copies field by field, an order of magnitude slower.
+    opaque = np.dtype((np.void, FLOW_DTYPE.itemsize))
+    for plan, (members, starts) in groups.items():
+        counts = np.array([region.count for region in members])
+        block = plan.decode(
+            b"".join([region.payload for region in members]),
+            boot_time,
+            np.repeat([region.sampling for region in members], counts),
+            np.repeat([region.export_secs for region in members], counts),
+        )
+        if len(groups) == 1:
+            return block
+        packed = np.cumsum(counts) - counts
+        out.view(opaque)[
+            np.repeat(np.array(starts) - packed, counts)
+            + np.arange(len(block))
+        ] = block.view(opaque)
+    return out
+
+
+# -- decoded datagrams, templates ---------------------------------------------
+
 
 @dataclass(slots=True)
 class DecodedDatagram:
-    """One datagram's worth of decoded rows plus accounting facts.
+    """One datagram's record regions plus accounting facts.
 
     ``seq``/``seq_units`` feed per-exporter loss detection: the next
     datagram from the same exporter is expected to carry sequence
     ``seq + seq_units``. Units differ by format — v5 counts flows,
     v9 counts export packets, IPFIX counts data records. When the
     decoder could not establish how many records the exporter actually
-    sent (IPFIX data buffered without its template), ``seq_reliable``
-    is False and the tracker re-baselines instead of counting a
-    phantom gap.
+    sent (IPFIX data buffered without its template, or a data set no
+    whole record of its template fits in), ``seq_reliable`` is False
+    and the tracker re-baselines instead of counting a phantom gap.
+
+    ``flows`` is header arithmetic; ``rows`` runs the plans on first
+    use (the listener never asks — the batcher decodes whole chunks).
     """
 
     version: int
     domain: int
     seq: int
     seq_units: int
-    rows: np.ndarray
+    regions: list[Region] = field(default_factory=list)
+    boot_time: float = 0.0
+    flows: int = 0
     malformed: int = 0
     seq_reliable: bool = True
     template_sets: int = 0
     buffered_sets: int = 0
     dropped_sets: int = 0
+    _rows: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def rows(self) -> np.ndarray:
+        if self._rows is None:
+            self._rows = decode_regions(self.regions, self.boot_time)
+        return self._rows
 
 
-@dataclass(slots=True, frozen=True)
+@dataclass(frozen=True)
 class Template:
     """A decoded v9/IPFIX template: field layout of one record shape."""
 
@@ -200,9 +435,13 @@ class Template:
     #: IPFIX elements carry ``element_id = -1`` (decoded and skipped).
     fields: tuple[tuple[int, int], ...]
 
-    @property
+    @functools.cached_property
     def record_size(self) -> int:
         return sum(length for _, length in self.fields)
+
+    @functools.cached_property
+    def plan(self) -> WirePlan:
+        return compile_plan(self.fields)
 
 
 class TemplateCache:
@@ -233,8 +472,22 @@ class TemplateCache:
     def install(
         self, template: Template
     ) -> list[tuple[bytes, tuple]]:
-        """Store a template; return buffered sets now decodable."""
-        self.templates[template.template_id] = template
+        """Store a template; return buffered sets now decodable.
+
+        A refresh that repeats the known layout keeps the known
+        object. A new layout no data set can hold a record of (an
+        IPFIX variable-length field, say) is logged here, once; its
+        data sets are then counted malformed one by one.
+        """
+        if self.templates.get(template.template_id) != template:
+            self.templates[template.template_id] = template
+            if template.record_size > _MAX_SET_PAYLOAD:
+                logger.warning(
+                    "template %d: %d-byte records exceed every data "
+                    "set (variable-length field?); its data sets "
+                    "will be counted malformed",
+                    template.template_id, template.record_size,
+                )
         ready = self._pending.pop(template.template_id, [])
         self._pending_count -= len(ready)
         return [(payload, ctx) for _, payload, ctx in ready]
@@ -279,99 +532,71 @@ class TemplateCache:
         return self._pending_count
 
 
-def peek_exporter(data: bytes) -> tuple[int, int]:
-    """``(version, observation_domain)`` from a datagram's first bytes.
+# -- datagram parsing ---------------------------------------------------------
 
-    The exporter key must be known *before* full decoding (the
-    template cache is per-exporter), so this reads only the header.
-    For v5 the domain analog is ``engine_type << 8 | engine_id``.
+
+class Header(NamedTuple):
+    """The export header of any supported datagram, parsed once.
+
+    ``domain`` is v9's ``source_id``, the IPFIX observation domain,
+    for v5 the analog ``engine_type << 8 | engine_id``; ``count`` is
+    v5's declared record count; ``sampling`` is v5's interval, 1 when
+    unsampled; ``body``/``limit`` bound the records or sets.
     """
+
+    version: int
+    domain: int
+    seq: int
+    count: int
+    export_secs: int
+    sampling: int
+    body: int
+    limit: int
+
+
+_HEADERS = {
+    v5.NETFLOW_V5_VERSION: v5._HEADER,
+    NETFLOW_V9_VERSION: _V9_HEADER,
+    IPFIX_VERSION: _IPFIX_HEADER,
+}
+
+
+def parse_header(data: bytes) -> Header:
+    """Parse the export header; raises :class:`CodecError` on a runt,
+    a truncated header or an unsupported version."""
     if len(data) < 2:
         raise CodecError(
             f"runt datagram: {len(data)} bytes < version field"
         )
     version = (data[0] << 8) | data[1]
-    if version == v5.NETFLOW_V5_VERSION:
-        if len(data) < v5.HEADER_SIZE:
-            raise CodecError(
-                f"truncated packet: {len(data)} bytes < header "
-                f"{v5.HEADER_SIZE}"
-            )
-        return version, (data[20] << 8) | data[21]
-    if version == NETFLOW_V9_VERSION:
-        if len(data) < V9_HEADER_SIZE:
-            raise CodecError(
-                f"truncated v9 header: {len(data)} < {V9_HEADER_SIZE}"
-            )
-        return version, int.from_bytes(data[16:20], "big")
-    if version == IPFIX_VERSION:
-        if len(data) < IPFIX_HEADER_SIZE:
-            raise CodecError(
-                f"truncated IPFIX header: {len(data)} < "
-                f"{IPFIX_HEADER_SIZE}"
-            )
-        return version, int.from_bytes(data[12:16], "big")
-    raise CodecError(f"unsupported NetFlow version {version}")
-
-
-# -- NetFlow v5 (vectorized) --------------------------------------------------
-
-
-def decode_v5_datagram(
-    data: bytes, boot_time: float = 0.0
-) -> DecodedDatagram:
-    """Vectorized tolerant decode of one v5 datagram.
-
-    Produces the same column values as running every record through
-    :func:`repro.flows.netflow_v5.decode_packet` — asserted by the
-    equivalence tests — at a fraction of the per-record cost.
-    """
-    if len(data) < v5.HEADER_SIZE:
-        raise CodecError(
-            f"truncated packet: {len(data)} bytes < header "
-            f"{v5.HEADER_SIZE}"
-        )
-    (
-        version, count, _sys_uptime, _unix_secs, _unix_nsecs,
-        flow_sequence, engine_type, engine_id, sampling,
-    ) = v5._HEADER.unpack_from(data, 0)
-    if version != v5.NETFLOW_V5_VERSION:
+    layout = _HEADERS.get(version)
+    if layout is None:
         raise CodecError(f"unsupported NetFlow version {version}")
-    whole = min(count, (len(data) - v5.HEADER_SIZE) // v5.RECORD_SIZE)
-    sampling_mode = sampling >> 14
-    sampling_interval = sampling & v5._SAMPLING_INTERVAL_MASK
-    if sampling_mode == 0 or sampling_interval == 0:
-        sampling_interval = 1
-    wire = np.frombuffer(
-        data, dtype=_V5_WIRE_DTYPE, count=whole, offset=v5.HEADER_SIZE
-    )
-    out = np.empty(whole, dtype=FLOW_DTYPE)
-    out["src_ip"] = wire["src_ip"]
-    out["dst_ip"] = wire["dst_ip"]
-    out["src_port"] = wire["src_port"]
-    out["dst_port"] = wire["dst_port"]
-    out["proto"] = wire["proto"]
-    out["tcp_flags"] = wire["tcp_flags"]
-    out["router"] = wire["input"]
-    out["sampling_rate"] = sampling_interval
-    out["packets"] = wire["packets"]
-    out["bytes"] = wire["octets"]
-    out["start"] = boot_time + wire["first"].astype("f8") / 1000.0
-    out["end"] = boot_time + wire["last"].astype("f8") / 1000.0
-    return DecodedDatagram(
-        version=version,
-        domain=(engine_type << 8) | engine_id,
-        seq=flow_sequence,
-        # v5 sequences count flows as the *exporter* emitted them —
-        # records lost to truncation were still sent, so the declared
-        # count (not the decoded count) advances the expectation.
-        seq_units=count,
-        rows=out,
-        malformed=count - whole,
+    size, limit = layout.size, len(data)
+    if limit < size:
+        raise CodecError(
+            f"truncated v{version} header: {limit} bytes < {size}"
+        )
+    words = layout.unpack_from(data, 0)
+    count, sampling = 0, 1
+    if version == v5.NETFLOW_V5_VERSION:
+        (_, count, _, secs, _, seq, engine_type, engine_id, mode) = words
+        domain = (engine_type << 8) | engine_id
+        if mode >> 14:
+            sampling = mode & v5._SAMPLING_INTERVAL_MASK or 1
+    elif version == NETFLOW_V9_VERSION:
+        (_, _, _, secs, seq, domain) = words
+    else:
+        (_, length, secs, seq, domain) = words
+        limit = min(limit, length)
+    return Header(
+        version, domain, seq, count, secs, sampling, size, limit
     )
 
 
-# -- NetFlow v9 / IPFIX -------------------------------------------------------
+def peek_exporter(data: bytes) -> tuple[int, int]:
+    """``(version, observation_domain)`` of a datagram's header."""
+    return parse_header(data)[:2]
 
 
 def _parse_templates(
@@ -415,123 +640,74 @@ def _parse_templates(
     return templates, malformed
 
 
-def _decode_data_records(
-    payload: bytes,
-    template: Template,
-    boot_time: float,
-    export_secs: int,
-) -> list[tuple]:
-    """Decode the fixed-size records a data set carries.
-
-    Anything shorter than one record at the tail is padding (RFC 7011
-    allows up to 3 bytes; broken exporters pad more — tolerated).
-    """
-    size = template.record_size
-    rows: list[tuple] = []
-    offset = 0
-    while offset + size <= len(payload):
-        values = {
-            "src_ip": 0, "dst_ip": 0, "src_port": 0, "dst_port": 0,
-            "proto": 0, "tcp_flags": 0, "router": 0,
-            "sampling_rate": 1, "packets": 0, "bytes": 0,
-        }
-        start: float | None = None
-        end: float | None = None
-        pos = offset
-        for element, length in template.fields:
-            raw = int.from_bytes(payload[pos:pos + length], "big")
-            pos += length
-            if element in _TIME_ELEMENTS:
-                if element == _FIRST_SWITCHED:
-                    start = boot_time + raw / 1000.0
-                elif element == _LAST_SWITCHED:
-                    end = boot_time + raw / 1000.0
-                elif element == _FLOW_START_SECONDS:
-                    start = float(raw)
-                elif element == _FLOW_END_SECONDS:
-                    end = float(raw)
-                elif element == _FLOW_START_MS:
-                    start = raw / 1000.0
-                else:
-                    end = raw / 1000.0
-                continue
-            column = ELEMENT_COLUMNS.get(element)
-            if column is None:
-                continue
-            mask = _COLUMN_MASKS.get(column)
-            values[column] = raw & mask if mask else min(raw, _I64_MAX)
-        if values["sampling_rate"] == 0:
-            values["sampling_rate"] = 1
-        if start is None:
-            start = end if end is not None else float(export_secs)
-        if end is None:
-            end = start
-        rows.append((
-            values["src_ip"], values["dst_ip"],
-            values["src_port"], values["dst_port"],
-            values["proto"], values["tcp_flags"],
-            values["router"], values["sampling_rate"],
-            values["packets"], values["bytes"],
-            start, end,
-        ))
-        offset += size
-    return rows
-
-
-def decode_template_datagram(
+def decode_datagram(
     data: bytes,
-    boot_time: float,
-    cache: TemplateCache,
+    boot_time: float = 0.0,
+    cache: TemplateCache | None = None,
     now: float = 0.0,
+    header: Header | None = None,
 ) -> DecodedDatagram:
-    """Decode one v9 or IPFIX datagram against an exporter's cache.
+    """Parse one datagram of any supported format (v5 needs no cache).
 
-    Sets are processed in wire order. A data set whose template is
-    unknown is buffered in ``cache`` (bounded); a template arrival
-    immediately decodes whatever it unblocks, so out-of-order
-    template/data interleavings converge to the same rows.
+    ``header`` is ``parse_header(data)`` when the caller already has
+    it (the listener keys the exporter, hence the cache, on it).
+
+    v9/IPFIX sets are processed in wire order. A data set whose
+    template is unknown is buffered in ``cache`` (bounded); a template
+    arrival immediately stages whatever it unblocks, so out-of-order
+    template/data interleavings converge to the same rows. Anything
+    shorter than one record at the tail of a data set is padding (RFC
+    7011 allows up to 3 bytes; broken exporters pad more — tolerated),
+    but a data set without one whole record is malformed.
     """
-    version = (data[0] << 8) | data[1] if len(data) >= 2 else -1
-    if version == NETFLOW_V9_VERSION:
-        if len(data) < V9_HEADER_SIZE:
-            raise CodecError(
-                f"truncated v9 header: {len(data)} < {V9_HEADER_SIZE}"
-            )
-        (_, _count, _uptime, export_secs, sequence, domain) = \
-            _V9_HEADER.unpack_from(data, 0)
-        offset = V9_HEADER_SIZE
-        limit = len(data)
-        template_set_id = _V9_TEMPLATE_SET
-        options_set_id = _V9_OPTIONS_SET
-        ipfix = False
-    elif version == IPFIX_VERSION:
-        if len(data) < IPFIX_HEADER_SIZE:
-            raise CodecError(
-                f"truncated IPFIX header: {len(data)} < "
-                f"{IPFIX_HEADER_SIZE}"
-            )
-        (_, length, export_secs, sequence, domain) = \
-            _IPFIX_HEADER.unpack_from(data, 0)
-        offset = IPFIX_HEADER_SIZE
-        limit = min(len(data), length)
-        template_set_id = _IPFIX_TEMPLATE_SET
-        options_set_id = _IPFIX_OPTIONS_SET
-        ipfix = True
-    else:
-        raise CodecError(f"unsupported NetFlow version {version}")
-
+    version, domain, seq, count, export_secs, sampling, offset, limit = \
+        header or parse_header(data)
     result = DecodedDatagram(
-        version=version, domain=domain, seq=sequence,
-        seq_units=0, rows=np.empty(0, dtype=FLOW_DTYPE),
+        version=version, domain=domain, seq=seq, seq_units=1,
+        boot_time=boot_time,
     )
-    chunks: list[np.ndarray] = []
+    if version == v5.NETFLOW_V5_VERSION:
+        # Truncated trailing records are counted, never raised. v5
+        # sequences count flows as the *exporter* emitted them —
+        # records lost to truncation were still sent, so the declared
+        # count (not the decoded count) advances the expectation.
+        whole = min(count, (limit - offset) // v5.RECORD_SIZE)
+        result.seq_units = count
+        result.malformed = count - whole
+        if whole:
+            result.flows = whole
+            result.regions.append(Region(
+                V5_PLAN, data[offset:offset + whole * v5.RECORD_SIZE],
+                whole, sampling,
+            ))
+        return result
+    if cache is None:
+        raise CodecError("v9/IPFIX decoding needs a template cache")
+    ipfix = version == IPFIX_VERSION
+    template_set_id = _IPFIX_TEMPLATE_SET if ipfix else _V9_TEMPLATE_SET
+    options_set_id = _IPFIX_OPTIONS_SET if ipfix else _V9_OPTIONS_SET
+
+    def stage(payload: bytes, template: Template, secs: int) -> int:
+        size = template.record_size
+        records = len(payload) // size
+        if records:
+            result.flows += records
+            result.regions.append(Region(
+                template.plan, payload[:records * size], records, 1, secs
+            ))
+        else:
+            # The exporter counted records here that we cannot.
+            result.malformed += 1
+            result.seq_reliable = not ipfix
+        return records
+
     records = 0
     while offset + _SET_HEADER.size <= limit:
         set_id, set_len = _SET_HEADER.unpack_from(data, offset)
         if set_len < _SET_HEADER.size \
                 or offset + set_len > limit:
             result.malformed += 1
-            result.seq_reliable = ipfix is False
+            result.seq_reliable = not ipfix
             break
         payload = data[offset + _SET_HEADER.size:offset + set_len]
         offset += set_len
@@ -541,11 +717,7 @@ def decode_template_datagram(
             result.template_sets += len(templates)
             for template in templates:
                 for pending, ctx in cache.install(template):
-                    rows = _decode_data_records(
-                        pending, template, boot_time, ctx[0]
-                    )
-                    if rows:
-                        chunks.append(np.array(rows, dtype=FLOW_DTYPE))
+                    stage(pending, template, ctx[0])
         elif set_id == options_set_id:
             continue  # scope/option metadata carries no flow rows
         elif set_id >= MIN_TEMPLATE_ID:
@@ -560,36 +732,17 @@ def decode_template_datagram(
                     # sequence by an amount we cannot know yet.
                     result.seq_reliable = False
                 continue
-            rows = _decode_data_records(
-                payload, template, boot_time, export_secs
-            )
-            records += len(rows)
-            if rows:
-                chunks.append(np.array(rows, dtype=FLOW_DTYPE))
+            records += stage(payload, template, export_secs)
         else:
             result.malformed += 1
-    if chunks:
-        result.rows = (
-            chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        )
     # v9 sequences count export packets; IPFIX counts data records.
-    result.seq_units = 1 if not ipfix else records
+    if ipfix:
+        result.seq_units = records
     return result
 
 
-def decode_datagram(
-    data: bytes,
-    boot_time: float,
-    cache: TemplateCache | None = None,
-    now: float = 0.0,
-) -> DecodedDatagram:
-    """Decode any supported datagram (v5 needs no cache)."""
-    if len(data) >= 2 and (data[0] << 8) | data[1] \
-            == v5.NETFLOW_V5_VERSION:
-        return decode_v5_datagram(data, boot_time)
-    if cache is None:
-        raise CodecError("v9/IPFIX decoding needs a template cache")
-    return decode_template_datagram(data, boot_time, cache, now=now)
+#: The per-format entry points of earlier releases: one path now.
+decode_v5_datagram = decode_template_datagram = decode_datagram
 
 
 # -- encoders (fixtures, roundtrip tests, benchmark) --------------------------

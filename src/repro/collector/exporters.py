@@ -59,7 +59,7 @@ class ExporterState:
             self.first_seen = now
         self.last_seen = now
         self.packets += 1
-        self.flows += len(datagram.rows)
+        self.flows += datagram.flows
         self.malformed += datagram.malformed
         self.template_sets += datagram.template_sets
         self.template_misses += datagram.buffered_sets

@@ -2,10 +2,10 @@
 
 :class:`FlowCollector` is the first mile of a live deployment: routers
 export NetFlow v5/v9/IPFIX datagrams at a loopback-default host/port,
-a selectors-driven listener thread decodes them
+a selectors-driven listener thread parses them
 (:mod:`repro.collector.decode`), tracks per-exporter sequence/loss
-state (:mod:`repro.collector.exporters`) and batches rows into
-:class:`~repro.flows.table.FlowTable` chunks
+state (:mod:`repro.collector.exporters`) and stages their records for
+one decode per :class:`~repro.flows.table.FlowTable` chunk
 (:mod:`repro.collector.batcher`) on a bounded queue that the stream
 engine drains.
 
@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.collector.batcher import ChunkBatcher
-from repro.collector.decode import decode_datagram, peek_exporter
+from repro.collector.decode import decode_datagram, parse_header
 from repro.collector.exporters import ExporterTable
 from repro.errors import CodecError, CollectorError, SpecError
 from repro.flows.table import FlowTable
@@ -192,6 +192,7 @@ class FlowCollector:
             self._enqueue,
             chunk_rows=chunk_rows,
             max_batch_seconds=self.max_batch_seconds,
+            boot_time=self.boot_time,
         )
         self._thread = threading.Thread(
             target=self._serve, name="repro-collector", daemon=True
@@ -275,14 +276,18 @@ class FlowCollector:
         return got_any
 
     def _on_datagram(self, data: bytes, address: str, now: float) -> None:
+        """Header arithmetic and accounting only; the record bytes are
+        staged and decoded once per chunk."""
         try:
-            version, domain = peek_exporter(data)
+            header = parse_header(data)
             before = len(self.exporters)
-            state = self.exporters.get(address, version, domain)
+            state = self.exporters.get(
+                address, header.version, header.domain
+            )
             if len(self.exporters) != before:
                 _EXPORTERS.set(len(self.exporters))
             decoded = decode_datagram(
-                data, self.boot_time, cache=state.templates, now=now
+                data, self.boot_time, state.templates, now, header
             )
         except CodecError as exc:
             self.malformed += 1
@@ -305,12 +310,11 @@ class FlowCollector:
         if decoded.dropped_sets:
             self.template_drops += decoded.dropped_sets
             _TMPL_DROPPED.inc(decoded.dropped_sets)
-        rows = decoded.rows
-        if len(rows):
-            self.flows += len(rows)
-            _FLOWS.inc(len(rows))
+        if decoded.flows:
+            self.flows += decoded.flows
+            _FLOWS.inc(decoded.flows)
             assert self._batcher is not None
-            self._batcher.add(rows)
+            self._batcher.add(decoded.regions)
 
     def _enqueue(self, table: FlowTable, reason: str) -> bool:
         try:

@@ -59,7 +59,6 @@ from repro.flows.netflow_v5 import (
     decode_packet_tolerant,
     encode_packet,
 )
-from repro.flows.table import FLOW_DTYPE
 from repro.synth.presets import build_preset_scenario
 
 DATA = Path(__file__).parent / "data"
@@ -355,7 +354,7 @@ def _fake(seq, units, reliable=True):
 
     return DecodedDatagram(
         version=9, domain=0, seq=seq, seq_units=units,
-        rows=np.empty(0, dtype=FLOW_DTYPE), seq_reliable=reliable,
+        seq_reliable=reliable,
     )
 
 
@@ -420,24 +419,26 @@ class TestSequenceAccounting:
 
 
 class TestChunkBatcher:
-    def _rows(self, n):
-        out = np.zeros(n, dtype=FLOW_DTYPE)
-        out["sampling_rate"] = 1
-        out["end"] = 1.0
-        return out
+    """The batcher stages record bytes; tables appear at flush."""
+
+    def _regions(self, n):
+        return decode_datagram(_v5_packet(n)).regions
 
     def test_size_flush_emits_exact_chunks(self):
         got = []
         batcher = ChunkBatcher(
-            lambda table, reason: got.append((len(table), reason)),
+            lambda table, reason: got.append((table, reason)),
             chunk_rows=100,
         )
-        for _ in range(7):
-            batcher.add(self._rows(60))
-        assert [n for n, _ in got] == [100, 100, 100, 100]
+        for _ in range(14):
+            batcher.add(self._regions(30))
+        assert [len(t) for t, _ in got] == [100, 100, 100, 100]
         assert batcher.pending_rows == 20
         batcher.flush()
-        assert got[-1] == (20, "final")
+        assert (len(got[-1][0]), got[-1][1]) == (20, "final")
+        # Chunk edges split datagrams without losing or reordering rows.
+        ports = np.concatenate([t._data["src_port"] for t, _ in got])
+        assert ports.tolist() == [1000 + i for i in range(30)] * 14
 
     def test_age_flush(self):
         clock = [0.0]
@@ -447,7 +448,7 @@ class TestChunkBatcher:
             chunk_rows=10_000, max_batch_seconds=0.5,
             clock=lambda: clock[0],
         )
-        batcher.add(self._rows(5))
+        batcher.add(self._regions(5))
         assert not batcher.poll()
         clock[0] = 0.6
         assert batcher.poll()
