@@ -11,18 +11,25 @@ with no decode step between disk and the columnar hot path.
 
 ``layout``
     The directory contract: manifest (geometry + schema version),
-    partition naming ``part<slice>-h<shard>-<seq>.flows``, the 32-byte
-    versioned header, crash-safe atomic writes, quarantine.
+    partition naming ``part<slice>-h<shard>-<seq>.flows`` (+ ``.idx``),
+    the 32-byte versioned header, crash-safe atomic writes and the
+    directory fsync, quarantine.
 ``index``
-    Zone maps — per-partition time bounds, per-feature min/max and
-    value dictionaries, counter sums — and the sound
+    The partition index — per-column value histograms (feature index)
+    and, read off them, the zone map (time bounds, per-column min/max
+    and value dictionaries, counter sums) — built in one pass, stored
+    as one checksummed binary ``.idx`` sidecar; plus the sound
     partition-pruning logic over the nfdump filter AST.
 ``partition``
     One validated partition served as a read-only zero-copy
     ``np.memmap`` view.
 ``writer``
     :class:`ArchiveWriter` — buffered, vectorized, shard-aware ingest
-    and the low-level atomic partition write.
+    and the low-level partition write (one index pass, two atomic
+    writes, one directory fsync).
+``planner``
+    Push-down arithmetic (histogram merging, ranking), worker-side
+    scan tasks and the :class:`~repro.archive.planner.QueryPlan`.
 ``reader``
     :class:`ArchiveReader` — zone-map-pruned window+filter queries,
     byte-identical to :class:`~repro.flows.store.FlowStore` over the

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.archive.layout import remove_partition
 from repro.archive.partition import Partition
 from repro.archive.reader import ArchiveReader
 from repro.archive.writer import ArchiveWriter
@@ -65,8 +66,10 @@ def compact_archive(
     """Merge every multi-file or unsealed ``(slice, shard)`` group.
 
     A group is left alone only when it is already terminal: exactly
-    one partition, sealed. Returns counters; an empty archive (or one
-    already fully compacted) is a no-op.
+    one partition, sealed, with an ``.idx`` sidecar (a legacy group is
+    rewritten into the current format and every old name, both JSON
+    sidecars included, unlinked). Returns counters; an empty archive
+    (or one already fully compacted) is a no-op.
     """
     reader = reader or ArchiveReader(root)
     reader.refresh()
@@ -82,16 +85,15 @@ def compact_archive(
     }
     for _key, path in reader.layout.partition_files():
         if path.name in superseded:
-            path.unlink(missing_ok=True)
-            reader.layout.zone_path(path).unlink(missing_ok=True)
-            reader.layout.fidx_path(path).unlink(missing_ok=True)
+            remove_partition(path)
     grouped = _groups(reader.partitions())
     groups = 0
     merged_rows = 0
     merged_bytes = 0
     before = sum(len(group) for group in grouped.values())
     for (slice_index, shard), group in sorted(grouped.items()):
-        if len(group) == 1 and group[0].zone.sealed:
+        if len(group) == 1 and group[0].zone.sealed \
+                and not group[0].legacy:
             continue
         groups += 1
         group.sort(key=lambda p: p.key)
@@ -113,13 +115,7 @@ def compact_archive(
             # over these files — drop our references first so the
             # mapping is not the only thing keeping deleted inodes
             # alive longer than needed.
-            partition.path.unlink(missing_ok=True)
-            reader.layout.zone_path(partition.path).unlink(
-                missing_ok=True
-            )
-            reader.layout.fidx_path(partition.path).unlink(
-                missing_ok=True
-            )
+            remove_partition(partition.path)
     reader.refresh()
     return CompactionResult(
         groups=groups,

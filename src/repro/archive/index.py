@@ -1,33 +1,53 @@
-"""Zone maps: per-partition summaries that prune queries.
+"""The partition index: zone map + feature index, one ``.idx`` sidecar.
 
-A :class:`ZoneMap` is the sidecar index of one partition file. It
-stores just enough about the partition's rows — time bounds, per-column
-min/max, small value dictionaries, counter sums, the union of TCP
-flags — for a reader to decide *this partition cannot contribute to
-this query* without touching a single payload byte. That decision must
-be **sound, never complete**: :meth:`may_match` may return True for a
-partition that matches nothing (the row-level mask then drops it), but
-must never return False for a partition holding a matching row. The
-equivalence suite asserts pruned results equal full scans under
-Hypothesis-generated queries.
+Every partition carries one sidecar built from **one pass** over its
+rows — one sort-and-group factorisation per indexed column
+(:data:`ZONE_COLUMNS`) feeds both halves:
 
-Per feature column the zone keeps ``min``/``max``/``distinct`` and,
-when the partition has at most :data:`MAX_DICT_VALUES` distinct
-values, the sorted value dictionary itself — which turns membership
-primitives (``dst port 445``, ``src ip in [...]``) into exact
-partition-level checks. High-cardinality columns fall back to range
-pruning.
+* :class:`FeatureIndex` — the **full** per-column value histogram
+  (sorted distinct values, flow count and packet sum per value): *what
+  would counting this partition produce?*, exactly, without a payload
+  byte (the planner's ``feature-index`` push-down).
+* :class:`ZoneMap` — time bounds, counter sums, the TCP-flag union
+  and, read off the feature index's value arrays, each column's
+  ``min``/``max``/``distinct`` and (up to :data:`MAX_DICT_VALUES`
+  entries) value dictionary: *could this partition match?*
+  :meth:`ZoneMap.may_match` is **sound, never complete** — it may
+  admit a partition that matches nothing (the row mask then drops it)
+  but never excludes one holding a matching row; the equivalence
+  suite asserts pruned results equal full scans.
+
+On disk (:func:`encode_index` / :func:`decode_index`) the pair is one
+file, ``part<slice>-h<shard>-<seq>.idx``::
+
+    b"RIDX" | u32 version | u32 head length      12-byte prefix
+    head    JSON: the zone map's scalars, sealed/sorted/shard_spec/
+            replaces, and the column table [name, length, values
+            dtype, flows dtype, packets dtype]
+    arrays  per column, in table order: values | flows | packets,
+            raw little-endian; values at the column's own dtype,
+            counts at the narrowest unsigned dtype that holds them
+    u32     crc32 of every byte before it
+
+Decoding is ``np.frombuffer`` over the file's bytes; counts widen to
+``int64`` when read. A torn or bit-flipped sidecar fails its length or
+checksum test with :class:`~repro.errors.ArchiveError` — the partition
+is quarantined, never served. The ``from_json`` classmethods parse the
+two JSON sidecars of archives that predate ``.idx``; nothing writes
+them.
 """
 
 from __future__ import annotations
 
 import json
+import struct
+import zlib
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from repro.errors import ArchiveError
+from repro.errors import ArchiveError, CodecError
 from repro.flows.filter import (
     And,
     CounterMatch,
@@ -45,12 +65,22 @@ from repro.flows.filter import (
 )
 from repro.flows.table import FlowTable
 
-__all__ = ["MAX_DICT_VALUES", "ZONE_COLUMNS", "ColumnZone", "ZoneMap"]
+__all__ = [
+    "MAX_DICT_VALUES",
+    "ZONE_COLUMNS",
+    "INDEX_VERSION",
+    "ColumnZone",
+    "value_histogram",
+    "FeatureIndex",
+    "ZoneMap",
+    "encode_index",
+    "decode_index",
+]
 
 #: Value dictionaries are kept only up to this many distinct values.
 MAX_DICT_VALUES = 64
 
-#: Columns summarised per partition (the five mining features + router).
+#: Columns indexed per partition (the five mining features + router).
 ZONE_COLUMNS = (
     "src_ip",
     "dst_ip",
@@ -59,6 +89,9 @@ ZONE_COLUMNS = (
     "proto",
     "router",
 )
+
+#: Version of the ``.idx`` byte layout.
+INDEX_VERSION = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,18 +106,17 @@ class ColumnZone:
     values: tuple[int, ...] | None
 
     @classmethod
-    def from_column(cls, column: np.ndarray) -> "ColumnZone":
-        unique = np.unique(column)
-        values = (
-            tuple(int(v) for v in unique)
-            if len(unique) <= MAX_DICT_VALUES
-            else None
-        )
+    def from_values(cls, unique: np.ndarray) -> "ColumnZone":
+        """Summary of a column given its sorted distinct values."""
         return cls(
             min=int(unique[0]),
             max=int(unique[-1]),
-            distinct=int(len(unique)),
-            values=values,
+            distinct=len(unique),
+            values=(
+                tuple(unique.tolist())
+                if len(unique) <= MAX_DICT_VALUES
+                else None
+            ),
         )
 
     # -- partition-level predicates ---------------------------------------
@@ -122,6 +154,114 @@ class ColumnZone:
         return not (self.max < low or self.min > high)
 
 
+def value_histogram(
+    column: np.ndarray, packets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted distinct values of a (non-empty) ``column`` with, per
+    value, the row count and the exact ``int64`` sum of ``packets``.
+
+    Sorting groups equal values into runs: the run heads are the
+    distinct values, the run lengths the counts, ``np.add.reduceat``
+    over the co-sorted packets the sums. 16-bit columns take numpy's
+    radix sort (``kind="stable"``), several times faster there than
+    the comparison sort ``np.unique`` would run.
+    """
+    column = np.ascontiguousarray(column)
+    order = np.argsort(
+        column, kind="stable" if column.itemsize <= 2 else None
+    )
+    ordered = column[order]
+    heads = np.flatnonzero(
+        np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    )
+    return (
+        ordered[heads],
+        np.diff(heads, append=len(ordered)),
+        np.add.reduceat(packets[order], heads),
+    )
+
+
+class FeatureIndex:
+    """Per-column value histograms of one partition.
+
+    For every indexed column: the sorted distinct values, the flow
+    count per value and the packet sum per value — enough to answer
+    any flows- or packets-weighted ranking over the partition without
+    reading it. Exact integers throughout; merging indexes is
+    addition.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(
+        self,
+        columns: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
+    ) -> None:
+        self._columns = columns
+
+    @classmethod
+    def from_table(cls, table: FlowTable) -> "FeatureIndex":
+        """The partition's one index pass: one sort per column."""
+        packets = np.ascontiguousarray(table.packets)
+        return cls({
+            name: value_histogram(table.column(name), packets)
+            for name in ZONE_COLUMNS
+        })
+
+    def histogram(
+        self, column: str, by_packets: bool = False
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(values, int64 counts)`` of one column; ``None`` if absent."""
+        entry = self._columns.get(column)
+        if entry is None:
+            return None
+        values, flows, packet_sums = entry
+        counts = packet_sums if by_packets else flows
+        return values, counts.astype(np.int64, copy=False)
+
+    def __contains__(self, column: str) -> bool:
+        return column in self._columns
+
+    def column_zones(self) -> dict[str, ColumnZone]:
+        """The zone map's per-column summaries, read off the values."""
+        return {
+            name: ColumnZone.from_values(values)
+            for name, (values, _flows, _packets) in self._columns.items()
+        }
+
+    @classmethod
+    def from_json(cls, text: str, source: object = "") -> "FeatureIndex":
+        """Parse a legacy ``.fidx.json`` document."""
+        try:
+            data = json.loads(text)
+            if data["version"] != 1:
+                raise ValueError(f"version {data['version']}, not 1")
+            columns = {
+                name: tuple(
+                    np.asarray(entry[part], dtype=np.int64)
+                    for part in ("values", "flows", "packets")
+                )
+                for name, entry in data["columns"].items()
+            }
+            if any(len({len(a) for a in c}) != 1 for c in columns.values()):
+                raise ValueError("ragged columns")
+            return cls(columns)
+        except (ValueError, KeyError, TypeError) as exc:
+            where = f"{source}: " if source else ""
+            raise ArchiveError(
+                f"{where}corrupt feature index: {exc}"
+            ) from exc
+
+
+#: Zone-map fields serialised by name, in the sidecar head.
+_HEAD_SCALARS = (
+    "rows", "min_start", "max_start", "min_end", "max_end",
+    "min_duration", "max_duration", "min_packets", "max_packets",
+    "min_bytes", "max_bytes", "sum_packets", "sum_bytes", "flags_union",
+    "sealed", "sorted",
+)
+
+
 @dataclass(frozen=True, slots=True)
 class ZoneMap:
     """The queryable summary of one partition."""
@@ -157,13 +297,18 @@ class ZoneMap:
     def from_table(
         cls,
         table: FlowTable,
+        features: FeatureIndex | None = None,
         sealed: bool = False,
         sorted_rows: bool = False,
         shard_spec: tuple[int, str, int, int] | None = None,
         replaces: tuple[str, ...] = (),
     ) -> "ZoneMap":
+        """Summarise ``table``; the per-column zones are read off
+        ``features`` (its :class:`FeatureIndex`, built when not given)."""
         if not len(table):
             raise ArchiveError("refusing to zone-map an empty partition")
+        if features is None:
+            features = FeatureIndex.from_table(table)
         starts, ends = table.start, table.end
         durations = ends - starts
         return cls(
@@ -181,107 +326,43 @@ class ZoneMap:
             sum_packets=table.total_packets(),
             sum_bytes=table.total_bytes(),
             flags_union=int(np.bitwise_or.reduce(table.tcp_flags)),
-            columns={
-                name: ColumnZone.from_column(table.column(name))
-                for name in ZONE_COLUMNS
-            },
+            columns=features.column_zones(),
             sealed=sealed,
             sorted=sorted_rows,
             shard_spec=shard_spec,
             replaces=tuple(replaces),
         )
 
-    # -- (de)serialisation -------------------------------------------------
+    # -- deserialisation ---------------------------------------------------
 
-    def to_json(self) -> str:
-        payload = {
-            "rows": self.rows,
-            "min_start": self.min_start,
-            "max_start": self.max_start,
-            "min_end": self.min_end,
-            "max_end": self.max_end,
-            "min_duration": self.min_duration,
-            "max_duration": self.max_duration,
-            "min_packets": self.min_packets,
-            "max_packets": self.max_packets,
-            "min_bytes": self.min_bytes,
-            "max_bytes": self.max_bytes,
-            "sum_packets": self.sum_packets,
-            "sum_bytes": self.sum_bytes,
-            "flags_union": self.flags_union,
-            "sealed": self.sealed,
-            "sorted": self.sorted,
-            "shard_spec": (
-                list(self.shard_spec) if self.shard_spec else None
-            ),
-            "replaces": list(self.replaces),
-            "columns": {
-                name: {
-                    "min": zone.min,
-                    "max": zone.max,
-                    "distinct": zone.distinct,
-                    "values": (
-                        list(zone.values)
-                        if zone.values is not None
-                        else None
-                    ),
-                }
-                for name, zone in self.columns.items()
-            },
-        }
-        return json.dumps(payload, indent=1)
+    @classmethod
+    def _from_head(cls, head: dict, columns: dict) -> "ZoneMap":
+        """A zone map from its serialised scalars — the ``.idx`` head
+        and the legacy ``.zone.json`` share the field names — and its
+        per-column zones."""
+        shard_spec = head["shard_spec"]
+        return cls(
+            **{name: head[name] for name in _HEAD_SCALARS},
+            columns=columns,
+            shard_spec=tuple(shard_spec) if shard_spec else None,
+            replaces=tuple(head["replaces"]),
+        )
 
     @classmethod
     def from_json(cls, text: str, source: object = "") -> "ZoneMap":
-        where = f"{source}: " if source else ""
+        """Parse a legacy ``.zone.json`` document."""
         try:
             data = json.loads(text)
-            columns = {
+            return cls._from_head(data, {
                 name: ColumnZone(
-                    min=int(zone["min"]),
-                    max=int(zone["max"]),
-                    distinct=int(zone["distinct"]),
-                    values=(
-                        tuple(int(v) for v in zone["values"])
-                        if zone["values"] is not None
-                        else None
-                    ),
+                    zone["min"], zone["max"], zone["distinct"],
+                    None if zone["values"] is None
+                    else tuple(zone["values"]),
                 )
                 for name, zone in data["columns"].items()
-            }
-            shard_raw = data.get("shard_spec")
-            shard_spec = (
-                (
-                    int(shard_raw[0]),
-                    str(shard_raw[1]),
-                    int(shard_raw[2]),
-                    int(shard_raw[3]),
-                )
-                if shard_raw
-                else None
-            )
-            return cls(
-                rows=int(data["rows"]),
-                min_start=float(data["min_start"]),
-                max_start=float(data["max_start"]),
-                min_end=float(data["min_end"]),
-                max_end=float(data["max_end"]),
-                min_duration=float(data["min_duration"]),
-                max_duration=float(data["max_duration"]),
-                min_packets=int(data["min_packets"]),
-                max_packets=int(data["max_packets"]),
-                min_bytes=int(data["min_bytes"]),
-                max_bytes=int(data["max_bytes"]),
-                sum_packets=int(data["sum_packets"]),
-                sum_bytes=int(data["sum_bytes"]),
-                flags_union=int(data["flags_union"]),
-                columns=columns,
-                sealed=bool(data.get("sealed", False)),
-                sorted=bool(data.get("sorted", False)),
-                shard_spec=shard_spec,
-                replaces=tuple(data.get("replaces", ())),
-            )
+            })
         except (ValueError, KeyError, TypeError) as exc:
+            where = f"{source}: " if source else ""
             raise ArchiveError(
                 f"{where}corrupt zone map: {exc}"
             ) from exc
@@ -369,3 +450,93 @@ class ZoneMap:
             self.columns[side].may_contain(wanted)
             for side in self._sides(direction, src, dst)
         )
+
+
+# -- the .idx sidecar ---------------------------------------------------------
+
+_MAGIC = b"RIDX"
+_PREFIX = struct.Struct("<4sII")  # magic, version, head length
+_CRC = struct.Struct("<I")
+
+
+def _narrowed(counts: np.ndarray) -> np.ndarray:
+    """``counts`` at the narrowest little-endian dtype that holds them."""
+    if counts.min() < 0:  # wrapped wire counters: keep them signed
+        return counts.astype("<i8")
+    narrow = np.min_scalar_type(int(counts.max()))
+    return counts.astype(narrow.newbyteorder("<"))
+
+
+def encode_index(zone: ZoneMap, features: FeatureIndex) -> bytes:
+    """The ``.idx`` file of one partition (layout: module docstring)."""
+    table, arrays = [], []
+    for name, (values, flows, packets) in features._columns.items():
+        column = (
+            values.astype(values.dtype.newbyteorder("<"), copy=False),
+            _narrowed(flows),
+            _narrowed(packets),
+        )
+        table.append(
+            [name, len(values), *(array.dtype.str for array in column)]
+        )
+        arrays.extend(array.tobytes() for array in column)
+    head = {name: getattr(zone, name) for name in _HEAD_SCALARS}
+    head["shard_spec"] = zone.shard_spec
+    head["replaces"] = zone.replaces
+    head["columns"] = table
+    head_bytes = json.dumps(head, separators=(",", ":")).encode()
+    body = b"".join((
+        _PREFIX.pack(_MAGIC, INDEX_VERSION, len(head_bytes)),
+        head_bytes,
+        *arrays,
+    ))
+    return body + _CRC.pack(zlib.crc32(body))
+
+
+def decode_index(
+    blob: bytes, source: object = ""
+) -> tuple[ZoneMap, FeatureIndex]:
+    """Parse one ``.idx`` file; the arrays are views over ``blob``.
+
+    Raises :class:`~repro.errors.ArchiveError` for anything torn —
+    short, checksum-failing or structurally inconsistent — and
+    :class:`~repro.errors.CodecError` for an intact sidecar of a
+    foreign layout version.
+    """
+    where = f"{source}: " if source else ""
+    end = len(blob) - _CRC.size
+    if end < _PREFIX.size:
+        raise ArchiveError(f"{where}truncated index sidecar")
+    if zlib.crc32(memoryview(blob)[:end]) != _CRC.unpack_from(blob, end)[0]:
+        raise ArchiveError(f"{where}index sidecar fails its checksum")
+    magic, version, head_length = _PREFIX.unpack_from(blob)
+    if magic != _MAGIC:
+        raise ArchiveError(f"{where}not an index sidecar")
+    if version != INDEX_VERSION:
+        raise CodecError(
+            f"{where}index sidecar version {version}; this build "
+            f"reads version {INDEX_VERSION}"
+        )
+    try:
+        offset = _PREFIX.size + head_length
+        head = json.loads(blob[_PREFIX.size:offset])
+        columns = {}
+        for name, length, *dtypes in head["columns"]:
+            arrays = []
+            for code in dtypes:
+                dtype = np.dtype(code)
+                if dtype.kind not in "ui" or length < 1:
+                    raise ValueError(f"bad column table entry {name!r}")
+                arrays.append(np.frombuffer(blob, dtype, length, offset))
+                offset += length * dtype.itemsize
+            values, flows, packets = arrays
+            columns[name] = (values, flows, packets)
+        if offset != end:
+            raise ValueError("arrays do not fill the file")
+        features = FeatureIndex(columns)
+        zone = ZoneMap._from_head(head, features.column_zones())
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        raise ArchiveError(
+            f"{where}corrupt index sidecar: {exc}"
+        ) from exc
+    return zone, features

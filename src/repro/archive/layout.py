@@ -18,21 +18,29 @@ metadata, modelled on an NfDump spool directory:
     ``slice`` is the rotation-slice index (signed), ``shard`` the hash
     shard the rows belong to (0 for unsharded archives) and ``seq`` a
     per-``(slice, shard)`` write sequence number.
-``part<slice>-h<shard>-<seq>.zone.json``
-    The partition's zone map (:mod:`repro.archive.index`): row count,
-    time bounds, per-feature summaries, seal/sort flags. A partition
-    without its sidecar is not servable.
+``part<slice>-h<shard>-<seq>.idx``
+    The partition's index sidecar (:mod:`repro.archive.index`): zone
+    map and feature index in one checksummed binary file. A partition
+    is servable iff its ``.flows`` and ``.idx`` both exist under their
+    final names and the ``.idx`` checksum holds.
+``part<slice>-h<shard>-<seq>.zone.json`` / ``.fidx.json``
+    The two JSON sidecars of archives written before the ``.idx``
+    format. Read-only: a partition with no ``.idx`` is served from
+    them, nothing writes them, compaction rewrites them away.
 ``quarantine/``
     Where the reader moves files it refuses to serve (truncated
-    payloads, orphaned temporaries, missing sidecars). Quarantined
-    files keep their bytes for forensics but never reach a query.
+    payloads, orphaned temporaries, missing or torn sidecars).
+    Quarantined files keep their bytes for forensics but never reach a
+    query.
 
 Writes are crash-safe by construction: data is written to a
 ``.tmp-*`` name, flushed, fsynced and then atomically renamed, so a
-partition either exists completely under its final name or not at
-all. The sidecar follows the same protocol *after* the data file, so
-a visible ``.flows`` file missing its sidecar marks an interrupted
-write — the reader quarantines it.
+file either exists completely under its final name or not at all. The
+sidecar follows the same protocol *after* the data file, so a visible
+``.flows`` file missing its sidecar marks an interrupted write — the
+reader quarantines it — and the directory itself is fsynced once both
+names are linked, so a partition reported written survives a power
+cut.
 """
 
 from __future__ import annotations
@@ -64,8 +72,8 @@ from repro.flows.table import FLOW_SCHEMA_VERSION
 __all__ = [
     "MANIFEST_NAME",
     "PARTITION_SUFFIX",
-    "ZONE_SUFFIX",
-    "FEATURE_INDEX_SUFFIX",
+    "INDEX_SUFFIX",
+    "SIDECAR_SUFFIXES",
     "QUARANTINE_DIR",
     "PARTITION_HEADER_SIZE",
     "PartitionKey",
@@ -73,13 +81,18 @@ __all__ = [
     "unpack_partition_header",
     "partition_file_name",
     "parse_partition_name",
+    "sidecar_path",
+    "remove_partition",
+    "atomic_write",
     "ArchiveLayout",
 ]
 
 MANIFEST_NAME = "MANIFEST.json"
 PARTITION_SUFFIX = ".flows"
-ZONE_SUFFIX = ".zone.json"
-FEATURE_INDEX_SUFFIX = ".fidx.json"
+INDEX_SUFFIX = ".idx"
+#: Every sidecar a partition may own: the index, then the two legacy
+#: JSON names it replaced.
+SIDECAR_SUFFIXES = (INDEX_SUFFIX, ".zone.json", ".fidx.json")
 QUARANTINE_DIR = "quarantine"
 _TMP_PREFIX = ".tmp-"
 
@@ -156,7 +169,25 @@ def parse_partition_name(name: str) -> PartitionKey | None:
     )
 
 
-def _atomic_write(
+def sidecar_path(partition_path: Path, suffix: str = INDEX_SUFFIX) -> Path:
+    """Sidecar path of a partition data file."""
+    name = partition_path.name
+    if not name.endswith(PARTITION_SUFFIX):
+        raise ArchiveError(f"not a partition file: {partition_path}")
+    return partition_path.parent / (
+        name[: -len(PARTITION_SUFFIX)] + suffix
+    )
+
+
+def remove_partition(partition_path: Path) -> None:
+    """Unlink a superseded partition under every name it may own: the
+    data file and each sidecar, current and legacy."""
+    partition_path.unlink(missing_ok=True)
+    for suffix in SIDECAR_SUFFIXES:
+        sidecar_path(partition_path, suffix).unlink(missing_ok=True)
+
+
+def atomic_write(
     path: Path, payload: bytes, exclusive: bool = False
 ) -> None:
     """Write ``payload`` to ``path`` via tmp + fsync + rename.
@@ -207,28 +238,14 @@ class ArchiveLayout:
     def partition_path(self, key: PartitionKey) -> Path:
         return self.root / partition_file_name(key)
 
-    def zone_path(self, partition_path: Path) -> Path:
-        """Sidecar path of a partition data file."""
-        name = partition_path.name
-        if not name.endswith(PARTITION_SUFFIX):
-            raise ArchiveError(f"not a partition file: {partition_path}")
-        return partition_path.parent / (
-            name[: -len(PARTITION_SUFFIX)] + ZONE_SUFFIX
-        )
-
-    def fidx_path(self, partition_path: Path) -> Path:
-        """Feature-index sidecar path of a partition data file.
-
-        Optional: archives written before the planner (or with feature
-        indexing off) simply have no ``.fidx.json`` files, and readers
-        fall back to payload scans.
-        """
-        name = partition_path.name
-        if not name.endswith(PARTITION_SUFFIX):
-            raise ArchiveError(f"not a partition file: {partition_path}")
-        return partition_path.parent / (
-            name[: -len(PARTITION_SUFFIX)] + FEATURE_INDEX_SUFFIX
-        )
+    def sync_directory(self) -> None:
+        """fsync the archive directory: makes the links and renames of
+        the files written so far survive a power cut."""
+        fd = os.open(self.root, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
     def ensure_root(self) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
@@ -292,7 +309,8 @@ class ArchiveLayout:
         note = target.with_name(target.name + ".reason")
         note.write_text(reason + "\n")
         if path.name.endswith(PARTITION_SUFFIX):
-            for sidecar in (self.zone_path(path), self.fidx_path(path)):
+            for suffix in SIDECAR_SUFFIXES:
+                sidecar = sidecar_path(path, suffix)
                 if sidecar.exists():
                     os.replace(
                         sidecar, self.quarantine_dir / sidecar.name
@@ -326,7 +344,8 @@ class ArchiveLayout:
             },
             indent=2,
         ).encode()
-        _atomic_write(self.manifest_path, payload + b"\n")
+        atomic_write(self.manifest_path, payload + b"\n")
+        self.sync_directory()
 
     def read_manifest(self) -> tuple[float, float] | None:
         """``(slice_seconds, origin)``, or ``None`` if not written yet."""
@@ -349,9 +368,3 @@ class ArchiveLayout:
                 f"{FLOW_SCHEMA_VERSION}"
             )
         return geometry
-
-    def atomic_write(
-        self, path: Path, payload: bytes, exclusive: bool = False
-    ) -> None:
-        """Crash-safe write used for partitions and sidecars."""
-        _atomic_write(path, payload, exclusive=exclusive)

@@ -1,16 +1,11 @@
-"""Query planning over an archive: sidecar indexes, pushdown, fan-out.
+"""Query planning over an archive: pushdown, fan-out, the plan.
 
-This module is the archive's second index layer and the brain behind
+This module is the brain behind
 :class:`~repro.archive.reader.ArchiveReader`'s aggregate queries:
 
-* :class:`FeatureIndex` — the ``.fidx.json`` sidecar written next to
-  each partition: the **full** per-feature value histogram (value →
-  flow count and packet sum) for the five mining features. Where the
-  zone map answers *"could this partition match?"*, the feature index
-  answers *"what would counting this partition produce?"* — exactly,
-  without touching a payload byte.
 * **Pushdown** — ``count`` answers from zone-map sums and
-  ``top_feature_values`` from merged feature indexes whenever the
+  ``top_feature_values`` from merged
+  :class:`~repro.archive.index.FeatureIndex` histograms whenever the
   query's window covers the candidate partitions and no row-level
   filter applies. Histogram merging is integer addition over sorted
   value arrays, so the pushed-down ranking is byte-identical to
@@ -26,173 +21,41 @@ This module is the archive's second index layer and the brain behind
   ``repro archive query --explain`` renders it.
 
 The planner is an *optimizer*, never an oracle: every pushdown path
-has a row-scan fallback producing identical bytes, and a missing or
-unreadable ``.fidx.json`` (archives written before this module, or
-with indexing disabled) simply disqualifies the pushdown.
+has a row-scan fallback producing identical bytes. Every partition
+written since the ``.idx`` sidecar carries its feature index; only a
+legacy partition whose optional ``.fidx.json`` is missing or
+unreadable disqualifies the pushdown.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from repro.archive.layout import PARTITION_HEADER_SIZE
-from repro.errors import ArchiveError
+from repro.archive.index import ZONE_COLUMNS, value_histogram
+from repro.archive.partition import open_rows
 from repro.flows.filter import FilterNode, compile_mask
 from repro.flows.record import FLOW_FEATURES, FlowFeature
-from repro.flows.table import FLOW_DTYPE, FlowTable
+from repro.flows.table import FlowTable
 
 __all__ = [
-    "FEATURE_INDEX_VERSION",
-    "FEATURE_INDEX_COLUMNS",
-    "FeatureIndex",
     "QueryPlan",
     "feature_column",
     "merge_histograms",
     "ranked_from_histogram",
 ]
 
-FEATURE_INDEX_VERSION = 1
-
-#: Columns indexed per partition — the five mining features
-#: (:data:`~repro.flows.record.FLOW_FEATURES` column names).
-FEATURE_INDEX_COLUMNS = (
-    "src_ip",
-    "dst_ip",
-    "src_port",
-    "dst_port",
-    "proto",
-)
-
+#: ``ZONE_COLUMNS`` leads with the five mining features, in
+#: :data:`~repro.flows.record.FLOW_FEATURES` order.
 _COLUMN_OF_FEATURE: dict[FlowFeature, str] = dict(
-    zip(FLOW_FEATURES, FEATURE_INDEX_COLUMNS)
+    zip(FLOW_FEATURES, ZONE_COLUMNS)
 )
 
 
 def feature_column(feature: FlowFeature) -> str:
     """Table column backing one mining feature (always indexed)."""
     return _COLUMN_OF_FEATURE[feature]
-
-
-class FeatureIndex:
-    """Per-feature value histograms of one partition (the ``.fidx``).
-
-    For every indexed column: the sorted distinct values, the flow
-    count per value and the packet sum per value — enough to answer
-    any flows- or packets-weighted ranking over the partition without
-    reading it. Exact integers throughout; merging indexes is
-    addition.
-    """
-
-    __slots__ = ("rows", "_columns")
-
-    def __init__(
-        self,
-        rows: int,
-        columns: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
-    ) -> None:
-        self.rows = rows
-        self._columns = columns
-
-    @classmethod
-    def from_table(cls, table: FlowTable) -> "FeatureIndex":
-        columns: dict = {}
-        packets = table.packets
-        for name in FEATURE_INDEX_COLUMNS:
-            values, inverse = np.unique(
-                table.column(name), return_inverse=True
-            )
-            flows = np.bincount(inverse, minlength=len(values))
-            packet_sums = np.zeros(len(values), dtype=np.int64)
-            np.add.at(packet_sums, inverse, packets)
-            columns[name] = (
-                values,
-                flows.astype(np.int64),
-                packet_sums,
-            )
-        return cls(rows=len(table), columns=columns)
-
-    def histogram(
-        self, column: str, by_packets: bool = False
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(values, counts)`` of one column, or ``None`` if absent."""
-        entry = self._columns.get(column)
-        if entry is None:
-            return None
-        values, flows, packet_sums = entry
-        return values, (packet_sums if by_packets else flows)
-
-    def __contains__(self, column: str) -> bool:
-        return column in self._columns
-
-    # -- (de)serialisation --------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "version": FEATURE_INDEX_VERSION,
-                "rows": self.rows,
-                "columns": {
-                    name: {
-                        "values": values.tolist(),
-                        "flows": flows.tolist(),
-                        "packets": packet_sums.tolist(),
-                    }
-                    for name, (
-                        values, flows, packet_sums,
-                    ) in self._columns.items()
-                },
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str, source: object = "") -> "FeatureIndex":
-        where = f"{source}: " if source else ""
-        try:
-            data = json.loads(text)
-            version = int(data["version"])
-            if version != FEATURE_INDEX_VERSION:
-                raise ArchiveError(
-                    f"{where}feature index version {version}; this "
-                    f"build reads version {FEATURE_INDEX_VERSION}"
-                )
-            columns = {}
-            for name, entry in data["columns"].items():
-                values = np.asarray(entry["values"], dtype=np.int64)
-                flows = np.asarray(entry["flows"], dtype=np.int64)
-                packets = np.asarray(entry["packets"], dtype=np.int64)
-                if not (len(values) == len(flows) == len(packets)):
-                    raise ArchiveError(
-                        f"{where}ragged feature index for {name!r}"
-                    )
-                columns[name] = (values, flows, packets)
-            return cls(rows=int(data["rows"]), columns=columns)
-        except ArchiveError:
-            raise
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ArchiveError(
-                f"{where}corrupt feature index: {exc}"
-            ) from exc
-
-
-def load_feature_index(path: Path) -> FeatureIndex | None:
-    """Read one ``.fidx.json``; ``None`` when missing or unreadable.
-
-    The index is an optimization, never the truth — a partition whose
-    sidecar is absent (pre-planner archive) or corrupt simply falls
-    back to a payload scan, which produces identical results.
-    """
-    try:
-        text = path.read_text()
-    except (FileNotFoundError, OSError):
-        return None
-    try:
-        return FeatureIndex.from_json(text, source=path)
-    except ArchiveError:
-        return None
 
 
 # -- histogram merging (the pushdown's arithmetic) ---------------------------
@@ -213,13 +76,11 @@ def merge_histograms(
     if len(parts) == 1:
         values, counts = parts[0]
         return values, counts.astype(np.int64)
-    all_values = np.concatenate([values for values, _ in parts])
-    merged_values, inverse = np.unique(all_values, return_inverse=True)
-    merged_counts = np.zeros(len(merged_values), dtype=np.int64)
-    np.add.at(
-        merged_counts,
-        inverse,
-        np.concatenate([counts for _, counts in parts]),
+    merged_values, _runs, merged_counts = value_histogram(
+        np.concatenate([values for values, _ in parts]),
+        np.concatenate(
+            [counts.astype(np.int64, copy=False) for _, counts in parts]
+        ),
     )
     return merged_values, merged_counts
 
@@ -241,18 +102,6 @@ def ranked_from_histogram(
 
 
 # -- worker-side scan tasks ---------------------------------------------------
-
-def _open_rows(path: str, rows: int) -> FlowTable:
-    """Worker-side mmap of one partition's payload (zero-copy)."""
-    data = np.memmap(
-        path,
-        dtype=FLOW_DTYPE,
-        mode="r",
-        offset=PARTITION_HEADER_SIZE,
-        shape=(rows,),
-    )
-    return FlowTable(data)
-
 
 def _scan_mask(
     table: FlowTable,
@@ -301,15 +150,10 @@ def histogram_rows(
     if not mask.any():
         return empty, empty
     selected = table.select(mask)
-    values, inverse = np.unique(
-        selected.column(column), return_inverse=True
+    values, flows, packet_sums = value_histogram(
+        selected.column(column), np.ascontiguousarray(selected.packets)
     )
-    if by_packets:
-        counts = np.zeros(len(values), dtype=np.int64)
-        np.add.at(counts, inverse, selected.packets)
-    else:
-        counts = np.bincount(inverse, minlength=len(values))
-    return values, counts.astype(np.int64)
+    return values, (packet_sums if by_packets else flows)
 
 
 def scan_count_task(
@@ -324,7 +168,7 @@ def scan_count_task(
     Runs on a worker: opens the partition mmap directly (no rows cross
     the pool inbound) and returns five numbers (none cross outbound).
     """
-    return count_rows(_open_rows(path, rows), start, end, node)
+    return count_rows(open_rows(path, rows), start, end, node)
 
 
 def scan_histogram_task(
@@ -342,7 +186,7 @@ def scan_histogram_task(
     the worker; only the (much smaller) histogram returns.
     """
     return histogram_rows(
-        _open_rows(path, rows), start, end, node, column, by_packets
+        open_rows(path, rows), start, end, node, column, by_packets
     )
 
 

@@ -9,8 +9,8 @@ and therefore the whole triage pipeline, run against the on-disk
 archive unchanged. Results are **byte-identical** to a `FlowStore`
 holding the same rows (the equivalence suite asserts it): partitions
 scan in canonical ``(slice, shard, seq)`` order and the final
-``(start, 5-tuple)`` lexsort resolves ties by that order, exactly as
-the store's slice-order concat does.
+:meth:`~repro.flows.table.FlowTable.in_query_order` sort resolves ties
+by that order, exactly as the store's slice-order concat does.
 
 A query touches a partition's payload only when it must:
 
@@ -23,9 +23,9 @@ A query touches a partition's payload only when it must:
 3. otherwise a boolean mask selects the matching rows (one copy of
    just those rows, like any store query).
 
-Scanning the directory re-validates integrity cheaply (header +
-sizes): torn files, orphaned temporaries and sidecar-less data files
-are moved to ``quarantine/`` and counted, never served, and never
+Scanning the directory re-validates integrity cheaply (sidecar
+checksum, header, sizes): torn files, orphaned temporaries and
+sidecar-less data files are moved to ``quarantine/`` and counted, never served, and never
 fatal for the rest of the archive. Per-query pruning counters are
 kept on :attr:`last_scan` — the benchmark and the operator ``stats``
 command both read them.
@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
-from repro.archive.layout import ArchiveLayout
+from repro.archive.layout import SIDECAR_SUFFIXES, ArchiveLayout
 from repro.archive.partition import Partition, load_partition
 from repro.archive.planner import (
     QueryPlan,
@@ -55,7 +55,7 @@ from repro.archive.planner import (
 from repro.errors import ArchiveError, CodecError, StoreError
 from repro.flows.filter import FilterNode, compile_mask, parse_filter
 from repro.flows.record import FlowFeature, FlowRecord
-from repro.flows.table import FLOW_DTYPE, FlowTable
+from repro.flows.table import FlowTable
 from repro.flows.trace import DEFAULT_BIN_SECONDS, FlowTrace, TraceStats
 from repro.obs import events as obs_events, metrics as obs_metrics
 
@@ -209,9 +209,8 @@ class ArchiveReader:
                 live.append(cached)
                 superseded.update(cached.zone.replaces)
                 continue
-            zone_path = self.layout.zone_path(path)
             try:
-                zone_text = zone_path.read_text()
+                partition = load_partition(key, path)
             except FileNotFoundError:
                 # Data lands before its sidecar, so a sidecar-less
                 # file is either a writer mid-partition-write (young:
@@ -225,11 +224,9 @@ class ArchiveReader:
                     seen.discard(path.name)
                     continue
                 self._quarantine(
-                    path, "partition without a zone-map sidecar"
+                    path, "partition without an index sidecar"
                 )
                 continue
-            try:
-                partition = load_partition(key, path, zone_text)
             except CodecError:
                 raise
             except ArchiveError as exc:
@@ -282,9 +279,7 @@ class ArchiveReader:
                 1
                 for entry in quarantine.iterdir()
                 if entry.is_file()
-                and not entry.name.endswith(".reason")
-                and not entry.name.endswith(".zone.json")
-                and not entry.name.endswith(".fidx.json")
+                and not entry.name.endswith((".reason", *SIDECAR_SUFFIXES))
             )
         return ArchiveStats(
             partitions=len(parts),
@@ -332,6 +327,25 @@ class ArchiveReader:
                 pushdown=plan.pushdown or None,
             )
 
+    def _prune(
+        self, start: float, end: float, filter_node: FilterNode | None
+    ) -> tuple[list[Partition], int, int]:
+        """The partitions the zone maps cannot rule out, and how many
+        they did: by time, then by filter."""
+        if not self.use_zone_maps:
+            return self._partitions, 0, 0
+        kept: list[Partition] = []
+        pruned_time = pruned_filter = 0
+        for partition in self._partitions:
+            if not partition.zone.overlaps_window(start, end):
+                pruned_time += 1
+            elif filter_node is not None \
+                    and not partition.zone.may_match(filter_node):
+                pruned_filter += 1
+            else:
+                kept.append(partition)
+        return kept, pruned_time, pruned_filter
+
     def _window_tables(
         self,
         start: float,
@@ -345,27 +359,19 @@ class ArchiveReader:
         the caller's. Fully covered, unfiltered partitions pass
         through as whole zero-copy views.
         """
-        pruned_time = pruned_filter = scanned = 0
+        candidates, pruned_time, pruned_filter = self._prune(
+            start, end, filter_node
+        )
         rows_scanned = rows_returned = payload_bytes = 0
         selected: list[FlowTable] = []
-        for partition in self._partitions:
-            zone = partition.zone
-            if self.use_zone_maps:
-                if not zone.overlaps_window(start, end):
-                    pruned_time += 1
-                    continue
-                if filter_node is not None and \
-                        not zone.may_match(filter_node):
-                    pruned_filter += 1
-                    continue
-            scanned += 1
+        for partition in candidates:
             table = partition.table()
             rows_scanned += len(table)
             payload_bytes += partition.payload_bytes
             if (
                 mask_of is None
                 and self.use_zone_maps
-                and zone.covered_by_window(start, end)
+                and partition.zone.covered_by_window(start, end)
             ):
                 selected.append(table)
                 rows_returned += len(table)
@@ -385,7 +391,7 @@ class ArchiveReader:
             partitions=len(self._partitions),
             pruned_time=pruned_time,
             pruned_filter=pruned_filter,
-            scanned=scanned,
+            scanned=len(candidates),
             rows_scanned=rows_scanned,
             rows_returned=rows_returned,
             payload_bytes=payload_bytes,
@@ -396,7 +402,7 @@ class ArchiveReader:
             pruned_time=pruned_time,
             pruned_filter=pruned_filter,
             sidecar_answered=0,
-            scanned=scanned,
+            scanned=len(candidates),
             payload_bytes_read=payload_bytes,
         ))
         return selected
@@ -420,22 +426,9 @@ class ArchiveReader:
         if self.auto_refresh:
             self.refresh()
         filter_node, mask_of = self._compile(flow_filter)
-        table = FlowTable.concat(
+        return FlowTable.concat(
             self._window_tables(start, end, filter_node, mask_of)
-        )
-        if len(table) > 1:
-            order = np.lexsort(
-                (
-                    table.proto,
-                    table.dst_port,
-                    table.src_port,
-                    table.dst_ip,
-                    table.src_ip,
-                    table.start,
-                )
-            )
-            table = table.select(order)
-        return table
+        ).in_query_order()
 
     def query(
         self,
@@ -470,28 +463,21 @@ class ArchiveReader:
         filter_node, mask_of = self._compile(flow_filter)
         flows = packets = byte_total = 0
         lo, hi = np.inf, -np.inf
-        pruned_time = pruned_filter = sidecar = 0
+        candidates, pruned_time, pruned_filter = self._prune(
+            start, end, filter_node
+        )
         needs_scan: list[Partition] = []
-        for partition in self._partitions:
+        for partition in candidates:
             zone = partition.zone
-            if self.use_zone_maps:
-                if not zone.overlaps_window(start, end):
-                    pruned_time += 1
-                    continue
-                if filter_node is not None and \
-                        not zone.may_match(filter_node):
-                    pruned_filter += 1
-                    continue
-                if mask_of is None and \
-                        zone.covered_by_window(start, end):
-                    sidecar += 1
-                    flows += zone.rows
-                    packets += zone.sum_packets
-                    byte_total += zone.sum_bytes
-                    lo = min(lo, zone.min_start)
-                    hi = max(hi, zone.max_end)
-                    continue
-            needs_scan.append(partition)
+            if self.use_zone_maps and mask_of is None \
+                    and zone.covered_by_window(start, end):
+                flows += zone.rows
+                packets += zone.sum_packets
+                byte_total += zone.sum_bytes
+                lo = min(lo, zone.min_start)
+                hi = max(hi, zone.max_end)
+            else:
+                needs_scan.append(partition)
         parallel = 0
         if self._fan_out(needs_scan):
             parallel = len(needs_scan)
@@ -521,7 +507,7 @@ class ArchiveReader:
             partitions=len(self._partitions),
             pruned_time=pruned_time,
             pruned_filter=pruned_filter,
-            sidecar_answered=sidecar,
+            sidecar_answered=len(candidates) - len(needs_scan),
             scanned=len(needs_scan),
             payload_bytes_read=sum(
                 p.payload_bytes for p in needs_scan
@@ -560,7 +546,7 @@ class ArchiveReader:
 
         1. **feature-index pushdown** — no row filter, zone maps on,
            every surviving partition fully covered by the window and
-           carrying a ``.fidx.json`` sidecar: merge the per-partition
+           carrying a feature index: merge the per-partition
            histograms and rank. Zero payload bytes read.
         2. **parallel histogram scan** — an :attr:`executor` fans
            per-partition masked histograms over workers; only the
@@ -575,19 +561,9 @@ class ArchiveReader:
             self.refresh()
         filter_node, mask_of = self._compile(flow_filter)
         column = feature_column(feature)
-        pruned_time = pruned_filter = 0
-        candidates: list[Partition] = []
-        for partition in self._partitions:
-            zone = partition.zone
-            if self.use_zone_maps:
-                if not zone.overlaps_window(start, end):
-                    pruned_time += 1
-                    continue
-                if filter_node is not None and \
-                        not zone.may_match(filter_node):
-                    pruned_filter += 1
-                    continue
-            candidates.append(partition)
+        candidates, pruned_time, pruned_filter = self._prune(
+            start, end, filter_node
+        )
         plan = dict(
             query="top",
             partitions=len(self._partitions),
@@ -745,14 +721,6 @@ class ArchiveReader:
             else parse_filter(flow_filter)
         )
         return node, compile_mask(node)
-
-    def memory_mapped_bytes(self) -> int:
-        """Total payload bytes currently served via mmap views."""
-        return sum(
-            p.rows * FLOW_DTYPE.itemsize
-            for p in self._partitions
-            if p._table is not None
-        )
 
     def iter_tables(self) -> Iterable[FlowTable]:
         """Every partition's rows as zero-copy views, scan order."""

@@ -4,11 +4,15 @@
 owns the directory's geometry (rotation width + origin, persisted in
 the manifest on first fix), allocates per-``(slice, shard)`` sequence
 numbers (restart-safe: initialised from the files already on disk)
-and emits partitions crash-safely — payload to a temporary name,
-fsync, atomic rename, then the zone-map sidecar the same way. A
-partition is servable exactly when both files exist under their final
-names; any interruption leaves either nothing or a quarantinable
-leftover, never a half-readable partition.
+and emits partitions crash-safely in **one index pass and two atomic
+writes**: the rows are factorised once
+(:meth:`~repro.archive.index.FeatureIndex.from_table`, which the zone
+map is read off), the payload goes to a temporary name, is fsynced and
+linked, the ``.idx`` sidecar follows the same way, and the directory
+is fsynced once after both. A partition is servable exactly when both
+files exist under their final names and the sidecar's checksum holds;
+any interruption leaves either nothing or a quarantinable leftover,
+never a half-readable partition.
 
 Two write paths:
 
@@ -37,11 +41,13 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from repro.archive.index import ZoneMap
+from repro.archive.index import FeatureIndex, ZoneMap, encode_index
 from repro.archive.layout import (
     ArchiveLayout,
     PartitionKey,
+    atomic_write,
     pack_partition_header,
+    sidecar_path,
 )
 from repro.errors import ArchiveError
 from repro.flows.table import FlowTable
@@ -80,7 +86,6 @@ class ArchiveWriter:
         origin: float | None = None,
         shard_spec: "PartitionSpec | None" = None,
         spill_rows: int = DEFAULT_SPILL_ROWS,
-        feature_indexes: bool = True,
     ) -> None:
         """``slice_seconds=None`` (the default) adopts an existing
         archive's rotation width, or :data:`DEFAULT_BIN_SECONDS` for a
@@ -99,10 +104,6 @@ class ArchiveWriter:
         self.layout.ensure_root()
         self.shard_spec = shard_spec
         self.spill_rows = spill_rows
-        #: Emit ``.fidx.json`` feature-index sidecars (the planner's
-        #: pushdown source). Off saves ingest CPU; queries still work,
-        #: they just always scan payloads for top-N aggregates.
-        self.feature_indexes = feature_indexes
         existing = self.layout.read_manifest()
         if existing is not None:
             manifest_width, manifest_origin = existing
@@ -211,8 +212,10 @@ class ArchiveWriter:
         if self.shard_spec is not None:
             spec = self.shard_spec
             shard_spec = (spec.shards, spec.key, spec.seed, shard)
+        features = FeatureIndex.from_table(table)
         zone = ZoneMap.from_table(
             table,
+            features,
             sealed=sealed,
             sorted_rows=sorted_rows,
             shard_spec=shard_spec,
@@ -225,25 +228,16 @@ class ArchiveWriter:
         # a servable partition with unchecked bytes. Exclusive create:
         # a name collision (two writers racing one directory) is a
         # loud error, never a silent overwrite.
-        self.layout.atomic_write(
+        atomic_write(
             path,
             pack_partition_header(len(table)) + data.tobytes(),
             exclusive=True,
         )
-        self.layout.atomic_write(
-            self.layout.zone_path(path), zone.to_json().encode()
-        )
-        if self.feature_indexes:
-            from repro.archive.planner import FeatureIndex
-
-            # Third and last: the feature-index sidecar. Strictly
-            # optional (readers treat a missing .fidx as "no pushdown,
-            # scan the payload"), so a crash here still leaves a fully
-            # servable partition.
-            self.layout.atomic_write(
-                self.layout.fidx_path(path),
-                FeatureIndex.from_table(table).to_json().encode(),
-            )
+        atomic_write(sidecar_path(path), encode_index(zone, features))
+        # Both names are linked; make the links themselves durable
+        # before anything ordered after this partition (the alarm row
+        # of the window it seals) can be.
+        self.layout.sync_directory()
         if obs_metrics.enabled():
             _PARTITIONS_WRITTEN.inc()
             if sealed:

@@ -31,8 +31,15 @@ from typing import Callable, Iterable
 
 from repro.collector.decode import Region, decode_regions
 from repro.flows.table import FlowTable
+from repro.obs import metrics as obs_metrics
 
 __all__ = ["ChunkBatcher"]
+
+_TIME_CLAMPED = obs_metrics.counter(
+    "repro_collector_time_clamped_total",
+    "Flow rows whose end preceded their start on the wire (sysUptime "
+    "wrap), kept with zero duration",
+)
 
 
 class ChunkBatcher:
@@ -56,6 +63,8 @@ class ChunkBatcher:
         self._oldest: float | None = None
         self.flushes = 0
         self.age_flushes = 0
+        #: Rows decoded with ``end < start`` (kept, at zero duration).
+        self.time_clamped = 0
 
     @property
     def pending_rows(self) -> int:
@@ -109,6 +118,8 @@ class ChunkBatcher:
         # The wire plans mask every column to its legal range, so the
         # validating from_columns pass is unnecessary.
         self.flushes += 1
-        self.on_flush(
-            FlowTable(decode_regions(take, self.boot_time)), reason
-        )
+        rows, clamped = decode_regions(take, self.boot_time)
+        if clamped:
+            self.time_clamped += clamped
+            _TIME_CLAMPED.inc(clamped)
+        self.on_flush(FlowTable(rows), reason)

@@ -292,8 +292,9 @@ class WirePlan:
 
     def decode(
         self, blob: bytes, boot_time: float, sampling=1, export_secs=0
-    ) -> np.ndarray:
-        """Rows of the whole records in ``blob``.
+    ) -> tuple[np.ndarray, int]:
+        """Rows of the whole records in ``blob``, and how many of them
+        had an ``end`` before their ``start`` clamped up to it.
 
         ``sampling`` and ``export_secs`` are the header values that
         stand in for missing elements, scalars or one per record.
@@ -310,10 +311,16 @@ class WirePlan:
             values["start"] = values["end"] if "end" in values \
                 else np.asarray(export_secs, "f8")
         values.setdefault("end", values["start"])
+        # A sysUptime wrap between FIRST_ and LAST_SWITCHED reads as a
+        # flow that ends before it starts. The row is kept, with zero
+        # duration, and counted: FlowRecord would refuse it later.
+        clamped = int(np.count_nonzero(values["end"] < values["start"]))
+        if clamped:
+            values["end"] = np.maximum(values["end"], values["start"])
         out = np.zeros(len(wire), dtype=FLOW_DTYPE)
         for column, value in values.items():
             out[column] = value
-        return out
+        return out, clamped
 
 
 #: One plan per distinct layout, bounded: a template refresh never
@@ -349,15 +356,16 @@ class Region(NamedTuple):
 
 def decode_regions(
     regions: Sequence[Region], boot_time: float
-) -> np.ndarray:
-    """``FLOW_DTYPE`` rows of ``regions``, in their (arrival) order.
+) -> tuple[np.ndarray, int]:
+    """``FLOW_DTYPE`` rows of ``regions``, in their (arrival) order,
+    and the number of rows whose ``end`` was clamped up to ``start``.
 
     Each distinct plan runs once over the concatenated bytes of its
     regions; with more than one plan the blocks are scattered back to
     where their regions sit in the sequence.
     """
     groups: dict[WirePlan, tuple[list[Region], list[int]]] = {}
-    total = 0
+    total = clamped = 0
     for region in regions:
         members, starts = groups.setdefault(region.plan, ([], []))
         members.append(region)
@@ -369,20 +377,21 @@ def decode_regions(
     opaque = np.dtype((np.void, FLOW_DTYPE.itemsize))
     for plan, (members, starts) in groups.items():
         counts = np.array([region.count for region in members])
-        block = plan.decode(
+        block, inverted = plan.decode(
             b"".join([region.payload for region in members]),
             boot_time,
             np.repeat([region.sampling for region in members], counts),
             np.repeat([region.export_secs for region in members], counts),
         )
+        clamped += inverted
         if len(groups) == 1:
-            return block
+            return block, clamped
         packed = np.cumsum(counts) - counts
         out.view(opaque)[
             np.repeat(np.array(starts) - packed, counts)
             + np.arange(len(block))
         ] = block.view(opaque)
-    return out
+    return out, clamped
 
 
 # -- decoded datagrams, templates ---------------------------------------------
@@ -422,7 +431,7 @@ class DecodedDatagram:
     @property
     def rows(self) -> np.ndarray:
         if self._rows is None:
-            self._rows = decode_regions(self.regions, self.boot_time)
+            self._rows = decode_regions(self.regions, self.boot_time)[0]
         return self._rows
 
 

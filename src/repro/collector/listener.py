@@ -389,6 +389,9 @@ class FlowCollector:
             "sequence_lost": self.sequence_lost,
             "template_misses": self.template_misses,
             "template_drops": self.template_drops,
+            "time_clamped": (
+                self._batcher.time_clamped if self._batcher else 0
+            ),
             "chunks": self.chunks_emitted,
         }
 

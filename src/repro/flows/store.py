@@ -269,19 +269,7 @@ class FlowStore:
         table = FlowTable.concat(self._window_tables(start, end))
         if flow_filter is not None and len(table):
             table = table.select(compile_mask(flow_filter)(table))
-        if len(table) > 1:
-            order = np.lexsort(
-                (
-                    table.proto,
-                    table.dst_port,
-                    table.src_port,
-                    table.dst_ip,
-                    table.src_ip,
-                    table.start,
-                )
-            )
-            table = table.select(order)
-        return table
+        return table.in_query_order()
 
     def query(
         self,

@@ -12,7 +12,8 @@ per-record Python loops.
 Design contract:
 
 * a table is *logically immutable*: every operation (`select`,
-  `sorted_by_start`, `concat`) returns a new table and never mutates
+  `sorted_by_start`, `in_query_order`, `concat`) returns a new table
+  (or the table itself, when nothing would change) and never mutates
   column data in place, so slices and copies can share buffers safely;
 * the record API stays available through **lazy materialization**:
   ``table.record(i)`` / ``table.records(lo, hi)`` build
@@ -344,6 +345,40 @@ class FlowTable:
         if self._rows is not None:
             table._rows = [self._rows[i] for i in order.tolist()]
         return table
+
+    def in_query_order(self) -> "FlowTable":
+        """The table in canonical query order: ``(start, 5-tuple)``.
+
+        The permutation of ``np.lexsort((proto, dst_port, src_port,
+        dst_ip, src_ip, start))``, computed cheaply: ``start`` is the
+        primary key, so one stable sort on it settles every row except
+        those inside runs of equal ``start`` — the only place the
+        5-tuple is consulted. Returns ``self`` when the rows are
+        already in order (a sealed partition read back).
+        """
+        starts = self._data["start"]
+        count = len(starts)
+        if count < 2:
+            return self
+        if bool((starts[:-1] <= starts[1:]).all()):
+            order = np.arange(count)
+        else:
+            order = np.argsort(starts, kind="stable")
+            starts = starts[order]
+        tied = starts[1:] == starts[:-1]
+        if tied.any():
+            in_run = np.zeros(count, dtype=bool)
+            in_run[1:] = tied
+            in_run[:-1] |= tied
+            positions = np.flatnonzero(in_run)
+            rows = self._data[order[positions]]
+            order[positions] = order[positions][np.lexsort((
+                rows["proto"], rows["dst_port"], rows["src_port"],
+                rows["dst_ip"], rows["src_ip"], rows["start"],
+            ))]
+        if bool((order[1:] > order[:-1]).all()):
+            return self
+        return self.select(order)
 
     # -- aggregates --------------------------------------------------------
 

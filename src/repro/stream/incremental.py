@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import abc
 from collections import Counter
+from collections.abc import Iterator, Mapping
+from itertools import product
 
 import numpy as np
 
@@ -69,14 +71,14 @@ class WindowAccumulator:
     State is held in *array form*: each folded chunk contributes one
     payload of ``np.unique``-sorted ``(values, counts)`` arrays per
     feature (see :func:`accumulate_payload`), pending payloads merge
-    vectorized on first read, and the ``Counter`` views the detectors
-    score from are materialised lazily, once per window. Counts are
-    exact integers throughout, so any chunking/sharding of the same
-    rows produces identical state.
+    vectorized on first read, and a ``Counter`` view is built only
+    when :meth:`histogram` is asked for one. Counts are exact integers
+    throughout, so any chunking/sharding of the same rows produces
+    identical state.
     """
 
     __slots__ = ("flows", "packets", "bytes", "_features",
-                 "_weightings", "_pending", "_merged", "_counters")
+                 "_weightings", "_pending", "_merged")
 
     def __init__(
         self,
@@ -93,8 +95,6 @@ class WindowAccumulator:
         #: Fully merged value map: feature -> (values, counts-per-
         #: weighting tuple), or None until first materialisation.
         self._merged: dict | None = None
-        #: Lazily built Counter views keyed by (feature, weighting).
-        self._counters: dict[tuple[FlowFeature, str], Counter] = {}
 
     @property
     def features(self) -> tuple[FlowFeature, ...]:
@@ -115,7 +115,6 @@ class WindowAccumulator:
         self.packets += packets
         self.bytes += bytes_
         self._pending.append(values)
-        self._counters.clear()
 
     def merge(self, other: "WindowAccumulator") -> None:
         """Fold another accumulator's state into this one.
@@ -137,7 +136,6 @@ class WindowAccumulator:
         if other._merged:
             self._pending.append(other._merged)
         self._pending.extend(other._pending)
-        self._counters.clear()
 
     @staticmethod
     def _weight_column(chunk: FlowTable, weighting: str) -> np.ndarray | None:
@@ -189,20 +187,12 @@ class WindowAccumulator:
         if feature not in self._features \
                 or weighting not in self._weightings:
             raise KeyError((feature, weighting))
-        key = (feature, weighting)
-        counter = self._counters.get(key)
-        if counter is None:
-            entry = self._materialized().get(feature)
-            if entry is None:
-                counter = Counter()
-            else:
-                values, counts = entry
-                column = counts[self._weightings.index(weighting)]
-                counter = Counter(
-                    dict(zip(values.tolist(), column.tolist()))
-                )
-            self._counters[key] = counter
-        return counter
+        entry = self._materialized().get(feature)
+        if entry is None:
+            return Counter()
+        values, counts = entry
+        column = counts[self._weightings.index(weighting)]
+        return Counter(dict(zip(values.tolist(), column.tolist())))
 
     def entropy(self, feature: FlowFeature) -> float:
         """Sample entropy of the flow-weighted value distribution.
@@ -345,6 +335,26 @@ def merge_payloads(
     return accumulator
 
 
+class _Histograms(Mapping):
+    """An accumulator's ``(feature, weighting)`` histograms, each one
+    materialised on first access: attribution reads them only for a
+    window that raises an alarm, and most windows raise none."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: WindowAccumulator) -> None:
+        self._state = state
+
+    def __getitem__(self, key: tuple[FlowFeature, str]) -> Counter:
+        return self._state.histogram(*key)
+
+    def __iter__(self) -> Iterator[tuple[FlowFeature, str]]:
+        return product(self._state.features, self._state.weightings)
+
+    def __len__(self) -> int:
+        return len(self._state.features) * len(self._state.weightings)
+
+
 class StreamingDetector(abc.ABC):
     """Adapter driving one batch detector from incremental window state.
 
@@ -414,7 +424,8 @@ class StreamingNetReflex(StreamingDetector):
     Accumulates the volume/entropy feature vector plus the attribution
     histograms per window; closing evaluates the PCA subspace model on
     the accumulated vector — the exact computation batch ``detect()``
-    performs per bin, including on empty bins.
+    performs per bin, including on empty bins — and builds the
+    histograms' ``Counter`` views only if that raises an alarm.
     """
 
     def __init__(self, detector: NetReflexDetector) -> None:
@@ -434,14 +445,8 @@ class StreamingNetReflex(StreamingDetector):
         self, index: int, start: float, end: float,
         state: WindowAccumulator,
     ) -> Alarm | None:
-        detector: NetReflexDetector = self.detector
-        histograms = {
-            (feature, weighting): state.histogram(feature, weighting)
-            for feature in _HEADER_FEATURES
-            for weighting in detector.config.weightings
-        }
-        return detector.evaluate_window(
-            index, start, end, state.bin_features(), histograms
+        return self.detector.evaluate_window(
+            index, start, end, state.bin_features(), _Histograms(state)
         )
 
 
@@ -453,9 +458,6 @@ class StreamingHistogramKL(StreamingDetector):
     histograms and runs the batch KL scoring. Empty windows stay
     silent, matching batch ``detect()``.
     """
-
-    def __init__(self, detector: HistogramKLDetector) -> None:
-        super().__init__(detector)
 
     def _new_accumulator(self) -> WindowAccumulator:
         detector: HistogramKLDetector = self.detector

@@ -227,19 +227,22 @@ class WindowRing:
 
     def _seal(self, index: int) -> ClosedWindow:
         start, end = self.interval(index)
-        flows = self.store.count(start, end).flows
-        window = ClosedWindow(index=index, start=start, end=end, flows=flows)
-        if self.archive is not None and flows:
+        if self.archive is None:
+            flows = self.store.count(start, end).flows
+        else:
             # One sealed, sorted partition per closed window, written
             # before retention can evict the rows: the window's result
             # is final (late rows can never reopen it), so its durable
-            # copy is, too.
-            self.archive.write_partition(
-                self.store.query_table(start, end),
-                slice_index=index,
-                sealed=True,
-                sorted_rows=True,
-            )
+            # copy is, too. One walk of the slice: the row count is
+            # the sorted table's length.
+            table = self.store.query_table(start, end)
+            flows = len(table)
+            if flows:
+                self.archive.write_partition(
+                    table, slice_index=index, sealed=True,
+                    sorted_rows=True,
+                )
+        window = ClosedWindow(index=index, start=start, end=end, flows=flows)
         self._next_to_close = index + 1
         keep_from = self._next_to_close - self.retain_windows
         if keep_from > 0:

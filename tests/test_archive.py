@@ -7,10 +7,14 @@ Four layers of guarantees:
   window+filter query, the pruned archive query, the full-scan
   archive query and ``FlowStore.query_table`` return the same bytes
   (Hypothesis drives this over random traces, windows and filters).
-* **Durability / crash recovery** — partitions appear atomically;
-  truncated or torn files are detected from metadata and quarantined,
-  never served, and never take the rest of the archive down; a
-  foreign schema version fails loudly with ``CodecError``.
+* **Durability / crash recovery** — partitions appear atomically
+  (servable iff ``.flows`` and ``.idx`` exist and the ``.idx``
+  checksum holds) and durably (the directory is fsynced after the last
+  link); truncated or torn files are detected from metadata and
+  quarantined, never served, and never take the rest of the archive
+  down; a foreign schema version fails loudly with ``CodecError``.
+* **Legacy** — an archive written before the ``.idx`` sidecar
+  (``tests/data/archive_v1``) opens, answers and compacts.
 * **Integration** — the stream engine persists closed windows through
   the ring, batch/stream alarm equivalence holds archive-backed, and
   a *restarted* process resumes triage from the on-disk archive plus
@@ -22,21 +26,34 @@ Four layers of guarantees:
 
 from __future__ import annotations
 
+import os
+import shutil
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.archive import (
+    MAX_DICT_VALUES,
     ArchiveReader,
     ArchiveWriter,
+    ColumnZone,
     ZoneMap,
     compact_archive,
     parse_partition_name,
 )
-from repro.archive.layout import PARTITION_HEADER_SIZE
+from repro.archive.index import (
+    ZONE_COLUMNS,
+    FeatureIndex,
+    decode_index,
+    encode_index,
+)
+from repro.archive.layout import PARTITION_HEADER_SIZE, sidecar_path
 from repro.errors import ArchiveError, CodecError
 from repro.flows.flowio import table_from_bytes, table_to_bytes
-from repro.flows.record import FlowRecord
+from repro.flows.record import FlowFeature, FlowRecord
 from repro.flows.store import FlowStore
 from repro.flows.table import FLOW_DTYPE, FlowTable
 from repro.flows.trace import FlowTrace
@@ -145,8 +162,6 @@ class TestRoundTrip:
             assert ours.bytes == theirs.bytes
 
     def test_top_feature_values_matches_store(self, tmp_path):
-        from repro.flows.record import FlowFeature
-
         table = _random_table(5000, seed=8)
         reader = _write(tmp_path / "a", table)
         store = _store(table)
@@ -307,9 +322,6 @@ class TestDurability:
         assert len(survivor.query_table(0.0, 1e9)) == expected
 
     def test_orphaned_tmp_and_missing_sidecar_quarantined(self, tmp_path):
-        import os
-        import time
-
         root = tmp_path / "a"
         reader = _write(root, _random_table(2000), chunk_rows=500)
         count = len(reader.partitions())
@@ -320,7 +332,7 @@ class TestDurability:
         os.utime(stray, old)
         sidecar_less = reader.partitions()[0]
         os.utime(sidecar_less.path, old)
-        reader.layout.zone_path(sidecar_less.path).unlink()
+        sidecar_path(sidecar_less.path).unlink()
 
         survivor = ArchiveReader(root)
         assert len(survivor.partitions()) == count - 1
@@ -331,19 +343,116 @@ class TestDurability:
         reader = _write(root, _random_table(500), chunk_rows=500)
         in_flight = root / ".tmp-part9-h0-0.flows.123"
         in_flight.write_bytes(b"half-written partition")
-        # A freshly renamed data file whose sidecar has not landed yet
-        # is a live writer mid-write, not garbage: quarantining either
+        # A freshly linked data file whose .idx has not landed yet is
+        # a live writer mid-write, not garbage: quarantining either
         # file would crash that writer / lose the partition.
-        sidecar = reader.layout.zone_path(reader.partitions()[0].path)
+        sidecar = sidecar_path(reader.partitions()[0].path)
         sidecar_backup = sidecar.read_bytes()
         sidecar.unlink()
         fresh = ArchiveReader(root)
         assert in_flight.exists()
         assert fresh.stats().quarantined == 0
+        assert len(fresh.partitions()) == len(reader.partitions()) - 1
         # Once the "writer" finishes the sidecar, the partition serves.
         sidecar.write_bytes(sidecar_backup)
         fresh.refresh()
         assert len(fresh.partitions()) == len(reader.partitions())
+
+    @pytest.mark.parametrize(
+        "damage", ["in-head", "in-arrays", "no-crc", "flipped-byte"]
+    )
+    def test_torn_index_sidecar_quarantines_the_partition(
+        self, tmp_path, damage
+    ):
+        root = tmp_path / "a"
+        table = _random_table(3000, seed=21)
+        reader = _write(root, table, chunk_rows=500)
+        healthy = len(reader.partitions())
+        victim = reader.partitions()[1]
+        sidecar = sidecar_path(victim.path)
+        blob = sidecar.read_bytes()
+        head_end = 12 + int.from_bytes(blob[8:12], "little")
+        assert head_end < len(blob) - 100  # arrays follow the head
+        torn = {
+            "in-head": blob[: head_end // 2],
+            "in-arrays": blob[: (head_end + len(blob)) // 2],
+            "no-crc": blob[:-4],
+            "flipped-byte": (
+                blob[: head_end + 17]
+                + bytes([blob[head_end + 17] ^ 0x40])
+                + blob[head_end + 18:]
+            ),
+        }[damage]
+        sidecar.write_bytes(torn)
+
+        survivor = ArchiveReader(root)  # never raises
+        assert len(survivor.partitions()) == healthy - 1
+        assert survivor.stats().quarantined == 1
+        assert not victim.path.exists() and not sidecar.exists()
+        assert (root / "quarantine" / victim.path.name).exists()
+        assert (root / "quarantine" / sidecar.name).exists()
+        expected = sum(p.rows for p in survivor.partitions())
+        assert len(survivor.query_table(0.0, 1e9)) == expected
+        assert survivor.count(0.0, 1e9).flows == expected
+
+    def test_directory_is_synced_after_the_last_link(
+        self, tmp_path, monkeypatch
+    ):
+        """The file fsyncs make the bytes durable; only a directory
+        fsync makes the *names* durable. Without it a power cut can
+        lose a sealed partition whose alarm row survives in sqlite."""
+        root = tmp_path / "a"
+        events: list[tuple[str, str]] = []
+        real_fsync, real_link, real_replace = (
+            os.fsync, os.link, os.replace
+        )
+
+        def fsync(fd):
+            target = os.readlink(f"/proc/self/fd/{fd}")
+            events.append(
+                ("fsync-dir" if os.path.isdir(target) else "fsync-file",
+                 os.path.basename(target))
+            )
+            return real_fsync(fd)
+
+        def link(src, dst, **kwargs):
+            events.append(("name", os.path.basename(dst)))
+            return real_link(src, dst, **kwargs)
+
+        def replace(src, dst, **kwargs):
+            events.append(("name", os.path.basename(dst)))
+            return real_replace(src, dst, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "link", link)
+        monkeypatch.setattr(os, "replace", replace)
+        writer = ArchiveWriter(root, slice_seconds=300.0, origin=0.0)
+        assert events[-2:] == [
+            ("name", "MANIFEST.json"), ("fsync-dir", "a"),
+        ]
+        for slice_index in (0, 1):
+            del events[:]
+            low = 300.0 * slice_index
+            path = writer.write_partition(
+                FlowTable.from_columns(
+                    src_ip=[1, 9], dst_ip=[2, 8], src_port=[3, 7],
+                    dst_port=[4, 6], proto=[6, 17],
+                    start=[low + 1.0, low + 2.0],
+                    end=[low + 2.0, low + 3.0],
+                ),
+                slice_index=slice_index,
+            )
+            names = [e for e in events if e[0] == "name"]
+            assert names == [
+                ("name", path.name),
+                ("name", sidecar_path(path).name),
+            ]
+            # Synced exactly once, after the last link, before return.
+            assert events[-1] == ("fsync-dir", "a")
+            assert events.index(names[-1]) == len(events) - 2
+            assert [e for e in events if e[0] == "fsync-dir"] == [
+                ("fsync-dir", "a")
+            ]
 
     def test_partition_name_collision_is_loud(self, tmp_path):
         root = tmp_path / "a"
@@ -431,6 +540,7 @@ class TestDurability:
         ):
             assert parse_partition_name(partition_file_name(key)) == key
         assert parse_partition_name("MANIFEST.json") is None
+        assert parse_partition_name("part1-h0-0.idx") is None
         assert parse_partition_name("part1-h0-0.zone.json") is None
 
 
@@ -723,21 +833,164 @@ class TestAlarmDbBatch:
         assert db2.count() == 1
 
 
-class TestZoneMapJson:
-    def test_round_trip(self):
-        table = _random_table(500, seed=1)
-        zone = ZoneMap.from_table(
-            table, sealed=True, sorted_rows=True,
-            shard_spec=(4, "src_ip", 7, 2), replaces=("x.flows",),
+# -- the parent commit's index builders, kept as the oracle --------------------
+
+
+def _oracle_zone_map(table, **flags) -> ZoneMap:
+    """``ZoneMap.from_table`` as it was when zone map and feature index
+    each ran their own ``np.unique`` passes."""
+    columns = {}
+    for name in ZONE_COLUMNS:
+        unique = np.unique(table.column(name))
+        columns[name] = ColumnZone(
+            min=int(unique[0]),
+            max=int(unique[-1]),
+            distinct=int(len(unique)),
+            values=(
+                tuple(int(v) for v in unique)
+                if len(unique) <= MAX_DICT_VALUES else None
+            ),
         )
-        parsed = ZoneMap.from_json(zone.to_json())
-        assert parsed == zone
+    starts, ends = table.start, table.end
+    durations = ends - starts
+    return ZoneMap(
+        rows=len(table),
+        min_start=float(starts.min()), max_start=float(starts.max()),
+        min_end=float(ends.min()), max_end=float(ends.max()),
+        min_duration=float(durations.min()),
+        max_duration=float(durations.max()),
+        min_packets=int(table.packets.min()),
+        max_packets=int(table.packets.max()),
+        min_bytes=int(table.bytes.min()),
+        max_bytes=int(table.bytes.max()),
+        sum_packets=table.total_packets(),
+        sum_bytes=table.total_bytes(),
+        flags_union=int(np.bitwise_or.reduce(table.tcp_flags)),
+        columns=columns,
+        sealed=flags.get("sealed", False),
+        sorted=flags.get("sorted_rows", False),
+        shard_spec=flags.get("shard_spec"),
+        replaces=tuple(flags.get("replaces", ())),
+    )
+
+
+def _oracle_histograms(table) -> dict:
+    """``FeatureIndex.from_table`` of the parent: per mining-feature
+    column, ``(values, int64 flows, int64 packet sums)``."""
+    columns = {}
+    for name in ZONE_COLUMNS[:5]:
+        values, inverse = np.unique(
+            table.column(name), return_inverse=True
+        )
+        flows = np.bincount(inverse, minlength=len(values))
+        packet_sums = np.zeros(len(values), dtype=np.int64)
+        np.add.at(packet_sums, inverse, table.packets)
+        columns[name] = (values, flows.astype(np.int64), packet_sums)
+    return columns
+
+
+@st.composite
+def index_tables(draw):
+    """Tables that stress the sidecar encoding: cardinalities on both
+    sides of the 64-value dictionary limit, one-row tables, packet
+    sums past 2**32 (count dtypes must widen)."""
+    rows = draw(st.sampled_from([1, 2, 64, 65, 200]))
+    distinct = draw(st.sampled_from([1, 2, 63, 64, 65, 200]))
+    packet_scale = draw(st.sampled_from([1, 2**20, 2**40]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    starts = rng.uniform(0.0, 300.0, rows)
+    # Exactly min(rows, distinct) distinct src_ip/src_port values.
+    cycle = np.arange(rows) % distinct
+    return FlowTable.from_columns(
+        src_ip=0x0A000000 + cycle,
+        dst_ip=rng.integers(0, 0xFFFFFFFF, rows, dtype=np.uint64),
+        src_port=1024 + cycle,
+        dst_port=rng.choice(np.array([53, 80, 443, 65535]), rows),
+        proto=rng.choice(np.array([1, 6, 17]), rows),
+        packets=rng.integers(1, 500, rows) * packet_scale,
+        bytes=rng.integers(40, 100_000, rows),
+        start=starts,
+        end=starts + rng.uniform(0.0, 60.0, rows),
+        tcp_flags=rng.integers(0, 0x3F, rows),
+        router=rng.integers(0, 3, rows),
+    )
+
+
+class TestIndexSidecar:
+    @settings(max_examples=60, deadline=None)
+    @given(table=index_tables(), sealed=st.booleans())
+    def test_idx_round_trip_equals_the_parent_builders(
+        self, table, sealed
+    ):
+        flags = dict(
+            sealed=sealed, sorted_rows=not sealed,
+            shard_spec=(4, "src_ip", 7, 2) if sealed else None,
+            replaces=("x.flows", "y.flows") if sealed else (),
+        )
+        features = FeatureIndex.from_table(table)
+        zone = ZoneMap.from_table(table, features, **flags)
+        want_zone = _oracle_zone_map(table, **flags)
+        assert zone == want_zone
+        loaded_zone, loaded = decode_index(encode_index(zone, features))
+        assert loaded_zone == want_zone
+        for name, (values, flows, packets) in \
+                _oracle_histograms(table).items():
+            for by_packets, want in ((False, flows), (True, packets)):
+                for index in (features, loaded):
+                    got_values, got = index.histogram(name, by_packets)
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got_values, values)
+                    assert np.array_equal(got, want)
+        assert "nonsense" not in loaded
+        assert loaded.histogram("nonsense") is None
+
+    def test_counts_are_stored_narrow_and_read_wide(self):
+        table = _random_table(500, seed=1)
+        features = FeatureIndex.from_table(table)
+        blob = encode_index(ZoneMap.from_table(table, features), features)
+        # 6 columns x (values + flows + packets), nowhere near the JSON
+        # sidecars' ~30 bytes per distinct value.
+        assert len(blob) < 500 * 12
+        _zone, loaded = decode_index(blob)
+        assert loaded._columns["proto"][1].dtype.itemsize <= 2
+        assert loaded.histogram("proto")[1].dtype == np.int64
 
     def test_rejects_garbage(self):
+        table = _random_table(50, seed=2)
+        features = FeatureIndex.from_table(table)
+        blob = encode_index(ZoneMap.from_table(table, features), features)
+        for bad in (b"", b"RIDX", blob[:-1], blob + b"\0",
+                    b"JUNK" + blob[4:], blob[:40] + blob[41:]):
+            with pytest.raises(ArchiveError):
+                decode_index(bad)
+        # An intact sidecar of another layout version is foreign, not
+        # torn: loud, like a foreign payload schema.
+        import struct
+        import zlib
+
+        foreign = bytearray(blob[:-4])
+        struct.pack_into("<I", foreign, 4, 99)
+        foreign += struct.pack("<I", zlib.crc32(bytes(foreign)))
+        with pytest.raises(CodecError, match="version"):
+            decode_index(bytes(foreign))
+
+    def test_legacy_json_documents_still_parse_or_reject(self):
         with pytest.raises(ArchiveError):
             ZoneMap.from_json("{}")
         with pytest.raises(ArchiveError):
             ZoneMap.from_json("not json at all")
+        with pytest.raises(ArchiveError, match="version"):
+            FeatureIndex.from_json(
+                '{"version": 999, "rows": 0, "columns": {}}'
+            )
+        with pytest.raises(ArchiveError, match="ragged"):
+            FeatureIndex.from_json(
+                '{"version": 1, "rows": 1, "columns":'
+                ' {"proto": {"values": [6], "flows": [1, 2],'
+                ' "packets": [3]}}}'
+            )
+        with pytest.raises(ArchiveError, match="corrupt"):
+            FeatureIndex.from_json('{"rows": 0}')
 
     def test_dtype_is_little_endian_on_disk(self):
         # The zero-copy contract depends on FLOW_DTYPE being explicitly
@@ -779,8 +1032,6 @@ class TestQueryPlanner:
         assert plan.payload_bytes_read > 0
 
     def test_top_pushdown_matches_store(self, tmp_path):
-        from repro.flows.record import FlowFeature
-
         table = _random_table(5000, seed=8)
         reader = _write(tmp_path / "a", table)
         store = _store(table)
@@ -798,44 +1049,7 @@ class TestQueryPlanner:
             assert plan.payload_bytes_read == 0
             assert plan.sidecar_answered > 0
 
-    def test_missing_sidecar_falls_back_to_scan(self, tmp_path):
-        from repro.flows.record import FlowFeature
-
-        table = _random_table(5000, seed=8)
-        reader = _write(
-            tmp_path / "a", table, feature_indexes=False
-        )
-        assert not list((tmp_path / "a").rglob("*.fidx.json"))
-        store = _store(table)
-        ours = reader.top_feature_values(
-            0.0, 1800.0, FlowFeature.SRC_IP, n=5
-        )
-        plan = reader.last_plan
-        assert ours == store.top_feature_values(
-            0.0, 1800.0, FlowFeature.SRC_IP, n=5
-        )
-        assert plan.pushdown is None
-        assert plan.scanned > 0
-        assert plan.payload_bytes_read > 0
-
-    def test_corrupt_sidecar_falls_back_to_scan(self, tmp_path):
-        from repro.flows.record import FlowFeature
-
-        table = _random_table(5000, seed=8)
-        reader = _write(tmp_path / "a", table)
-        for fidx in (tmp_path / "a").rglob("*.fidx.json"):
-            fidx.write_text("{ not json")
-        store = _store(table)
-        assert reader.top_feature_values(
-            0.0, 1800.0, FlowFeature.DST_PORT, n=5
-        ) == store.top_feature_values(
-            0.0, 1800.0, FlowFeature.DST_PORT, n=5
-        )
-        assert reader.last_plan.pushdown is None
-
     def test_partial_window_falls_back_to_scan(self, tmp_path):
-        from repro.flows.record import FlowFeature
-
         table = _random_table(5000, seed=8)
         reader = _write(tmp_path / "a", table)
         store = _store(table)
@@ -850,7 +1064,6 @@ class TestQueryPlanner:
         assert reader.last_plan.scanned > 0
 
     def test_parallel_scan_matches_serial(self, tmp_path):
-        from repro.flows.record import FlowFeature
         from repro.parallel import ShardExecutor
 
         table = _random_table(8000, seed=2)
@@ -876,71 +1089,18 @@ class TestQueryPlanner:
         assert count_plan.parallel_tasks == count_plan.scanned > 0
         assert top_plan.parallel_tasks == top_plan.scanned > 0
 
-    def test_feature_index_roundtrip(self):
-        from repro.archive.planner import FeatureIndex
-
-        table = _random_table(700, seed=9)
-        index = FeatureIndex.from_table(table)
-        parsed = FeatureIndex.from_json(index.to_json())
-        assert parsed.rows == len(table)
-        for column in ("src_ip", "dst_port", "proto"):
-            for by_packets in (False, True):
-                a_values, a_counts = index.histogram(
-                    column, by_packets
-                )
-                b_values, b_counts = parsed.histogram(
-                    column, by_packets
-                )
-                assert np.array_equal(a_values, b_values)
-                assert np.array_equal(a_counts, b_counts)
-        assert "nonsense" not in parsed
-        assert parsed.histogram("nonsense") is None
-
-    def test_feature_index_rejects_bad_documents(self, tmp_path):
-        from repro.archive.planner import (
-            FeatureIndex,
-            load_feature_index,
-        )
-
-        with pytest.raises(ArchiveError, match="version"):
-            FeatureIndex.from_json(
-                '{"version": 999, "rows": 0, "columns": {}}'
-            )
-        with pytest.raises(ArchiveError, match="ragged"):
-            FeatureIndex.from_json(
-                '{"version": 1, "rows": 1, "columns":'
-                ' {"proto": {"values": [6], "flows": [1, 2],'
-                ' "packets": [3]}}}'
-            )
-        with pytest.raises(ArchiveError, match="corrupt"):
-            FeatureIndex.from_json('{"rows": 0}')
-        # load_feature_index never raises: missing and corrupt both
-        # mean "scan instead".
-        assert load_feature_index(tmp_path / "missing.fidx.json") is None
-        bad = tmp_path / "bad.fidx.json"
-        bad.write_text("garbage")
-        assert load_feature_index(bad) is None
-
     def test_compaction_rewrites_sidecars(self, tmp_path):
-        from repro.flows.record import FlowFeature
-
         table = _random_table(6000, seed=4)
         root = tmp_path / "a"
         _write(root, table, chunk_rows=500, spill_rows=300)
         store = _store(table)
         report = compact_archive(root)
         assert report.partitions_after < report.partitions_before
-        flows = {
-            p.name[: -len(".flows")]
-            for p in root.rglob("*.flows")
-            if "quarantine" not in p.parts
+        names = {p.name for p in root.iterdir() if p.is_file()}
+        flows = {name for name in names if name.endswith(".flows")}
+        assert names == {"MANIFEST.json"} | flows | {
+            name[: -len(".flows")] + ".idx" for name in flows
         }
-        fidxes = {
-            p.name[: -len(".fidx.json")]
-            for p in root.rglob("*.fidx.json")
-            if "quarantine" not in p.parts
-        }
-        assert flows == fidxes
         reader = ArchiveReader(root)
         assert reader.top_feature_values(
             0.0, 1800.0, FlowFeature.DST_PORT, n=5
@@ -958,3 +1118,149 @@ class TestQueryPlanner:
         reader.count(0.0, 1800.0, "proto tcp")
         text = reader.last_plan.render()
         assert "payload scans" in text
+
+
+# -- archives written before the .idx sidecar ---------------------------------
+
+_LEGACY_FIXTURE = Path(__file__).parent / "data" / "archive_v1"
+
+
+@pytest.fixture
+def legacy_root(tmp_path):
+    """A scratch copy of ``tests/data/archive_v1``: two partitions
+    written by the last commit whose writer emitted JSON sidecars —
+    slice 0 with ``.zone.json`` + ``.fidx.json``, slice 1 with
+    ``.zone.json`` only."""
+    root = tmp_path / "legacy"
+    shutil.copytree(_LEGACY_FIXTURE, root)
+    return root
+
+
+def _payload_rows(root) -> FlowTable:
+    """The fixture's rows read straight off the payload bytes."""
+    return FlowTable.concat([
+        FlowTable(np.fromfile(
+            path, dtype=FLOW_DTYPE, offset=PARTITION_HEADER_SIZE
+        ))
+        for path in sorted(root.glob("*.flows"))
+    ])
+
+
+class TestLegacyArchive:
+    def test_fixture_is_what_it_claims(self):
+        names = sorted(p.name for p in _LEGACY_FIXTURE.iterdir())
+        assert names == [
+            "MANIFEST.json",
+            "part0-h0-0.fidx.json", "part0-h0-0.flows",
+            "part0-h0-0.zone.json",
+            "part1-h0-0.flows", "part1-h0-0.zone.json",
+        ]
+        size = sum(p.stat().st_size for p in _LEGACY_FIXTURE.iterdir())
+        assert size <= 20_000
+
+    def test_opens_and_answers_like_a_store(self, legacy_root):
+        rows = _payload_rows(legacy_root)
+        store = _store(rows)
+        reader = ArchiveReader(legacy_root)
+        assert [p.legacy for p in reader.partitions()] == [True, True]
+        assert reader.stats().quarantined == 0
+        for start, end, flt in [
+            (0.0, 600.0, None),
+            (0.0, 300.0, "dst port 53"),
+            (120.0, 480.0, "proto udp"),
+        ]:
+            assert _same_bytes(
+                reader.query_table(start, end, flt),
+                store.query_table(start, end, flt),
+            )
+            ours, theirs = reader.count(start, end, flt), \
+                store.count(start, end, flt)
+            assert (ours.flows, ours.packets, ours.bytes) == \
+                (theirs.flows, theirs.packets, theirs.bytes)
+        assert reader.count(0.0, 600.0).flows == len(rows) == 100
+        assert reader.last_plan.pushdown == "zone-map-stats"
+
+    def test_missing_sidecar_falls_back_to_scan(self, legacy_root):
+        """Only a legacy partition can be servable without a feature
+        index: slice 0 carries a ``.fidx.json``, slice 1 does not."""
+        store = _store(_payload_rows(legacy_root))
+        reader = ArchiveReader(legacy_root)
+        for by_packets in (False, True):
+            assert reader.top_feature_values(
+                0.0, 300.0, FlowFeature.SRC_IP, n=5,
+                by_packets=by_packets,
+            ) == store.top_feature_values(
+                0.0, 300.0, FlowFeature.SRC_IP, n=5,
+                by_packets=by_packets,
+            )
+            assert reader.last_plan.pushdown == "feature-index"
+            assert reader.last_plan.payload_bytes_read == 0
+        for window in ((300.0, 600.0), (0.0, 600.0)):
+            assert reader.top_feature_values(
+                *window, FlowFeature.SRC_IP, n=5
+            ) == store.top_feature_values(
+                *window, FlowFeature.SRC_IP, n=5
+            )
+            plan = reader.last_plan
+            assert plan.pushdown is None
+            assert plan.scanned > 0 and plan.payload_bytes_read > 0
+
+    def test_corrupt_sidecar_falls_back_to_scan(self, legacy_root):
+        (legacy_root / "part0-h0-0.fidx.json").write_text("{ not json")
+        store = _store(_payload_rows(legacy_root))
+        reader = ArchiveReader(legacy_root)
+        assert reader.top_feature_values(
+            0.0, 300.0, FlowFeature.DST_PORT, n=5
+        ) == store.top_feature_values(
+            0.0, 300.0, FlowFeature.DST_PORT, n=5
+        )
+        assert reader.last_plan.pushdown is None
+        assert reader.stats().quarantined == 0
+
+    def test_compaction_rewrites_into_the_current_format(
+        self, legacy_root
+    ):
+        store = _store(_payload_rows(legacy_root))
+        before = ArchiveReader(legacy_root).query_table(0.0, 600.0)
+        result = compact_archive(legacy_root)
+        assert result.groups == 2
+        names = sorted(
+            p.name for p in legacy_root.iterdir() if p.is_file()
+        )
+        assert names == [
+            "MANIFEST.json",
+            "part0-h0-1.flows", "part0-h0-1.idx",
+            "part1-h0-1.flows", "part1-h0-1.idx",
+        ]
+        reader = ArchiveReader(legacy_root)
+        assert not any(p.legacy for p in reader.partitions())
+        assert _same_bytes(reader.query_table(0.0, 600.0), before)
+        assert _same_bytes(before, store.query_table(0.0, 600.0))
+        for feature in (FlowFeature.SRC_IP, FlowFeature.DST_PORT):
+            assert reader.top_feature_values(
+                0.0, 600.0, feature, n=5
+            ) == store.top_feature_values(0.0, 600.0, feature, n=5)
+            assert reader.last_plan.pushdown == "feature-index"
+        # Terminal now: a second pass has nothing to do.
+        assert compact_archive(legacy_root).groups == 0
+
+    def test_sealed_legacy_partition_is_still_rewritten(self, legacy_root):
+        compact_archive(legacy_root)
+        # Fake the pre-.idx shape of a *sealed* window: drop the .idx,
+        # put a sealed .zone.json in its place.
+        import json
+
+        flows = legacy_root / "part1-h0-1.flows"
+        zone = ArchiveReader(legacy_root).partitions()[1].zone
+        legacy_zone = json.loads(
+            (_LEGACY_FIXTURE / "part1-h0-0.zone.json").read_text()
+        )
+        legacy_zone.update(sealed=True, sorted=True, rows=zone.rows)
+        sidecar_path(flows).unlink()
+        sidecar_path(flows, ".zone.json").write_text(
+            json.dumps(legacy_zone)
+        )
+        assert compact_archive(legacy_root).groups == 1
+        assert sorted(p.name for p in legacy_root.glob("part1-*")) == [
+            "part1-h0-2.flows", "part1-h0-2.idx",
+        ]

@@ -102,6 +102,43 @@ class TestGoldenV5:
             assert row["bytes"] == rec.bytes
 
 
+    def test_uptime_wrap_is_clamped_and_counted(self):
+        """LAST_SWITCHED before FIRST_SWITCHED (the exporter's
+        sysUptime wrapped between the two) used to travel as
+        ``end < start`` until the first FlowRecord materialisation
+        raised FlowError — far from the socket that let it in."""
+        from repro.stream import WindowRing
+
+        blob = bytearray((DATA / "golden_v5.bin").read_bytes())
+        first = HEADER_SIZE + 24  # record 0: first @24, last @28
+        assert struct.unpack_from("!II", blob, first) == (1500, 2250)
+        struct.pack_into("!I", blob, first + 4, 250)  # last < first
+        collector = FlowCollector(boot_time=1000.0)
+        tables = []
+        collector._batcher = ChunkBatcher(
+            lambda table, reason: tables.append(table) or True,
+            boot_time=1000.0,
+        )
+        try:
+            collector._on_datagram(bytes(blob), "10.0.0.1", now=1.0)
+            collector._batcher.flush()
+            counters = collector.counters()
+        finally:
+            collector.close()
+        (table,) = tables
+        assert table.start.tolist() == [1001.5, 1003.0, 1000.125]
+        assert table.end.tolist() == [1001.5, 1003.0, 1010.875]
+        assert table.to_records()[0].duration == 0.0  # no FlowError
+        assert counters["time_clamped"] == 1
+        assert counters["malformed"] == counters["flows_dropped"] == 0
+        # Conservation: the clamped row is kept, not a drop class.
+        ring = WindowRing(window_seconds=300.0, origin=900.0)
+        routed = ring.ingest(table)
+        assert counters["flows"] == 3 \
+            == routed.admitted + routed.late_dropped \
+            + counters["flows_dropped"]
+
+
 class TestGoldenV9:
     def test_template_plus_data_in_one_datagram(self):
         blob = (DATA / "golden_v9.bin").read_bytes()

@@ -322,6 +322,43 @@ class TestStreamingEquivalence:
         )
         _assert_same_alarms(batch, streamed)
 
+    def test_netreflex_builds_histograms_only_for_alarmed_windows(
+        self, scenario_split, trained_netreflex, monkeypatch
+    ):
+        """Attribution is the only reader of the Counter views, and it
+        runs only when SPE crosses the threshold: a quiet window must
+        not pay for them, an alarmed one must lose nothing."""
+        _, tail, split, bin_seconds = scenario_split
+        batch = trained_netreflex.detect(
+            FlowTrace(tail, bin_seconds=bin_seconds, origin=split)
+        )
+        built: list[tuple] = []
+        real = WindowAccumulator.histogram
+
+        def counting(self, feature, weighting):
+            built.append((feature, weighting))
+            return real(self, feature, weighting)
+
+        monkeypatch.setattr(WindowAccumulator, "histogram", counting)
+        engine = StreamEngine(
+            [streaming_adapter(trained_netreflex)],
+            window_seconds=bin_seconds, origin=split,
+        )
+        results = []
+        for chunk in table_chunks(tail.sorted_by_start(), 1000):
+            before = len(built)
+            sealed = engine.process(chunk)
+            results += sealed
+            if not any(result.alarms for result in sealed):
+                assert len(built) == before
+        results += engine.finish()
+        quiet = [r for r in results if r.window.flows and not r.alarms]
+        assert quiet, "scenario must have a populated quiet window"
+        assert built, "scenario must attribute at least one alarm"
+        _assert_same_alarms(
+            batch, [alarm for r in results for alarm in r.alarms]
+        )
+
     def test_histogram_kl_max_rate_replay(
         self, scenario_split, trained_histogram
     ):

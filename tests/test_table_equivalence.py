@@ -177,3 +177,59 @@ def test_store_query_orders_match_record_sort(flows, expression):
         key=lambda f: (f.start, f.key),
     )
     assert result == expected
+
+
+# -- canonical query order ----------------------------------------------------
+
+
+def _lexsort_order(table: FlowTable) -> np.ndarray:
+    """The 6-key sort ``query_table`` ran before ``in_query_order``
+    replaced it; kept here as the oracle."""
+    return np.lexsort((
+        table.proto, table.dst_port, table.src_port,
+        table.dst_ip, table.src_ip, table.start,
+    ))
+
+
+@st.composite
+def tied_tables(draw):
+    """Tables with heavy ties in ``start`` (at most five distinct
+    values) and duplicated whole rows, in a drawn arrangement."""
+    starts = draw(st.lists(
+        st.floats(min_value=0.0, max_value=1200.0), min_size=1,
+        max_size=5,
+    ))
+    rows = draw(st.lists(
+        st.tuples(_IPS, _IPS, _PORTS, _PORTS, _PROTOS,
+                  st.sampled_from(starts)),
+        max_size=40,
+    ))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=10)) \
+        if rows else []
+    src_ip, dst_ip, src_port, dst_port, proto, start = (
+        list(column) for column in zip(*rows)
+    ) if rows else ([], [], [], [], [], [])
+    table = FlowTable.from_columns(
+        src_ip=src_ip, dst_ip=dst_ip, src_port=src_port,
+        dst_port=dst_port, proto=proto, start=start, end=start,
+        # A per-row tag: stability (ties on all six keys keep their
+        # input order) shows up in the bytes.
+        bytes=list(range(len(rows))),
+    )
+    arrangement = draw(st.sampled_from(["drawn", "sorted", "reversed"]))
+    if arrangement == "drawn":
+        return table
+    ordered = table.select(_lexsort_order(table))
+    return ordered if arrangement == "sorted" \
+        else ordered.select(slice(None, None, -1))
+
+
+@given(table=tied_tables())
+@settings(max_examples=300, deadline=None)
+def test_query_order_is_the_six_key_lexsort(table):
+    want = table.select(_lexsort_order(table))
+    got = table.in_query_order()
+    assert got._data.tobytes() == want._data.tobytes()
+    # Already in order: the table itself comes back, no copy.
+    assert got.in_query_order() is got
+    assert want.in_query_order() is want

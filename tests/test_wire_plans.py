@@ -107,7 +107,7 @@ def test_plan_is_bit_identical_to_the_per_record_oracle(
 ):
     fields, payload = case
     template = Template(300, fields)
-    got = template.plan.decode(payload, boot_time, 1, export_secs)
+    got, _clamped = template.plan.decode(payload, boot_time, 1, export_secs)
     want = reference_rows(payload, template, boot_time, export_secs)
     assert got.dtype == FLOW_DTYPE
     assert got.tobytes() == want.tobytes()
@@ -157,7 +157,7 @@ def test_over_wide_time_field_saturates_instead_of_raising():
     """The seed raised OverflowError (through the listener) here."""
     template = Template(300, ((8, 4), (152, 200)))
     payload = b"\x01\x02\x03\x04" + b"\xff" * 200
-    rows = template.plan.decode(payload, 0.0)
+    rows, _clamped = template.plan.decode(payload, 0.0)
     assert rows["start"][0] == rows["end"][0] == 2.0**64 / 1000.0
     assert rows.tobytes() == reference_rows(payload, template).tobytes()
 
@@ -231,7 +231,9 @@ class Exporters:
         assert decoded.malformed == 0
         self.batcher.add(decoded.regions)
         # The same datagram through the one-datagram API, on its own.
-        self.single.append(decode_regions(decoded.regions, self.boot_time))
+        self.single.append(
+            decode_regions(decoded.regions, self.boot_time)[0]
+        )
 
     def expected(self) -> bytes:
         return np.concatenate(self.single).tobytes()
@@ -494,7 +496,7 @@ def test_fuzz_listener_path_never_raises_and_accounts(
             continue
         assert set(moved) <= {
             "flows", "malformed", "template_misses", "template_drops",
-            "sequence_lost",
+            "sequence_lost", "time_clamped",
         }
         if data[1] != 5 and _data_sets(data):
             assert moved, "a datagram with data sets left no trace"

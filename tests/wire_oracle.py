@@ -88,6 +88,7 @@ def decode_data_records(
             start = end if end is not None else float(export_secs)
         if end is None:
             end = start
+        end = max(end, start)  # sysUptime wrap: zero duration, counted
         rows.append((
             values["src_ip"], values["dst_ip"],
             values["src_port"], values["dst_port"],
