@@ -99,18 +99,6 @@ class ExtractedItemset:
         """Shortcut to the underlying itemset."""
         return self.scored.support.itemset
 
-    def matching_flows(
-        self, flows: "list[FlowRecord] | FlowTable"
-    ) -> list[FlowRecord]:
-        """Drill down: the subset of ``flows`` this itemset covers.
-
-        On a columnar flow set the intersection runs as a mask and only
-        the matching rows are materialized as records.
-        """
-        if isinstance(flows, FlowTable):
-            return flows.select(self.itemset.mask(flows)).to_records()
-        return [flow for flow in flows if self.itemset.matches(flow)]
-
     def describe(self, anonymize: bool = False) -> str:
         """One-line operator summary."""
         support = self.scored.support

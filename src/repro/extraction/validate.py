@@ -12,6 +12,10 @@ The verdict vocabulary mirrors the paper's GEANT statistics:
   meta-data (28% of the useful cases);
 * ``security_relevant`` — some itemset classifies as an attack pattern
   rather than a benign heavy hitter.
+
+Evidence is collected on masks: an itemset's matching flows are a
+sub-table of the candidates, its totals are column sums, and only the
+``sample_size`` heaviest rows are materialised as records.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.extraction.extractor import ExtractedItemset, ExtractionReport
 from repro.flows.record import FlowRecord
+from repro.flows.table import FlowTable
 from repro.taxonomy import AnomalyKind
 
 __all__ = ["Evidence", "ValidationVerdict", "validate_report"]
@@ -88,19 +93,22 @@ def validate_report(
 
     ``sample_size`` bounds the raw flows attached per itemset (the
     console prints them; the full set remains queryable through the
-    backend).
+    backend). A report whose candidates are a record list is tabulated
+    once, here.
     """
+    flows = FlowTable.from_records(report.candidates.flows)
     evidence = []
     for extracted in report.itemsets:
-        matched = extracted.matching_flows(report.candidates.flows)
-        matched.sort(key=lambda f: (-f.packets, f.start))
+        matched = flows.select(extracted.itemset.mask(flows))
         evidence.append(
             Evidence(
                 extracted=extracted,
-                sample_flows=tuple(matched[:sample_size]),
+                sample_flows=tuple(
+                    matched.heaviest_first(sample_size).to_records()
+                ),
                 total_flows=len(matched),
-                total_packets=sum(f.packets for f in matched),
-                total_bytes=sum(f.bytes for f in matched),
+                total_packets=matched.total_packets(),
+                total_bytes=matched.total_bytes(),
             )
         )
     kinds = report.kinds

@@ -380,6 +380,13 @@ class FlowTable:
             return self
         return self.select(order)
 
+    def heaviest_first(self, limit: int | None = None) -> "FlowTable":
+        """The ``limit`` heaviest rows (all by default): most packets
+        first, earlier ``start`` and then table order breaking ties —
+        the drill-down and evidence order."""
+        order = np.lexsort((self.start, -self.packets))
+        return self.select(order if limit is None else order[:limit])
+
     # -- aggregates --------------------------------------------------------
 
     def total_packets(self) -> int:

@@ -1,7 +1,7 @@
 """The Apriori frequent-itemset algorithm with dual (flow/packet) support.
 
-This is the algorithm of the paper: level-wise candidate generation over
-flow transactions, counting every itemset's support simultaneously in
+This is the algorithm of the paper: level-wise over flow transactions,
+counting every itemset's support simultaneously in
 
 * **flows** — the number of transactions containing the itemset, and
 * **packets** — the summed packet counts of those transactions,
@@ -9,28 +9,48 @@ flow transactions, counting every itemset's support simultaneously in
 so that an itemset is *frequent* when it passes **either** threshold
 (the extension of [5]; pass ``min_packets=None`` to recover the classic
 flow-support-only Apriori of [1]). Both measures are anti-monotone, and
-so is their disjunction, so the Apriori pruning of candidate supersets
-remains sound.
+so is their disjunction, so Apriori pruning remains sound.
 
-Flow transactions contain at most one item per feature, which the
-candidate join exploits: a candidate combining two values of the same
-feature can never occur and is pruned immediately.
+:func:`mine_apriori` runs the levels as group-bys over the code columns
+of a :class:`~repro.mining.transactions.TransactionSet`, with the
+pruning applied to *rows* instead of candidates. A flow holds exactly
+one item per feature, so the k-itemsets over one feature subset are the
+value combinations occurring in those columns; the subset
+``prefix + (last,)`` is counted only over the rows whose prefix
+combination and whose last item both survived their own levels. That
+is exact: a frequent k-itemset has a frequent prefix and a frequent
+last item, so every row supporting it is still live, and supports are
+integer sums filtered at the thresholds as given. No Python runs per
+flow; the per-transaction formulation this replaced is the test oracle
+(``tests/mining_oracle.py``).
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
+
 from repro.errors import MiningError
 from repro.mining.items import ItemsetSupport
 from repro.mining.transactions import TransactionSet
 
-__all__ = ["mine_apriori"]
+__all__ = [
+    "EXACT_FLOAT_LIMIT",
+    "check_thresholds",
+    "group_sum",
+    "mine_apriori",
+]
+
+#: Weighted group sums stay exact in float64 while every partial sum
+#: is an integer below 2**53; above that the slow int64 path is used.
+EXACT_FLOAT_LIMIT = 2**53
 
 
-def _check_thresholds(
+def check_thresholds(
     min_flows: int | None, min_packets: int | None
 ) -> None:
+    """Reject a threshold pair no engine can mine at."""
     if min_flows is None and min_packets is None:
         raise MiningError(
             "at least one of min_flows/min_packets must be set"
@@ -41,49 +61,17 @@ def _check_thresholds(
         raise MiningError(f"min_packets must be >= 1: {min_packets!r}")
 
 
-def _is_frequent(
-    counts: list[int], min_flows: int | None, min_packets: int | None
-) -> bool:
-    if min_flows is not None and counts[0] >= min_flows:
-        return True
-    if min_packets is not None and counts[1] >= min_packets:
-        return True
-    return False
-
-
-def _generate_candidates(
-    frequent: list[tuple[int, ...]],
-    frequent_set: set[tuple[int, ...]],
-    transactions: TransactionSet,
-) -> list[tuple[int, ...]]:
-    """Join ``L_{k-1}`` with itself, with both Apriori pruning rules.
-
-    ``frequent`` must be sorted; two (k-1)-itemsets sharing their first
-    k-2 items join into a k-candidate. Candidates with two items of one
-    feature, or with an infrequent (k-1)-subset, are dropped.
-    """
-    candidates = []
-    n = len(frequent)
-    for i in range(n):
-        base = frequent[i]
-        prefix = base[:-1]
-        for j in range(i + 1, n):
-            other = frequent[j]
-            if other[:-1] != prefix:
-                break  # sorted order: no further joins share the prefix
-            last_a, last_b = base[-1], other[-1]
-            if transactions.feature_of(last_a) is \
-                    transactions.feature_of(last_b):
-                continue
-            candidate = base + (last_b,)
-            # Subset pruning: every (k-1)-subset must be frequent. The
-            # two generating subsets are; check the rest.
-            if all(
-                candidate[:m] + candidate[m + 1 :] in frequent_set
-                for m in range(len(candidate) - 2)
-            ):
-                candidates.append(candidate)
-    return candidates
+def group_sum(
+    codes: np.ndarray, weights: np.ndarray, size: int, exact_float: bool
+) -> np.ndarray:
+    """Exact int64 per-group sums of ``weights`` grouped by ``codes``."""
+    if exact_float:
+        return np.bincount(
+            codes, weights=weights, minlength=size
+        ).astype(np.int64)
+    sums = np.zeros(size, dtype=np.int64)
+    np.add.at(sums, codes, weights)
+    return sums
 
 
 def mine_apriori(
@@ -112,7 +100,7 @@ def mine_apriori(
         All frequent itemsets with exact flow, packet and byte supports,
         sorted by decreasing flow support, then packet support.
     """
-    _check_thresholds(min_flows, min_packets)
+    check_thresholds(min_flows, min_packets)
     if max_size is None:
         max_size = len(transactions.features)
     if max_size < 1:
@@ -120,71 +108,93 @@ def mine_apriori(
     if not transactions:
         return []
 
-    # L1: single scan over all transactions.
-    item_counts: dict[int, list[int]] = {}
-    for transaction in transactions:
-        for item_id in transaction.item_ids:
-            counts = item_counts.get(item_id)
-            if counts is None:
-                counts = [0, 0, 0]
-                item_counts[item_id] = counts
-            counts[0] += 1
-            counts[1] += transaction.packets
-            counts[2] += transaction.bytes
+    columns = transactions.columns
+    packets, bytes_ = transactions.packets, transactions.bytes
+    exact_float = (
+        transactions.total_packets < EXACT_FLOAT_LIMIT
+        and transactions.total_bytes < EXACT_FLOAT_LIMIT
+    )
+    #: (item ids, flows, packets, bytes) of every frequent group found.
+    found: list[tuple[np.ndarray, ...]] = []
 
-    results: list[ItemsetSupport] = []
-    frequent: list[tuple[int, ...]] = []
-    for item_id in sorted(item_counts):
-        counts = item_counts[item_id]
-        if _is_frequent(counts, min_flows, min_packets):
-            frequent.append((item_id,))
-            results.append(
-                ItemsetSupport(
-                    itemset=transactions.decode((item_id,)),
-                    flows=counts[0],
-                    packets=counts[1],
-                    bytes=counts[2],
-                )
-            )
+    def count(rows, codes, size):
+        """Count the groups ``codes`` (dense, below ``size``) puts the
+        rows ``rows`` in. Returns the frequent groups, the rows in
+        them, those rows' codes renumbered over the frequent groups
+        only, and the (flows, packets, bytes) supports — bytes summed
+        over the surviving rows alone — or ``None`` when no group is
+        frequent."""
+        flows = np.bincount(codes, minlength=size)
+        packet_sums = group_sum(codes, packets[rows], size, exact_float)
+        keep = np.zeros(size, dtype=bool)
+        if min_flows is not None:
+            keep |= flows >= min_flows
+        if min_packets is not None:
+            keep |= packet_sums >= min_packets
+        kept = np.flatnonzero(keep)
+        if not len(kept):
+            return None
+        renumber = np.full(size, -1, dtype=np.int64)
+        renumber[kept] = np.arange(len(kept))
+        codes = renumber[codes]
+        alive = codes >= 0
+        rows, codes = rows[alive], codes[alive]
+        byte_sums = group_sum(codes, bytes_[rows], len(kept), exact_float)
+        return kept, rows, codes, (flows[kept], packet_sums[kept], byte_sums)
 
-    size = 2
-    frequent_set = set(frequent)
-    while frequent and size <= max_size:
-        candidates = _generate_candidates(
-            frequent, frequent_set, transactions
-        )
-        if not candidates:
-            break
-        counting: dict[tuple[int, ...], list[int]] = {
-            candidate: [0, 0, 0] for candidate in candidates
-        }
-        for transaction in transactions:
-            ids = transaction.item_ids
-            if len(ids) < size:
+    #: column index -> (per-row code of its frequent item or -1, ids).
+    singles: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    #: feature subset of the current size -> (live rows, codes, ids).
+    level: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
+    every_row = np.arange(len(transactions))
+    for index, column in enumerate(columns):
+        hit = count(every_row, column.codes, len(column.values))
+        if hit is None:
+            continue
+        kept, rows, codes, supports = hit
+        ids = (column.offset + kept)[:, None]
+        by_row = np.full(len(transactions), -1, dtype=np.int64)
+        by_row[rows] = codes
+        singles[index] = (by_row, ids)
+        level[(index,)] = (rows, codes, ids)
+        found.append((ids, *supports))
+
+    for size in range(2, min(max_size, len(columns)) + 1):
+        previous, level = level, {}
+        for subset in combinations(range(len(columns)), size):
+            prefix, last = subset[:-1], subset[-1]
+            if prefix not in previous or last not in singles:
                 continue
-            for subset in combinations(ids, size):
-                counts = counting.get(subset)
-                if counts is not None:
-                    counts[0] += 1
-                    counts[1] += transaction.packets
-                    counts[2] += transaction.bytes
+            rows, codes, prefix_ids = previous[prefix]
+            by_row, last_ids = singles[last]
+            last_codes = by_row[rows]
+            both = last_codes >= 0
+            base = len(last_ids)
+            # Factorised by sort: memory is bounded by the live rows,
+            # not by groups(prefix) x groups(last).
+            groups, codes = np.unique(
+                codes[both] * base + last_codes[both], return_inverse=True
+            )
+            hit = count(rows[both], codes, len(groups))
+            if hit is None:
+                continue
+            kept, rows, codes, supports = hit
+            groups = groups[kept]
+            ids = np.concatenate(
+                [prefix_ids[groups // base], last_ids[groups % base]],
+                axis=1,
+            )
+            level[subset] = (rows, codes, ids)
+            found.append((ids, *supports))
 
-        frequent = []
-        for candidate in candidates:
-            counts = counting[candidate]
-            if _is_frequent(counts, min_flows, min_packets):
-                frequent.append(candidate)
-                results.append(
-                    ItemsetSupport(
-                        itemset=transactions.decode(candidate),
-                        flows=counts[0],
-                        packets=counts[1],
-                        bytes=counts[2],
-                    )
-                )
-        frequent.sort()
-        frequent_set = set(frequent)
-        size += 1
-
-    results.sort(key=lambda s: (-s.flows, -s.packets, s.itemset.items))
-    return results
+    mined = [
+        row
+        for block in found
+        for row in zip(*(array.tolist() for array in block))
+    ]
+    # Ids are in item order, so sorting id lists is sorting itemsets.
+    mined.sort(key=lambda row: (-row[1], -row[2], row[0]))
+    return [
+        ItemsetSupport(transactions.decode(ids), *supports)
+        for ids, *supports in mined
+    ]

@@ -19,9 +19,11 @@ paper ([5], §1):
    band, geometrically relaxing (too few) or tightening (too many) and
    damping the step on direction reversals.
 
-The miner itself is pluggable (Apriori / FP-Growth / Eclat — identical
-outputs); "extended Apriori" names the algorithmic envelope, matching
-the paper's terminology.
+The miner itself is pluggable — the default ``"apriori"`` is the
+columnar group-by kernel of :mod:`repro.mining.apriori`, FP-Growth and
+Eclat walk the same set's lazy per-flow transactions, all with
+identical outputs; "extended Apriori" names the algorithmic envelope,
+matching the paper's terminology.
 """
 
 from __future__ import annotations
@@ -231,9 +233,9 @@ class ExtendedApriori:
     ) -> MiningOutcome:
         """Mine with self-tuned thresholds.
 
-        Accepts raw flows or a columnar :class:`FlowTable` (encoded on
-        the fly — the table takes the vectorized ``from_table`` intern
-        path) or a pre-built :class:`TransactionSet`.
+        Accepts a columnar :class:`FlowTable` or raw flows (encoded on
+        the fly through ``TransactionSet.from_table``) or a pre-built
+        :class:`TransactionSet`.
         """
         if isinstance(flows, TransactionSet):
             transactions = flows

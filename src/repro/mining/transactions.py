@@ -1,30 +1,34 @@
 """Flow → transaction encoding for the mining engines.
 
-Every flow becomes a transaction of (feature, value) items. For engine
-speed, items are interned to dense integer ids: a
-:class:`TransactionSet` holds, per flow, a sorted tuple of item ids plus
-the flow's packet and byte weights. All three engines (Apriori,
-FP-Growth, Eclat) consume this one representation, so their outputs are
-directly comparable — which the property-based tests exploit.
+Every flow is a transaction of (feature, value) items, interned to
+dense integer ids ordered by (feature, value). A
+:class:`TransactionSet` holds that encoding *column-wise*: one
+factorisation per feature (:class:`ItemColumn`: the ascending distinct
+``values`` and one dense ``code`` per flow) beside the table's packet
+and byte columns. An item's id is its column's ``offset`` plus its
+code, so ids sort items consistently across the whole set.
 
-Item ids are ordered by (feature, value); ids therefore sort items
-consistently across the whole set, which Apriori's prefix join relies
-on.
+The production engine (:func:`repro.mining.apriori.mine_apriori`)
+group-counts the code columns directly. Iterating the set yields
+per-flow :class:`Transaction` tuples — sorted item ids plus weights —
+built once, on first use, for the classic engines (FP-Growth, Eclat)
+and the test oracle (``tests/mining_oracle.py``), which is why all
+engines' outputs are directly comparable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.errors import MiningError
-from repro.flows.record import FLOW_FEATURES, FlowFeature, FlowRecord, feature_value
+from repro.flows.record import FLOW_FEATURES, FlowFeature, FlowRecord
 from repro.flows.table import FlowTable
 from repro.mining.items import Item, Itemset
 
-__all__ = ["Transaction", "TransactionSet"]
+__all__ = ["ItemColumn", "Transaction", "TransactionSet"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,26 +40,40 @@ class Transaction:
     bytes: int
 
 
-class TransactionSet:
-    """Encoded transactions with the item intern table.
+class ItemColumn(NamedTuple):
+    """One feature's items: id ``offset + code`` is ``values[code]``."""
 
-    Build with :meth:`from_flows`. The mining engines report supports in
-    *flows* (number of transactions containing the itemset) and
-    *packets* (sum of the packet weights of those transactions).
+    feature: FlowFeature
+    offset: int
+    values: np.ndarray
+    codes: np.ndarray
+
+
+class TransactionSet:
+    """Column-encoded transactions with the item intern table.
+
+    Build with :meth:`from_table` (or :meth:`from_flows` for records).
+    The mining engines report supports in *flows* (number of
+    transactions containing the itemset) and *packets* (sum of the
+    packet weights of those transactions).
     """
 
     def __init__(
         self,
-        transactions: list[Transaction],
-        id_to_item: list[Item],
         features: tuple[FlowFeature, ...],
+        columns: tuple[ItemColumn, ...],
+        table: FlowTable,
     ) -> None:
-        self._transactions = transactions
-        self._id_to_item = id_to_item
         self.features = features
-        self.total_flows = len(transactions)
-        self.total_packets = sum(t.packets for t in transactions)
-        self.total_bytes = sum(t.bytes for t in transactions)
+        #: One :class:`ItemColumn` per feature, in ``FLOW_FEATURES``
+        #: order (the id order), whatever order ``features`` came in.
+        self.columns = columns
+        self.packets = table.packets
+        self.bytes = table.bytes
+        self.total_flows = len(table)
+        self.total_packets = table.total_packets()
+        self.total_bytes = table.total_bytes()
+        self._transactions: list[Transaction] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -75,42 +93,8 @@ class TransactionSet:
         flows: Iterable[FlowRecord] | FlowTable,
         features: tuple[FlowFeature, ...] = FLOW_FEATURES,
     ) -> "TransactionSet":
-        """Encode flows over the chosen features (default: all five)."""
-        if isinstance(flows, FlowTable):
-            return cls.from_table(flows, features)
-        cls._check_features(features)
-
-        intern: dict[tuple[FlowFeature, int], int] = {}
-        pending: list[tuple[tuple[tuple[FlowFeature, int], ...], int, int]] = []
-        for flow in flows:
-            keys = tuple(
-                (feature, feature_value(flow, feature))
-                for feature in features
-            )
-            pending.append((keys, flow.packets, flow.bytes))
-            for key in keys:
-                if key not in intern:
-                    intern[key] = 0  # placeholder; ids assigned after sort
-
-        # Assign ids in (feature order, value) order so id order == item
-        # order; Apriori's prefix join depends on this.
-        feature_rank = {feature: i for i, feature in enumerate(FLOW_FEATURES)}
-        ordered_keys = sorted(
-            intern, key=lambda fv: (feature_rank[fv[0]], fv[1])
-        )
-        for item_id, key in enumerate(ordered_keys):
-            intern[key] = item_id
-        id_to_item = [Item(feature, value) for feature, value in ordered_keys]
-
-        transactions = [
-            Transaction(
-                item_ids=tuple(sorted(intern[key] for key in keys)),
-                packets=packets,
-                bytes=bytes_,
-            )
-            for keys, packets, bytes_ in pending
-        ]
-        return cls(transactions, id_to_item, tuple(features))
+        """Encode flow records: :meth:`from_table` over their table."""
+        return cls.from_table(FlowTable.from_records(flows), features)
 
     @classmethod
     def from_table(
@@ -118,46 +102,18 @@ class TransactionSet:
         table: FlowTable,
         features: tuple[FlowFeature, ...] = FLOW_FEATURES,
     ) -> "TransactionSet":
-        """Encode a columnar flow set over the chosen features.
-
-        The vectorized twin of :meth:`from_flows`: items are interned
-        with one ``np.unique`` over packed ``(feature_rank, value)``
-        keys instead of a per-flow Python dict walk, and per-row item
-        ids come out of the same call's inverse mapping. Produces a
-        byte-identical TransactionSet (same ids, same order) — the
-        property tests assert it.
-        """
+        """Encode a flow table over the chosen features (default: all
+        five): one ``np.unique`` per feature column, nothing per flow."""
         cls._check_features(features)
-        feature_rank = {f: i for i, f in enumerate(FLOW_FEATURES)}
-        rank_to_feature = {i: f for f, i in feature_rank.items()}
-        count = len(table)
-        width = len(features)
-        # Pack each (feature, value) item into one uint64 key whose
-        # natural order equals the (feature order, value) intern order.
-        keys = np.empty((count, width), dtype=np.uint64)
-        for column_index, feature in enumerate(features):
-            rank = np.uint64(feature_rank[feature] << 32)
-            keys[:, column_index] = (
-                table.feature_column(feature).astype(np.uint64) | rank
+        columns = []
+        offset = 0
+        for feature in sorted(features, key=FLOW_FEATURES.index):
+            values, codes = np.unique(
+                table.feature_column(feature), return_inverse=True
             )
-        unique_keys, inverse = np.unique(keys.ravel(), return_inverse=True)
-        ranks = (unique_keys >> np.uint64(32)).astype(np.int64).tolist()
-        values = (
-            unique_keys & np.uint64(0xFFFFFFFF)
-        ).astype(np.int64).tolist()
-        id_to_item = [
-            Item(rank_to_feature[rank], value)
-            for rank, value in zip(ranks, values)
-        ]
-        item_ids = np.sort(inverse.reshape(count, width).astype(np.int64),
-                           axis=1)
-        packets = table.packets.tolist()
-        bytes_ = table.bytes.tolist()
-        transactions = [
-            Transaction(item_ids=tuple(row), packets=p, bytes=b)
-            for row, p, b in zip(item_ids.tolist(), packets, bytes_)
-        ]
-        return cls(transactions, id_to_item, tuple(features))
+            columns.append(ItemColumn(feature, offset, values, codes))
+            offset += len(values)
+        return cls(tuple(features), tuple(columns), table)
 
     # -- access ----------------------------------------------------------------
 
@@ -165,27 +121,54 @@ class TransactionSet:
         return self.total_flows
 
     def __iter__(self) -> Iterator[Transaction]:
+        if self._transactions is None:
+            self._transactions = self._materialize()
         return iter(self._transactions)
 
     def __bool__(self) -> bool:
-        return bool(self._transactions)
+        return self.total_flows > 0
+
+    def _materialize(self) -> list[Transaction]:
+        """Per-flow transactions for the engines that walk them; the
+        columns are in id order, so every row comes out sorted."""
+        item_ids = np.stack(
+            [column.offset + column.codes for column in self.columns],
+            axis=1,
+        )
+        return [
+            Transaction(tuple(row), packets, bytes_)
+            for row, packets, bytes_ in zip(
+                item_ids.tolist(), self.packets.tolist(), self.bytes.tolist()
+            )
+        ]
 
     @property
     def item_count(self) -> int:
         """Number of distinct items."""
-        return len(self._id_to_item)
+        last = self.columns[-1]
+        return last.offset + len(last.values)
+
+    def _column_of(self, item_id: int) -> ItemColumn:
+        if not 0 <= item_id < self.item_count:
+            raise IndexError(f"item id {item_id!r} out of range")
+        return next(
+            c for c in reversed(self.columns) if c.offset <= item_id
+        )
 
     def item(self, item_id: int) -> Item:
         """Decode an item id."""
-        return self._id_to_item[item_id]
+        column = self._column_of(item_id)
+        return Item(
+            column.feature, int(column.values[item_id - column.offset])
+        )
 
     def feature_of(self, item_id: int) -> FlowFeature:
         """Feature of an item id."""
-        return self._id_to_item[item_id].feature
+        return self._column_of(item_id).feature
 
     def decode(self, item_ids: Sequence[int]) -> Itemset:
         """Decode a tuple of item ids into an :class:`Itemset`."""
-        return Itemset(self._id_to_item[item_id] for item_id in item_ids)
+        return Itemset(self.item(item_id) for item_id in item_ids)
 
     # -- thresholds --------------------------------------------------------------
 

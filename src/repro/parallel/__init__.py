@@ -19,8 +19,8 @@ backend, with byte-identical results.
     pickled records), with a zero-overhead serial fallback for
     ``workers=1`` and platforms without ``fork``.
 ``mining``
-    SON-style two-pass partitioned mining — vectorized local
-    candidate mining at scaled support, exact global recount — and
+    SON-style two-pass partitioned mining — the serial kernel per
+    shard at scaled support, exact global recount — and
     :class:`ShardedApriori`, the drop-in self-tuning envelope over
     shards.
 ``detect``
@@ -48,7 +48,6 @@ from repro.parallel.mining import (
     ShardedApriori,
     count_signatures,
     mine_partitioned,
-    mine_table,
     scaled_threshold,
 )
 from repro.parallel.partition import (
@@ -75,7 +74,6 @@ __all__ = [
     "read_archive_sharded",
     "ShardExecutor",
     "scaled_threshold",
-    "mine_table",
     "count_signatures",
     "mine_partitioned",
     "ShardedApriori",

@@ -1,9 +1,7 @@
 """Partitioned frequent-itemset mining: the SON two-pass over shards.
 
-Classic Apriori walks every transaction in Python per candidate level;
-that is the single-core ceiling the sharded path removes. The scheme
-is the partition algorithm of Savasere/Omiecinski/Navathe (SON), as
-popularised for map-reduce mining:
+The scheme is the partition algorithm of Savasere/Omiecinski/Navathe
+(SON), as popularised for map-reduce mining:
 
 1. **Local pass** — every shard is mined independently at *scaled*
    thresholds (:func:`scaled_threshold`): a shard holding weight
@@ -22,21 +20,19 @@ popularised for map-reduce mining:
    to single-process mining — same itemsets, same supports, same sort
    order — for any shard count and any row order.
 
-The per-shard local miner is itself vectorized: instead of per-
-transaction Python loops it group-counts every occurring value
-combination of each feature subset (one ``np.unique``/``np.bincount``
-pipeline per subset, at most :math:`2^5 - 1` subsets), which is why
-the sharded path beats the classic engines even before process-level
-parallelism. :class:`ShardedApriori` plugs the two-pass into the
-self-tuning envelope of :class:`~repro.mining.extended.ExtendedApriori`
-so the threshold search visits the same trajectory as the serial
-miner — the equivalence suite asserts the whole
+The local pass *is* the serial kernel
+(:func:`~repro.mining.apriori.mine_apriori` over the shard's own
+:class:`~repro.mining.transactions.TransactionSet`) at the scaled
+thresholds; only the global recount is specific to sharding.
+:class:`ShardedApriori` plugs the two-pass into the self-tuning
+envelope of :class:`~repro.mining.extended.ExtendedApriori` so the
+threshold search visits the same trajectory as the serial miner — the
+equivalence suite asserts the whole
 :class:`~repro.mining.extended.MiningOutcome` matches.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,6 +40,12 @@ import numpy as np
 from repro.errors import MiningError
 from repro.flows.record import FLOW_FEATURES, FlowFeature, FlowRecord
 from repro.flows.table import FlowTable
+from repro.mining.apriori import (
+    EXACT_FLOAT_LIMIT,
+    check_thresholds,
+    group_sum,
+    mine_apriori,
+)
 from repro.mining.extended import ExtendedApriori, ExtendedAprioriConfig
 from repro.obs import metrics as obs_metrics
 from repro.mining.items import Item, Itemset, ItemsetSupport
@@ -54,7 +56,6 @@ from repro.parallel.partition import PartitionSpec, partition_table
 __all__ = [
     "Signature",
     "scaled_threshold",
-    "mine_table",
     "count_signatures",
     "mine_partitioned",
     "ShardedApriori",
@@ -65,23 +66,6 @@ _FEATURE_RANK = {feature: i for i, feature in enumerate(FLOW_FEATURES)}
 #: A picklable itemset identity: ``((feature_rank, value), ...)``
 #: ordered by feature rank — the currency of the shard protocol.
 Signature = tuple[tuple[int, int], ...]
-
-#: Weighted group sums stay exact in float64 while every partial sum
-#: is an integer below 2**53; above that the slow int64 path is used.
-_EXACT_FLOAT_LIMIT = 2**53
-
-
-def _check_thresholds(
-    min_flows: int | None, min_packets: int | None
-) -> None:
-    if min_flows is None and min_packets is None:
-        raise MiningError(
-            "at least one of min_flows/min_packets must be set"
-        )
-    if min_flows is not None and min_flows < 1:
-        raise MiningError(f"min_flows must be >= 1: {min_flows!r}")
-    if min_packets is not None and min_packets < 1:
-        raise MiningError(f"min_packets must be >= 1: {min_packets!r}")
 
 
 def scaled_threshold(
@@ -98,111 +82,6 @@ def scaled_threshold(
     if total_weight <= 0:
         return 1
     return max(1, (global_min * shard_weight) // total_weight)
-
-
-def _group_sum(
-    codes: np.ndarray, weights: np.ndarray, size: int, exact_float: bool
-) -> np.ndarray:
-    """Exact int64 per-group sums of ``weights`` grouped by ``codes``."""
-    if exact_float:
-        return np.bincount(
-            codes, weights=weights, minlength=size
-        ).astype(np.int64)
-    sums = np.zeros(size, dtype=np.int64)
-    np.add.at(sums, codes, weights)
-    return sums
-
-
-def _mine_table_signatures(
-    table: FlowTable,
-    min_flows: int | None,
-    min_packets: int | None,
-    features: tuple[FlowFeature, ...],
-    max_size: int,
-) -> list[tuple[Signature, int, int, int]]:
-    """All frequent itemsets of one table, with exact supports.
-
-    Group-by mining: for every feature subset (in feature-rank order),
-    dense-code the occurring value combinations and count flows,
-    packets and bytes per combination in one vectorized pass. Any
-    combination passing the flow *or* packet threshold is frequent —
-    exactly the collection level-wise Apriori enumerates, computed
-    without per-transaction Python work.
-    """
-    ordered = tuple(sorted(features, key=_FEATURE_RANK.__getitem__))
-    length = len(table)
-    if not length:
-        return []
-    packets = table.packets
-    bytes_ = table.bytes
-    exact_float = (
-        table.total_packets() < _EXACT_FLOAT_LIMIT
-        and table.total_bytes() < _EXACT_FLOAT_LIMIT
-    )
-
-    # Dense per-row codes and distinct-value matrices per feature
-    # subset; subsets of size k extend a size-(k-1) prefix, so each
-    # subset costs one np.unique over packed int64 codes. Code
-    # products stay below 2**63: both factors are bounded by the
-    # distinct-combination count, itself bounded by the row count.
-    codes: dict[tuple[FlowFeature, ...], np.ndarray] = {}
-    values: dict[tuple[FlowFeature, ...], np.ndarray] = {}
-    results: list[tuple[Signature, int, int, int]] = []
-
-    def emit(subset: tuple[FlowFeature, ...]) -> None:
-        group_codes = codes[subset]
-        group_values = values[subset]
-        size = len(group_values)
-        flows = np.bincount(group_codes, minlength=size)
-        packet_sums = _group_sum(group_codes, packets, size, exact_float)
-        keep = np.zeros(size, dtype=bool)
-        if min_flows is not None:
-            keep |= flows >= min_flows
-        if min_packets is not None:
-            keep |= packet_sums >= min_packets
-        frequent = np.nonzero(keep)[0]
-        if not len(frequent):
-            return
-        byte_sums = _group_sum(group_codes, bytes_, size, exact_float)
-        ranks = tuple(_FEATURE_RANK[feature] for feature in subset)
-        for group in frequent.tolist():
-            signature = tuple(
-                zip(ranks, (int(v) for v in group_values[group]))
-            )
-            results.append(
-                (
-                    signature,
-                    int(flows[group]),
-                    int(packet_sums[group]),
-                    int(byte_sums[group]),
-                )
-            )
-
-    for feature in ordered:
-        distinct, inverse = np.unique(
-            table.feature_column(feature), return_inverse=True
-        )
-        subset = (feature,)
-        codes[subset] = inverse.astype(np.int64)
-        values[subset] = distinct.reshape(-1, 1).astype(np.int64)
-        emit(subset)
-
-    for size in range(2, min(max_size, len(ordered)) + 1):
-        for subset in combinations(ordered, size):
-            prefix, last = subset[:-1], (subset[-1],)
-            base = len(values[last])
-            packed = codes[prefix] * base + codes[last]
-            distinct, inverse = np.unique(packed, return_inverse=True)
-            codes[subset] = inverse.astype(np.int64)
-            values[subset] = np.concatenate(
-                [
-                    values[prefix][distinct // base],
-                    values[last][distinct % base],
-                ],
-                axis=1,
-            )
-            emit(subset)
-    return results
 
 
 def _signature_itemset(signature: Signature) -> Itemset:
@@ -229,32 +108,6 @@ def _supports(
     return results
 
 
-def mine_table(
-    table: FlowTable,
-    min_flows: int | None,
-    min_packets: int | None = None,
-    max_size: int | None = None,
-    features: tuple[FlowFeature, ...] = FLOW_FEATURES,
-) -> list[ItemsetSupport]:
-    """Vectorized single-table mining, byte-identical to the engines.
-
-    Drop-in for ``mine_apriori(TransactionSet.from_table(table), ...)``
-    — same itemsets, same exact dual supports, same sort order —
-    without building a transaction set at all.
-    """
-    _check_thresholds(min_flows, min_packets)
-    TransactionSet._check_features(features)
-    if max_size is None:
-        max_size = len(features)
-    if max_size < 1:
-        raise MiningError(f"max_size must be >= 1: {max_size!r}")
-    return _supports(
-        _mine_table_signatures(
-            table, min_flows, min_packets, features, max_size
-        )
-    )
-
-
 def count_signatures(
     table: FlowTable, signatures: Sequence[Signature]
 ) -> np.ndarray:
@@ -279,8 +132,8 @@ def count_signatures(
     packets = table.packets
     bytes_ = table.bytes
     exact_float = (
-        table.total_packets() < _EXACT_FLOAT_LIMIT
-        and table.total_bytes() < _EXACT_FLOAT_LIMIT
+        table.total_packets() < EXACT_FLOAT_LIMIT
+        and table.total_bytes() < EXACT_FLOAT_LIMIT
     )
     #: rank -> (distinct values, per-row dense codes), shared across
     #: every subset touching that feature.
@@ -333,8 +186,8 @@ def count_signatures(
             group = inverse.astype(np.int64)
             group_count = len(uniq)
         flows = np.bincount(group, minlength=group_count)
-        packet_sums = _group_sum(group, packets, group_count, exact_float)
-        byte_sums = _group_sum(group, bytes_, group_count, exact_float)
+        packet_sums = group_sum(group, packets, group_count, exact_float)
+        byte_sums = group_sum(group, bytes_, group_count, exact_float)
         safe = np.minimum(positions, group_count - 1)
         for offset, member in enumerate(members):
             if valid[offset]:
@@ -368,9 +221,13 @@ def _local_mine_task(
 ) -> list[Signature]:
     """Worker task of the local pass: one shard's candidate itemsets."""
     candidates = [
-        signature
-        for signature, _, _, _ in _mine_table_signatures(
-            table, min_flows, min_packets, features, max_size
+        tuple(
+            (_FEATURE_RANK[item.feature], item.value)
+            for item in support.itemset.items
+        )
+        for support in mine_apriori(
+            TransactionSet.from_table(table, features),
+            min_flows, min_packets, max_size,
         )
     ]
     if candidates:
@@ -402,7 +259,7 @@ def mine_partitioned(
     every per-shard pass runs through ``executor`` (serial by
     default).
     """
-    _check_thresholds(min_flows, min_packets)
+    check_thresholds(min_flows, min_packets)
     TransactionSet._check_features(features)
     if max_size is None:
         max_size = len(features)

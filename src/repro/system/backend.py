@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.detect.base import Alarm
 from repro.errors import StoreError
 from repro.flows.filter import FilterNode
@@ -146,12 +144,7 @@ class FlowBackend:
             raise StoreError(f"limit must be >= 1: {limit!r}")
         window = self.store.query_table(start, end)
         matched = window.select(itemset.mask(window))
-        if len(matched) > 1:
-            order = np.lexsort((matched.start, -matched.packets))
-            matched = matched.select(order)
-        if limit is not None:
-            matched = matched.select(slice(0, limit))
-        return matched.to_records()
+        return matched.heaviest_first(limit).to_records()
 
     # -- ad-hoc queries ----------------------------------------------------------
 

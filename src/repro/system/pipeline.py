@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.detect.base import Alarm, Detector
-from repro.errors import ExtractionError, ReproError
+from repro.errors import AlarmDatabaseError, ExtractionError, ReproError
 from repro.extraction.extractor import AnomalyExtractor, ExtractionReport
 from repro.extraction.validate import ValidationVerdict, validate_report
 from repro.flows.store import FlowStore
@@ -158,11 +158,7 @@ class ExtractionSystem:
         report = self.extractor.extract(
             alarm, interval_table, baseline_table
         )
-        try:
-            self.alarmdb.set_status(alarm.alarm_id, AlarmStatus.EXTRACTED)
-        except Exception:
-            # Alarms extracted ad-hoc (not ingested) stay untracked.
-            pass
+        self._record_status(alarm, AlarmStatus.EXTRACTED)
         return report
 
     def validate(self, alarm: Alarm | str) -> TriageResult:
@@ -173,17 +169,28 @@ class ExtractionSystem:
         verdict = validate_report(
             report, sample_size=self.config.evidence_sample_size
         )
-        try:
-            status = (
-                AlarmStatus.VALIDATED if verdict.useful
-                else AlarmStatus.DISMISSED
-            )
-            self.alarmdb.set_status(
-                alarm.alarm_id, status, verdict.summary()
-            )
-        except Exception:
-            pass
+        self._record_status(
+            alarm,
+            AlarmStatus.VALIDATED if verdict.useful
+            else AlarmStatus.DISMISSED,
+            verdict.summary(),
+        )
         return TriageResult(alarm=alarm, report=report, verdict=verdict)
+
+    def _record_status(
+        self, alarm: Alarm, status: str, verdict: str = ""
+    ) -> None:
+        """Advance the alarm's triage state in the alarm DB.
+
+        An alarm triaged ad hoc (never ingested) is unknown to the DB
+        and stays untracked. Any other failure — a locked database, a
+        full disk — propagates: swallowed, the alarm would stay open
+        and be re-mined at every later seal.
+        """
+        try:
+            self.alarmdb.set_status(alarm.alarm_id, status, verdict)
+        except AlarmDatabaseError:
+            pass
 
     def process_open_alarms(
         self, skip_errors: bool = False

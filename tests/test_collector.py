@@ -48,6 +48,7 @@ from repro.collector.decode import (
     encode_v9_datagram,
     peek_exporter,
 )
+from repro.collector import listener
 from repro.collector.exporters import ExporterState, ExporterTable
 from repro.errors import CodecError, CollectorError
 from repro.flows.addresses import ip_to_int
@@ -602,6 +603,55 @@ class TestFlowCollector:
         assert exporter["address"] == "127.0.0.1"
         assert exporter["version"] == 5
         assert exporter["flows"] == nflows
+
+    def test_burst_receive_equals_recvfrom(self, monkeypatch):
+        """``recvmmsg`` bursts hand over what the ``recvfrom`` loop
+        does — payload bytes (empty, one byte, a jumbo frame and the
+        largest UDP payload included), source address, arrival order —
+        over more datagrams than one burst holds."""
+        if listener._recvmmsg is None:
+            pytest.skip("no recvmmsg on this platform")
+        burst = FlowCollector()
+        with monkeypatch.context() as patch:
+            patch.setattr(listener, "_recvmmsg", None)
+            single = FlowCollector()
+        assert burst._receive.__self__.__class__ is listener._BurstReceiver
+        assert single._receive == single._recvfrom_burst
+        sizes = [0, 1, 48, 1464, 9000, 65507] + [100] * 70
+        sent = [bytes([k % 251]) * size for k, size in enumerate(sizes)]
+        received = []
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
+            for collector in (burst, single):
+                assert collector._receive() == []
+                for datagram in sent:
+                    sender.sendto(datagram, ("127.0.0.1", collector.port))
+                got = []
+                while batch := collector._receive():
+                    assert len(batch) <= listener._BURST_SLOTS
+                    got.extend(batch)
+                received.append(got)
+                collector.close()
+                with pytest.raises(OSError):
+                    collector._receive()
+        assert received[0] == received[1]
+        assert received[0] == [(datagram, "127.0.0.1") for datagram in sent]
+
+    def test_replay_without_recvmmsg(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(listener, "_recvmmsg", None)
+        path, nflows = _capture(tmp_path)
+        boot, packets = read_recorded_datagrams(path)
+        collector = FlowCollector(
+            boot_time=boot, max_flows=nflows, idle_seconds=10.0,
+        )
+        sender = threading.Thread(
+            target=send_datagrams, args=(packets, collector.port)
+        )
+        sender.start()
+        chunks = list(collector.chunks(chunk_rows=100_000))
+        sender.join()
+        got = np.concatenate([c._data for c in chunks])
+        assert np.array_equal(got, read_binary_table(path)._data)
+        assert collector.counters()["datagrams"] == len(packets)
 
 
 # -- CLI surface --------------------------------------------------------------

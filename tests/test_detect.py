@@ -1,6 +1,8 @@
 """Tests for the detector package."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +19,11 @@ from repro.detect.features import (
 from repro.detect.histogram import HistogramDetectorConfig, HistogramKLDetector
 from repro.detect.kl import kl_contributions, kl_distance
 from repro.detect.netreflex import NetReflexConfig, NetReflexDetector
-from repro.detect.pca import fit_pca_model, q_statistic_threshold
+from repro.detect.pca import (
+    _normal_quantile,
+    fit_pca_model,
+    q_statistic_threshold,
+)
 from repro.errors import DetectorError
 from repro.flows.record import FlowFeature
 from repro.flows.trace import FlowTrace
@@ -138,6 +144,29 @@ class TestPCA:
     def test_q_statistic_positive(self):
         assert q_statistic_threshold(np.array([0.5, 0.2, 0.05])) > 0
         assert q_statistic_threshold(np.array([])) > 0
+
+    def test_normal_quantile_is_norm_ppf_bit_for_bit(self):
+        norm = pytest.importorskip("scipy.stats").norm
+        for alpha in (0.05, 0.01, 0.005, 0.001, 1e-4):
+            assert _normal_quantile(alpha) == float(norm.ppf(1.0 - alpha))
+
+    def test_training_never_imports_scipy_stats(self):
+        # One quantile must not cost the second-long scipy.stats import
+        # at every start-up (it was ~40 % of the e2e setup_s).
+        script = (
+            "import sys\n"
+            "from repro.detect.netreflex import NetReflexDetector\n"
+            "from repro.synth.background import BackgroundConfig\n"
+            "from repro.synth.scenario import Scenario\n"
+            "from repro.synth.topology import Topology\n"
+            "scenario = Scenario(topology=Topology(), bin_count=6,\n"
+            "    background=BackgroundConfig(flows_per_second=4.0))\n"
+            "NetReflexDetector().train(scenario.build(seed=3).trace)\n"
+            "assert 'scipy.stats' not in sys.modules\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", script], check=True, timeout=120
+        )
 
     def test_validation(self):
         with pytest.raises(DetectorError):

@@ -35,7 +35,6 @@ from repro.parallel import (
     bin_spans,
     count_signatures,
     mine_partitioned,
-    mine_table,
     parallel_detect,
     parallel_feature_matrix,
     partition_table,
@@ -49,6 +48,11 @@ from repro.stream import (
     StreamEngine,
     streaming_adapter,
     table_chunks,
+)
+from tests.mining_oracle import (
+    OracleApriori,
+    OracleTransactionSet,
+    oracle_apriori,
 )
 
 # Small value pools make repeated feature values (and therefore
@@ -232,13 +236,15 @@ def _scaled_packets(table, factor):
 
 
 def _mining_reference(table):
-    transactions = TransactionSet.from_table(table)
+    """Thresholds and the frequent itemsets at them, mined by the
+    per-transaction oracle (tests/mining_oracle.py)."""
+    transactions = OracleTransactionSet.from_flows(table.to_records())
     if not transactions:
         return None, None, []
     min_flows, min_packets = transactions.absolute_thresholds(
         0.1, 0.1, floor_flows=2, floor_packets=100
     )
-    return min_flows, min_packets, mine_apriori(
+    return min_flows, min_packets, oracle_apriori(
         transactions, min_flows, min_packets
     )
 
@@ -246,12 +252,14 @@ def _mining_reference(table):
 class TestPartitionedMining:
     @given(flows=flow_lists, seed=st.integers(0, 5))
     @settings(max_examples=60, deadline=None)
-    def test_mine_table_equals_apriori(self, flows, seed):
+    def test_kernel_equals_oracle(self, flows, seed):
         table = _table(flows, shuffle_seed=seed)
         min_flows, min_packets, reference = _mining_reference(table)
         if min_flows is None:
             return
-        assert mine_table(table, min_flows, min_packets) == reference
+        assert mine_apriori(
+            TransactionSet.from_table(table), min_flows, min_packets
+        ) == reference
 
     @given(
         flows=flow_lists,
@@ -341,6 +349,7 @@ class TestPartitionedMining:
     ):
         table = _table(flows, shuffle_seed=seed)
         reference = ExtendedApriori().mine(table)
+        assert reference == OracleApriori().mine(table)
         outcome = ShardedApriori(
             partition=PartitionSpec(shards=shards, seed=seed)
         ).mine(table)

@@ -372,6 +372,29 @@ class TestExtractionSystem:
         with pytest.raises(ExtractionError):
             system.process_open_alarms()
 
+    def test_uningested_alarm_is_triaged_untracked(self):
+        system = self._system()
+        result = system.validate(_alarm("ad-hoc", 900.0, 1200.0))
+        assert result.verdict.useful
+        assert system.alarmdb.count() == 0
+
+    def test_alarmdb_write_failure_is_not_swallowed(self, monkeypatch):
+        # A locked database or full disk must surface: swallowed, the
+        # alarm stays open and every later seal re-mines it.
+        import sqlite3
+
+        system = self._system()
+        system.ingest([_alarm("a1", 900.0, 1200.0)])
+
+        def locked(*args, **kwargs):
+            raise sqlite3.OperationalError("database is locked")
+
+        monkeypatch.setattr(system.alarmdb, "set_status", locked)
+        with pytest.raises(sqlite3.OperationalError):
+            system.validate("a1")
+        with pytest.raises(sqlite3.OperationalError):
+            system.extract("a1")
+
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             SystemConfig(baseline_bins=-1)

@@ -25,6 +25,7 @@ from repro.flows.record import FLOW_FEATURES, FlowFeature, FlowRecord
 from repro.flows.store import FlowStore
 from repro.flows.table import FlowTable
 from repro.mining.transactions import TransactionSet
+from tests.mining_oracle import OracleTransactionSet
 
 # Small value pools keep collision (and therefore interesting masks,
 # histogram merges and shared items) likely.
@@ -117,35 +118,51 @@ def test_distinct_counts_and_top_n_identical(flows):
         assert top_n(table, feature, n=3) == top_n(flows, feature, n=3)
 
 
-@given(flows=st.lists(flow_records(), min_size=1, max_size=60))
+def _assert_encodes_like_oracle(columnar, oracle):
+    """A columnar ``TransactionSet`` against the record-interning
+    encoder it replaced (tests/mining_oracle.py): same ids for the same
+    items, same per-flow transactions, same totals and thresholds."""
+    assert columnar.features == oracle.features
+    assert columnar.item_count == oracle.item_count
+    ids = range(oracle.item_count)
+    assert [columnar.item(i) for i in ids] == [oracle.item(i) for i in ids]
+    assert [columnar.feature_of(i) for i in ids] == \
+        [oracle.feature_of(i) for i in ids]
+    assert list(columnar) == list(oracle)
+    assert len(columnar) == len(oracle)
+    assert bool(columnar) == bool(oracle)
+    assert columnar.total_flows == oracle.total_flows
+    assert columnar.total_packets == oracle.total_packets
+    assert columnar.total_bytes == oracle.total_bytes
+    for shares in ((0.05, 0.05), (0.5, None), (None, 1.0)):
+        assert columnar.absolute_thresholds(*shares, floor_flows=2) == \
+            oracle.absolute_thresholds(*shares, floor_flows=2)
+
+
+@given(flows=flow_lists)
 @settings(max_examples=100, deadline=None)
 def test_transaction_encoding_identical(flows):
     table = FlowTable.from_records(flows, cache_records=False)
-    by_records = TransactionSet.from_flows(flows)
-    by_table = TransactionSet.from_table(table)
-    assert by_table.item_count == by_records.item_count
-    assert [by_table.item(i) for i in range(by_table.item_count)] == \
-        [by_records.item(i) for i in range(by_records.item_count)]
-    assert list(by_table) == list(by_records)
-    assert by_table.total_flows == by_records.total_flows
-    assert by_table.total_packets == by_records.total_packets
-    assert by_table.total_bytes == by_records.total_bytes
+    oracle = OracleTransactionSet.from_flows(flows)
+    _assert_encodes_like_oracle(TransactionSet.from_table(table), oracle)
+    _assert_encodes_like_oracle(TransactionSet.from_flows(iter(flows)), oracle)
 
 
-@given(flows=st.lists(flow_records(), min_size=1, max_size=60),
+@given(flows=flow_lists,
        features=st.sampled_from([
            (FlowFeature.SRC_IP, FlowFeature.DST_IP),
            (FlowFeature.DST_IP, FlowFeature.DST_PORT, FlowFeature.PROTO),
+           # Not in FLOW_FEATURES order: ids still follow that order.
+           (FlowFeature.PROTO, FlowFeature.SRC_PORT, FlowFeature.SRC_IP),
            FLOW_FEATURES,
        ]))
 @settings(max_examples=60, deadline=None)
 def test_transaction_encoding_feature_subsets(flows, features):
     table = FlowTable.from_records(flows, cache_records=False)
-    by_records = TransactionSet.from_flows(iter(flows), features=features)
-    by_table = TransactionSet.from_table(table, features=features)
-    assert list(by_table) == list(by_records)
-    assert [by_table.item(i) for i in range(by_table.item_count)] == \
-        [by_records.item(i) for i in range(by_records.item_count)]
+    _assert_encodes_like_oracle(
+        TransactionSet.from_table(table, features=features),
+        OracleTransactionSet.from_flows(iter(flows), features=features),
+    )
 
 
 @given(flows=st.lists(flow_records(), min_size=1, max_size=60))
