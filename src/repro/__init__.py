@@ -12,8 +12,8 @@ types re-exported here (``__all__`` is the contract — the API-surface
 snapshot test fails when it drifts). A session is five orthogonal
 specs — source, detector, mining, execution, sink — composed with a
 fluent builder or loaded from TOML, and every execution mode (batch,
-sharded batch, windowed stream, sharded stream, archive-resume) runs
-through the same ``Session.run()``::
+sharded batch, windowed stream, archive-resume) runs through the same
+``Session.run()``::
 
     import repro
 
@@ -38,8 +38,8 @@ API stability
   ``repro.synth``, ``repro.eval``) are importable and documented but
   are *implementation* surface; prefer the facade.
 * The legacy entry points (``ExtractionSystem``, ``StreamEngine``,
-  ``ShardedStreamEngine``, ``FlowBackend.from_archive``) remain
-  supported compatibility shims — the facade composes them and the
+  ``FlowBackend.from_archive``) remain supported
+  compatibility shims — the facade composes them and the
   equivalence suite holds ``Session`` byte-identical to each — but new
   capabilities land as specs/registry entries, not as new entry
   points.

@@ -5,8 +5,8 @@ flows come from* (:class:`SourceSpec`), *which detector watches them*
 (:class:`DetectorSpec`), *how triage mines* (:class:`MiningSpec`),
 *how the run executes* (:class:`ExecutionSpec`) and *where results
 land* (:class:`SinkSpec`), and :class:`Session` dispatches the right
-engine — serial batch, sharded batch, windowed stream, sharded stream
-or archive-resume — from the spec alone::
+engine — serial batch, sharded batch, windowed stream or
+archive-resume — from the spec alone::
 
     from repro import api
 
@@ -26,8 +26,8 @@ Detectors, mining engines and sources are looked up by name in
 :mod:`repro.api.registry`; the built-ins register themselves below and
 third-party plugins extend the system the same way. The legacy
 constructors (``ExtractionSystem``, ``StreamEngine``,
-``ShardedStreamEngine``, ``FlowBackend.from_archive``) remain the
-supported compatibility layer underneath — the facade composes them,
+``FlowBackend.from_archive``) remain the supported
+compatibility layer underneath — the facade composes them,
 so ``Session`` runs are byte-identical to the legacy paths.
 """
 

@@ -1,8 +1,8 @@
 """The declarative session facade: one entry point over every mode.
 
 Where PRs 1–4 each grew their own entry point (``ExtractionSystem``,
-``StreamEngine``, ``ShardedStreamEngine``, ``FlowBackend.from_archive``)
-with incompatible constructor signatures, a :class:`Session` is built
+``StreamEngine``, ``FlowBackend.from_archive``) with incompatible
+constructor signatures, a :class:`Session` is built
 from five orthogonal specs and *dispatches* — serial or sharded, batch
 or windowed stream, live ring or archive-resume — from the spec alone,
 never from which class the caller happened to construct::
@@ -66,12 +66,7 @@ from repro.obs import (
     metrics as obs_metrics,
     trace as obs_trace,
 )
-from repro.stream import (
-    ReplayDriver,
-    ShardedStreamEngine,
-    StreamEngine,
-    streaming_adapter,
-)
+from repro.stream import ReplayDriver, StreamEngine, streaming_adapter
 from repro.system.alarmdb import AlarmDatabase
 from repro.system.backend import FlowBackend
 from repro.system.config import SystemConfig
@@ -515,8 +510,7 @@ class Session:
                 from repro.parallel import parallel_detect
 
                 alarms = parallel_detect(
-                    detector, tail, workers=execution.workers,
-                    ipc=execution.ipc,
+                    detector, tail, workers=execution.workers
                 )
             else:
                 alarms = detector.detect(tail)
@@ -538,7 +532,6 @@ class Session:
                     alarmdb=db,
                     config=config,
                     workers=execution.workers,
-                    ipc=execution.ipc,
                 )
                 try:
                     system.ingest(alarms)
@@ -744,14 +737,11 @@ class Session:
             alarmdb=db,
             archive=archive_writer,
         )
-        adapters = [streaming_adapter(detector)]
-        if execution.workers > 1:
-            engine: StreamEngine = ShardedStreamEngine(
-                adapters, workers=execution.workers,
-                ipc=execution.ipc, **engine_options
-            )
-        else:
-            engine = StreamEngine(adapters, **engine_options)
+        engine = StreamEngine(
+            [streaming_adapter(detector)],
+            workers=execution.workers,
+            **engine_options,
+        )
         interrupted = False
         flush_error: str | None = None
         replay_stats = None
@@ -902,7 +892,6 @@ class Session:
                 alarmdb=db,
                 config=self._system_config(),
                 workers=execution.workers,
-                ipc=execution.ipc,
             )
             open_before = db.count("open")
             with obs_trace.span("triage.process", timings, "triage"):
@@ -979,9 +968,7 @@ class Session:
         if reader is not None and execution.workers > 1:
             from repro.parallel.executor import ShardExecutor
 
-            executor = ShardExecutor(
-                execution.workers, ipc=execution.ipc
-            )
+            executor = ShardExecutor(execution.workers)
             reader.executor = executor
         payload: dict[str, Any] = {}
         timings: dict[str, float] = {}
@@ -1252,11 +1239,10 @@ class SessionBuilder:
         except TypeError as exc:
             raise SpecError(str(exc), field="execution") from None
 
-    def batch(self, workers: int = 1, triage: bool = False,
-              ipc: str = "auto") -> "SessionBuilder":
+    def batch(self, workers: int = 1,
+              triage: bool = False) -> "SessionBuilder":
         """Bounded batch detection (serial, or sharded via workers)."""
-        return self._mode("batch", workers=workers, triage=triage,
-                          ipc=ipc)
+        return self._mode("batch", workers=workers, triage=triage)
 
     def stream(
         self,
@@ -1270,9 +1256,9 @@ class SessionBuilder:
         chunk_rows: int = 8192,
         triage: bool = False,
         auto_close: int | None = None,
-        ipc: str = "auto",
     ) -> "SessionBuilder":
-        """Windowed-stream execution (sharded when ``workers > 1``).
+        """Windowed-stream execution (``workers`` sizes live triage's
+        mining pool; windows always accumulate in-process).
 
         ``auto_close`` resolves open/acked alarms as ``decayed`` once
         no re-fire has extended them for that many sealed windows."""
@@ -1287,41 +1273,39 @@ class SessionBuilder:
             speedup=speedup,
             chunk_rows=chunk_rows,
             triage=triage,
-            ipc=ipc,
         )
 
     def extract(self, start: float, end: float,
                 hints: tuple | list = (), workers: int = 1,
-                anonymize: bool = False,
-                ipc: str = "auto") -> "SessionBuilder":
+                anonymize: bool = False) -> "SessionBuilder":
         """Ad-hoc extraction of one ``[start, end)`` window."""
         return self._mode("extract", start=start, end=end,
                           hints=tuple(hints), workers=workers,
-                          anonymize=anonymize, ipc=ipc)
+                          anonymize=anonymize)
 
-    def triage(self, workers: int = 1, anonymize: bool = False,
-               ipc: str = "auto") -> "SessionBuilder":
+    def triage(self, workers: int = 1,
+               anonymize: bool = False) -> "SessionBuilder":
         """Archive-resume triage of open alarms."""
         return self._mode("triage", workers=workers,
-                          anonymize=anonymize, ipc=ipc)
+                          anonymize=anonymize)
 
     def query(self, start: float | None = None,
               end: float | None = None,
               filter: str | None = None,  # noqa: A002 - mirrors nfdump
               top: str | None = None, limit: int = 10,
               stats: bool = False, explain: bool = False,
-              workers: int = 1, ipc: str = "auto") -> "SessionBuilder":
+              workers: int = 1) -> "SessionBuilder":
         """nfdump-style filtered query / top-N / aggregate stats.
 
         ``stats=True`` answers with counters only (planner pushdown —
         no rows are materialised when sidecars cover the window);
         ``explain=True`` attaches the planner's decision record;
         ``workers > 1`` fans unavoidable archive payload scans over a
-        worker pool using the ``ipc`` transport.
+        worker pool.
         """
         return self._mode("query", start=start, end=end, filter=filter,
                           top=top, limit=limit, stats=stats,
-                          explain=explain, workers=workers, ipc=ipc)
+                          explain=explain, workers=workers)
 
     def synth(self, out: str) -> "SessionBuilder":
         """Render the scenario source to an ``.rpv5`` trace."""

@@ -186,8 +186,9 @@ class ExecutionSpec:
 
     #: One of :data:`EXECUTION_MODES`.
     mode: str = "batch"
-    #: Shards/workers for every heavy pass (mining, detection sweeps,
-    #: stream window accumulation). Identical results for any count.
+    #: Shards/workers for the heavy passes (triage mining, batch
+    #: detection sweeps, archive scans). Identical results for any
+    #: count.
     workers: int = field(default=1, metadata={
         "flag": "--workers",
         "help": "shards/workers for the heavy passes "
@@ -223,15 +224,6 @@ class ExecutionSpec:
     chunk_rows: int = field(default=8192, metadata={
         "flag": "--chunk-rows",
         "help": "flows per ingested chunk",
-    })
-    #: Worker-pool transport for sharded passes: ``auto`` picks
-    #: shared-memory descriptors where the platform supports them and
-    #: falls back to binary frames; ``shm``/``frames`` force a path.
-    ipc: str = field(default="auto", metadata={
-        "flag": "--ipc",
-        "metavar": "MODE",
-        "help": "worker IPC transport: auto, shm (shared-memory "
-                "descriptors, required) or frames (forced fallback)",
     })
     #: Triage open alarms (batch: after detection; stream: as windows
     #: close against the live ring).
@@ -307,11 +299,6 @@ class ExecutionSpec:
             _check_int(self, "execution", "auto_close_windows", 1)
         if self.flight_recorder is not None:
             _check_int(self, "execution", "flight_recorder", 1)
-        from repro.parallel.executor import IPC_MODES
-
-        _require(self.ipc in IPC_MODES, "execution.ipc",
-                 f"unknown ipc mode {self.ipc!r}; expected one of "
-                 f"{', '.join(IPC_MODES)}")
         if not isinstance(self.hints, (list, tuple)):
             raise SpecError(
                 f"expected a list of 'feature=value' strings: "
@@ -372,8 +359,8 @@ class SinkSpec:
     #: Serve the embedded dashboard page at ``/`` on the console port.
     dashboard: bool = True
     #: Directory for the structured provenance journal: every pipeline
-    #: lifecycle step (chunk → window → shard task → verdict → alarm →
-    #: archive) appends one causally-linked JSON line, rotated by
+    #: lifecycle step (chunk → window → verdict → alarm → archive)
+    #: appends one causally-linked JSON line, rotated by
     #: size. ``repro obs lineage`` and the console's
     #: ``/api/events/stream`` (SSE) read it. ``None`` (default) off.
     events_path: str | None = field(default=None, metadata={

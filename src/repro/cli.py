@@ -163,7 +163,6 @@ def _spec_parent(spec_cls: type, names: Sequence[str]) -> argparse.ArgumentParse
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests and docs)."""
     workers = _spec_parent(ExecutionSpec, ["workers"])
-    ipc = _spec_parent(ExecutionSpec, ["ipc"])
     geometry = _spec_parent(ExecutionSpec, [
         "window_seconds", "lateness_seconds", "speedup", "chunk_rows",
         "retain_windows", "dedup_window",
@@ -213,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     detect = sub.add_parser(
         "detect", help="run a trained detector over a trace",
-        parents=[train, workers, ipc],
+        parents=[train, workers],
     )
     detect.add_argument("trace", help=".rpv5 trace path")
     detect.add_argument("--detector", default="netreflex",
@@ -222,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     extract = sub.add_parser(
         "extract", help="extract flows for a window",
-        parents=[workers, ipc, anonymize],
+        parents=[workers, anonymize],
     )
     extract.add_argument("trace", help=".rpv5 trace path")
     extract.add_argument("--start", type=float, required=True)
@@ -234,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stream = sub.add_parser(
         "stream", help="online detection over a replayed trace",
-        parents=[train, workers, ipc, geometry, triage_flag, sinks,
-                 serve],
+        parents=[train, workers, geometry, triage_flag, sinks, serve],
     )
     stream.add_argument("trace", help=".rpv5 trace path")
     stream.add_argument("--detector", default="netreflex",
@@ -291,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     a_query = asub.add_parser(
         "query", help="pruned nfdump-style query over the archive",
-        parents=[workers, ipc],
+        parents=[workers],
     )
     a_query.add_argument("--dir", required=True, help="archive directory")
     a_query.add_argument("--filter", default=None,
@@ -320,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         "triage",
         help="triage open alarms in an alarm DB against the archive "
              "(the restart-recovery path)",
-        parents=[workers, ipc, anonymize, serve],
+        parents=[workers, anonymize, serve],
     )
     a_triage.add_argument("--dir", required=True, help="archive directory")
     a_triage.add_argument("--alarmdb", required=True,
@@ -352,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     o_lineage = osub.add_parser(
         "lineage",
         help="reconstruct one alarm's provenance chain (verdict -> "
-             "window -> chunks -> shard tasks -> archive partitions) "
+             "window -> chunks -> archive partitions) "
              "from an event journal",
     )
     o_lineage.add_argument("alarm_id", help="alarm id to walk back")
@@ -757,7 +755,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         api.session()
         .source("rpv5", path=args.trace)
         .detect(args.detector, train_bins=args.train_bins)
-        .batch(workers=args.workers, ipc=args.ipc)
+        .batch(workers=args.workers)
     )
     return _finish(builder.spec(), builder.run())
 
@@ -767,8 +765,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         api.session()
         .source("rpv5", path=args.trace)
         .extract(args.start, args.end, hints=args.hint,
-                 workers=args.workers, anonymize=args.anonymize,
-                 ipc=args.ipc)
+                 workers=args.workers, anonymize=args.anonymize)
     )
     return _finish(builder.spec(), builder.run())
 
@@ -788,7 +785,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             speedup=args.speedup or None,
             chunk_rows=args.chunk_rows,
             triage=args.triage,
-            ipc=args.ipc,
         )
         .on_start(on_start)
         .on_window(on_window)
@@ -870,8 +866,7 @@ def _cmd_archive(args: argparse.Namespace) -> int:
             .source("archive", path=args.dir)
             .query(start=args.start, end=args.end, filter=args.filter,
                    top=args.top, limit=args.n, stats=args.stats,
-                   explain=args.explain, workers=args.workers,
-                   ipc=args.ipc)
+                   explain=args.explain, workers=args.workers)
         )
         return _finish(builder.spec(), builder.run())
 
@@ -879,8 +874,7 @@ def _cmd_archive(args: argparse.Namespace) -> int:
         builder = (
             api.session()
             .source("archive", path=args.dir)
-            .triage(workers=args.workers, anonymize=args.anonymize,
-                    ipc=args.ipc)
+            .triage(workers=args.workers, anonymize=args.anonymize)
             .alarmdb(args.alarmdb)
         )
         if args.serve_port is not None:
@@ -964,8 +958,6 @@ def _obs_lineage(args: argparse.Namespace) -> int:
     print(line("window", chain["window"]))
     for record in chain["chunks"]:
         print(line("chunk", record))
-    for record in chain["tasks"]:
-        print(line(f"task[{record['kind']}]", record))
     for record in chain["partitions"]:
         print(line("partition", record))
     print(line("run.start", chain["run_start"]))

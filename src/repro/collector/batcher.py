@@ -2,8 +2,8 @@
 
 A datagram carries at most ~30 v5 records; feeding the engine one
 :class:`~repro.flows.table.FlowTable` per datagram would drown it in
-per-chunk overhead (ring routing, watermark updates, IPC frames under
-``ShardedStreamEngine``), and decoding one datagram at a time would
+per-chunk overhead (ring routing, watermark updates), and decoding
+one datagram at a time would
 drown the listener in per-call numpy overhead. The
 :class:`ChunkBatcher` therefore stages *bytes, not rows*: the
 :class:`~repro.collector.decode.Region` values the parser found, in

@@ -74,8 +74,6 @@ __all__ = [
     "peek_exporter",
     "decode_datagram",
     "decode_regions",
-    "decode_v5_datagram",
-    "decode_template_datagram",
     "encode_v9_datagram",
     "encode_ipfix_datagram",
     "encode_template_set",
@@ -748,10 +746,6 @@ def decode_datagram(
     if ipfix:
         result.seq_units = records
     return result
-
-
-#: The per-format entry points of earlier releases: one path now.
-decode_v5_datagram = decode_template_datagram = decode_datagram
 
 
 # -- encoders (fixtures, roundtrip tests, benchmark) --------------------------

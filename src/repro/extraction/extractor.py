@@ -17,7 +17,6 @@ The extractor is detector-agnostic: anything that produces an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.detect.base import Alarm
 from repro.errors import ExtractionError
@@ -38,9 +37,6 @@ from repro.mining.extended import (
     MiningOutcome,
 )
 from repro.taxonomy import AnomalyKind
-
-if TYPE_CHECKING:
-    from repro.parallel.executor import ShardExecutor
 
 __all__ = [
     "ExtractionConfig",
@@ -215,43 +211,26 @@ class AnomalyExtractor:
         self,
         config: ExtractionConfig | None = None,
         workers: int = 1,
-        executor: "ShardExecutor | None" = None,
-        ipc: str = "auto",
     ) -> None:
-        """``executor`` optionally shares an existing worker pool (the
-        sharded stream engine passes its own so triage mining does not
-        spawn a second pool); ``ipc`` picks the transport of a pool
-        created here (see :class:`~repro.parallel.executor.ShardExecutor`)."""
         self.config = config or ExtractionConfig()
         if workers < 1:
             raise ExtractionError(f"workers must be >= 1: {workers!r}")
         self.workers = workers
-        self._owned_executor: "ShardExecutor | None" = None
         if workers > 1:
-            from repro.parallel.executor import ShardExecutor
             from repro.parallel.mining import ShardedApriori
             from repro.parallel.partition import PartitionSpec
 
-            if executor is None:
-                executor = self._owned_executor = ShardExecutor(
-                    workers, ipc=ipc
-                )
             self._miner = ShardedApriori(
                 self.config.mining,
                 partition=PartitionSpec(shards=workers),
-                executor=executor,
             )
         else:
             self._miner = ExtendedApriori(self.config.mining)
 
     def close(self) -> None:
-        """Shut down a worker pool this extractor created (idempotent).
-
-        Shared executors passed in by the caller are left running —
-        the caller owns their lifecycle.
-        """
-        if self._owned_executor is not None:
-            self._owned_executor.close()
+        """Shut down the sharded miner's worker pool (idempotent)."""
+        if self.workers > 1:
+            self._miner.executor.close()
 
     def extract(
         self,

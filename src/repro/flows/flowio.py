@@ -30,7 +30,7 @@ import numpy as np
 from repro.errors import CodecError, FlowError
 from repro.flows.netflow_v5 import decode_packet, encode_stream
 from repro.flows.record import FlowRecord
-from repro.flows.table import FLOW_DTYPE, FLOW_SCHEMA_VERSION, FlowTable
+from repro.flows.table import FlowTable
 from repro.flows.addresses import int_to_ip, ip_to_int
 
 __all__ = [
@@ -44,8 +44,6 @@ __all__ = [
     "read_binary",
     "read_binary_table",
     "iter_binary_tables",
-    "table_to_bytes",
-    "table_from_bytes",
 ]
 
 #: Default rows per chunk for the streaming table readers.
@@ -69,49 +67,6 @@ CSV_FIELDS = (
 _BINARY_MAGIC = b"RPV5"
 _FILE_HEADER = struct.Struct("!4sdI")  # magic, boot_time, packet_count
 _PACKET_LEN = struct.Struct("!I")
-
-_TABLE_MAGIC = b"RPTB"
-# magic, schema version, reserved, row count
-_TABLE_HEADER = struct.Struct("!4sHHQ")
-
-
-def table_to_bytes(table: FlowTable) -> bytes:
-    """Serialise a :class:`FlowTable` to a compact binary frame.
-
-    The frame is the raw little-endian :data:`~repro.flows.table.FLOW_DTYPE`
-    buffer behind a tiny header — the transport the sharded executor
-    uses to ship tables to worker processes without materialising (or
-    pickling) a single :class:`FlowRecord`. The header carries
-    :data:`~repro.flows.table.FLOW_SCHEMA_VERSION` so a frame crossing
-    process (or build) boundaries fails loudly on a layout mismatch.
-    """
-    data = np.ascontiguousarray(table._data)
-    header = _TABLE_HEADER.pack(
-        _TABLE_MAGIC, FLOW_SCHEMA_VERSION, 0, len(table)
-    )
-    return header + data.tobytes()
-
-
-def table_from_bytes(payload: bytes) -> FlowTable:
-    """Decode a frame written by :func:`table_to_bytes`."""
-    if len(payload) < _TABLE_HEADER.size:
-        raise CodecError("truncated flow-table frame header")
-    magic, version, _reserved, rows = _TABLE_HEADER.unpack_from(payload)
-    if magic != _TABLE_MAGIC:
-        raise CodecError(f"bad flow-table magic {magic!r}")
-    if version != FLOW_SCHEMA_VERSION:
-        raise CodecError(
-            f"flow-table frame carries schema version {version}; "
-            f"this build reads version {FLOW_SCHEMA_VERSION}"
-        )
-    body = payload[_TABLE_HEADER.size:]
-    expected = rows * FLOW_DTYPE.itemsize
-    if len(body) != expected:
-        raise CodecError(
-            f"flow-table frame carries {len(body)} payload bytes; "
-            f"expected {expected} for {rows} rows"
-        )
-    return FlowTable(np.frombuffer(body, dtype=FLOW_DTYPE).copy())
 
 
 def write_csv(flows: Iterable[FlowRecord], destination: str | Path | TextIO) -> int:

@@ -178,7 +178,7 @@ def decode_packet(
     reconstructed against ``boot_time`` and sampling rate propagated onto
     each record. Raises :class:`~repro.errors.CodecError` when the
     packet body is shorter than its declared record count — file
-    containers and IPC frames treat truncation as corruption. The UDP
+    containers treat truncation as corruption. The UDP
     listener hot path uses :func:`decode_packet_tolerant` instead.
     """
     header, flows, malformed = decode_packet_tolerant(data, boot_time)

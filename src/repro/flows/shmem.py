@@ -46,7 +46,7 @@ import logging
 import os
 import secrets
 import struct
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,7 +68,6 @@ _BYTES_STAGED = obs_metrics.counter(
 __all__ = [
     "ROW_HEADER_SIZE",
     "SEGMENT_MAGIC",
-    "RESPONSE_MAGIC",
     "RowSlice",
     "RowBuffer",
     "pack_row_header",
@@ -77,7 +76,6 @@ __all__ = [
     "shared_memory_available",
     "attach_slice",
     "detach_slices",
-    "write_response",
     "close_all",
 ]
 
@@ -90,12 +88,6 @@ ROW_HEADER_SIZE = _ROW_HEADER.size
 #: Magic of a shared-memory row block (archive partitions use
 #: ``b"RPAR"`` with the identical header layout).
 SEGMENT_MAGIC = b"RPSM"
-
-#: Magic of a worker *response* block: the same 32-byte header, with
-#: the count field carrying the payload's byte length instead of a
-#: row count. Workers write task results into parent-reserved slots
-#: so large partials come back through shared memory, not the pipe.
-RESPONSE_MAGIC = b"RPRB"
 
 
 def pack_row_header(rows: int, magic: bytes = SEGMENT_MAGIC) -> bytes:
@@ -155,7 +147,7 @@ def shared_memory_available() -> bool:
 
     Creates and immediately unlinks a one-page segment; any failure
     (no ``/dev/shm``, permissions, missing ``_posixshmem``) reports
-    ``False`` and the executor falls back to frame IPC.
+    ``False`` and the executor runs table fan-outs in-process.
     """
     global _AVAILABLE
     if _AVAILABLE is None:
@@ -287,87 +279,6 @@ class RowBuffer:
             del dest  # drop the buffer export before any close()
         return RowSlice(self.name, offset, rows)
 
-    def write_concat(
-        self, tables: "Sequence[FlowTable]", rows: int | None = None
-    ) -> RowSlice:
-        """Append several tables back-to-back as **one** row block.
-
-        The concatenation happens in the segment itself — the caller
-        never materialises a merged table, so fan-outs built from
-        buffered sub-chunk views pay exactly one copy per row (the
-        memcpy into shared memory) and nothing else. ``rows`` may pass
-        a precomputed total row count.
-        """
-        if rows is None:
-            rows = sum(len(table) for table in tables)
-        offset, dest = self._reserve(rows)
-        if dest is not None:
-            cursor = 0
-            for table in tables:
-                count = len(table)
-                if count:
-                    np.copyto(
-                        dest[cursor:cursor + count],
-                        table._data,
-                        casting="no",
-                    )
-                cursor += count
-            del dest
-        return RowSlice(self.name, offset, rows)
-
-    def write_masked(
-        self, table: FlowTable, mask: np.ndarray, rows: int | None = None
-    ) -> RowSlice:
-        """Append ``table``'s masked rows as a block, in one gather.
-
-        The masked subset is compressed *directly into the segment* —
-        no intermediate selected copy exists in the writer, which is
-        what keeps per-shard fan-out at one copy pass per row total.
-        ``rows`` may pass a precomputed ``count_nonzero(mask)``.
-        """
-        if rows is None:
-            rows = int(np.count_nonzero(mask))
-        offset, dest = self._reserve(rows)
-        if dest is not None:
-            np.compress(mask, table._data, out=dest)
-            del dest
-        return RowSlice(self.name, offset, rows)
-
-    def reserve_block(self, capacity: int) -> int:
-        """Reserve ``capacity`` raw bytes at the cursor; returns offset.
-
-        The slot carries no header until someone writes one — this is
-        how the executor pre-allocates per-task *response* slots that
-        workers fill with :func:`write_response`.
-        """
-        if self._shm is None:
-            raise FlowError("row buffer is closed")
-        if self._cursor + capacity > self.capacity:
-            raise FlowError(
-                f"segment {self.name} full: {capacity} bytes needed at "
-                f"offset {self._cursor}, capacity {self.capacity}"
-            )
-        offset = self._cursor
-        self._cursor = offset + capacity
-        return offset
-
-    def read_response(self, offset: int) -> bytes:
-        """Read one worker-written response block (parent side).
-
-        Validates the response header (magic + schema version) before
-        touching the payload; the count field is the byte length.
-        """
-        if self._shm is None:
-            raise FlowError("row buffer is closed")
-        header = bytes(
-            self._shm.buf[offset:offset + ROW_HEADER_SIZE]
-        )
-        length = unpack_row_header(
-            header, magic=RESPONSE_MAGIC, source=self.name
-        )
-        start = offset + ROW_HEADER_SIZE
-        return bytes(self._shm.buf[start:start + length])
-
     # -- lifecycle ---------------------------------------------------------
 
     def acquire(self) -> None:
@@ -473,28 +384,6 @@ def attach_slice(descriptor: RowSlice) -> FlowTable:
     )
     data.flags.writeable = False
     return FlowTable(data)
-
-
-def write_response(
-    name: str, offset: int, capacity: int, payload: bytes
-) -> bool:
-    """Write a task result into a parent-reserved slot (worker side).
-
-    Returns ``False`` when the payload (plus header) does not fit the
-    slot — the caller then falls back to returning the result through
-    the pool pipe, so an oversized partial costs throughput, never
-    correctness.
-    """
-    needed = ROW_HEADER_SIZE + len(payload)
-    if needed > capacity:
-        return False
-    segment = _attach(name)
-    segment.buf[offset:offset + ROW_HEADER_SIZE] = pack_row_header(
-        len(payload), magic=RESPONSE_MAGIC
-    )
-    start = offset + ROW_HEADER_SIZE
-    segment.buf[start:start + len(payload)] = payload
-    return True
 
 
 def detach_slices() -> None:

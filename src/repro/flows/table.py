@@ -36,9 +36,9 @@ from repro.flows.record import FlowFeature, FlowRecord
 __all__ = ["FLOW_DTYPE", "FLOW_SCHEMA_VERSION", "FlowTable"]
 
 #: Version of the on-disk/on-wire ``FLOW_DTYPE`` layout. Bump whenever
-#: a column is added, removed, resized or reordered; every serialized
-#: table frame (:func:`~repro.flows.flowio.table_to_bytes`) and archive
-#: partition header carries it so stale bytes fail with a clear
+#: a column is added, removed, resized or reordered; every shared-memory
+#: row block (:mod:`repro.flows.shmem`) and archive partition header
+#: carries it so stale bytes fail with a clear
 #: :class:`~repro.errors.CodecError` instead of silently misparsing.
 FLOW_SCHEMA_VERSION = 1
 

@@ -20,7 +20,7 @@ Four small stdlib-only modules:
   the shard pool and exports as Chrome trace-event JSON.
 - :mod:`repro.obs.events` — the provenance plane: an append-only
   rotated JSONL journal of the pipeline lifecycle (chunk → window →
-  shard task → verdict → alarm → archive), with causal ``parent``
+  verdict → alarm → archive), with causal ``parent``
   links, a live tail for the console's SSE stream, a crash flight
   recorder, and ``lineage()`` walking an alarm back to its chunks.
 - :mod:`repro.obs.serve` — Prometheus text rendering plus an

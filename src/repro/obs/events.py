@@ -3,7 +3,7 @@
 Where :mod:`repro.obs.metrics` answers *how much* and
 :mod:`repro.obs.trace` answers *how long*, this module answers **why**:
 every causally significant pipeline step — chunk ingested, window
-sealed, shard task dispatched/folded, detector verdict, alarm
+sealed, detector verdict, alarm
 inserted/merged/transitioned, archive partition sealed/quarantined,
 planner query — lands as one JSON line in a rotated journal, and
 ``repro obs lineage <alarm-id>`` walks the links back from an alarm to
@@ -30,10 +30,10 @@ Design constraints, in order:
 3. **Deterministic causal content.** Event ids and timestamps are
    execution accidents; everything else is pipeline truth. The
    canonical form (:func:`canonical_lines`) strips ``id``/``ts``/
-   ``parent`` and drops execution-detail events (``exec.*`` — shard
-   fan-out shape depends on the worker count by design), and is
-   byte-identical for any ``workers`` setting of the same spec —
-   test-asserted, the same discipline as the sharding contract.
+   ``parent`` (and the ``exec.*`` execution-detail kinds that journals
+   of earlier builds carry), and is byte-identical for any ``workers``
+   setting of the same spec — test-asserted, the same discipline as
+   the sharding contract.
 
 The journal doubles as the live tail for the console's
 ``GET /api/events/stream`` (SSE): a bounded in-memory deque of recent
@@ -67,7 +67,6 @@ from typing import Any, Iterable, Iterator
 from repro.errors import ReproError
 
 __all__ = [
-    "DETAIL_PREFIX",
     "EventJournal",
     "active",
     "canonical_lines",
@@ -82,11 +81,6 @@ __all__ = [
     "run_id",
     "uptime_seconds",
 ]
-
-#: Kinds under this prefix describe *how* the run executed (shard
-#: fan-out shape), not *what* the pipeline concluded; they vary with
-#: the worker count and are excluded from the canonical form.
-DETAIL_PREFIX = "exec."
 
 #: Default rotation threshold for one journal segment.
 DEFAULT_ROTATE_BYTES = 4 * 1024 * 1024
@@ -494,19 +488,19 @@ def canonical_lines(
     """The deterministic causal content of a journal.
 
     Strips execution accidents (``id``/``ts``/``parent``, the
-    ``workers`` count, and the ``exec.*`` detail events whose shape
-    tracks the worker count) and re-serializes with sorted keys —
+    ``workers`` count) and re-serializes with sorted keys —
     byte-identical across worker counts for the same spec, the
     property the determinism test pins. ``window.seal``'s ``chunks``
-    field holds event *ids* (they shift with the interleaved
-    ``exec.*`` traffic), so it is rewritten to the referenced chunks'
-    stable ``seq`` numbers.
+    field holds event *ids*, so it is rewritten to the referenced
+    chunks' stable ``seq`` numbers.
     """
     materialized = list(records)
     by_id = {record["id"]: record for record in materialized}
     out: list[str] = []
     for record in materialized:
-        if record.get("kind", "").startswith(DETAIL_PREFIX):
+        if record.get("kind", "").startswith("exec."):
+            # Shard fan-out detail written by earlier builds: its
+            # shape tracked the worker count.
             continue
         content = {
             key: value
@@ -536,8 +530,8 @@ def lineage(
 
     Walks ``parent`` links up from the alarm's insert/merge events
     (verdict → window seal → run start) and joins sideways on the
-    window index for the source chunks, shard tasks and archive
-    partitions of that window. Lifecycle transitions join on
+    window index for the source chunks and archive partitions of
+    that window. Lifecycle transitions join on
     ``alarm_id``. Raises :class:`~repro.errors.ReproError` when the
     alarm never appears in the journal.
     """
@@ -582,7 +576,6 @@ def lineage(
     )
     start = next((r for r in chain if r["kind"] == "run.start"), None)
     chunks: list[dict[str, Any]] = []
-    tasks: list[dict[str, Any]] = []
     partitions: list[dict[str, Any]] = []
     if window is not None:
         for chunk_id in window.get("chunks", ()):
@@ -592,11 +585,6 @@ def lineage(
         index = window.get("index")
         for record in by_id.values():
             if (
-                record["kind"].startswith(DETAIL_PREFIX)
-                and record.get("window") == index
-            ):
-                tasks.append(record)
-            elif (
                 record["kind"] == "archive.partition"
                 and record.get("slice") == index
             ):
@@ -611,7 +599,6 @@ def lineage(
         "verdict": verdict,
         "window": window,
         "chunks": chunks,
-        "tasks": sorted(tasks, key=lambda r: r["id"]),
         "partitions": sorted(partitions, key=lambda r: r["id"]),
         "run_start": start,
     }

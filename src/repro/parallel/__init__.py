@@ -1,11 +1,11 @@
 """Sharded multi-core execution over the columnar flow substrate.
 
 The scale-out seam of the system: every heavy pass — frequent-itemset
-mining, per-window feature computation, detection sweeps, stream
-window accumulation — decomposes into *shard → merge* with an explicit
-contract (ARCHITECTURE.md, "Sharding contract"), so the same code runs
-serially, on a local process pool, or (later) on a distributed
-backend, with byte-identical results.
+mining, per-window feature computation, detection sweeps — decomposes
+into *shard → merge* with an explicit contract (ARCHITECTURE.md,
+"Sharding contract"), so the same code runs serially, on a local
+process pool, or (later) on a distributed backend, with byte-identical
+results.
 
 ``partition``
     Stable, seedable hash partitioning of any
@@ -15,9 +15,10 @@ backend, with byte-identical results.
     shard-aware archive serves each shard's partition files directly).
 ``executor``
     :class:`ShardExecutor` — per-shard tasks on a lazily created
-    process pool (tables travel as compact binary frames, never as
-    pickled records), with a zero-overhead serial fallback for
-    ``workers=1`` and platforms without ``fork``.
+    process pool (tables travel as shared-memory descriptors, never as
+    pickled records), with a zero-overhead in-process loop for
+    ``workers=1``, platforms without ``fork`` and fan-outs whose
+    segment cannot be staged.
 ``mining``
     SON-style two-pass partitioned mining — the serial kernel per
     shard at scaled support, exact global recount — and
@@ -28,14 +29,16 @@ backend, with byte-identical results.
     workers evaluate disjoint bin ranges, results merge in timestamp
     order through the batch scoring path.
 
-The streaming counterpart, :class:`~repro.stream.sharded.ShardedStreamEngine`,
-lives in :mod:`repro.stream` and builds on the same pieces.
+The stream engine (:mod:`repro.stream`) accumulates windows in-process
+at any worker count — fanning a window out lost to the serial loop on
+every workload measured (ROADMAP item 3(a)) — and reaches this layer
+only through live triage's sharded extractor.
 
 Callers normally reach this layer through the declarative facade: any
 :mod:`repro.api` spec with ``execution.workers > 1`` dispatches its
-heavy passes here (``parallel_detect``, the sharded extractor, the
-sharded stream engine) — the worker count is the only knob, results
-are byte-identical by the sharding contract.
+heavy passes here (``parallel_detect``, the sharded extractor, archive
+scan fan-out) — the worker count is the only knob, results are
+byte-identical by the sharding contract.
 """
 
 from repro.parallel.detect import (

@@ -87,7 +87,6 @@ def parallel_feature_matrix(
     trace: FlowTrace,
     workers: int = 1,
     executor: ShardExecutor | None = None,
-    ipc: str = "auto",
 ) -> FeatureMatrix:
     """The detector feature matrix of ``trace``, computed span-wise.
 
@@ -100,7 +99,7 @@ def parallel_feature_matrix(
     spans = bin_spans(trace.bin_count, workers)
     owns_executor = executor is None
     if executor is None:
-        executor = ShardExecutor(workers, ipc=ipc)
+        executor = ShardExecutor(workers)
     tables = []
     extras = []
     for lo, hi in spans:
@@ -135,7 +134,6 @@ def parallel_detect(
     trace: FlowTrace,
     workers: int = 1,
     executor: ShardExecutor | None = None,
-    ipc: str = "auto",
 ) -> list[Alarm]:
     """Multi-window detection sweep with worker-partitioned bin ranges.
 
@@ -150,5 +148,5 @@ def parallel_detect(
             f"parallel detection supports NetReflexDetector; got "
             f"{type(detector).__name__} (use detector.detect)"
         )
-    matrix = parallel_feature_matrix(trace, workers, executor, ipc)
+    matrix = parallel_feature_matrix(trace, workers, executor)
     return detector.detect_matrix(matrix, trace.between_table)

@@ -4,23 +4,22 @@
 the OS. It maps a picklable function over per-shard
 :class:`~repro.flows.table.FlowTable` payloads, either
 
-* **serially in-process** — for ``workers=1``, and on platforms whose
+* **serially in-process** — for ``workers=1``, on platforms whose
   Python lacks the ``fork`` start method (the spawn path would pay a
-  full interpreter boot per pool). Tables are passed through directly:
-  no codec, no copy, zero overhead over a plain loop; or
+  full interpreter boot per pool) or POSIX shared memory, and for any
+  fan-out whose segment cannot be staged (``/dev/shm`` pressure; warned
+  once, counted in ``repro_ipc_frames_fallback_total``). Tables are
+  passed through directly: no codec, no copy, zero overhead over a
+  plain loop; or
 * on a lazily created :class:`~concurrent.futures.ProcessPoolExecutor`
-  (fork context), shipping each shard either as a
-  ``(segment, offset, rows)`` descriptor into a pooled shared-memory
-  segment (:mod:`repro.flows.shmem` — the rows never cross the pipe;
-  workers map them in place) or, where shared memory is unavailable,
-  as a compact :func:`~repro.flows.flowio.table_to_bytes` frame.
+  (fork context), shipping each shard as a ``(segment, offset, rows)``
+  descriptor into a pooled shared-memory segment
+  (:mod:`repro.flows.shmem`) — the rows never cross the pipe; workers
+  map them in place.
 
-The IPC flavour is the ``ipc`` argument: ``"auto"`` (shared memory
-when it works, frames otherwise), ``"shm"`` (required — raises if the
-platform can't), or ``"frames"`` (forced fallback; CI keeps this leg
-tested). :attr:`ipc_stats` counts the payload bytes each path actually
-pushed through the pool's pipe, which is how the benchmark asserts the
-descriptor path copies ~nothing per chunk.
+:attr:`ipc_stats` counts the payload bytes that actually went through
+the pool's pipe (descriptors only), which is how the e2e benchmark
+reports bytes copied per flow.
 
 Segment lifecycle: one pooled segment per executor, recycled between
 map calls (refcount-gated via :meth:`~repro.flows.shmem.RowBuffer`),
@@ -29,9 +28,9 @@ grown geometrically when a fan-out needs more room, and unlinked on
 SIGINT and worker-crash unwinds, so ``/dev/shm`` never leaks.
 
 The pool is created on first parallel use and reused across calls —
-the mining self-tuning loop and the stream engine's window closes all
-amortise one startup. Task functions must be module-level (picklable)
-and receive the *decoded* table (a zero-copy view on the shm path).
+the mining self-tuning loop amortises one startup over all its passes.
+Task functions must be module-level (picklable) and receive a
+zero-copy view of their shard.
 """
 
 from __future__ import annotations
@@ -39,21 +38,17 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
-import pickle
 import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Sequence
-
-import numpy as np
+from typing import Any, Callable, Sequence
 
 from repro.errors import ReproError
 from repro.flows import shmem
-from repro.flows.flowio import table_from_bytes, table_to_bytes
 from repro.flows.table import FlowTable
 from repro.obs import metrics as obs_metrics, trace as obs_trace
 
-__all__ = ["IPC_MODES", "IpcStats", "ShardExecutor"]
+__all__ = ["IpcStats", "ShardExecutor"]
 
 logger = logging.getLogger(__name__)
 
@@ -61,14 +56,12 @@ _IPC_TASKS = obs_metrics.counter(
     "repro_ipc_tasks_total",
     "Shard tasks dispatched through the executor.",
 )
-_FRAMES_FALLBACK = obs_metrics.counter(
+_FALLBACKS = obs_metrics.counter(
     "repro_ipc_frames_fallback_total",
-    "Fan-outs that fell back from shared memory to pickled frames "
-    "(shm segment allocation or write failed).",
+    "Table fan-outs that ran in the parent's in-process loop because "
+    "their rows could not be staged in shared memory (allocation or "
+    "write failed, or the platform has none).",
 )
-
-#: Accepted ``ipc`` arguments.
-IPC_MODES = ("auto", "shm", "frames")
 
 #: Smallest pooled segment; grown geometrically as fan-outs demand.
 _MIN_SEGMENT_BYTES = 1 << 20
@@ -77,23 +70,6 @@ _MIN_SEGMENT_BYTES = 1 << 20
 #: shm path pushes through the pipe per shard instead of the rows.
 _DESCRIPTOR_BYTES = 96
 
-#: Response-slot sizing for group fan-outs: results (array-form
-#: partials) travel back through the segment too, so the pool pipe
-#: carries only a tiny reply marker in each direction. A slot holds
-#: the block header plus this much per input row (generous: a partial
-#: tops out near 80 B/row when every row is unique in every feature);
-#: an oversized result falls back to the pipe, costing throughput
-#: only.
-_RESPONSE_SLOT_BASE = 4096
-_RESPONSE_SLOT_PER_ROW = 96
-
-
-class _SegmentReply(NamedTuple):
-    """Worker's reply marker: the result lives in the segment."""
-
-    offset: int
-    length: int
-
 
 def _worker_init() -> None:
     """Pool-worker initializer: leave interrupts to the parent.
@@ -101,63 +77,22 @@ def _worker_init() -> None:
     A terminal Ctrl-C delivers SIGINT to the whole foreground process
     group — workers included. Ignoring it in the workers keeps the
     pool usable while the parent unwinds (e.g. the `repro stream`
-    interrupt path seals open windows through this executor); worker
+    interrupt path triages open alarms through this executor); worker
     lifetime stays under the parent's control via ``shutdown``.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _concat_group(group: Sequence[FlowTable]) -> FlowTable:
-    """One table spanning a group (passthrough for singletons)."""
-    if len(group) == 1:
-        return group[0]
-    return FlowTable.concat(list(group))
-
-
-def _run_table_task(
-    packed: tuple[Callable[..., Any], bytes, tuple],
-) -> Any:
-    """Worker-side trampoline (frame path): decode, call the task."""
-    fn, payload, extra = packed
-    return fn(table_from_bytes(payload), *extra)
-
-
 def _run_slice_task(
     packed: tuple[Callable[..., Any], shmem.RowSlice, tuple],
 ) -> Any:
-    """Worker-side trampoline (shm path): map the slice, call the task.
+    """Worker-side trampoline: map the slice, call the task.
 
     The table handed to ``fn`` is a read-only view straight into the
     shared segment — zero row bytes crossed the pool.
     """
     fn, descriptor, extra = packed
     return fn(shmem.attach_slice(descriptor), *extra)
-
-
-def _run_group_slice_task(
-    packed: tuple[
-        Callable[..., Any],
-        shmem.RowSlice,
-        tuple[int, int] | None,
-        tuple,
-    ],
-) -> Any:
-    """Group trampoline (shm path): map the slice, reply via the slot.
-
-    The result is pickled into the task's parent-reserved response
-    slot and only a :class:`_SegmentReply` marker crosses the pipe; a
-    result too large for its slot returns the ordinary way.
-    """
-    fn, descriptor, slot, extra = packed
-    result = fn(shmem.attach_slice(descriptor), *extra)
-    if slot is not None:
-        offset, capacity = slot
-        blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        if shmem.write_response(
-            descriptor.segment, offset, capacity, blob
-        ):
-            return _SegmentReply(offset, len(blob))
-    return result
 
 
 def _run_item_task(packed: tuple[Callable[..., Any], tuple]) -> Any:
@@ -202,36 +137,15 @@ def _run_metered_task(
     return result, local.snapshot(), shipped
 
 
-def _run_broadcast_frames_task(
-    packed: tuple[Callable[..., Any], list[bytes], tuple],
-) -> Any:
-    """Broadcast trampoline (frame path): decode all, call the task."""
-    fn, frames, extra = packed
-    return fn([table_from_bytes(frame) for frame in frames], *extra)
-
-
-def _run_broadcast_slice_task(
-    packed: tuple[Callable[..., Any], list[shmem.RowSlice], tuple],
-) -> Any:
-    """Broadcast trampoline (shm path): map all slices, call the task."""
-    fn, descriptors, extra = packed
-    return fn(
-        [shmem.attach_slice(descriptor) for descriptor in descriptors],
-        *extra,
-    )
-
-
 @dataclass
 class IpcStats:
     """Cumulative accounting of what crossed the worker-pool pipe."""
 
     #: Tasks dispatched (shards mapped), across all calls.
     tasks: int = 0
-    #: Total payload size of the shipped tables (header + rows).
-    table_bytes: int = 0
-    #: Payload bytes actually copied through the pool pipe. Frames pay
-    #: the full table here; descriptors pay ~:data:`_DESCRIPTOR_BYTES`;
-    #: the serial path pays nothing.
+    #: Payload bytes actually copied through the pool pipe:
+    #: ~:data:`_DESCRIPTOR_BYTES` per staged shard; the in-process
+    #: loop pays nothing.
     copied_bytes: int = 0
     #: Payload bytes placed in shared memory instead of the pipe.
     shared_bytes: int = 0
@@ -248,52 +162,25 @@ class ShardExecutor:
         self,
         workers: int = 1,
         use_processes: bool | None = None,
-        ipc: str = "auto",
     ) -> None:
         """``workers`` is the parallelism degree.
 
         ``use_processes`` overrides the default policy (processes iff
         ``workers > 1`` and ``fork`` is available) — tests force the
-        pool path on single-core boxes with ``True``. ``ipc`` picks the
-        process-path transport (see module docstring); it is ignored on
-        the serial path, which never serialises anything.
+        pool path on single-core boxes with ``True``.
         """
         if workers < 1:
             raise ReproError(f"workers must be >= 1: {workers!r}")
-        if ipc not in IPC_MODES:
-            raise ReproError(
-                f"unknown ipc mode {ipc!r}; expected one of {IPC_MODES}"
-            )
         self.workers = workers
+        forks = "fork" in multiprocessing.get_all_start_methods()
         if use_processes is None:
-            use_processes = (
-                workers > 1
-                and "fork" in multiprocessing.get_all_start_methods()
-            )
+            use_processes = workers > 1 and forks
         self._use_processes = use_processes
         self._pool: ProcessPoolExecutor | None = None
-        self.ipc_requested = ipc
         # shm descriptors require fork workers: only a forked worker
         # inherits the parent's resource tracker, keeping segment
         # ownership unambiguous (see repro.flows.shmem._attach).
-        shm_ok = (
-            "fork" in multiprocessing.get_all_start_methods()
-            and shmem.shared_memory_available()
-        )
-        if not use_processes:
-            self._ipc = "serial"
-        elif ipc == "frames":
-            self._ipc = "frames"
-        elif shm_ok:
-            self._ipc = "shm"
-        elif ipc == "shm":
-            raise ReproError(
-                "ipc='shm' requested but POSIX shared memory (with "
-                "fork workers) is unavailable on this platform; use "
-                "ipc='auto' to fall back to frame IPC"
-            )
-        else:
-            self._ipc = "frames"
+        self._shm_ok = forks and shmem.shared_memory_available()
         self._segment: shmem.RowBuffer | None = None
         self.ipc_stats = IpcStats()
         self._fallback_warned = False
@@ -304,25 +191,6 @@ class ShardExecutor:
     def uses_processes(self) -> bool:
         """True when tasks go to worker processes."""
         return self._use_processes
-
-    @property
-    def ipc_mode(self) -> str:
-        """Resolved transport: ``serial``, ``shm`` or ``frames``."""
-        return self._ipc
-
-    @property
-    def parallelism(self) -> int:
-        """Tasks that can actually run at once: workers capped at cores.
-
-        Callers whose split is free to vary (the stream engine's
-        window fan-out — any equal split merges identically) size
-        their fan-outs to this instead of :attr:`workers`: splitting
-        finer than the pool can run buys nothing and pays per-piece
-        dispatch, staging and merge costs.
-        """
-        if not self._use_processes:
-            return 1
-        return min(self.workers, os.cpu_count() or 1)
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -381,23 +249,23 @@ class ShardExecutor:
         if obs_metrics.enabled():
             _IPC_TASKS.inc(count)
 
-    def _note_frames_fallback(self) -> None:
-        """Record a shm -> frames fallback (was silent before obs).
+    def _note_fallback(self) -> None:
+        """Record a fan-out that could not be staged in shared memory.
 
         Warn once per executor — under sustained ``/dev/shm``
         pressure every fan-out falls back, and one warning plus a
         counter tells the story without flooding the log.
         """
-        _FRAMES_FALLBACK.inc()
+        _FALLBACKS.inc()
         if not self._fallback_warned:
             self._fallback_warned = True
             logger.warning(
                 "shared-memory staging failed (likely /dev/shm "
-                "pressure); falling back to pickled frames for this "
-                "fan-out — throughput only, results are unaffected"
+                "pressure); running this fan-out in-process — "
+                "throughput only, results are unaffected"
             )
         else:
-            logger.debug("shm staging failed again; frames fallback")
+            logger.debug("shm staging failed again; in-process fan-out")
 
     def _segment_for(self, needed: int) -> shmem.RowBuffer:
         """The pooled segment, recycled or regrown to hold ``needed``."""
@@ -440,10 +308,9 @@ class ShardExecutor:
 
         ``extras`` supplies per-shard positional arguments (defaults to
         none); results come back in shard order. On the process path
-        each table travels as a shared-memory descriptor (shm mode) or
-        one binary frame (frames mode) and ``fn`` must be a
-        module-level function; the serial path passes the tables
-        through untouched.
+        each table travels as a shared-memory descriptor and ``fn``
+        must be a module-level function; the in-process loop passes
+        the tables through untouched.
         """
         if extras is None:
             extras = [()] * len(tables)
@@ -451,16 +318,8 @@ class ShardExecutor:
             raise ReproError(
                 f"{len(extras)} extras for {len(tables)} shards"
             )
-        stats = self.ipc_stats
         self._count_tasks(len(tables))
-        if not self._use_processes:
-            # Serial fallback: hand the caller's tables to the task
-            # directly — no encode/decode round-trip, no copies.
-            return [
-                fn(table, *extra) for table, extra in zip(tables, extras)
-            ]
-        pool = self._ensure_pool()
-        if self._ipc == "shm":
+        if self._use_processes:
             staged = self._stage_shm(fn, tables, extras)
             if staged is not None:
                 segment, packed = staged
@@ -468,14 +327,12 @@ class ShardExecutor:
                     return self._pool_map(_run_slice_task, packed)
                 finally:
                     segment.release()
-            self._note_frames_fallback()
-        packed = []
-        for table, extra in zip(tables, extras):
-            frame = table_to_bytes(table)
-            stats.table_bytes += len(frame)
-            stats.copied_bytes += len(frame)
-            packed.append((fn, frame, tuple(extra)))
-        return self._pool_map(_run_table_task, packed)
+            self._note_fallback()
+        # workers=1, and the fallback: hand the caller's tables to the
+        # task directly — no copies.
+        return [
+            fn(table, *extra) for table, extra in zip(tables, extras)
+        ]
 
     def _stage_shm(
         self,
@@ -486,10 +343,13 @@ class ShardExecutor:
         """Write the shards into the pooled segment; ``None`` on ENOSPC.
 
         Returns the acquired segment plus the packed descriptor tasks.
-        Only segment allocation/write failures (``/dev/shm`` pressure)
-        fall back — a task function's own ``OSError`` must never cause
-        the fan-out to silently re-run on the frame path.
+        Only segment allocation/write failures (``/dev/shm`` pressure,
+        or a platform without fork + shm) fall back — a task function's
+        own ``OSError`` must never cause the fan-out to silently re-run
+        in-process.
         """
+        if not self._shm_ok:
+            return None
         try:
             needed = sum(
                 shmem.block_bytes(len(table)) for table in tables
@@ -510,278 +370,24 @@ class ShardExecutor:
             segment.release()
             raise
         stats = self.ipc_stats
-        stats.table_bytes += needed
         stats.shared_bytes += needed
         stats.copied_bytes += _DESCRIPTOR_BYTES * len(tables)
         return segment, packed
 
-    def map_table_groups(
-        self,
-        fn: Callable[..., Any],
-        groups: Sequence[Sequence[FlowTable]],
-        extras: Sequence[tuple] | None = None,
-    ) -> list[Any]:
-        """``[fn(concat(group), *extra) for group, extra in zip(...)]``.
+    # Kept only because benchmarks/e2e/spans.py::ENTRY_POINTS names
+    # these three as rows the tracer patches in this class's own
+    # ``__dict__``; nothing under ``src/`` calls them.
 
-        Each group of tables becomes **one** task seeing the group's
-        rows as a single table. On the shm path the group is laid out
-        back-to-back in the pooled segment as one row block
-        (:meth:`~repro.flows.shmem.RowBuffer.write_concat`) — the
-        parent never materialises the concatenated table, so a window
-        built from buffered sub-chunk views costs exactly one memcpy
-        per row — and results return through per-task *response slots*
-        in the same segment, so neither direction of the fan-out moves
-        payload bytes through the pool pipe. The serial and frame
-        paths concatenate (the frame codec and the task both need one
-        contiguous table there) and return results the ordinary way.
-        """
-        if extras is None:
-            extras = [()] * len(groups)
-        if len(extras) != len(groups):
-            raise ReproError(
-                f"{len(extras)} extras for {len(groups)} shards"
-            )
-        stats = self.ipc_stats
-        self._count_tasks(len(groups))
-        if not self._use_processes:
-            return [
-                fn(_concat_group(group), *extra)
-                for group, extra in zip(groups, extras)
-            ]
-        pool = self._ensure_pool()
-        if self._ipc == "shm":
-            staged = self._stage_shm_groups(fn, groups, extras)
-            if staged is not None:
-                segment, packed = staged
-                try:
-                    replies = self._pool_map(
-                        _run_group_slice_task, packed
-                    )
-                    results = []
-                    for reply in replies:
-                        if isinstance(reply, _SegmentReply):
-                            blob = segment.read_response(reply.offset)
-                            stats.shared_bytes += len(blob)
-                            stats.copied_bytes += _DESCRIPTOR_BYTES
-                            results.append(pickle.loads(blob))
-                        else:
-                            results.append(reply)
-                    return results
-                finally:
-                    segment.release()
-            self._note_frames_fallback()
-        packed = []
-        for group, extra in zip(groups, extras):
-            frame = table_to_bytes(_concat_group(group))
-            stats.table_bytes += len(frame)
-            stats.copied_bytes += len(frame)
-            packed.append((fn, frame, tuple(extra)))
-        return self._pool_map(_run_table_task, packed)
+    def map_table_groups(self, fn, groups, extras=None) -> list[Any]:
+        tables = [FlowTable.concat(list(group)) for group in groups]
+        return self.map_tables(fn, tables, extras)
 
-    def _stage_shm_groups(
-        self,
-        fn: Callable[..., Any],
-        groups: Sequence[Sequence[FlowTable]],
-        extras: Sequence[tuple],
-    ) -> tuple[shmem.RowBuffer, list[tuple]] | None:
-        """Group-concat variant of :meth:`_stage_shm`.
+    def map_masked(self, fn, table, masks, extras=None) -> list[Any]:
+        tables = [table.select(mask) for mask in masks]
+        return self.map_tables(fn, tables, extras)
 
-        Besides the row blocks, every task gets a response slot sized
-        to its row count, so workers can hand partials back through
-        the segment instead of the pipe.
-        """
-        try:
-            rows_per = [
-                sum(len(table) for table in group) for group in groups
-            ]
-            slots_per = [
-                _RESPONSE_SLOT_BASE + _RESPONSE_SLOT_PER_ROW * rows
-                for rows in rows_per
-            ]
-            needed = sum(
-                shmem.block_bytes(rows) + slot
-                for rows, slot in zip(rows_per, slots_per)
-            )
-            segment = self._segment_for(needed)
-        except (OSError, MemoryError):
-            return None
-        segment.acquire()
-        try:
-            packed = []
-            for group, rows, slot, extra in zip(
-                groups, rows_per, slots_per, extras
-            ):
-                descriptor = segment.write_concat(group, rows=rows)
-                offset = segment.reserve_block(slot)
-                packed.append(
-                    (fn, descriptor, (offset, slot), tuple(extra))
-                )
-        except (OSError, MemoryError):
-            segment.release()
-            return None
-        except BaseException:
-            segment.release()
-            raise
-        stats = self.ipc_stats
-        stats.table_bytes += sum(
-            shmem.block_bytes(rows) for rows in rows_per
-        )
-        stats.shared_bytes += sum(
-            shmem.block_bytes(rows) for rows in rows_per
-        )
-        stats.copied_bytes += _DESCRIPTOR_BYTES * len(groups)
-        return segment, packed
-
-    def map_masked(
-        self,
-        fn: Callable[..., Any],
-        table: FlowTable,
-        masks: Sequence[np.ndarray],
-        extras: Sequence[tuple] | None = None,
-    ) -> list[Any]:
-        """``[fn(table[mask], *extra) for mask, extra in zip(...)]``.
-
-        Per-shard fan-out of **one** table: each boolean mask's rows
-        become one task. On the shm path the masked subsets are
-        compressed *directly into the pooled segment*
-        (:meth:`~repro.flows.shmem.RowBuffer.write_masked`) — one
-        gather pass per row total, with no intermediate per-shard
-        table ever allocated in the parent. This is the stream
-        engine's window fan-out: hash once, gather once, ship
-        descriptors.
-        """
-        if extras is None:
-            extras = [()] * len(masks)
-        if len(extras) != len(masks):
-            raise ReproError(
-                f"{len(extras)} extras for {len(masks)} shards"
-            )
-        stats = self.ipc_stats
-        self._count_tasks(len(masks))
-        if not self._use_processes:
-            return [
-                fn(table.select(mask), *extra)
-                for mask, extra in zip(masks, extras)
-            ]
-        pool = self._ensure_pool()
-        if self._ipc == "shm":
-            staged = self._stage_shm_masked(fn, table, masks, extras)
-            if staged is not None:
-                segment, packed = staged
-                try:
-                    return self._pool_map(_run_slice_task, packed)
-                finally:
-                    segment.release()
-            self._note_frames_fallback()
-        packed = []
-        for mask, extra in zip(masks, extras):
-            frame = table_to_bytes(table.select(mask))
-            stats.table_bytes += len(frame)
-            stats.copied_bytes += len(frame)
-            packed.append((fn, frame, tuple(extra)))
-        return self._pool_map(_run_table_task, packed)
-
-    def _stage_shm_masked(
-        self,
-        fn: Callable[..., Any],
-        table: FlowTable,
-        masks: Sequence[np.ndarray],
-        extras: Sequence[tuple],
-    ) -> tuple[shmem.RowBuffer, list[tuple]] | None:
-        """Masked-gather variant of :meth:`_stage_shm`."""
-        try:
-            rows_per = [
-                int(np.count_nonzero(mask)) for mask in masks
-            ]
-            needed = sum(shmem.block_bytes(rows) for rows in rows_per)
-            segment = self._segment_for(needed)
-        except (OSError, MemoryError):
-            return None
-        segment.acquire()
-        try:
-            packed = [
-                (
-                    fn,
-                    segment.write_masked(table, mask, rows=rows),
-                    tuple(extra),
-                )
-                for mask, rows, extra in zip(masks, rows_per, extras)
-            ]
-        except (OSError, MemoryError):
-            segment.release()
-            return None
-        except BaseException:
-            segment.release()
-            raise
-        stats = self.ipc_stats
-        stats.table_bytes += needed
-        stats.shared_bytes += needed
-        stats.copied_bytes += _DESCRIPTOR_BYTES * len(masks)
-        return segment, packed
-
-    def map_broadcast(
-        self,
-        fn: Callable[..., Any],
-        tables: Sequence[FlowTable],
-        extras: Sequence[tuple],
-    ) -> list[Any]:
-        """``[fn(list(tables), *extra) for extra in extras]``.
-
-        One task per ``extras`` entry, every task seeing *all* the
-        tables — how the sharded stream engine lets each worker carve
-        its own hash shard out of a window's sub-chunks instead of the
-        parent pre-splitting them. On the shm path the tables are
-        written to the pooled segment **once** and every task receives
-        the same descriptor list; the frame fallback necessarily
-        re-ships the frames per task.
-        """
-        if not self._use_processes:
-            self._count_tasks(len(extras))
-            return [fn(list(tables), *extra) for extra in extras]
-        pool = self._ensure_pool()
-        stats = self.ipc_stats
-        self._count_tasks(len(extras))
-        if self._ipc == "shm":
-            try:
-                needed = sum(
-                    shmem.block_bytes(len(table)) for table in tables
-                )
-                segment = self._segment_for(needed)
-            except (OSError, MemoryError):
-                segment = None
-            if segment is not None:
-                segment.acquire()
-                try:
-                    try:
-                        descriptors = [
-                            segment.write(table) for table in tables
-                        ]
-                    except (OSError, MemoryError):
-                        descriptors = None
-                    if descriptors is not None:
-                        stats.table_bytes += needed
-                        stats.shared_bytes += needed
-                        stats.copied_bytes += (
-                            _DESCRIPTOR_BYTES
-                            * len(descriptors)
-                            * len(extras)
-                        )
-                        packed = [
-                            (fn, descriptors, tuple(extra))
-                            for extra in extras
-                        ]
-                        return list(
-                            self._pool_map(_run_broadcast_slice_task, packed)
-                        )
-                finally:
-                    segment.release()
-            self._note_frames_fallback()
-        frames = [table_to_bytes(table) for table in tables]
-        frame_bytes = sum(len(frame) for frame in frames)
-        stats.table_bytes += frame_bytes
-        stats.copied_bytes += frame_bytes * len(extras)
-        packed = [(fn, frames, tuple(extra)) for extra in extras]
-        return self._pool_map(_run_broadcast_frames_task, packed)
+    def map_broadcast(self, fn, tables, extras) -> list[Any]:
+        return [fn(list(tables), *extra) for extra in extras]
 
     def map_items(
         self,

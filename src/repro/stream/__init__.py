@@ -28,12 +28,6 @@ pipeline into that deployment shape:
     :class:`ReplayDriver` — replays any recorded or synthetic trace at
     a configurable speedup (including max rate) for benchmarking and
     forensics.
-``sharded``
-    :class:`ShardedStreamEngine` — the multi-core variant: routed
-    sub-chunks bucket by partition hash and the per-window
-    accumulation fans out over a
-    :class:`~repro.parallel.executor.ShardExecutor` at window close,
-    with shard partials merged before the identical evaluation path.
 
 The contract that makes this safe to deploy next to the batch tools:
 streaming a trace through the engine yields the same alarms as the
@@ -50,7 +44,6 @@ from repro.stream.incremental import (
 )
 from repro.stream.replay import ReplayDriver, ReplayStats
 from repro.stream.runtime import StreamEngine, StreamStats, WindowResult
-from repro.stream.sharded import ShardedStreamEngine
 from repro.stream.sources import (
     DEFAULT_CHUNK_ROWS,
     binary_file_chunks,
@@ -74,7 +67,6 @@ __all__ = [
     "StreamingNetReflex",
     "WindowAccumulator",
     "streaming_adapter",
-    "ShardedStreamEngine",
     "StreamEngine",
     "StreamStats",
     "WindowResult",

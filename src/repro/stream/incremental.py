@@ -46,7 +46,6 @@ from repro.flows.table import FlowTable
 __all__ = [
     "WindowAccumulator",
     "accumulate_payload",
-    "merge_payloads",
     "StreamingDetector",
     "StreamingNetReflex",
     "StreamingHistogramKL",
@@ -73,8 +72,8 @@ class WindowAccumulator:
     feature (see :func:`accumulate_payload`), pending payloads merge
     vectorized on first read, and a ``Counter`` view is built only
     when :meth:`histogram` is asked for one. Counts are exact integers
-    throughout, so any chunking/sharding of the same rows produces
-    identical state.
+    throughout, so any chunking of the same rows produces identical
+    state.
     """
 
     __slots__ = ("flows", "packets", "bytes", "_features",
@@ -115,27 +114,6 @@ class WindowAccumulator:
         self.packets += packets
         self.bytes += bytes_
         self._pending.append(values)
-
-    def merge(self, other: "WindowAccumulator") -> None:
-        """Fold another accumulator's state into this one.
-
-        Integer-count addition is associative and commutative, so
-        merging per-shard partials equals one-pass accumulation of
-        the same rows — the sharded stream engine's window-close step.
-        ``other`` must maintain the same (features, weightings).
-        """
-        if (other._features, other._weightings) != (
-            self._features, self._weightings
-        ):
-            raise FlowError(
-                "cannot merge accumulators with different layouts"
-            )
-        self.flows += other.flows
-        self.packets += other.packets
-        self.bytes += other.bytes
-        if other._merged:
-            self._pending.append(other._merged)
-        self._pending.extend(other._pending)
 
     @staticmethod
     def _weight_column(chunk: FlowTable, weighting: str) -> np.ndarray | None:
@@ -224,21 +202,15 @@ class WindowAccumulator:
         )
 
 
-# -- array-form partials (the accumulator's native + IPC format) -------------
+# -- array-form partials (the accumulator's native format) -------------------
 #
-# A *payload* is one chunk's (or shard's) window partial as plain
-# numpy arrays: ``(flows, packets, bytes, values)`` where ``values``
-# maps each feature to ``(unique_values, (counts, ...))`` — one
-# int64-exact count array per weighting, all in ascending value order.
-# It carries exactly the information the old Counter-dict state did
-# but pickles as flat buffers instead of per-item dict entries — the
-# dominant result-path cost when partials come back from worker
-# processes — and merges vectorized. Counts are exact integers, so
-# payload merging equals Counter merging equals one-pass accumulation
-# for any chunking or shard split.
-
-#: Largest count shipped as int32; merging always widens to int64.
-_INT32_MAX = np.iinfo(np.int32).max
+# A *payload* is one chunk's window partial as plain numpy arrays:
+# ``(flows, packets, bytes, values)`` where ``values`` maps each
+# feature to ``(unique_values, (counts, ...))`` — one int64-exact count
+# array per weighting, all in ascending value order. It carries exactly
+# the information a Counter-dict would and merges vectorized. Counts
+# are exact integers, so payload merging equals Counter merging equals
+# one-pass accumulation for any chunking.
 
 
 def accumulate_payload(
@@ -246,14 +218,11 @@ def accumulate_payload(
     features: tuple[FlowFeature, ...],
     weightings: tuple[str, ...],
 ) -> tuple[int, int, int, dict]:
-    """One chunk's window partial in array form (cheap to ship).
+    """One chunk's window partial in array form.
 
     Counting matches :mod:`repro.flows.aggregate`'s table histograms
     operation for operation (``np.unique`` + ``bincount``/exact int64
-    ``add.at``, one factorization shared per feature). Count arrays
-    that fit are narrowed to int32 for the trip through the worker
-    pool's pipe; merging widens back to int64 before any arithmetic
-    that could overflow.
+    ``add.at``, one factorization shared per feature).
     """
     if not len(chunk):
         return (0, 0, 0, {})
@@ -275,8 +244,6 @@ def accumulate_payload(
             else:
                 counts = np.zeros(len(column_values), dtype=np.int64)
                 np.add.at(counts, inverse, weights)
-            if counts.size and int(counts.max()) <= _INT32_MAX:
-                counts = counts.astype(np.int32, copy=False)
             per_weighting.append(counts)
         values[feature] = (column_values, tuple(per_weighting))
     return (
@@ -314,25 +281,6 @@ def _merge_value_parts(parts: list[tuple]) -> tuple:
         )
         merged_counts.append(column)
     return (merged_values, tuple(merged_counts))
-
-
-def merge_payloads(
-    features: tuple[FlowFeature, ...],
-    weightings: tuple[str, ...],
-    payloads: list[tuple[int, int, int, dict]],
-) -> WindowAccumulator:
-    """Fold array-form partials into one scored-ready accumulator.
-
-    Cheap by construction: payloads are only *banked* here — the
-    vectorized merge and the Counter views materialise lazily when
-    the detectors first read the state.
-    """
-    accumulator = WindowAccumulator(
-        features=features, weightings=weightings
-    )
-    for payload in payloads:
-        accumulator.add_payload(payload)
-    return accumulator
 
 
 class _Histograms(Mapping):
@@ -381,21 +329,6 @@ class StreamingDetector(abc.ABC):
         state: WindowAccumulator,
     ) -> Alarm | None:
         """Score one closed window from its accumulated state."""
-
-    def make_accumulator(self) -> WindowAccumulator:
-        """A fresh accumulator of this detector's layout (public seam)."""
-        return self._new_accumulator()
-
-    def seed_state(
-        self, index: int, state: WindowAccumulator
-    ) -> None:
-        """Install externally accumulated state for one open window.
-
-        The sharded stream engine accumulates per shard and merges, then
-        seeds the merged state here so :meth:`close` evaluates it through
-        the standard path.
-        """
-        self._open[index] = state
 
     def observe(self, index: int, chunk: FlowTable) -> None:
         """Fold a routed sub-chunk into the window's rolling state."""

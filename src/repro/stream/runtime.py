@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
 from repro.detect.base import Alarm
 from repro.flows.table import FlowTable
@@ -38,9 +38,6 @@ from repro.system.alarmdb import AlarmDatabase, AlarmStatus
 from repro.system.backend import FlowBackend
 from repro.system.config import SystemConfig
 from repro.system.pipeline import ExtractionSystem, TriageResult
-
-if TYPE_CHECKING:
-    from repro.parallel.executor import ShardExecutor
 
 __all__ = ["WindowResult", "StreamStats", "StreamEngine"]
 
@@ -137,7 +134,6 @@ class StreamEngine:
         config: SystemConfig | None = None,
         on_window: Callable[[WindowResult], None] | None = None,
         workers: int = 1,
-        executor: "ShardExecutor | None" = None,
         archive=None,
     ) -> None:
         """``archive`` (an :class:`~repro.archive.writer.ArchiveWriter`)
@@ -150,7 +146,11 @@ class StreamEngine:
         ``auto_close_windows`` is the lifecycle decay horizon: when a
         window seals, open/acked alarms whose interval last grew more
         than that many windows ago (dedup merges extend ``end`` on
-        every re-fire) are resolved with verdict ``decayed``."""
+        every re-fire) are resolved with verdict ``decayed``.
+
+        ``workers`` sizes live triage's mining pool
+        (:class:`~repro.extraction.extractor.AnomalyExtractor`) and
+        nothing else: windows always accumulate in this process."""
         self.detectors = list(detectors)
         self.ring = WindowRing(
             window_seconds=window_seconds,
@@ -178,7 +178,6 @@ class StreamEngine:
                 alarmdb=self.alarmdb,
                 config=self.config,
                 workers=workers,
-                executor=executor,
             )
         self.on_window = on_window
         self.stats = StreamStats()
@@ -217,17 +216,9 @@ class StreamEngine:
                     chunk_event
                 )
         for index, rows in ingest.routed:
-            self._observe(index, rows)
+            for detector in self.detectors:
+                detector.observe(index, rows)
         return [self._seal(window) for window in self.ring.close_due()]
-
-    def _observe(self, index: int, rows: FlowTable) -> None:
-        """Fold one routed sub-chunk into per-window detector state.
-
-        The sharded engine overrides this to bucket rows by shard and
-        defer accumulation to window close.
-        """
-        for detector in self.detectors:
-            detector.observe(index, rows)
 
     def finish(self) -> list[WindowResult]:
         """End of stream: seal every remaining window."""
@@ -245,8 +236,8 @@ class StreamEngine:
         """Release resources held for triage (idempotent).
 
         Long-running deployments with ``workers > 1`` should call this
-        (or :meth:`ShardedStreamEngine.close`) when retiring an engine
-        so sharded triage worker pools do not outlive it.
+        when retiring an engine so sharded triage worker pools do not
+        outlive it.
         """
         if self.system is not None:
             self.system.close()

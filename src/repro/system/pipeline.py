@@ -22,7 +22,6 @@ ARCHITECTURE.md, "Public API contract").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.detect.base import Alarm, Detector
 from repro.errors import AlarmDatabaseError, ExtractionError, ReproError
@@ -33,9 +32,6 @@ from repro.flows.trace import FlowTrace
 from repro.system.alarmdb import AlarmDatabase, AlarmStatus
 from repro.system.backend import FlowBackend
 from repro.system.config import SystemConfig
-
-if TYPE_CHECKING:
-    from repro.parallel.executor import ShardExecutor
 
 __all__ = ["TriageResult", "ExtractionSystem"]
 
@@ -58,21 +54,16 @@ class ExtractionSystem:
         alarmdb: AlarmDatabase | None = None,
         config: SystemConfig | None = None,
         workers: int = 1,
-        executor: "ShardExecutor | None" = None,
-        ipc: str = "auto",
     ) -> None:
         """``workers > 1`` shards the extraction mining step across
-        that many partitions (identical reports, higher throughput —
-        see :mod:`repro.parallel`); ``executor`` optionally shares an
-        existing worker pool; ``ipc`` picks the transport of a pool
-        created here."""
+        that many partitions (identical reports — see
+        :mod:`repro.parallel`)."""
         self.config = config or SystemConfig()
         self.backend = backend
         self.alarmdb = alarmdb or AlarmDatabase()
         self.workers = workers
         self.extractor = AnomalyExtractor(
-            self.config.extraction, workers=workers, executor=executor,
-            ipc=ipc,
+            self.config.extraction, workers=workers
         )
 
     @classmethod
@@ -81,7 +72,6 @@ class ExtractionSystem:
         trace: FlowTrace,
         config: SystemConfig | None = None,
         workers: int = 1,
-        ipc: str = "auto",
     ) -> "ExtractionSystem":
         """Build a system over an in-memory trace archive."""
         config = config or SystemConfig()
@@ -90,7 +80,7 @@ class ExtractionSystem:
             baseline_bins=config.baseline_bins,
             pad_bins=config.pad_bins,
         )
-        return cls(backend, config=config, workers=workers, ipc=ipc)
+        return cls(backend, config=config, workers=workers)
 
     @classmethod
     def from_archive(
@@ -99,7 +89,6 @@ class ExtractionSystem:
         alarmdb: AlarmDatabase | None = None,
         config: SystemConfig | None = None,
         workers: int = 1,
-        ipc: str = "auto",
     ) -> "ExtractionSystem":
         """Build a system over a persistent on-disk flow archive.
 
@@ -118,7 +107,7 @@ class ExtractionSystem:
             pad_bins=config.pad_bins,
         )
         return cls(backend, alarmdb=alarmdb, config=config,
-                   workers=workers, ipc=ipc)
+                   workers=workers)
 
     def close(self) -> None:
         """Release extraction worker pools this system owns (idempotent)."""

@@ -18,12 +18,7 @@ from repro.extraction.summarize import table_rows
 from repro.flows.flowio import read_binary_table
 from repro.flows.store import FlowStore
 from repro.flows.trace import DEFAULT_BIN_SECONDS, FlowTrace
-from repro.stream import (
-    ReplayDriver,
-    ShardedStreamEngine,
-    StreamEngine,
-    streaming_adapter,
-)
+from repro.stream import ReplayDriver, StreamEngine, streaming_adapter
 from repro.system.alarmdb import AlarmDatabase
 from repro.system.backend import FlowBackend
 from repro.system.config import SystemConfig
@@ -186,14 +181,9 @@ class TestStreamEquivalence:
             alarmdb=AlarmDatabase(db_path),
             archive=archive_writer,
         )
-        if workers > 1:
-            engine = ShardedStreamEngine(
-                [streaming_adapter(detector)], workers=workers, **options
-            )
-        else:
-            engine = StreamEngine(
-                [streaming_adapter(detector)], **options
-            )
+        engine = StreamEngine(
+            [streaming_adapter(detector)], workers=workers, **options
+        )
         try:
             windows, _ = ReplayDriver(tail).replay(engine)
         finally:
@@ -461,6 +451,14 @@ class TestSpecValidation:
                 "execution": {"mode": "batch", "wrokers": 4},
             })
         assert err.value.field == "execution.wrokers"
+
+    def test_removed_ipc_key_is_an_unknown_key(self):
+        with pytest.raises(SpecError) as err:
+            api.SessionSpec.from_dict({
+                "source": {"kind": "rpv5", "path": "t"},
+                "execution": {"mode": "stream", "ipc": "shm"},
+            })
+        assert err.value.field == "execution.ipc"
 
     def test_missing_source_section(self):
         with pytest.raises(SpecError) as err:

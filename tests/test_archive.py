@@ -52,7 +52,6 @@ from repro.archive.index import (
 )
 from repro.archive.layout import PARTITION_HEADER_SIZE, sidecar_path
 from repro.errors import ArchiveError, CodecError
-from repro.flows.flowio import table_from_bytes, table_to_bytes
 from repro.flows.record import FlowFeature, FlowRecord
 from repro.flows.store import FlowStore
 from repro.flows.table import FLOW_DTYPE, FlowTable
@@ -99,7 +98,7 @@ def _store(table, slice_seconds=300.0):
 
 
 def _same_bytes(a: FlowTable, b: FlowTable) -> bool:
-    return table_to_bytes(a) == table_to_bytes(b)
+    return a._data.tobytes() == b._data.tobytes()
 
 
 class TestRoundTrip:
@@ -474,13 +473,6 @@ class TestDurability:
         path.write_bytes(bytes(raw))
         with pytest.raises(CodecError, match="schema version"):
             ArchiveReader(root)
-
-    def test_table_frame_schema_version_checked(self):
-        frame = bytearray(table_to_bytes(_random_table(3)))
-        assert table_from_bytes(bytes(frame))  # sanity
-        frame[5] = 0xEE  # version field of the network-order header
-        with pytest.raises(CodecError, match="schema version"):
-            table_from_bytes(bytes(frame))
 
     def test_writer_geometry_is_pinned(self, tmp_path):
         root = tmp_path / "a"

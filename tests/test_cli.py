@@ -154,6 +154,11 @@ class TestStream:
             main(["stream", str(long_trace), "--workers", "0"])
         assert "workers must be >= 1" in capsys.readouterr().err
 
+    def test_ipc_flag_is_gone(self, long_trace, capsys):
+        with pytest.raises(SystemExit):
+            main(["stream", str(long_trace), "--ipc", "shm"])
+        assert "unrecognized arguments: --ipc" in capsys.readouterr().err
+
 
 class TestDetect:
     def test_too_short_trace(self, trace_path, capsys):

@@ -40,8 +40,6 @@ from repro.collector import (
     send_datagrams,
 )
 from repro.collector.decode import (
-    decode_template_datagram,
-    decode_v5_datagram,
     encode_data_set,
     encode_ipfix_datagram,
     encode_template_set,
@@ -71,7 +69,7 @@ DATA = Path(__file__).parent / "data"
 class TestGoldenV5:
     def test_decodes_to_known_rows(self):
         blob = (DATA / "golden_v5.bin").read_bytes()
-        decoded = decode_v5_datagram(blob, boot_time=1000.0)
+        decoded = decode_datagram(blob, boot_time=1000.0)
         assert decoded.version == 5
         assert decoded.domain == 7  # engine_type 0, engine_id 7
         assert decoded.seq == 42
@@ -94,7 +92,7 @@ class TestGoldenV5:
 
     def test_matches_per_record_codec(self):
         blob = (DATA / "golden_v5.bin").read_bytes()
-        decoded = decode_v5_datagram(blob, boot_time=1000.0)
+        decoded = decode_datagram(blob, boot_time=1000.0)
         _, records = decode_packet(blob, boot_time=1000.0)
         for row, rec in zip(decoded.rows, records):
             assert row["src_ip"] == rec.src_ip
@@ -145,7 +143,7 @@ class TestGoldenV9:
         blob = (DATA / "golden_v9.bin").read_bytes()
         assert peek_exporter(blob) == (9, 9)
         cache = TemplateCache()
-        decoded = decode_template_datagram(
+        decoded = decode_datagram(
             blob, boot_time=1700000000.0, cache=cache
         )
         assert decoded.version == 9
@@ -173,7 +171,7 @@ class TestGoldenIpfix:
         blob = (DATA / "golden_ipfix.bin").read_bytes()
         assert peek_exporter(blob) == (10, 77)
         cache = TemplateCache()
-        decoded = decode_template_datagram(
+        decoded = decode_datagram(
             blob, boot_time=0.0, cache=cache
         )
         assert decoded.version == 10
@@ -222,7 +220,7 @@ class TestTolerantV5:
     def test_vectorized_counts_malformed_and_keeps_sequence(self):
         packet = _v5_packet(5)
         cut = packet[: HEADER_SIZE + 2 * RECORD_SIZE + 7]
-        decoded = decode_v5_datagram(cut)
+        decoded = decode_datagram(cut)
         assert len(decoded.rows) == 2
         assert decoded.malformed == 3
         # The exporter *sent* 5 flows: the declared count advances the
@@ -231,11 +229,11 @@ class TestTolerantV5:
 
     def test_header_too_short_raises(self):
         with pytest.raises(CodecError, match="truncated"):
-            decode_v5_datagram(b"\x00\x05" + b"\x00" * 10)
+            decode_datagram(b"\x00\x05" + b"\x00" * 10)
 
     def test_vectorized_equals_per_record_on_many_flows(self):
         packet = _v5_packet(30, boot=500.0)
-        decoded = decode_v5_datagram(packet, boot_time=500.0)
+        decoded = decode_datagram(packet, boot_time=500.0)
         _, records = decode_packet(packet, boot_time=500.0)
         assert len(decoded.rows) == len(records) == 30
         for row, rec in zip(decoded.rows, records):
@@ -270,13 +268,13 @@ class TestTemplateCache:
     def test_out_of_order_template_arrival(self):
         cache = TemplateCache()
         row = {8: 11, 12: 22, 7: 33, 11: 44, 1: 55}
-        early = decode_template_datagram(
+        early = decode_datagram(
             _data_datagram([row]), 0.0, cache
         )
         assert len(early.rows) == 0
         assert early.buffered_sets == 1
         assert cache.pending_count == 1
-        late = decode_template_datagram(
+        late = decode_datagram(
             _template_datagram(sequence=1), 0.0, cache
         )
         # Installing the template decodes what it unblocked.
@@ -289,14 +287,14 @@ class TestTemplateCache:
         cache = TemplateCache(max_pending=2)
         row = {8: 1, 12: 2, 7: 3, 11: 4, 1: 5}
         for _ in range(3):
-            decode_template_datagram(_data_datagram([row]), 0.0, cache)
+            decode_datagram(_data_datagram([row]), 0.0, cache)
         assert cache.pending_count == 2
         assert cache.dropped == 1
 
     def test_expiry_sweep(self):
         cache = TemplateCache(pending_expiry=10.0)
         row = {8: 1, 12: 2, 7: 3, 11: 4, 1: 5}
-        decode_template_datagram(
+        decode_datagram(
             _data_datagram([row]), 0.0, cache, now=100.0
         )
         assert cache.sweep(105.0) == 0
@@ -307,7 +305,7 @@ class TestTemplateCache:
     def test_options_sets_are_skipped(self):
         body = struct.pack("!HH", 1, 8) + b"\x00\x00\x00\x00"
         datagram = encode_v9_datagram([body], sequence=0, source_id=1)
-        decoded = decode_template_datagram(
+        decoded = decode_datagram(
             datagram, 0.0, TemplateCache()
         )
         assert len(decoded.rows) == 0
@@ -348,7 +346,7 @@ def test_v9_template_roundtrip(fields, template_id, values, nrows):
          encode_data_set(template, rows)],
         sequence=3, source_id=4, export_secs=1000,
     )
-    decoded = decode_template_datagram(datagram, 0.0, TemplateCache())
+    decoded = decode_datagram(datagram, 0.0, TemplateCache())
     assert len(decoded.rows) == nrows
     assert decoded.malformed == 0
     from repro.collector.decode import ELEMENT_COLUMNS, _COLUMN_MASKS
@@ -379,7 +377,7 @@ def test_ipfix_roundtrip_counts_records(fields, template_id, nrows):
          encode_data_set(template, rows)],
         sequence=9, domain=5, export_secs=1000,
     )
-    decoded = decode_template_datagram(datagram, 0.0, TemplateCache())
+    decoded = decode_datagram(datagram, 0.0, TemplateCache())
     assert len(decoded.rows) == nrows
     assert decoded.seq_units == nrows  # IPFIX counts data records
 

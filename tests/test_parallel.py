@@ -1,12 +1,12 @@
 """Tests for the sharded execution subsystem (repro.parallel).
 
 The subsystem's one promise is *sharding is invisible in the output*:
-for any shard count and any row order, partitioned mining, parallel
-detection and the sharded stream engine produce byte-identical results
-to the single-process paths. Hypothesis drives the equivalence over
-randomized flow sets, shard counts (1, 2, 7), shuffled arrival and
-degenerate shards (empty, single-row); deterministic tests pin down
-the partitioning, codec and executor building blocks.
+for any shard count and any row order, partitioned mining and parallel
+detection produce byte-identical results to the single-process paths.
+Hypothesis drives the equivalence over randomized flow sets, shard
+counts (1, 2, 7), shuffled arrival and degenerate shards (empty,
+single-row); deterministic tests pin down the partitioning and
+executor building blocks.
 """
 
 from __future__ import annotations
@@ -17,14 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.detect.netreflex import NetReflexDetector
 from repro.errors import FlowError, MiningError
-from repro.flows.flowio import (
-    table_from_bytes,
-    table_to_bytes,
-    write_csv,
-)
+from repro.flows.flowio import write_csv
 from repro.flows.record import FlowRecord
 from repro.flows.table import FlowTable
-from repro.flows.trace import FlowTrace
 from repro.mining.apriori import mine_apriori
 from repro.mining.extended import ExtendedApriori
 from repro.mining.transactions import TransactionSet
@@ -42,12 +37,6 @@ from repro.parallel import (
     scaled_threshold,
     shard_ids,
     stable_hash64,
-)
-from repro.stream import (
-    ShardedStreamEngine,
-    StreamEngine,
-    streaming_adapter,
-    table_chunks,
 )
 from tests.mining_oracle import (
     OracleApriori,
@@ -188,20 +177,10 @@ class TestPartition:
             assert np.array_equal(got._data, want._data)
 
 
-# -- codec and executor ----------------------------------------------------
+# -- executor --------------------------------------------------------------
 
 
 class TestExecutor:
-    def test_table_codec_roundtrip(self):
-        table = _table([FlowRecord(
-            src_ip=1, dst_ip=2, src_port=3, dst_port=4, proto=6,
-            packets=7, bytes=8, start=9.0, end=10.0,
-        )])
-        decoded = table_from_bytes(table_to_bytes(table))
-        assert np.array_equal(decoded._data, table._data)
-        empty = table_from_bytes(table_to_bytes(FlowTable.empty()))
-        assert len(empty) == 0
-
     def test_serial_and_process_paths_agree(self):
         tables = [
             _table([FlowRecord(
@@ -440,210 +419,23 @@ class TestParallelDetect:
                 assert got.metadata == want.metadata
 
 
-# -- sharded stream engine -------------------------------------------------
-
-
-def _window_keys(results, engine):
-    keys = []
-    for result in results:
-        keys.append(
-            (
-                result.window.index,
-                result.window.flows,
-                [
-                    (
-                        alarm.alarm_id,
-                        alarm.score,
-                        alarm.label,
-                        tuple(m.render() for m in alarm.metadata),
-                    )
-                    for alarm in result.alarms
-                ],
-                sorted(result.merged),
-                [
-                    (t.alarm.alarm_id, t.verdict.useful)
-                    for t in result.triage
-                ],
-            )
-        )
-    return keys, (
-        engine.stats.flows,
-        engine.stats.windows_closed,
-        engine.stats.alarms,
-        engine.stats.alarms_merged,
-        engine.stats.triaged,
-        engine.stats.late_dropped,
-    )
-
-
-class TestShardedStreamEngine:
-    @given(
-        shards=st.sampled_from(SHARD_COUNTS),
-        chunk_rows=st.sampled_from([64, 257, 4096]),
-        seed=st.integers(0, 3),
-    )
-    @settings(max_examples=12, deadline=None)
-    def test_matches_unsharded_engine(self, shards, chunk_rows, seed):
-        rng = np.random.default_rng(seed)
-        count = 1500
-        start = np.sort(rng.uniform(0.0, 1500.0, count))
-        training = FlowTrace(
-            FlowTable.from_columns(
-                src_ip=rng.integers(0x0A000000, 0x0A000020, count),
-                dst_ip=rng.integers(0x0A000000, 0x0A000020, count),
-                src_port=rng.integers(1024, 1100, count),
-                dst_port=rng.choice(np.array([53, 80, 443]), count),
-                proto=rng.choice(np.array([6, 17]), count),
-                packets=rng.integers(1, 200, count),
-                bytes=rng.integers(40, 10_000, count),
-                start=start,
-                end=start + 1.0,
-            ),
-            bin_seconds=300.0,
-            origin=0.0,
-        )
-        live_start = rng.uniform(0.0, 1200.0, count)
-        rng.shuffle(live_start)  # out-of-order arrival
-        live = FlowTable.from_columns(
-            src_ip=rng.integers(0x0A000000, 0x0A000020, count),
-            dst_ip=rng.integers(0x0A000000, 0x0A000020, count),
-            src_port=rng.integers(1024, 1100, count),
-            dst_port=rng.choice(np.array([53, 80, 443]), count),
-            proto=rng.choice(np.array([6, 17]), count),
-            packets=rng.integers(1, 200, count),
-            bytes=rng.integers(40, 10_000, count),
-            start=live_start,
-            end=live_start + 1.0,
-        )
-        detector = NetReflexDetector()
-        detector.train(training)
-
-        def run(engine_cls, **kwargs):
-            engine = engine_cls(
-                [streaming_adapter(detector)],
-                window_seconds=300.0,
-                origin=0.0,
-                lateness_seconds=None,
-                dedup_window=600.0,
-                triage=True,
-                **kwargs,
-            )
-            results = engine.run(
-                table_chunks(live, chunk_rows=chunk_rows)
-            )
-            return _window_keys(results, engine)
-
-        reference = run(StreamEngine)
-        sharded = run(
-            ShardedStreamEngine,
-            workers=1,
-            partition=PartitionSpec(shards=shards, seed=seed),
-        )
-        assert sharded == reference
-
-    def test_tiny_flush_threshold_matches(self):
-        # Force many intra-window fan-outs: merged partials across
-        # flushes must equal one-pass accumulation exactly.
-        training, tail = _scenario_traces()
-        detector = NetReflexDetector()
-        detector.train(training)
-        split = tail.span[0]
-
-        def run(engine_cls, **kwargs):
-            engine = engine_cls(
-                [streaming_adapter(detector)],
-                window_seconds=tail.bin_seconds,
-                origin=split,
-                lateness_seconds=0.0,
-                **kwargs,
-            )
-            results = engine.run(table_chunks(tail.table, 333))
-            keys = _window_keys(results, engine)
-            engine.close()
-            return keys
-
-        reference = run(StreamEngine)
-        for flush_rows in (64, 1000):
-            sharded = run(
-                ShardedStreamEngine,
-                partition=PartitionSpec(shards=3),
-                flush_rows=flush_rows,
-            )
-            assert sharded == reference
-        # Bounded buffering: nothing lingers after the run.
-        engine = ShardedStreamEngine(
-            [streaming_adapter(detector)],
-            partition=PartitionSpec(shards=3),
-            flush_rows=64,
-            window_seconds=tail.bin_seconds,
-            origin=split,
-            lateness_seconds=0.0,
-        )
-        engine.run(table_chunks(tail.table, 333))
-        assert not engine._buckets and not engine._partials
-        engine.close()
-
-    def test_process_backed_engine_matches(self):
-        training, tail = _scenario_traces()
-        detector = NetReflexDetector()
-        detector.train(training)
-        split = tail.span[0]
-
-        def run(engine_cls, **kwargs):
-            engine = engine_cls(
-                [streaming_adapter(detector)],
-                window_seconds=tail.bin_seconds,
-                origin=split,
-                lateness_seconds=0.0,
-                **kwargs,
-            )
-            results = engine.run(table_chunks(tail.table, 1024))
-            return _window_keys(results, engine)
-
-        reference = run(StreamEngine)
-        with ShardExecutor(2, use_processes=True) as executor:
-            sharded = run(
-                ShardedStreamEngine,
-                workers=2,
-                executor=executor,
-                partition=PartitionSpec(shards=2),
-            )
-        assert sharded == reference
+# -- executor lifecycle ---------------------------------------------------
 
 
 class TestExecutorLifecycle:
-    def test_engine_derives_shards_from_executor(self):
-        training, _ = _scenario_traces()
-        detector = NetReflexDetector()
-        detector.train(training)
-        executor = ShardExecutor(4, use_processes=False)
-        engine = ShardedStreamEngine(
-            [streaming_adapter(detector)],
-            executor=executor,
-            triage=True,
-            window_seconds=300.0,
-            origin=0.0,
-        )
-        # An explicit 4-worker executor means 4-way fan-out everywhere:
-        # partitioning, accumulation and triage mining share the pool.
-        assert engine.partition.shards == 4
-        assert engine.system is not None
-        assert engine.system.extractor.workers == 4
-        assert engine.system.extractor._miner.executor is executor
-        # close() leaves the caller-owned executor alone.
-        engine.close()
-        assert executor.map_tables(_scaled_packets, [], []) == []
-
     def test_owned_pools_close_idempotently(self):
         from repro.extraction.extractor import AnomalyExtractor
 
         extractor = AnomalyExtractor(workers=2)
-        assert extractor._owned_executor is not None
+        executor = extractor._miner.executor
+        assert executor.map_tables(
+            _scaled_packets, [FlowTable.empty()], [(1,)]
+        ) == [0]
+        assert (executor._pool is not None) == executor.uses_processes
         extractor.close()
         extractor.close()
-        serial = AnomalyExtractor(workers=1)
-        assert serial._owned_executor is None
-        serial.close()
+        assert executor._pool is None
+        AnomalyExtractor(workers=1).close()
 
 
 # -- sharded extraction ----------------------------------------------------

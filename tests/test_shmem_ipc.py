@@ -2,9 +2,9 @@
 
 The buffer plane's contract is threefold: (1) rows that travel as
 shared-memory descriptors are byte-identical to the tables that were
-written — for whole tables, masked gathers and broadcasts alike; (2)
-the IPC flavour (serial / shm / frames) is invisible in every result
-the executor or the sharded stream engine produces; (3) parent-owned
+written; (2) where a fan-out ran — the in-process loop, the pool over
+shm descriptors, or the in-process fallback after a failed staging —
+is invisible in every result the executor produces; (3) parent-owned
 segments never outlive their owner — close(), worker crashes and
 interpreter unwinds (the SIGINT path) all leave ``/dev/shm`` clean.
 Hypothesis drives the equivalence over randomized flow sets and shard
@@ -13,6 +13,8 @@ counts (1, 2, 7) including empty and single-row shards.
 
 from __future__ import annotations
 
+import errno
+import logging
 import os
 import subprocess
 import sys
@@ -22,20 +24,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.detect.netreflex import NetReflexDetector
-from repro.errors import CodecError, FlowError, ReproError
+from repro.detect.base import Alarm
+from repro.errors import CodecError, FlowError
+from repro.extraction.extractor import AnomalyExtractor
 from repro.flows import shmem
-from repro.flows.flowio import table_to_bytes
 from repro.flows.record import FlowRecord
-from repro.flows.table import FLOW_DTYPE, FlowTable
-from repro.flows.trace import FlowTrace
+from repro.flows.table import FlowTable
+from repro.obs import metrics as obs_metrics
 from repro.parallel import PartitionSpec, ShardExecutor, shard_ids
-from repro.stream import (
-    ShardedStreamEngine,
-    StreamEngine,
-    streaming_adapter,
-    table_chunks,
-)
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::pytest.PytestUnraisableExceptionWarning"
@@ -94,15 +90,19 @@ def _shm_names() -> set[str]:
 # Worker tasks must be module-level (picklable by reference).
 
 def _echo_bytes(table: FlowTable) -> bytes:
-    return table_to_bytes(table)
+    return table._data.tobytes()
 
 
 def _echo_all_bytes(tables: list[FlowTable], tag: int) -> tuple:
-    return tag, [table_to_bytes(table) for table in tables]
+    return tag, [table._data.tobytes() for table in tables]
 
 
 def _crash(_table: FlowTable) -> None:
     os._exit(13)
+
+
+def _raise(_table: FlowTable, error: BaseException) -> None:
+    raise error
 
 
 # -- the row-block header ----------------------------------------------------
@@ -138,22 +138,8 @@ class TestRowBuffer:
         with shmem.RowBuffer(shmem.block_bytes(len(table))) as buffer:
             descriptor = buffer.write(table)
             view = shmem.attach_slice(descriptor)
-            assert table_to_bytes(view) == table_to_bytes(table)
+            assert _echo_bytes(view) == _echo_bytes(table)
             assert not view._data.flags.writeable if len(view) else True
-            del view
-            shmem.detach_slices()
-
-    @given(flows=flow_lists, seed=st.integers(0, 3))
-    @settings(max_examples=20, deadline=None)
-    def test_write_masked_equals_select(self, flows, seed):
-        table = _table(flows)
-        mask = np.random.default_rng(seed) \
-            .integers(0, 2, len(table)).astype(bool)
-        with shmem.RowBuffer(shmem.block_bytes(len(table))) as buffer:
-            descriptor = buffer.write_masked(table, mask)
-            view = shmem.attach_slice(descriptor)
-            assert table_to_bytes(view) == \
-                table_to_bytes(table.select(mask))
             del view
             shmem.detach_slices()
 
@@ -199,6 +185,22 @@ class TestRowBuffer:
 # -- executor IPC equivalence ------------------------------------------------
 
 
+def _random_table(seed: int, count: int) -> FlowTable:
+    rng = np.random.default_rng(seed)
+    starts = rng.uniform(0.0, 600.0, count)
+    return FlowTable.from_columns(
+        src_ip=rng.integers(0x0A000000, 0x0A000010, count),
+        dst_ip=rng.integers(0x0A000000, 0x0A000010, count),
+        src_port=rng.integers(1024, 1100, count),
+        dst_port=rng.choice(np.array([53, 80, 443]), count),
+        proto=rng.choice(np.array([6, 17]), count),
+        packets=rng.integers(1, 200, count),
+        bytes=rng.integers(40, 10_000, count),
+        start=starts,
+        end=starts + 1.0,
+    )
+
+
 @needs_shm
 class TestExecutorIpcEquivalence:
     @given(flows=flow_lists, shards=st.sampled_from(SHARD_COUNTS))
@@ -216,256 +218,173 @@ class TestExecutorIpcEquivalence:
         ]
         with ShardExecutor(1) as serial:
             reference = serial.map_tables(_echo_bytes, tables)
-        for ipc in ("shm", "frames"):
-            with ShardExecutor(
-                2, use_processes=True, ipc=ipc
-            ) as executor:
-                assert executor.ipc_mode == ipc
-                assert executor.map_tables(_echo_bytes, tables) \
-                    == reference
+        with ShardExecutor(2, use_processes=True) as executor:
+            assert executor.map_tables(_echo_bytes, tables) \
+                == reference
+            assert executor.ipc_stats.shared_bytes > 0
 
-    @given(flows=flow_lists, shards=st.sampled_from(SHARD_COUNTS))
-    @settings(max_examples=6, deadline=None)
-    def test_map_masked_identical_across_transports(
-        self, flows, shards
-    ):
-        table = _table(flows)
-        spec = PartitionSpec(shards=shards)
-        ids = shard_ids(table, spec) if len(table) else \
-            np.zeros(0, dtype=np.int64)
-        masks = [ids == shard for shard in range(shards)]
-        with ShardExecutor(1) as serial:
-            reference = serial.map_masked(_echo_bytes, table, masks)
-        for ipc in ("shm", "frames"):
-            with ShardExecutor(
-                2, use_processes=True, ipc=ipc
-            ) as executor:
+    # map_masked / map_broadcast / map_table_groups are delegations
+    # kept for the e2e tracer's ENTRY_POINTS rows: each returns what
+    # its comprehension returns, on either path, and nothing more is
+    # promised of them.
+
+    def test_map_masked_identical_across_transports(self):
+        table = _random_table(4, 500)
+        masks = [
+            shard_ids(table, PartitionSpec(shards=3)) == shard
+            for shard in range(3)
+        ]
+        reference = [_echo_bytes(table.select(mask)) for mask in masks]
+        for executor in (
+            ShardExecutor(1), ShardExecutor(2, use_processes=True)
+        ):
+            with executor:
                 assert executor.map_masked(_echo_bytes, table, masks) \
                     == reference
 
     def test_map_broadcast_identical_across_transports(self):
-        rng = np.random.default_rng(5)
-        count = 500
-        starts = rng.uniform(0.0, 600.0, count)
-        table = FlowTable.from_columns(
-            src_ip=rng.integers(0x0A000000, 0x0A000010, count),
-            dst_ip=rng.integers(0x0A000000, 0x0A000010, count),
-            src_port=rng.integers(1024, 1100, count),
-            dst_port=rng.choice(np.array([53, 80, 443]), count),
-            proto=rng.choice(np.array([6, 17]), count),
-            packets=rng.integers(1, 200, count),
-            bytes=rng.integers(40, 10_000, count),
-            start=starts,
-            end=starts + 1.0,
-        )
+        table = _random_table(5, 500)
         pieces = [table.select(slice(0, 200)),
                   table.select(slice(200, 201)),
                   table.select(slice(201, 201)),  # empty piece
-                  table.select(slice(201, count))]
+                  table.select(slice(201, 500))]
         extras = [(0,), (1,), (2,)]
-        with ShardExecutor(1) as serial:
-            reference = serial.map_broadcast(
-                _echo_all_bytes, pieces, extras
-            )
-        for ipc in ("shm", "frames"):
-            with ShardExecutor(
-                2, use_processes=True, ipc=ipc
-            ) as executor:
+        reference = [_echo_all_bytes(pieces, *extra) for extra in extras]
+        for executor in (
+            ShardExecutor(1), ShardExecutor(2, use_processes=True)
+        ):
+            with executor:
                 assert executor.map_broadcast(
                     _echo_all_bytes, pieces, extras
                 ) == reference
 
     def test_shm_copies_descriptors_not_rows(self):
-        # The perf contract behind the descriptor path: per-task bytes
-        # through the pipe drop by >= 10x versus frames on real shards.
-        rng = np.random.default_rng(1)
-        count = 8192
-        starts = rng.uniform(0.0, 600.0, count)
-        table = FlowTable.from_columns(
-            src_ip=rng.integers(0x0A000000, 0x0A000010, count),
-            dst_ip=rng.integers(0x0A000000, 0x0A000010, count),
-            src_port=rng.integers(1024, 1100, count),
-            dst_port=rng.choice(np.array([53, 80, 443]), count),
-            proto=rng.choice(np.array([6, 17]), count),
-            packets=rng.integers(1, 200, count),
-            bytes=rng.integers(40, 10_000, count),
-            start=starts,
-            end=starts + 1.0,
-        )
-        halves = [table.select(slice(0, count // 2)),
-                  table.select(slice(count // 2, count))]
-        per_task = {}
-        for ipc in ("shm", "frames"):
-            with ShardExecutor(
-                2, use_processes=True, ipc=ipc
-            ) as executor:
-                executor.map_tables(_echo_bytes, halves)
-                per_task[ipc] = executor.ipc_stats.copied_per_task()
-        assert per_task["frames"] >= 10 * per_task["shm"]
-        assert per_task["shm"] <= 256  # descriptors, not rows
+        # The perf contract behind the descriptor path: what crosses
+        # the pipe per task is a descriptor, whatever the shard holds.
+        table = _random_table(1, 8192)
+        halves = [table.select(slice(0, 4096)),
+                  table.select(slice(4096, 8192))]
+        with ShardExecutor(2, use_processes=True) as executor:
+            executor.map_tables(_echo_bytes, halves)
+            stats = executor.ipc_stats
+            assert stats.copied_per_task() <= 256
+            assert stats.shared_bytes >= sum(
+                len(_echo_bytes(half)) for half in halves
+            )
 
-    def test_explicit_shm_unavailable_raises(self, monkeypatch):
-        monkeypatch.setattr(shmem, "_AVAILABLE", False)
-        with pytest.raises(ReproError, match="ipc='shm'"):
-            ShardExecutor(2, use_processes=True, ipc="shm")
-        # auto degrades instead of raising.
-        executor = ShardExecutor(2, use_processes=True, ipc="auto")
-        assert executor.ipc_mode == "frames"
-        executor.close()
+
+# -- staging failure: the in-process fallback --------------------------------
+
+
+def _pressured(error, good=None):
+    """A ``RowBuffer`` class that cannot be allocated (``good=None``)
+    or whose ``write`` raises after ``good`` tables."""
+
+    class Pressured(shmem.RowBuffer):
+        built: list = []
+
+        def __init__(self, capacity):
+            if good is None:
+                raise error
+            super().__init__(capacity)
+            self.budget = good
+            self.built.append(self)
+
+        def write(self, table):
+            if not self.budget:
+                raise error
+            self.budget -= 1
+            return super().write(table)
+
+    return Pressured
+
+
+@needs_shm
+@pytest.mark.parametrize(
+    "error",
+    [OSError(errno.ENOSPC, "No space left on device"), MemoryError()],
+    ids=["oserror", "memoryerror"],
+)
+class TestStagingFallback:
+    @pytest.fixture(autouse=True)
+    def _registry(self):
+        self.registry = obs_metrics.MetricsRegistry()
+        previous = obs_metrics.install(self.registry)
+        yield
+        obs_metrics.install(previous)
+
+    def _fallbacks(self) -> int:
+        return self.registry.value("repro_ipc_frames_fallback_total")
+
+    def test_allocation_failure_runs_in_process(
+        self, error, monkeypatch, caplog
+    ):
+        monkeypatch.setattr(shmem, "RowBuffer", _pressured(error))
+        tables = [_random_table(seed, 40) for seed in range(3)]
+        reference = [_echo_bytes(table) for table in tables]
+        with caplog.at_level(logging.WARNING, "repro.parallel.executor"):
+            with ShardExecutor(2, use_processes=True) as executor:
+                for fan_out in (1, 2):
+                    assert executor.map_tables(_echo_bytes, tables) \
+                        == reference
+                    assert self._fallbacks() == fan_out
+                assert executor._pool is None  # nothing was submitted
+                assert executor.ipc_stats.copied_bytes == 0
+                assert executor.ipc_stats.shared_bytes == 0
+        assert len(caplog.records) == 1  # warned once, counted twice
+
+    def test_task_error_is_not_a_staging_failure(self, error):
+        # The task's own OSError / MemoryError is the caller's to see:
+        # it must not re-run the fan-out in-process.
+        table = _random_table(0, 40)
+        with ShardExecutor(2, use_processes=True) as executor:
+            with pytest.raises(type(error)):
+                executor.map_tables(
+                    _raise, [table, table], [(error,), (error,)]
+                )
+            assert executor._segment.refs == 0
+            assert executor.ipc_stats.copied_bytes > 0  # it was staged
+        assert self._fallbacks() == 0
+
+    def test_write_failure_releases_the_segment(
+        self, error, monkeypatch
+    ):
+        pressure = _pressured(error, good=1)
+        monkeypatch.setattr(shmem, "RowBuffer", pressure)
+        tables = [_random_table(seed, 40) for seed in range(3)]
+        with ShardExecutor(2, use_processes=True) as executor:
+            assert executor.map_tables(_echo_bytes, tables) \
+                == [_echo_bytes(table) for table in tables]
+            (segment,) = pressure.built
+            assert segment.refs == 0
+            assert executor._pool is None
+        assert segment.closed
+        assert self._fallbacks() == 1
+
+
+def test_platform_without_shm_runs_in_process(monkeypatch):
+    monkeypatch.setattr(shmem, "_AVAILABLE", False)
+    tables = [_random_table(seed, 40) for seed in range(2)]
+    with ShardExecutor(2, use_processes=True) as executor:
+        assert executor.map_tables(_echo_bytes, tables) \
+            == [_echo_bytes(table) for table in tables]
+        assert executor._pool is None
+        assert executor.ipc_stats.copied_bytes == 0
 
 
 # -- serial path purity (no codec, no copies) --------------------------------
 
 
 class TestSerialPathNeverSerialises:
-    def test_serial_map_calls_no_codec(self, monkeypatch):
-        import repro.parallel.executor as executor_module
-
-        def _forbidden(*_args, **_kwargs):
-            raise AssertionError(
-                "serial executor path must not touch the codec"
-            )
-
-        monkeypatch.setattr(
-            executor_module, "table_to_bytes", _forbidden
-        )
-        monkeypatch.setattr(
-            executor_module, "table_from_bytes", _forbidden
-        )
+    def test_serial_map_calls_no_codec(self):
         table = _table([])
         with ShardExecutor(1) as executor:
-            assert executor.ipc_mode == "serial"
+            assert not executor.uses_processes
             # Tables pass through by identity — same object, no copy.
             results = executor.map_tables(lambda t: t, [table])
             assert results[0] is table
-            masks = [np.zeros(0, dtype=bool)]
-            executor.map_masked(lambda t: len(t), table, masks)
-            executor.map_broadcast(
-                lambda ts, tag: (tag, len(ts)), [table], [(0,)]
-            )
             assert executor.ipc_stats.copied_bytes == 0
             assert executor.ipc_stats.shared_bytes == 0
-
-
-# -- sharded stream engine: shm == frames == serial --------------------------
-
-
-def _stream_data(seed: int):
-    rng = np.random.default_rng(seed)
-    count = 900
-    start = np.sort(rng.uniform(0.0, 1500.0, count))
-    training = FlowTrace(
-        FlowTable.from_columns(
-            src_ip=rng.integers(0x0A000000, 0x0A000020, count),
-            dst_ip=rng.integers(0x0A000000, 0x0A000020, count),
-            src_port=rng.integers(1024, 1100, count),
-            dst_port=rng.choice(np.array([53, 80, 443]), count),
-            proto=rng.choice(np.array([6, 17]), count),
-            packets=rng.integers(1, 200, count),
-            bytes=rng.integers(40, 10_000, count),
-            start=start,
-            end=start + 1.0,
-        ),
-        bin_seconds=300.0,
-        origin=0.0,
-    )
-    live_start = rng.uniform(0.0, 1200.0, count)
-    rng.shuffle(live_start)
-    live = FlowTable.from_columns(
-        src_ip=rng.integers(0x0A000000, 0x0A000020, count),
-        dst_ip=rng.integers(0x0A000000, 0x0A000020, count),
-        src_port=rng.integers(1024, 1100, count),
-        dst_port=rng.choice(np.array([53, 80, 443]), count),
-        proto=rng.choice(np.array([6, 17]), count),
-        packets=rng.integers(1, 200, count),
-        bytes=rng.integers(40, 10_000, count),
-        start=live_start,
-        end=live_start + 1.0,
-    )
-    return training, live
-
-
-def _window_keys(results, engine):
-    keys = []
-    for result in results:
-        keys.append(
-            (
-                result.window.index,
-                result.window.flows,
-                [
-                    (
-                        alarm.alarm_id,
-                        alarm.score,
-                        alarm.label,
-                        tuple(m.render() for m in alarm.metadata),
-                    )
-                    for alarm in result.alarms
-                ],
-                sorted(result.merged),
-            )
-        )
-    return keys, (
-        engine.stats.flows,
-        engine.stats.windows_closed,
-        engine.stats.alarms,
-        engine.stats.late_dropped,
-    )
-
-
-@needs_shm
-class TestStreamIpcEquivalence:
-    @given(shards=st.sampled_from(SHARD_COUNTS), seed=st.integers(0, 2))
-    @settings(max_examples=6, deadline=None)
-    def test_shm_frames_serial_byte_identity(self, shards, seed):
-        training, live = _stream_data(seed)
-        detector = NetReflexDetector()
-        detector.train(training)
-
-        def run(**kwargs):
-            engine = ShardedStreamEngine(
-                [streaming_adapter(detector)],
-                window_seconds=300.0,
-                origin=0.0,
-                lateness_seconds=None,
-                partition=PartitionSpec(shards=shards, seed=seed),
-                **kwargs,
-            )
-            try:
-                results = engine.run(table_chunks(live, 257))
-                return _window_keys(results, engine)
-            finally:
-                engine.close()
-
-        serial = run(workers=1)
-        for ipc in ("shm", "frames"):
-            with ShardExecutor(
-                2, use_processes=True, ipc=ipc
-            ) as executor:
-                assert run(workers=2, executor=executor) == serial
-
-    def test_single_row_window_fans_out(self):
-        # Degenerate shards: one row hashes into exactly one of 7
-        # shards; the other 6 are empty and must not fan out at all.
-        training, live = _stream_data(0)
-        detector = NetReflexDetector()
-        detector.train(training)
-        one = live.select(slice(0, 1))
-        with ShardExecutor(2, use_processes=True, ipc="shm") as executor:
-            engine = ShardedStreamEngine(
-                [streaming_adapter(detector)],
-                window_seconds=300.0,
-                origin=0.0,
-                lateness_seconds=0.0,
-                partition=PartitionSpec(shards=7),
-                executor=executor,
-            )
-            try:
-                engine.run([one])
-                engine.finish()
-                assert engine.stats.flows == 1
-                assert executor.ipc_stats.tasks == 1
-            finally:
-                engine.close()
 
 
 # -- /dev/shm hygiene --------------------------------------------------------
@@ -474,26 +393,20 @@ class TestStreamIpcEquivalence:
 @needs_shm
 class TestShmHygiene:
     def test_engine_close_leaves_no_segments(self):
-        training, live = _stream_data(1)
-        detector = NetReflexDetector()
-        detector.train(training)
         before = _shm_names()
-        engine = ShardedStreamEngine(
-            [streaming_adapter(detector)],
-            workers=2,
-            ipc="shm",
-            window_seconds=300.0,
-            origin=0.0,
-            lateness_seconds=0.0,
+        extractor = AnomalyExtractor(workers=2)
+        extractor.extract(
+            Alarm("a-1", "test", start=0.0, end=600.0, score=1.0),
+            _random_table(1, 900),
         )
-        engine.run(table_chunks(live, 300))
-        engine.close()
+        assert extractor._miner.executor.ipc_stats.shared_bytes > 0
+        extractor.close()
         assert _shm_names() <= before
 
     def test_worker_crash_leaves_no_segments(self):
         before = _shm_names()
         table = _table([])
-        executor = ShardExecutor(2, use_processes=True, ipc="shm")
+        executor = ShardExecutor(2, use_processes=True)
         try:
             with pytest.raises(Exception):
                 executor.map_tables(_crash, [table, table])
@@ -525,76 +438,10 @@ class TestShmHygiene:
         assert name not in _shm_names()
 
 
-# -- group fan-outs and the response channel ---------------------------------
-
-
-def _echo_group_bytes(table: FlowTable) -> bytes:
-    return table_to_bytes(table)
+# -- group fan-outs -----------------------------------------------------------
 
 
 class TestGroupFanOut:
-    """write_concat + map_table_groups: one block per group, replies
-    through parent-reserved response slots."""
-
-    @needs_shm
-    @given(flows=flow_lists, pieces=st.sampled_from((1, 2, 3)))
-    @settings(max_examples=10, deadline=None)
-    def test_write_concat_equals_concat(self, flows, pieces):
-        table = _table(flows)
-        step = max(1, -(-len(table) // pieces))
-        parts = [
-            table.select(slice(start, min(start + step, len(table))))
-            for start in range(0, max(len(table), 1), step)
-        ]
-        with shmem.RowBuffer(1 << 16) as buffer:
-            descriptor = buffer.write_concat(parts)
-            assert descriptor.rows == len(table)
-            view = shmem.attach_slice(descriptor)
-            assert table_to_bytes(view) == table_to_bytes(table)
-            del view
-            shmem.detach_slices()
-
-    @needs_shm
-    def test_write_concat_empty_group(self):
-        with shmem.RowBuffer(1 << 12) as buffer:
-            descriptor = buffer.write_concat([])
-            assert descriptor.rows == 0
-
-    @needs_shm
-    def test_response_slot_roundtrip(self):
-        with shmem.RowBuffer(1 << 16) as buffer:
-            offset = buffer.reserve_block(4096)
-            payload = b"partial payload bytes"
-            assert shmem.write_response(
-                buffer.name, offset, 4096, payload
-            )
-            assert buffer.read_response(offset) == payload
-            shmem.detach_slices()
-
-    @needs_shm
-    def test_response_overflow_refused(self):
-        with shmem.RowBuffer(1 << 16) as buffer:
-            capacity = shmem.ROW_HEADER_SIZE + 4
-            offset = buffer.reserve_block(capacity)
-            assert not shmem.write_response(
-                buffer.name, offset, capacity, b"too large for slot"
-            )
-            shmem.detach_slices()
-
-    @needs_shm
-    def test_unwritten_slot_read_raises(self):
-        with shmem.RowBuffer(1 << 16) as buffer:
-            offset = buffer.reserve_block(4096)
-            with pytest.raises(CodecError, match="magic"):
-                buffer.read_response(offset)
-
-    def test_reserve_block_respects_capacity(self):
-        if not _SHM_OK:
-            pytest.skip("POSIX shared memory unavailable")
-        with shmem.RowBuffer(shmem.ROW_HEADER_SIZE) as buffer:
-            with pytest.raises(FlowError, match="full"):
-                buffer.reserve_block(1 << 20)
-
     @given(flows=flow_lists, pieces=st.sampled_from((1, 2, 7)))
     @settings(max_examples=6, deadline=None)
     def test_map_table_groups_identical_across_transports(
@@ -602,52 +449,19 @@ class TestGroupFanOut:
     ):
         table = _table(flows)
         step = max(1, -(-len(table) // pieces))
-        groups = [
-            [table.select(slice(start, min(start + step, len(table))))]
+        parts = [
+            table.select(slice(start, min(start + step, len(table))))
             for start in range(0, max(len(table), 1), step)
         ]
-        with ShardExecutor(1) as serial:
-            reference = serial.map_table_groups(
-                _echo_group_bytes, groups
-            )
-        for ipc in ("shm", "frames"):
-            if ipc == "shm" and not _SHM_OK:
-                continue
-            with ShardExecutor(
-                2, use_processes=True, ipc=ipc
-            ) as executor:
+        groups = [parts[:1], parts[1:]]
+        reference = [
+            _echo_bytes(FlowTable.concat(group)) for group in groups
+        ]
+        for executor in (
+            ShardExecutor(1),
+            ShardExecutor(2, use_processes=_SHM_OK),
+        ):
+            with executor:
                 assert executor.map_table_groups(
-                    _echo_group_bytes, groups
+                    _echo_bytes, groups
                 ) == reference
-
-    @needs_shm
-    def test_oversized_reply_falls_back_to_pipe(self, monkeypatch):
-        # Slots sized to nothing force every reply through the pipe;
-        # results must be unaffected.
-        from repro.parallel import executor as executor_module
-
-        monkeypatch.setattr(
-            executor_module, "_RESPONSE_SLOT_BASE",
-            shmem.ROW_HEADER_SIZE,
-        )
-        monkeypatch.setattr(
-            executor_module, "_RESPONSE_SLOT_PER_ROW", 0
-        )
-        table = _table([])
-        with ShardExecutor(1) as serial:
-            reference = serial.map_table_groups(
-                _echo_group_bytes, [[table], [table]]
-            )
-        with ShardExecutor(
-            2, use_processes=True, ipc="shm"
-        ) as executor:
-            assert executor.map_table_groups(
-                _echo_group_bytes, [[table], [table]]
-            ) == reference
-
-    def test_parallelism_caps_at_cores(self):
-        with ShardExecutor(1) as serial:
-            assert serial.parallelism == 1
-        with ShardExecutor(4, use_processes=True) as executor:
-            expected = min(4, os.cpu_count() or 1)
-            assert executor.parallelism == expected
