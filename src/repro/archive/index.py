@@ -1,8 +1,9 @@
 """The partition index: zone map + feature index, one ``.idx`` sidecar.
 
 Every partition carries one sidecar built from **one pass** over its
-rows — one sort-and-group factorisation per indexed column
-(:data:`ZONE_COLUMNS`) feeds both halves:
+rows — one :func:`~repro.flows.aggregate.value_histogram`
+factorisation per indexed column (:data:`ZONE_COLUMNS`) feeds both
+halves:
 
 * :class:`FeatureIndex` — the **full** per-column value histogram
   (sorted distinct values, flow count and packet sum per value): *what
@@ -48,6 +49,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.errors import ArchiveError, CodecError
+from repro.flows.aggregate import value_histogram
 from repro.flows.filter import (
     And,
     CounterMatch,
@@ -70,7 +72,6 @@ __all__ = [
     "ZONE_COLUMNS",
     "INDEX_VERSION",
     "ColumnZone",
-    "value_histogram",
     "FeatureIndex",
     "ZoneMap",
     "encode_index",
@@ -152,33 +153,6 @@ class ColumnZone:
             )
         low, high = network, network | (0xFFFFFFFF ^ mask)
         return not (self.max < low or self.min > high)
-
-
-def value_histogram(
-    column: np.ndarray, packets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted distinct values of a (non-empty) ``column`` with, per
-    value, the row count and the exact ``int64`` sum of ``packets``.
-
-    Sorting groups equal values into runs: the run heads are the
-    distinct values, the run lengths the counts, ``np.add.reduceat``
-    over the co-sorted packets the sums. 16-bit columns take numpy's
-    radix sort (``kind="stable"``), several times faster there than
-    the comparison sort ``np.unique`` would run.
-    """
-    column = np.ascontiguousarray(column)
-    order = np.argsort(
-        column, kind="stable" if column.itemsize <= 2 else None
-    )
-    ordered = column[order]
-    heads = np.flatnonzero(
-        np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    )
-    return (
-        ordered[heads],
-        np.diff(heads, append=len(ordered)),
-        np.add.reduceat(packets[order], heads),
-    )
 
 
 class FeatureIndex:

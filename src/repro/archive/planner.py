@@ -7,9 +7,11 @@ This module is the brain behind
   ``top_feature_values`` from merged
   :class:`~repro.archive.index.FeatureIndex` histograms whenever the
   query's window covers the candidate partitions and no row-level
-  filter applies. Histogram merging is integer addition over sorted
-  value arrays, so the pushed-down ranking is byte-identical to
-  scanning the rows (the equivalence suite asserts it).
+  filter applies. Histogram merging
+  (:func:`~repro.flows.aggregate.merge_histograms`) is integer
+  addition over sorted value arrays, so the pushed-down ranking is
+  byte-identical to scanning the rows (the equivalence suite asserts
+  it).
 * **Parallel scans** — when payloads *must* be read and the reader
   holds a :class:`~repro.parallel.executor.ShardExecutor`, per-
   partition scan tasks fan out as ``(path, rows, window, filter)``
@@ -33,18 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.archive.index import ZONE_COLUMNS, value_histogram
+from repro.archive.index import ZONE_COLUMNS
 from repro.archive.partition import open_rows
+from repro.flows.aggregate import value_histogram
 from repro.flows.filter import FilterNode, compile_mask
 from repro.flows.record import FLOW_FEATURES, FlowFeature
 from repro.flows.table import FlowTable
 
-__all__ = [
-    "QueryPlan",
-    "feature_column",
-    "merge_histograms",
-    "ranked_from_histogram",
-]
+__all__ = ["QueryPlan", "feature_column"]
 
 #: ``ZONE_COLUMNS`` leads with the five mining features, in
 #: :data:`~repro.flows.record.FLOW_FEATURES` order.
@@ -56,49 +54,6 @@ _COLUMN_OF_FEATURE: dict[FlowFeature, str] = dict(
 def feature_column(feature: FlowFeature) -> str:
     """Table column backing one mining feature (always indexed)."""
     return _COLUMN_OF_FEATURE[feature]
-
-
-# -- histogram merging (the pushdown's arithmetic) ---------------------------
-
-def merge_histograms(
-    parts: list[tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum ``(values, counts)`` histograms into one sorted histogram.
-
-    Integer addition over value-aligned counts: merging per-partition
-    histograms equals histogramming the concatenated rows, which is
-    what makes pushdown answers byte-identical to scans.
-    """
-    parts = [part for part in parts if len(part[0])]
-    if not parts:
-        empty = np.array([], dtype=np.int64)
-        return empty, empty
-    if len(parts) == 1:
-        values, counts = parts[0]
-        return values, counts.astype(np.int64)
-    merged_values, _runs, merged_counts = value_histogram(
-        np.concatenate([values for values, _ in parts]),
-        np.concatenate(
-            [counts.astype(np.int64, copy=False) for _, counts in parts]
-        ),
-    )
-    return merged_values, merged_counts
-
-
-def ranked_from_histogram(
-    values: np.ndarray, counts: np.ndarray, n: int
-) -> list[tuple[int, int]]:
-    """Top-``n`` with the store ranking semantics over a histogram.
-
-    Mirrors :func:`repro.flows.aggregate.ranked_feature_values`
-    exactly — descending count, ties by the value's string rendering —
-    so a pushed-down ranking and a scanned ranking are the same list.
-    """
-    ranked = sorted(
-        zip(values.tolist(), counts.tolist()),
-        key=lambda kv: (-kv[1], str(kv[0])),
-    )
-    return [(int(v), int(c)) for v, c in ranked[:n]]
 
 
 # -- worker-side scan tasks ---------------------------------------------------
@@ -145,15 +100,12 @@ def histogram_rows(
     by_packets: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(values, counts)`` of one table's matching rows."""
-    mask = _scan_mask(table, start, end, node)
-    empty = np.array([], dtype=np.int64)
-    if not mask.any():
-        return empty, empty
-    selected = table.select(mask)
-    values, flows, packet_sums = value_histogram(
-        selected.column(column), np.ascontiguousarray(selected.packets)
+    selected = table.select(_scan_mask(table, start, end, node))
+    values, *counts = value_histogram(
+        selected.column(column),
+        *((selected.packets,) if by_packets else ()),
     )
-    return values, (packet_sums if by_packets else flows)
+    return values, counts[-1]
 
 
 def scan_count_task(

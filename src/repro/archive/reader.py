@@ -47,12 +47,11 @@ from repro.archive.planner import (
     count_rows,
     feature_column,
     histogram_rows,
-    merge_histograms,
-    ranked_from_histogram,
     scan_count_task,
     scan_histogram_task,
 )
 from repro.errors import ArchiveError, CodecError, StoreError
+from repro.flows.aggregate import merge_histograms, ranked_from_histogram
 from repro.flows.filter import FilterNode, compile_mask, parse_filter
 from repro.flows.record import FlowFeature, FlowRecord
 from repro.flows.table import FlowTable
@@ -540,8 +539,8 @@ class ArchiveReader:
 
         Three tiers, cheapest that applies wins, identical answers by
         construction (histogram merging is integer addition and the
-        ranking replicates
-        :func:`~repro.flows.aggregate.ranked_feature_values` — count
+        ranking is the store's own
+        :func:`~repro.flows.aggregate.ranked_from_histogram` — count
         descending, ties by the value's string rendering):
 
         1. **feature-index pushdown** — no row filter, zone maps on,

@@ -12,14 +12,17 @@ GEANT deployment (DESIGN.md §2). Like the original it:
   port numbers": for each alarmed bin, the values whose probability mass
   grew the most against the trained reference distribution — computed
   under both flow and packet weighting so low-flow/high-packet floods
-  still yield endpoints;
+  still yield endpoints. Window and reference histograms alike are the
+  ``(sorted values, int64 counts)`` arrays of
+  :mod:`repro.flows.aggregate`, so attribution is one ``searchsorted``
+  per histogram whether the window came from a trace slice or from a
+  stream accumulator;
 * may therefore *miss part of an anomaly* or flag popular values, which
   is precisely the incompleteness the extraction step compensates for.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -36,11 +39,14 @@ from repro.detect.features import (
 from repro.flows.table import FlowTable
 from repro.detect.pca import PCAModel, fit_pca_model
 from repro.errors import DetectorError
-from repro.flows.aggregate import feature_histogram
+from repro.flows.aggregate import table_histogram
 from repro.flows.record import FlowFeature
 from repro.flows.trace import FlowTrace
 
 __all__ = ["NetReflexConfig", "NetReflexDetector"]
+
+#: ``(feature, weighting)`` -> ``(sorted distinct values, int64 counts)``.
+Histograms = Mapping[tuple[FlowFeature, str], tuple[np.ndarray, np.ndarray]]
 
 _HEADER_FEATURES = (
     FlowFeature.SRC_IP,
@@ -90,7 +96,11 @@ class NetReflexDetector(Detector):
         self._columns: tuple[str, ...] = ()
         self._entropy_mean: dict[str, float] = {}
         self._entropy_std: dict[str, float] = {}
-        self._references: dict[tuple[FlowFeature, str], Counter] = {}
+        #: Trained value distributions, as ``window_histograms`` gives
+        #: them, each with its total: ``(values, counts, total)``.
+        self._references: dict[
+            tuple[FlowFeature, str], tuple[np.ndarray, np.ndarray, int]
+        ] = {}
         self._volume_mean: dict[str, float] = {}
         self._volume_std: dict[str, float] = {}
 
@@ -123,12 +133,11 @@ class NetReflexDetector(Detector):
                 self._volume_mean[column] = mean
                 self._volume_std[column] = std
         # Reference histograms for meta-data attribution.
-        all_flows = list(trace)
-        for feature in _HEADER_FEATURES:
-            for weighting in self.config.weightings:
-                self._references[(feature, weighting)] = feature_histogram(
-                    all_flows, feature, weighting
-                )
+        self._references = {
+            key: (values, counts, int(counts.sum()))
+            for key, (values, counts)
+            in self.window_histograms(trace.table).items()
+        }
 
     # -- detection ------------------------------------------------------------
 
@@ -182,7 +191,7 @@ class NetReflexDetector(Detector):
         start: float,
         end: float,
         features: BinFeatures,
-        histograms: Mapping[tuple[FlowFeature, str], Counter],
+        histograms: Histograms,
     ) -> Alarm | None:
         """Evaluate one accumulated window exactly like one detect() bin.
 
@@ -215,7 +224,7 @@ class NetReflexDetector(Detector):
         end: float,
         spe: float,
         row: np.ndarray,
-        histograms: Mapping[tuple[FlowFeature, str], Counter],
+        histograms: Histograms,
     ) -> Alarm:
         assert self._model is not None
         return Alarm(
@@ -230,45 +239,61 @@ class NetReflexDetector(Detector):
 
     # -- meta-data attribution ---------------------------------------------
 
-    def window_histograms(
-        self, flows
-    ) -> dict[tuple[FlowFeature, str], Counter]:
-        """Per-(feature, weighting) histograms attribution consumes."""
-        return {
-            (feature, weighting): feature_histogram(
-                flows, feature, weighting
-            )
-            for feature in _HEADER_FEATURES
-            for weighting in self.config.weightings
-        }
+    def window_histograms(self, table: FlowTable) -> Histograms:
+        """Per-(feature, weighting) histograms attribution consumes:
+        one kernel pass per feature, shared by its weightings."""
+        weightings = self.config.weightings
+        histograms = {}
+        for feature in _HEADER_FEATURES:
+            values, *counts = table_histogram(table, feature, weightings)
+            for weighting, column in zip(weightings, counts):
+                histograms[(feature, weighting)] = (values, column)
+        return histograms
 
     def attribute_histograms(
-        self, observed: Mapping[tuple[FlowFeature, str], Counter]
+        self, observed: Histograms
     ) -> list[MetadataItem]:
         """Values whose probability mass grew most vs the reference.
 
-        Works on pre-computed histograms so the batch path (histograms
-        of a trace slice) and the streaming path (histograms merged
-        chunk by chunk) share the attribution logic verbatim. Ties
-        break on the smaller value, independent of histogram order.
+        Works on pre-computed array histograms so the batch path
+        (histograms of a trace slice) and the streaming path
+        (histograms merged chunk by chunk) share the attribution logic
+        verbatim. Counts are non-negative, so a value's excess is at
+        most its observed share: only the values whose share reaches
+        ``excess_threshold`` — at most ``1 / excess_threshold`` per
+        histogram — are looked up in the reference (``searchsorted``),
+        and the rest is Python over a handful of items. Shares are
+        float64 array quotients: while every count and total stays
+        below 2**53 the int64 → float64 conversion is exact and they
+        are the doubles Python's ``int / int`` gives. Ties break on the
+        smaller value, independent of histogram order.
         """
+        threshold = self.config.excess_threshold
         metadata: list[MetadataItem] = []
         for feature in _HEADER_FEATURES:
             best: dict[int, float] = {}
             for weighting in self.config.weightings:
-                histogram = observed.get((feature, weighting))
-                if not histogram:
+                if (feature, weighting) not in observed:
                     continue
-                observed_total = sum(histogram.values())
+                values, counts = observed[(feature, weighting)]
+                observed_total = int(counts.sum())
                 if observed_total == 0:
                     continue
-                reference = self._references[(feature, weighting)]
-                reference_total = sum(reference.values()) or 1
-                for value, count in histogram.items():
-                    p_observed = count / observed_total
-                    p_reference = reference.get(value, 0) / reference_total
-                    excess = p_observed - p_reference
-                    if excess >= self.config.excess_threshold:
+                shares = counts / observed_total
+                heavy = np.flatnonzero(shares >= threshold)
+                known, reference, reference_total = self._references[
+                    (feature, weighting)
+                ]
+                slots = np.searchsorted(known, values[heavy])
+                for value, share, slot in zip(
+                    values[heavy].tolist(), shares[heavy].tolist(),
+                    slots.tolist(),
+                ):
+                    expected = 0
+                    if slot < len(known) and known[slot] == value:
+                        expected = int(reference[slot])
+                    excess = share - expected / (reference_total or 1)
+                    if excess >= threshold:
                         best[value] = max(best.get(value, 0.0), excess)
             top = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
             for value, excess in top[: self.config.metadata_per_feature]:

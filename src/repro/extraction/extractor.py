@@ -281,23 +281,34 @@ class AnomalyExtractor:
         survivors = decompose_parents(
             survivors, candidates.flows, coverage=cfg.decompose_coverage
         )
-        survivors = baseline_filter(
+        # One mask per survivor over the baseline window serves both
+        # the popular-value filter and the ranking of what it keeps.
+        shares = (
+            baseline_shares(survivors, baseline_flows)
+            if baseline_flows
+            else None
+        )
+        kept = baseline_filter(
             survivors,
             baseline_flows,
             total_flows=outcome.total_flows,
             total_packets=outcome.total_packets,
             min_lift=cfg.baseline_min_lift,
+            stats=shares,
         )
-        base_stats = (
-            baseline_shares(survivors, baseline_flows)
-            if baseline_flows
-            else None
-        )
+        kept_shares = None
+        if shares is not None:
+            kept_ids = {id(support) for support in kept}
+            kept_shares = dict(enumerate(
+                shares[index]
+                for index, support in enumerate(survivors)
+                if id(support) in kept_ids
+            ))
         ranked = rank_itemsets(
-            survivors,
+            kept,
             total_flows=outcome.total_flows,
             total_packets=outcome.total_packets,
-            baseline=base_stats,
+            baseline=kept_shares,
             top_k=cfg.top_k,
         )
         ranked = [s for s in ranked if s.score >= cfg.min_score]

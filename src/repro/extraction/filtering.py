@@ -248,6 +248,7 @@ def baseline_filter(
     total_flows: int,
     total_packets: int,
     min_lift: float = 3.0,
+    stats: dict[int, BaselineStats] | None = None,
 ) -> list[ItemsetSupport]:
     """Drop itemsets whose support share is normal for this network.
 
@@ -255,13 +256,16 @@ def baseline_filter(
     alarm window is at least ``min_lift`` times its share in the
     baseline window (never-seen-before itemsets trivially survive).
     With no baseline flows available the filter is a no-op — the
-    operator then plays the administrator role of [1].
+    operator then plays the administrator role of [1]. ``stats`` are
+    the ``supports``' :func:`baseline_shares` when the caller already
+    holds them; they are measured here otherwise.
     """
     if min_lift <= 1.0:
         raise ExtractionError(f"min_lift must exceed 1: {min_lift!r}")
     if not baseline_flows:
         return list(supports)
-    stats = baseline_shares(supports, baseline_flows)
+    if stats is None:
+        stats = baseline_shares(supports, baseline_flows)
     kept = []
     for index, support in enumerate(supports):
         flow_share = support.flow_share(total_flows)

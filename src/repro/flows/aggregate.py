@@ -5,12 +5,20 @@ operator console shows and the feature distributions the detectors
 consume: per-feature value histograms, top-N rankings, and per-bin
 traffic matrices.
 
-Every histogram helper accepts either an iterable of
-:class:`FlowRecord` (the historical path) or a
-:class:`~repro.flows.table.FlowTable`, in which case counting runs as
-``np.unique``/``np.bincount`` over the feature columns — no per-flow
-Python work. Both paths produce identical ``Counter`` contents, which
-the property tests assert.
+A value histogram has one form between a
+:class:`~repro.flows.table.FlowTable` and whoever reads it — the
+archive's feature index, the stream's window accumulators, the
+detectors' attribution: ``(sorted distinct values, exact int64
+counts, ...)`` arrays, counted by :func:`value_histogram` and summed by
+:func:`merge_histograms`. Ascending value order and exact integers are
+the contract: any split of the same rows, merged in any order, gives
+the same arrays, so floats derived from them (entropies, probability
+shares) are bit-identical on every path.
+
+:func:`feature_histogram` / :func:`all_feature_histograms` are the
+``Counter`` presentation of the same counts; they also accept an
+iterable of :class:`FlowRecord` (the historical path), with identical
+contents, which the property tests assert.
 """
 
 from __future__ import annotations
@@ -33,10 +41,13 @@ from repro.flows.table import FlowTable
 __all__ = [
     "Weighting",
     "WEIGHTINGS",
+    "value_histogram",
+    "merge_histograms",
+    "table_histogram",
     "feature_histogram",
     "all_feature_histograms",
     "top_n",
-    "ranked_feature_values",
+    "ranked_from_histogram",
     "TrafficMatrixCell",
     "traffic_matrix",
     "distinct_counts",
@@ -64,36 +75,88 @@ def _weighting(weight: str | Weighting) -> Weighting:
         ) from exc
 
 
-def _table_weights(table: FlowTable, weight: str) -> np.ndarray | None:
-    """Per-row weights for a table aggregate; ``None`` means count rows."""
-    if weight == "flows":
-        return None
-    if weight == "packets":
-        return table.packets
-    if weight == "bytes":
-        return table.bytes
-    raise FlowError(
-        f"unknown weighting {weight!r}; expected one of "
-        f"{sorted(WEIGHTINGS)}"
+def value_histogram(
+    column: np.ndarray, *weights: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """``(values, counts, *sums)`` of one integer ``column``: its
+    sorted distinct values, the row count per value and, per ``int64``
+    weight column, the exact ``int64`` sum per value.
+
+    Sorting groups equal values into runs: the run heads are the
+    distinct values, the run lengths the counts, ``np.add.reduceat``
+    over the co-sorted weights the sums. 16-bit columns take numpy's
+    radix sort (``kind="stable"``), several times faster there than
+    the comparison sort ``np.unique`` would run.
+    """
+    column = np.ascontiguousarray(column)
+    if not len(column):
+        empty = np.zeros(0, dtype=np.int64)
+        return (column, empty, *(empty for _ in weights))
+    order = np.argsort(
+        column, kind="stable" if column.itemsize <= 2 else None
+    )
+    ordered = column[order]
+    heads = np.flatnonzero(
+        np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    )
+    return (
+        ordered[heads],
+        np.diff(heads, append=len(ordered)),
+        *(np.add.reduceat(weight[order], heads) for weight in weights),
+    )
+
+
+def merge_histograms(
+    parts: Sequence[tuple[np.ndarray, ...]],
+) -> tuple[np.ndarray, ...]:
+    """Sum ``(values, counts, ...)`` histograms of equal width into one.
+
+    The kernel again, over the concatenated values with the parts'
+    counts as weights: equal values add exactly in ``int64`` and the
+    result stays in ascending value order, so merging the histograms
+    of any split of some rows, in any order, equals histogramming the
+    rows in one pass.
+    """
+    if len(parts) == 1:
+        values, *counts = parts[0]
+        return (
+            values,
+            *(column.astype(np.int64, copy=False) for column in counts),
+        )
+    values, *counts = zip(*parts)
+    merged, _runs, *sums = value_histogram(
+        np.concatenate(values),
+        *(np.concatenate(column, dtype=np.int64) for column in counts),
+    )
+    return (merged, *sums)
+
+
+def table_histogram(
+    table: FlowTable,
+    feature: FlowFeature,
+    weightings: Sequence[str] = ("flows",),
+) -> tuple[np.ndarray, ...]:
+    """``(values, counts per weighting...)`` of one feature column,
+    through one :func:`value_histogram` pass whatever the number of
+    weightings (``"flows"`` is the row count, the others sums)."""
+    for weighting in weightings:
+        _weighting(weighting)  # a known name, or FlowError
+    values, flows, *sums = value_histogram(
+        table.feature_column(feature),
+        *(table.column(name) for name in weightings if name != "flows"),
+    )
+    sums = iter(sums)
+    return (
+        values,
+        *(flows if name == "flows" else next(sums) for name in weightings),
     )
 
 
 def _table_histogram(
     table: FlowTable, feature: FlowFeature, weight: str
 ) -> Counter:
-    """Vectorized feature histogram over one table column."""
-    if not len(table):
-        return Counter()
-    column = table.feature_column(feature)
-    values, inverse = np.unique(column, return_inverse=True)
-    weights = _table_weights(table, weight)
-    if weights is None:
-        counts = np.bincount(inverse, minlength=len(values))
-    else:
-        # Exact int64 accumulation — float-weighted np.bincount would
-        # lose exactness past 2^53 and break record-path equality.
-        counts = np.zeros(len(values), dtype=np.int64)
-        np.add.at(counts, inverse, weights)
+    """``Counter`` view of one table column's histogram."""
+    values, counts = table_histogram(table, feature, (weight,))
     return Counter(dict(zip(values.tolist(), counts.tolist())))
 
 
@@ -155,30 +218,23 @@ def top_n(
     return sorted(histogram.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
 
 
-def ranked_feature_values(
-    table: FlowTable,
-    feature: FlowFeature,
-    n: int,
-    by_packets: bool = False,
+def ranked_from_histogram(
+    values: np.ndarray, counts: np.ndarray, n: int
 ) -> list[tuple[int, int]]:
-    """Top-``n`` feature values with the *store* ranking semantics.
+    """Top-``n`` of a histogram with the *store* ranking semantics.
 
-    This is the shared body of ``FlowStore.top_feature_values`` and
-    ``ArchiveReader.top_feature_values`` — one implementation so the
-    two stay byte-identical by construction. It differs from
+    The one ranking behind ``FlowStore.top_feature_values`` and
+    ``ArchiveReader.top_feature_values`` (scanned or pushed down), so
+    they are byte-identical by construction. It differs from
     :func:`top_n` in its tie-break: equal weights order by the string
     rendering of the value (matching the record-path ``top_talkers``),
     not the numeric value.
     """
-    if not len(table):
-        return []
-    histogram = feature_histogram(
-        table, feature, "packets" if by_packets else "flows"
-    )
     ranked = sorted(
-        histogram.items(), key=lambda kv: (-kv[1], str(kv[0]))
+        zip(values.tolist(), counts.tolist()),
+        key=lambda kv: (-kv[1], str(kv[0])),
     )
-    return [(int(v), int(c)) for v, c in ranked[:n]]
+    return ranked[:n]
 
 
 @dataclass(frozen=True, slots=True)

@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from repro.errors import StoreError
+from repro.flows.aggregate import ranked_from_histogram, table_histogram
 from repro.flows.filter import FilterNode, compile_filter, compile_mask
 from repro.flows.record import FlowFeature, FlowRecord
 from repro.flows.table import FlowTable
@@ -271,6 +272,26 @@ class FlowStore:
             table = table.select(compile_mask(flow_filter)(table))
         return table.in_query_order()
 
+    def order_slice(self, index: int) -> FlowTable:
+        """Slice ``index``'s rows in canonical query order, kept.
+
+        The slice's consolidated table is replaced by its
+        :meth:`~repro.flows.table.FlowTable.in_query_order` form, so
+        window queries over it afterwards find the rows already
+        ordered and sort nothing (the streaming ring seals each window
+        through here). No flag records this: rows inserted later make
+        the next query sort again, as before. A slice that has handed
+        rows to :meth:`spill_to` is returned ordered but left in
+        insertion order, which that method's bookkeeping counts in.
+        """
+        entry = self._slices.get(index)
+        if entry is None:
+            return FlowTable.empty()
+        table = entry.table().in_query_order()
+        if not self._spilled_rows.get(index):
+            entry.chunks = [table]
+        return table
+
     def query(
         self,
         start: float,
@@ -369,19 +390,19 @@ class FlowStore:
         """Vectorized top-``n`` values of one flow feature.
 
         Equivalent to ``top_talkers`` keyed on ``feature`` (same
-        ordering, including the string tie-break), but aggregates with
-        ``np.unique``/``np.bincount`` over the feature column.
+        ordering, including the string tie-break), but counts the
+        feature column through
+        :func:`~repro.flows.aggregate.table_histogram`.
         """
         if n <= 0:
             raise StoreError(f"n must be positive: {n!r}")
         if end < start:
             return []
-        from repro.flows.aggregate import ranked_feature_values
-
-        return ranked_feature_values(
+        values, counts = table_histogram(
             self.query_table(start, end, flow_filter),
-            feature, n, by_packets=by_packets,
+            feature, ("packets" if by_packets else "flows",),
         )
+        return ranked_from_histogram(values, counts, n)
 
     def to_trace(
         self,

@@ -62,6 +62,11 @@ FLOW_DTYPE = np.dtype(
 
 _COLUMN_NAMES = tuple(FLOW_DTYPE.names)
 
+#: One row as opaque bytes. numpy gathers and copies structured rows
+#: field by field; over this same-size view the same operation is one
+#: byte move per row, several times faster, and bit-identical.
+_ROW_BYTES = np.dtype((np.void, FLOW_DTYPE.itemsize))
+
 _FEATURE_TO_COLUMN = {
     FlowFeature.SRC_IP: "src_ip",
     FlowFeature.DST_IP: "dst_ip",
@@ -227,7 +232,10 @@ class FlowTable:
             return cls.empty()
         if len(tables) == 1:
             return tables[0]
-        return cls(np.concatenate([t._data for t in tables]))
+        return cls(
+            np.concatenate([t._data.view(_ROW_BYTES) for t in tables])
+            .view(FLOW_DTYPE)
+        )
 
     # -- container protocol ------------------------------------------------
 
@@ -333,7 +341,9 @@ class FlowTable:
                 f"mask of length {selector.shape} against "
                 f"{len(self)}-row table"
             )
-        return FlowTable(self._data[selector])
+        return FlowTable(
+            self._data.view(_ROW_BYTES)[selector].view(FLOW_DTYPE)
+        )
 
     def sorted_by_start(self) -> "FlowTable":
         """New table stably sorted by flow start time."""

@@ -4,18 +4,19 @@ Batch detectors recompute a window's features from all of its flows.
 Streaming cannot afford that: a window's rows arrive spread over many
 chunks, and recomputing per chunk would be quadratic. Instead a
 :class:`WindowAccumulator` folds each arriving chunk into rolling
-state — volume counters and per-feature value histograms, counted
-vectorized per chunk and merged as exact integer counters — from which
-the window's detector inputs (entropies, bucket histograms,
-attribution histograms) are derived at close time.
+state — volume counters and per-feature value histograms in the array
+form of :mod:`repro.flows.aggregate` (``value_histogram`` per chunk,
+``merge_histograms`` per window) — from which the window's detector
+inputs (entropies, attribution histograms, bucket histograms) are read
+at close time, as arrays; only the KL adapter asks for ``Counter``s.
 
 Equivalence with the batch path is by construction, not by luck:
 
 * counts are integers, so chunk-merged histograms equal the one-pass
   batch histograms exactly, regardless of chunk boundaries or order;
 * entropies are computed from the counts in ascending value order —
-  the same order ``np.unique`` gives the batch path — so even the
-  float sums are bit-identical;
+  the order the kernel gives every path — so even the float sums are
+  bit-identical;
 * scoring and attribution call the *same* detector methods
   (:meth:`~repro.detect.netreflex.NetReflexDetector.evaluate_window`,
   :meth:`~repro.detect.histogram.HistogramKLDetector.evaluate_window`)
@@ -29,8 +30,6 @@ from __future__ import annotations
 
 import abc
 from collections import Counter
-from collections.abc import Iterator, Mapping
-from itertools import product
 
 import numpy as np
 
@@ -39,13 +38,13 @@ from repro.detect.entropy import entropy_of_count_array
 from repro.detect.features import BinFeatures
 from repro.detect.histogram import HistogramKLDetector
 from repro.detect.netreflex import NetReflexDetector
-from repro.errors import DetectorError, FlowError
+from repro.errors import DetectorError
+from repro.flows.aggregate import merge_histograms, table_histogram
 from repro.flows.record import FlowFeature
 from repro.flows.table import FlowTable
 
 __all__ = [
     "WindowAccumulator",
-    "accumulate_payload",
     "StreamingDetector",
     "StreamingNetReflex",
     "StreamingHistogramKL",
@@ -59,6 +58,9 @@ _HEADER_FEATURES = (
     FlowFeature.DST_PORT,
 )
 
+#: The histogram of a window that saw no rows.
+_NO_COUNTS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
 
 class WindowAccumulator:
     """Rolling state of one open window.
@@ -67,13 +69,14 @@ class WindowAccumulator:
     feature (``"flows"``/``"packets"``/``"bytes"``); volume counters
     are always kept.
 
-    State is held in *array form*: each folded chunk contributes one
-    payload of ``np.unique``-sorted ``(values, counts)`` arrays per
-    feature (see :func:`accumulate_payload`), pending payloads merge
-    vectorized on first read, and a ``Counter`` view is built only
-    when :meth:`histogram` is asked for one. Counts are exact integers
-    throughout, so any chunking of the same rows produces identical
-    state.
+    State is held in *array form*: each folded chunk contributes, per
+    feature, one ``(values, counts per weighting...)`` histogram
+    (:func:`~repro.flows.aggregate.table_histogram`: ascending values,
+    exact int64 counts), pending chunks merge on first read
+    (:func:`~repro.flows.aggregate.merge_histograms`), and a
+    ``Counter`` view is built only when :meth:`histogram` is asked for
+    one. Counts are exact integers throughout, so any chunking of the
+    same rows produces identical state.
     """
 
     __slots__ = ("flows", "packets", "bytes", "_features",
@@ -89,88 +92,52 @@ class WindowAccumulator:
         self.bytes = 0
         self._features = features
         self._weightings = weightings
-        #: Unmerged array-form payload value maps, newest last.
+        #: Unmerged per-chunk ``{feature: histogram}`` maps, newest last.
         self._pending: list[dict] = []
-        #: Fully merged value map: feature -> (values, counts-per-
-        #: weighting tuple), or None until first materialisation.
-        self._merged: dict | None = None
-
-    @property
-    def features(self) -> tuple[FlowFeature, ...]:
-        """Features this accumulator keeps histograms for."""
-        return self._features
-
-    @property
-    def weightings(self) -> tuple[str, ...]:
-        """Histogram weightings maintained per feature."""
-        return self._weightings
-
-    def add_payload(self, payload: tuple[int, int, int, dict]) -> None:
-        """Fold one array-form partial (:func:`accumulate_payload`)."""
-        flows, packets, bytes_, values = payload
-        if not flows:
-            return
-        self.flows += flows
-        self.packets += packets
-        self.bytes += bytes_
-        self._pending.append(values)
-
-    @staticmethod
-    def _weight_column(chunk: FlowTable, weighting: str) -> np.ndarray | None:
-        """Per-row weights; ``None`` means count rows (flow weighting)."""
-        if weighting == "flows":
-            return None
-        if weighting == "packets":
-            return chunk.packets
-        if weighting == "bytes":
-            return chunk.bytes
-        raise FlowError(f"unknown weighting {weighting!r}")
+        #: The window's merged ``{feature: histogram}`` map so far.
+        self._merged: dict = {}
 
     def update(self, chunk: FlowTable) -> None:
-        """Fold one chunk into the rolling state (vectorized per chunk).
+        """Fold one chunk into the rolling state: one kernel pass per
+        feature, shared by every weighting — the dominant per-chunk
+        cost on the ingest hot path."""
+        if not len(chunk):
+            return
+        self._pending.append({
+            feature: table_histogram(chunk, feature, self._weightings)
+            for feature in self._features
+        })
+        self.flows += len(chunk)
+        self.packets += chunk.total_packets()
+        self.bytes += chunk.total_bytes()
 
-        Counting matches ``repro.flows.aggregate``'s table histograms
-        operation for operation (``np.unique`` + ``bincount``/exact
-        int64 ``add.at``), but the unique/inverse factorization of each
-        feature column is computed once and shared by every weighting —
-        the dominant per-chunk cost on the ingest hot path.
-        """
-        self.add_payload(
-            accumulate_payload(chunk, self._features, self._weightings)
-        )
-
-    def _materialized(self) -> dict:
-        """The merged value map; folds any pending payloads first."""
-        if self._pending:
-            sources = self._pending
-            if self._merged:
-                sources = [self._merged, *sources]
-            merged: dict = {}
-            for feature in self._features:
-                parts = [
-                    source[feature]
-                    for source in sources
-                    if feature in source
-                ]
-                if parts:
-                    merged[feature] = _merge_value_parts(parts)
-            self._merged = merged
-            self._pending = []
-        elif self._merged is None:
-            self._merged = {}
-        return self._merged
-
-    def histogram(self, feature: FlowFeature, weighting: str) -> Counter:
-        """The rolling value histogram for one (feature, weighting)."""
+    def value_counts(
+        self, feature: FlowFeature, weighting: str
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The rolling histogram for one (feature, weighting) as
+        ``(sorted distinct values, exact int64 counts)`` arrays."""
         if feature not in self._features \
                 or weighting not in self._weightings:
             raise KeyError((feature, weighting))
-        entry = self._materialized().get(feature)
+        if self._pending:
+            if self._merged:
+                self._pending.insert(0, self._merged)
+            self._merged = {
+                name: merge_histograms(
+                    [part[name] for part in self._pending]
+                )
+                for name in self._features
+            }
+            self._pending = []
+        entry = self._merged.get(feature)
         if entry is None:
-            return Counter()
-        values, counts = entry
-        column = counts[self._weightings.index(weighting)]
-        return Counter(dict(zip(values.tolist(), column.tolist())))
+            return _NO_COUNTS
+        return entry[0], entry[1 + self._weightings.index(weighting)]
+
+    def histogram(self, feature: FlowFeature, weighting: str) -> Counter:
+        """``Counter`` view of :meth:`value_counts`."""
+        values, counts = self.value_counts(feature, weighting)
+        return Counter(dict(zip(values.tolist(), counts.tolist())))
 
     def entropy(self, feature: FlowFeature) -> float:
         """Sample entropy of the flow-weighted value distribution.
@@ -179,14 +146,8 @@ class WindowAccumulator:
         order the batch path's ``np.unique`` produces — so the float
         accumulation matches the batch entropy bit for bit.
         """
-        if feature not in self._features \
-                or "flows" not in self._weightings:
-            raise KeyError((feature, "flows"))
-        entry = self._materialized().get(feature)
-        if entry is None:
-            return 0.0
         return entropy_of_count_array(
-            entry[1][self._weightings.index("flows")]
+            self.value_counts(feature, "flows")[1]
         )
 
     def bin_features(self) -> BinFeatures:
@@ -200,107 +161,6 @@ class WindowAccumulator:
             entropy_src_port=self.entropy(FlowFeature.SRC_PORT),
             entropy_dst_port=self.entropy(FlowFeature.DST_PORT),
         )
-
-
-# -- array-form partials (the accumulator's native format) -------------------
-#
-# A *payload* is one chunk's window partial as plain numpy arrays:
-# ``(flows, packets, bytes, values)`` where ``values`` maps each
-# feature to ``(unique_values, (counts, ...))`` — one int64-exact count
-# array per weighting, all in ascending value order. It carries exactly
-# the information a Counter-dict would and merges vectorized. Counts
-# are exact integers, so payload merging equals Counter merging equals
-# one-pass accumulation for any chunking.
-
-
-def accumulate_payload(
-    chunk: FlowTable,
-    features: tuple[FlowFeature, ...],
-    weightings: tuple[str, ...],
-) -> tuple[int, int, int, dict]:
-    """One chunk's window partial in array form.
-
-    Counting matches :mod:`repro.flows.aggregate`'s table histograms
-    operation for operation (``np.unique`` + ``bincount``/exact int64
-    ``add.at``, one factorization shared per feature).
-    """
-    if not len(chunk):
-        return (0, 0, 0, {})
-    values: dict = {}
-    weight_columns = [
-        WindowAccumulator._weight_column(chunk, weighting)
-        for weighting in weightings
-    ]
-    for feature in features:
-        column_values, inverse = np.unique(
-            chunk.feature_column(feature), return_inverse=True
-        )
-        per_weighting = []
-        for weights in weight_columns:
-            if weights is None:
-                counts = np.bincount(
-                    inverse, minlength=len(column_values)
-                )
-            else:
-                counts = np.zeros(len(column_values), dtype=np.int64)
-                np.add.at(counts, inverse, weights)
-            per_weighting.append(counts)
-        values[feature] = (column_values, tuple(per_weighting))
-    return (
-        len(chunk),
-        chunk.total_packets(),
-        chunk.total_bytes(),
-        values,
-    )
-
-
-def _merge_value_parts(parts: list[tuple]) -> tuple:
-    """Merge per-feature ``(values, counts-per-weighting)`` parts.
-
-    Equal values sum exactly in int64; the merged arrays stay in the
-    ascending value order every other path (``np.unique``) produces.
-    """
-    if len(parts) == 1:
-        values, counts = parts[0]
-        return (
-            values,
-            tuple(
-                column.astype(np.int64, copy=False)
-                for column in counts
-            ),
-        )
-    all_values = np.concatenate([part[0] for part in parts])
-    merged_values, inverse = np.unique(all_values, return_inverse=True)
-    merged_counts = []
-    for index in range(len(parts[0][1])):
-        column = np.zeros(len(merged_values), dtype=np.int64)
-        np.add.at(
-            column,
-            inverse,
-            np.concatenate([part[1][index] for part in parts]),
-        )
-        merged_counts.append(column)
-    return (merged_values, tuple(merged_counts))
-
-
-class _Histograms(Mapping):
-    """An accumulator's ``(feature, weighting)`` histograms, each one
-    materialised on first access: attribution reads them only for a
-    window that raises an alarm, and most windows raise none."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, state: WindowAccumulator) -> None:
-        self._state = state
-
-    def __getitem__(self, key: tuple[FlowFeature, str]) -> Counter:
-        return self._state.histogram(*key)
-
-    def __iter__(self) -> Iterator[tuple[FlowFeature, str]]:
-        return product(self._state.features, self._state.weightings)
-
-    def __len__(self) -> int:
-        return len(self._state.features) * len(self._state.weightings)
 
 
 class StreamingDetector(abc.ABC):
@@ -357,8 +217,8 @@ class StreamingNetReflex(StreamingDetector):
     Accumulates the volume/entropy feature vector plus the attribution
     histograms per window; closing evaluates the PCA subspace model on
     the accumulated vector — the exact computation batch ``detect()``
-    performs per bin, including on empty bins — and builds the
-    histograms' ``Counter`` views only if that raises an alarm.
+    performs per bin, including on empty bins — and attributes an
+    alarm on the accumulator's merged arrays as they are.
     """
 
     def __init__(self, detector: NetReflexDetector) -> None:
@@ -379,7 +239,14 @@ class StreamingNetReflex(StreamingDetector):
         state: WindowAccumulator,
     ) -> Alarm | None:
         return self.detector.evaluate_window(
-            index, start, end, state.bin_features(), _Histograms(state)
+            index, start, end, state.bin_features(),
+            {
+                (feature, weighting): state.value_counts(
+                    feature, weighting
+                )
+                for feature in _HEADER_FEATURES
+                for weighting in self.detector.config.weightings
+            },
         )
 
 

@@ -87,6 +87,14 @@ _SEAL_SECONDS = obs_metrics.histogram(
     "repro_stream_window_seal_seconds",
     "Window close latency: detector close, alarm insert and live "
     "triage for one sealed window.",
+    # Seals take single to low tens of milliseconds without triage and
+    # tens with it: steps of <= 1.5x resolve a p50 from 2 to 150 ms,
+    # where the default latency buckets hold it in one or two.
+    buckets=(
+        0.001, 0.002, 0.003, 0.004, 0.006, 0.008, 0.011, 0.015, 0.02,
+        0.027, 0.036, 0.048, 0.064, 0.085, 0.115, 0.15, 0.2, 0.3, 0.5,
+        1.0, 2.5, 5.0,
+    ),
 )
 
 

@@ -233,9 +233,11 @@ class WindowRing:
             # One sealed, sorted partition per closed window, written
             # before retention can evict the rows: the window's result
             # is final (late rows can never reopen it), so its durable
-            # copy is, too. One walk of the slice: the row count is
-            # the sorted table's length.
-            table = self.store.query_table(start, end)
+            # copy is, too. Window index == store slice index, and the
+            # store keeps the order: triage's queries over this window
+            # sort nothing. One walk of the slice: the row count is
+            # the ordered table's length.
+            table = self.store.order_slice(index)
             flows = len(table)
             if flows:
                 self.archive.write_partition(

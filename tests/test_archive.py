@@ -211,6 +211,32 @@ class TestRoundTrip:
         assert len(reader) == 3007
         assert store.count(0.0, 1e9).flows == 0
 
+    def test_ordering_a_partly_spilled_slice_spills_each_row_once(
+        self, tmp_path
+    ):
+        """``order_slice`` may reorder a slice in place only while none
+        of it is archived: afterwards "the first n rows are spilled"
+        must keep meaning the same rows."""
+        table = _random_table(3000, seed=4)
+        store = FlowStore(slice_seconds=300.0, origin=0.0)
+        store.insert_table(table)
+        with ArchiveWriter(tmp_path / "a", slice_seconds=300.0) as writer:
+            assert store.spill_to(writer) == 3000
+            # Stragglers that sort *before* rows already archived.
+            late = _random_table(40, seed=99, span=250.0)
+            store.insert_table(late)
+            ordered = store.order_slice(0)
+            assert ordered.in_query_order() is ordered
+            assert _same_bytes(ordered, store.query_table(0.0, 300.0))
+            assert store.spill_to(writer) == 40
+            assert store.spill_to(writer) == 0
+        reader = ArchiveReader(tmp_path / "a")
+        assert len(reader) == 3040
+        assert _same_bytes(
+            reader.query_table(0.0, 1800.0),
+            store.query_table(0.0, 1800.0),
+        )
+
     def test_spill_to_with_expiry_tiers_old_slices(self, tmp_path):
         table = _random_table(6000, seed=4)
         store = _store(table)

@@ -3,9 +3,11 @@
 import math
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_flow
 from repro.detect.base import Alarm, MetadataItem
@@ -26,10 +28,12 @@ from repro.detect.pca import (
 )
 from repro.errors import DetectorError
 from repro.flows.record import FlowFeature
+from repro.flows.table import FlowTable
 from repro.flows.trace import FlowTrace
 from repro.synth.anomalies import PortScan, SynFlood, UdpFlood
 from repro.synth.background import BackgroundConfig
 from repro.synth.scenario import Scenario
+from tests.attribution_oracle import HEADER_FEATURES, oracle_attribution
 
 
 def _train_trace(topology, bins=10, fps=8.0, seed=100):
@@ -277,6 +281,129 @@ class TestNetReflex:
             NetReflexConfig(weightings=())
         with pytest.raises(DetectorError):
             NetReflexConfig(metadata_per_feature=-1)
+
+
+def _as_arrays(histogram):
+    """A ``Counter`` in the kernel's form: ascending values, int64."""
+    values = sorted(histogram)
+    return (
+        np.array(values, dtype=np.uint32),
+        np.array([histogram[v] for v in values], dtype=np.int64),
+    )
+
+
+def _attribute(config, references, observed):
+    """The array kernel over ``Counter`` inputs: a detector whose
+    trained references are ``references``, asked about ``observed``."""
+    detector = NetReflexDetector(config)
+    detector._references = {
+        key: (*_as_arrays(histogram), sum(histogram.values()))
+        for key, histogram in references.items()
+    }
+    return detector.attribute_histograms(
+        {key: _as_arrays(histogram) for key, histogram in observed.items()}
+    )
+
+
+# Few values and few distinct counts: absent values, exact ties in
+# excess and empty or all-zero histograms all come up; the wide counts
+# reach past 2**32 (still far below the 2**53 exactness bound).
+_COUNTS = st.one_of(
+    st.integers(0, 6), st.sampled_from([0, 10, 100, 2**33, 2**40 + 1])
+)
+_HISTOGRAMS = st.dictionaries(
+    st.sampled_from([0, 1, 2, 80, 443, 55548, 65535, 0xC0A80001]),
+    _COUNTS, max_size=8,
+).map(Counter)
+
+
+@st.composite
+def _attribution_cases(draw):
+    config = NetReflexConfig(
+        metadata_per_feature=draw(st.sampled_from([0, 1, 3])),
+        excess_threshold=draw(st.sampled_from([0.05, 0.1, 0.25, 0.5])),
+        weightings=draw(st.sampled_from([
+            ("flows",), ("flows", "packets"), ("packets", "bytes"),
+            ("flows", "packets", "bytes"),
+        ])),
+    )
+    keys = [(f, w) for f in HEADER_FEATURES for w in config.weightings]
+    references = {key: draw(_HISTOGRAMS) for key in keys}
+    observed = {
+        key: draw(_HISTOGRAMS) for key in keys if draw(st.booleans())
+    }
+    return config, references, observed
+
+
+class TestAttributionKernel:
+    @given(case=_attribution_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_value_oracle(self, case):
+        config, references, observed = case
+        assert _attribute(config, references, observed) == \
+            oracle_attribution(config, references, observed)
+
+    def test_tie_in_excess_keeps_smaller_value(self):
+        config = NetReflexConfig(weightings=("flows",))
+        key = (FlowFeature.DST_PORT, "flows")
+        references = {
+            (f, "flows"): Counter({1: 5}) for f in HEADER_FEATURES
+        }
+        observed = {key: Counter({443: 4, 80: 4, 1: 2})}
+        (item,) = _attribute(config, references, observed)
+        assert (item.feature, item.value) == (FlowFeature.DST_PORT, 80)
+        assert item.weight == 4 / 10
+        assert [item] == oracle_attribution(config, references, observed)
+
+    def test_value_heavy_under_one_weighting_only(self):
+        """A point-to-point flood: one flow in a hundred, nearly all
+        the bytes — caught by the bytes histogram alone."""
+        config = NetReflexConfig(weightings=("flows", "bytes"))
+        flows = (FlowFeature.SRC_IP, "flows")
+        volume = (FlowFeature.SRC_IP, "bytes")
+        references = {
+            (f, w): Counter() for f in HEADER_FEATURES
+            for w in config.weightings
+        }
+        references[flows] = Counter({7: 50, 9: 50})
+        references[volume] = Counter({7: 500, 9: 500})
+        observed = {
+            flows: Counter({7: 49, 9: 50, 0xC0A80001: 1}),
+            volume: Counter({7: 490, 9: 500, 0xC0A80001: 99_010}),
+        }
+        (item,) = _attribute(config, references, observed)
+        assert item.value == 0xC0A80001
+        assert item.weight == 99_010 / 100_000
+        assert [item] == oracle_attribution(config, references, observed)
+
+    def test_retraining_replaces_the_references(self, topology):
+        first = _train_trace(topology, bins=4, seed=30)
+        second = _train_trace(topology, bins=4, fps=5.0, seed=31)
+        window = second.bin_table(1)
+        retrained, fresh, stale = (NetReflexDetector() for _ in range(3))
+        retrained.train(first)
+        retrained.train(second)
+        fresh.train(second)
+        stale.train(first)
+        assert retrained._references.keys() == fresh._references.keys()
+        for key, (values, counts, total) in fresh._references.items():
+            got = retrained._references[key]
+            assert np.array_equal(got[0], values)
+            assert np.array_equal(got[1], counts)
+            assert got[2] == total
+            assert not np.array_equal(stale._references[key][0], values)
+        histograms = fresh.window_histograms(window)
+        assert retrained.attribute_histograms(histograms) == \
+            fresh.attribute_histograms(histograms)
+
+    def test_training_materialises_no_records(self, topology):
+        table = FlowTable(
+            _train_trace(topology, bins=4, seed=30).table._data.copy()
+        )
+        trace = FlowTrace(table)
+        NetReflexDetector().train(trace)
+        assert trace.table is table
+        assert table._rows is None
 
 
 class TestAlarmModel:

@@ -408,6 +408,42 @@ class TestExtractor:
         assert top.confirms_detector
         assert top.classification.kind is AnomalyKind.PORT_SCAN
 
+    def test_baseline_shares_measured_once_per_extraction(
+        self, monkeypatch
+    ):
+        """The popular-value filter and the ranking read the same
+        baseline shares: measured once, and each survivor of the filter
+        is ranked against its own."""
+        from repro.extraction import extractor, filtering
+
+        calls = []
+        real = filtering.baseline_shares
+
+        def counting(supports, baseline_flows):
+            calls.append(len(supports))
+            return real(supports, baseline_flows)
+
+        monkeypatch.setattr(extractor, "baseline_shares", counting)
+        monkeypatch.setattr(filtering, "baseline_shares", counting)
+        interval, _ = self._scan_interval()
+        # The web background is as common before the alarm as during
+        # it: its itemsets are filtered out ahead of the scan's, so a
+        # survivor's position is not its position before the filter.
+        baseline = [
+            make_flow(sport=1000 + i, dport=80, packets=5, start=-float(i))
+            for i in range(100)
+        ] + [make_flow(src="7.7.7.7", dst="8.8.8.8", sport=55548,
+                       dport=22, packets=1, start=-5.0)]
+        report = AnomalyExtractor().extract(_alarm(), interval, baseline)
+        assert len(calls) == 1
+        assert 0 < len(report.itemsets) < calls[0]
+        for extracted in report.itemsets:
+            scored = extracted.scored
+            (shares,) = real([scored.support], baseline).values()
+            assert scored.baseline_flow_share == shares.flow_share
+            assert scored.baseline_packet_share == shares.packet_share
+        assert any(e.scored.baseline_flow_share for e in report.itemsets)
+
     def test_empty_interval(self):
         report = AnomalyExtractor().extract(_alarm(), [])
         assert not report.useful

@@ -333,6 +333,19 @@ class TestSessionTelemetry:
             "repro_flows_ingested_total"
         ) == result.stats["flows"]
 
+    def test_seal_latency_buckets_resolve_the_seals_measured(self):
+        """Seals run from a few milliseconds (no alarm) to tens (live
+        triage): between 2 and 150 ms no bucket may span more than a
+        factor 1.5, or a p50 read off the histogram says nothing."""
+        import repro.stream.runtime  # noqa: F401  (declares the family)
+
+        bounds = obs_metrics.descriptors()[
+            "repro_stream_window_seal_seconds"
+        ].buckets
+        fine = [b for b in bounds if 0.002 <= b <= 0.15]
+        assert fine[0] == 0.002 and fine[-1] == 0.15
+        assert all(hi / lo <= 1.5 for lo, hi in zip(fine, fine[1:]))
+
     def test_no_metrics_port_opens_no_socket(self, trace_path, monkeypatch):
         import repro.obs.serve as serve_module
 

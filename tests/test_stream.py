@@ -172,6 +172,34 @@ class TestWindowRing:
         assert ring.store.count(0.0, 600.0).flows == 0
         assert ring.store.count(600.0, 1400.0).flows == 3
 
+    def test_sealed_window_keeps_its_query_order(self, tmp_path):
+        """The seal sorts a window once, for its partition; the store
+        keeps that order, so later queries over the window (triage's
+        alarm and baseline tables) are the slice itself, unsorted and
+        uncopied."""
+        from repro.archive import ArchiveReader, ArchiveWriter
+
+        table = _random_table(600)
+        shuffled = table.select(
+            np.random.default_rng(1).permutation(len(table))
+        )
+        with ArchiveWriter(tmp_path / "a", slice_seconds=300.0) as writer:
+            ring = WindowRing(window_seconds=300.0, origin=0.0,
+                              lateness_seconds=None, archive=writer)
+            for chunk in table_chunks(shuffled, 170):
+                ring.ingest(chunk)
+            closed = ring.flush()
+        assert [w.index for w in closed] == [0, 1, 2]
+        for window in closed:
+            kept = ring.window_table(window.index)
+            assert len(kept) == window.flows > 0
+            assert ring.window_table(window.index) is kept
+        assert ArchiveReader(tmp_path / "a").query_table(
+            0.0, 900.0
+        )._data.tobytes() == ring.store.query_table(
+            0.0, 900.0
+        )._data.tobytes() == table.in_query_order()._data.tobytes()
+
     def test_rows_before_explicit_origin_dropped(self):
         ring = WindowRing(window_seconds=300.0, origin=300.0)
         result = ring.ingest(_table([10.0, 400.0]))
@@ -322,42 +350,30 @@ class TestStreamingEquivalence:
         )
         _assert_same_alarms(batch, streamed)
 
-    def test_netreflex_builds_histograms_only_for_alarmed_windows(
+    def test_netreflex_builds_no_counter_views(
         self, scenario_split, trained_netreflex, monkeypatch
     ):
-        """Attribution is the only reader of the Counter views, and it
-        runs only when SPE crosses the threshold: a quiet window must
-        not pay for them, an alarmed one must lose nothing."""
+        """Attribution reads the accumulator's merged arrays as they
+        are: no ``Counter`` view is built between a window's close and
+        its alarm, for quiet and alarmed windows alike, and the alarms
+        lose nothing."""
         _, tail, split, bin_seconds = scenario_split
         batch = trained_netreflex.detect(
             FlowTrace(tail, bin_seconds=bin_seconds, origin=split)
         )
         built: list[tuple] = []
-        real = WindowAccumulator.histogram
-
-        def counting(self, feature, weighting):
-            built.append((feature, weighting))
-            return real(self, feature, weighting)
-
-        monkeypatch.setattr(WindowAccumulator, "histogram", counting)
-        engine = StreamEngine(
-            [streaming_adapter(trained_netreflex)],
-            window_seconds=bin_seconds, origin=split,
+        monkeypatch.setattr(
+            WindowAccumulator, "histogram",
+            lambda self, feature, weighting: built.append(
+                (feature, weighting)
+            ),
         )
-        results = []
-        for chunk in table_chunks(tail.sorted_by_start(), 1000):
-            before = len(built)
-            sealed = engine.process(chunk)
-            results += sealed
-            if not any(result.alarms for result in sealed):
-                assert len(built) == before
-        results += engine.finish()
-        quiet = [r for r in results if r.window.flows and not r.alarms]
-        assert quiet, "scenario must have a populated quiet window"
-        assert built, "scenario must attribute at least one alarm"
-        _assert_same_alarms(
-            batch, [alarm for r in results for alarm in r.alarms]
+        streamed = _stream_alarms(
+            trained_netreflex, tail, split, bin_seconds
         )
+        assert streamed, "scenario must attribute at least one alarm"
+        assert built == []
+        _assert_same_alarms(batch, streamed)
 
     def test_histogram_kl_max_rate_replay(
         self, scenario_split, trained_histogram

@@ -18,7 +18,9 @@ from repro.flows.aggregate import (
     all_feature_histograms,
     distinct_counts,
     feature_histogram,
+    merge_histograms,
     top_n,
+    value_histogram,
 )
 from repro.flows.filter import compile_filter, compile_mask, parse_filter
 from repro.flows.record import FLOW_FEATURES, FlowFeature, FlowRecord
@@ -250,3 +252,114 @@ def test_query_order_is_the_six_key_lexsort(table):
     # Already in order: the table itself comes back, no copy.
     assert got.in_query_order() is got
     assert want.in_query_order() is want
+
+
+@given(table=tied_tables(), late=tied_tables(), cut=st.integers(0, 50))
+@settings(max_examples=150, deadline=None)
+def test_ordered_slices_answer_queries_without_sorting(table, late, cut):
+    """``order_slice`` keeps a slice in query order: whole-slice and
+    multi-slice queries then return rows ``in_query_order`` has nothing
+    to do on, equal to the lexsort oracle; rows inserted afterwards are
+    still returned in order."""
+    store = FlowStore(slice_seconds=300.0, origin=0.0)
+    # Two chunks per slice: ordering also consolidates.
+    store.insert_table(table.select(slice(None, cut)))
+    store.insert_table(table.select(slice(cut, None)))
+
+    def check(rows):
+        for lo, hi in [(0.0, 300.0), (300.0, 600.0), (0.0, 900.0),
+                       (0.0, 1500.0), (100.0, 700.0)]:
+            inside = rows.select((rows.start >= lo) & (rows.start < hi))
+            got = store.query_table(lo, hi)
+            assert got._data.tobytes() == \
+                inside.select(_lexsort_order(inside))._data.tobytes()
+            assert got.in_query_order() is got
+
+    for index in range(5):
+        kept = store.order_slice(index)
+        assert kept.in_query_order() is kept
+        # The slice itself answers a query that covers it: no copy.
+        if len(kept):
+            assert store.query_table(*store.slice_interval(index)) is kept
+    check(table)
+    store.insert_table(late)
+    check(FlowTable.concat([table, late]))
+
+
+# -- the histogram kernel ----------------------------------------------------
+
+
+def _unique_add_at(column, weights):
+    """``np.unique`` + ``np.add.at``: how the tree counted before
+    ``value_histogram`` became its one kernel; kept here as the oracle."""
+    values, inverse, counts = np.unique(
+        column, return_inverse=True, return_counts=True
+    )
+    sums = []
+    for weight in weights:
+        total = np.zeros(len(values), dtype=np.int64)
+        np.add.at(total, inverse, weight)
+        sums.append(total)
+    return (values, counts, *sums)
+
+
+@st.composite
+def weighted_columns(draw):
+    """A ``u2`` (radix-sorted) or ``u4`` column with zero, one or three
+    int64 weight columns whose sums can pass 2**53."""
+    dtype = draw(st.sampled_from([np.uint16, np.uint32]))
+    column = draw(st.lists(
+        st.sampled_from([0, 1, 2, 80, 443, 65535])
+        | st.integers(0, np.iinfo(dtype).max),
+        max_size=60,
+    ))
+    weight = st.integers(0, 9) | st.sampled_from([2**53, 2**55 + 1])
+    weights = [
+        np.array(
+            draw(st.lists(weight, min_size=len(column),
+                          max_size=len(column))),
+            dtype=np.int64,
+        )
+        for _ in range(draw(st.sampled_from([0, 1, 3])))
+    ]
+    return np.array(column, dtype=dtype), weights
+
+
+def _assert_same_histogram(got, want):
+    assert len(got) == len(want)
+    for got_array, want_array in zip(got, want):
+        assert np.array_equal(got_array, want_array)
+    assert all(array.dtype == np.int64 for array in got[1:])
+
+
+@given(case=weighted_columns())
+@settings(max_examples=300, deadline=None)
+def test_value_histogram_equals_unique_add_at(case):
+    column, weights = case
+    got = value_histogram(column, *weights)
+    _assert_same_histogram(got, _unique_add_at(column, weights))
+    assert got[0].dtype == column.dtype
+
+
+@given(case=weighted_columns(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_merged_splits_equal_one_pass(case, data):
+    """Any split of the rows, its parts merged in any order (and
+    merged again with a merge), is the one-pass histogram."""
+    column, weights = case
+    part_of = np.array(data.draw(st.lists(
+        st.integers(0, 3), min_size=len(column), max_size=len(column)
+    )), dtype=np.int64)
+    parts = [
+        value_histogram(
+            column[part_of == part],
+            *(weight[part_of == part] for weight in weights),
+        )
+        for part in data.draw(st.permutations(range(4)))
+    ]
+    want = value_histogram(column, *weights)
+    _assert_same_histogram(merge_histograms(parts), want)
+    _assert_same_histogram(
+        merge_histograms([merge_histograms(parts[:2]), *parts[2:]]),
+        want,
+    )
