@@ -33,6 +33,7 @@ are byte-identical to the legacy paths (asserted by
 from __future__ import annotations
 
 import logging
+import math
 import tomllib
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -435,8 +436,15 @@ class Session:
         """(training, tail, split) by the spec's ``train_bins``."""
         train_bins = self.spec.detector.train_bins
         split = trace.origin + train_bins * trace.bin_seconds
-        training = trace.where(lambda f: f.start < split)
-        tail = trace.where(lambda f: f.start >= split)
+        # The trace is sorted by start: both sides are slices of it.
+        training, tail = (
+            FlowTrace(
+                trace.between_table(lo, hi),
+                bin_seconds=trace.bin_seconds,
+                origin=trace.origin,
+            )
+            for lo, hi in ((-math.inf, split), (split, math.inf))
+        )
         if not training or not tail:
             raise SpecError(
                 f"trace too short for {train_bins} training bins",
@@ -641,26 +649,8 @@ class Session:
                 tail = trace.table
                 origin: float | None = trace.origin
             else:
-                split = (
-                    trace.origin
-                    + self.spec.detector.train_bins * trace.bin_seconds
-                )
-                end = trace.span[1] + 1.0
-                if split >= end:
-                    raise SpecError(
-                        f"trace too short for "
-                        f"{self.spec.detector.train_bins} training bins",
-                        field="detector.train_bins",
-                    )
-                training = trace.where(lambda f: f.start < split)
-                tail = trace.between_table(split, end)
-                origin = split
-                if not training or not len(tail):
-                    raise SpecError(
-                        f"trace too short for "
-                        f"{self.spec.detector.train_bins} training bins",
-                        field="detector.train_bins",
-                    )
+                training, live, origin = self._split_trace(trace)
+                tail = live.table
             window_seconds = execution.window_seconds or trace.bin_seconds
         else:
             if external is None:

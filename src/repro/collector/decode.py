@@ -6,14 +6,14 @@ program* that copies each mapped element into its ``FLOW_DTYPE``
 column — masked or clamped so hostile values can never violate
 ``FlowTable`` bounds — converts uptime/second/millisecond time
 elements and fills the ``sampling_rate``, start and end defaults. v5
-is the plan of the fixed 48-byte record (``_V5_WIRE_DTYPE``), built at
-import; v9/IPFIX plans are compiled once per distinct
-``Template.fields`` layout and cached with a bound, so a template
-refresh never recompiles and a redefined layout is simply another
-plan. Any field length compiles: 1/2/4/8 bytes are native fields, odd
-and wider ones are assembled from native pieces to what
-``int.from_bytes`` plus the mask/clamp gives, unmapped and enterprise
-elements are padding.
+is the plan of the fixed 48-byte record (``V5_RECORD_DTYPE``, declared
+in :mod:`repro.flows.netflow_v5`), built at import; v9/IPFIX plans are
+compiled once per distinct ``Template.fields`` layout and cached with
+a bound, so a template refresh never recompiles and a redefined layout
+is simply another plan. Any field length compiles: 1/2/4/8 bytes are
+native fields, odd and wider ones are assembled from native pieces to
+what ``int.from_bytes`` plus the mask/clamp gives, unmapped and
+enterprise elements are padding.
 
 :func:`decode_datagram` is header arithmetic only. It parses the export
 header, walks the sets — templates stream in the same UDP channel as
@@ -153,32 +153,6 @@ _I64_MAX = 2**63 - 1
 #: Time elements wider than 8 bytes saturate here instead of
 #: overflowing the float conversion.
 _U64_MAX = 2**64 - 1
-
-#: The 48-byte v5 record region as a big-endian numpy view; field
-#: order mirrors ``netflow_v5._RECORD``.
-_V5_WIRE_DTYPE = np.dtype([
-    ("src_ip", ">u4"),
-    ("dst_ip", ">u4"),
-    ("nexthop", ">u4"),
-    ("input", ">u2"),
-    ("output", ">u2"),
-    ("packets", ">u4"),
-    ("octets", ">u4"),
-    ("first", ">u4"),
-    ("last", ">u4"),
-    ("src_port", ">u2"),
-    ("dst_port", ">u2"),
-    ("pad1", "u1"),
-    ("tcp_flags", "u1"),
-    ("proto", "u1"),
-    ("tos", "u1"),
-    ("src_as", ">u2"),
-    ("dst_as", ">u2"),
-    ("src_mask", "u1"),
-    ("dst_mask", "u1"),
-    ("pad2", ">u2"),
-])
-assert _V5_WIRE_DTYPE.itemsize == v5.RECORD_SIZE
 
 #: v5 record fields that carry an IANA element (first/last are
 #: sysuptime ms, like v9's FIRST/LAST_SWITCHED).
@@ -326,8 +300,8 @@ class WirePlan:
 compile_plan = functools.lru_cache(maxsize=256)(WirePlan)
 
 V5_PLAN = compile_plan(tuple(
-    (_V5_ELEMENTS.get(name, -1), _V5_WIRE_DTYPE[name].itemsize)
-    for name in _V5_WIRE_DTYPE.names
+    (_V5_ELEMENTS.get(name, -1), v5.V5_RECORD_DTYPE[name].itemsize)
+    for name in v5.V5_RECORD_DTYPE.names
 ))
 
 

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.detect.entropy import entropy_of_count_array, sample_entropy
+from repro.detect.entropy import entropy_of_count_array
 from repro.errors import DetectorError
-from repro.flows.aggregate import all_feature_histograms
 from repro.flows.record import FlowFeature, FlowRecord
 from repro.flows.table import FlowTable
 from repro.flows.trace import FlowTrace
@@ -73,37 +72,21 @@ def compute_bin_features(
 ) -> BinFeatures:
     """Volume and entropy features of one bin's flows.
 
-    A :class:`FlowTable` takes the vectorized path: per-feature counts
-    come from ``np.unique`` over the columns and the entropies from one
-    array expression, with no per-flow Python work.
+    Records are tabulated once, here: per-feature counts come from
+    ``np.unique`` over the columns and the entropies from one array
+    expression, with no per-flow Python work.
     """
-    if isinstance(flows, FlowTable):
-        entropies = {}
-        for feature in _ENTROPY_FEATURES:
-            _, counts = np.unique(
-                flows.feature_column(feature), return_counts=True
-            )
-            entropies[feature] = entropy_of_count_array(counts)
-        return BinFeatures(
-            flows=len(flows),
-            packets=flows.total_packets(),
-            bytes=flows.total_bytes(),
-            entropy_src_ip=entropies[FlowFeature.SRC_IP],
-            entropy_dst_ip=entropies[FlowFeature.DST_IP],
-            entropy_src_port=entropies[FlowFeature.SRC_PORT],
-            entropy_dst_port=entropies[FlowFeature.DST_PORT],
+    flows = FlowTable.from_records(flows)
+    entropies = {}
+    for feature in _ENTROPY_FEATURES:
+        _, counts = np.unique(
+            flows.feature_column(feature), return_counts=True
         )
-    histograms = all_feature_histograms(flows)
-    packets = sum(f.packets for f in flows)
-    bytes_ = sum(f.bytes for f in flows)
-    entropies = {
-        feature: sample_entropy(histograms[feature])
-        for feature in _ENTROPY_FEATURES
-    }
+        entropies[feature] = entropy_of_count_array(counts)
     return BinFeatures(
         flows=len(flows),
-        packets=packets,
-        bytes=bytes_,
+        packets=flows.total_packets(),
+        bytes=flows.total_bytes(),
         entropy_src_ip=entropies[FlowFeature.SRC_IP],
         entropy_dst_ip=entropies[FlowFeature.DST_IP],
         entropy_src_port=entropies[FlowFeature.SRC_PORT],

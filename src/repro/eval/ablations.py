@@ -184,8 +184,8 @@ def run_selftuning_ablation(
         )
         labeled = scenario.build(seed=seed + index)
         start, end = scenario.bin_interval(4)
-        candidates = labeled.trace.between(start, end)
-        transactions = TransactionSet.from_flows(candidates)
+        candidates = labeled.trace.between_table(start, end)
+        transactions = TransactionSet.from_table(candidates)
 
         config = ExtendedAprioriConfig(reduce="closed")
         miner = ExtendedApriori(config)
@@ -246,7 +246,7 @@ def run_sampling_ablation(
         result = run_case(labeled, alarm)
         scan_truth = labeled.truth_by_id("scan")
         flood_truth = labeled.truth_by_id("flood")
-        interval = labeled.trace.between(alarm.start, alarm.end)
+        interval = labeled.trace.between_table(alarm.start, alarm.end)
         quality = flow_level_quality(
             result.report, labeled.truths, interval
         )
@@ -307,7 +307,7 @@ def run_candidate_ablation(
     )
     labeled = scenario.build(seed=seed)
     alarm = synthesize_alarm("cand", labeled.truths)
-    interval = labeled.trace.between(alarm.start, alarm.end)
+    interval = labeled.trace.between_table(alarm.start, alarm.end)
     rows = []
     for mode, use_metadata in (("union", True), ("interval", False)):
         config = ExtractionConfig(use_metadata=use_metadata)

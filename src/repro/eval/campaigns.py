@@ -16,6 +16,7 @@ reflectors), seeded end to end for exact reproducibility.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -29,6 +30,7 @@ from repro.eval.harness import CaseResult, run_case, synthesize_alarm
 from repro.eval.metrics import PrecisionRecall
 from repro.extraction.extractor import ExtractionConfig
 from repro.detect.histogram import HistogramKLDetector
+from repro.flows.trace import FlowTrace
 from repro.mining.extended import ExtendedAprioriConfig
 from repro.synth.anomalies.base import AnomalyInjector
 from repro.synth.anomalies.floods import SynFlood, UdpFlood
@@ -324,7 +326,7 @@ def run_geant_campaign(
                 truth.detector_visible = []
         alarm = synthesize_alarm(f"{case_id}-alarm", labeled.truths)
         result = run_case(labeled, alarm, config=config)
-        interval = labeled.trace.between(alarm.start, alarm.end)
+        interval = labeled.trace.between_table(alarm.start, alarm.end)
         scoreable_truths = [
             t
             for t in labeled.truths
@@ -456,8 +458,15 @@ def run_switch_campaign(
         labeled = scenario.build(seed=case_rng.randrange(2**31))
         trace = labeled.trace
         train_end = trace.origin + training_bins * trace.bin_seconds
-        training = trace.where(lambda f: f.start < train_end)
-        tail = trace.where(lambda f: f.start >= train_end)
+        # The trace is sorted by start: both sides are slices of it.
+        training, tail = (
+            FlowTrace(
+                trace.between_table(lo, hi),
+                bin_seconds=trace.bin_seconds,
+                origin=trace.origin,
+            )
+            for lo, hi in ((-math.inf, train_end), (train_end, math.inf))
+        )
 
         detector = HistogramKLDetector()
         detector.train(training)
@@ -489,7 +498,7 @@ def run_switch_campaign(
         false_positives = sum(
             1 for e in result.report.itemsets if id(e) not in hitting
         )
-        interval = trace.between(alarm.start, alarm.end)
+        interval = trace.between_table(alarm.start, alarm.end)
         stats.cases.append(
             SwitchCase(
                 case_id=case_id,

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.eval.metrics import PrecisionRecall, precision_recall
 from repro.extraction.extractor import ExtractedItemset, ExtractionReport
 from repro.flows.record import FlowRecord
+from repro.flows.table import FlowTable
 from repro.mining.items import Itemset, itemset_from_signature
 from repro.synth.anomalies.base import GroundTruth, Signature
 
@@ -95,23 +98,28 @@ def report_hits(
 def flow_level_quality(
     report: ExtractionReport,
     truths: list[GroundTruth],
-    interval_flows: list[FlowRecord],
+    interval_flows: "list[FlowRecord] | FlowTable",
 ) -> PrecisionRecall:
     """Flow-level precision/recall of a report's extracted flow set.
 
     The extracted set is the union of flows matched by the reported
     itemsets; the truth set is the union of flows belonging to any
-    injected anomaly. Both are taken over ``interval_flows``.
+    injected anomaly (inside its window, carrying one of its
+    signatures). Both are masks over ``interval_flows``.
     """
-    truth_indices = {
-        index
-        for index, flow in enumerate(interval_flows)
-        if any(truth.matches(flow) for truth in truths)
-    }
-    extracted_indices = set()
-    for index, flow in enumerate(interval_flows):
-        for extracted in report.itemsets:
-            if extracted.itemset.matches(flow):
-                extracted_indices.add(index)
-                break
-    return precision_recall(extracted_indices, truth_indices)
+    table = FlowTable.from_records(interval_flows)
+    truth_mask = np.zeros(len(table), dtype=bool)
+    for truth in truths:
+        signed = np.zeros(len(table), dtype=bool)
+        for signature in truth.signatures:
+            signed |= itemset_from_signature(signature.items).mask(table)
+        truth_mask |= (
+            signed & (table.start >= truth.start) & (table.start < truth.end)
+        )
+    extracted_mask = np.zeros(len(table), dtype=bool)
+    for extracted in report.itemsets:
+        extracted_mask |= extracted.itemset.mask(table)
+    return precision_recall(
+        set(np.flatnonzero(extracted_mask).tolist()),
+        set(np.flatnonzero(truth_mask).tolist()),
+    )

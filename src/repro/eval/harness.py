@@ -102,12 +102,12 @@ def run_case(
     (no store round-trip — campaigns build hundreds of cases).
     """
     trace = labeled.trace
-    interval = trace.between(alarm.start, alarm.end)
+    interval = trace.between_table(alarm.start, alarm.end)
     baseline_start = alarm.start - baseline_bins * trace.bin_seconds
     baseline = (
-        trace.between(baseline_start, alarm.start)
+        trace.between_table(baseline_start, alarm.start)
         if baseline_bins > 0
-        else []
+        else None
     )
     extractor = AnomalyExtractor(config)
     report = extractor.extract(alarm, interval, baseline)

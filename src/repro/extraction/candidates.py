@@ -46,16 +46,17 @@ _DIRECTION_BY_FEATURE = {
 class CandidateSelection:
     """The candidate flows plus how they were selected.
 
-    ``flows`` is a list of records on the historical path and a
-    :class:`FlowTable` on the columnar path; both support ``len``,
-    iteration and indexing, and every consumer downstream (mining,
-    filtering, classification) dispatches on the concrete type.
+    ``flows`` is always a :class:`FlowTable`: a selection built by
+    hand from a record list is tabulated once, here.
     """
 
-    flows: "list[FlowRecord] | FlowTable"
+    flows: FlowTable
     filter_node: FilterNode | None
     used_metadata: bool
     interval_flow_count: int
+
+    def __post_init__(self) -> None:
+        self.flows = FlowTable.from_records(self.flows)
 
     @property
     def reduction(self) -> float:
@@ -108,40 +109,31 @@ def select_candidates(
     """Select candidate anomalous flows for one alarm.
 
     ``interval_flows`` are the flows of the alarm interval (the caller
-    queries the store) — a record list or a :class:`FlowTable`; with a
-    table, the union filter runs as a vectorized mask and the selection
-    stays columnar. With usable meta-data, the union filter is applied;
-    if it matches fewer than ``min_candidates`` flows — the hints may
-    be stale or wrong — selection falls back to the whole interval,
-    mirroring the GUI's "tune the extraction parameters" loop.
+    queries the store); records are tabulated once, here, and the
+    union filter runs as a mask. With usable meta-data, the union
+    filter is applied; if it matches fewer than ``min_candidates``
+    flows — the hints may be stale or wrong — selection falls back to
+    the whole interval, mirroring the GUI's "tune the extraction
+    parameters" loop.
     """
     if min_candidates < 0:
         raise ExtractionError(
             f"min_candidates must be non-negative: {min_candidates!r}"
         )
-    columnar = isinstance(interval_flows, FlowTable)
+    interval_flows = FlowTable.from_records(interval_flows)
     node = metadata_filter(alarm) if use_metadata else None
-    if node is None:
-        return CandidateSelection(
-            flows=interval_flows if columnar else list(interval_flows),
-            filter_node=MatchAny(),
-            used_metadata=False,
-            interval_flow_count=len(interval_flows),
-        )
-    if columnar:
+    if node is not None:
         matched = interval_flows.select(node.mask(interval_flows))
-    else:
-        matched = [flow for flow in interval_flows if node.matches(flow)]
-    if len(matched) < min_candidates:
-        return CandidateSelection(
-            flows=interval_flows if columnar else list(interval_flows),
-            filter_node=MatchAny(),
-            used_metadata=False,
-            interval_flow_count=len(interval_flows),
-        )
+        if len(matched) >= min_candidates:
+            return CandidateSelection(
+                flows=matched,
+                filter_node=node,
+                used_metadata=True,
+                interval_flow_count=len(interval_flows),
+            )
     return CandidateSelection(
-        flows=matched,
-        filter_node=node,
-        used_metadata=True,
+        flows=interval_flows,
+        filter_node=MatchAny(),
+        used_metadata=False,
         interval_flow_count=len(interval_flows),
     )

@@ -45,28 +45,18 @@ class Classification:
     rationale: str
 
 
-def _syn_fraction(flows: "list[FlowRecord] | FlowTable") -> float:
-    if isinstance(flows, FlowTable):
-        tcp = flows.proto == int(Protocol.TCP)
-        tcp_count = int(tcp.sum())
-        if tcp_count == 0:
-            return 0.0
-        tcp_flags = flows.tcp_flags
-        bare_syn = (
-            tcp
-            & ((tcp_flags & np.uint16(TcpFlags.SYN)) != 0)
-            & ((tcp_flags & np.uint16(TcpFlags.ACK)) == 0)
-        )
-        return int(bare_syn.sum()) / tcp_count
-    tcp_records = [f for f in flows if f.proto == Protocol.TCP]
-    if not tcp_records:
+def _syn_fraction(flows: FlowTable) -> float:
+    tcp = flows.proto == int(Protocol.TCP)
+    tcp_count = int(tcp.sum())
+    if tcp_count == 0:
         return 0.0
-    bare_syn = sum(
-        1
-        for f in tcp_records
-        if f.tcp_flags & TcpFlags.SYN and not f.tcp_flags & TcpFlags.ACK
+    tcp_flags = flows.tcp_flags
+    bare_syn = (
+        tcp
+        & ((tcp_flags & np.uint16(TcpFlags.SYN)) != 0)
+        & ((tcp_flags & np.uint16(TcpFlags.ACK)) == 0)
     )
-    return bare_syn / len(tcp_records)
+    return int(bare_syn.sum()) / tcp_count
 
 
 def classify_itemset(
@@ -75,24 +65,19 @@ def classify_itemset(
     """Guess the anomaly class of ``itemset`` from its matched flows.
 
     The rules fire in specificity order; the first match wins. An empty
-    flow list yields UNKNOWN at zero confidence. A :class:`FlowTable`
-    takes the vectorized path for the cardinalities, volume profile
-    and SYN fraction.
+    flow set yields UNKNOWN at zero confidence. Records are tabulated
+    once, here; the cardinalities, volume profile and SYN fraction are
+    column reductions.
     """
+    flows = FlowTable.from_records(flows)
     if not flows:
         return Classification(
             AnomalyKind.UNKNOWN, 0.0, "no matching flows to classify"
         )
     counts = distinct_counts(flows)
     flow_count = len(flows)
-    if isinstance(flows, FlowTable):
-        packets = flows.total_packets()
-        bytes_ = flows.total_bytes()
-    else:
-        packets = sum(f.packets for f in flows)
-        bytes_ = sum(f.bytes for f in flows)
-    packets_per_flow = packets / flow_count
-    bytes_per_flow = bytes_ / flow_count
+    packets_per_flow = flows.total_packets() / flow_count
+    bytes_per_flow = flows.total_bytes() / flow_count
     syn_fraction = _syn_fraction(flows)
 
     has_src_ip = itemset.value_of(FlowFeature.SRC_IP) is not None

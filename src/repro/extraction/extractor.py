@@ -11,7 +11,10 @@ This is the paper's primary contribution, end to end:
 6. report Table-1-style rows with drill-down into the raw flows.
 
 The extractor is detector-agnostic: anything that produces an
-:class:`~repro.detect.base.Alarm` can feed it.
+:class:`~repro.detect.base.Alarm` can feed it. Flows are a
+:class:`~repro.flows.table.FlowTable` from step 2 on — a record list
+handed to :meth:`AnomalyExtractor.extract` is tabulated once at its
+entry — and every step has one body, on masks and column reductions.
 """
 
 from __future__ import annotations
@@ -242,15 +245,13 @@ class AnomalyExtractor:
 
         ``interval_flows`` are the flows of the alarm window;
         ``baseline_flows`` an optional pre-alarm reference window for
-        the popular-value filter. Passing :class:`FlowTable` for both
-        keeps the whole pipeline (candidate masks, transaction
-        encoding, itemset intersection, classification) on the
-        vectorized columnar path — this is what
-        :class:`~repro.system.pipeline.ExtractionSystem` does.
+        the popular-value filter. Record lists are tabulated once,
+        here; every step below (candidate masks, transaction encoding,
+        itemset intersection, classification) has one body, over
+        :class:`FlowTable`.
         """
         cfg = self.config
-        if baseline_flows is None:
-            baseline_flows = []
+        baseline_flows = FlowTable.from_records(baseline_flows or ())
 
         candidates = select_candidates(
             interval_flows,
@@ -264,15 +265,9 @@ class AnomalyExtractor:
         # shares are inflated by the filter and the popular-value filter
         # stops filtering.
         if candidates.used_metadata and candidates.filter_node is not None:
-            node = candidates.filter_node
-            if isinstance(baseline_flows, FlowTable):
-                baseline_flows = baseline_flows.select(
-                    node.mask(baseline_flows)
-                )
-            else:
-                baseline_flows = [
-                    flow for flow in baseline_flows if node.matches(flow)
-                ]
+            baseline_flows = baseline_flows.select(
+                candidates.filter_node.mask(baseline_flows)
+            )
         outcome = self._miner.mine(candidates.flows)
 
         survivors = dominance_filter(
@@ -314,18 +309,11 @@ class AnomalyExtractor:
         ranked = [s for s in ranked if s.score >= cfg.min_score]
 
         extracted = []
-        columnar = isinstance(candidates.flows, FlowTable)
         for rank, scored in enumerate(ranked, start=1):
             itemset = scored.support.itemset
-            if columnar:
-                matched = candidates.flows.select(
-                    itemset.mask(candidates.flows)
-                )
-            else:
-                matched = [
-                    flow for flow in candidates.flows
-                    if itemset.matches(flow)
-                ]
+            matched = candidates.flows.select(
+                itemset.mask(candidates.flows)
+            )
             extracted.append(
                 ExtractedItemset(
                     rank=rank,

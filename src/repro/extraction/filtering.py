@@ -100,38 +100,26 @@ def dominance_filter(
 def _parent_coverage(
     parent: ItemsetSupport,
     refinements: list,
-    flows: "list[FlowRecord] | FlowTable",
+    flows: FlowTable,
 ) -> tuple[int, int, int, int]:
     """Exact (parent_flows, parent_packets, covered_flows,
     covered_packets) of a parent against its refinements."""
-    if isinstance(flows, FlowTable):
-        parent_mask = parent.itemset.mask(flows)
-        parent_flows = int(parent_mask.sum())
-        if parent_flows == 0:
-            return 0, 0, 0, 0
-        packets = flows.packets
-        parent_packets = int(packets[parent_mask].sum())
-        union = np.zeros(len(flows), dtype=bool)
-        for refinement in refinements:
-            union |= refinement.mask(flows)
-        covered = parent_mask & union
-        return (
-            parent_flows,
-            parent_packets,
-            int(covered.sum()),
-            int(packets[covered].sum()),
-        )
-    covered_flows = covered_packets = 0
-    parent_flows = parent_packets = 0
-    for flow in flows:
-        if not parent.itemset.matches(flow):
-            continue
-        parent_flows += 1
-        parent_packets += flow.packets
-        if any(r.matches(flow) for r in refinements):
-            covered_flows += 1
-            covered_packets += flow.packets
-    return parent_flows, parent_packets, covered_flows, covered_packets
+    parent_mask = parent.itemset.mask(flows)
+    parent_flows = int(parent_mask.sum())
+    if parent_flows == 0:
+        return 0, 0, 0, 0
+    packets = flows.packets
+    parent_packets = int(packets[parent_mask].sum())
+    union = np.zeros(len(flows), dtype=bool)
+    for refinement in refinements:
+        union |= refinement.mask(flows)
+    covered = parent_mask & union
+    return (
+        parent_flows,
+        parent_packets,
+        int(covered.sum()),
+        int(packets[covered].sum()),
+    )
 
 
 def decompose_parents(
@@ -158,6 +146,7 @@ def decompose_parents(
     """
     if not 0 < coverage <= 1:
         raise ExtractionError(f"coverage must lie in (0, 1]: {coverage!r}")
+    flows = FlowTable.from_records(flows)
     kept = list(supports)
     dropped = True
     while dropped:
@@ -203,36 +192,17 @@ def baseline_shares(
     """Measure each itemset's share in the baseline window.
 
     Returns a mapping from the index of the itemset in ``supports`` to
-    its baseline stats. With a columnar baseline each itemset counts
-    via one boolean mask; the record path stays for list callers.
+    its baseline stats; each itemset counts via one boolean mask.
     """
+    baseline_flows = FlowTable.from_records(baseline_flows)
     stats: dict[int, BaselineStats] = {}
-    if isinstance(baseline_flows, FlowTable):
-        total_flows = len(baseline_flows)
-        total_packets = baseline_flows.total_packets()
-        packets = baseline_flows.packets
-        for index, support in enumerate(supports):
-            mask = support.itemset.mask(baseline_flows)
-            matched_flows = int(mask.sum())
-            matched_packets = int(packets[mask].sum())
-            stats[index] = BaselineStats(
-                flow_share=(
-                    matched_flows / total_flows if total_flows else 0.0
-                ),
-                packet_share=(
-                    matched_packets / total_packets if total_packets else 0.0
-                ),
-            )
-        return stats
     total_flows = len(baseline_flows)
-    total_packets = sum(f.packets for f in baseline_flows)
+    total_packets = baseline_flows.total_packets()
+    packets = baseline_flows.packets
     for index, support in enumerate(supports):
-        matched_flows = 0
-        matched_packets = 0
-        for flow in baseline_flows:
-            if support.itemset.matches(flow):
-                matched_flows += 1
-                matched_packets += flow.packets
+        mask = support.itemset.mask(baseline_flows)
+        matched_flows = int(mask.sum())
+        matched_packets = int(packets[mask].sum())
         stats[index] = BaselineStats(
             flow_share=matched_flows / total_flows if total_flows else 0.0,
             packet_share=(

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from repro.extraction.extractor import ExtractionReport
 from repro.flows.record import FLOW_FEATURES, FlowFeature, FlowRecord
+from repro.flows.table import FlowTable
 from repro.mining.items import Itemset, ItemsetSupport
 
 __all__ = ["UnionFinding", "explore_unions", "table_rows", "format_count"]
@@ -36,7 +37,7 @@ class UnionFinding:
 
 def explore_unions(
     supports: list[ItemsetSupport],
-    flows: list[FlowRecord],
+    flows: "list[FlowRecord] | FlowTable",
     min_retention: float = 0.5,
     max_pairs: int = 200,
 ) -> list[UnionFinding]:
@@ -45,8 +46,10 @@ def explore_unions(
     A union is reported when it retains at least ``min_retention`` of
     the *smaller* parent's flow support — i.e. the two parents largely
     describe the same flows and merge into one stronger phenomenon.
-    ``max_pairs`` caps the quadratic pair exploration.
+    ``max_pairs`` caps the quadratic pair exploration. Records are
+    tabulated once, here; each union counts via one mask.
     """
+    flows = FlowTable.from_records(flows)
     findings = []
     pairs = 0
     for i in range(len(supports)):
@@ -61,14 +64,8 @@ def explore_unions(
             union = left.union(right)
             if union == left or union == right:
                 continue
-            matched_flows = 0
-            matched_packets = 0
-            matched_bytes = 0
-            for flow in flows:
-                if union.matches(flow):
-                    matched_flows += 1
-                    matched_packets += flow.packets
-                    matched_bytes += flow.bytes
+            mask = union.mask(flows)
+            matched_flows = int(mask.sum())
             smaller = min(supports[i].flows, supports[j].flows)
             retention = matched_flows / smaller if smaller else 0.0
             if matched_flows and retention >= min_retention:
@@ -80,8 +77,8 @@ def explore_unions(
                         support=ItemsetSupport(
                             itemset=union,
                             flows=matched_flows,
-                            packets=matched_packets,
-                            bytes=matched_bytes,
+                            packets=int(flows.packets[mask].sum()),
+                            bytes=int(flows.bytes[mask].sum()),
                         ),
                         retention=retention,
                     )

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 from repro.extraction.extractor import ExtractedItemset, ExtractionReport
 from repro.flows.record import FlowRecord
-from repro.flows.table import FlowTable
 from repro.taxonomy import AnomalyKind
 
 __all__ = ["Evidence", "ValidationVerdict", "validate_report"]
@@ -93,10 +92,9 @@ def validate_report(
 
     ``sample_size`` bounds the raw flows attached per itemset (the
     console prints them; the full set remains queryable through the
-    backend). A report whose candidates are a record list is tabulated
-    once, here.
+    backend).
     """
-    flows = FlowTable.from_records(report.candidates.flows)
+    flows = report.candidates.flows
     evidence = []
     for extracted in report.itemsets:
         matched = flows.select(extracted.itemset.mask(flows))

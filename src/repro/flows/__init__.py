@@ -18,12 +18,9 @@ from repro.flows.aggregate import (
     distinct_counts,
     feature_histogram,
     top_n,
-    traffic_matrix,
 )
 from repro.flows.filter import (
-    compile_filter,
     compile_mask,
-    filter_flows,
     filter_table,
     parse_filter,
 )
@@ -57,10 +54,7 @@ __all__ = [
     "distinct_counts",
     "feature_histogram",
     "top_n",
-    "traffic_matrix",
-    "compile_filter",
     "compile_mask",
-    "filter_flows",
     "filter_table",
     "parse_filter",
     "FLOW_FEATURES",

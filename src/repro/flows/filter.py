@@ -28,13 +28,12 @@ Grammar (recursive descent, case-insensitive keywords)::
     cmp  := '=' | '==' | '!=' | '<' | '<=' | '>' | '>='
     list := '[' VALUE+ ']'
 
-Filters compile two ways from the same AST: to plain Python predicates
-(``FlowRecord -> bool``) via :func:`compile_filter`, and to vectorized
-boolean masks over a :class:`~repro.flows.table.FlowTable` via
-:func:`compile_mask` — the columnar hot path. The AST also *unparses*
-back to canonical text, which the tests use to verify a parse → unparse
-→ parse fixpoint; the property tests additionally verify that predicate
-and mask agree flow-by-flow.
+Filters compile to vectorized boolean masks over a
+:class:`~repro.flows.table.FlowTable` via :func:`compile_mask`; every
+AST node also answers ``matches(flow)`` about one record, the
+reference the property tests check the masks against flow-by-flow. The
+AST *unparses* back to canonical text, which the tests use to verify a
+parse → unparse → parse fixpoint.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -66,9 +65,7 @@ __all__ = [
     "FlagsMatch",
     "RouterMatch",
     "parse_filter",
-    "compile_filter",
     "compile_mask",
-    "filter_flows",
     "filter_table",
 ]
 
@@ -742,35 +739,17 @@ def parse_filter(expression: str) -> FilterNode:
     return _Parser(expression).parse()
 
 
-def compile_filter(
-    expression: str | FilterNode,
-) -> Callable[[FlowRecord], bool]:
-    """Compile a filter (text or AST) into a fast predicate."""
-    node = expression if isinstance(expression, FilterNode) \
-        else parse_filter(expression)
-    return node.matches
-
-
 def compile_mask(
     expression: str | FilterNode,
 ) -> Callable[[FlowTable], np.ndarray]:
     """Compile a filter (text or AST) into a vectorized mask function.
 
     The returned callable maps a :class:`FlowTable` to a boolean array
-    selecting the matching rows — the columnar equivalent of
-    :func:`compile_filter`.
+    selecting the matching rows.
     """
     node = expression if isinstance(expression, FilterNode) \
         else parse_filter(expression)
     return node.mask
-
-
-def filter_flows(
-    flows: Iterable[FlowRecord], expression: str | FilterNode
-) -> Iterator[FlowRecord]:
-    """Yield the flows matching ``expression``."""
-    predicate = compile_filter(expression)
-    return (flow for flow in flows if predicate(flow))
 
 
 def filter_table(

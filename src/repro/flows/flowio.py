@@ -9,12 +9,14 @@ Two interchange formats:
   survive the v5 sys-uptime encoding. This is the on-disk shape a real
   NfDump spool directory would hold.
 
-Both formats decode two ways: the record generators (:func:`read_csv`,
-:func:`read_binary`) and the chunked columnar readers
-(:func:`iter_csv_tables` / :func:`read_csv_table`,
-:func:`iter_binary_tables` / :func:`read_binary_table`) that stream
-straight into :class:`~repro.flows.table.FlowTable` chunks — the
-ingest side of the columnar hot path.
+Both formats stream straight into :class:`~repro.flows.table.FlowTable`
+chunks (:func:`iter_csv_tables` / :func:`read_csv_table`,
+:func:`iter_binary_tables` / :func:`read_binary_table`). The binary
+reader views each chunk's record bytes through the one v5 record
+layout, :data:`repro.flows.netflow_v5.V5_RECORD_DTYPE`; no
+``FlowRecord`` exists between the file and the table, and
+:func:`read_binary` is the record view of those chunks.
+:func:`read_csv` parses rows into records itself.
 """
 
 from __future__ import annotations
@@ -28,7 +30,13 @@ from typing import Iterable, Iterator, TextIO
 import numpy as np
 
 from repro.errors import CodecError, FlowError
-from repro.flows.netflow_v5 import decode_packet, encode_stream
+from repro.flows.netflow_v5 import (
+    HEADER_SIZE,
+    RECORD_SIZE,
+    decode_header,
+    decode_records,
+    encode_stream,
+)
 from repro.flows.record import FlowRecord
 from repro.flows.table import FlowTable
 from repro.flows.addresses import int_to_ip, ip_to_int
@@ -276,23 +284,18 @@ def write_binary(
 
 def read_binary(path: str | Path) -> Iterator[FlowRecord]:
     """Read flows from a file written by :func:`write_binary`."""
-    with open(path, "rb") as handle:
-        header = handle.read(_FILE_HEADER.size)
-        if len(header) < _FILE_HEADER.size:
-            raise CodecError(f"{path}: truncated file header")
-        magic, boot_time, packet_count = _FILE_HEADER.unpack(header)
-        if magic != _BINARY_MAGIC:
-            raise CodecError(f"{path}: bad magic {magic!r}")
-        for index in range(packet_count):
-            length_raw = handle.read(_PACKET_LEN.size)
-            if len(length_raw) < _PACKET_LEN.size:
-                raise CodecError(f"{path}: truncated packet {index} length")
-            (length,) = _PACKET_LEN.unpack(length_raw)
-            data = handle.read(length)
-            if len(data) < length:
-                raise CodecError(f"{path}: truncated packet {index} body")
-            _, flows = decode_packet(data, boot_time=boot_time)
-            yield from flows
+    for table in iter_binary_tables(path):
+        yield from table.to_records()
+
+
+def _take_chunk(
+    records: bytearray, sampling: list[int], count: int, boot_time: float
+) -> FlowTable:
+    """Decode the first ``count`` buffered records and drop them."""
+    size = count * RECORD_SIZE
+    rows = decode_records(records[:size], boot_time, sampling[:count])
+    del records[:size], sampling[:count]
+    return FlowTable(rows)
 
 
 def iter_binary_tables(
@@ -301,21 +304,46 @@ def iter_binary_tables(
 ) -> Iterator[FlowTable]:
     """Stream a binary trace as :class:`FlowTable` chunks.
 
-    Decoded NetFlow v5 records are batched into columnar chunks of at
-    most ``chunk_rows`` rows before any downstream processing sees
-    them, so a multi-gigabyte spool never materializes as one Python
-    list.
+    The packets' record bytes are gathered until ``chunk_rows`` records
+    are in hand and decoded in one pass, so a multi-gigabyte spool
+    never holds more than a chunk (plus one packet) in memory and no
+    Python runs per record. A packet shorter than its header declares
+    is corruption here (:class:`~repro.errors.CodecError`), and so is
+    a record that ends before it starts
+    (:class:`~repro.errors.FlowError`).
     """
     if chunk_rows <= 0:
         raise CodecError(f"chunk_rows must be positive: {chunk_rows!r}")
-    batch: list[FlowRecord] = []
-    for flow in read_binary(path):
-        batch.append(flow)
-        if len(batch) >= chunk_rows:
-            yield FlowTable.from_records(batch, cache_records=False)
-            batch = []
-    if batch:
-        yield FlowTable.from_records(batch, cache_records=False)
+    with open(path, "rb") as handle:
+        file_header = handle.read(_FILE_HEADER.size)
+        if len(file_header) < _FILE_HEADER.size:
+            raise CodecError(f"{path}: truncated file header")
+        magic, boot_time, packet_count = _FILE_HEADER.unpack(file_header)
+        if magic != _BINARY_MAGIC:
+            raise CodecError(f"{path}: bad magic {magic!r}")
+        records = bytearray()
+        sampling: list[int] = []  # one interval per buffered record
+        for index in range(packet_count):
+            length_raw = handle.read(_PACKET_LEN.size)
+            if len(length_raw) < _PACKET_LEN.size:
+                raise CodecError(f"{path}: truncated packet {index} length")
+            (length,) = _PACKET_LEN.unpack(length_raw)
+            data = handle.read(length)
+            if len(data) < length:
+                raise CodecError(f"{path}: truncated packet {index} body")
+            header = decode_header(data)
+            body = data[HEADER_SIZE:HEADER_SIZE + header.count * RECORD_SIZE]
+            if len(body) < header.count * RECORD_SIZE:
+                raise CodecError(
+                    f"{path}: packet {index} declares {header.count} "
+                    f"records, holds {len(body) // RECORD_SIZE}"
+                )
+            records += body
+            sampling += [header.sampling_interval] * header.count
+            while len(sampling) >= chunk_rows:
+                yield _take_chunk(records, sampling, chunk_rows, boot_time)
+        if sampling:
+            yield _take_chunk(records, sampling, len(sampling), boot_time)
 
 
 def read_binary_table(

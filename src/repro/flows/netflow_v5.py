@@ -23,6 +23,12 @@ Record (48 bytes)::
     dPkts(4) dOctets(4) first(4) last(4)
     srcport(2) dstport(2) pad1(1) tcp_flags(1) prot(1) tos(1)
     src_as(2) dst_as(2) src_mask(1) dst_mask(1) pad2(2)
+
+Decoding has one declaration of that record, :data:`V5_RECORD_DTYPE`,
+and one column program over it, :func:`decode_records`: the ``.rpv5``
+file readers run it once per chunk, :func:`decode_packet` once per
+packet, and the collector compiles its ``V5_PLAN`` from the same
+dtype.
 """
 
 from __future__ import annotations
@@ -31,16 +37,22 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from repro.errors import CodecError
+import numpy as np
+
+from repro.errors import CodecError, FlowError
 from repro.flows.record import FlowRecord
+from repro.flows.table import FLOW_DTYPE, FlowTable
 
 __all__ = [
     "NETFLOW_V5_VERSION",
     "HEADER_SIZE",
     "RECORD_SIZE",
     "MAX_RECORDS_PER_PACKET",
+    "V5_RECORD_DTYPE",
     "V5Header",
     "encode_packet",
+    "decode_header",
+    "decode_records",
     "decode_packet",
     "decode_packet_tolerant",
     "encode_stream",
@@ -54,6 +66,32 @@ MAX_RECORDS_PER_PACKET = 30
 
 _HEADER = struct.Struct("!HHIIIIBBH")
 _RECORD = struct.Struct("!IIIHHIIIIHHBBBBHHBBH")
+
+#: The 48-byte record as a big-endian numpy view, fields in the order
+#: ``_RECORD`` packs them.
+V5_RECORD_DTYPE = np.dtype([
+    ("src_ip", ">u4"),
+    ("dst_ip", ">u4"),
+    ("nexthop", ">u4"),
+    ("input", ">u2"),
+    ("output", ">u2"),
+    ("packets", ">u4"),
+    ("octets", ">u4"),
+    ("first", ">u4"),
+    ("last", ">u4"),
+    ("src_port", ">u2"),
+    ("dst_port", ">u2"),
+    ("pad1", "u1"),
+    ("tcp_flags", "u1"),
+    ("proto", "u1"),
+    ("tos", "u1"),
+    ("src_as", ">u2"),
+    ("dst_as", ">u2"),
+    ("src_mask", "u1"),
+    ("dst_mask", "u1"),
+    ("pad2", ">u2"),
+])
+assert V5_RECORD_DTYPE.itemsize == _RECORD.size == RECORD_SIZE
 
 # Sampling header: top 2 bits = mode (01 = packet interval sampling),
 # low 14 bits = interval.
@@ -169,6 +207,89 @@ def encode_packet(
     return b"".join(parts)
 
 
+def decode_header(data: bytes) -> V5Header:
+    """Decode the 24-byte header of one export packet.
+
+    Raises :class:`~repro.errors.CodecError` for fewer than 24 bytes
+    or a version other than 5: nothing after such a header can be
+    trusted.
+    """
+    if len(data) < HEADER_SIZE:
+        raise CodecError(
+            f"truncated packet: {len(data)} bytes < header {HEADER_SIZE}"
+        )
+    (
+        version,
+        count,
+        sys_uptime,
+        unix_secs,
+        unix_nsecs,
+        flow_sequence,
+        engine_type,
+        engine_id,
+        sampling,
+    ) = _HEADER.unpack_from(data, 0)
+    if version != NETFLOW_V5_VERSION:
+        raise CodecError(f"unsupported NetFlow version {version}")
+    sampling_mode = sampling >> 14
+    sampling_interval = sampling & _SAMPLING_INTERVAL_MASK
+    if sampling_mode == 0 or sampling_interval == 0:
+        sampling_interval = 1
+    return V5Header(
+        count=count,
+        sys_uptime_ms=sys_uptime,
+        unix_secs=unix_secs,
+        unix_nsecs=unix_nsecs,
+        flow_sequence=flow_sequence,
+        engine_type=engine_type,
+        engine_id=engine_id,
+        sampling_interval=sampling_interval,
+    )
+
+
+def decode_records(
+    data: "bytes | bytearray",
+    boot_time: float,
+    sampling: "int | Sequence[int]",
+    count: int = -1,
+    offset: int = 0,
+) -> np.ndarray:
+    """``FLOW_DTYPE`` rows of the 48-byte records in ``data``.
+
+    ``count`` and ``offset`` select the records as they do for
+    ``np.frombuffer``; ``sampling`` is their header's sampling
+    interval, one value or one per record. Absolute times are
+    ``boot_time + uptime_ms / 1000.0``, the collector's arithmetic.
+    A record whose ``last`` precedes its ``first`` raises
+    :class:`~repro.errors.FlowError`, as :class:`FlowRecord` would:
+    files and single packets are not a socket, nothing is clamped.
+    """
+    wire = np.frombuffer(
+        data, dtype=V5_RECORD_DTYPE, count=count, offset=offset
+    )
+    inverted = np.flatnonzero(wire["last"] < wire["first"])
+    if len(inverted):
+        record = wire[inverted[0]]
+        raise FlowError(
+            f"record {inverted[0]} ends before it starts "
+            f"(last {record['last']} ms < first {record['first']} ms)"
+        )
+    rows = np.empty(len(wire), dtype=FLOW_DTYPE)
+    rows["src_ip"] = wire["src_ip"]
+    rows["dst_ip"] = wire["dst_ip"]
+    rows["src_port"] = wire["src_port"]
+    rows["dst_port"] = wire["dst_port"]
+    rows["proto"] = wire["proto"]
+    rows["tcp_flags"] = wire["tcp_flags"]
+    rows["router"] = wire["input"]
+    rows["sampling_rate"] = sampling
+    rows["packets"] = wire["packets"]
+    rows["bytes"] = wire["octets"]
+    rows["start"] = boot_time + wire["first"] / 1000.0
+    rows["end"] = boot_time + wire["last"] / 1000.0
+    return rows
+
+
 def decode_packet(
     data: bytes, boot_time: float = 0.0
 ) -> tuple[V5Header, list[FlowRecord]]:
@@ -207,82 +328,13 @@ def decode_packet_tolerant(
     :class:`~repro.errors.CodecError`, since there is nothing to
     salvage.
     """
-    if len(data) < HEADER_SIZE:
-        raise CodecError(
-            f"truncated packet: {len(data)} bytes < header {HEADER_SIZE}"
-        )
-    (
-        version,
-        count,
-        sys_uptime,
-        unix_secs,
-        unix_nsecs,
-        flow_sequence,
-        engine_type,
-        engine_id,
-        sampling,
-    ) = _HEADER.unpack_from(data, 0)
-    if version != NETFLOW_V5_VERSION:
-        raise CodecError(f"unsupported NetFlow version {version}")
-    whole = min(count, (len(data) - HEADER_SIZE) // RECORD_SIZE)
-    malformed = count - whole
-    sampling_mode = sampling >> 14
-    sampling_interval = sampling & _SAMPLING_INTERVAL_MASK
-    if sampling_mode == 0 or sampling_interval == 0:
-        sampling_interval = 1
-    header = V5Header(
-        count=count,
-        sys_uptime_ms=sys_uptime,
-        unix_secs=unix_secs,
-        unix_nsecs=unix_nsecs,
-        flow_sequence=flow_sequence,
-        engine_type=engine_type,
-        engine_id=engine_id,
-        sampling_interval=sampling_interval,
+    header = decode_header(data)
+    whole = min(header.count, (len(data) - HEADER_SIZE) // RECORD_SIZE)
+    rows = decode_records(
+        data, boot_time, header.sampling_interval,
+        count=whole, offset=HEADER_SIZE,
     )
-    flows = []
-    offset = HEADER_SIZE
-    for _ in range(whole):
-        (
-            src_ip,
-            dst_ip,
-            _nexthop,
-            input_if,
-            _output_if,
-            packets,
-            octets,
-            first_ms,
-            last_ms,
-            src_port,
-            dst_port,
-            _pad1,
-            tcp_flags,
-            proto,
-            _tos,
-            _src_as,
-            _dst_as,
-            _src_mask,
-            _dst_mask,
-            _pad2,
-        ) = _RECORD.unpack_from(data, offset)
-        offset += RECORD_SIZE
-        flows.append(
-            FlowRecord(
-                src_ip=src_ip,
-                dst_ip=dst_ip,
-                src_port=src_port,
-                dst_port=dst_port,
-                proto=proto,
-                packets=packets,
-                bytes=octets,
-                start=boot_time + first_ms / 1000.0,
-                end=boot_time + last_ms / 1000.0,
-                tcp_flags=tcp_flags,
-                router=input_if,
-                sampling_rate=sampling_interval,
-            )
-        )
-    return header, flows, malformed
+    return header, FlowTable(rows).to_records(), header.count - whole
 
 
 def encode_stream(

@@ -11,8 +11,7 @@ intersects flow sets frequently).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import Iterator, Mapping
+from dataclasses import dataclass
 
 from repro.errors import FlowError
 from repro.flows.addresses import int_to_ip, is_valid_ip_int
@@ -205,10 +204,6 @@ class FlowRecord:
         """True when every bit of ``flags`` is set on the record."""
         return (self.tcp_flags & int(flags)) == int(flags)
 
-    def with_counters(self, packets: int, bytes_: int) -> "FlowRecord":
-        """Copy with replaced counters (used by the sampling models)."""
-        return replace(self, packets=packets, bytes=bytes_)
-
     def overlaps(self, start: float, end: float) -> bool:
         """True when the flow's active period intersects ``[start, end)``."""
         return self.start < end and self.end >= start
@@ -259,13 +254,3 @@ def format_feature_value(feature: FlowFeature, value: int,
         except ValueError:
             return str(value)
     return str(value)
-
-
-def flows_by_key(
-    flows: Iterator[FlowRecord] | list[FlowRecord],
-) -> Mapping[tuple[int, int, int, int, int], list[FlowRecord]]:
-    """Group flows by 5-tuple key, preserving order within groups."""
-    grouped: dict[tuple[int, int, int, int, int], list[FlowRecord]] = {}
-    for flow in flows:
-        grouped.setdefault(flow.key, []).append(flow)
-    return grouped

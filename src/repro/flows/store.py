@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from repro.errors import StoreError
 from repro.flows.aggregate import ranked_from_histogram, table_histogram
-from repro.flows.filter import FilterNode, compile_filter, compile_mask
+from repro.flows.filter import FilterNode, compile_mask
 from repro.flows.record import FlowFeature, FlowRecord
 from repro.flows.table import FlowTable
 from repro.flows.trace import DEFAULT_BIN_SECONDS, FlowTrace, TraceStats
@@ -305,12 +305,6 @@ class FlowStore:
         """
         return self.query_table(start, end, flow_filter).to_records()
 
-    def _scan(self, start: float, end: float) -> Iterator[FlowRecord]:
-        # cache=False: a statistics walk over the archive must not pin
-        # a FlowRecord per row on the long-lived slice tables.
-        for table in self._window_tables(start, end):
-            yield from table.records(cache=False)
-
     def count(
         self,
         start: float,
@@ -344,40 +338,6 @@ class FlowStore:
             end=max(float(t.end.max()) for t in tables),
         )
 
-    def top_talkers(
-        self,
-        start: float,
-        end: float,
-        key: Callable[[FlowRecord], object],
-        n: int = 10,
-        weight: Callable[[FlowRecord], int] | None = None,
-        flow_filter: str | FilterNode | None = None,
-    ) -> list[tuple[object, int]]:
-        """Top-``n`` aggregation, nfdump's ``-s`` statistics mode.
-
-        ``key`` extracts the aggregation key from a flow (e.g.
-        ``lambda f: f.src_ip``); ``weight`` the contribution (defaults
-        to flow count). Arbitrary callables keep this on the record
-        path; for plain feature rankings use the vectorized
-        :meth:`top_feature_values`.
-        """
-        if n <= 0:
-            raise StoreError(f"n must be positive: {n!r}")
-        if end < start:
-            return []
-        predicate: Callable[[FlowRecord], bool] | None = None
-        if flow_filter is not None:
-            predicate = compile_filter(flow_filter)
-        totals: dict[object, int] = {}
-        for flow in self._scan(start, end):
-            if predicate is not None and not predicate(flow):
-                continue
-            amount = 1 if weight is None else weight(flow)
-            group = key(flow)
-            totals[group] = totals.get(group, 0) + amount
-        ranked = sorted(totals.items(), key=lambda kv: (-kv[1], str(kv[0])))
-        return ranked[:n]
-
     def top_feature_values(
         self,
         start: float,
@@ -387,12 +347,11 @@ class FlowStore:
         by_packets: bool = False,
         flow_filter: str | FilterNode | None = None,
     ) -> list[tuple[int, int]]:
-        """Vectorized top-``n`` values of one flow feature.
-
-        Equivalent to ``top_talkers`` keyed on ``feature`` (same
-        ordering, including the string tie-break), but counts the
-        feature column through
-        :func:`~repro.flows.aggregate.table_histogram`.
+        """Top-``n`` values of one flow feature, nfdump's ``-s``
+        statistics mode: the feature column counted through
+        :func:`~repro.flows.aggregate.table_histogram`, ranked by
+        weight with the string tie-break of
+        :func:`~repro.flows.aggregate.ranked_from_histogram`.
         """
         if n <= 0:
             raise StoreError(f"n must be positive: {n!r}")

@@ -465,19 +465,12 @@ class FlowTable:
         return built
 
     def records(
-        self,
-        start: int = 0,
-        stop: int | None = None,
-        cache: bool = True,
+        self, start: int = 0, stop: int | None = None
     ) -> list[FlowRecord]:
         """Materialize the records of rows ``[start, stop)``.
 
-        With ``cache`` (the default) materialized records are kept on
-        the table so repeated record views are free. Transient scans
-        over long-lived tables (e.g. store statistics walks) pass
-        ``cache=False`` so one record-path pass doesn't pin a
-        per-row object for the table's lifetime; an existing cache is
-        still reused.
+        Materialized records are kept on the table, so repeated record
+        views are free.
         """
         length = len(self)
         if stop is None:
@@ -485,8 +478,6 @@ class FlowTable:
         start = max(0, min(start, length))
         stop = max(start, min(stop, length))
         if self._rows is None:
-            if not cache:
-                return self._build_records(start, stop)
             self._rows = [None] * length
         rows = self._rows
         if any(rows[i] is None for i in range(start, stop)):

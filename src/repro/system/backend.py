@@ -100,25 +100,13 @@ class FlowBackend:
             baseline=(baseline_start, start),
         )
 
-    def alarm_flows(self, alarm: Alarm) -> list[FlowRecord]:
-        """All flows of the (padded) alarm interval."""
-        start, end = self.windows_for(alarm).interval
-        return self.store.query(start, end)
-
     def alarm_table(self, alarm: Alarm) -> FlowTable:
-        """Columnar view of the (padded) alarm interval."""
+        """All flows of the (padded) alarm interval."""
         start, end = self.windows_for(alarm).interval
         return self.store.query_table(start, end)
 
-    def baseline_flows(self, alarm: Alarm) -> list[FlowRecord]:
-        """Flows of the pre-alarm baseline window (may be empty)."""
-        start, end = self.windows_for(alarm).baseline
-        if end <= start:
-            return []
-        return self.store.query(start, end)
-
     def baseline_table(self, alarm: Alarm) -> FlowTable:
-        """Columnar view of the pre-alarm baseline window."""
+        """Flows of the pre-alarm baseline window (may be empty)."""
         start, end = self.windows_for(alarm).baseline
         if end <= start:
             return FlowTable.empty()
@@ -148,22 +136,13 @@ class FlowBackend:
 
     # -- ad-hoc queries ----------------------------------------------------------
 
-    def query(
-        self,
-        start: float,
-        end: float,
-        flow_filter: str | FilterNode | None = None,
-    ) -> list[FlowRecord]:
-        """nfdump-style filtered query (delegates to the store)."""
-        return self.store.query(start, end, flow_filter)
-
     def query_table(
         self,
         start: float,
         end: float,
         flow_filter: str | FilterNode | None = None,
     ) -> FlowTable:
-        """Columnar nfdump-style query (delegates to the store)."""
+        """nfdump-style filtered query (delegates to the store)."""
         return self.store.query_table(start, end, flow_filter)
 
     def top_feature_values(

@@ -4,9 +4,10 @@ The alarm → report path runs on code columns and masks: the group-by
 kernel behind ``mine_apriori`` and the mask-based evidence of
 ``validate_report``. Hypothesis checks both against their per-flow
 references — ``tests/mining_oracle.py`` (the record-interning encoder
-and per-transaction Apriori that were production code) and the record
-loop ``validate_report`` used to be (kept below) — on inputs built to
-collide: a handful of distinct values per feature, whole rows
+and per-transaction Apriori that were production code), the record
+loop ``validate_report`` used to be (kept below) and the per-flow
+bodies of the extraction steps (``tests/record_oracle.py``) — on inputs
+built to collide: a handful of distinct values per feature, whole rows
 duplicated, ties on every sort key.
 """
 
@@ -15,17 +16,32 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.detect.base import Alarm
+from repro.detect.base import Alarm, MetadataItem
 from repro.extraction.candidates import CandidateSelection
-from repro.extraction.classify import Classification
+from repro.extraction.classify import (
+    Classification,
+    _syn_fraction,
+    classify_itemset,
+)
 from repro.extraction.extractor import (
     AnomalyExtractor,
     ExtractedItemset,
     ExtractionReport,
 )
+from repro.extraction.filtering import (
+    _parent_coverage,
+    baseline_shares,
+    decompose_parents,
+)
 from repro.extraction.ranking import ScoredItemset
+from repro.extraction.summarize import table_rows
 from repro.extraction.validate import Evidence, validate_report
-from repro.flows.record import FLOW_FEATURES, FlowRecord, feature_value
+from repro.flows.record import (
+    FLOW_FEATURES,
+    FlowFeature,
+    FlowRecord,
+    feature_value,
+)
 from repro.flows.table import FlowTable
 from repro.mining import apriori
 from repro.mining.apriori import EXACT_FLOAT_LIMIT, mine_apriori
@@ -33,6 +49,7 @@ from repro.mining.extended import ExtendedApriori, MiningOutcome
 from repro.mining.items import Item, Itemset, ItemsetSupport
 from repro.mining.transactions import TransactionSet
 from repro.taxonomy import AnomalyKind
+from tests import record_oracle
 from tests.mining_oracle import OracleTransactionSet, oracle_apriori
 
 # At most four distinct values per feature, a few packet weights and
@@ -287,3 +304,92 @@ def test_evidence_equals_record_loop(flows, sample_size, data):
     assert by_table.novel_itemsets == sum(
         not e.confirms_detector for e in itemsets
     )
+
+
+# -- one body per extraction step: tables in, tables through ----------------
+
+
+def _drawn_supports(data, flows):
+    return [
+        e.scored.support for e in data.draw(extracted_itemsets(flows))
+    ]
+
+
+@given(flows=tied_flows(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_extraction_steps_equal_their_record_loops(flows, data):
+    """``baseline_shares``, ``_parent_coverage`` and the classifier's
+    SYN fraction and per-flow volumes against the per-flow bodies they
+    replaced (tests/record_oracle.py), and a record list against its
+    table at every entry point that still accepts one."""
+    table = FlowTable.from_records(flows, cache_records=False)
+    supports = _drawn_supports(data, flows)
+    expected = record_oracle.baseline_shares(supports, flows)
+    assert baseline_shares(supports, table) == expected
+    assert baseline_shares(supports, flows) == expected
+    for parent in supports:
+        refinements = [
+            other.itemset for other in supports if other is not parent
+        ]
+        assert _parent_coverage(parent, refinements, table) == \
+            record_oracle.parent_coverage(parent, refinements, flows)
+    assert _syn_fraction(table) == record_oracle.syn_fraction(flows)
+    assert (
+        table.total_packets() / len(table), table.total_bytes() / len(table)
+    ) == record_oracle.volume_per_flow(flows)
+    for support in supports:
+        assert classify_itemset(support.itemset, flows) == \
+            classify_itemset(support.itemset, table)
+    assert decompose_parents(supports, flows) == \
+        decompose_parents(supports, table)
+
+
+def test_extract_on_records_equals_extract_on_their_table():
+    """A record list is tabulated once at ``extract``'s entry: same
+    report rows and verdict as its table, candidates a table either
+    way — with and without a meta-data pre-filter and a baseline."""
+    scan = [
+        FlowRecord(src_ip=0x07070707, dst_ip=0x08080808, src_port=55548,
+                   dst_port=port, proto=6, packets=1, bytes=40,
+                   start=10.0, end=10.1, tcp_flags=0x02)
+        for port in range(1, 301)
+    ]
+    web = [
+        FlowRecord(src_ip=0x0A000001, dst_ip=0x0A010002,
+                   src_port=1000 + i, dst_port=80, proto=6, packets=5,
+                   bytes=500, start=float(i), end=float(i) + 1.0)
+        for i in range(100)
+    ]
+    interval = scan + web
+    baseline = [
+        FlowRecord(src_ip=0x0A000001, dst_ip=0x0A010002,
+                   src_port=1000 + i, dst_port=80, proto=6, packets=5,
+                   bytes=500, start=-float(i) - 1.0, end=-float(i))
+        for i in range(100)
+    ]
+    hinted = Alarm(
+        alarm_id="a", detector="t", start=0.0, end=300.0, score=1.0,
+        metadata=[MetadataItem(FlowFeature.SRC_IP, 0x07070707),
+                  MetadataItem(FlowFeature.DST_IP, 0x08080808)],
+    )
+    bare = Alarm(alarm_id="b", detector="t", start=0.0, end=300.0,
+                 score=1.0)
+    for alarm in (hinted, bare):
+        for reference in (None, baseline):
+            by_records = AnomalyExtractor().extract(
+                alarm, interval, reference
+            )
+            by_table = AnomalyExtractor().extract(
+                alarm,
+                FlowTable.from_records(interval, cache_records=False),
+                reference and FlowTable.from_records(
+                    reference, cache_records=False
+                ),
+            )
+            assert by_records.itemsets
+            assert table_rows(by_records) == table_rows(by_table)
+            assert by_records.describe() == by_table.describe()
+            assert validate_report(by_records) == \
+                validate_report(by_table)
+            for report in (by_records, by_table):
+                assert isinstance(report.candidates.flows, FlowTable)

@@ -21,7 +21,7 @@ from repro.eval.groundtruth import (
     itemset_hits_signature,
     itemset_hits_truth,
 )
-from repro.eval.harness import synthesize_alarm
+from repro.eval.harness import run_case, synthesize_alarm
 from repro.eval.metrics import PrecisionRecall, precision_recall
 from repro.eval.table1 import PAPER_TABLE1_FLOWS, run_table1
 from repro.flows.record import FlowFeature
@@ -122,6 +122,56 @@ class TestHarness:
     def test_synthesize_alarm_requires_truths(self):
         with pytest.raises(ValueError):
             synthesize_alarm("a", [])
+
+    def test_experiments_run_on_tables(self, topology):
+        """``run_case`` and ``flow_level_quality`` cut table windows and
+        run the product path: no record of the trace is materialised,
+        and the quality equals the per-flow walk it replaced."""
+        from repro.flows.trace import FlowTrace
+        from repro.synth.anomalies import PortScan, SynFlood
+        from repro.synth.background import BackgroundConfig
+        from repro.synth.scenario import LabeledTrace, Scenario
+
+        scenario = Scenario(
+            topology=topology,
+            background=BackgroundConfig(flows_per_second=5.0),
+            bin_count=5,
+        )
+        target = topology.host_address(topology.pops[9], 3)
+        scenario.add(PortScan("scan", 0xCB000001, target, 2000,
+                              src_port=55548), 3)
+        scenario.add(SynFlood("ddos", target, 80, flow_count=500,
+                              fixed_src_port=3072), 3)
+        built = scenario.build(seed=13)
+        # The generators emit records and the built trace caches them;
+        # the same rows without that cache are what a file gives.
+        trace = FlowTrace(
+            built.trace.table.select(slice(None)),
+            bin_seconds=built.trace.bin_seconds, origin=built.trace.origin,
+        )
+        labeled = LabeledTrace(trace, built.truths, built.topology)
+        alarm = synthesize_alarm("case", labeled.truths)
+        result = run_case(labeled, alarm)
+        assert result.verdict.useful
+        interval = trace.between_table(alarm.start, alarm.end)
+        quality = flow_level_quality(result.report, labeled.truths, interval)
+        assert trace.table._rows is None
+        assert interval._rows is None
+
+        flows = interval.to_records()
+        truth = {
+            index for index, flow in enumerate(flows)
+            if any(t.matches(flow) for t in labeled.truths)
+        }
+        extracted = {
+            index for index, flow in enumerate(flows)
+            if any(e.itemset.matches(flow) for e in result.report.itemsets)
+        }
+        assert truth and extracted
+        assert quality == precision_recall(extracted, truth)
+        assert flow_level_quality(
+            result.report, labeled.truths, flows
+        ) == quality
 
 
 @pytest.mark.slow

@@ -45,7 +45,7 @@ class TestDegenerateExtraction:
         report = AnomalyExtractor().extract(alarm, flows)
         # Fallback to the whole interval keeps extraction alive.
         assert not report.candidates.used_metadata
-        assert report.candidates.flows == flows
+        assert report.candidates.flows.to_records() == flows
 
     def test_all_flows_identical(self):
         flows = [make_flow()] * 500
@@ -122,8 +122,8 @@ class TestSystemRobustness:
     def test_backend_empty_store(self):
         backend = FlowBackend(FlowStore())
         alarm = _alarm()
-        assert backend.alarm_flows(alarm) == []
-        assert backend.baseline_flows(alarm) == []
+        assert not len(backend.alarm_table(alarm))
+        assert not len(backend.baseline_table(alarm))
 
     def test_validate_untracked_alarm_still_works(self):
         flows = [make_flow(start=float(i), end=float(i) + 1, sport=i + 1)

@@ -9,8 +9,6 @@ from repro.flows.filter import (
     MatchAny,
     Not,
     Or,
-    compile_filter,
-    filter_flows,
     parse_filter,
 )
 from repro.flows.record import (
@@ -265,12 +263,6 @@ class TestFilterSemantics:
         node = parse_filter("dst port 80 or dst port 81 and proto tcp")
         assert node.matches(flow)
         assert isinstance(node, Or)
-
-    def test_filter_flows_and_compile(self):
-        flows = [make_flow(dport=80), make_flow(dport=443)]
-        assert len(list(filter_flows(flows, "dst port 80"))) == 1
-        predicate = compile_filter("dst port 443")
-        assert [predicate(f) for f in flows] == [False, True]
 
     def test_ast_nodes_direct(self):
         flow = make_flow()

@@ -1,19 +1,26 @@
 """Tests for trace, store, sampling, aggregate, codec and IO modules."""
 
 import io
+import struct
 
 import pytest
 
 from conftest import make_flow
-from repro.errors import CodecError, SamplingError, StoreError
+from repro.errors import CodecError, FlowError, SamplingError, StoreError
 from repro.flows.aggregate import (
     all_feature_histograms,
     distinct_counts,
     feature_histogram,
     top_n,
-    traffic_matrix,
 )
-from repro.flows.flowio import csv_roundtrip, read_binary, read_csv, write_binary, write_csv
+from repro.flows.flowio import (
+    csv_roundtrip,
+    read_binary,
+    read_binary_table,
+    read_csv,
+    write_binary,
+    write_csv,
+)
 from repro.flows.netflow_v5 import (
     MAX_RECORDS_PER_PACKET,
     decode_packet,
@@ -130,16 +137,6 @@ class TestFlowStore:
         assert stats.flows == 10
         stats = store.count(0.0, 300.0, "src port > 1004")
         assert stats.flows == 5
-
-    def test_top_talkers(self):
-        store = FlowStore(slice_seconds=60.0)
-        store.insert_many(
-            [make_flow(dport=80)] * 3 + [make_flow(dport=53)]
-        )
-        ranked = store.top_talkers(
-            0.0, 60.0, key=lambda f: f.dst_port, n=2
-        )
-        assert ranked[0] == (80, 3)
 
     def test_slices_metadata(self):
         store = FlowStore(slice_seconds=60.0)
@@ -261,16 +258,6 @@ class TestAggregate:
         assert counts[FlowFeature.DST_PORT] == 3
         assert counts[FlowFeature.SRC_IP] == 1
 
-    def test_traffic_matrix(self):
-        flows = [make_flow(router=0), make_flow(router=1)]
-        matrix = traffic_matrix(
-            flows, pop_of=lambda ip: 0 if ip == flows[0].src_ip else None,
-            pop_count=2,
-        )
-        # src maps to pop 0, dst to external (=2).
-        assert (0, 2) in matrix
-        assert matrix[(0, 2)].flows == 2
-
 
 class TestNetflowV5:
     def test_roundtrip_single(self):
@@ -365,3 +352,66 @@ class TestFlowIO:
         (tmp_path / "trunc.rpv5").write_bytes(data[:-10])
         with pytest.raises(CodecError):
             list(read_binary(tmp_path / "trunc.rpv5"))
+
+
+def _rpv5_with_packet(packet: bytes, boot_time: float = 0.0) -> bytes:
+    """A one-packet container around ``packet``."""
+    return (
+        struct.pack("!4sdI", b"RPV5", boot_time, 1)
+        + struct.pack("!I", len(packet)) + packet
+    )
+
+
+_GOOD_PACKET = encode_packet(
+    [make_flow(start=10.0, end=11.0), make_flow(start=12.0, end=12.5)]
+)
+_GOOD_FILE = _rpv5_with_packet(_GOOD_PACKET)
+#: ``last`` (record offset 28) set below ``first`` (offset 24).
+_INVERTED_PACKET = (
+    _GOOD_PACKET[:24 + 28] + (9_000).to_bytes(4, "big")
+    + _GOOD_PACKET[24 + 32:]
+)
+
+
+class TestBinaryReaderRefusals:
+    """Every corruption the per-record ``.rpv5`` reader refused, the
+    table reader refuses with the same error class."""
+
+    @pytest.mark.parametrize("content, error", [
+        pytest.param(b"XXXX" + _GOOD_FILE[4:], CodecError, id="bad-magic"),
+        pytest.param(_GOOD_FILE[:10], CodecError, id="short-file-header"),
+        pytest.param(_GOOD_FILE[:18], CodecError, id="short-packet-length"),
+        pytest.param(_GOOD_FILE[:-10], CodecError, id="short-packet-body"),
+        pytest.param(
+            _rpv5_with_packet(b"\x00\x09" + _GOOD_PACKET[2:]),
+            CodecError, id="not-version-5",
+        ),
+        pytest.param(
+            _rpv5_with_packet(_GOOD_PACKET[:10]), CodecError,
+            id="packet-shorter-than-its-header",
+        ),
+        pytest.param(
+            _rpv5_with_packet(_GOOD_PACKET[:-5]), CodecError,
+            id="count-larger-than-body",
+        ),
+        pytest.param(
+            _rpv5_with_packet(_INVERTED_PACKET), FlowError,
+            id="last-before-first",
+        ),
+    ])
+    def test_refuses(self, tmp_path, content, error):
+        path = tmp_path / "trace.rpv5"
+        path.write_bytes(content)
+        with pytest.raises(error):
+            read_binary_table(path)
+        with pytest.raises(error):
+            list(read_binary(path))
+
+    def test_good_file_reads(self, tmp_path):
+        path = tmp_path / "trace.rpv5"
+        path.write_bytes(_GOOD_FILE)
+        assert read_binary_table(path).start.tolist() == [10.0, 12.0]
+
+    def test_single_packet_decoders_refuse_an_inverted_record(self):
+        with pytest.raises(FlowError):
+            decode_packet(_INVERTED_PACKET)

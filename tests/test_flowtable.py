@@ -17,6 +17,7 @@ from repro.flows.record import FlowFeature
 from repro.flows.store import FlowStore
 from repro.flows.table import FlowTable
 from repro.flows.trace import FlowTrace
+from tests import record_oracle
 
 import io
 
@@ -141,7 +142,7 @@ class TestFilterMasks:
         assert len(kept) == 5
 
     def test_compile_mask_matches_predicate(self):
-        from repro.flows.filter import compile_filter
+        from repro.flows.filter import parse_filter
 
         expressions = [
             "any",
@@ -157,7 +158,7 @@ class TestFilterMasks:
         table = FlowTable.from_records(flows)
         for expression in expressions:
             mask = compile_mask(expression)(table)
-            expected = [compile_filter(expression)(f) for f in flows]
+            expected = [parse_filter(expression).matches(f) for f in flows]
             assert mask.tolist() == expected, expression
 
 
@@ -202,7 +203,6 @@ class TestTraceAndStoreIntegration:
         store = FlowStore(slice_seconds=60.0)
         store.insert_many(_flows(4))
         assert store.count(10.0, 5.0).flows == 0
-        assert store.top_talkers(10.0, 5.0, key=lambda f: f.dst_port) == []
         assert store.top_feature_values(
             10.0, 5.0, FlowFeature.DST_PORT
         ) == []
@@ -214,7 +214,8 @@ class TestTraceAndStoreIntegration:
         store.insert_table(
             FlowTable.from_records(_flows(6), cache_records=False)
         )
-        store.top_talkers(0.0, 300.0, key=lambda f: f.dst_port)
+        store.top_feature_values(0.0, 300.0, FlowFeature.DST_PORT)
+        store.count(0.0, 300.0, "dst port 80")
         for entry in store._slices.values():
             assert entry.table()._rows is None
 
@@ -237,8 +238,8 @@ class TestTraceAndStoreIntegration:
         ranked = store.top_feature_values(
             0.0, 300.0, FlowFeature.DST_PORT, n=2
         )
-        expected = store.top_talkers(
-            0.0, 300.0, key=lambda f: f.dst_port, n=2
+        expected = record_oracle.top_talkers(
+            store.query(0.0, 300.0), key=lambda f: f.dst_port, n=2
         )
         assert ranked == expected
 

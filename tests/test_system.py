@@ -210,12 +210,14 @@ class TestFlowBackend:
     def test_alarm_and_baseline_flows(self):
         backend = _backend()
         alarm = _alarm(start=600.0, end=900.0)
-        assert len(backend.alarm_flows(alarm)) == 20
-        assert len(backend.baseline_flows(alarm)) == 40
+        assert len(backend.alarm_table(alarm)) == 20
+        assert len(backend.baseline_table(alarm)) == 40
 
     def test_no_baseline(self):
         backend = FlowBackend(_backend().store, baseline_bins=0)
-        assert backend.baseline_flows(_alarm(start=600.0, end=900.0)) == []
+        assert not len(
+            backend.baseline_table(_alarm(start=600.0, end=900.0))
+        )
 
     def test_itemset_drilldown(self):
         backend = _backend()

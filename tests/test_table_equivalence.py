@@ -1,14 +1,19 @@
-"""Property tests: record path ≡ columnar path.
+"""Property tests: the table bodies ≡ the per-flow loops they replaced.
 
 The contract of the columnar refactor is that the vectorized pipeline
-is *observationally identical* to the record pipeline it replaces:
-filter masks agree with predicates flow-by-flow, feature histograms are
-equal as multisets, and the transaction encoding interns the same items
+is *observationally identical* to the record pipeline it replaced:
+filter masks agree with the nodes' per-record ``matches`` flow-by-flow,
+feature histograms are equal as multisets (``tests/record_oracle.py``
+keeps the loops), and the transaction encoding interns the same items
 to the same ids. Hypothesis drives all three over randomized flow sets
-and filter expressions.
+and filter expressions; a record list handed to an entry point must
+give what its table gives.
 """
 
 from __future__ import annotations
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -22,11 +27,19 @@ from repro.flows.aggregate import (
     top_n,
     value_histogram,
 )
-from repro.flows.filter import compile_filter, compile_mask, parse_filter
+from repro.flows.filter import compile_mask, parse_filter
+from repro.flows.flowio import (
+    iter_binary_tables,
+    read_binary,
+    read_binary_table,
+    write_binary,
+)
+from repro.flows.netflow_v5 import decode_packet
 from repro.flows.record import FLOW_FEATURES, FlowFeature, FlowRecord
 from repro.flows.store import FlowStore
 from repro.flows.table import FlowTable
 from repro.mining.transactions import TransactionSet
+from tests import record_oracle
 from tests.mining_oracle import OracleTransactionSet
 
 # Small value pools keep collision (and therefore interesting masks,
@@ -88,8 +101,7 @@ def test_mask_equals_predicate(flows, expression):
     node = parse_filter(expression)
     table = FlowTable.from_records(flows, cache_records=False)
     mask = compile_mask(node)(table)
-    predicate = compile_filter(node)
-    assert mask.tolist() == [predicate(f) for f in flows]
+    assert mask.tolist() == [node.matches(f) for f in flows]
 
 
 @given(flows=flow_lists)
@@ -105,19 +117,25 @@ def test_record_roundtrip_through_table(flows):
 def test_feature_histograms_identical(flows, weight):
     table = FlowTable.from_records(flows, cache_records=False)
     for feature in FLOW_FEATURES:
-        assert feature_histogram(table, feature, weight) == \
-            feature_histogram(flows, feature, weight)
-    assert all_feature_histograms(table, weight) == \
-        all_feature_histograms(flows, weight)
+        expected = record_oracle.feature_histogram(flows, feature, weight)
+        assert feature_histogram(table, feature, weight) == expected
+        assert feature_histogram(iter(flows), feature, weight) == expected
+    expected = record_oracle.all_feature_histograms(flows, weight)
+    assert all_feature_histograms(table, weight) == expected
+    assert all_feature_histograms(flows, weight) == expected
 
 
 @given(flows=flow_lists)
 @settings(max_examples=100, deadline=None)
 def test_distinct_counts_and_top_n_identical(flows):
     table = FlowTable.from_records(flows, cache_records=False)
-    assert distinct_counts(table) == distinct_counts(flows)
+    expected = record_oracle.distinct_counts(flows)
+    assert distinct_counts(table) == expected
+    assert distinct_counts(flows) == expected
     for feature in FLOW_FEATURES:
-        assert top_n(table, feature, n=3) == top_n(flows, feature, n=3)
+        expected = record_oracle.top_n(flows, feature, n=3)
+        assert top_n(table, feature, n=3) == expected
+        assert top_n(flows, feature, n=3) == expected
 
 
 def _assert_encodes_like_oracle(columnar, oracle):
@@ -172,7 +190,8 @@ def test_transaction_encoding_feature_subsets(flows, features):
 def test_bin_features_match(flows):
     table = FlowTable.from_records(flows, cache_records=False)
     vectorized = compute_bin_features(table)
-    scalar = compute_bin_features(flows)
+    assert compute_bin_features(flows) == vectorized
+    scalar = record_oracle.compute_bin_features(flows)
     assert vectorized.flows == scalar.flows
     assert vectorized.packets == scalar.packets
     assert vectorized.bytes == scalar.bytes
@@ -190,9 +209,9 @@ def test_store_query_orders_match_record_sort(flows, expression):
     lo = min((f.start for f in flows), default=0.0)
     hi = max((f.start for f in flows), default=0.0) + 1.0
     result = store.query(lo, hi, expression)
-    predicate = compile_filter(expression)
+    node = parse_filter(expression)
     expected = sorted(
-        (f for f in flows if predicate(f)),
+        (f for f in flows if node.matches(f)),
         key=lambda f: (f.start, f.key),
     )
     assert result == expected
@@ -363,3 +382,75 @@ def test_merged_splits_equal_one_pass(case, data):
         merge_histograms([merge_histograms(parts[:2]), *parts[2:]]),
         want,
     )
+
+
+# -- .rpv5: the table reader ≡ the per-record packet walk -------------------
+
+
+@st.composite
+def v5_flow_records(draw):
+    """Records the v5 encoder takes: 32-bit counters, times at or
+    after the boot time, any sampling rate (the header's wins)."""
+    start = draw(st.integers(min_value=0, max_value=600_000)) / 1000.0
+    return FlowRecord(
+        src_ip=draw(st.integers(0, 0xFFFFFFFF)),
+        dst_ip=draw(st.integers(0, 0xFFFFFFFF)),
+        src_port=draw(_PORTS), dst_port=draw(_PORTS),
+        proto=draw(st.integers(0, 255)),
+        packets=draw(st.integers(0, 0xFFFFFFFF)),
+        bytes=draw(st.integers(0, 0xFFFFFFFF)),
+        start=50.0 + start,
+        end=50.0 + start
+        + draw(st.integers(min_value=0, max_value=90_000)) / 1000.0,
+        tcp_flags=draw(st.integers(0, 255)),
+        router=draw(st.integers(0, 0xFFFF)),
+        sampling_rate=draw(st.sampled_from([1, 7])),
+    )
+
+
+@given(
+    flows=st.lists(v5_flow_records(), min_size=0, max_size=70),
+    sampling_rate=st.sampled_from([1, 100, 0x3FFF]),
+    chunk_rows=st.sampled_from([1, 7, 30, 31, 65_536]),
+)
+@settings(max_examples=60, deadline=None)
+def test_binary_table_reader_equals_packet_walk(
+    flows, sampling_rate, chunk_rows
+):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "trace.rpv5"
+        write_binary(flows, path, boot_time=50.0,
+                     sampling_rate=sampling_rate)
+        expected = record_oracle.read_rpv5(path)
+        chunks = list(iter_binary_tables(path, chunk_rows))
+        by_records = list(read_binary(path))
+    assert [f.key for f in expected] == [f.key for f in flows]
+    assert all(f.sampling_rate == sampling_rate for f in expected)
+    assert [len(c) for c in chunks] == \
+        [chunk_rows] * (len(flows) // chunk_rows) \
+        + [len(flows) % chunk_rows] * bool(len(flows) % chunk_rows)
+    assert all(chunk._rows is None for chunk in chunks)
+    assert FlowTable.concat(chunks).to_records() == expected
+    assert by_records == expected
+
+
+def test_binary_table_reader_on_a_short_last_packet(tmp_path):
+    # 65 flows: two full packets and one of five records.
+    flows = [
+        FlowRecord(src_ip=1, dst_ip=2, src_port=1000 + i, dst_port=80,
+                   proto=6, packets=i, bytes=10 * i, start=float(i),
+                   end=float(i) + 0.25, tcp_flags=i % 64, router=i % 3)
+        for i in range(65)
+    ]
+    path = tmp_path / "trace.rpv5"
+    assert write_binary(flows, path, sampling_rate=10) == 3
+    expected = record_oracle.read_rpv5(path)
+    assert len(expected) == 65
+    assert read_binary_table(path).to_records() == expected
+    walked = []
+    for boot_time, packet in record_oracle.rpv5_packets(path):
+        header, records = decode_packet(packet, boot_time)
+        assert (header.sampling_interval, records) == \
+            record_oracle.decode_v5_packet(packet, boot_time)
+        walked.extend(records)
+    assert walked == expected
