@@ -104,7 +104,6 @@ def compact_archive(
             slice_index=slice_index,
             shard=shard,
             sealed=True,
-            sorted_rows=True,
             replaces=tuple(p.path.name for p in group),
         )
         merged_rows += len(merged)

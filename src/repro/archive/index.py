@@ -257,7 +257,8 @@ class ZoneMap:
     columns: Mapping[str, ColumnZone] = field(default_factory=dict)
     #: A sealed partition is immutable: compaction never rewrites it.
     sealed: bool = False
-    #: Rows are sorted by start time (compaction output always is).
+    #: Rows are sorted by start time: :meth:`from_table` checks it,
+    #: no caller asserts it, so a reader may bisect on it.
     sorted: bool = False
     #: ``(shards, key, seed, shard)`` when written shard-aware.
     shard_spec: tuple[int, str, int, int] | None = None
@@ -273,7 +274,6 @@ class ZoneMap:
         table: FlowTable,
         features: FeatureIndex | None = None,
         sealed: bool = False,
-        sorted_rows: bool = False,
         shard_spec: tuple[int, str, int, int] | None = None,
         replaces: tuple[str, ...] = (),
     ) -> "ZoneMap":
@@ -302,7 +302,7 @@ class ZoneMap:
             flags_union=int(np.bitwise_or.reduce(table.tcp_flags)),
             columns=features.column_zones(),
             sealed=sealed,
-            sorted=sorted_rows,
+            sorted=bool((starts[1:] >= starts[:-1]).all()),
             shard_spec=shard_spec,
             replaces=tuple(replaces),
         )

@@ -14,10 +14,11 @@ This module is the brain behind
   it).
 * **Parallel scans** — when payloads *must* be read and the reader
   holds a :class:`~repro.parallel.executor.ShardExecutor`, per-
-  partition scan tasks fan out as ``(path, rows, window, filter)``
-  tuples: each worker opens the partition's mmap directly and returns
-  a tiny aggregate, so zero row bytes cross the pool in either
-  direction.
+  partition scan tasks fan out as ``(path, rows, window, filter,
+  sorted)`` tuples: each worker opens the partition's mmap directly,
+  takes the query's rows through :func:`window_rows` — the one cut,
+  in-process or not — and returns a tiny aggregate, so zero row bytes
+  cross the pool in either direction.
 * :class:`QueryPlan` — what the last query decided, partition by
   partition class: pruned, answered from sidecars, or scanned.
   ``repro archive query --explain`` renders it.
@@ -38,7 +39,7 @@ import numpy as np
 from repro.archive.index import ZONE_COLUMNS
 from repro.archive.partition import open_rows
 from repro.flows.aggregate import value_histogram
-from repro.flows.filter import FilterNode, compile_mask
+from repro.flows.filter import FilterNode
 from repro.flows.record import FLOW_FEATURES, FlowFeature
 from repro.flows.table import FlowTable
 
@@ -56,19 +57,36 @@ def feature_column(feature: FlowFeature) -> str:
     return _COLUMN_OF_FEATURE[feature]
 
 
-# -- worker-side scan tasks ---------------------------------------------------
+# -- the window cut and the worker-side scan tasks -----------------------------
 
-def _scan_mask(
+def window_rows(
     table: FlowTable,
     start: float,
     end: float,
     node: FilterNode | None,
-) -> np.ndarray:
-    starts = table.start
-    mask = (starts >= start) & (starts < end)
-    if node is not None:
-        mask &= compile_mask(node)(table)
-    return mask
+    ordered: bool,
+) -> FlowTable:
+    """The rows of one partition ``table`` that start in ``[start,
+    end)`` and pass ``node``, in table order — the one cut behind row
+    queries, counts and histograms.
+
+    ``ordered`` is the partition's ``zone.sorted``: the window is then
+    two bisections and a zero-copy slice (the whole table, when the
+    window covers it) and the filter mask runs over that slice only.
+    A partition written out of order pays a predicate over every row.
+    """
+    if ordered:
+        lo, hi = np.searchsorted(table.start, (start, end))
+        table = table.select(slice(lo, hi))
+        if node is None:
+            return table
+        mask = node.mask(table)
+    else:
+        starts = table.start
+        mask = (starts >= start) & (starts < end)
+        if node is not None:
+            mask &= node.mask(table)
+    return table if mask.all() else table.select(mask)
 
 
 def count_rows(
@@ -76,12 +94,12 @@ def count_rows(
     start: float,
     end: float,
     node: FilterNode | None,
+    ordered: bool,
 ) -> tuple[int, int, int, float, float] | None:
     """``(flows, packets, bytes, lo, hi)`` of one table's matching rows."""
-    mask = _scan_mask(table, start, end, node)
-    if not mask.any():
+    selected = window_rows(table, start, end, node, ordered)
+    if not len(selected):
         return None
-    selected = table.select(mask)
     return (
         len(selected),
         selected.total_packets(),
@@ -96,11 +114,12 @@ def histogram_rows(
     start: float,
     end: float,
     node: FilterNode | None,
+    ordered: bool,
     column: str,
     by_packets: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(values, counts)`` of one table's matching rows."""
-    selected = table.select(_scan_mask(table, start, end, node))
+    selected = window_rows(table, start, end, node, ordered)
     values, *counts = value_histogram(
         selected.column(column),
         *((selected.packets,) if by_packets else ()),
@@ -114,13 +133,14 @@ def scan_count_task(
     start: float,
     end: float,
     node: FilterNode | None,
+    ordered: bool,
 ) -> tuple[int, int, int, float, float] | None:
     """Aggregate one partition: ``(flows, packets, bytes, lo, hi)``.
 
     Runs on a worker: opens the partition mmap directly (no rows cross
     the pool inbound) and returns five numbers (none cross outbound).
     """
-    return count_rows(open_rows(path, rows), start, end, node)
+    return count_rows(open_rows(path, rows), start, end, node, ordered)
 
 
 def scan_histogram_task(
@@ -129,16 +149,17 @@ def scan_histogram_task(
     start: float,
     end: float,
     node: FilterNode | None,
+    ordered: bool,
     column: str,
     by_packets: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One partition's ``(values, counts)`` histogram after masking.
+    """One partition's ``(values, counts)`` histogram after the cut.
 
     The worker reduction behind the top-N fallback: whole rows stay in
     the worker; only the (much smaller) histogram returns.
     """
     return histogram_rows(
-        open_rows(path, rows), start, end, node, column, by_packets
+        open_rows(path, rows), start, end, node, ordered, column, by_packets
     )
 
 

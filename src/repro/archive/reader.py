@@ -20,8 +20,10 @@ A query touches a partition's payload only when it must:
    :class:`~repro.flows.table.FlowTable`; if the zone map proves every
    row starts inside the window and there is no filter, the view is
    served whole — still zero-copy;
-3. otherwise a boolean mask selects the matching rows (one copy of
-   just those rows, like any store query).
+3. otherwise :func:`~repro.archive.planner.window_rows` cuts it: a
+   partition whose sidecar says ``sorted`` (every one this writer
+   emits) by two bisections, so the filter mask and the one copy run
+   over the window's rows only; an unsorted one by a mask over all.
 
 Scanning the directory re-validates integrity cheaply (sidecar
 checksum, header, sizes): torn files, orphaned temporaries and
@@ -36,7 +38,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -49,10 +51,11 @@ from repro.archive.planner import (
     histogram_rows,
     scan_count_task,
     scan_histogram_task,
+    window_rows,
 )
 from repro.errors import ArchiveError, CodecError, StoreError
 from repro.flows.aggregate import merge_histograms, ranked_from_histogram
-from repro.flows.filter import FilterNode, compile_mask, parse_filter
+from repro.flows.filter import FilterNode, parse_filter
 from repro.flows.record import FlowFeature, FlowRecord
 from repro.flows.table import FlowTable
 from repro.flows.trace import DEFAULT_BIN_SECONDS, FlowTrace, TraceStats
@@ -345,18 +348,23 @@ class ArchiveReader:
                 kept.append(partition)
         return kept, pruned_time, pruned_filter
 
+    def _ordered(self, partition: Partition) -> bool:
+        """May a scan bisect ``partition``? Its sidecar says so; the
+        ``use_zone_maps=False`` baseline trusts no sidecar fact."""
+        return self.use_zone_maps and partition.zone.sorted
+
     def _window_tables(
         self,
         start: float,
         end: float,
         filter_node: FilterNode | None,
-        mask_of: Callable[[FlowTable], np.ndarray] | None,
     ) -> list[FlowTable]:
         """Per-partition row sets of the query, canonical order.
 
-        Time and filter masks apply here; the final ordering sort is
-        the caller's. Fully covered, unfiltered partitions pass
-        through as whole zero-copy views.
+        The time and filter cut is
+        :func:`~repro.archive.planner.window_rows`; the final ordering
+        sort is the caller's. Fully covered, unfiltered partitions
+        pass through as whole zero-copy views.
         """
         candidates, pruned_time, pruned_filter = self._prune(
             start, end, filter_node
@@ -367,25 +375,17 @@ class ArchiveReader:
             table = partition.table()
             rows_scanned += len(table)
             payload_bytes += partition.payload_bytes
-            if (
-                mask_of is None
+            if not (
+                filter_node is None
                 and self.use_zone_maps
                 and partition.zone.covered_by_window(start, end)
             ):
-                selected.append(table)
-                rows_returned += len(table)
-                continue
-            starts = table.start
-            mask = (starts >= start) & (starts < end)
-            if mask_of is not None:
-                mask &= mask_of(table)
-            if mask.all():
-                selected.append(table)
-                rows_returned += len(table)
-            elif mask.any():
-                rows = table.select(mask)
-                selected.append(rows)
-                rows_returned += len(rows)
+                table = window_rows(
+                    table, start, end, filter_node,
+                    self._ordered(partition),
+                )
+            selected.append(table)
+            rows_returned += len(table)
         self.last_scan = ScanStats(
             partitions=len(self._partitions),
             pruned_time=pruned_time,
@@ -424,9 +424,8 @@ class ArchiveReader:
             raise StoreError(f"inverted interval [{start}, {end})")
         if self.auto_refresh:
             self.refresh()
-        filter_node, mask_of = self._compile(flow_filter)
         return FlowTable.concat(
-            self._window_tables(start, end, filter_node, mask_of)
+            self._window_tables(start, end, self._compile(flow_filter))
         ).in_query_order()
 
     def query(
@@ -459,7 +458,7 @@ class ArchiveReader:
             )
         if self.auto_refresh:
             self.refresh()
-        filter_node, mask_of = self._compile(flow_filter)
+        filter_node = self._compile(flow_filter)
         flows = packets = byte_total = 0
         lo, hi = np.inf, -np.inf
         candidates, pruned_time, pruned_filter = self._prune(
@@ -468,7 +467,7 @@ class ArchiveReader:
         needs_scan: list[Partition] = []
         for partition in candidates:
             zone = partition.zone
-            if self.use_zone_maps and mask_of is None \
+            if self.use_zone_maps and filter_node is None \
                     and zone.covered_by_window(start, end):
                 flows += zone.rows
                 packets += zone.sum_packets
@@ -483,13 +482,18 @@ class ArchiveReader:
             parts = self.executor.map_items(
                 scan_count_task,
                 [
-                    (str(p.path), p.rows, start, end, filter_node)
+                    (
+                        str(p.path), p.rows, start, end,
+                        filter_node, self._ordered(p),
+                    )
                     for p in needs_scan
                 ],
             )
         else:
             parts = [
-                count_rows(p.table(), start, end, filter_node)
+                count_rows(
+                    p.table(), start, end, filter_node, self._ordered(p)
+                )
                 for p in needs_scan
             ]
         for part in parts:
@@ -558,7 +562,7 @@ class ArchiveReader:
             return []
         if self.auto_refresh:
             self.refresh()
-        filter_node, mask_of = self._compile(flow_filter)
+        filter_node = self._compile(flow_filter)
         column = feature_column(feature)
         candidates, pruned_time, pruned_filter = self._prune(
             start, end, filter_node
@@ -576,7 +580,7 @@ class ArchiveReader:
             self._note_plan(QueryPlan(**plan))
             return []
         if (
-            mask_of is None
+            filter_node is None
             and self.use_zone_maps
             and all(
                 p.zone.covered_by_window(start, end)
@@ -603,8 +607,8 @@ class ArchiveReader:
                 scan_histogram_task,
                 [
                     (
-                        str(p.path), p.rows, start, end,
-                        filter_node, column, by_packets,
+                        str(p.path), p.rows, start, end, filter_node,
+                        self._ordered(p), column, by_packets,
                     )
                     for p in candidates
                 ],
@@ -612,8 +616,8 @@ class ArchiveReader:
         else:
             parts = [
                 histogram_rows(
-                    p.table(), start, end,
-                    filter_node, column, by_packets,
+                    p.table(), start, end, filter_node,
+                    self._ordered(p), column, by_packets,
                 )
                 for p in candidates
             ]
@@ -709,17 +713,10 @@ class ArchiveReader:
     @staticmethod
     def _compile(
         flow_filter: str | FilterNode | None,
-    ) -> tuple[
-        FilterNode | None, Callable[[FlowTable], np.ndarray] | None
-    ]:
-        if flow_filter is None:
-            return None, None
-        node = (
-            flow_filter
-            if isinstance(flow_filter, FilterNode)
-            else parse_filter(flow_filter)
-        )
-        return node, compile_mask(node)
+    ) -> FilterNode | None:
+        if flow_filter is None or isinstance(flow_filter, FilterNode):
+            return flow_filter
+        return parse_filter(flow_filter)
 
     def iter_tables(self) -> Iterable[FlowTable]:
         """Every partition's rows as zero-copy views, scan order."""

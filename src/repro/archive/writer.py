@@ -26,6 +26,11 @@ Two write paths:
   chunk stream ingests with bounded memory. :meth:`flush` (or
   :meth:`close`, or the context manager exit) spills the remainder.
 
+**Written in order.** Every caller hands :meth:`write_partition` rows
+in start order (the ring's sealed window, compaction's merge, a spill
+put in query order here), and the sidecar's ``sorted`` flag is derived
+from the rows, never taken on trust — it is what lets a reader bisect.
+
 Writing shard-aware (``shard_spec``) splits every slice's rows with
 the same stable hash the parallel subsystem uses
 (:func:`repro.parallel.partition.shard_ids`), records the spec in
@@ -176,7 +181,6 @@ class ArchiveWriter:
         slice_index: int,
         shard: int = 0,
         sealed: bool = False,
-        sorted_rows: bool = False,
         replaces: tuple[str, ...] = (),
     ) -> Path | None:
         """Write one table as one partition file of ``slice_index``.
@@ -217,7 +221,6 @@ class ArchiveWriter:
             table,
             features,
             sealed=sealed,
-            sorted_rows=sorted_rows,
             shard_spec=shard_spec,
             replaces=replaces,
         )
@@ -309,8 +312,10 @@ class ArchiveWriter:
         self._buffered_rows.pop(bucket, None)
         if not parts:
             return
+        # Chunks arrive in any order; a partition leaves in query
+        # order (stable: equal rows keep their arrival order).
         self.write_partition(
-            FlowTable.concat(parts),
+            FlowTable.concat(parts).in_query_order(),
             slice_index=bucket[0],
             shard=bucket[1],
         )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -26,49 +27,12 @@ __all__ = ["PCAModel", "fit_pca_model", "q_statistic_threshold"]
 
 
 def _normal_quantile(alpha: float) -> float:
-    """Upper ``alpha`` quantile of the standard normal distribution.
-
-    Uses scipy when present (``ndtri`` is what ``scipy.stats.norm.ppf``
-    evaluates, without the second-long ``scipy.stats`` import), else
-    the Acklam rational approximation (max relative error ~1.15e-9,
-    ample for thresholding).
-    """
+    """Upper ``alpha`` quantile of the standard normal distribution
+    (the standard library's, so the threshold is the same number
+    wherever the package is installed)."""
     if not 0 < alpha < 1:
         raise DetectorError(f"alpha must lie in (0, 1): {alpha!r}")
-    try:
-        from scipy.special import ndtri
-
-        return float(ndtri(1.0 - alpha))
-    except ImportError:  # pragma: no cover - scipy installed in CI
-        return _acklam_ppf(1.0 - alpha)
-
-
-def _acklam_ppf(p: float) -> float:  # pragma: no cover - scipy fallback
-    a = (-3.969683028665376e01, 2.209460984245205e02,
-         -2.759285104469687e02, 1.383577518672690e02,
-         -3.066479806614716e01, 2.506628277459239e00)
-    b = (-5.447609879822406e01, 1.615858368580409e02,
-         -1.556989798598866e02, 6.680131188771972e01,
-         -1.328068155288572e01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01,
-         -2.400758277161838e00, -2.549732539343734e00,
-         4.374664141464968e00, 2.938163982698783e00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01,
-         2.445134137142996e00, 3.754408661907416e00)
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q
-                + c[5]) / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
-    if p <= 1 - p_low:
-        q = p - 0.5
-        r = q * q
-        return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r
-                + a[5]) * q / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3])
-                                * r + b[4]) * r + 1)
-    q = math.sqrt(-2 * math.log(1 - p))
-    return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q
-             + c[5]) / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
+    return NormalDist().inv_cdf(1.0 - alpha)
 
 
 def q_statistic_threshold(

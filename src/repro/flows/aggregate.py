@@ -182,7 +182,14 @@ def ranked_from_histogram(
     rendering of the value (nfdump ``-s`` over arbitrary keys ranked
     that way; ``tests/record_oracle.py`` keeps the loop), not the
     numeric value.
+
+    Only entries counting at least the ``n``-th largest count are
+    ranked (one ``np.partition``): ties *at* the cut all survive, and
+    values are distinct, so the result is the full sort's first ``n``.
     """
+    if len(values) > n:
+        keep = counts >= np.partition(counts, -n)[-n]
+        values, counts = values[keep], counts[keep]
     ranked = sorted(
         zip(values.tolist(), counts.tolist()),
         key=lambda kv: (-kv[1], str(kv[0])),

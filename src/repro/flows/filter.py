@@ -104,6 +104,16 @@ _VECTOR_COMPARATORS: dict[str, Callable[..., np.ndarray]] = {
 }
 
 
+def _member_mask(column: np.ndarray, wanted: frozenset[int]) -> np.ndarray:
+    """Rows of ``column`` whose value is in ``wanted``; a one-member
+    set (``dst port 53``) is an equality, not a set probe."""
+    if len(wanted) == 1:
+        return column == next(iter(wanted))
+    return np.isin(
+        column, np.fromiter(wanted, dtype=column.dtype, count=len(wanted))
+    )
+
+
 class FilterNode:
     """Base class of filter AST nodes."""
 
@@ -210,13 +220,12 @@ class IpMatch(FilterNode):
         return flow.src_ip in self.addresses or flow.dst_ip in self.addresses
 
     def mask(self, table: FlowTable) -> np.ndarray:
-        wanted = np.fromiter(self.addresses, dtype=np.uint32,
-                             count=len(self.addresses))
         if self.direction is Direction.SRC:
-            return np.isin(table.src_ip, wanted)
+            return _member_mask(table.src_ip, self.addresses)
         if self.direction is Direction.DST:
-            return np.isin(table.dst_ip, wanted)
-        return np.isin(table.src_ip, wanted) | np.isin(table.dst_ip, wanted)
+            return _member_mask(table.dst_ip, self.addresses)
+        return _member_mask(table.src_ip, self.addresses) \
+            | _member_mask(table.dst_ip, self.addresses)
 
     def unparse(self) -> str:
         rendered = sorted(int_to_ip(a) for a in self.addresses)
@@ -283,9 +292,7 @@ class PortMatch(FilterNode):
 
     def _side_mask(self, ports: np.ndarray) -> np.ndarray:
         if self.comparator is None:
-            wanted = np.fromiter(self.ports, dtype=np.uint16,
-                                 count=len(self.ports))
-            return np.isin(ports, wanted)
+            return _member_mask(ports, self.ports)
         (bound,) = self.ports
         return _VECTOR_COMPARATORS[self.comparator](ports, bound)
 

@@ -241,8 +241,7 @@ class WindowRing:
             flows = len(table)
             if flows:
                 self.archive.write_partition(
-                    table, slice_index=index, sealed=True,
-                    sorted_rows=True,
+                    table, slice_index=index, sealed=True
                 )
         window = ClosedWindow(index=index, start=start, end=end, flows=flows)
         self._next_to_close = index + 1

@@ -66,6 +66,16 @@ def top_n(flows, feature, n=10, weight="flows"):
     return sorted(histogram.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
 
 
+def ranked_from_histogram(values, counts, n):
+    """The store ranking as the full sort it used to be: every
+    ``(value, count)`` pair ordered by count descending, ties by the
+    value's string form, then the first ``n``."""
+    return sorted(
+        zip(values.tolist(), counts.tolist()),
+        key=lambda kv: (-kv[1], str(kv[0])),
+    )[:n]
+
+
 def distinct_counts(flows):
     seen = {feature: set() for feature in FLOW_FEATURES}
     for flow in flows:

@@ -605,7 +605,7 @@ class TestCompaction:
             ).sorted_by_start()
             writer.write_partition(
                 merged, slice_index=slice_index, shard=shard,
-                sealed=True, sorted_rows=True,
+                sealed=True,
                 replaces=tuple(p.path.name for p in group),
             )
 
@@ -886,7 +886,7 @@ def _oracle_zone_map(table, **flags) -> ZoneMap:
         flags_union=int(np.bitwise_or.reduce(table.tcp_flags)),
         columns=columns,
         sealed=flags.get("sealed", False),
-        sorted=flags.get("sorted_rows", False),
+        sorted=bool(np.all(np.diff(starts) >= 0)),
         shard_spec=flags.get("shard_spec"),
         replaces=tuple(flags.get("replaces", ())),
     )
@@ -917,6 +917,8 @@ def index_tables(draw):
     packet_scale = draw(st.sampled_from([1, 2**20, 2**40]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     starts = rng.uniform(0.0, 300.0, rows)
+    if draw(st.booleans()):  # the derived ``sorted`` flag, both ways
+        starts.sort()
     # Exactly min(rows, distinct) distinct src_ip/src_port values.
     cycle = np.arange(rows) % distinct
     return FlowTable.from_columns(
@@ -941,7 +943,7 @@ class TestIndexSidecar:
         self, table, sealed
     ):
         flags = dict(
-            sealed=sealed, sorted_rows=not sealed,
+            sealed=sealed,
             shard_spec=(4, "src_ip", 7, 2) if sealed else None,
             replaces=("x.flows", "y.flows") if sealed else (),
         )

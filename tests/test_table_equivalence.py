@@ -92,6 +92,12 @@ _FILTER_EXPRESSIONS = [
     "router 3",
     "not (dst port 80 or dst port 443) and proto tcp",
     "(src ip 10.0.0.1 or dst ip 10.0.0.2) and packets >= 1",
+    # One-member sets are evaluated as an equality, both sides.
+    "dst ip 10.1.2.3",
+    "ip 192.168.0.1",
+    "src port 53",
+    "dst port 0",
+    "port 65535",
 ]
 
 
