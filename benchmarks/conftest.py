@@ -6,6 +6,10 @@ statistic) and records a paper-vs-measured comparison via
 so the comparison survives pytest's output capture, and in the
 benchmark's ``extra_info`` so they travel with ``--benchmark-json``.
 
+Run them from the repo root with ``python -m pytest benchmarks/bench_*.py``:
+the files are named ``bench_*.py``, so pytest collects them only when
+they are named explicitly.
+
 Scale knobs (environment variables):
 
 * ``REPRO_BENCH_SCALE`` — float multiplier on workload sizes (default 1.0);

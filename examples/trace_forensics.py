@@ -17,7 +17,7 @@ from pathlib import Path
 
 from repro.flows import FlowFeature, FlowStore, int_to_ip, top_n
 from repro.flows.flowio import read_binary, write_binary
-from repro.mining import TransactionSet, derive_rules, mine_fpgrowth
+from repro.mining import TransactionSet, derive_rules, mine_apriori
 from repro.synth import (
     BackgroundConfig,
     NetworkScan,
@@ -66,7 +66,7 @@ def main() -> None:
     # -- association rules over the suspicious window --------------------
     window = store.query(600.0, 900.0)
     transactions = TransactionSet.from_flows(window)
-    itemsets = mine_fpgrowth(
+    itemsets = mine_apriori(
         transactions, min_flows=max(50, len(window) // 20)
     )
     rules = derive_rules(itemsets, total_flows=len(window),

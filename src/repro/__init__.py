@@ -55,7 +55,7 @@ Subpackages
 ``repro.detect``
     Histogram/KL and PCA/entropy detectors.
 ``repro.mining``
-    Apriori, FP-Growth, Eclat; dual support; self-tuning envelope.
+    Columnar Apriori; dual support; self-tuning envelope.
 ``repro.extraction``
     Candidates → mining → filtering → ranking → classification.
 ``repro.system``

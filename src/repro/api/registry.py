@@ -3,7 +3,7 @@
 The facade never dispatches on *which class a caller constructed* — it
 looks execution pieces up by name: ``detectors`` maps detector names
 (``netreflex``, ``kl``, ``pca``) to factories, ``miners`` maps mining
-engine names (``apriori``, ``fpgrowth``, ``eclat``) to the engine
+engine names (the built-in ``apriori`` or a plugin's) to the engine
 callables, and ``sources`` maps source kinds (``rpv5``, ``csv``,
 ``table``, ``scenario``, ``archive``, ``tail``) to source factories.
 

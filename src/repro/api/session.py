@@ -926,7 +926,7 @@ class Session:
 
     def _run_query(self) -> RunResult:
         execution = self.spec.execution
-        source = self._source()
+        source = self._bounded_source("query")
         scan = None
         reader = None
         if hasattr(source, "reader"):
@@ -935,12 +935,6 @@ class Session:
             archive_stats = reader.stats()
             span = archive_stats.span
         else:
-            if not source.bounded:
-                raise SpecError(
-                    "mode 'query' needs a bounded source, but "
-                    f"{self.spec.source.kind!r} is unbounded",
-                    field="source.kind",
-                )
             trace = source.trace()
             store = FlowStore.from_trace(trace)
             span = trace.span if len(trace) else None

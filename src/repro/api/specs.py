@@ -165,7 +165,7 @@ class DetectorSpec:
 class MiningSpec:
     """How triage mines frequent itemsets (``[mining]``)."""
 
-    #: Registry name: ``apriori``, ``fpgrowth``, ``eclat`` or a plugin.
+    #: Registry name: the built-in ``apriori`` or a plugin.
     engine: str = "apriori"
     #: Extended-Apriori overrides (thresholds, target band, floors...).
     options: dict = field(default_factory=dict)

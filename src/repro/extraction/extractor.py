@@ -204,10 +204,12 @@ def itemset_confirms_metadata(itemset, alarm: Alarm) -> bool:
 class AnomalyExtractor:
     """Extracts and summarizes the flows behind an alarm.
 
-    With ``workers > 1`` the mining step runs through the sharded
-    two-pass miner of :mod:`repro.parallel.mining` over that many
-    hash partitions — byte-identical reports (the sharded miner's
-    contract), so the worker count is purely a throughput knob.
+    With ``workers > 1`` the built-in ``"apriori"`` engine runs through
+    the sharded two-pass miner of :mod:`repro.parallel.mining` over
+    that many hash partitions — byte-identical reports (the sharded
+    miner's contract), so the worker count is purely a throughput
+    knob. A plugin engine always runs serially: the worker count never
+    changes which engine mines.
     """
 
     def __init__(
@@ -219,7 +221,7 @@ class AnomalyExtractor:
         if workers < 1:
             raise ExtractionError(f"workers must be >= 1: {workers!r}")
         self.workers = workers
-        if workers > 1:
+        if workers > 1 and self.config.mining.engine == "apriori":
             from repro.parallel.mining import ShardedApriori
             from repro.parallel.partition import PartitionSpec
 
@@ -232,8 +234,9 @@ class AnomalyExtractor:
 
     def close(self) -> None:
         """Shut down the sharded miner's worker pool (idempotent)."""
-        if self.workers > 1:
-            self._miner.executor.close()
+        executor = getattr(self._miner, "executor", None)
+        if executor is not None:
+            executor.close()
 
     def extract(
         self,

@@ -1,20 +1,17 @@
 """Frequent itemset mining over flow transactions — from scratch.
 
-Three interchangeable engines (Apriori, FP-Growth, Eclat) with dual
-flow/packet support counting, closed/maximal reduction, association
-rules, and the paper's **extended Apriori** envelope (dual thresholds +
-self-tuning).
+One engine, a columnar Apriori with dual flow/packet support counting,
+plus closed/maximal reduction, association rules, and the paper's
+**extended Apriori** envelope (dual thresholds + self-tuning).
 """
 
 from repro.mining.apriori import mine_apriori
-from repro.mining.eclat import mine_eclat
 from repro.mining.extended import (
     ENGINES,
     ExtendedApriori,
     ExtendedAprioriConfig,
     MiningOutcome,
 )
-from repro.mining.fpgrowth import mine_fpgrowth
 from repro.mining.items import (
     Item,
     Itemset,
@@ -23,12 +20,10 @@ from repro.mining.items import (
 )
 from repro.mining.maximal import closed_itemsets, maximal_itemsets
 from repro.mining.rules import AssociationRule, derive_rules
-from repro.mining.transactions import Transaction, TransactionSet
+from repro.mining.transactions import TransactionSet
 
 __all__ = [
     "mine_apriori",
-    "mine_eclat",
-    "mine_fpgrowth",
     "ENGINES",
     "ExtendedApriori",
     "ExtendedAprioriConfig",
@@ -41,7 +36,6 @@ __all__ = [
     "maximal_itemsets",
     "AssociationRule",
     "derive_rules",
-    "Transaction",
     "TransactionSet",
 ]
 

@@ -19,11 +19,10 @@ paper ([5], §1):
    band, geometrically relaxing (too few) or tightening (too many) and
    damping the step on direction reversals.
 
-The miner itself is pluggable — the default ``"apriori"`` is the
-columnar group-by kernel of :mod:`repro.mining.apriori`, FP-Growth and
-Eclat walk the same set's lazy per-flow transactions, all with
-identical outputs; "extended Apriori" names the algorithmic envelope,
-matching the paper's terminology.
+The miner itself is pluggable through :data:`ENGINES`: the one built-in,
+``"apriori"``, is the columnar group-by kernel of
+:mod:`repro.mining.apriori`; "extended Apriori" names the algorithmic
+envelope, matching the paper's terminology.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ from repro.errors import MiningError
 from repro.flows.record import FLOW_FEATURES, FlowFeature, FlowRecord
 from repro.flows.table import FlowTable
 from repro.mining.apriori import mine_apriori
-from repro.mining.eclat import mine_eclat
-from repro.mining.fpgrowth import mine_fpgrowth
 from repro.mining.items import ItemsetSupport
 from repro.mining.maximal import closed_itemsets, maximal_itemsets
 from repro.mining.transactions import TransactionSet
@@ -64,8 +61,6 @@ _MINE_ITERATIONS = obs_metrics.counter(
 
 ENGINES: dict[str, Callable[..., list[ItemsetSupport]]] = {
     "apriori": mine_apriori,
-    "fpgrowth": mine_fpgrowth,
-    "eclat": mine_eclat,
 }
 
 _REDUCERS = {

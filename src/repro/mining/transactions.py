@@ -8,18 +8,14 @@ factorisation per feature (:class:`ItemColumn`: the ascending distinct
 and byte columns. An item's id is its column's ``offset`` plus its
 code, so ids sort items consistently across the whole set.
 
-The production engine (:func:`repro.mining.apriori.mine_apriori`)
-group-counts the code columns directly. Iterating the set yields
-per-flow :class:`Transaction` tuples — sorted item ids plus weights —
-built once, on first use, for the classic engines (FP-Growth, Eclat)
-and the test oracle (``tests/mining_oracle.py``), which is why all
-engines' outputs are directly comparable.
+The mining engine (:func:`repro.mining.apriori.mine_apriori`)
+group-counts the code columns directly; no per-flow transaction is
+ever built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,16 +24,7 @@ from repro.flows.record import FLOW_FEATURES, FlowFeature, FlowRecord
 from repro.flows.table import FlowTable
 from repro.mining.items import Item, Itemset
 
-__all__ = ["ItemColumn", "Transaction", "TransactionSet"]
-
-
-@dataclass(frozen=True, slots=True)
-class Transaction:
-    """One encoded transaction: sorted item ids plus weights."""
-
-    item_ids: tuple[int, ...]
-    packets: int
-    bytes: int
+__all__ = ["ItemColumn", "TransactionSet"]
 
 
 class ItemColumn(NamedTuple):
@@ -73,7 +60,6 @@ class TransactionSet:
         self.total_flows = len(table)
         self.total_packets = table.total_packets()
         self.total_bytes = table.total_bytes()
-        self._transactions: list[Transaction] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -120,27 +106,8 @@ class TransactionSet:
     def __len__(self) -> int:
         return self.total_flows
 
-    def __iter__(self) -> Iterator[Transaction]:
-        if self._transactions is None:
-            self._transactions = self._materialize()
-        return iter(self._transactions)
-
     def __bool__(self) -> bool:
         return self.total_flows > 0
-
-    def _materialize(self) -> list[Transaction]:
-        """Per-flow transactions for the engines that walk them; the
-        columns are in id order, so every row comes out sorted."""
-        item_ids = np.stack(
-            [column.offset + column.codes for column in self.columns],
-            axis=1,
-        )
-        return [
-            Transaction(tuple(row), packets, bytes_)
-            for row, packets, bytes_ in zip(
-                item_ids.tolist(), self.packets.tolist(), self.bytes.tolist()
-            )
-        ]
 
     @property
     def item_count(self) -> int:

@@ -14,7 +14,7 @@ itemsets, supports and order against plain Python integers and dicts.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.errors import MiningError
 from repro.flows.record import (
@@ -26,7 +26,33 @@ from repro.flows.record import (
 from repro.mining.apriori import check_thresholds
 from repro.mining.extended import ExtendedApriori
 from repro.mining.items import Item, Itemset, ItemsetSupport
-from repro.mining.transactions import Transaction, TransactionSet
+from repro.mining.transactions import TransactionSet
+
+
+class Transaction(NamedTuple):
+    """One encoded transaction: sorted item ids plus weights."""
+
+    item_ids: tuple[int, ...]
+    packets: int
+    bytes: int
+
+
+def columnar_transactions(transactions: TransactionSet) -> list[Transaction]:
+    """The per-flow transactions a columnar set encodes, read row by
+    row out of its code columns; the columns are in id order, so every
+    row comes out sorted."""
+    rows = zip(*(
+        (column.offset + column.codes).tolist()
+        for column in transactions.columns
+    ))
+    return [
+        Transaction(item_ids, packets, bytes_)
+        for item_ids, packets, bytes_ in zip(
+            rows,
+            transactions.packets.tolist(),
+            transactions.bytes.tolist(),
+        )
+    ]
 
 
 class OracleTransactionSet:
@@ -166,8 +192,7 @@ def oracle_apriori(
     """All frequent itemsets of ``transactions``, one transaction and
     one ``combinations(ids, k)`` at a time.
 
-    ``transactions`` is an :class:`OracleTransactionSet` or a columnar
-    :class:`TransactionSet` (walked through its lazy iteration).
+    ``transactions`` is an :class:`OracleTransactionSet`.
     """
     check_thresholds(min_flows, min_packets)
     if max_size is None:

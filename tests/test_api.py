@@ -9,14 +9,17 @@ rows — for both the builder and TOML-config construction.
 
 import sqlite3
 
+import numpy as np
 import pytest
 
 from repro import api
+from repro.detect.base import Alarm
 from repro.detect.netreflex import NetReflexDetector
 from repro.errors import RegistryError, SpecError
 from repro.extraction.summarize import table_rows
 from repro.flows.flowio import read_binary_table
 from repro.flows.store import FlowStore
+from repro.flows.table import FlowTable
 from repro.flows.trace import DEFAULT_BIN_SECONDS, FlowTrace
 from repro.stream import ReplayDriver, StreamEngine, streaming_adapter
 from repro.system.alarmdb import AlarmDatabase
@@ -298,7 +301,7 @@ class TestTomlRoundTrip:
             .scenario(bins=6, fps=8.5, seed=3,
                       anomalies=["port-scan", "udp-flood"])
             .detect("kl", train_bins=4, hash_buckets=128)
-            .mine("eclat", extraction={"top_k": 5},
+            .mine("apriori", extraction={"top_k": 5},
                   target_max_itemsets=20)
             .stream(window_seconds=120.0, workers=4, lateness_seconds=30,
                     dedup_window=600, triage=True)
@@ -423,6 +426,65 @@ class TestRegistry:
             )._extraction_config().mining.engine == "test-plugin-miner"
         finally:
             ENGINES.pop("test-plugin-miner", None)
+
+    @pytest.mark.parametrize("engine", ["eclat", "fpgrowth"])
+    def test_removed_engines_are_unknown_names(self, trace_path, engine):
+        session = (
+            api.session()
+            .source("rpv5", path=str(trace_path))
+            .mine(engine)
+            .extract(3000, 3300)
+            .build()
+        )
+        with pytest.raises(RegistryError) as err:
+            session.run()
+        assert err.value.field == "mining.engine"
+        assert "apriori" in str(err.value)
+
+    def test_plugin_miner_runs_at_every_worker_count(self):
+        from repro.extraction.extractor import (
+            AnomalyExtractor,
+            ExtractionConfig,
+        )
+        from repro.mining.apriori import mine_apriori
+        from repro.mining.extended import ENGINES, ExtendedAprioriConfig
+
+        calls = []
+
+        def spy(transactions, min_flows, min_packets=None, max_size=None):
+            calls.append(len(transactions))
+            return mine_apriori(transactions, min_flows, min_packets,
+                                max_size)
+
+        rng = np.random.default_rng(5)
+        count = 400
+        table = FlowTable.from_columns(
+            src_ip=rng.integers(1, 4, count),
+            dst_ip=rng.integers(1, 9, count),
+            src_port=rng.integers(1024, 1030, count),
+            dst_port=rng.choice(np.array([53, 80]), count),
+            proto=rng.choice(np.array([6, 17]), count),
+            packets=rng.integers(1, 50, count),
+        )
+        alarm = Alarm(alarm_id="a", detector="t", start=0.0, end=300.0,
+                      score=1.0)
+        api.miners.register("test-spy-miner", spy, replace=True)
+        try:
+            config = ExtractionConfig(
+                mining=ExtendedAprioriConfig(engine="test-spy-miner")
+            )
+            reports = []
+            for workers in (1, 2):
+                calls.clear()
+                extractor = AnomalyExtractor(config, workers=workers)
+                try:
+                    reports.append(table_rows(extractor.extract(alarm, table)))
+                finally:
+                    extractor.close()
+                assert calls, f"workers={workers} bypassed the engine"
+            assert reports[0] == reports[1]
+        finally:
+            ENGINES.pop("test-spy-miner", None)
 
 
 class TestSpecValidation:

@@ -45,7 +45,7 @@ from repro.flows.record import (
 from repro.flows.table import FlowTable
 from repro.mining import apriori
 from repro.mining.apriori import EXACT_FLOAT_LIMIT, mine_apriori
-from repro.mining.extended import ExtendedApriori, MiningOutcome
+from repro.mining.extended import MiningOutcome
 from repro.mining.items import Item, Itemset, ItemsetSupport
 from repro.mining.transactions import TransactionSet
 from repro.taxonomy import AnomalyKind
@@ -96,7 +96,7 @@ def feature_subsets(draw):
     return tuple(shuffled[:draw(st.integers(min_value=1, max_value=5))])
 
 
-# -- (B) the kernel --------------------------------------------------------
+# -- the kernel ------------------------------------------------------------
 
 
 @given(
@@ -156,40 +156,7 @@ def test_kernel_is_exact_past_float53(monkeypatch):
     assert {s.packets for s in mined} == {huge + 1, huge + 3, 2 * huge + 4}
 
 
-# -- (A) the production path never builds per-flow transactions ------------
-
-
-def test_production_mining_never_materializes_transactions(monkeypatch):
-    built = []
-    materialize = TransactionSet._materialize
-
-    def counting(self):
-        built.append(self)
-        return materialize(self)
-
-    monkeypatch.setattr(TransactionSet, "_materialize", counting)
-    rng = np.random.default_rng(5)
-    count = 400
-    table = FlowTable.from_columns(
-        src_ip=rng.integers(1, 4, count), dst_ip=rng.integers(1, 9, count),
-        src_port=rng.integers(1024, 1030, count),
-        dst_port=rng.choice(np.array([53, 80]), count),
-        proto=rng.choice(np.array([6, 17]), count),
-        packets=rng.integers(1, 50, count),
-    )
-    outcome = ExtendedApriori().mine(table)
-    assert outcome.itemsets
-    alarm = Alarm(alarm_id="a", detector="t", start=0.0, end=300.0,
-                  score=1.0)
-    validate_report(AnomalyExtractor().extract(alarm, table))
-    assert built == []
-    # The classic engines' view is built on demand, once.
-    transactions = TransactionSet.from_table(table)
-    assert list(transactions) == list(transactions)
-    assert built == [transactions]
-
-
-# -- (D) evidence on masks -------------------------------------------------
+# -- evidence on masks -----------------------------------------------------
 
 
 def _record_loop_evidence(report, flows, sample_size):

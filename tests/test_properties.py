@@ -19,8 +19,6 @@ from repro.flows.flowio import csv_roundtrip
 from repro.flows.netflow_v5 import decode_packet, encode_packet
 from repro.flows.record import FlowRecord
 from repro.mining.apriori import mine_apriori
-from repro.mining.eclat import mine_eclat
-from repro.mining.fpgrowth import mine_fpgrowth
 from repro.mining.maximal import closed_itemsets, maximal_itemsets
 from repro.mining.transactions import TransactionSet
 
@@ -63,25 +61,7 @@ histograms = st.dictionaries(
 )
 
 
-def _result_set(supports):
-    return {(s.itemset, s.flows, s.packets, s.bytes) for s in supports}
-
-
-# -- mining engine equivalence ------------------------------------------------
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    flows=flow_lists,
-    min_flows=st.integers(1, 20),
-    min_packets=st.one_of(st.none(), st.integers(1, 20_000)),
-)
-def test_engines_extensionally_equal(flows, min_flows, min_packets):
-    ts = TransactionSet.from_flows(flows)
-    apriori = _result_set(mine_apriori(ts, min_flows, min_packets))
-    fpgrowth = _result_set(mine_fpgrowth(ts, min_flows, min_packets))
-    eclat = _result_set(mine_eclat(ts, min_flows, min_packets))
-    assert apriori == fpgrowth == eclat
+# -- mining properties ----------------------------------------------------------
 
 
 @settings(max_examples=40, deadline=None)

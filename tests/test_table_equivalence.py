@@ -40,7 +40,7 @@ from repro.flows.store import FlowStore
 from repro.flows.table import FlowTable
 from repro.mining.transactions import TransactionSet
 from tests import record_oracle
-from tests.mining_oracle import OracleTransactionSet
+from tests.mining_oracle import OracleTransactionSet, columnar_transactions
 
 # Small value pools keep collision (and therefore interesting masks,
 # histogram merges and shared items) likely.
@@ -154,7 +154,7 @@ def _assert_encodes_like_oracle(columnar, oracle):
     assert [columnar.item(i) for i in ids] == [oracle.item(i) for i in ids]
     assert [columnar.feature_of(i) for i in ids] == \
         [oracle.feature_of(i) for i in ids]
-    assert list(columnar) == list(oracle)
+    assert columnar_transactions(columnar) == list(oracle)
     assert len(columnar) == len(oracle)
     assert bool(columnar) == bool(oracle)
     assert columnar.total_flows == oracle.total_flows
