@@ -3,7 +3,7 @@
 A full reproduction of *"Automating Root-Cause Analysis of Network
 Anomalies using Frequent Itemset Mining"* (Paredes-Oliva et al.,
 SIGCOMM 2010) and the technique papers behind it, grown into a
-columnar, sharded, streaming, archive-backed deployment system.
+columnar, streaming, archive-backed deployment system.
 
 Public API
 ----------
@@ -12,7 +12,7 @@ types re-exported here (``__all__`` is the contract — the API-surface
 snapshot test fails when it drifts). A session is five orthogonal
 specs — source, detector, mining, execution, sink — composed with a
 fluent builder or loaded from TOML, and every execution mode (batch,
-sharded batch, windowed stream, archive-resume) runs through the same
+windowed stream, archive-resume) runs through the same
 ``Session.run()``::
 
     import repro
@@ -21,7 +21,7 @@ sharded batch, windowed stream, archive-resume) runs through the same
         repro.session()
         .source("rpv5", path="trace.rpv5")
         .detect("netreflex", train_bins=8)
-        .stream(workers=4, triage=True)
+        .stream(triage=True)
         .archive("spool/")
         .run()
     )
@@ -61,7 +61,8 @@ Subpackages
 ``repro.system``
     Alarm DB, flow backend, console, the Figure-1 pipeline.
 ``repro.stream`` / ``repro.parallel`` / ``repro.archive``
-    Online windows, sharded execution, persistent mmap'd archive.
+    Online windows, the archive's shard layout, persistent mmap'd
+    archive.
 ``repro.eval``
     Harness regenerating the paper's tables and figures.
 """

@@ -5,8 +5,8 @@ flows come from* (:class:`SourceSpec`), *which detector watches them*
 (:class:`DetectorSpec`), *how triage mines* (:class:`MiningSpec`),
 *how the run executes* (:class:`ExecutionSpec`) and *where results
 land* (:class:`SinkSpec`), and :class:`Session` dispatches the right
-engine — serial batch, sharded batch, windowed stream or
-archive-resume — from the spec alone::
+engine — batch, windowed stream or archive-resume — from the spec
+alone::
 
     from repro import api
 
@@ -14,7 +14,7 @@ archive-resume — from the spec alone::
         api.session()
         .source("rpv5", path="trace.rpv5")
         .detect("netreflex", train_bins=8)
-        .stream(workers=4, triage=True)
+        .stream(triage=True)
         .archive("spool/")
         .run()
     )

@@ -3,9 +3,9 @@
 Where PRs 1–4 each grew their own entry point (``ExtractionSystem``,
 ``StreamEngine``, ``FlowBackend.from_archive``) with incompatible
 constructor signatures, a :class:`Session` is built
-from five orthogonal specs and *dispatches* — serial or sharded, batch
-or windowed stream, live ring or archive-resume — from the spec alone,
-never from which class the caller happened to construct::
+from five orthogonal specs and *dispatches* — batch or windowed
+stream, live ring or archive-resume — from the spec alone, never from
+which class the caller happened to construct::
 
     from repro import api
 
@@ -13,7 +13,7 @@ never from which class the caller happened to construct::
         api.session()
         .source("rpv5", path="trace.rpv5")
         .detect("netreflex", train_bins=8)
-        .stream(workers=4, triage=True)
+        .stream(triage=True)
         .archive("spool/")
         .run()
     )
@@ -514,14 +514,7 @@ class Session:
                 "flows": len(tail),
             })
         with obs_trace.span("batch.detect", timings, "detect"):
-            if execution.workers > 1:
-                from repro.parallel import parallel_detect
-
-                alarms = parallel_detect(
-                    detector, tail, workers=execution.workers
-                )
-            else:
-                alarms = detector.detect(tail)
+            alarms = detector.detect(tail)
         triage: list[TriageResult] = []
         statuses: dict[str, tuple[str, str]] = {}
         open_count = len(alarms)
@@ -783,7 +776,7 @@ class Session:
                     # A paced replay is routinely cut short from the
                     # keyboard; seal what the watermark allows and
                     # return a clean partial result even if sealing
-                    # itself fails (e.g. a worker pool torn down by
+                    # itself fails (e.g. an archive write cut short by
                     # the same interrupt).
                     interrupted = True
                     try:
@@ -946,56 +939,38 @@ class Session:
         # Aggregate surfaces (--stats, archive --top) go through the
         # planner: counts answer from zone-map sums, rankings from
         # feature-index sidecars — no flow rows are materialised when
-        # the pushdown applies. An archive reader with workers > 1
-        # additionally fans unavoidable payload scans over a pool.
-        executor = None
-        if reader is not None and execution.workers > 1:
-            from repro.parallel.executor import ShardExecutor
-
-            executor = ShardExecutor(execution.workers)
-            reader.executor = executor
+        # the pushdown applies.
         payload: dict[str, Any] = {}
         timings: dict[str, float] = {}
         with obs_trace.span("query.run", timings, "query"):
-            try:
-                if execution.stats:
-                    counts = store.count(start, end, execution.filter)
-                    matched = counts.flows
-                    payload.update({"flows": None, "stats": counts})
-                elif execution.top and reader is not None:
-                    matched = store.count(
-                        start, end, execution.filter
-                    ).flows
-                    feature = _feature(execution.top, "execution.top")
-                    payload.update({
-                        "flows": None,
-                        "top_feature": feature,
-                        "top": store.top_feature_values(
-                            start, end, feature,
-                            n=execution.limit,
-                            flow_filter=execution.filter,
-                        ),
-                    })
-                else:
-                    flows = store.query_table(
-                        start, end, execution.filter
-                    )
-                    matched = len(flows)
-                    payload["flows"] = flows
-                    if execution.top:
-                        from repro.flows.aggregate import top_n
+            if execution.stats:
+                counts = store.count(start, end, execution.filter)
+                matched = counts.flows
+                payload.update({"flows": None, "stats": counts})
+            elif execution.top and reader is not None:
+                matched = store.count(start, end, execution.filter).flows
+                feature = _feature(execution.top, "execution.top")
+                payload.update({
+                    "flows": None,
+                    "top_feature": feature,
+                    "top": store.top_feature_values(
+                        start, end, feature,
+                        n=execution.limit,
+                        flow_filter=execution.filter,
+                    ),
+                })
+            else:
+                flows = store.query_table(start, end, execution.filter)
+                matched = len(flows)
+                payload["flows"] = flows
+                if execution.top:
+                    from repro.flows.aggregate import top_n
 
-                        feature = _feature(
-                            execution.top, "execution.top"
-                        )
-                        payload["top_feature"] = feature
-                        payload["top"] = top_n(
-                            flows, feature, n=execution.limit
-                        )
-            finally:
-                if executor is not None:
-                    executor.close()
-                    reader.executor = None
+                    feature = _feature(execution.top, "execution.top")
+                    payload["top_feature"] = feature
+                    payload["top"] = top_n(
+                        flows, feature, n=execution.limit
+                    )
         if hasattr(store, "last_scan"):
             scan = store.last_scan
         payload["scan"] = scan if payload.get("flows") is not None \
@@ -1225,7 +1200,8 @@ class SessionBuilder:
 
     def batch(self, workers: int = 1,
               triage: bool = False) -> "SessionBuilder":
-        """Bounded batch detection (serial, or sharded via workers)."""
+        """Bounded batch detection (``workers`` is deprecated and has
+        no effect)."""
         return self._mode("batch", workers=workers, triage=triage)
 
     def stream(
@@ -1241,8 +1217,8 @@ class SessionBuilder:
         triage: bool = False,
         auto_close: int | None = None,
     ) -> "SessionBuilder":
-        """Windowed-stream execution (``workers`` sizes live triage's
-        mining pool; windows always accumulate in-process).
+        """Windowed-stream execution (``workers`` is deprecated and
+        has no effect: windows accumulate and triage mines in-process).
 
         ``auto_close`` resolves open/acked alarms as ``decayed`` once
         no re-fire has extended them for that many sealed windows."""
@@ -1284,8 +1260,7 @@ class SessionBuilder:
         ``stats=True`` answers with counters only (planner pushdown —
         no rows are materialised when sidecars cover the window);
         ``explain=True`` attaches the planner's decision record;
-        ``workers > 1`` fans unavoidable archive payload scans over a
-        worker pool.
+        ``workers`` is deprecated and has no effect.
         """
         return self._mode("query", start=start, end=end, filter=filter,
                           top=top, limit=limit, stats=stats,

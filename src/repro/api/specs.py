@@ -51,8 +51,8 @@ __all__ = [
 ]
 
 #: Execution modes dispatchable through ``Session.run()``. ``batch``
-#: and ``stream`` are the two detection loops (serial or sharded via
-#: ``workers``); ``triage`` is archive-resume; the rest back the CLI's
+#: and ``stream`` are the two detection loops; ``triage`` is
+#: archive-resume; the rest back the CLI's
 #: utility subcommands so every command routes through the facade.
 EXECUTION_MODES = (
     "batch",
@@ -186,13 +186,12 @@ class ExecutionSpec:
 
     #: One of :data:`EXECUTION_MODES`.
     mode: str = "batch"
-    #: Shards/workers for the heavy passes (triage mining, batch
-    #: detection sweeps, archive scans). Identical results for any
-    #: count.
+    #: Deprecated, no effect: every pass runs in the calling process.
+    #: Still validated (>= 1) so existing configs keep loading.
     workers: int = field(default=1, metadata={
         "flag": "--workers",
-        "help": "shards/workers for the heavy passes "
-                "(identical results for any count)",
+        "help": "deprecated, no effect: every pass runs in this "
+                "process (must still be >= 1)",
         "cli_type": "workers",
     })
     #: Stream window width; ``None`` = the source's bin width.

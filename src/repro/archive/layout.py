@@ -96,11 +96,9 @@ SIDECAR_SUFFIXES = (INDEX_SUFFIX, ".zone.json", ".fidx.json")
 QUARANTINE_DIR = "quarantine"
 _TMP_PREFIX = ".tmp-"
 
-#: Partition header: the shared zero-copy row-block header of
-#: :mod:`repro.flows.shmem` (magic, schema version, reserved flags,
-#: row count, padded to 32 bytes, little-endian like the payload) —
-#: one codepath validates archive partitions and shm segments alike,
-#: distinguished only by the magic.
+#: Partition header: the row-block header of :mod:`repro.flows.shmem`
+#: (magic, schema version, reserved flags, row count, padded to 32
+#: bytes, little-endian like the payload) under the archive's magic.
 PARTITION_HEADER_SIZE = ROW_HEADER_SIZE
 _PARTITION_MAGIC = b"RPAR"
 

@@ -1,4 +1,4 @@
-"""Query planning over an archive: pushdown, fan-out, the plan.
+"""Query planning over an archive: pushdown, the cut, the plan.
 
 This module is the brain behind
 :class:`~repro.archive.reader.ArchiveReader`'s aggregate queries:
@@ -12,13 +12,10 @@ This module is the brain behind
   addition over sorted value arrays, so the pushed-down ranking is
   byte-identical to scanning the rows (the equivalence suite asserts
   it).
-* **Parallel scans** — when payloads *must* be read and the reader
-  holds a :class:`~repro.parallel.executor.ShardExecutor`, per-
-  partition scan tasks fan out as ``(path, rows, window, filter,
-  sorted)`` tuples: each worker opens the partition's mmap directly,
-  takes the query's rows through :func:`window_rows` — the one cut,
-  in-process or not — and returns a tiny aggregate, so zero row bytes
-  cross the pool in either direction.
+* **The cut** — when payloads *must* be read, :func:`window_rows`
+  takes a partition's rows in the query's window and filter (by
+  bisection when the partition is sorted), and :func:`count_rows` /
+  :func:`histogram_rows` reduce them to a tiny aggregate.
 * :class:`QueryPlan` — what the last query decided, partition by
   partition class: pruned, answered from sidecars, or scanned.
   ``repro archive query --explain`` renders it.
@@ -37,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.archive.index import ZONE_COLUMNS
-from repro.archive.partition import open_rows
 from repro.flows.aggregate import value_histogram
 from repro.flows.filter import FilterNode
 from repro.flows.record import FLOW_FEATURES, FlowFeature
@@ -57,7 +53,7 @@ def feature_column(feature: FlowFeature) -> str:
     return _COLUMN_OF_FEATURE[feature]
 
 
-# -- the window cut and the worker-side scan tasks -----------------------------
+# -- the window cut ------------------------------------------------------------
 
 def window_rows(
     table: FlowTable,
@@ -127,42 +123,6 @@ def histogram_rows(
     return values, counts[-1]
 
 
-def scan_count_task(
-    path: str,
-    rows: int,
-    start: float,
-    end: float,
-    node: FilterNode | None,
-    ordered: bool,
-) -> tuple[int, int, int, float, float] | None:
-    """Aggregate one partition: ``(flows, packets, bytes, lo, hi)``.
-
-    Runs on a worker: opens the partition mmap directly (no rows cross
-    the pool inbound) and returns five numbers (none cross outbound).
-    """
-    return count_rows(open_rows(path, rows), start, end, node, ordered)
-
-
-def scan_histogram_task(
-    path: str,
-    rows: int,
-    start: float,
-    end: float,
-    node: FilterNode | None,
-    ordered: bool,
-    column: str,
-    by_packets: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One partition's ``(values, counts)`` histogram after the cut.
-
-    The worker reduction behind the top-N fallback: whole rows stay in
-    the worker; only the (much smaller) histogram returns.
-    """
-    return histogram_rows(
-        open_rows(path, rows), start, end, node, ordered, column, by_packets
-    )
-
-
 # -- the plan ----------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
@@ -182,8 +142,6 @@ class QueryPlan:
     #: ``zone-map-stats`` / ``feature-index`` when an aggregate was
     #: answered without payload reads; ``None`` for row scans.
     pushdown: str | None = None
-    #: Scan tasks fanned out over the executor (0 = in-process).
-    parallel_tasks: int = 0
 
     @property
     def pruned(self) -> int:
@@ -203,9 +161,4 @@ class QueryPlan:
         ]
         if self.pushdown:
             lines.append(f"  pushdown:        {self.pushdown}")
-        if self.parallel_tasks:
-            lines.append(
-                f"  parallel tasks:  {self.parallel_tasks} "
-                f"(workers mmap partitions directly)"
-            )
         return "\n".join(lines)

@@ -38,7 +38,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -49,8 +49,6 @@ from repro.archive.planner import (
     count_rows,
     feature_column,
     histogram_rows,
-    scan_count_task,
-    scan_histogram_task,
     window_rows,
 )
 from repro.errors import ArchiveError, CodecError, StoreError
@@ -60,10 +58,6 @@ from repro.flows.record import FlowFeature, FlowRecord
 from repro.flows.table import FlowTable
 from repro.flows.trace import DEFAULT_BIN_SECONDS, FlowTrace, TraceStats
 from repro.obs import events as obs_events, metrics as obs_metrics
-
-if TYPE_CHECKING:
-    from repro.parallel.executor import ShardExecutor
-    from repro.parallel.partition import PartitionSpec
 
 __all__ = ["ScanStats", "ArchiveStats", "ArchiveReader"]
 
@@ -125,24 +119,15 @@ class ArchiveReader:
         root: str | Path,
         use_zone_maps: bool = True,
         auto_refresh: bool = True,
-        executor: "ShardExecutor | None" = None,
     ) -> None:
         """``use_zone_maps=False`` disables pruning (every query scans
         every partition) — the full-scan baseline for the benchmark and
         the equivalence tests. ``auto_refresh`` re-scans the directory
         before each query so a reader following a live writer (the
-        streaming triage loop) sees newly sealed windows.
-
-        ``executor`` (caller-owned, never closed here) lets aggregate
-        queries that must read payloads fan their per-partition scans
-        over a :class:`~repro.parallel.executor.ShardExecutor`: each
-        task ships as a ``(path, rows, window, filter)`` tuple and the
-        worker opens the partition's mmap directly — zero row bytes
-        cross the pool in either direction."""
+        streaming triage loop) sees newly sealed windows."""
         self.layout = ArchiveLayout(root)
         self.use_zone_maps = use_zone_maps
         self.auto_refresh = auto_refresh
-        self.executor = executor
         self._partitions: list[Partition] = []
         self._loaded: dict[str, Partition] = {}
         self._quarantined = 0
@@ -449,8 +434,7 @@ class ArchiveReader:
         zone maps alone (row/packet/byte sums) — counting an archived
         window costs zero payload reads; :attr:`last_plan` records
         ``pushdown="zone-map-stats"`` when *every* surviving partition
-        answered that way. Partitions that do need a payload scan fan
-        out over :attr:`executor` when one is attached.
+        answered that way.
         """
         if end < start:
             return TraceStats(
@@ -476,26 +460,10 @@ class ArchiveReader:
                 hi = max(hi, zone.max_end)
             else:
                 needs_scan.append(partition)
-        parallel = 0
-        if self._fan_out(needs_scan):
-            parallel = len(needs_scan)
-            parts = self.executor.map_items(
-                scan_count_task,
-                [
-                    (
-                        str(p.path), p.rows, start, end,
-                        filter_node, self._ordered(p),
-                    )
-                    for p in needs_scan
-                ],
-            )
-        else:
-            parts = [
-                count_rows(
-                    p.table(), start, end, filter_node, self._ordered(p)
-                )
-                for p in needs_scan
-            ]
+        parts = [
+            count_rows(p.table(), start, end, filter_node, self._ordered(p))
+            for p in needs_scan
+        ]
         for part in parts:
             if part is None:
                 continue
@@ -516,7 +484,6 @@ class ArchiveReader:
                 p.payload_bytes for p in needs_scan
             ),
             pushdown="zone-map-stats" if not needs_scan else None,
-            parallel_tasks=parallel,
         ))
         if flows == 0:
             return TraceStats(
@@ -541,7 +508,7 @@ class ArchiveReader:
     ) -> list[tuple[int, int]]:
         """Top-``n`` feature values, pushed down when sidecars allow.
 
-        Three tiers, cheapest that applies wins, identical answers by
+        Two tiers, cheapest that applies wins, identical answers by
         construction (histogram merging is integer addition and the
         ranking is the store's own
         :func:`~repro.flows.aggregate.ranked_from_histogram` — count
@@ -551,10 +518,8 @@ class ArchiveReader:
            every surviving partition fully covered by the window and
            carrying a feature index: merge the per-partition
            histograms and rank. Zero payload bytes read.
-        2. **parallel histogram scan** — an :attr:`executor` fans
-           per-partition masked histograms over workers; only the
-           small ``(values, counts)`` arrays return.
-        3. **serial histogram scan** — same reduction in-process.
+        2. **histogram scan** — per-partition histograms of the
+           query's cut, merged and ranked the same way.
         """
         if n <= 0:
             raise StoreError(f"n must be positive: {n!r}")
@@ -600,28 +565,13 @@ class ArchiveReader:
                     }
                 ))
                 return ranked_from_histogram(values, counts, n)
-        parallel = 0
-        if self._fan_out(candidates):
-            parallel = len(candidates)
-            parts = self.executor.map_items(
-                scan_histogram_task,
-                [
-                    (
-                        str(p.path), p.rows, start, end, filter_node,
-                        self._ordered(p), column, by_packets,
-                    )
-                    for p in candidates
-                ],
+        values, counts = merge_histograms([
+            histogram_rows(
+                p.table(), start, end, filter_node,
+                self._ordered(p), column, by_packets,
             )
-        else:
-            parts = [
-                histogram_rows(
-                    p.table(), start, end, filter_node,
-                    self._ordered(p), column, by_packets,
-                )
-                for p in candidates
-            ]
-        values, counts = merge_histograms(parts)
+            for p in candidates
+        ])
         self._note_plan(QueryPlan(
             **{
                 **plan,
@@ -629,18 +579,9 @@ class ArchiveReader:
                 "payload_bytes_read": sum(
                     p.payload_bytes for p in candidates
                 ),
-                "parallel_tasks": parallel,
             }
         ))
         return ranked_from_histogram(values, counts, n)
-
-    def _fan_out(self, parts: list[Partition]) -> bool:
-        """Whether a payload scan should go through the executor."""
-        return (
-            self.executor is not None
-            and self.executor.uses_processes
-            and len(parts) > 1
-        )
 
     def to_trace(
         self,
@@ -670,43 +611,6 @@ class ArchiveReader:
             bin_seconds=bin_seconds or self.slice_seconds,
             origin=self.origin,
         )
-
-    # -- sharded access ----------------------------------------------------
-
-    def shard_tables(self, spec: "PartitionSpec") -> list[FlowTable]:
-        """Per-shard tables of the whole archive.
-
-        When every partition was written under exactly ``spec``
-        (shards, key and seed all match), per-shard files concatenate
-        **directly** — no hashing, no row movement; this is the fast
-        path :func:`repro.parallel.partition.read_archive_sharded`
-        documents. Any other layout falls back to hashing each
-        partition's rows with the stable shard function, which yields
-        the identical result (shard placement is a pure function of
-        the key column).
-        """
-        from repro.parallel.partition import partition_table
-
-        if self.auto_refresh:
-            self.refresh()
-        buckets: list[list[FlowTable]] = [[] for _ in range(spec.shards)]
-        direct = all(
-            p.zone.shard_spec is not None
-            and p.zone.shard_spec[:3] == (spec.shards, spec.key, spec.seed)
-            and p.zone.shard_spec[3] == p.key.shard
-            for p in self._partitions
-        )
-        for partition in self._partitions:
-            table = partition.table()
-            if direct:
-                buckets[partition.key.shard].append(table)
-            else:
-                for shard, rows in enumerate(
-                    partition_table(table, spec)
-                ):
-                    if len(rows):
-                        buckets[shard].append(rows)
-        return [FlowTable.concat(bucket) for bucket in buckets]
 
     # -- helpers -----------------------------------------------------------
 

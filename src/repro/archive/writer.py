@@ -32,10 +32,9 @@ put in query order here), and the sidecar's ``sorted`` flag is derived
 from the rows, never taken on trust — it is what lets a reader bisect.
 
 Writing shard-aware (``shard_spec``) splits every slice's rows with
-the same stable hash the parallel subsystem uses
-(:func:`repro.parallel.partition.shard_ids`), records the spec in
-each sidecar, and thereby lets sharded scans later pick up per-shard
-files directly instead of re-hashing rows.
+the stable placement hash (:func:`repro.parallel.partition.shard_ids`)
+into per-shard files and records the spec in each sidecar, so a
+shard's rows are exactly its own files.
 """
 
 from __future__ import annotations

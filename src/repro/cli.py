@@ -14,7 +14,7 @@ The subcommands mirror the deployment workflow::
         --triage --archive spool/ --alarmdb alarms.db
     python -m repro.cli archive ingest trace.rpv5 --dir spool/
     python -m repro.cli archive triage --dir spool/ --alarmdb alarms.db
-    python -m repro.cli run     config.toml --workers 4
+    python -m repro.cli run     config.toml --set execution.triage=true
     python -m repro.cli serve   config.toml --port 9108 --linger 300
     python -m repro.cli alarms  ls --alarmdb alarms.db --status open
     python -m repro.cli alarms  ack a-17 --alarmdb alarms.db --note ok
@@ -245,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("config", help="session config (TOML)")
     run.add_argument("--workers", type=_workers_arg, default=None,
-                     help="override [execution] workers")
+                     help="override [execution] workers (deprecated, "
+                          "no effect)")
     run.add_argument(
         "--port", type=int, default=None,
         help="override [source.options] port for collector (udp) "
@@ -402,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
              "the run; requires sink.alarmdb)")
     serve_cmd.add_argument(
         "--workers", type=_workers_arg, default=None,
-        help="override [execution] workers")
+        help="override [execution] workers (deprecated, no effect)")
     serve_cmd.add_argument(
         "--set", action="append", default=[], dest="overrides",
         metavar="SECTION.KEY=VALUE",
@@ -971,8 +972,6 @@ def _obs_trace(args: argparse.Namespace) -> int:
     overrides = _parse_overrides(args.overrides)
     if overrides:
         spec = spec.with_overrides(**overrides)
-    # Metrics on: worker child spans ship back over the metered-task
-    # seam, so the exported trace covers the shard pool too.
     obs_metrics.enable()
     result = api.Session(spec).run()
     print(result.summary(), file=sys.stderr)

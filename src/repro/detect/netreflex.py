@@ -24,7 +24,7 @@ GEANT deployment (DESIGN.md §2). Like the original it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from repro.detect.features import (
     ENTROPY_COLUMNS,
     VOLUME_COLUMNS,
     BinFeatures,
-    FeatureMatrix,
     build_feature_matrix,
 )
 from repro.flows.table import FlowTable
@@ -144,24 +143,8 @@ class NetReflexDetector(Detector):
     def detect(self, trace: FlowTrace) -> list[Alarm]:
         """Alarm bins whose SPE exceeds the Q-statistic threshold."""
         self._require_trained(self._model is not None)
-        matrix = build_feature_matrix(trace)
-        return self.detect_matrix(matrix, trace.between_table)
-
-    def detect_matrix(
-        self,
-        matrix: FeatureMatrix,
-        window_table: "Callable[[float, float], FlowTable]",
-    ) -> list[Alarm]:
-        """Score a pre-built feature matrix (the batch ``detect`` body).
-
-        ``window_table`` maps an alarmed bin's ``[start, end)`` to its
-        flow table for meta-data attribution. Splitting this from
-        :meth:`detect` lets :mod:`repro.parallel.detect` assemble the
-        matrix from per-worker bin ranges and still score, label and
-        attribute through the identical code path.
-        """
-        self._require_trained(self._model is not None)
         assert self._model is not None
+        matrix = build_feature_matrix(trace)
         if matrix.columns != self._columns:
             raise DetectorError(
                 "detection matrix columns differ from training"
@@ -172,7 +155,9 @@ class NetReflexDetector(Detector):
             if spe[row] <= self._model.spe_threshold:
                 continue
             start, end = matrix.bin_interval(row)
-            histograms = self.window_histograms(window_table(start, end))
+            histograms = self.window_histograms(
+                trace.between_table(start, end)
+            )
             alarms.append(
                 self._make_alarm(
                     index=matrix.bin_indices[row],

@@ -204,12 +204,9 @@ def itemset_confirms_metadata(itemset, alarm: Alarm) -> bool:
 class AnomalyExtractor:
     """Extracts and summarizes the flows behind an alarm.
 
-    With ``workers > 1`` the built-in ``"apriori"`` engine runs through
-    the sharded two-pass miner of :mod:`repro.parallel.mining` over
-    that many hash partitions — byte-identical reports (the sharded
-    miner's contract), so the worker count is purely a throughput
-    knob. A plugin engine always runs serially: the worker count never
-    changes which engine mines.
+    Mining runs in the calling process through the configured engine.
+    ``workers`` is deprecated and has no effect; it is still validated
+    (≥ 1) so existing callers keep constructing.
     """
 
     def __init__(
@@ -220,23 +217,11 @@ class AnomalyExtractor:
         self.config = config or ExtractionConfig()
         if workers < 1:
             raise ExtractionError(f"workers must be >= 1: {workers!r}")
-        self.workers = workers
-        if workers > 1 and self.config.mining.engine == "apriori":
-            from repro.parallel.mining import ShardedApriori
-            from repro.parallel.partition import PartitionSpec
-
-            self._miner = ShardedApriori(
-                self.config.mining,
-                partition=PartitionSpec(shards=workers),
-            )
-        else:
-            self._miner = ExtendedApriori(self.config.mining)
+        self._miner = ExtendedApriori(self.config.mining)
 
     def close(self) -> None:
-        """Shut down the sharded miner's worker pool (idempotent)."""
-        executor = getattr(self._miner, "executor", None)
-        if executor is not None:
-            executor.close()
+        """Nothing to release: mining holds no process or pool. Kept
+        so callers that close an extractor keep working."""
 
     def extract(
         self,

@@ -36,8 +36,8 @@ from repro.flows.record import FlowFeature, FlowRecord
 __all__ = ["FLOW_DTYPE", "FLOW_SCHEMA_VERSION", "FlowTable"]
 
 #: Version of the on-disk/on-wire ``FLOW_DTYPE`` layout. Bump whenever
-#: a column is added, removed, resized or reordered; every shared-memory
-#: row block (:mod:`repro.flows.shmem`) and archive partition header
+#: a column is added, removed, resized or reordered; every row-block
+#: header (:mod:`repro.flows.shmem`), and so every archive partition,
 #: carries it so stale bytes fail with a clear
 #: :class:`~repro.errors.CodecError` instead of silently misparsing.
 FLOW_SCHEMA_VERSION = 1

@@ -166,8 +166,8 @@ class ExtendedApriori:
     ) -> list[ItemsetSupport]:
         """All frequent itemsets at absolute thresholds.
 
-        The single overridable seam of the envelope: subclasses (the
-        sharded miner in :mod:`repro.parallel.mining`) swap the engine
+        The single overridable seam of the envelope: a subclass (the
+        per-transaction oracle of the test suite) swaps the engine
         while the tuning loop, reduction and sorting stay shared — and
         therefore visit the same thresholds in the same order.
         """
@@ -247,8 +247,7 @@ class ExtendedApriori:
 
         ``transactions`` only needs ``total_flows``/``total_packets``,
         ``absolute_thresholds`` and truthiness here and in
-        :meth:`mine_fixed` — the sharded miner passes a duck-typed
-        shard collection through the same loop.
+        :meth:`mine_fixed`.
         """
         cfg = self.config
         if not transactions:

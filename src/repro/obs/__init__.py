@@ -6,18 +6,14 @@ Four small stdlib-only modules:
   counters, gauges and fixed-bucket histograms. Disabled by default:
   instrument handles are module-level constants whose record methods
   are a single ``None`` check until :func:`repro.obs.metrics.enable`
-  installs a registry, so the hot layers (stream ingest, shm staging,
-  archive scans, mining) carry their instrumentation at near-zero
-  cost. Registries snapshot to plain picklable dicts and merge by
-  counter addition — the same associative/commutative discipline as
-  the streaming ``WindowAccumulator`` — so shard workers accumulate
-  into a private registry and the ``ShardExecutor`` folds their
-  deltas into the parent alongside task results.
+  installs a registry, so the hot layers (stream ingest, archive
+  scans, mining) carry their instrumentation at near-zero cost.
+  Registries snapshot to plain dicts for the exporters.
 - :mod:`repro.obs.trace` — ``with trace.span("detect.window"):``
   lightweight span timing into a bounded in-memory log; the session
   facade's ``RunResult.timings`` is fed from these spans. Spans carry
-  ``trace_id``/``span_id`` causal identity that propagates through
-  the shard pool and exports as Chrome trace-event JSON.
+  ``trace_id``/``span_id`` causal identity and export as Chrome
+  trace-event JSON.
 - :mod:`repro.obs.events` — the provenance plane: an append-only
   rotated JSONL journal of the pipeline lifecycle (chunk → window →
   verdict → alarm → archive), with causal ``parent``

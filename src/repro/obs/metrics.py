@@ -8,21 +8,13 @@ Design constraints, in order:
    record method is one global load and a ``None`` check — no locks,
    no dict lookups, no allocation — so instrumented code paths cost
    within noise of uninstrumented ones (bench-guarded at <= 2%).
-2. **Snapshot/merge seam.** A registry serializes to a plain dict of
-   builtins (:meth:`MetricsRegistry.snapshot`) and folds another
-   snapshot in with :meth:`MetricsRegistry.merge`. Counters and
-   histogram bucket counts are integers and merge by addition —
-   associative and commutative, so per-shard deltas merged in any
-   order equal the serial run exactly (Hypothesis-asserted); gauges
-   merge by max (also order-free); histogram sums are float additions
-   and are order-free only up to rounding. This is the same merge
-   discipline as the streaming ``WindowAccumulator``.
+2. **Snapshot for export.** A registry serializes to a plain dict of
+   builtins (:meth:`MetricsRegistry.snapshot`), which the exporters
+   and the benchmark read. Every instrument records in the one
+   process that runs the pipeline, so there is nothing to merge.
 3. **Swappable current registry.** :func:`install` atomically swaps
-   the active registry and returns the previous one. Shard workers
-   use this to capture a per-task delta: install a fresh registry,
-   run the task, restore, and ship ``local.snapshot()`` back with the
-   result for the parent to :func:`merge` (see
-   ``repro.parallel.executor``).
+   the active registry and returns the previous one — how a test or
+   a benchmark isolates what one run records.
 
 Naming scheme (the telemetry contract, ARCHITECTURE.md):
 ``repro_<subsystem>_<quantity>_<unit>``; counters end in ``_total``,
@@ -255,7 +247,7 @@ class _HistState:
 
 
 class MetricsRegistry:
-    """A bag of metric series; snapshot/merge is the IPC seam.
+    """A bag of metric series; :meth:`snapshot` exports them.
 
     Mutation methods take the lock — registries are shared between
     the pipeline thread and the serve endpoint's handler threads, and
@@ -323,10 +315,10 @@ class MetricsRegistry:
                 return self._counters[key]
             return self._gauges.get(key, 0)
 
-    # -- the IPC seam ------------------------------------------------------
+    # -- export ------------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
-        """A picklable delta: plain builtins, empty sections omitted."""
+        """Every series as plain builtins, empty sections omitted."""
         with self._lock:
             out: dict[str, Any] = {}
             if self._counters:
@@ -344,38 +336,6 @@ class MetricsRegistry:
                     for key, state in self._hists.items()
                 }
             return out
-
-    def merge(self, delta: Mapping[str, Any]) -> None:
-        """Fold a snapshot in: counters/buckets add, gauges take max.
-
-        Integer addition is associative and commutative, so merging
-        per-shard deltas in any order reproduces the serial counts
-        exactly; histogram ``sum`` is a float total and is order-free
-        only up to rounding.
-        """
-        with self._lock:
-            for key, value in delta.get("counters", {}).items():
-                self._counters[key] = self._counters.get(key, 0) + value
-            for key, value in delta.get("gauges", {}).items():
-                current = self._gauges.get(key)
-                if current is None or value > current:
-                    self._gauges[key] = value
-            for key, packed in delta.get("histograms", {}).items():
-                buckets, counts, total, count = packed
-                state = self._hists.get(key)
-                if state is None:
-                    state = self._hists[key] = _HistState(
-                        tuple(buckets)
-                    )
-                elif state.buckets != tuple(buckets):
-                    raise ReproError(
-                        f"histogram {key[0]!r} bucket layout mismatch "
-                        f"on merge"
-                    )
-                for index, bump in enumerate(counts):
-                    state.counts[index] += bump
-                state.total += total
-                state.count += count
 
 
 # -- module-level switchboard ----------------------------------------------
@@ -414,15 +374,13 @@ def install(
 ) -> MetricsRegistry | None:
     """Swap the active registry, returning the previous one.
 
-    The worker-delta idiom::
+    The isolation idiom::
 
-        local = MetricsRegistry()
-        previous = install(local)
+        previous = install(MetricsRegistry())
         try:
-            result = task()
+            run()
         finally:
             install(previous)
-        ship(result, local.snapshot())
     """
     global _REGISTRY
     previous = _REGISTRY

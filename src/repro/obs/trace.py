@@ -13,13 +13,9 @@ equivalence-tested).
 Every span also carries causal identity: a 16-hex ``trace_id``
 shared by a whole causally-linked tree, its own 16-hex ``span_id``,
 and its parent's span id (from an ambient ``contextvars`` context, so
-nesting needs no plumbing). The context serializes through
-:func:`task_context` / :func:`capture` — the hooks
-``repro.parallel.executor`` uses to make worker-side spans children
-of the dispatching parent span and ship them back with the
-``(result, delta)`` metric seam (:func:`adopt`). :func:`chrome_trace`
-renders the whole log — parent and worker lanes alike, keyed by the
-recorded pid/tid — as Chrome trace-event JSON loadable in Perfetto.
+nesting needs no plumbing). :func:`chrome_trace` renders the whole log
+— one lane per recording thread — as Chrome trace-event JSON loadable
+in Perfetto.
 
 The log is a process-global deque bounded at 512 records by default;
 :func:`configure` resizes it (``SinkSpec.span_log`` is the spec-level
@@ -41,17 +37,13 @@ from typing import Any, Iterable, MutableMapping
 __all__ = [
     "Span",
     "SpanRecord",
-    "adopt",
-    "capture",
     "chrome_trace",
     "clear",
     "configure",
-    "drain",
     "log_limit",
     "records",
     "span",
     "spans",
-    "task_context",
 ]
 
 #: Default bound of the completed-span history.
@@ -73,12 +65,7 @@ def _new_id() -> str:
 
 
 class SpanRecord:
-    """One completed span: timing plus causal identity.
-
-    Plain data, serialized as an 8-tuple (:meth:`pack` /
-    :meth:`unpack`) so worker processes ship span batches through the
-    pool pipe without pickling class state.
-    """
+    """One completed span: timing plus causal identity."""
 
     __slots__ = (
         "name", "seconds", "start", "trace_id", "span_id",
@@ -104,16 +91,6 @@ class SpanRecord:
         self.parent_id = parent_id
         self.pid = pid
         self.tid = tid
-
-    def pack(self) -> tuple:
-        return (
-            self.name, self.seconds, self.start, self.trace_id,
-            self.span_id, self.parent_id, self.pid, self.tid,
-        )
-
-    @classmethod
-    def unpack(cls, packed: tuple) -> "SpanRecord":
-        return cls(*packed)
 
     def as_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -251,48 +228,6 @@ def log_limit() -> int:
     return _LOG_LIMIT
 
 
-# -- cross-process propagation ----------------------------------------------
-
-
-def task_context() -> tuple[str, str] | None:
-    """The ambient ``(trace_id, span_id)`` to ship with a task."""
-    return _CONTEXT.get()
-
-
-def capture(context: tuple[str, str] | None):
-    """Begin worker-side capture: fresh log, inherited context.
-
-    Installs an empty span log (a forked worker inherits the parent's
-    history, which must not ship back twice) and makes ``context``
-    the ambient parent so task spans join the dispatching trace.
-    Returns an opaque handle for :func:`drain`.
-    """
-    global _LOG
-    token = _CONTEXT.set(context)
-    with _LOCK:
-        previous = _LOG
-        _LOG = deque(maxlen=_LOG_LIMIT)
-    return token, previous
-
-
-def drain(handle) -> list[tuple]:
-    """End worker-side capture; returns packed captured records."""
-    global _LOG
-    token, previous = handle
-    _CONTEXT.reset(token)
-    with _LOCK:
-        captured = list(_LOG)
-        _LOG = previous
-    return [record.pack() for record in captured]
-
-
-def adopt(packed: Iterable[tuple]) -> None:
-    """Fold worker-shipped span records into this process's log."""
-    with _LOCK:
-        for item in packed:
-            _LOG.append(SpanRecord.unpack(item))
-
-
 # -- Chrome trace-event export ----------------------------------------------
 
 
@@ -302,9 +237,9 @@ def chrome_trace(
     """The span log as a Chrome trace-event document (Perfetto-ready).
 
     Complete spans render as ``ph: "X"`` duration events with
-    microsecond wall-clock timestamps; worker-side spans keep their
-    recording pid/tid, so Perfetto lays each process out as its own
-    lane. Causal identity rides in ``args``.
+    microsecond wall-clock timestamps; spans keep their recording
+    pid/tid, so Perfetto lays each thread out as its own lane. Causal
+    identity rides in ``args``.
     """
     if source is None:
         source = records()

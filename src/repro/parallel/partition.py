@@ -1,6 +1,6 @@
-"""Hash partitioning of flow tables into shards.
+"""Hash placement of flow rows into shards: the archive's shard layout.
 
-The sharding contract (see ARCHITECTURE.md):
+The placement contract (see ARCHITECTURE.md):
 
 * a row's shard is a pure function of one **partition key** column
   (default ``src_ip``, the paper's srcaddr) and a **seed** — never of
@@ -8,30 +8,20 @@ The sharding contract (see ARCHITECTURE.md):
   the same trace, in any order, lands every flow on the same shard;
 * the hash is a fixed 64-bit avalanche mix (the splitmix64 finalizer),
   stable across processes, platforms and Python versions — unlike
-  ``hash()``, which is salted per interpreter;
-* partitioning is **order-preserving within a shard**: shard *i* holds
-  its rows in the input order, so per-shard pipelines see the same
-  relative time order the unsharded pipeline would.
+  ``hash()``, which is salted per interpreter.
 
-Keying on an endpoint feature keeps all flows of one conversation
-partner together, which is what gives per-shard mining its locality;
-the seed exists so operators (and the equivalence tests) can reshuffle
-placement without touching the key.
+:class:`~repro.archive.writer.ArchiveWriter` splits rows with
+:func:`shard_ids` when it writes shard-aware partitions; the seed
+exists so operators can reshuffle placement without touching the key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.errors import FlowError
-from repro.flows.flowio import (
-    DEFAULT_CHUNK_ROWS,
-    iter_binary_tables,
-    iter_csv_tables,
-)
 from repro.flows.table import FlowTable
 
 __all__ = [
@@ -39,11 +29,6 @@ __all__ = [
     "PartitionSpec",
     "stable_hash64",
     "shard_ids",
-    "partition_table",
-    "partition_chunks",
-    "read_csv_sharded",
-    "read_binary_sharded",
-    "read_archive_sharded",
 ]
 
 #: Columns a table may be partitioned on (any discrete flow feature).
@@ -80,9 +65,9 @@ def stable_hash64(values: np.ndarray, seed: int = 0) -> np.ndarray:
 class PartitionSpec:
     """How to split a flow set into shards.
 
-    ``shards`` is the partition count (== the worker fan-out),
-    ``key`` the flow column whose value decides a row's shard, and
-    ``seed`` perturbs the placement hash.
+    ``shards`` is the partition count, ``key`` the flow column whose
+    value decides a row's shard, and ``seed`` perturbs the placement
+    hash.
     """
 
     shards: int = 1
@@ -105,84 +90,3 @@ def shard_ids(table: FlowTable, spec: PartitionSpec) -> np.ndarray:
         return np.zeros(len(table), dtype=np.int64)
     hashed = stable_hash64(table.column(spec.key), seed=spec.seed)
     return (hashed % np.uint64(spec.shards)).astype(np.int64)
-
-
-def partition_table(
-    table: FlowTable, spec: PartitionSpec
-) -> list[FlowTable]:
-    """Split a table into ``spec.shards`` per-shard tables.
-
-    Always returns exactly ``spec.shards`` tables (some possibly
-    empty); each preserves the input row order of its rows.
-    """
-    if spec.shards == 1:
-        return [table]
-    ids = shard_ids(table, spec)
-    return [table.select(ids == shard) for shard in range(spec.shards)]
-
-
-def partition_chunks(
-    chunks: Iterable[FlowTable], spec: PartitionSpec
-) -> Iterator[list[FlowTable]]:
-    """Partition a chunk stream: one per-shard split per chunk."""
-    for chunk in chunks:
-        yield partition_table(chunk, spec)
-
-
-def _gather_shards(
-    chunks: Iterable[FlowTable], spec: PartitionSpec
-) -> list[FlowTable]:
-    """Fan a chunk stream into consolidated per-shard tables."""
-    buckets: list[list[FlowTable]] = [[] for _ in range(spec.shards)]
-    for split in partition_chunks(chunks, spec):
-        for shard, rows in enumerate(split):
-            if len(rows):
-                buckets[shard].append(rows)
-    return [FlowTable.concat(bucket) for bucket in buckets]
-
-
-def read_csv_sharded(
-    source,
-    spec: PartitionSpec,
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-) -> list[FlowTable]:
-    """Read a CSV trace straight into per-shard tables.
-
-    Rows decode chunk-wise (bounded memory) and fan directly into
-    their shards — the whole-trace table is never materialised.
-    """
-    return _gather_shards(iter_csv_tables(source, chunk_rows), spec)
-
-
-def read_binary_sharded(
-    path,
-    spec: PartitionSpec,
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-) -> list[FlowTable]:
-    """Read a ``.rpv5`` trace straight into per-shard tables."""
-    return _gather_shards(iter_binary_tables(path, chunk_rows), spec)
-
-
-def read_archive_sharded(
-    root_or_reader, spec: PartitionSpec
-) -> list[FlowTable]:
-    """Read an on-disk flow archive straight into per-shard tables.
-
-    When the archive was *written* shard-aware under the same spec
-    (``repro archive ingest --shards N`` records shards, key and seed
-    in every zone map), each shard's tables come directly from that
-    shard's partition files — zero-copy mmap views concatenated, no
-    hashing, no row movement. Any other archive falls back to hashing
-    each partition's rows, which lands every flow on the same shard it
-    would have landed on at write time (the placement hash is a pure
-    function of the key column), so downstream per-shard pipelines
-    cannot tell the difference.
-    """
-    from repro.archive.reader import ArchiveReader
-
-    reader = (
-        root_or_reader
-        if isinstance(root_or_reader, ArchiveReader)
-        else ArchiveReader(root_or_reader)
-    )
-    return reader.shard_tables(spec)

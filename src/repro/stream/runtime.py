@@ -156,9 +156,8 @@ class StreamEngine:
         than that many windows ago (dedup merges extend ``end`` on
         every re-fire) are resolved with verdict ``decayed``.
 
-        ``workers`` sizes live triage's mining pool
-        (:class:`~repro.extraction.extractor.AnomalyExtractor`) and
-        nothing else: windows always accumulate in this process."""
+        ``workers`` is deprecated and has no effect: windows
+        accumulate and live triage mines in this process."""
         self.detectors = list(detectors)
         self.ring = WindowRing(
             window_seconds=window_seconds,
@@ -241,12 +240,7 @@ class StreamEngine:
         return results
 
     def close(self) -> None:
-        """Release resources held for triage (idempotent).
-
-        Long-running deployments with ``workers > 1`` should call this
-        when retiring an engine so sharded triage worker pools do not
-        outlive it.
-        """
+        """Release resources held for triage (idempotent)."""
         if self.system is not None:
             self.system.close()
 

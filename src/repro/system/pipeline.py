@@ -55,13 +55,11 @@ class ExtractionSystem:
         config: SystemConfig | None = None,
         workers: int = 1,
     ) -> None:
-        """``workers > 1`` shards the extraction mining step across
-        that many partitions (identical reports — see
-        :mod:`repro.parallel`)."""
+        """``workers`` is deprecated and has no effect: extraction
+        mines in this process."""
         self.config = config or SystemConfig()
         self.backend = backend
         self.alarmdb = alarmdb or AlarmDatabase()
-        self.workers = workers
         self.extractor = AnomalyExtractor(
             self.config.extraction, workers=workers
         )
@@ -110,7 +108,7 @@ class ExtractionSystem:
                    workers=workers)
 
     def close(self) -> None:
-        """Release extraction worker pools this system owns (idempotent)."""
+        """Release what the extractor holds (idempotent)."""
         self.extractor.close()
 
     # -- alarm ingestion ------------------------------------------------------

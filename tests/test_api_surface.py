@@ -85,15 +85,13 @@ def test_execution_modes_are_dispatchable():
 # -- one flow collection ------------------------------------------------------
 
 #: The only places that may ask "is this a FlowTable?": the coercion
-#: itself, the trace constructor/extender that call it, and the sharded
-#: miner (a table partitions; a ``TransactionSet`` cannot). Everything
+#: itself and the trace constructor/extender that call it. Everything
 #: else below ``repro.api`` takes a table, or coerces once with
 #: ``FlowTable.from_records`` (ARCHITECTURE.md, "One flow collection").
 FLOWTABLE_TYPE_TESTS = frozenset({
     ("flows/table.py", "FlowTable.from_records"),
     ("flows/trace.py", "FlowTrace.__init__"),
     ("flows/trace.py", "FlowTrace.extend"),
-    ("parallel/mining.py", "ShardedApriori.mine"),
 })
 
 

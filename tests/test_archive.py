@@ -56,11 +56,7 @@ from repro.flows.record import FlowFeature, FlowRecord
 from repro.flows.store import FlowStore
 from repro.flows.table import FLOW_DTYPE, FlowTable
 from repro.flows.trace import FlowTrace
-from repro.parallel.partition import (
-    PartitionSpec,
-    partition_table,
-    read_archive_sharded,
-)
+from repro.parallel.partition import PartitionSpec, shard_ids
 from repro.stream import ReplayDriver, StreamEngine, streaming_adapter
 from repro.stream.sources import table_chunks
 from repro.system.alarmdb import AlarmDatabase
@@ -632,22 +628,22 @@ class TestCompaction:
 
 class TestShardAware:
     def test_direct_shard_reads_match_hashed_fallback(self, tmp_path):
+        # A shard's partition files hold exactly the rows the placement
+        # hash assigns it: reading them directly equals hashing the
+        # rows of an archive written without shards.
         table = _random_table(10_000, seed=13)
         spec = PartitionSpec(shards=3, seed=5)
-        sharded_root = tmp_path / "sharded"
-        plain_root = tmp_path / "plain"
-        _write(sharded_root, table, shard_spec=spec)
-        _write(plain_root, table)
-
-        direct = read_archive_sharded(sharded_root, spec)
-        fallback = read_archive_sharded(plain_root, spec)
-        expected = partition_table(
-            _store(table).query_table(0.0, 1e9), spec
-        )
-        for d, f, e in zip(direct, fallback, expected):
-            assert len(d) == len(f) == len(e)
-            key = lambda t: sorted(map(tuple, t._data.tolist()))  # noqa: E731
-            assert key(d) == key(f) == key(e)
+        sharded = _write(tmp_path / "sharded", table, shard_spec=spec)
+        rows = _write(tmp_path / "plain", table).query_table(0.0, 1e9)
+        ids = shard_ids(rows, spec)
+        key = lambda t: sorted(map(tuple, t._data.tolist()))  # noqa: E731
+        for shard in range(spec.shards):
+            direct = FlowTable.concat([
+                p.table() for p in sharded.partitions()
+                if p.key.shard == shard
+            ])
+            assert len(direct) == int((ids == shard).sum()) > 0
+            assert key(direct) == key(rows.select(ids == shard))
 
     def test_shard_partition_files_carry_the_spec(self, tmp_path):
         spec = PartitionSpec(shards=2, key="dst_ip", seed=9)
@@ -1025,8 +1021,8 @@ class TestIndexSidecar:
 
 
 class TestQueryPlanner:
-    """The three-tier planner: sidecar pushdown, parallel scan, serial
-    scan — every tier must produce byte-identical answers, and the
+    """The two-tier planner: sidecar pushdown, payload scan — both
+    tiers must produce byte-identical answers, and the
     :class:`QueryPlan` must faithfully record which tier ran."""
 
     def test_count_pushdown_reads_no_payload(self, tmp_path):
@@ -1084,30 +1080,37 @@ class TestQueryPlanner:
         assert reader.last_plan.scanned > 0
 
     def test_parallel_scan_matches_serial(self, tmp_path):
-        from repro.parallel import ShardExecutor
+        # ``workers`` is deprecated: a query asked for workers scans in
+        # this process, with the serial answers and plan counters.
+        from repro import api
 
         table = _random_table(8000, seed=2)
         root = tmp_path / "a"
         serial = _write(root, table)
         want_count = serial.count(300.0, 900.0, "proto tcp")
         want_top = serial.top_feature_values(
-            150.0, 1500.0, FlowFeature.DST_PORT, n=3,
-            flow_filter="proto udp",
+            300.0, 900.0, FlowFeature.DST_PORT, n=3,
+            flow_filter="proto tcp",
         )
-        assert serial.last_plan.parallel_tasks == 0
-        with ShardExecutor(2, use_processes=True) as executor:
-            reader = ArchiveReader(root, executor=executor)
-            got_count = reader.count(300.0, 900.0, "proto tcp")
-            count_plan = reader.last_plan
-            got_top = reader.top_feature_values(
-                150.0, 1500.0, FlowFeature.DST_PORT, n=3,
-                flow_filter="proto udp",
+
+        def query(workers, **options):
+            result = (
+                api.session()
+                .source("archive", path=str(root))
+                .query(300.0, 900.0, filter="proto tcp", explain=True,
+                       workers=workers, **options)
+                .run()
             )
-            top_plan = reader.last_plan
-        assert got_count == want_count
-        assert got_top == want_top
-        assert count_plan.parallel_tasks == count_plan.scanned > 0
-        assert top_plan.parallel_tasks == top_plan.scanned > 0
+            return result.payload, result.stats
+
+        for options, key, want in (
+            ({"stats": True}, "stats", want_count),
+            ({"top": "dstPort", "limit": 3}, "top", want_top),
+        ):
+            payload, stats = query(1, **options)
+            assert payload[key] == want
+            assert payload["plan"].scanned > 0
+            assert query(2, **options) == (payload, stats)
 
     def test_compaction_rewrites_sidecars(self, tmp_path):
         table = _random_table(6000, seed=4)

@@ -341,5 +341,5 @@ class TestExitCodes:
         for command in ("detect", "stream"):
             sub = parser._subparsers._group_actions[0].choices[command]
             texts[command] = sub.format_help()
-        assert "shards/workers for the heavy passes" in texts["detect"]
-        assert "shards/workers for the heavy passes" in texts["stream"]
+        assert "deprecated, no effect" in texts["detect"]
+        assert "deprecated, no effect" in texts["stream"]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import threading
 import time
 import uuid
@@ -573,11 +574,11 @@ class TestSessionProvenance:
             assert event["ph"] == "X"
         names = {event["name"] for event in events}
         assert "session.stream" in names
-        assert "exec.task" in names
-        pids = {event["pid"] for event in events}
-        assert len(pids) > 1, "worker spans must ship back"
-        child = next(e for e in events if e["name"] == "exec.task")
-        assert child["args"]["parent_id"]
+        # There is no shard pool left to cover: workers=2 runs in this
+        # process, so the export has one pid and nested spans parented
+        # within it.
+        assert {event["pid"] for event in events} == {os.getpid()}
+        assert any(e["args"].get("parent_id") for e in events)
 
     def test_status_payload_reports_run_identity(self):
         from repro.obs.serve import status_payload

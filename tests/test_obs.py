@@ -1,11 +1,9 @@
 """The repro.obs telemetry plane.
 
-* registry semantics: counters add, gauges last-write/max-merge,
+* registry semantics: counters add, gauges last-write-wins,
   histograms bucket correctly;
 * instruments are no-ops until a registry is installed;
-* the snapshot/merge seam is order-independent (Hypothesis);
-* ShardExecutor folds worker deltas into the parent registry so a
-  process-pool run counts exactly like a serial one;
+* mining records into the installed registry at every worker count;
 * spans feed ``RunResult.timings`` with byte-identical keys;
 * the serve sink renders Prometheus text and answers /metrics and
   /status over HTTP; no ``metrics_port`` means no socket.
@@ -16,18 +14,20 @@ from __future__ import annotations
 import http.client
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro import api
+from repro.detect.base import Alarm
 from repro.errors import ReproError
+from repro.extraction.extractor import AnomalyExtractor
+from repro.flows.table import FlowTable
 from repro.obs import metrics as obs_metrics, trace as obs_trace
 from repro.obs.serve import (
     MetricsServer,
     render_prometheus,
     status_payload,
 )
-from repro.parallel.executor import ShardExecutor
 
 # Families declared once at import time (redeclaration with an equal
 # shape is a no-op, so reruns in one process are fine).
@@ -36,9 +36,6 @@ _G = obs_metrics.gauge("repro_test_depth", "test gauge")
 _H = obs_metrics.histogram(
     "repro_test_latency_seconds", "test histogram",
     buckets=(0.1, 1.0, 10.0),
-)
-_TASK_C = obs_metrics.counter(
-    "repro_test_tasks_total", "per-worker task counter"
 )
 
 
@@ -49,13 +46,6 @@ def clean_obs():
     obs_trace.clear()
     yield
     obs_metrics.install(previous)
-
-
-def _worker_task(n: int) -> int:
-    """Module-level (picklable) task that records into the active
-    registry — whichever one the executor installed in the worker."""
-    _TASK_C.inc(n)
-    return n * 2
 
 
 # -- registry semantics ------------------------------------------------------
@@ -99,14 +89,6 @@ class TestRegistry:
         assert count == 4
         assert total == pytest.approx(20.65)
 
-    def test_histogram_bucket_mismatch_rejected_on_merge(self):
-        left = obs_metrics.MetricsRegistry()
-        left.observe(("h", ()), (1.0, 2.0), 0.5)
-        right = obs_metrics.MetricsRegistry()
-        right.observe(("h", ()), (1.0, 5.0), 0.5)
-        with pytest.raises(ReproError, match="bucket layout"):
-            left.merge(right.snapshot())
-
     def test_redeclare_with_different_kind_rejected(self):
         with pytest.raises(ReproError, match="redeclared"):
             obs_metrics.gauge("repro_test_events_total")
@@ -125,92 +107,64 @@ class TestRegistry:
         assert obs_metrics.enable() is first
 
 
-# -- snapshot/merge order-independence ---------------------------------------
+# -- mining records in place at every worker count ---------------------------
 
 
-_deltas = st.lists(
-    st.tuples(
-        st.integers(0, 3),        # series index
-        st.integers(1, 100),      # counter bump
-        st.floats(0.0, 5.0, allow_nan=False),  # hist sample
-    ),
-    min_size=0,
-    max_size=8,
-)
+def _extract(workers: int) -> None:
+    rng = np.random.default_rng(1)
+    starts = rng.uniform(0.0, 600.0, 900)
+    table = FlowTable.from_columns(
+        src_ip=rng.integers(0x0A000000, 0x0A000010, 900),
+        dst_ip=rng.integers(0x0A000000, 0x0A000010, 900),
+        src_port=rng.integers(1024, 1100, 900),
+        dst_port=rng.choice(np.array([53, 80, 443]), 900),
+        proto=rng.choice(np.array([6, 17]), 900),
+        packets=rng.integers(1, 200, 900),
+        bytes=rng.integers(40, 10_000, 900),
+        start=starts,
+        end=starts + 1.0,
+    )
+    extractor = AnomalyExtractor(workers=workers)
+    try:
+        extractor.extract(
+            Alarm("a-1", "test", start=0.0, end=600.0, score=1.0), table
+        )
+    finally:
+        extractor.close()
 
 
-@settings(deadline=None, max_examples=60)
-@given(shards=st.lists(_deltas, min_size=1, max_size=5),
-       order=st.randoms(use_true_random=False))
-def test_merge_is_order_independent(shards, order):
-    """Per-shard snapshots merged in any order == the serial registry."""
-    buckets = (0.5, 1.0, 2.5)
-    serial = obs_metrics.MetricsRegistry()
-    snapshots = []
-    for shard in shards:
-        local = obs_metrics.MetricsRegistry()
-        for series, bump, sample in shard:
-            key = ("repro_test_events_total",
-                   (("shard", str(series)),))
-            local.inc(key, bump)
-            serial.inc(key, bump)
-            hkey = ("repro_test_latency_seconds", ())
-            local.observe(hkey, buckets, sample)
-            serial.observe(hkey, buckets, sample)
-        snapshots.append(local.snapshot())
-
-    shuffled = list(snapshots)
-    order.shuffle(shuffled)
-    merged = obs_metrics.MetricsRegistry()
-    for snap in shuffled:
-        merged.merge(snap)
-
-    assert merged.counters() == serial.counters()
-    merged_h = merged.histograms()
-    serial_h = serial.histograms()
-    assert set(merged_h) == set(serial_h)
-    for key, (mb, mc, mt, mn) in merged_h.items():
-        sb, sc, stot, sn = serial_h[key]
-        assert (mb, mc, mn) == (sb, sc, sn)  # exact: int addition
-        assert mt == pytest.approx(stot)     # float sum: approx only
-
-    # Gauges merge by max — also order-free.
-    gauges = [obs_metrics.MetricsRegistry() for _ in range(3)]
-    for value, registry in zip((2, 9, 4), gauges):
-        registry.set(("repro_test_depth", ()), value)
-    for perm in ((0, 1, 2), (2, 1, 0), (1, 0, 2)):
-        merged = obs_metrics.MetricsRegistry()
-        for index in perm:
-            merged.merge(gauges[index].snapshot())
-        assert merged.value("repro_test_depth") == 9
-
-
-# -- the executor fold seam --------------------------------------------------
+def _mining_counters(registry) -> dict:
+    return {
+        key: value for key, value in registry.counters().items()
+        if key[0].startswith("repro_mining_")
+    }
 
 
 class TestExecutorFold:
-    def test_process_pool_counts_like_serial(self):
-        items = [(n,) for n in range(1, 9)]
-        expected = sum(n for (n,) in items)
+    """Worker metrics once came home through a fold into the parent's
+    registry; with no pool, mining records into the installed registry
+    directly at every worker count."""
 
-        registry = obs_metrics.enable()
-        with ShardExecutor(2, use_processes=True) as executor:
-            results = executor.map_items(_worker_task, items)
-        assert sorted(results) == [n * 2 for (n,) in items]
-        assert registry.value("repro_test_tasks_total") == expected
+    def test_process_pool_counts_like_serial(self):
+        serial = obs_metrics.enable()
+        _extract(1)
+        obs_metrics.install(None)
+        pooled = obs_metrics.enable()
+        _extract(4)
+        assert _mining_counters(serial)
+        assert _mining_counters(pooled) == _mining_counters(serial)
 
     def test_disabled_parent_skips_the_fold(self):
-        items = [(n,) for n in (1, 2, 3)]
-        with ShardExecutor(2, use_processes=True) as executor:
-            results = executor.map_items(_worker_task, items)
-        assert sorted(results) == [2, 4, 6]
+        _extract(4)
         assert obs_metrics.active() is None
+        assert obs_metrics.snapshot() == {}
 
     def test_thread_path_records_directly(self):
         registry = obs_metrics.enable()
-        executor = ShardExecutor(4, use_processes=False)
-        executor.map_items(_worker_task, [(5,), (7,)])
-        assert registry.value("repro_test_tasks_total") == 12
+        _extract(4)
+        _extract(4)
+        assert registry.value("repro_mining_runs_total") == 2
+        assert registry.value("repro_mining_passes_total") >= 2
 
 
 # -- spans -------------------------------------------------------------------

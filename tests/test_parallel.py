@@ -1,58 +1,55 @@
-"""Tests for the sharded execution subsystem (repro.parallel).
+"""Every worker count runs in one process, with one answer.
 
-The subsystem's one promise is *sharding is invisible in the output*:
-for any shard count and any row order, partitioned mining and parallel
-detection produce byte-identical results to the single-process paths.
-Hypothesis drives the equivalence over randomized flow sets, shard
-counts (1, 2, 7), shuffled arrival and degenerate shards (empty,
-single-row); deterministic tests pin down the partitioning and
-executor building blocks.
+``workers`` is deprecated and has no effect: triage mining, batch
+detection and archive scans run in the calling process at any value.
+:func:`test_no_process_at_any_worker_count` holds that end to end: with
+``os.fork`` and ``SharedMemory`` made to raise, every session mode at
+``workers=4`` answers as ``workers=1``; the classes below pin the same
+for single passes. What is left of :mod:`repro.parallel` is the
+archive's shard layout — stable, seedable hash placement — pinned by
+:class:`TestPartition`, and the two tracer stubs, pinned by
+:class:`TestExecutor` and :class:`TestPartitionedMining`.
 """
 
 from __future__ import annotations
+
+import multiprocessing.shared_memory
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import api
+from repro.detect.base import Alarm
 from repro.detect.netreflex import NetReflexDetector
-from repro.errors import FlowError, MiningError
-from repro.flows.flowio import write_csv
+from repro.errors import ExtractionError, FlowError
+from repro.extraction.extractor import AnomalyExtractor
+from repro.extraction.summarize import table_rows
 from repro.flows.record import FlowRecord
 from repro.flows.table import FlowTable
 from repro.mining.apriori import mine_apriori
 from repro.mining.extended import ExtendedApriori
 from repro.mining.transactions import TransactionSet
-from repro.parallel import (
-    PartitionSpec,
-    ShardExecutor,
-    ShardedApriori,
-    bin_spans,
-    count_signatures,
-    mine_partitioned,
-    parallel_detect,
-    parallel_feature_matrix,
-    partition_table,
-    read_csv_sharded,
-    scaled_threshold,
-    shard_ids,
-    stable_hash64,
-)
+from repro.parallel import PartitionSpec, shard_ids, stable_hash64
+from repro.parallel.executor import ShardExecutor
+from repro.parallel.mining import ShardedApriori
+from repro.system.alarmdb import AlarmDatabase
 from tests.mining_oracle import (
     OracleApriori,
     OracleTransactionSet,
     oracle_apriori,
 )
 
+SHARD_COUNTS = (1, 2, 7)
+
 # Small value pools make repeated feature values (and therefore
-# frequent itemsets crossing shard boundaries) likely.
+# frequent itemsets) likely.
 _IPS = st.sampled_from(
     [0x0A000001, 0x0A000002, 0x0A010203, 0xC0A80001, 0xC6336445]
 )
 _PORTS = st.sampled_from([0, 53, 80, 443, 55548])
 _PROTOS = st.sampled_from([6, 17])
-
-SHARD_COUNTS = (1, 2, 7)
 
 
 @st.composite
@@ -84,7 +81,7 @@ def _table(flows, shuffle_seed=None):
     return table
 
 
-# -- partitioning ----------------------------------------------------------
+# -- the archive's shard layout ----------------------------------------------
 
 
 class TestPartition:
@@ -107,41 +104,14 @@ class TestPartition:
             proto=rng.integers(0, 256, n),
             start=start, end=start + 1.0,
         )
-        spec = PartitionSpec(shards=5)
-        shards = partition_table(table, spec)
-        assert len(shards) == 5
-        assert sum(len(s) for s in shards) == n
-        # A row's shard is a pure function of its key value.
-        ids = shard_ids(table, spec)
-        for shard, rows in enumerate(shards):
-            assert set(
-                stable_hash64(rows.src_ip) % np.uint64(5)
-            ) <= {shard}
-        # Same key value -> same shard under both entry points.
+        ids = shard_ids(table, PartitionSpec(shards=5))
+        # One shard per row, in range, and a pure function of the key.
+        assert ids.shape == (n,)
+        assert set(ids.tolist()) <= set(range(5))
         assert np.array_equal(
             ids, (stable_hash64(table.src_ip) % np.uint64(5)).astype(ids.dtype)
         )
-
-    def test_partition_is_order_preserving_within_shards(self):
-        table = FlowTable.from_columns(
-            src_ip=[1, 2, 1, 2, 1],
-            dst_ip=[9] * 5,
-            src_port=[0] * 5,
-            dst_port=[0] * 5,
-            proto=[6] * 5,
-            start=[5.0, 4.0, 3.0, 2.0, 1.0],
-            end=[6.0, 5.0, 4.0, 3.0, 2.0],
-        )
-        spec = PartitionSpec(shards=3)
-        shards = partition_table(table, spec)
-        ids = shard_ids(table, spec)
-        # Rows with one key value land on one shard together.
-        for value in (1, 2):
-            assert len(set(ids[table.src_ip == value].tolist())) == 1
-        for shard in shards:
-            starts = list(shard.start)
-            # Input order (descending start here) survives per shard.
-            assert starts == sorted(starts, reverse=True)
+        assert not shard_ids(table, PartitionSpec(shards=1)).any()
 
     def test_bad_spec_rejected(self):
         with pytest.raises(FlowError):
@@ -149,69 +119,8 @@ class TestPartition:
         with pytest.raises(FlowError):
             PartitionSpec(key="bytes")
 
-    def test_sharded_csv_reader_matches_in_memory_partition(self, tmp_path):
-        rng = np.random.default_rng(3)
-        flows = [
-            FlowRecord(
-                src_ip=int(rng.integers(0, 2**32)),
-                dst_ip=int(rng.integers(0, 2**32)),
-                src_port=int(rng.integers(0, 2**16)),
-                dst_port=int(rng.integers(0, 2**16)),
-                proto=6,
-                packets=1,
-                bytes=64,
-                start=float(i),
-                end=float(i) + 1,
-            )
-            for i in range(97)
-        ]
-        path = tmp_path / "trace.csv"
-        write_csv(flows, path)
-        spec = PartitionSpec(shards=4, seed=11)
-        sharded = read_csv_sharded(path, spec, chunk_rows=16)
-        reference = partition_table(
-            FlowTable.from_records(flows, cache_records=False), spec
-        )
-        assert [len(s) for s in sharded] == [len(s) for s in reference]
-        for got, want in zip(sharded, reference):
-            assert np.array_equal(got._data, want._data)
 
-
-# -- executor --------------------------------------------------------------
-
-
-class TestExecutor:
-    def test_serial_and_process_paths_agree(self):
-        tables = [
-            _table([FlowRecord(
-                src_ip=i, dst_ip=2, src_port=3, dst_port=4, proto=6,
-                packets=10 * (i + 1), bytes=1, start=0.0, end=1.0,
-            )] * (i + 1))
-            for i in range(3)
-        ]
-        serial = ShardExecutor(1)
-        assert not serial.uses_processes
-        extras = [(2,), (3,), (4,)]
-        reference = serial.map_tables(_scaled_packets, tables, extras)
-        with ShardExecutor(2, use_processes=True) as pooled:
-            assert pooled.uses_processes
-            assert pooled.map_tables(
-                _scaled_packets, tables, extras
-            ) == reference
-
-    def test_extras_length_mismatch_rejected(self):
-        with pytest.raises(Exception):
-            ShardExecutor(1).map_tables(
-                _scaled_packets, [FlowTable.empty()], [(1,), (2,)]
-            )
-
-
-def _scaled_packets(table, factor):
-    """Module-level task (picklable) used by the executor tests."""
-    return int(table.packets.sum()) * factor
-
-
-# -- partitioned mining ----------------------------------------------------
+# -- the mining kernel -------------------------------------------------------
 
 
 def _mining_reference(table):
@@ -228,7 +137,32 @@ def _mining_reference(table):
     )
 
 
+_ALARM = Alarm("a-1", "test", start=0.0, end=1600.0, score=1.0)
+
+
+def _report(table, workers):
+    """What one extraction at ``workers`` reported, comparable across
+    runs."""
+    extractor = AnomalyExtractor(workers=workers)
+    try:
+        report = extractor.extract(_ALARM, table)
+    finally:
+        extractor.close()
+    return table_rows(report), report.describe()
+
+
+def _forbid_processes(monkeypatch):
+    monkeypatch.setattr(os, "fork", _forbidden)
+    monkeypatch.setattr(
+        multiprocessing.shared_memory, "SharedMemory", _forbidden
+    )
+
+
 class TestPartitionedMining:
+    """Mining is one in-process :class:`ExtendedApriori` run at every
+    worker count; these pin that a ``workers`` value that once sharded
+    it changes no byte of the result."""
+
     @given(flows=flow_lists, seed=st.integers(0, 5))
     @settings(max_examples=60, deadline=None)
     def test_kernel_equals_oracle(self, flows, seed):
@@ -242,20 +176,15 @@ class TestPartitionedMining:
 
     @given(
         flows=flow_lists,
-        shards=st.sampled_from(SHARD_COUNTS),
+        workers=st.sampled_from(SHARD_COUNTS),
         seed=st.integers(0, 5),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_sharded_mining_is_byte_identical(self, flows, shards, seed):
+    @settings(max_examples=30, deadline=None)
+    def test_sharded_mining_is_byte_identical(self, flows, workers, seed):
         table = _table(flows, shuffle_seed=seed)
-        min_flows, min_packets, reference = _mining_reference(table)
-        if min_flows is None:
+        if not len(table):
             return
-        spec = PartitionSpec(shards=shards, seed=seed)
-        result = mine_partitioned(
-            partition_table(table, spec), min_flows, min_packets
-        )
-        assert result == reference
+        assert _report(table, workers) == _report(table, 1)
 
     def test_degenerate_shards(self):
         row = FlowRecord(
@@ -263,59 +192,10 @@ class TestPartitionedMining:
             packets=5, bytes=6, start=0.0, end=1.0,
         )
         single = _table([row])
-        reference = mine_apriori(
-            TransactionSet.from_table(single), 1, None
-        )
-        # Empty shards around a single-row shard change nothing.
-        shards = [FlowTable.empty(), single, FlowTable.empty()]
-        assert mine_partitioned(shards, 1, None) == reference
-        assert mine_partitioned([FlowTable.empty()], 1, None) == []
-
-    def test_single_measure_thresholds(self):
-        table = _table(
-            [
-                FlowRecord(
-                    src_ip=1, dst_ip=2, src_port=3, dst_port=4, proto=6,
-                    packets=1000 * i + 1, bytes=6, start=0.0, end=1.0,
-                )
-                for i in range(8)
-            ]
-        )
-        transactions = TransactionSet.from_table(table)
-        shards = partition_table(table, PartitionSpec(shards=3))
-        assert mine_partitioned(shards, 4, None) == mine_apriori(
-            transactions, 4, None
-        )
-        assert mine_partitioned(shards, None, 2000) == mine_apriori(
-            transactions, None, 2000
-        )
-        with pytest.raises(MiningError):
-            mine_partitioned(shards, None, None)
-
-    def test_scaled_threshold_rule(self):
-        # max(1, floor(global * local / total)) — the documented rule.
-        assert scaled_threshold(10, 50, 100) == 5
-        assert scaled_threshold(10, 9, 100) == 1
-        assert scaled_threshold(10, 0, 100) == 1
-        assert scaled_threshold(3, 100, 100) == 3
-
-    def test_count_signatures_exact(self):
-        table = _table(
-            [
-                FlowRecord(
-                    src_ip=1, dst_ip=2, src_port=3, dst_port=4, proto=6,
-                    packets=10, bytes=100, start=0.0, end=1.0,
-                ),
-                FlowRecord(
-                    src_ip=1, dst_ip=9, src_port=3, dst_port=4, proto=6,
-                    packets=1, bytes=1, start=0.0, end=1.0,
-                ),
-            ]
-        )
-        counts = count_signatures(
-            table, [((0, 1),), ((0, 1), (1, 2)), ((1, 7),)]
-        )
-        assert counts.tolist() == [[2, 11, 101], [1, 10, 100], [0, 0, 0]]
+        assert _report(single, 7) == _report(single, 1)
+        # No candidate flows: nothing is mined, at any worker count.
+        assert ExtendedApriori().mine(FlowTable.empty()).itemsets == []
+        assert ShardedApriori().mine(FlowTable.empty()).itemsets == []
 
     @given(
         flows=flow_lists,
@@ -326,12 +206,12 @@ class TestPartitionedMining:
     def test_sharded_extended_apriori_outcome_matches(
         self, flows, shards, seed
     ):
+        # ShardedApriori is ExtendedApriori under the name the e2e
+        # tracer patches; it must mine exactly as the serial engine.
         table = _table(flows, shuffle_seed=seed)
         reference = ExtendedApriori().mine(table)
         assert reference == OracleApriori().mine(table)
-        outcome = ShardedApriori(
-            partition=PartitionSpec(shards=shards, seed=seed)
-        ).mine(table)
+        outcome = ShardedApriori().mine(table)
         assert outcome.itemsets == reference.itemsets
         assert outcome.all_frequent == reference.all_frequent
         assert outcome.min_flows == reference.min_flows
@@ -340,7 +220,9 @@ class TestPartitionedMining:
         assert outcome.iterations == reference.iterations
         assert outcome.converged == reference.converged
 
-    def test_sharded_mining_through_processes(self):
+    def test_sharded_mining_through_processes(self, monkeypatch):
+        # Two workers once mined through a process pool; with fork and
+        # shared memory refused they mine in this process, unchanged.
         rng = np.random.default_rng(1)
         n = 3000
         start = np.sort(rng.uniform(0, 600, n))
@@ -354,18 +236,97 @@ class TestPartitionedMining:
             bytes=rng.integers(40, 10_000, n),
             start=start, end=start + 1.0,
         )
-        min_flows, min_packets, reference = _mining_reference(table)
-        with ShardExecutor(2, use_processes=True) as executor:
-            result = mine_partitioned(
-                partition_table(table, PartitionSpec(shards=2)),
-                min_flows,
-                min_packets,
-                executor=executor,
+        reference = _report(table, 1)
+        assert reference[0], "the table must mine to a report"
+        _forbid_processes(monkeypatch)
+        assert _report(table, 2) == reference
+
+
+# -- executor ----------------------------------------------------------------
+
+
+def _scaled_packets(table, factor):
+    return int(table.packets.sum()) * factor
+
+
+class TestExecutor:
+    """``ShardExecutor`` is an in-process stub kept for the e2e
+    tracer's entry points: each ``map_*`` returns what its
+    comprehension returns."""
+
+    def test_serial_and_process_paths_agree(self):
+        tables = [
+            _table([FlowRecord(
+                src_ip=i, dst_ip=2, src_port=3, dst_port=4, proto=6,
+                packets=10 * (i + 1), bytes=1, start=0.0, end=1.0,
+            )] * (i + 1))
+            for i in range(3)
+        ]
+        extras = [(2,), (3,), (4,)]
+        reference = [
+            _scaled_packets(table, *extra)
+            for table, extra in zip(tables, extras)
+        ]
+        executor = ShardExecutor()
+        assert executor.map_tables(_scaled_packets, tables, extras) \
+            == reference
+        assert executor.map_items(
+            _scaled_packets,
+            [(table, *extra) for table, extra in zip(tables, extras)],
+        ) == reference
+        assert executor.map_table_groups(
+            _scaled_packets, [[table] for table in tables], extras
+        ) == reference
+        whole = FlowTable.concat(tables)
+        masks = [whole.src_ip == i for i in range(3)]
+        assert executor.map_masked(_scaled_packets, whole, masks, extras) \
+            == reference
+        assert executor.map_broadcast(
+            lambda pieces, factor: sum(len(p) for p in pieces) * factor,
+            tables, extras,
+        ) == [12, 18, 24]
+        executor.close()
+
+    def test_extras_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            ShardExecutor().map_tables(
+                _scaled_packets, [FlowTable.empty()], [(1,), (2,)]
             )
-        assert result == reference
 
 
-# -- parallel detection ----------------------------------------------------
+class TestExecutorLifecycle:
+    def test_owned_pools_close_idempotently(self):
+        # An extractor owns no pool at any worker count: close() is
+        # idempotent and releases nothing it still needs.
+        table = _random_flows()
+        extractor = AnomalyExtractor(workers=2)
+        extractor.close()
+        extractor.close()
+        report = extractor.extract(_ALARM, table)
+        assert (table_rows(report), report.describe()) \
+            == _report(table, 1)
+        AnomalyExtractor(workers=1).close()
+        with pytest.raises(ExtractionError):
+            AnomalyExtractor(workers=0)
+
+
+def _random_flows(count=900, seed=1):
+    rng = np.random.default_rng(seed)
+    starts = rng.uniform(0.0, 600.0, count)
+    return FlowTable.from_columns(
+        src_ip=rng.integers(0x0A000000, 0x0A000010, count),
+        dst_ip=rng.integers(0x0A000000, 0x0A000010, count),
+        src_port=rng.integers(1024, 1100, count),
+        dst_port=rng.choice(np.array([53, 80, 443]), count),
+        proto=rng.choice(np.array([6, 17]), count),
+        packets=rng.integers(1, 200, count),
+        bytes=rng.integers(40, 10_000, count),
+        start=starts,
+        end=starts + 1.0,
+    )
+
+
+# -- extraction at any worker count ------------------------------------------
 
 
 def _scenario_traces():
@@ -390,60 +351,8 @@ def _scenario_traces():
     )
 
 
-class TestParallelDetect:
-    def test_bin_spans_cover_range(self):
-        assert bin_spans(7, 3) == [(0, 3), (3, 5), (5, 7)]
-        assert bin_spans(2, 5) == [(0, 1), (1, 2)]
-        assert bin_spans(0, 4) == []
-
-    def test_parallel_sweep_matches_batch(self):
-        training, tail = _scenario_traces()
-        detector = NetReflexDetector()
-        detector.train(training)
-        reference = detector.detect(tail)
-        assert reference  # the scenario must actually alarm
-        from repro.detect.features import build_feature_matrix
-
-        batch_matrix = build_feature_matrix(tail)
-        for workers in SHARD_COUNTS:
-            matrix = parallel_feature_matrix(tail, workers=workers)
-            assert np.array_equal(matrix.data, batch_matrix.data)
-            assert matrix.bin_indices == batch_matrix.bin_indices
-            alarms = parallel_detect(detector, tail, workers=workers)
-            assert len(alarms) == len(reference)
-            for got, want in zip(alarms, reference):
-                assert got.alarm_id == want.alarm_id
-                assert (got.start, got.end) == (want.start, want.end)
-                assert got.score == want.score
-                assert got.label == want.label
-                assert got.metadata == want.metadata
-
-
-# -- executor lifecycle ---------------------------------------------------
-
-
-class TestExecutorLifecycle:
-    def test_owned_pools_close_idempotently(self):
-        from repro.extraction.extractor import AnomalyExtractor
-
-        extractor = AnomalyExtractor(workers=2)
-        executor = extractor._miner.executor
-        assert executor.map_tables(
-            _scaled_packets, [FlowTable.empty()], [(1,)]
-        ) == [0]
-        assert (executor._pool is not None) == executor.uses_processes
-        extractor.close()
-        extractor.close()
-        assert executor._pool is None
-        AnomalyExtractor(workers=1).close()
-
-
-# -- sharded extraction ----------------------------------------------------
-
-
 class TestShardedExtraction:
     def test_extraction_reports_identical_across_workers(self):
-        from repro.extraction.summarize import table_rows
         from repro.system.pipeline import ExtractionSystem
 
         training, tail = _scenario_traces()
@@ -467,3 +376,166 @@ class TestShardedExtraction:
                 reference_rows = (rows, verdicts)
             else:
                 assert (rows, verdicts) == reference_rows
+
+
+# -- one process at every worker count ---------------------------------------
+
+
+class _Forbidden(Exception):
+    """Raised by the patched process and shared-memory primitives."""
+
+
+def _forbidden(*_args, **_kwargs):
+    raise _Forbidden("a session must run in its own process")
+
+
+@pytest.fixture(scope="module")
+def trace_path(tmp_path_factory):
+    out = tmp_path_factory.mktemp("one-process") / "trace.rpv5"
+    (
+        api.session()
+        .scenario(bins=12, fps=6, seed=7, anomalies=["port-scan"])
+        .synth(str(out))
+        .run()
+    )
+    return str(out)
+
+
+def _decided(result):
+    """What a detection or triage run decided, comparable across runs."""
+    return (
+        result.alarms,
+        [
+            (table_rows(t.report), t.report.describe(), t.verdict)
+            for t in result.triage
+        ],
+    )
+
+
+def _db_rows(path):
+    db = AlarmDatabase(str(path))
+    try:
+        return db.rows()[0]
+    finally:
+        db.close()
+
+
+def _every_mode(trace, root, workers):
+    """Alarms, reports, verdicts, query answers and alarm-DB rows of
+    batch, extract, stream --triage, archive-resume triage and archive
+    queries, all run at one worker count."""
+    root.mkdir()
+    out = {}
+    batch = (
+        api.session()
+        .source("rpv5", path=trace)
+        .detect("netreflex", train_bins=8)
+        .batch(workers=workers, triage=True)
+        .alarmdb(str(root / "batch.db"))
+        .run()
+    )
+    out["batch"] = _decided(batch), _db_rows(root / "batch.db")
+    extract = (
+        api.session()
+        .source("rpv5", path=trace)
+        .extract(3000.0, 3300.0, hints=["srcPort=55548"],
+                 workers=workers)
+        .run()
+    )
+    out["extract"] = _decided(extract)
+    stream = (
+        api.session()
+        .source("rpv5", path=trace)
+        .detect("netreflex", train_bins=8)
+        .stream(workers=workers, triage=True, dedup_window=600.0)
+        .alarmdb(str(root / "stream.db"))
+        .run()
+    )
+    out["stream"] = _decided(stream), _db_rows(root / "stream.db")
+    # Detection only: its alarms stay open for triage over the archive.
+    (
+        api.session()
+        .source("rpv5", path=trace)
+        .detect("netreflex", train_bins=8)
+        .stream()
+        .archive(str(root / "spool"))
+        .alarmdb(str(root / "resume.db"))
+        .run()
+    )
+    resumed = (
+        api.session()
+        .source("archive", path=str(root / "spool"))
+        .triage(workers=workers)
+        .alarmdb(str(root / "resume.db"))
+        .run()
+    )
+    out["triage"] = _decided(resumed), _db_rows(root / "resume.db")
+    for name, options in (
+        ("stats", {"stats": True}), ("top", {"top": "dstIP"}), ("rows", {}),
+    ):
+        # A filter forces payload scans over every partition.
+        result = (
+            api.session()
+            .source("archive", path=str(root / "spool"))
+            .query(filter="proto tcp", explain=True, workers=workers,
+                   **options)
+            .run()
+        )
+        flows = result.payload["flows"]
+        out[f"query-{name}"] = (
+            result.stats,
+            result.payload.get("stats"),
+            result.payload.get("top"),
+            result.payload["plan"],
+            None if flows is None else flows._data.tobytes(),
+        )
+    return out
+
+
+class TestParallelDetect:
+    def test_parallel_sweep_matches_batch(self, trace_path, monkeypatch):
+        # Batch detection calls ``detector.detect`` once, in this
+        # process, whatever ``workers`` asks for.
+        def alarms(workers):
+            return (
+                api.session()
+                .source("rpv5", path=trace_path)
+                .detect("netreflex", train_bins=8)
+                .batch(workers=workers)
+                .run()
+                .alarms
+            )
+
+        reference = alarms(1)
+        assert reference  # the scenario must actually alarm
+        _forbid_processes(monkeypatch)
+        calls = []
+        detect = NetReflexDetector.detect
+
+        def counted(self, trace):
+            calls.append(len(trace))
+            return detect(self, trace)
+
+        monkeypatch.setattr(NetReflexDetector, "detect", counted)
+        for workers in SHARD_COUNTS:
+            got = alarms(workers)
+            assert [
+                (a.alarm_id, a.start, a.end, a.score, a.label, a.metadata)
+                for a in got
+            ] == [
+                (a.alarm_id, a.start, a.end, a.score, a.label, a.metadata)
+                for a in reference
+            ]
+        assert len(calls) == len(SHARD_COUNTS)
+
+
+def test_no_process_at_any_worker_count(trace_path, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "fork", _forbidden)
+    monkeypatch.setattr(
+        multiprocessing.shared_memory, "SharedMemory", _forbidden
+    )
+    serial = _every_mode(trace_path, tmp_path / "w1", workers=1)
+    assert serial["batch"][0][1], "the trace must alarm and triage"
+    assert serial["triage"][0][1], "archive-resume must triage"
+    assert serial["query-stats"][3].scanned > 1
+    assert _every_mode(trace_path, tmp_path / "w4", workers=4) == serial

@@ -11,8 +11,9 @@ Three guarantees of the archive's read side:
 * **One answer, however the rows were archived.** Ring-sealed,
   bulk-ingested from shuffled chunks, or written out of order (so the
   reader takes the mask, not the bisection): ``query_table``, ``count``
-  and ``top_feature_values`` agree to the byte, serial or through an
-  executor, on windows chosen to sit on the cut's edges.
+  and ``top_feature_values`` agree to the byte, on windows chosen to
+  sit on the cut's edges, and a query session answers the same at any
+  worker count.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import api
 from repro.archive import ArchiveReader, ArchiveWriter
 from repro.archive.planner import window_rows
 from repro.flows import aggregate
@@ -29,7 +31,6 @@ from repro.flows.filter import parse_filter
 from repro.flows.record import FlowFeature
 from repro.flows.store import FlowStore
 from repro.flows.table import FlowTable
-from repro.parallel import ShardExecutor
 from repro.stream.sources import table_chunks
 from repro.stream.window import WindowRing
 from tests import record_oracle
@@ -278,24 +279,27 @@ class TestArchivedThreeWays:
                     ] == want_top, (name, start, end, flt)
 
     def test_worker_scans_agree_with_serial(self, three_archives):
+        # ``workers`` is deprecated: a query session asked for two
+        # workers scans in this process and answers as the store does.
         readers, store = three_archives
-        with ShardExecutor(2, use_processes=True) as executor:
-            for name, serial in readers.items():
-                fanned = ArchiveReader(
-                    serial.layout.root, executor=executor
+        for name, reader in readers.items():
+            def query(start, end, flt, **options):
+                return (
+                    api.session()
+                    .source("archive", path=str(reader.layout.root))
+                    .query(start, end, filter=flt, workers=2, **options)
+                    .run()
+                    .payload
                 )
-                tasks = 0
-                for start, end in WINDOWS:
-                    for flt in ("dst port 53", None):
-                        assert fanned.count(start, end, flt) == \
-                            store.count(start, end, flt)
-                        tasks += fanned.last_plan.parallel_tasks
-                        assert fanned.top_feature_values(
+
+            for start, end in WINDOWS:
+                for flt in ("dst port 53", None):
+                    assert query(start, end, flt, stats=True)["stats"] \
+                        == store.count(start, end, flt), \
+                        (name, start, end, flt)
+                    assert query(start, end, flt, top="srcIP",
+                                 limit=5)["top"] \
+                        == store.top_feature_values(
                             start, end, FlowFeature.SRC_IP, n=5,
                             flow_filter=flt,
-                        ) == store.top_feature_values(
-                            start, end, FlowFeature.SRC_IP, n=5,
-                            flow_filter=flt,
-                        )
-                        tasks += fanned.last_plan.parallel_tasks
-                assert tasks > 0, name
+                        ), (name, start, end, flt)
