@@ -1218,7 +1218,7 @@ class SessionBuilder:
         auto_close: int | None = None,
     ) -> "SessionBuilder":
         """Windowed-stream execution (``workers`` is deprecated and
-        has no effect: windows accumulate and triage mines in-process).
+        has no effect: windows are counted and triage mines in-process).
 
         ``auto_close`` resolves open/acked alarms as ``decayed`` once
         no re-fire has extended them for that many sealed windows."""

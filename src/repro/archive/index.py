@@ -2,8 +2,9 @@
 
 Every partition carries one sidecar built from **one pass** over its
 rows — one :func:`~repro.flows.aggregate.value_histogram`
-factorisation per indexed column (:data:`ZONE_COLUMNS`) feeds both
-halves:
+factorisation per indexed column (:data:`ZONE_COLUMNS`,
+:func:`index_histograms`; a sealed stream window's detectors read the
+same arrays) feeds both halves:
 
 * :class:`FeatureIndex` — the **full** per-column value histogram
   (sorted distinct values, flow count and packet sum per value): *what
@@ -73,6 +74,7 @@ __all__ = [
     "INDEX_VERSION",
     "ColumnZone",
     "FeatureIndex",
+    "index_histograms",
     "ZoneMap",
     "encode_index",
     "decode_index",
@@ -155,6 +157,24 @@ class ColumnZone:
         return not (self.max < low or self.min > high)
 
 
+def index_histograms(
+    table: FlowTable, *weights: str
+) -> dict[str, tuple[np.ndarray, ...]]:
+    """One :func:`~repro.flows.aggregate.value_histogram` per
+    :data:`ZONE_COLUMNS` column: ``(values, flows, packet sums, *sums
+    of the named weight columns)``. The body of
+    :meth:`FeatureIndex.from_table`, and a sealed stream window's one
+    count, which its partition index and its detectors both read."""
+    sums = [
+        np.ascontiguousarray(table.column(name))
+        for name in ("packets", *weights)
+    ]
+    return {
+        name: value_histogram(table.column(name), *sums)
+        for name in ZONE_COLUMNS
+    }
+
+
 class FeatureIndex:
     """Per-column value histograms of one partition.
 
@@ -176,11 +196,7 @@ class FeatureIndex:
     @classmethod
     def from_table(cls, table: FlowTable) -> "FeatureIndex":
         """The partition's one index pass: one sort per column."""
-        packets = np.ascontiguousarray(table.packets)
-        return cls({
-            name: value_histogram(table.column(name), packets)
-            for name in ZONE_COLUMNS
-        })
+        return cls(index_histograms(table))
 
     def histogram(
         self, column: str, by_packets: bool = False

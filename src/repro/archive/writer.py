@@ -7,7 +7,8 @@ numbers (restart-safe: initialised from the files already on disk)
 and emits partitions crash-safely in **one index pass and two atomic
 writes**: the rows are factorised once
 (:meth:`~repro.archive.index.FeatureIndex.from_table`, which the zone
-map is read off), the payload goes to a temporary name, is fsynced and
+map is read off; the streaming ring hands in the index it counted at
+the seal), the payload goes to a temporary name, is fsynced and
 linked, the ``.idx`` sidecar follows the same way, and the directory
 is fsynced once after both. A partition is servable exactly when both
 files exist under their final names and the sidecar's checksum holds;
@@ -181,12 +182,14 @@ class ArchiveWriter:
         shard: int = 0,
         sealed: bool = False,
         replaces: tuple[str, ...] = (),
+        features: FeatureIndex | None = None,
     ) -> Path | None:
         """Write one table as one partition file of ``slice_index``.
 
         The caller asserts every row starts inside the slice (the
         rotation invariant readers prune by); a violating row raises.
-        Empty tables write nothing and return ``None``.
+        ``features``: the table's index if the caller already counted
+        it (the ring's seal). Empty tables write nothing, return ``None``.
         """
         if not len(table):
             return None
@@ -215,7 +218,8 @@ class ArchiveWriter:
         if self.shard_spec is not None:
             spec = self.shard_spec
             shard_spec = (spec.shards, spec.key, spec.seed, shard)
-        features = FeatureIndex.from_table(table)
+        if features is None:
+            features = FeatureIndex.from_table(table)
         zone = ZoneMap.from_table(
             table,
             features,

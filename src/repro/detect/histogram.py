@@ -105,9 +105,9 @@ class HistogramKLDetector(Detector):
     def bucket_values(self, values: Mapping[int, int] | Counter) -> Counter:
         """Fold a raw value histogram into the hashed bucket histogram.
 
-        Integer weights sum exactly, so the result is independent of how
-        ``values`` was accumulated (one pass over a bin's flows or a
-        chunk-merged streaming counter).
+        Integer weights sum exactly, so the result is the same for any
+        ``values`` holding the same counts (a batch bin's or a sealed
+        stream window's).
         """
         histogram: Counter = Counter()
         for value, weight in values.items():
@@ -206,8 +206,8 @@ class HistogramKLDetector(Detector):
     ) -> Alarm | None:
         """Evaluate one window from per-feature raw value histograms.
 
-        The streaming entry point: ``values`` may come from incremental
-        accumulators; the batch path feeds it the histograms of a trace
+        The streaming entry point: ``values`` may come from a sealed
+        window's counts; the batch path feeds it the histograms of a trace
         bin. Both run the identical scoring and attribution code, so
         streaming and batch detection agree window for window.
         """

@@ -16,7 +16,7 @@ GEANT deployment (DESIGN.md §2). Like the original it:
   ``(sorted values, int64 counts)`` arrays of
   :mod:`repro.flows.aggregate`, so attribution is one ``searchsorted``
   per histogram whether the window came from a trace slice or from a
-  stream accumulator;
+  sealed stream window's counts;
 * may therefore *miss part of an anomaly* or flag popular values, which
   is precisely the incompleteness the extraction step compensates for.
 """
@@ -178,13 +178,13 @@ class NetReflexDetector(Detector):
         features: BinFeatures,
         histograms: Histograms,
     ) -> Alarm | None:
-        """Evaluate one accumulated window exactly like one detect() bin.
+        """Evaluate one sealed window exactly like one detect() bin.
 
         This is the streaming entry point: ``features`` and
-        ``histograms`` come from incremental accumulators instead of a
-        trace slice, but the scoring, labelling and attribution code is
-        the same as the batch path, so a closed streaming window agrees
-        with the corresponding batch bin.
+        ``histograms`` are read off the window's counts at its seal
+        instead of a trace slice, but the scoring, labelling and
+        attribution code is the batch path's, so a closed streaming
+        window agrees with the corresponding batch bin.
         """
         self._require_trained(self._model is not None)
         assert self._model is not None
@@ -242,7 +242,7 @@ class NetReflexDetector(Detector):
 
         Works on pre-computed array histograms so the batch path
         (histograms of a trace slice) and the streaming path
-        (histograms merged chunk by chunk) share the attribution logic
+        (a sealed window's histograms) share the attribution logic
         verbatim. Counts are non-negative, so a value's excess is at
         most its observed share: only the values whose share reaches
         ``excess_threshold`` — at most ``1 / excess_threshold`` per

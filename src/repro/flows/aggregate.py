@@ -6,7 +6,7 @@ consume: per-feature value histograms and top-N rankings.
 
 A value histogram has one form between a
 :class:`~repro.flows.table.FlowTable` and whoever reads it — the
-archive's feature index, the stream's window accumulators, the
+archive's feature index, a sealed stream window's counts, the
 detectors' attribution: ``(sorted distinct values, exact int64
 counts, ...)`` arrays, counted by :func:`value_histogram` and summed by
 :func:`merge_histograms`. Ascending value order and exact integers are

@@ -272,6 +272,11 @@ class FlowStore:
             table = table.select(compile_mask(flow_filter)(table))
         return table.in_query_order()
 
+    def slice_table(self, index: int) -> FlowTable:
+        """Slice ``index``'s rows, consolidated, in insertion order."""
+        entry = self._slices.get(index)
+        return entry.table() if entry is not None else FlowTable.empty()
+
     def order_slice(self, index: int) -> FlowTable:
         """Slice ``index``'s rows in canonical query order, kept.
 

@@ -15,8 +15,8 @@ pipeline into that deployment shape:
     watermark and a configurable lateness horizon deciding when windows
     close and when stragglers are dropped.
 ``incremental``
-    Rolling per-window feature accumulators (volume counters, value
-    histograms, entropies) updated per arriving chunk, plus
+    :class:`WindowCounts` — the read-only view of a sealed window's one
+    histogram pass (volume totals, value histograms, entropies) — plus
     :class:`StreamingDetector` adapters that wrap the batch detectors
     of :mod:`repro.detect` with verified batch-equivalence.
 ``runtime``
@@ -39,7 +39,7 @@ from repro.stream.incremental import (
     StreamingDetector,
     StreamingHistogramKL,
     StreamingNetReflex,
-    WindowAccumulator,
+    WindowCounts,
     streaming_adapter,
 )
 from repro.stream.replay import ReplayDriver, ReplayStats
@@ -65,7 +65,7 @@ __all__ = [
     "StreamingDetector",
     "StreamingHistogramKL",
     "StreamingNetReflex",
-    "WindowAccumulator",
+    "WindowCounts",
     "streaming_adapter",
     "StreamEngine",
     "StreamStats",

@@ -6,11 +6,11 @@ detectors continuously feed an alarm database whose open alarms are
 triaged against a rotating flow archive while ingest continues.
 
 Per chunk the engine (1) routes rows through the
-:class:`~repro.stream.window.WindowRing`, (2) folds the routed
-sub-chunks into every detector's incremental state, (3) seals windows
-the watermark has passed, firing the detectors and inserting their
-alarms into the :class:`~repro.system.alarmdb.AlarmDatabase`
-(optionally deduplicated against streaming re-fires), and (4) drives
+:class:`~repro.stream.window.WindowRing`, (2) seals windows the
+watermark has passed — the ring counts each sealed window once — and
+fires the detectors on those counts, inserting their alarms into the
+:class:`~repro.system.alarmdb.AlarmDatabase` (optionally deduplicated
+against streaming re-fires), and (3) drives
 :meth:`~repro.system.pipeline.ExtractionSystem.process_open_alarms`
 against the live ring so Table-1 triage reports stream out while flows
 keep arriving.
@@ -156,15 +156,20 @@ class StreamEngine:
         than that many windows ago (dedup merges extend ``end`` on
         every re-fire) are resolved with verdict ``decayed``.
 
-        ``workers`` is deprecated and has no effect: windows
-        accumulate and live triage mines in this process."""
+        ``workers`` is deprecated and has no effect: windows are
+        counted and live triage mines in this process."""
         self.detectors = list(detectors)
+        weights = None
+        if self.detectors:
+            read = {w for d in self.detectors for w in d.weightings}
+            weights = ("bytes",) if "bytes" in read else ()
         self.ring = WindowRing(
             window_seconds=window_seconds,
             origin=origin,
             lateness_seconds=lateness_seconds,
             retain_windows=retain_windows,
             archive=archive,
+            weights=weights,
         )
         self.alarmdb = alarmdb or AlarmDatabase()
         self.dedup_window = dedup_window
@@ -222,9 +227,6 @@ class StreamEngine:
                 self._window_chunks.setdefault(index, []).append(
                     chunk_event
                 )
-        for index, rows in ingest.routed:
-            for detector in self.detectors:
-                detector.observe(index, rows)
         return [self._seal(window) for window in self.ring.close_due()]
 
     def finish(self) -> list[WindowResult]:
@@ -250,6 +252,8 @@ class StreamEngine:
         metered = obs_metrics.enabled()
         started = time.perf_counter() if metered else 0.0
         result = WindowResult(window=window)
+        # Held only for this seal: nothing the result keeps refers to it.
+        counts = self.ring.take_counts(window.index)
         seal_event = None
         if obs_events.enabled():
             seal_event = obs_events.emit(
@@ -265,7 +269,7 @@ class StreamEngine:
         with obs_events.causal(seal_event):
             for detector in self.detectors:
                 alarms = list(detector.close(
-                    window.index, window.start, window.end
+                    window.index, window.start, window.end, counts
                 ))
                 verdict_event = None
                 if obs_events.enabled():

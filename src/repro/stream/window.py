@@ -31,6 +31,9 @@ The contract, which the test suite pins down:
   *before* retention can evict it — the ring's eviction becomes
   tiering instead of loss, and a restarted process can triage
   against the archived windows.
+* **One count per window**: the seal's one histogram pass
+  (:func:`~repro.archive.index.index_histograms`) is both the archived
+  partition's index and the detectors' input (:meth:`take_counts`).
 """
 
 from __future__ import annotations
@@ -40,10 +43,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.archive.index import FeatureIndex, index_histograms
 from repro.errors import StoreError
 from repro.flows.store import FlowStore
 from repro.flows.table import FlowTable
 from repro.flows.trace import DEFAULT_BIN_SECONDS
+from repro.stream.incremental import WindowCounts
 
 __all__ = ["ClosedWindow", "IngestResult", "WindowRing"]
 
@@ -63,7 +68,7 @@ class IngestResult:
     """Outcome of routing one chunk into the ring.
 
     ``routed`` lists ``(window_index, rows)`` sub-chunks in window
-    order — the engine feeds these to the incremental detector states.
+    order, as the store received them.
     """
 
     admitted: int
@@ -81,6 +86,7 @@ class WindowRing:
         lateness_seconds: float | None = 0.0,
         retain_windows: int = 16,
         archive=None,
+        weights: tuple[str, ...] | None = None,
     ) -> None:
         if window_seconds <= 0:
             raise StoreError(
@@ -101,6 +107,10 @@ class WindowRing:
         #: closed windows persist through it. Its rotation width must
         #: equal the ring's so window index == archive slice index.
         self.archive = archive
+        #: Weight columns a seal sums beside flows and packets for the
+        #: detectors (``()`` or ``("bytes",)``); ``None``: no detectors.
+        self.weights = weights
+        self._counts: dict[int, WindowCounts] = {}
         if archive is not None and \
                 archive.slice_seconds != float(window_seconds):
             raise StoreError(
@@ -190,9 +200,9 @@ class WindowRing:
         """Route one chunk's rows into their windows.
 
         Rows whose window has already closed (or that precede window 0)
-        are dropped as late; everything else is admitted to both the
-        backing store and the per-window sub-chunks handed back for
-        incremental detector updates. The watermark only ever advances.
+        are dropped as late; everything else is admitted to the backing
+        store, one sub-chunk per window. The watermark only ever
+        advances.
         """
         if not len(chunk):
             return IngestResult(admitted=0, late_dropped=0, routed=())
@@ -227,23 +237,37 @@ class WindowRing:
 
     def _seal(self, index: int) -> ClosedWindow:
         start, end = self.interval(index)
+        # The window's full row set (window index == store slice
+        # index). With an archive it is put in query order once, for
+        # its partition, and the store keeps that order: triage's
+        # queries over this window sort nothing.
         if self.archive is None:
-            flows = self.store.count(start, end).flows
+            table = self.store.slice_table(index)
         else:
-            # One sealed, sorted partition per closed window, written
-            # before retention can evict the rows: the window's result
-            # is final (late rows can never reopen it), so its durable
-            # copy is, too. Window index == store slice index, and the
-            # store keeps the order: triage's queries over this window
-            # sort nothing. One walk of the slice: the row count is
-            # the ordered table's length.
             table = self.store.order_slice(index)
-            flows = len(table)
-            if flows:
+        if len(table) and (self.archive is not None
+                           or self.weights is not None):
+            # The window's one histogram pass: its partition index and
+            # its detectors read the same arrays.
+            columns = index_histograms(table, *(self.weights or ()))
+            if self.archive is not None:
+                # Written before retention can evict the rows: the
+                # window's result is final (late rows can never reopen
+                # it), so its durable copy is, too.
                 self.archive.write_partition(
-                    table, slice_index=index, sealed=True
+                    table, slice_index=index, sealed=True,
+                    features=FeatureIndex({
+                        name: entry[:3] for name, entry in columns.items()
+                    }),
                 )
-        window = ClosedWindow(index=index, start=start, end=end, flows=flows)
+            if self.weights is not None:
+                self._counts[index] = WindowCounts(
+                    len(table), table.total_packets(), table.total_bytes(),
+                    columns,
+                )
+        window = ClosedWindow(
+            index=index, start=start, end=end, flows=len(table)
+        )
         self._next_to_close = index + 1
         keep_from = self._next_to_close - self.retain_windows
         if keep_from > 0:
@@ -269,6 +293,11 @@ class WindowRing:
         while self._next_to_close <= self._max_populated:
             closed.append(self._seal(self._next_to_close))
         return closed
+
+    def take_counts(self, index: int) -> WindowCounts:
+        """Hand over (and forget) sealed window ``index``'s counts: all
+        zero for an empty window, or on a ring without ``weights``."""
+        return self._counts.pop(index, None) or WindowCounts()
 
     # -- queries -----------------------------------------------------------
 

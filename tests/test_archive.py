@@ -58,6 +58,7 @@ from repro.flows.table import FLOW_DTYPE, FlowTable
 from repro.flows.trace import FlowTrace
 from repro.parallel.partition import PartitionSpec, shard_ids
 from repro.stream import ReplayDriver, StreamEngine, streaming_adapter
+from tests.flow_balance import assert_flow_balance
 from repro.stream.sources import table_chunks
 from repro.system.alarmdb import AlarmDatabase
 from repro.system.backend import FlowBackend
@@ -735,6 +736,7 @@ class TestStreamIntegration:
         assert len(reader) == engine.stats.flows
         assert engine.ring.store.count(split, split + 1e9).flows \
             < engine.stats.flows
+        assert_flow_balance(engine, results, len(tail))
 
     def test_killed_process_resumes_triage_from_disk(
         self, tmp_path, scenario, trained
@@ -750,10 +752,11 @@ class TestStreamIntegration:
             alarmdb=AlarmDatabase(db_path),
             archive=ArchiveWriter(spool, slice_seconds=bin_seconds),
         )
-        ReplayDriver(tail, chunk_rows=2048).replay(engine)
+        results, _ = ReplayDriver(tail, chunk_rows=2048).replay(engine)
         fired = engine.stats.alarms
         assert fired >= 1
         assert engine.alarmdb.count("open") == fired
+        assert_flow_balance(engine, results, len(tail))
         # "Kill" the process: drop the engine, ring and connections.
         engine.alarmdb.close()
         engine.close()

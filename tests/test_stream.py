@@ -5,9 +5,10 @@ Three layers of guarantees:
 * **Window semantics** — rotation boundaries, out-of-order admission
   vs. late drop, watermark monotonicity, in-order closing (including
   empty windows), retention expiry.
-* **Incremental state** — chunk-merged accumulators equal the batch
-  per-bin features *exactly* (integer counters, value-ordered entropy
-  sums).
+* **One count per window** — a sealed window is counted once, by the
+  pass that indexes its archive partition, and the detectors' view of
+  those counts equals the batch per-bin features *exactly* (integer
+  counters, value-ordered entropy sums), whatever the chunking.
 * **Batch equivalence** — streaming a trace (max-rate replay, and
   shuffled arrival under an unbounded lateness horizon) yields the
   same alarms as batch ``detect()`` over the same trace: ids, windows,
@@ -17,17 +18,30 @@ Three layers of guarantees:
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.archive.index
+import repro.flows.aggregate
+from repro import api
+from repro.archive import ArchiveReader, ArchiveWriter
+from repro.archive.index import FeatureIndex, ZoneMap, encode_index
+from repro.archive.layout import sidecar_path
 from repro.detect.features import compute_bin_features
-from repro.detect.histogram import HistogramKLDetector
+from repro.detect.histogram import (
+    HistogramDetectorConfig,
+    HistogramKLDetector,
+)
 from repro.detect.netreflex import NetReflexDetector
 from repro.errors import StoreError
 from repro.flows.addresses import ip_to_int
+from repro.flows.aggregate import feature_histogram
 from repro.flows.flowio import write_csv
 from repro.flows.record import FlowFeature, FlowRecord
 from repro.flows.table import FlowTable
@@ -35,12 +49,13 @@ from repro.flows.trace import FlowTrace
 from repro.stream import (
     ReplayDriver,
     StreamEngine,
-    WindowAccumulator,
+    WindowCounts,
     WindowRing,
     streaming_adapter,
     table_chunks,
     tail_csv_chunks,
 )
+from tests.flow_balance import assert_flow_balance
 from repro.stream.sources import _csv_header_line
 from repro.synth.anomalies import PortScan
 from repro.synth.background import BackgroundConfig
@@ -215,33 +230,45 @@ class TestWindowRing:
             WindowRing(retain_windows=0)
 
 
-class TestWindowAccumulator:
+def _sealed_counts(table, chunk_rows, weights=()):
+    """The counts a ring seals for ``table`` (one 900 s window) fed in
+    ``chunk_rows``-row chunks."""
+    ring = WindowRing(window_seconds=900.0, origin=0.0,
+                      lateness_seconds=None, weights=weights)
+    for chunk in table_chunks(table, chunk_rows):
+        ring.ingest(chunk)
+    [window] = ring.flush()
+    assert window.flows == len(table)
+    return ring.take_counts(window.index)
+
+
+class TestWindowCounts:
     def test_matches_batch_bin_features_exactly(self):
         table = _random_table(500)
-        accumulator = WindowAccumulator()
-        for chunk in table_chunks(table, chunk_rows=37):
-            accumulator.update(chunk)
-        batch = compute_bin_features(table)
-        streamed = accumulator.bin_features()
+        streamed = _sealed_counts(table, chunk_rows=37).bin_features()
         # Bit-exact, not approximate: integer counters and
         # value-ordered entropy sums reproduce the batch floats.
-        assert streamed == batch
+        assert streamed == compute_bin_features(table)
 
-    def test_histogram_merge_is_exact(self):
+    def test_histograms_equal_batch(self):
         table = _random_table(300, seed=9)
-        accumulator = WindowAccumulator(weightings=("flows", "packets"))
-        for chunk in table_chunks(table, chunk_rows=11):
-            accumulator.update(chunk)
-        from repro.flows.aggregate import feature_histogram
-
-        for feature in (FlowFeature.SRC_IP, FlowFeature.DST_PORT):
-            for weighting in ("flows", "packets"):
-                assert accumulator.histogram(feature, weighting) == \
+        counts = _sealed_counts(table, chunk_rows=11, weights=("bytes",))
+        for feature in FlowFeature:
+            for weighting in ("flows", "packets", "bytes"):
+                assert counts.histogram(feature, weighting) == \
                     feature_histogram(table, feature, weighting)
+        # Byte sums exist only when a detector reads them.
+        unweighted = _sealed_counts(table, chunk_rows=11)
+        with pytest.raises(KeyError):
+            unweighted.value_counts(FlowFeature.SRC_IP, "bytes")
 
     def test_empty_window_is_all_zero(self):
-        features = WindowAccumulator().bin_features()
+        features = WindowCounts().bin_features()
         assert features == compute_bin_features(FlowTable.empty())
+        ring = WindowRing(window_seconds=300.0, origin=0.0, weights=())
+        ring.ingest(_table([10.0, 950.0]))
+        assert [w.flows for w in ring.close_due()] == [1, 0, 0]
+        assert ring.take_counts(1).bin_features() == features
 
 
 # -- trained detectors shared by the equivalence tests -------------------
@@ -287,6 +314,17 @@ def trained_histogram(scenario_split):
     return detector
 
 
+@pytest.fixture(scope="module")
+def trained_bytes_kl(scenario_split):
+    """A byte-weighted KL detector over all five features: its engine
+    seals windows with byte sums, and proto counts."""
+    detector = HistogramKLDetector(HistogramDetectorConfig(
+        features=tuple(FlowFeature), weight="bytes",
+    ))
+    detector.train(scenario_split[0])
+    return detector
+
+
 def _assert_same_alarms(batch, streamed):
     assert [a.alarm_id for a in streamed] == [a.alarm_id for a in batch]
     for expected, actual in zip(batch, streamed):
@@ -306,12 +344,16 @@ def _assert_same_alarms(batch, streamed):
 
 
 def _stream_alarms(detector, table, origin, window_seconds,
-                   chunk_rows=1000, lateness=0.0, shuffle_seed=None):
+                   chunk_rows=1000, lateness=0.0, shuffle_seed=None,
+                   archive=None, also=()):
+    """Alarms of ``detector`` (and of the ``also`` detectors) streaming
+    ``table``; the engine's flow balance is checked on the way."""
     engine = StreamEngine(
-        [streaming_adapter(detector)],
+        [streaming_adapter(d) for d in (detector, *also)],
         window_seconds=window_seconds,
         origin=origin,
         lateness_seconds=lateness,
+        archive=archive,
     )
     if shuffle_seed is not None:
         rng = np.random.default_rng(shuffle_seed)
@@ -320,6 +362,7 @@ def _stream_alarms(detector, table, origin, window_seconds,
     else:
         driver = ReplayDriver(table, chunk_rows=chunk_rows)
         results, _ = driver.replay(engine)
+    assert_flow_balance(engine, results, len(table))
     return [alarm for result in results for alarm in result.alarms]
 
 
@@ -353,17 +396,17 @@ class TestStreamingEquivalence:
     def test_netreflex_builds_no_counter_views(
         self, scenario_split, trained_netreflex, monkeypatch
     ):
-        """Attribution reads the accumulator's merged arrays as they
-        are: no ``Counter`` view is built between a window's close and
-        its alarm, for quiet and alarmed windows alike, and the alarms
-        lose nothing."""
+        """Attribution reads the sealed window's arrays as they are: no
+        ``Counter`` view is built between a window's close and its
+        alarm, for quiet and alarmed windows alike, and the alarms lose
+        nothing."""
         _, tail, split, bin_seconds = scenario_split
         batch = trained_netreflex.detect(
             FlowTrace(tail, bin_seconds=bin_seconds, origin=split)
         )
         built: list[tuple] = []
         monkeypatch.setattr(
-            WindowAccumulator, "histogram",
+            WindowCounts, "histogram",
             lambda self, feature, weighting: built.append(
                 (feature, weighting)
             ),
@@ -466,6 +509,116 @@ class TestHypothesisEquivalence:
         _assert_same_alarms(batch, streamed)
 
 
+def _counting_value_histogram(monkeypatch) -> list:
+    """Count every ``value_histogram`` call, wherever it is bound."""
+    calls: list = []
+    kernel = repro.flows.aggregate.value_histogram
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return kernel(*args, **kwargs)
+
+    for module in (repro.flows.aggregate, repro.archive.index):
+        monkeypatch.setattr(module, "value_histogram", counted)
+    return calls
+
+
+class TestOneCountPerWindow:
+    @pytest.mark.parametrize("chunk_rows", [37, 1000])
+    def test_one_histogram_pass_per_window(
+        self, tmp_path, scenario_split, trained_netreflex, monkeypatch,
+        chunk_rows,
+    ):
+        """A sealed window is counted once — one kernel call per
+        indexed column — however its rows were chunked: the archive
+        index and the detectors read the same arrays."""
+        _, tail, split, bin_seconds = scenario_split
+        calls = _counting_value_histogram(monkeypatch)
+        engine = StreamEngine(
+            [streaming_adapter(trained_netreflex)],
+            window_seconds=bin_seconds,
+            origin=split,
+            archive=ArchiveWriter(tmp_path / "spool",
+                                  slice_seconds=bin_seconds),
+        )
+        results, _ = ReplayDriver(tail, chunk_rows=chunk_rows).replay(
+            engine
+        )
+        assert_flow_balance(engine, results, len(tail))
+        sealed = sum(1 for result in results if result.window.flows)
+        assert sealed >= 3
+        assert len(calls) == 6 * sealed
+        assert engine.stats.alarms >= 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        flows=st.lists(flow_records(), min_size=1, max_size=60),
+        chunk_rows=st.integers(min_value=1, max_value=50),
+        archived=st.booleans(),
+    )
+    def test_one_count_serves_detectors_and_index(
+        self, trained_netreflex, trained_bytes_kl, flows, chunk_rows,
+        archived,
+    ):
+        """With or without an archive, and with byte sums counted for
+        a byte-weighted detector: alarms equal batch ``detect()``, and
+        every sealed sidecar is the index of its own partition's rows
+        built the way ingest and compaction build it."""
+        trace = FlowTrace(flows, bin_seconds=300.0, origin=0.0)
+        with tempfile.TemporaryDirectory() as root:
+            spool = Path(root) / "spool"
+            streamed = _stream_alarms(
+                trained_netreflex, trace.table, 0.0, 300.0,
+                chunk_rows=chunk_rows, also=[trained_bytes_kl],
+                archive=(
+                    ArchiveWriter(spool, slice_seconds=300.0)
+                    if archived else None
+                ),
+            )
+            for detector in (trained_netreflex, trained_bytes_kl):
+                _assert_same_alarms(detector.detect(trace), [
+                    alarm for alarm in streamed
+                    if alarm.detector == detector.name
+                ])
+            if not archived:
+                return
+            partitions = ArchiveReader(spool).partitions()
+            assert sum(p.zone.rows for p in partitions) == len(flows)
+            for partition in partitions:
+                rows = partition.table()
+                features = FeatureIndex.from_table(rows)
+                assert sidecar_path(partition.path).read_bytes() == \
+                    encode_index(
+                        ZoneMap.from_table(rows, features, sealed=True),
+                        features,
+                    )
+
+    def test_sealed_windows_retain_no_arrays(self):
+        """A window's counts live only through its seal: nothing a
+        stream run returns per window holds an array."""
+        result = (
+            api.session()
+            .scenario(bins=12, fps=6, seed=7, anomalies=["port-scan"])
+            .detect("netreflex", train_bins=8)
+            .stream()
+            .run()
+        )
+        assert result.windows and result.alarms
+
+        def arrays_in(value):
+            if isinstance(value, (np.ndarray, WindowCounts, FlowTable)):
+                yield value
+            elif dataclasses.is_dataclass(value):
+                for item in dataclasses.fields(value):
+                    yield from arrays_in(getattr(value, item.name))
+            elif isinstance(value, (list, tuple)):
+                for item in value:
+                    yield from arrays_in(item)
+
+        for window in result.windows:
+            assert list(arrays_in(window)) == []
+
+
 class TestStreamEngine:
     def test_dedup_merges_refires(self, scenario_split, trained_netreflex):
         _, tail, split, bin_seconds = scenario_split
@@ -475,12 +628,13 @@ class TestStreamEngine:
             origin=split,
             dedup_window=5 * bin_seconds,
         )
-        ReplayDriver(tail, chunk_rows=2048).replay(engine)
+        results, _ = ReplayDriver(tail, chunk_rows=2048).replay(engine)
         # Whatever fired, re-fires within the suppression window must
         # have been merged, not duplicated.
         assert engine.alarmdb.count() == \
             engine.stats.alarms
         assert engine.stats.alarms >= 1
+        assert_flow_balance(engine, results, len(tail))
 
     def test_late_flows_counted_not_detected(self, trained_netreflex):
         engine = StreamEngine(
@@ -489,11 +643,13 @@ class TestStreamEngine:
             origin=0.0,
             lateness_seconds=0.0,
         )
-        engine.process(_table([10.0, 700.0]))
-        engine.process(_table([20.0]))  # window 0 already closed
-        engine.finish()
+        results = engine.process(_table([10.0, 700.0]))
+        # Window 0 already closed:
+        results += engine.process(_table([20.0]))
+        results += engine.finish()
         assert engine.stats.late_dropped == 1
         assert engine.stats.flows == 2
+        assert_flow_balance(engine, results, 3)
 
     def test_triage_streams_against_live_ring(
         self, scenario_split, trained_netreflex
@@ -513,6 +669,7 @@ class TestStreamEngine:
         assert any(t.verdict.useful for t in triaged)
         # Triage state landed in the DB.
         assert engine.alarmdb.count("open") == 0
+        assert_flow_balance(engine, results, len(tail))
 
 
 class TestReplayDriver:
