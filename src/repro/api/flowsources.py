@@ -17,6 +17,7 @@ the same mechanism third-party sources use.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Iterator
 
 from repro.api.registry import sources
@@ -68,52 +69,50 @@ class FlowSource:
 
 
 def require_path(spec, kind: str) -> str:
-    """The spec's path, or a :class:`SpecError` naming the field."""
+    """The spec's path to an existing file, or a :class:`SpecError`
+    naming the field."""
     if not spec.path:
         raise SpecError(
             f"source kind {kind!r} requires a path", field="source.path"
         )
+    if not Path(spec.path).is_file():
+        raise SpecError(f"no such file: {spec.path!r}",
+                        field="source.path")
     return spec.path
 
 
-class _Rpv5Source(FlowSource):
+class _FileSource(FlowSource):
+    """A flow file: ``read`` loads it whole, ``iterate`` in chunks."""
+
+    def __init__(self, spec) -> None:
+        super().__init__(spec)
+        self.path = require_path(spec, self.kind)
+
+    def trace(self) -> FlowTrace:
+        return FlowTrace(
+            self.read(self.path),
+            bin_seconds=self.spec.bin_seconds,
+            origin=self.spec.origin,
+        )
+
+    def chunks(self, chunk_rows: int) -> Iterator[FlowTable]:
+        return self.iterate(self.path, chunk_rows=chunk_rows)
+
+
+class _Rpv5Source(_FileSource):
     """A recorded NetFlow-v5 binary trace (``.rpv5``)."""
 
     kind = "rpv5"
-
-    def __init__(self, spec) -> None:
-        super().__init__(spec)
-        self.path = require_path(spec, self.kind)
-
-    def trace(self) -> FlowTrace:
-        return FlowTrace(
-            read_binary_table(self.path),
-            bin_seconds=self.spec.bin_seconds,
-            origin=self.spec.origin,
-        )
-
-    def chunks(self, chunk_rows: int) -> Iterator[FlowTable]:
-        return iter_binary_tables(self.path, chunk_rows=chunk_rows)
+    read = staticmethod(read_binary_table)
+    iterate = staticmethod(iter_binary_tables)
 
 
-class _CsvSource(FlowSource):
+class _CsvSource(_FileSource):
     """A CSV flow log with the standard header."""
 
     kind = "csv"
-
-    def __init__(self, spec) -> None:
-        super().__init__(spec)
-        self.path = require_path(spec, self.kind)
-
-    def trace(self) -> FlowTrace:
-        return FlowTrace(
-            read_csv_table(self.path),
-            bin_seconds=self.spec.bin_seconds,
-            origin=self.spec.origin,
-        )
-
-    def chunks(self, chunk_rows: int) -> Iterator[FlowTable]:
-        return iter_csv_tables(self.path, chunk_rows=chunk_rows)
+    read = staticmethod(read_csv_table)
+    iterate = staticmethod(iter_csv_tables)
 
 
 class _TableSource(FlowSource):

@@ -32,12 +32,13 @@ are byte-identical to the legacy paths (asserted by
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 import tomllib
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.api.registry import detectors, miners, sources
 from repro.api.specs import (
@@ -48,8 +49,15 @@ from repro.api.specs import (
     SinkSpec,
     SourceSpec,
 )
+from repro.archive.reader import lazy_reader
 from repro.detect.base import Alarm, Detector, MetadataItem
-from repro.errors import DetectorError, MiningError, ReproError, SpecError
+from repro.errors import (
+    AlarmDatabaseError,
+    DetectorError,
+    MiningError,
+    ReproError,
+    SpecError,
+)
 from repro.extraction.extractor import AnomalyExtractor, ExtractionConfig
 from repro.extraction.summarize import table_rows
 from repro.extraction.validate import validate_report
@@ -84,6 +92,9 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+#: Modes that run on an archive source's reader.
+_ARCHIVE_MODES = ("triage", "compact", "stats", "ls")
 
 
 # -- public result type -------------------------------------------------------
@@ -169,6 +180,17 @@ def load_spec(config: str | Path | Mapping[str, Any]) -> SessionSpec:
     return SessionSpec.from_dict(data)
 
 
+def _read_back(
+    db: AlarmDatabase, results: list[TriageResult]
+) -> tuple[dict[str, tuple[str, str]], int]:
+    """The (status, verdict) each triaged alarm settled at in the DB,
+    and how many alarms remain open."""
+    statuses = {
+        t.alarm.alarm_id: db.status_of(t.alarm.alarm_id) for t in results
+    }
+    return statuses, db.count("open")
+
+
 def _feature(name: str, field_path: str) -> FlowFeature:
     try:
         return FlowFeature(name)
@@ -198,7 +220,8 @@ class Session:
         seal); ``on_start`` fires once per run with a context dict
         before the main loop (the CLI's "trained ... streaming ..."
         banner); ``on_serve`` fires with the bound port once the
-        operator console is listening (``sink.serve_port`` specs)."""
+        telemetry endpoint or operator console is listening
+        (``sink.metrics_port``/``sink.serve_port`` specs)."""
         if not isinstance(spec, SessionSpec):
             raise SpecError(
                 f"expected a SessionSpec, got {type(spec).__name__}"
@@ -241,152 +264,86 @@ class Session:
             obs_metrics.enable()
         if sink.span_log is not None:
             obs_trace.configure(sink.span_log)
-        journal = None
-        previous_journal = None
+        journal = contextlib.nullcontext()
         if sink.events_path is not None \
                 or execution.flight_recorder is not None:
-            journal = obs_events.EventJournal(
-                sink.events_path,
-                recorder_events=(
-                    execution.flight_recorder
-                    or obs_events.DEFAULT_RECORDER_EVENTS
-                ),
+            journal = obs_events.journaled(
+                sink.events_path, execution.flight_recorder,
+                mode=mode, workers=execution.workers,
             )
-            previous_journal = obs_events.install(journal)
         logger.debug("running session mode %s", mode)
-        root = None
-        if journal is not None:
-            root = journal.emit(
-                "run.start", mode=mode, workers=execution.workers
-            )
-        try:
-            with obs_events.causal(root), \
-                    obs_trace.span(f"session.{mode}") as total:
-                result: RunResult = runner()
-        except BaseException as exc:
-            # The black box: a dying run dumps its last-N events
-            # before the exception propagates, so the operator can
-            # read what the pipeline was doing when it went down.
-            if journal is not None:
-                journal.emit(
-                    "run.end", parent=root,
-                    outcome=type(exc).__name__,
-                )
-                journal.dump_recorder(
-                    reason=f"{type(exc).__name__}: {exc}"
-                )
-                obs_events.install(previous_journal)
-                journal.close()
-            raise
-        if journal is not None:
-            journal.emit(
-                "run.end", parent=root,
-                outcome="interrupted" if result.interrupted else "ok",
-            )
-            obs_events.install(previous_journal)
-            journal.close()
-            result.payload.setdefault("run_id", journal.run)
-            if sink.events_path is not None:
-                result.payload.setdefault(
-                    "events_path", sink.events_path
-                )
+        with journal as run, \
+                obs_trace.span(f"session.{mode}") as total:
+            result: RunResult = runner()
+            if run is not None:
+                run.outcome = "interrupted" if result.interrupted else "ok"
+                result.payload.setdefault("run_id", run.journal.run)
+                if sink.events_path is not None:
+                    result.payload.setdefault(
+                        "events_path", sink.events_path
+                    )
         result.timings.setdefault("total", total.seconds)
         return result
 
-    def _serve_metrics(
-        self, status: Callable[[], dict[str, Any]]
-    ):
-        """Start the /metrics + /status endpoint when the spec asks.
-
-        Returns the started server or ``None``; without a
-        ``sink.metrics_port`` no socket is ever opened.
-        """
-        port = self.spec.sink.metrics_port
-        if port is None:
-            return None
-        from repro.obs.serve import MetricsServer
-
-        obs_metrics.enable()
-        return MetricsServer(port=port, status=status).start()
-
-    def _serve_console(
+    @contextlib.contextmanager
+    def _serving(
         self,
+        payload: dict[str, Any],
         status: Callable[[], dict[str, Any]],
-        alarms: AlarmDatabase | None = None,
-        windows: Callable[[], list[dict[str, Any]]] | None = None,
-        archive: Callable[[], Any] | None = None,
-    ):
-        """Start the operator console when ``sink.serve_port`` asks.
-
-        Specs that only set ``metrics_port`` fall back to the bare
-        telemetry endpoint via :meth:`_serve_metrics` — the console is
-        a strict superset, so ``serve_port`` wins when both are set.
-        """
-        port = self.spec.sink.serve_port
-        if port is None:
-            return self._serve_metrics(status)
-        from repro.obs.console import ConsoleServer
-
+        **console: Any,
+    ) -> Iterator[None]:
+        """Serve telemetry while the block runs: the operator console
+        over ``console`` (``alarms``/``windows``/``archive``) for
+        ``sink.serve_port``, which wins when both are set, else the
+        ``/metrics`` + ``/status`` endpoint for ``sink.metrics_port``.
+        The bound port goes to ``payload`` and ``on_serve``; without
+        either port no socket is ever opened."""
+        sink = self.spec.sink
+        if sink.serve_port is None and sink.metrics_port is None:
+            yield
+            return
         obs_metrics.enable()
-        server = ConsoleServer(
-            port=port,
-            status=status,
-            alarms=alarms,
-            windows=windows,
-            archive=archive,
-            dashboard=self.spec.sink.dashboard,
-        ).start()
+        if sink.serve_port is not None:
+            from repro.obs.console import ConsoleServer
+
+            server = ConsoleServer(
+                port=sink.serve_port, status=status,
+                dashboard=sink.dashboard, **console,
+            ).start()
+            payload["serve_port"] = server.port
+        else:
+            from repro.obs.serve import MetricsServer
+
+            server = MetricsServer(
+                port=sink.metrics_port, status=status
+            ).start()
+        payload["metrics_port"] = server.port
         if self.on_serve is not None:
             self.on_serve(server.port)
-        return server
-
-    def _archive_reader_factory(
-        self, directory: str | None
-    ) -> Callable[[], Any] | None:
-        """Lazy, cached archive reader for the console's query surface.
-
-        The reader is built on first request (the directory may not
-        exist until the stream seals its first window) and kept with
-        ``auto_refresh`` on so later polls see new partitions.
-        """
-        if not directory:
-            return None
-        cache: list[Any] = []
-
-        def reader():
-            if not cache:
-                from repro.archive import ArchiveReader
-
-                try:
-                    cache.append(ArchiveReader(directory))
-                except Exception:
-                    return None
-            return cache[0]
-
-        return reader
+        try:
+            yield
+        finally:
+            server.stop()
 
     # -- shared assembly ---------------------------------------------------
 
     def _source(self):
-        factory = sources.get(self.spec.source.kind, field="source.kind")
-        return factory(self.spec.source)
-
-    def _bounded_source(self, mode: str):
-        source = self._source()
-        if not source.bounded:
-            raise SpecError(
-                f"mode {mode!r} needs a bounded source, but "
-                f"{self.spec.source.kind!r} is unbounded",
-                field="source.kind",
-            )
-        return source
-
-    def _archive_source(self, mode: str):
-        source = self._source()
-        if not hasattr(source, "reader"):
+        """The spec's flow source, checked against what the mode needs:
+        a bounded source, except to stream or synth; an archive, to
+        triage or manage one."""
+        mode = self.spec.execution.mode
+        kind = self.spec.source.kind
+        source = sources.get(kind, field="source.kind")(self.spec.source)
+        if mode in _ARCHIVE_MODES and not hasattr(source, "reader"):
             raise SpecError(
                 f"mode {mode!r} operates on an archive source, not "
-                f"{self.spec.source.kind!r}",
+                f"{kind!r}",
+                field="source.kind",
+            )
+        if mode not in ("stream", "synth") and not source.bounded:
+            raise SpecError(
+                f"mode {mode!r} needs a bounded source, but {kind!r} "
+                f"is unbounded",
                 field="source.kind",
             )
         return source
@@ -430,41 +387,72 @@ class Session:
     def _alarmdb(self) -> AlarmDatabase:
         return AlarmDatabase(self.spec.sink.alarmdb or ":memory:")
 
-    def _split_trace(
-        self, trace: FlowTrace
-    ) -> tuple[FlowTrace, FlowTrace, float]:
-        """(training, tail, split) by the spec's ``train_bins``."""
-        train_bins = self.spec.detector.train_bins
-        split = trace.origin + train_bins * trace.bin_seconds
-        # The trace is sorted by start: both sides are slices of it.
-        training, tail = (
-            FlowTrace(
-                trace.between_table(lo, hi),
-                bin_seconds=trace.bin_seconds,
-                origin=trace.origin,
-            )
-            for lo, hi in ((-math.inf, split), (split, math.inf))
-        )
-        if not training or not tail:
-            raise SpecError(
-                f"trace too short for {train_bins} training bins",
-                field="detector.train_bins",
-            )
-        return training, tail, split
+    def _trained(
+        self,
+        trace: FlowTrace | None,
+        timings: dict[str, float],
+        **context: Any,
+    ) -> tuple[Detector, FlowTrace, FlowTrace | None, float | None]:
+        """The training step: ``(detector, training, tail, origin)``.
 
-    def _training_trace(self) -> FlowTrace | None:
-        """The external training trace, when ``train_path`` is set."""
+        Trains on ``detector.train_path`` when set (all of ``trace`` is
+        then the tail), else on the leading ``train_bins`` of ``trace``
+        (``None`` for an unbounded source); then ``on_start`` sees the
+        run context, ``context`` included."""
+        mode = self.spec.execution.mode
         path = self.spec.detector.train_path
-        if path is None:
-            return None
-        # The training file is its own artifact: it shares the live
-        # source's bin width but not its grid anchor — a collector
-        # source anchored at the capture's split point must not
-        # re-anchor (and thereby empty) the training bins.
-        return FlowTrace(
-            read_binary_table(path),
-            bin_seconds=self.spec.source.bin_seconds,
-        )
+        train_bins = self.spec.detector.train_bins
+        if path is not None:
+            if not Path(path).is_file():
+                raise SpecError(f"no such file: {path!r}",
+                                field="detector.train_path")
+            # The training file is its own artifact: it shares the live
+            # source's bin width but not its grid anchor — a collector
+            # source anchored at the capture's split point must not
+            # re-anchor (and thereby empty) the training bins.
+            training = FlowTrace(
+                read_binary_table(path),
+                bin_seconds=self.spec.source.bin_seconds,
+            )
+            tail = trace
+            origin = trace.origin if trace is not None else None
+            train_source = path
+        elif trace is None:
+            raise SpecError(
+                "streaming an unbounded source needs a separate "
+                "training trace (detector.train_path)",
+                field="detector.train_path",
+            )
+        else:
+            origin = trace.origin + train_bins * trace.bin_seconds
+            # The trace is sorted by start: both sides are slices of it.
+            training, tail = (
+                FlowTrace(
+                    trace.between_table(lo, hi),
+                    bin_seconds=trace.bin_seconds,
+                    origin=trace.origin,
+                )
+                for lo, hi in ((-math.inf, origin), (origin, math.inf))
+            )
+            if not training or not tail:
+                raise SpecError(
+                    f"trace too short for {train_bins} training bins",
+                    field="detector.train_bins",
+                )
+            train_source = f"{train_bins} bins"
+        detector = self._detector()
+        with obs_trace.span(f"{mode}.train", timings, "train"):
+            detector.train(training)
+        if self.on_start is not None:
+            self.on_start({
+                "mode": mode,
+                "detector": detector.name,
+                "train_source": train_source,
+                "train_flows": len(training),
+                "flows": len(tail) if tail is not None else None,
+                **context,
+            })
+        return detector, training, tail, origin
 
     def _write_reports(self, results: list[TriageResult]) -> list[str]:
         """Render triage reports into ``sink.report_dir`` (one file
@@ -494,25 +482,11 @@ class Session:
 
     def _run_batch(self) -> RunResult:
         execution = self.spec.execution
-        source = self._bounded_source("batch")
+        source = self._source()
         timings: dict[str, float] = {}
         with obs_trace.span("batch.load", timings, "load"):
             trace = source.trace()
-        external = self._training_trace()
-        if external is not None:
-            training, tail = external, trace
-        else:
-            training, tail, _ = self._split_trace(trace)
-        detector = self._detector()
-        with obs_trace.span("batch.train", timings, "train"):
-            detector.train(training)
-        if self.on_start is not None:
-            self.on_start({
-                "mode": "batch",
-                "detector": detector.name,
-                "train_flows": len(training),
-                "flows": len(tail),
-            })
+        detector, training, tail, _ = self._trained(trace, timings)
         with obs_trace.span("batch.detect", timings, "detect"):
             alarms = detector.detect(tail)
         triage: list[TriageResult] = []
@@ -544,11 +518,7 @@ class Session:
                             )
                 finally:
                     system.close()
-                statuses = {
-                    t.alarm.alarm_id: db.status_of(t.alarm.alarm_id)
-                    for t in triage
-                }
-                open_count = db.count("open")
+                statuses, open_count = _read_back(db, triage)
             finally:
                 db.close()
         reports = self._write_reports(triage)
@@ -577,7 +547,7 @@ class Session:
                 field="execution.start"
                 if execution.start is None else "execution.end",
             )
-        source = self._bounded_source("extract")
+        source = self._source()
         trace = source.trace()
         # Id/detector kept from the historical CLI so rendered ad-hoc
         # reports stay bit-identical across versions.
@@ -634,57 +604,26 @@ class Session:
         sink = self.spec.sink
         source = self._source()
         timings: dict[str, float] = {}
-        external = self._training_trace()
-        if source.bounded:
-            trace = source.trace()
-            if external is not None:
-                training: FlowTrace = external
-                tail = trace.table
-                origin: float | None = trace.origin
-            else:
-                training, live, origin = self._split_trace(trace)
-                tail = live.table
-            window_seconds = execution.window_seconds or trace.bin_seconds
-        else:
-            if external is None:
-                raise SpecError(
-                    "streaming an unbounded source needs a separate "
-                    "training trace (detector.train_path)",
-                    field="detector.train_path",
-                )
-            training = external
-            tail = None
+        context: dict[str, Any] = {}
+        if hasattr(source, "port"):
+            # A collector source: surface where it listens (the CLI
+            # prints this flushed so CI can discover an ephemeral port
+            # before replaying datagrams).
+            context = {"listen": source.describe(), "port": source.port}
+        trace = source.trace() if source.bounded else None
+        window_seconds = execution.window_seconds or (
+            trace.bin_seconds if trace is not None
+            else self.spec.source.bin_seconds
+        )
+        detector, _, tail, origin = self._trained(
+            trace, timings, window_seconds=window_seconds, **context
+        )
+        if trace is None:
             # Most unbounded sources let the ring anchor its grid on
             # the first flow seen; a source that declares an explicit
             # grid (the UDP collector: epoch-aligned, matching what a
             # file replay of the same capture would use) wins.
             origin = getattr(source, "stream_origin", None)
-            window_seconds = (
-                execution.window_seconds or self.spec.source.bin_seconds
-            )
-        detector = self._detector()
-        with obs_trace.span("stream.train", timings, "train"):
-            detector.train(training)
-        if self.on_start is not None:
-            context = {
-                "mode": "stream",
-                "detector": detector.name,
-                "train_source": (
-                    self.spec.detector.train_path
-                    if external is not None
-                    else f"{self.spec.detector.train_bins} bins"
-                ),
-                "train_flows": len(training),
-                "flows": len(tail) if tail is not None else None,
-                "window_seconds": window_seconds,
-            }
-            if hasattr(source, "port"):
-                # A collector source: surface where it listens (the
-                # CLI prints this flushed so CI can discover an
-                # ephemeral port before replaying datagrams).
-                context["listen"] = source.describe()
-                context["port"] = source.port
-            self.on_start(context)
         archive_writer = None
         if sink.archive:
             from repro.archive import ArchiveWriter
@@ -707,7 +646,9 @@ class Session:
             if user_on_window is not None:
                 user_on_window(result)
 
-        engine_options = dict(
+        engine = StreamEngine(
+            [streaming_adapter(detector)],
+            workers=execution.workers,
             window_seconds=window_seconds,
             origin=origin,
             lateness_seconds=execution.lateness_seconds,
@@ -720,14 +661,10 @@ class Session:
             alarmdb=db,
             archive=archive_writer,
         )
-        engine = StreamEngine(
-            [streaming_adapter(detector)],
-            workers=execution.workers,
-            **engine_options,
-        )
         interrupted = False
-        flush_error: str | None = None
         replay_stats = None
+        payload: dict[str, Any] = {}
+
         def windows_payload() -> list[dict[str, Any]]:
             return [
                 {
@@ -754,18 +691,15 @@ class Session:
                 status["collector"] = source.stats()
             return status
 
-        server = self._serve_console(
-            stream_status,
-            alarms=db,
-            windows=windows_payload,
-            archive=self._archive_reader_factory(sink.archive),
-        )
-        with obs_trace.span("stream.run", timings, "stream"):
+        with self._serving(
+            payload, stream_status, alarms=db, windows=windows_payload,
+            archive=lazy_reader(sink.archive),
+        ), obs_trace.span("stream.run", timings, "stream"):
             try:
                 try:
                     if tail is not None:
                         driver = ReplayDriver(
-                            tail,
+                            tail.table,
                             speedup=execution.speedup,
                             chunk_rows=execution.chunk_rows,
                         )
@@ -782,13 +716,11 @@ class Session:
                     try:
                         engine.finish()
                     except Exception as exc:
-                        flush_error = str(exc)
+                        payload["flush_error"] = str(exc)
             finally:
                 engine.close()
                 if hasattr(source, "close"):
                     source.close()
-                if server is not None:
-                    server.stop()
         engine_stats = engine.stats
         stats: dict[str, Any] = {
             "flows": engine_stats.flows,
@@ -816,15 +748,7 @@ class Session:
             )
             stats["seq_lost"] = collector_stats["sequence_lost"]
             stats["exporters"] = len(collector_stats["exporters"])
-        payload: dict[str, Any] = {}
-        if hasattr(source, "stats"):
             payload["collector"] = collector_stats
-        if server is not None:
-            payload["metrics_port"] = server.port
-            if sink.serve_port is not None:
-                payload["serve_port"] = server.port
-        if flush_error is not None:
-            payload["flush_error"] = flush_error
         if sink.archive:
             from repro.archive import ArchiveReader
 
@@ -852,65 +776,52 @@ class Session:
 
     def _run_triage(self) -> RunResult:
         execution = self.spec.execution
-        source = self._archive_source("triage")
-        if not self.spec.sink.alarmdb:
+        source = self._source()
+        path = self.spec.sink.alarmdb
+        if not path:
             raise SpecError(
                 "triage mode resumes from a file-backed alarm DB",
                 field="sink.alarmdb",
             )
+        if not Path(path).exists():
+            raise AlarmDatabaseError(f"no alarm DB at {path!r}")
         reader = source.reader()
-        db = AlarmDatabase(self.spec.sink.alarmdb)
+        db = AlarmDatabase(path)
         timings: dict[str, float] = {}
-        server = self._serve_console(
-            lambda: {
-                "mode": "triage",
-                "archive": source.describe(),
-            },
+        payload: dict[str, Any] = {"archive_dir": source.describe()}
+        with self._serving(
+            payload,
+            lambda: {"mode": "triage", "archive": source.describe()},
             alarms=db,
             archive=lambda: reader,
-        )
-        try:
-            system = ExtractionSystem.from_archive(
-                reader,
-                alarmdb=db,
-                config=self._system_config(),
-                workers=execution.workers,
-            )
-            open_before = db.count("open")
-            with obs_trace.span("triage.process", timings, "triage"):
-                try:
-                    results = system.process_open_alarms(
-                        skip_errors=True
-                    )
-                finally:
-                    system.close()
-            stats = {
-                "open_before": open_before,
-                "triaged": len(results),
-                "open": db.count("open"),
-            }
-            statuses = {
-                t.alarm.alarm_id: db.status_of(t.alarm.alarm_id)
-                for t in results
-            }
-        finally:
-            db.close()
-            if server is not None:
-                server.stop()
-        reports = self._write_reports(results)
-        payload: dict[str, Any] = {
-            "archive_dir": source.describe(),
-            "reports": reports,
-            "statuses": statuses,
-        }
-        if server is not None:
-            payload["metrics_port"] = server.port
-            if self.spec.sink.serve_port is not None:
-                payload["serve_port"] = server.port
+        ):
+            try:
+                system = ExtractionSystem.from_archive(
+                    reader,
+                    alarmdb=db,
+                    config=self._system_config(),
+                    workers=execution.workers,
+                )
+                open_before = db.count("open")
+                with obs_trace.span("triage.process", timings, "triage"):
+                    try:
+                        results = system.process_open_alarms(
+                            skip_errors=True
+                        )
+                    finally:
+                        system.close()
+                payload["statuses"], open_count = _read_back(db, results)
+            finally:
+                db.close()
+        payload["reports"] = self._write_reports(results)
         return RunResult(
             mode="triage",
             triage=results,
-            stats=stats,
+            stats={
+                "open_before": open_before,
+                "triaged": len(results),
+                "open": open_count,
+            },
             timings=timings,
             payload=payload,
         )
@@ -919,7 +830,7 @@ class Session:
 
     def _run_query(self) -> RunResult:
         execution = self.spec.execution
-        source = self._bounded_source("query")
+        source = self._source()
         scan = None
         reader = None
         if hasattr(source, "reader"):
@@ -1025,7 +936,7 @@ class Session:
                 "ingest mode needs an archive directory sink",
                 field="sink.archive",
             )
-        source = self._bounded_source("ingest")
+        source = self._source()
         options = dict(sink.archive_options)
         known = {"window", "shards", "key", "seed", "spill_rows"}
         for key in options:
@@ -1035,20 +946,18 @@ class Session:
                     f"{', '.join(sorted(known))}",
                     field=f"sink.archive_options.{key}",
                 )
-        shards = options.get("shards", 1)
-        partition = None
-        if shards > 1:
-            partition = PartitionSpec(
-                shards=shards,
-                key=options.get("key", "src_ip"),
-                seed=options.get("seed", 0),
-            )
-        writer_options: dict[str, Any] = {
-            "slice_seconds": options.get("window"),
-            "shard_spec": partition,
+        shard = {
+            key: options.pop(key)
+            for key in ("shards", "key", "seed") if key in options
         }
-        if "spill_rows" in options:
-            writer_options["spill_rows"] = options["spill_rows"]
+        writer_options: dict[str, Any] = {
+            "slice_seconds": options.pop("window", None),
+            "shard_spec": (
+                PartitionSpec(**shard) if shard.get("shards", 1) > 1
+                else None
+            ),
+            **options,
+        }
         timings: dict[str, float] = {}
         with obs_trace.span("ingest.load", timings, "ingest"):
             with ArchiveWriter(sink.archive,
@@ -1072,7 +981,7 @@ class Session:
     def _run_compact(self) -> RunResult:
         from repro.archive import compact_archive
 
-        source = self._archive_source("compact")
+        source = self._source()
         reader = source.reader()
         timings: dict[str, float] = {}
         with obs_trace.span("compact.run", timings, "compact"):
@@ -1090,7 +999,7 @@ class Session:
         )
 
     def _run_stats(self) -> RunResult:
-        source = self._archive_source("stats")
+        source = self._source()
         reader = source.reader()
         stats = reader.stats()
         return RunResult(
@@ -1100,7 +1009,7 @@ class Session:
         )
 
     def _run_ls(self) -> RunResult:
-        source = self._archive_source("ls")
+        source = self._source()
         reader = source.reader()
         partitions = reader.partitions()
         return RunResult(
@@ -1134,26 +1043,21 @@ class SessionBuilder:
     # -- source ------------------------------------------------------------
 
     def source(self, kind: str, path: str | None = None,
+               bin_seconds: float | None = None,
+               origin: float | None = None,
                **options: Any) -> "SessionBuilder":
-        """Select the flow source by registry kind."""
-        fixed = {
-            key: options.pop(key)
-            for key in ("bin_seconds", "origin")
-            if key in options
-        }
-        self._source = SourceSpec(kind=kind, path=path,
-                                  options=options, **fixed)
+        """Select the flow source by registry kind; ``options`` are the
+        kind's own."""
+        self._source = SourceSpec(
+            kind=kind, path=path, options=options,
+            **_given(bin_seconds=bin_seconds, origin=origin),
+        )
         return self
 
     def table(self, table: Any, **options: Any) -> "SessionBuilder":
         """Use an in-memory :class:`FlowTable`/:class:`FlowTrace`."""
-        fixed = {
-            key: options.pop(key)
-            for key in ("bin_seconds", "origin")
-            if key in options
-        }
-        self._source = SourceSpec(kind="table", table=table,
-                                  options=options, **fixed)
+        self.source("table", **options)
+        self._source = replace(self._source, table=table)
         return self
 
     def scenario(self, **options: Any) -> "SessionBuilder":
@@ -1164,97 +1068,88 @@ class SessionBuilder:
 
     # -- detector / mining ---------------------------------------------------
 
-    def detect(self, name: str = "netreflex", train_bins: int = 8,
+    def detect(self, name: str | None = None,
+               train_bins: int | None = None,
                train_path: str | None = None,
                **options: Any) -> "SessionBuilder":
-        """Select the detector by registry name."""
-        self._detector = DetectorSpec(
+        """Select the detector by registry name; ``options`` are the
+        detector's config overrides."""
+        self._detector = DetectorSpec(**_given(
             name=name, train_bins=train_bins, train_path=train_path,
-            options=options,
-        )
+        ), options=options)
         return self
 
-    def mine(self, engine: str = "apriori",
+    def mine(self, engine: str | None = None,
              extraction: Mapping[str, Any] | None = None,
              **options: Any) -> "SessionBuilder":
-        """Select the mining engine by registry name."""
+        """Select the mining engine by registry name; ``options`` are
+        the extended-Apriori overrides."""
         self._mining = MiningSpec(
-            engine=engine, options=options,
+            **_given(engine=engine), options=options,
             extraction=dict(extraction or {}),
         )
         return self
 
     # -- execution modes -----------------------------------------------------
-
-    def _mode(self, mode: str, **fields: Any) -> "SessionBuilder":
-        self._execution = replace(self._execution, mode=mode, **fields)
-        return self
+    #
+    # Every mode verb forwards its keywords to ExecutionSpec fields (the
+    # one place a default lives); a keyword left at ``None`` keeps the
+    # field's current value, the spec default unless an earlier call
+    # set it.
 
     def mode(self, mode: str, **fields: Any) -> "SessionBuilder":
-        """Select an execution mode generically (``ls``, ``stats``,
-        ``compact`` and any mode without a dedicated builder verb)."""
+        """Select an execution mode and set ``ExecutionSpec`` fields
+        (``ls``, ``stats``, ``compact`` and any mode without a
+        dedicated builder verb)."""
         try:
-            return self._mode(mode, **fields)
+            self._execution = replace(self._execution, mode=mode,
+                                      **_given(**fields))
         except TypeError as exc:
             raise SpecError(str(exc), field="execution") from None
+        return self
 
-    def batch(self, workers: int = 1,
-              triage: bool = False) -> "SessionBuilder":
+    def batch(self, workers: int | None = None,
+              triage: bool | None = None, **fields: Any) -> "SessionBuilder":
         """Bounded batch detection (``workers`` is deprecated and has
         no effect)."""
-        return self._mode("batch", workers=workers, triage=triage)
+        return self.mode("batch", workers=workers, triage=triage, **fields)
 
-    def stream(
-        self,
-        window_seconds: float | None = None,
-        *,
-        workers: int = 1,
-        lateness_seconds: float = 0.0,
-        retain_windows: int = 16,
-        dedup_window: float | None = None,
-        speedup: float | None = None,
-        chunk_rows: int = 8192,
-        triage: bool = False,
-        auto_close: int | None = None,
-    ) -> "SessionBuilder":
-        """Windowed-stream execution (``workers`` is deprecated and
-        has no effect: windows are counted and triage mines in-process).
+    def stream(self, window_seconds: float | None = None, *,
+               auto_close: int | None = None,
+               **fields: Any) -> "SessionBuilder":
+        """Windowed-stream execution: ``lateness_seconds``,
+        ``retain_windows``, ``dedup_window``, ``speedup``,
+        ``chunk_rows``, ``triage`` (``workers`` is deprecated and has
+        no effect: windows are counted and triage mines in-process).
 
         ``auto_close`` resolves open/acked alarms as ``decayed`` once
         no re-fire has extended them for that many sealed windows."""
-        return self._mode(
-            "stream",
-            window_seconds=window_seconds,
-            workers=workers,
-            lateness_seconds=lateness_seconds,
-            retain_windows=retain_windows,
-            dedup_window=dedup_window,
-            auto_close_windows=auto_close,
-            speedup=speedup,
-            chunk_rows=chunk_rows,
-            triage=triage,
-        )
+        return self.mode("stream", window_seconds=window_seconds,
+                         auto_close_windows=auto_close, **fields)
 
     def extract(self, start: float, end: float,
-                hints: tuple | list = (), workers: int = 1,
-                anonymize: bool = False) -> "SessionBuilder":
+                hints: tuple | list | None = None,
+                workers: int | None = None,
+                anonymize: bool | None = None,
+                **fields: Any) -> "SessionBuilder":
         """Ad-hoc extraction of one ``[start, end)`` window."""
-        return self._mode("extract", start=start, end=end,
-                          hints=tuple(hints), workers=workers,
-                          anonymize=anonymize)
+        return self.mode("extract", start=start, end=end, hints=hints,
+                         workers=workers, anonymize=anonymize, **fields)
 
-    def triage(self, workers: int = 1,
-               anonymize: bool = False) -> "SessionBuilder":
+    def triage(self, workers: int | None = None,
+               anonymize: bool | None = None,
+               **fields: Any) -> "SessionBuilder":
         """Archive-resume triage of open alarms."""
-        return self._mode("triage", workers=workers,
-                          anonymize=anonymize)
+        return self.mode("triage", workers=workers, anonymize=anonymize,
+                         **fields)
 
     def query(self, start: float | None = None,
               end: float | None = None,
               filter: str | None = None,  # noqa: A002 - mirrors nfdump
-              top: str | None = None, limit: int = 10,
-              stats: bool = False, explain: bool = False,
-              workers: int = 1) -> "SessionBuilder":
+              top: str | None = None, limit: int | None = None,
+              stats: bool | None = None, explain: bool | None = None,
+              workers: int | None = None,
+              **fields: Any) -> "SessionBuilder":
         """nfdump-style filtered query / top-N / aggregate stats.
 
         ``stats=True`` answers with counters only (planner pushdown —
@@ -1262,20 +1157,20 @@ class SessionBuilder:
         ``explain=True`` attaches the planner's decision record;
         ``workers`` is deprecated and has no effect.
         """
-        return self._mode("query", start=start, end=end, filter=filter,
-                          top=top, limit=limit, stats=stats,
-                          explain=explain, workers=workers)
+        return self.mode("query", start=start, end=end, filter=filter,
+                         top=top, limit=limit, stats=stats,
+                         explain=explain, workers=workers, **fields)
 
     def synth(self, out: str) -> "SessionBuilder":
         """Render the scenario source to an ``.rpv5`` trace."""
         self._sink = replace(self._sink, trace_out=out)
-        return self._mode("synth")
+        return self.mode("synth")
 
     def ingest(self, archive: str, **options: Any) -> "SessionBuilder":
         """Bulk-load the source into an archive directory."""
         self._sink = replace(self._sink, archive=archive,
                              archive_options=options)
-        return self._mode("ingest")
+        return self.mode("ingest")
 
     # -- sinks ---------------------------------------------------------------
 
@@ -1320,7 +1215,7 @@ class SessionBuilder:
         port: int = 0,
         *,
         console: bool = False,
-        dashboard: bool = True,
+        dashboard: bool | None = None,
     ) -> "SessionBuilder":
         """Serve live telemetry on a loopback port during stream/triage
         runs (``0`` picks an ephemeral port, reported in
@@ -1331,7 +1226,7 @@ class SessionBuilder:
         live dashboard page at ``/``."""
         if console:
             self._sink = replace(self._sink, serve_port=port,
-                                 dashboard=dashboard)
+                                 **_given(dashboard=dashboard))
         else:
             self._sink = replace(self._sink, metrics_port=port)
         return self
@@ -1368,6 +1263,12 @@ class SessionBuilder:
     def run(self) -> RunResult:
         """``build().run()``."""
         return self.build().run()
+
+
+def _given(**fields: Any) -> dict[str, Any]:
+    """The keywords a caller actually set (``None`` = left alone)."""
+    return {name: value for name, value in fields.items()
+            if value is not None}
 
 
 def session() -> SessionBuilder:

@@ -192,7 +192,7 @@ class ExecutionSpec:
         "flag": "--workers",
         "help": "deprecated, no effect: every pass runs in this "
                 "process (must still be >= 1)",
-        "cli_type": "workers",
+        "cli_type": "positive",
     })
     #: Stream window width; ``None`` = the source's bin width.
     window_seconds: float | None = field(default=None, metadata={
@@ -467,12 +467,8 @@ class SessionSpec:
         return dumps(self.to_dict())
 
     def with_overrides(self, **sections: Mapping[str, Any]) -> "SessionSpec":
-        """A copy with per-section field overrides applied.
-
-        ``spec.with_overrides(execution={"workers": 4})`` is how the
-        CLI's ``repro run --workers/--set`` flags layer onto a config
-        file without mutating it.
-        """
+        """A copy with per-section field overrides applied, e.g.
+        ``spec.with_overrides(execution={"triage": True})``."""
         updates = {}
         for section, mapping in sections.items():
             if section not in _SECTION_CLASSES:

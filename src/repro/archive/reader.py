@@ -38,7 +38,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from repro.archive.planner import (
     histogram_rows,
     window_rows,
 )
-from repro.errors import ArchiveError, CodecError, StoreError
+from repro.errors import ArchiveError, CodecError, SpecError, StoreError
 from repro.flows.aggregate import merge_histograms, ranked_from_histogram
 from repro.flows.filter import FilterNode, parse_filter
 from repro.flows.record import FlowFeature, FlowRecord
@@ -628,6 +628,27 @@ class ArchiveReader:
             yield partition.table()
 
 
+def lazy_reader(
+    directory: str | None,
+) -> Callable[[], ArchiveReader | None] | None:
+    """A console's archive surface: a reader built on first call and
+    cached (``auto_refresh`` keeps it current as a live stream seals
+    windows); ``None`` when there is no directory."""
+    if not directory:
+        return None
+    cache: list[ArchiveReader] = []
+
+    def reader() -> ArchiveReader | None:
+        if not cache:
+            try:
+                cache.append(ArchiveReader(directory))
+            except Exception:
+                return None
+        return cache[0]
+
+    return reader
+
+
 # -- session-facade registration ---------------------------------------------
 
 class ArchiveSource:
@@ -642,14 +663,16 @@ class ArchiveSource:
     bounded = True
 
     def __init__(self, spec) -> None:
-        from repro.errors import SpecError
-
         self.spec = spec
         if not spec.path:
             raise SpecError(
                 "source kind 'archive' requires a directory path",
                 field="source.path",
             )
+        # A typo'd path must not answer as an empty archive (or, for
+        # compaction, create one).
+        if not Path(spec.path).is_dir():
+            raise ArchiveError(f"no archive directory at {spec.path!r}")
         self.path = spec.path
         self._reader: ArchiveReader | None = None
 

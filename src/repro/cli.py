@@ -1,8 +1,13 @@
 """Command-line interface — a thin shell over :mod:`repro.api`.
 
-Every subcommand builds a declarative session spec and calls
-``Session.run()``; nothing below this module wires engines by hand.
-The subcommands mirror the deployment workflow::
+Every mode subcommand is a *preset* plus flags over spec fields: the
+preset fixes a few fields (``detect`` is ``source.kind = "rpv5"``,
+``execution.mode = "batch"``), each flag's argparse ``dest`` names the
+field it sets (``--start`` → ``execution.start``, ``--seed`` →
+``source.options.seed``), and the parsed namespace *is* the spec —
+flags → :class:`~repro.api.SessionSpec` → ``Session.run()`` →
+renderer, one path for all of them. The subcommands mirror the
+deployment workflow::
 
     python -m repro.cli synth   --out trace.rpv5 --bins 6 --seed 7 \\
         --anomaly port-scan --anomaly udp-flood
@@ -22,13 +27,16 @@ The subcommands mirror the deployment workflow::
 
 ``run`` is the declarative face: a TOML file with ``[source]``,
 ``[detector]``, ``[mining]``, ``[execution]`` and ``[sink]`` sections
-(see ``examples/configs/``) executes through the same facade, with
-``--set section.key=value`` for ad-hoc overrides.
+(see ``examples/configs/``) executes through the same path, with
+``--set section.key=value`` for ad-hoc overrides; ``serve``,
+``obs dump`` and ``obs trace`` load their config the same way.
 
-Shared flags (``--workers``, ``--archive``, ``--alarmdb``, the window
-geometry) are *generated* from the spec dataclasses' field metadata via
-parent parsers, so their help text and defaults cannot drift between
-subcommands.
+Flags that are spec fields with their own help (``--workers``,
+``--archive``, ``--alarmdb``, the window geometry) are *generated* from
+the spec dataclasses' field metadata via parent parsers, and every flag
+group is declared once, so help text and defaults cannot drift between
+subcommands. Defaults live in the spec: a flag left unset leaves its
+field at the spec default.
 
 Exit codes map the :mod:`repro.errors` hierarchy: ``2`` bad spec or
 configuration, ``3`` unknown registry name, ``4`` filter errors,
@@ -45,11 +53,11 @@ import logging
 import os
 import sys
 import tomllib
-from dataclasses import MISSING, fields
-from typing import Any, Sequence
+from dataclasses import fields
+from typing import Any, Callable, Sequence
 
 from repro import api
-from repro.api.specs import DetectorSpec, ExecutionSpec, SinkSpec
+from repro.api.specs import _SECTION_CLASSES
 from repro.errors import (
     ArchiveError,
     CodecError,
@@ -83,6 +91,20 @@ EXIT_CODES: tuple[tuple[type[ReproError], int], ...] = (
     (CollectorError, 7),
 )
 
+#: Each mode subcommand's fixed spec fields; its flags set the rest.
+PRESETS: dict[str, dict[str, str]] = {
+    "synth": {"source.kind": "scenario", "execution.mode": "synth"},
+    "query": {"source.kind": "rpv5", "execution.mode": "query"},
+    "detect": {"source.kind": "rpv5", "execution.mode": "batch"},
+    "extract": {"source.kind": "rpv5", "execution.mode": "extract"},
+    "stream": {"source.kind": "rpv5", "execution.mode": "stream"},
+    "archive ingest": {"source.kind": "rpv5", "execution.mode": "ingest"},
+    **{
+        f"archive {mode}": {"source.kind": "archive", "execution.mode": mode}
+        for mode in ("ls", "query", "compact", "stats", "triage")
+    },
+}
+
 
 def exit_code_for(exc: ReproError) -> int:
     """The CLI exit code for a library error (1 when unmapped)."""
@@ -107,47 +129,46 @@ def _configure_logging(level_name: str) -> None:
     logger.setLevel(getattr(logging, level_name.upper()))
 
 
-def _workers_arg(text: str) -> int:
-    """argparse type for ``--workers``: a positive int, validated once
-    here so all subcommands reject bad values the same way."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"workers must be >= 1: {value}"
-        )
-    return value
+def _positive(name: str) -> Callable[[str], int]:
+    """argparse type for a positive-int flag; its errors name ``name``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < 1:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be >= 1: {value}"
+            )
+        return value
+
+    return parse
 
 
-# -- parent parsers generated from the spec dataclasses -----------------------
+# -- parent parsers: each flag group declared once ------------------------------
 
 
-def _spec_parent(spec_cls: type, names: Sequence[str]) -> argparse.ArgumentParser:
+def _spec_parent(section: str, names: Sequence[str]) -> argparse.ArgumentParser:
     """A parent parser whose flags come from spec dataclass fields.
 
-    Flag spelling, help text and defaults all derive from the field
-    definitions in :mod:`repro.api.specs` — single source of truth.
+    Flag spelling and help text derive from the field definitions in
+    :mod:`repro.api.specs` — single source of truth; an unset flag
+    parses to ``None``, which leaves the field at its spec default.
     """
-    by_name = {f.name: f for f in fields(spec_cls)}
+    by_name = {f.name: f for f in fields(_SECTION_CLASSES[section])}
     parent = argparse.ArgumentParser(add_help=False)
     for name in names:
         f = by_name[name]
         meta = f.metadata
         flag = meta.get("flag", "--" + f.name.replace("_", "-"))
-        default = (
-            f.default if f.default is not MISSING
-            else f.default_factory()  # type: ignore[misc]
-        )
         kwargs: dict[str, Any] = {
-            "dest": f.name,
-            "default": default,
+            "dest": f"{section}.{f.name}",
             "help": meta.get("help"),
         }
         annotation = str(f.type)
-        if meta.get("cli_type") == "workers":
-            kwargs["type"] = _workers_arg
+        if meta.get("cli_type") == "positive":
+            kwargs["type"] = _positive(f.name)
         elif annotation.startswith("bool"):
             kwargs["action"] = "store_true"
         elif "float" in annotation:
@@ -160,18 +181,76 @@ def _spec_parent(spec_cls: type, names: Sequence[str]) -> argparse.ArgumentParse
     return parent
 
 
+def _parent(*flags: str, **kwargs: Any) -> argparse.ArgumentParser:
+    """A parent parser declaring one argument."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
+def _archive_dir(dest: str) -> argparse.ArgumentParser:
+    return _parent("--dir", dest=dest, required=True,
+                   help="archive directory")
+
+
+def _flag_metavars(parser: argparse.ArgumentParser) -> None:
+    """Name each value after its flag (``--spill-rows SPILL_ROWS``),
+    not after the dotted spec field its dest is."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                _flag_metavars(child)
+        elif ("." in action.dest and action.option_strings
+              and action.metavar is None and action.choices is None):
+            action.metavar = (
+                action.option_strings[-1].lstrip("-").replace("-", "_")
+                .upper()
+            )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests and docs)."""
-    workers = _spec_parent(ExecutionSpec, ["workers"])
-    geometry = _spec_parent(ExecutionSpec, [
+    workers = _spec_parent("execution", ["workers"])
+    geometry = _spec_parent("execution", [
         "window_seconds", "lateness_seconds", "speedup", "chunk_rows",
         "retain_windows", "dedup_window",
     ])
-    triage_flag = _spec_parent(ExecutionSpec, ["triage"])
-    anonymize = _spec_parent(ExecutionSpec, ["anonymize"])
-    train = _spec_parent(DetectorSpec, ["train_bins"])
-    sinks = _spec_parent(SinkSpec, ["archive", "alarmdb"])
-    serve = _spec_parent(SinkSpec, ["metrics_port", "serve_port"])
+    triage_flag = _spec_parent("execution", ["triage"])
+    anonymize = _spec_parent("execution", ["anonymize"])
+    train = _spec_parent("detector", ["train_bins"])
+    sinks = _spec_parent("sink", ["archive", "alarmdb"])
+    serve = _spec_parent("sink", ["metrics_port", "serve_port"])
+    trace = _parent("source.path", metavar="trace", help=".rpv5 trace path")
+    detector = _parent(
+        "--detector", dest="detector.name",
+        help="detector registry name "
+             f"({', '.join(api.detectors.names())})",
+    )
+    query_flags = argparse.ArgumentParser(add_help=False)
+    query_flags.add_argument(
+        "--filter", dest="execution.filter",
+        help="filter expression, e.g. 'dst port 445'",
+    )
+    query_flags.add_argument("--start", dest="execution.start", type=float)
+    query_flags.add_argument("--end", dest="execution.end", type=float)
+    query_flags.add_argument(
+        "--top", dest="execution.top",
+        help="top-N values of a feature "
+             "(srcIP/dstIP/srcPort/dstPort/proto)",
+    )
+    query_flags.add_argument("-n", dest="execution.limit", type=int)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("config", help="session config (TOML)")
+    config.add_argument(
+        "--set", action="append", default=[], dest="overrides",
+        metavar="SECTION.KEY=VALUE",
+        help="override any spec field, e.g. --set source.path=t.rpv5 "
+             "(repeatable; values parse as TOML, else strings)",
+    )
+    workers_override = _parent(
+        "--workers", dest="execution.workers", type=_positive("workers"),
+        help="override [execution] workers (deprecated, no effect)",
+    )
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -186,143 +265,112 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    synth = sub.add_parser("synth", help="generate a labelled trace")
-    synth.add_argument("--out", required=True, help="output .rpv5 path")
-    synth.add_argument("--bins", type=int, default=6)
-    synth.add_argument("--fps", type=float, default=25.0,
-                       help="background flows per second")
-    synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--sampling", type=int, default=1,
-                       help="1/N packet sampling")
+    def preset(subparsers, name: str, help: str, *parents,
+               key: str | None = None) -> argparse.ArgumentParser:
+        mode = subparsers.add_parser(name, help=help, parents=parents)
+        mode.set_defaults(**PRESETS[key or name])
+        return mode
+
+    synth = preset(sub, "synth", "generate a labelled trace")
+    synth.add_argument("--out", dest="sink.trace_out", required=True,
+                       help="output .rpv5 path")
+    synth.add_argument("--bins", dest="source.options.bins", type=int,
+                       default=6)
+    synth.add_argument("--fps", dest="source.options.fps", type=float,
+                       default=25.0, help="background flows per second")
+    synth.add_argument("--seed", dest="source.options.seed", type=int,
+                       default=0)
+    synth.add_argument("--sampling", dest="source.options.sampling",
+                       type=int, default=1, help="1/N packet sampling")
     synth.add_argument(
-        "--anomaly", action="append", default=[], choices=ANOMALY_NAMES,
+        "--anomaly", dest="source.options.anomalies", action="append",
+        default=[], choices=ANOMALY_NAMES,
         help="inject an anomaly into the second-to-last bin (repeatable)",
     )
 
-    query = sub.add_parser("query", help="nfdump-style query over a trace")
-    query.add_argument("trace", help=".rpv5 trace path")
-    query.add_argument("--filter", default=None,
-                       help="filter expression, e.g. 'dst port 445'")
-    query.add_argument("--start", type=float, default=None)
-    query.add_argument("--end", type=float, default=None)
-    query.add_argument("--top", default=None,
-                       help="top-N values of a feature "
-                            "(srcIP/dstIP/srcPort/dstPort/proto)")
-    query.add_argument("-n", type=int, default=10)
+    preset(sub, "query", "nfdump-style query over a trace",
+           trace, query_flags)
+    preset(sub, "detect", "run a trained detector over a trace",
+           train, workers, trace, detector)
 
-    detect = sub.add_parser(
-        "detect", help="run a trained detector over a trace",
-        parents=[train, workers],
-    )
-    detect.add_argument("trace", help=".rpv5 trace path")
-    detect.add_argument("--detector", default="netreflex",
-                        help="detector registry name "
-                             f"({', '.join(api.detectors.names())})")
-
-    extract = sub.add_parser(
-        "extract", help="extract flows for a window",
-        parents=[workers, anonymize],
-    )
-    extract.add_argument("trace", help=".rpv5 trace path")
-    extract.add_argument("--start", type=float, required=True)
-    extract.add_argument("--end", type=float, required=True)
+    extract = preset(sub, "extract", "extract flows for a window",
+                     workers, anonymize, trace)
+    extract.add_argument("--start", dest="execution.start", type=float,
+                         required=True)
+    extract.add_argument("--end", dest="execution.end", type=float,
+                         required=True)
     extract.add_argument(
-        "--hint", action="append", default=[],
+        "--hint", dest="execution.hints", action="append", default=[],
         help="meta-data hint feature=value, e.g. dstIP=10.9.0.4",
     )
 
-    stream = sub.add_parser(
-        "stream", help="online detection over a replayed trace",
-        parents=[train, workers, geometry, triage_flag, sinks, serve],
-    )
-    stream.add_argument("trace", help=".rpv5 trace path")
-    stream.add_argument("--detector", default="netreflex",
-                        help="detector registry name "
-                             f"({', '.join(api.detectors.names())})")
+    preset(sub, "stream", "online detection over a replayed trace",
+           train, workers, geometry, triage_flag, sinks, serve, trace,
+           detector)
 
     run = sub.add_parser(
-        "run", help="run a declarative session from a TOML config"
+        "run", help="run a declarative session from a TOML config",
+        parents=[config, workers_override],
     )
-    run.add_argument("config", help="session config (TOML)")
-    run.add_argument("--workers", type=_workers_arg, default=None,
-                     help="override [execution] workers (deprecated, "
-                          "no effect)")
     run.add_argument(
-        "--port", type=int, default=None,
+        "--port", dest="source.options.port", type=int,
         help="override [source.options] port for collector (udp) "
              "sources; 0 binds an ephemeral port, reported in the "
              "summary line",
-    )
-    run.add_argument(
-        "--set", action="append", default=[], dest="overrides",
-        metavar="SECTION.KEY=VALUE",
-        help="override any spec field, e.g. --set source.path=t.rpv5 "
-             "(repeatable; values parse as TOML, else strings)",
     )
 
     archive = sub.add_parser(
         "archive", help="manage a persistent on-disk flow archive"
     )
     asub = archive.add_subparsers(dest="archive_command", required=True)
+    source_dir = _archive_dir("source.path")
 
-    a_ingest = asub.add_parser(
-        "ingest", help="bulk-load a trace into the archive"
-    )
-    a_ingest.add_argument("trace", help=".rpv5 trace path")
-    a_ingest.add_argument("--dir", required=True, help="archive directory")
-    a_ingest.add_argument("--window", type=float, default=None,
+    a_ingest = preset(asub, "ingest", "bulk-load a trace into the archive",
+                      trace, _archive_dir("sink.archive"),
+                      key="archive ingest")
+    a_ingest.add_argument("--window", dest="sink.archive_options.window",
+                          type=float,
                           help="rotation width in seconds (default: "
                                "300 for a new archive; an existing "
                                "archive keeps its width)")
-    a_ingest.add_argument("--shards", type=_workers_arg, default=1,
+    a_ingest.add_argument("--shards", dest="sink.archive_options.shards",
+                          type=_positive("shards"), default=1,
                           help="write shard-aware partition files for "
                                "this many shards")
-    a_ingest.add_argument("--key", default="src_ip",
+    a_ingest.add_argument("--key", dest="sink.archive_options.key",
+                          default="src_ip",
                           help="shard partition key column")
-    a_ingest.add_argument("--seed", type=int, default=0,
+    a_ingest.add_argument("--seed", dest="sink.archive_options.seed",
+                          type=int, default=0,
                           help="shard placement seed")
-    a_ingest.add_argument("--spill-rows", type=int, default=None,
+    a_ingest.add_argument("--spill-rows",
+                          dest="sink.archive_options.spill_rows", type=int,
                           help="buffered rows per partition before a "
                                "spill (default: 65536)")
 
-    a_ls = asub.add_parser("ls", help="list the archive's partitions")
-    a_ls.add_argument("--dir", required=True, help="archive directory")
-
-    a_query = asub.add_parser(
-        "query", help="pruned nfdump-style query over the archive",
-        parents=[workers],
-    )
-    a_query.add_argument("--dir", required=True, help="archive directory")
-    a_query.add_argument("--filter", default=None,
-                         help="filter expression, e.g. 'dst port 445'")
-    a_query.add_argument("--start", type=float, default=None)
-    a_query.add_argument("--end", type=float, default=None)
-    a_query.add_argument("--top", default=None,
-                         help="top-N values of a feature "
-                              "(srcIP/dstIP/srcPort/dstPort/proto)")
-    a_query.add_argument("-n", type=int, default=10)
-    a_query.add_argument("--stats", action="store_true",
+    preset(asub, "ls", "list the archive's partitions", source_dir,
+           key="archive ls")
+    a_query = preset(asub, "query",
+                     "pruned nfdump-style query over the archive",
+                     workers, source_dir, query_flags, key="archive query")
+    a_query.add_argument("--stats", dest="execution.stats",
+                         action="store_true",
                          help="aggregate counters only (planner "
                               "pushdown; no rows materialised)")
-    a_query.add_argument("--explain", action="store_true",
+    a_query.add_argument("--explain", dest="execution.explain",
+                         action="store_true",
                          help="print the planner's decision record")
-
-    a_compact = asub.add_parser(
-        "compact", help="merge rotation spills into sealed partitions"
+    preset(asub, "compact", "merge rotation spills into sealed partitions",
+           source_dir, key="archive compact")
+    preset(asub, "stats", "archive-wide statistics", source_dir,
+           key="archive stats")
+    a_triage = preset(
+        asub, "triage",
+        "triage open alarms in an alarm DB against the archive "
+        "(the restart-recovery path)",
+        workers, anonymize, serve, source_dir, key="archive triage",
     )
-    a_compact.add_argument("--dir", required=True, help="archive directory")
-
-    a_stats = asub.add_parser("stats", help="archive-wide statistics")
-    a_stats.add_argument("--dir", required=True, help="archive directory")
-
-    a_triage = asub.add_parser(
-        "triage",
-        help="triage open alarms in an alarm DB against the archive "
-             "(the restart-recovery path)",
-        parents=[workers, anonymize, serve],
-    )
-    a_triage.add_argument("--dir", required=True, help="archive directory")
-    a_triage.add_argument("--alarmdb", required=True,
+    a_triage.add_argument("--alarmdb", dest="sink.alarmdb", required=True,
                           help="sqlite alarm DB file")
 
     obs = sub.add_parser(
@@ -334,13 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a session config with metrics enabled and print "
              "the Prometheus exposition to stdout (summary goes to "
              "stderr)",
-    )
-    o_dump.add_argument("config", help="session config (TOML)")
-    o_dump.add_argument(
-        "--set", action="append", default=[], dest="overrides",
-        metavar="SECTION.KEY=VALUE",
-        help="override any spec field (repeatable; values parse as "
-             "TOML, else strings)",
+        parents=[config],
     )
     o_dump.add_argument(
         "--json", action="store_true",
@@ -371,13 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="run a session config with span tracing and print the "
              "span log to stdout (summary goes to stderr)",
-    )
-    o_trace.add_argument("config", help="session config (TOML)")
-    o_trace.add_argument(
-        "--set", action="append", default=[], dest="overrides",
-        metavar="SECTION.KEY=VALUE",
-        help="override any spec field (repeatable; values parse as "
-             "TOML, else strings)",
+        parents=[config],
     )
     o_trace.add_argument(
         "--chrome", action="store_true",
@@ -390,10 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="long-running operational mode: run a stream/triage "
              "config with the operator console (/metrics, /status, "
              "/api/*, dashboard) on one loopback port",
+        parents=[config, workers_override],
     )
-    serve_cmd.add_argument("config", help="session config (TOML)")
     serve_cmd.add_argument(
-        "--port", type=int, default=0,
+        "--port", dest="sink.serve_port", type=int, default=0,
         help="console TCP port (default: 0, ephemeral; overrides "
              "sink.serve_port)")
     serve_cmd.add_argument(
@@ -401,15 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="after the run ends, keep serving the file-backed alarm "
              "DB and archive for this many seconds (0 = exit with "
              "the run; requires sink.alarmdb)")
-    serve_cmd.add_argument(
-        "--workers", type=_workers_arg, default=None,
-        help="override [execution] workers (deprecated, no effect)")
-    serve_cmd.add_argument(
-        "--set", action="append", default=[], dest="overrides",
-        metavar="SECTION.KEY=VALUE",
-        help="override any spec field (repeatable; values parse as "
-             "TOML, else strings)",
-    )
 
     alarms = sub.add_parser(
         "alarms",
@@ -461,6 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _alarm_db_arg(l_audit)
     l_audit.add_argument("alarm_id", help="alarm id to audit")
+    _flag_metavars(parser)
     return parser
 
 
@@ -720,198 +748,92 @@ def _finish(
     summary: bool = False,
 ) -> int:
     """Render a run and map it to an exit code."""
-    renderer = _RENDERERS.get(result.mode)
-    if renderer is not None:
-        renderer(spec, result)
+    _RENDERERS[result.mode](spec, result)
     if summary:
         print(result.summary())
     return 130 if result.interrupted else 0
 
 
-# -- subcommands --------------------------------------------------------------
+# -- the one session path -----------------------------------------------------
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
-    builder = (
-        api.session()
-        .scenario(bins=args.bins, fps=args.fps, seed=args.seed,
-                  sampling=args.sampling, anomalies=args.anomaly)
-        .synth(args.out)
-    )
-    return _finish(builder.spec(), builder.run())
-
-
-def _cmd_query(args: argparse.Namespace) -> int:
-    builder = (
-        api.session()
-        .source("rpv5", path=args.trace)
-        .query(start=args.start, end=args.end, filter=args.filter,
-               top=args.top, limit=args.n)
-    )
-    return _finish(builder.spec(), builder.run())
-
-
-def _cmd_detect(args: argparse.Namespace) -> int:
-    builder = (
-        api.session()
-        .source("rpv5", path=args.trace)
-        .detect(args.detector, train_bins=args.train_bins)
-        .batch(workers=args.workers)
-    )
-    return _finish(builder.spec(), builder.run())
-
-
-def _cmd_extract(args: argparse.Namespace) -> int:
-    builder = (
-        api.session()
-        .source("rpv5", path=args.trace)
-        .extract(args.start, args.end, hints=args.hint,
-                 workers=args.workers, anonymize=args.anonymize)
-    )
-    return _finish(builder.spec(), builder.run())
-
-
-def _cmd_stream(args: argparse.Namespace) -> int:
-    on_start, on_window = _stream_callbacks()
-    builder = (
-        api.session()
-        .source("rpv5", path=args.trace)
-        .detect(args.detector, train_bins=args.train_bins)
-        .stream(
-            window_seconds=args.window_seconds,
-            workers=args.workers,
-            lateness_seconds=args.lateness_seconds,
-            retain_windows=args.retain_windows,
-            dedup_window=args.dedup_window,
-            speedup=args.speedup or None,
-            chunk_rows=args.chunk_rows,
-            triage=args.triage,
+def _parse_set(item: str) -> tuple[str, str, Any]:
+    """One ``--set SECTION.KEY=VALUE`` item; the value parses as TOML,
+    else stays a string."""
+    target, sep, raw = item.partition("=")
+    section, dot, key = target.partition(".")
+    if not sep or not dot or not section or not key:
+        raise SpecError(
+            f"--set needs SECTION.KEY=VALUE, got {item!r}"
         )
-        .on_start(on_start)
-        .on_window(on_window)
-    )
-    if args.archive:
-        builder.archive(args.archive)
-    if args.alarmdb:
-        builder.alarmdb(args.alarmdb)
-    if args.serve_port is not None:
-        builder.serve(args.serve_port, console=True)
-    elif args.metrics_port is not None:
-        builder.serve(args.metrics_port)
-    return _finish(builder.spec(), builder.run())
+    try:
+        value = tomllib.loads(f"v = {raw}")["v"]
+    except tomllib.TOMLDecodeError:
+        value = raw
+    return section, key.strip(), value
 
 
-def _parse_overrides(items: Sequence[str]) -> dict[str, dict[str, Any]]:
-    """``--set section.key=value`` items as nested override dicts."""
-    overrides: dict[str, dict[str, Any]] = {}
-    for item in items:
-        target, sep, raw = item.partition("=")
-        section, dot, key = target.partition(".")
-        if not sep or not dot or not section or not key:
-            raise SpecError(
-                f"--set needs SECTION.KEY=VALUE, got {item!r}"
-            )
-        try:
-            value = tomllib.loads(f"v = {raw}")["v"]
-        except tomllib.TOMLDecodeError:
-            value = raw
-        overrides.setdefault(section, {})[key.strip()] = value
-    return overrides
+def _session_spec(args: argparse.Namespace) -> api.SessionSpec:
+    """argv -> spec, mechanically: every dotted dest is a spec field.
+
+    The base is the config file plus ``--set`` items, or else the
+    preset; flags apply last (``None`` = unset). A three-part dest
+    (``source.options.seed``) sets one key of an options table."""
+    spec = api.load_spec(args.config).to_dict() if "config" in args else {}
+    for item in getattr(args, "overrides", ()):
+        section, key, value = _parse_set(item)
+        spec.setdefault(section, {})[key] = value
+    for dest, value in vars(args).items():
+        if "." not in dest or value is None:
+            continue
+        section, _, name = dest.partition(".")
+        name, _, key = name.partition(".")
+        table = spec.setdefault(section, {})
+        table[name] = {**table.get(name, {}), key: value} if key else value
+    return api.SessionSpec.from_dict(spec)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    spec = api.load_spec(args.config)
-    overrides = _parse_overrides(args.overrides)
-    if args.workers is not None:
-        overrides.setdefault("execution", {})["workers"] = args.workers
-    if getattr(args, "port", None) is not None:
-        # Merge into the kind-specific options table rather than
-        # replacing it, so --port composes with a config's other
-        # collector options.
-        options = dict(spec.source.options)
-        options["port"] = args.port
-        overrides.setdefault("source", {})["options"] = options
-    if overrides:
-        spec = spec.with_overrides(**overrides)
-    on_start = on_window = None
+def _run(spec: api.SessionSpec, **callbacks: Any) -> api.RunResult:
+    """Run ``spec``, printing live progress on stream runs."""
     if spec.execution.mode == "stream":
-        on_start, on_window = _stream_callbacks()
-    result = api.Session(spec, on_window=on_window,
-                         on_start=on_start).run()
-    return _finish(spec, result, summary=True)
+        callbacks["on_start"], callbacks["on_window"] = _stream_callbacks()
+    return api.Session(spec, **callbacks).run()
 
 
-def _cmd_archive(args: argparse.Namespace) -> int:
-    if args.archive_command == "ingest":
-        options = {
-            key: value
-            for key, value in (
-                ("window", args.window),
-                ("shards", args.shards),
-                ("key", args.key),
-                ("seed", args.seed),
-                ("spill_rows", args.spill_rows),
-            )
-            if value is not None
-        }
-        builder = (
-            api.session()
-            .source("rpv5", path=args.trace)
-            .ingest(args.dir, **options)
-        )
-        return _finish(builder.spec(), builder.run())
-
-    if args.archive_command == "query":
-        builder = (
-            api.session()
-            .source("archive", path=args.dir)
-            .query(start=args.start, end=args.end, filter=args.filter,
-                   top=args.top, limit=args.n, stats=args.stats,
-                   explain=args.explain, workers=args.workers)
-        )
-        return _finish(builder.spec(), builder.run())
-
-    if args.archive_command == "triage":
-        builder = (
-            api.session()
-            .source("archive", path=args.dir)
-            .triage(workers=args.workers, anonymize=args.anonymize)
-            .alarmdb(args.alarmdb)
-        )
-        if args.serve_port is not None:
-            builder.serve(args.serve_port, console=True)
-        elif args.metrics_port is not None:
-            builder.serve(args.metrics_port)
-        return _finish(builder.spec(), builder.run())
-
-    # ls / compact / stats: archive-management modes, same facade.
-    builder = (
-        api.session()
-        .source("archive", path=args.dir)
-        .mode(args.archive_command)
-    )
-    return _finish(builder.spec(), builder.run())
+def _cmd_session(args: argparse.Namespace) -> int:
+    """Every mode subcommand, and ``run`` (which adds the summary)."""
+    spec = _session_spec(args)
+    return _finish(spec, _run(spec), summary="config" in args)
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
     if args.obs_command == "lineage":
         return _obs_lineage(args)
-    if args.obs_command == "trace":
-        return _obs_trace(args)
 
-    from repro.obs import metrics as obs_metrics
+    from repro.obs import metrics as obs_metrics, trace as obs_trace
     from repro.obs.serve import render_prometheus, status_payload
 
-    spec = api.load_spec(args.config)
-    overrides = _parse_overrides(args.overrides)
-    if overrides:
-        spec = spec.with_overrides(**overrides)
+    spec = _session_spec(args)
     obs_metrics.enable()
     result = api.Session(spec).run()
     print(result.summary(), file=sys.stderr)
     # The stdout artifact is machine-readable — pipeable straight into
     # promtool / jq / grep without the run's human-facing rendering.
-    if args.json:
+    if args.obs_command == "trace" and args.chrome:
+        json.dump(obs_trace.chrome_trace(), sys.stdout)
+        sys.stdout.write("\n")
+    elif args.obs_command == "trace":
+        for record in obs_trace.records():
+            tail = (
+                f" parent={record.parent_id}"
+                if record.parent_id else ""
+            )
+            print(
+                f"{record.name} {record.seconds:.6f}s "
+                f"trace={record.trace_id} span={record.span_id}"
+                + tail
+            )
+    elif args.json:
         json.dump(
             status_payload(lambda: {
                 "mode": result.mode,
@@ -965,40 +887,8 @@ def _obs_lineage(args: argparse.Namespace) -> int:
     return 0
 
 
-def _obs_trace(args: argparse.Namespace) -> int:
-    from repro.obs import metrics as obs_metrics, trace as obs_trace
-
-    spec = api.load_spec(args.config)
-    overrides = _parse_overrides(args.overrides)
-    if overrides:
-        spec = spec.with_overrides(**overrides)
-    obs_metrics.enable()
-    result = api.Session(spec).run()
-    print(result.summary(), file=sys.stderr)
-    if args.chrome:
-        json.dump(obs_trace.chrome_trace(), sys.stdout)
-        sys.stdout.write("\n")
-    else:
-        for record in obs_trace.records():
-            tail = (
-                f" parent={record.parent_id}"
-                if record.parent_id else ""
-            )
-            print(
-                f"{record.name} {record.seconds:.6f}s "
-                f"trace={record.trace_id} span={record.span_id}"
-                + tail
-            )
-    return 130 if result.interrupted else 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
-    spec = api.load_spec(args.config)
-    overrides = _parse_overrides(args.overrides)
-    if args.workers is not None:
-        overrides.setdefault("execution", {})["workers"] = args.workers
-    overrides.setdefault("sink", {})["serve_port"] = args.port
-    spec = spec.with_overrides(**overrides)
+    spec = _session_spec(args)
     if spec.execution.mode not in ("stream", "triage"):
         raise SpecError(
             f"repro serve drives a live stream/triage session, not "
@@ -1021,9 +911,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"(/metrics /status /api/alarms /api/windows "
               f"/api/archive/query /api/events/stream)", flush=True)
 
-    on_start = on_window = None
-    if spec.execution.mode == "stream":
-        on_start, on_window = _stream_callbacks()
     # A supervisor stops `repro serve` with SIGTERM; route it through
     # the same graceful path as ctrl-C so the run winds down cleanly
     # (stream drains, journal gets its run.end, linger dumps the
@@ -1041,14 +928,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         previous_term = None
     try:
         try:
-            result = api.Session(
-                spec, on_window=on_window, on_start=on_start,
-                on_serve=on_serve,
-            ).run()
+            result = _run(spec, on_serve=on_serve)
             code = _finish(spec, result, summary=True)
             if args.linger and not result.interrupted:
-                code = _linger(spec, bound[0] if bound else args.port,
-                               args.linger)
+                code = _linger(spec, bound[0], args.linger)
         except KeyboardInterrupt:
             # A phase outside the stream loop's own interrupt
             # handling (training, archive attach) took the signal;
@@ -1071,67 +954,46 @@ def _linger(spec: api.SessionSpec, port: int, seconds: float) -> int:
     """
     import time
 
+    from repro.archive.reader import lazy_reader
     from repro.obs import events as obs_events
     from repro.obs.console import ConsoleServer
     from repro.system.alarmdb import AlarmDatabase
 
     db = AlarmDatabase(spec.sink.alarmdb)
-    archive_dir = spec.sink.archive
-    reader_cache: list[Any] = []
-
-    def archive_reader():
-        if not reader_cache:
-            try:
-                from repro.archive import ArchiveReader
-
-                reader_cache.append(ArchiveReader(archive_dir))
-            except Exception:
-                return None
-        return reader_cache[0]
-
-    # The run's journal closed with the run; linger opens its own
-    # (distinct run id — reusing the run's would collide with its
-    # segment names in a shared directory) so console lifecycle moves
-    # keep emitting, the SSE stream stays live, and a SIGTERM during
-    # linger still has a flight recorder to dump.
-    journal = obs_events.EventJournal(
-        spec.sink.events_path,
-        run=f"{obs_events.run_id()}-linger",
-        recorder_events=(
-            spec.execution.flight_recorder
-            or obs_events.DEFAULT_RECORDER_EVENTS
-        ),
-    )
-    previous_journal = obs_events.install(journal)
-    journal.emit("run.start", mode="linger")
-    server = ConsoleServer(
-        port=port,
-        status=lambda: {"mode": "linger"},
-        alarms=db,
-        archive=archive_reader if archive_dir else None,
-        dashboard=spec.sink.dashboard,
-    ).start()
-    deadline = time.monotonic() + seconds
-    print(f"lingering on http://127.0.0.1:{server.port}/ for "
-          f"{seconds:g}s (ctrl-C to stop)", flush=True)
-    code = 0
-    outcome = "ok"
     try:
-        while time.monotonic() < deadline:
-            time.sleep(min(0.2, max(0.0, deadline - time.monotonic())))
+        # The run's journal closed with the run; linger opens its own
+        # (distinct run id — reusing the run's would collide with its
+        # segment names in a shared directory) so console lifecycle
+        # moves keep emitting, the SSE stream stays live, and a
+        # SIGTERM during linger still has a flight recorder to dump.
+        with obs_events.journaled(
+            spec.sink.events_path, spec.execution.flight_recorder,
+            run=f"{obs_events.run_id()}-linger", mode="linger",
+        ):
+            server = ConsoleServer(
+                port=port,
+                status=lambda: {"mode": "linger"},
+                alarms=db,
+                archive=lazy_reader(spec.sink.archive),
+                dashboard=spec.sink.dashboard,
+            ).start()
+            try:
+                deadline = time.monotonic() + seconds
+                print(f"lingering on http://127.0.0.1:{server.port}/ "
+                      f"for {seconds:g}s (ctrl-C to stop)", flush=True)
+                while time.monotonic() < deadline:
+                    time.sleep(
+                        min(0.2, max(0.0, deadline - time.monotonic()))
+                    )
+            finally:
+                server.stop()
     except KeyboardInterrupt:
-        # SIGINT, or SIGTERM rerouted by _cmd_serve: dump the black
-        # box before the orderly teardown below.
-        code = 130
-        outcome = "interrupted"
-        journal.dump_recorder(reason="terminated while lingering")
+        # SIGINT, or SIGTERM rerouted by _cmd_serve: the journal
+        # dumped its flight recorder on the way out.
+        return 130
     finally:
-        journal.emit("run.end", outcome=outcome)
-        obs_events.install(previous_journal)
-        journal.close()
-        server.stop()
         db.close()
-    return code
+    return 0
 
 
 def _cmd_alarms(args: argparse.Namespace) -> int:
@@ -1199,14 +1061,8 @@ def _cmd_alarms(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The non-mode commands; every other subcommand is a spec preset.
 _COMMANDS = {
-    "synth": _cmd_synth,
-    "query": _cmd_query,
-    "detect": _cmd_detect,
-    "extract": _cmd_extract,
-    "stream": _cmd_stream,
-    "archive": _cmd_archive,
-    "run": _cmd_run,
     "obs": _cmd_obs,
     "serve": _cmd_serve,
     "alarms": _cmd_alarms,
@@ -1219,7 +1075,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     _configure_logging(args.log_level)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS.get(args.command, _cmd_session)(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)

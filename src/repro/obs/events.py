@@ -59,6 +59,7 @@ import json
 import os
 import threading
 import time
+import types
 import uuid
 from contextvars import ContextVar
 from pathlib import Path
@@ -76,6 +77,7 @@ __all__ = [
     "emit",
     "enabled",
     "install",
+    "journaled",
     "lineage",
     "read_journal",
     "run_id",
@@ -658,3 +660,41 @@ def causal(event_id: int | None):
         yield
     finally:
         _PARENT.reset(token)
+
+
+@contextlib.contextmanager
+def journaled(
+    directory: str | os.PathLike | None,
+    recorder_events: int | None = None,
+    run: str | None = None,
+    **start: Any,
+) -> Iterator[types.SimpleNamespace]:
+    """One run's journal lifecycle around a ``with`` block: install a
+    fresh journal, emit ``run.start`` (the causal parent of the block's
+    events), and on the way out emit ``run.end``, restore the previous
+    journal and close this one. A block that raises ends with its
+    exception's type as outcome and dumps the flight recorder; one that
+    completes ends with the yielded handle's ``outcome`` (default
+    ``"ok"``). ``handle.journal`` is the installed journal."""
+    journal = EventJournal(
+        directory, run=run,
+        recorder_events=recorder_events or DEFAULT_RECORDER_EVENTS,
+    )
+    previous = install(journal)
+    root = journal.emit("run.start", **start)
+    handle = types.SimpleNamespace(journal=journal, outcome="ok")
+    try:
+        with causal(root):
+            yield handle
+    except BaseException as exc:
+        # The black box: a dying run dumps its last-N events before
+        # the exception propagates, so the operator can read what the
+        # pipeline was doing when it went down.
+        journal.emit("run.end", parent=root, outcome=type(exc).__name__)
+        journal.dump_recorder(reason=f"{type(exc).__name__}: {exc}")
+        raise
+    else:
+        journal.emit("run.end", parent=root, outcome=handle.outcome)
+    finally:
+        install(previous)
+        journal.close()

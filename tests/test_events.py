@@ -28,7 +28,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import api
-from repro.errors import ReproError
+from repro.errors import ReproError, SpecError
 from repro.obs import events as obs_events, metrics as obs_metrics, \
     trace as obs_trace
 from repro.obs.console import ConsoleServer
@@ -525,7 +525,8 @@ class TestSessionProvenance:
             .stream()
             .events(str(events_dir), flight_recorder=16)
         )
-        with pytest.raises(FileNotFoundError):
+        # A missing trace is a spec error, raised inside the run.
+        with pytest.raises(SpecError, match="source.path"):
             builder.run()
         dumps = list(events_dir.glob("flight-*.json"))
         assert len(dumps) == 1

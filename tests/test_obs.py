@@ -264,14 +264,7 @@ class TestSessionTelemetry:
             .on_window(on_window)
             .build()
         )
-        original = sess._serve_metrics
-
-        def capture(status):
-            server = original(status)
-            holder["port"] = server.port
-            return server
-
-        sess._serve_metrics = capture
+        sess.on_serve = lambda port: holder.setdefault("port", port)
         result = sess.run()
 
         assert result.payload["metrics_port"] == holder["port"]
