@@ -8,7 +8,7 @@ temporary archive directory:
   (time partitioning, zone-map construction, atomic file writes);
 * **query latency** — a narrow window+filter query answered three
   ways: zone-map pruned (the default), full scan (pruning disabled)
-  and via the in-memory ``FlowStore`` baseline. The acceptance floor
+  and via the in-memory ``FlowTrace`` baseline. The acceptance floor
   is the tentpole criterion: pruning must make the narrow query at
   least 10x faster than the full archive scan at 1M flows;
 * **count fast path** — aggregate counters for an archived window
@@ -56,8 +56,8 @@ from bench_e2e import machine_block  # noqa: E402
 
 from repro.archive import ArchiveReader, ArchiveWriter  # noqa: E402
 from repro.flows.record import FlowFeature  # noqa: E402
-from repro.flows.store import FlowStore  # noqa: E402
 from repro.flows.table import FlowTable  # noqa: E402
+from repro.flows.trace import FlowTrace  # noqa: E402
 from repro.stream.sources import table_chunks  # noqa: E402
 
 SLICE_SECONDS = 300.0
@@ -119,8 +119,7 @@ def run(flows: int, repeats: int) -> dict:
 
         pruned = ArchiveReader(root)
         full = ArchiveReader(root, use_zone_maps=False)
-        store = FlowStore(slice_seconds=SLICE_SECONDS)
-        store.insert_table(table)
+        memory = FlowTrace(table, bin_seconds=SLICE_SECONDS)
 
         # The narrow query: one slice in the middle, plus a filter the
         # zone maps can also prune on.
@@ -137,15 +136,15 @@ def run(flows: int, repeats: int) -> dict:
         )
         match = (
             len(q(full)) == result_rows
-            and len(store.query_table(*window, QUERY_FILTER))
+            and len(memory.query_table(*window, QUERY_FILTER))
             == result_rows
         )
 
         pruned_s = _median_seconds(lambda: q(pruned), repeats)
         scan = pruned.last_scan
         full_s = _median_seconds(lambda: q(full), repeats)
-        store_s = _median_seconds(
-            lambda: store.query_table(*window, QUERY_FILTER), repeats
+        memory_s = _median_seconds(
+            lambda: memory.query_table(*window, QUERY_FILTER), repeats
         )
         count_s = _median_seconds(
             lambda: pruned.count(*window), repeats
@@ -208,7 +207,7 @@ def run(flows: int, repeats: int) -> dict:
         minute_match = (
             minute_rows._data.tobytes()
             == minute_query(full)._data.tobytes()
-            == store.query_table(*minute, MINUTE_FILTER)._data.tobytes()
+            == memory.query_table(*minute, MINUTE_FILTER)._data.tobytes()
         )
         all_sorted = all(p.zone.sorted for p in pruned.partitions())
 
@@ -233,7 +232,7 @@ def run(flows: int, repeats: int) -> dict:
                 "partitions_pruned": scan.pruned,
                 "pruned_ms": pruned_s * 1e3,
                 "full_scan_ms": full_s * 1e3,
-                "flowstore_ms": store_s * 1e3,
+                "memory_ms": memory_s * 1e3,
                 "pruning_speedup": speedup,
                 "results_match": match,
             },
@@ -256,7 +255,7 @@ def run(flows: int, repeats: int) -> dict:
                 "feature": str(talkers),
                 "windows": 3,
                 "distinct_values": int(len(np.unique(
-                    store.query_table(*three).src_ip
+                    memory.query_table(*three).src_ip
                 ))),
                 "pushdown": talkers_plan.pushdown,
                 "payload_bytes_read": talkers_plan.payload_bytes_read,
@@ -323,7 +322,7 @@ def main() -> int:
         f"(scanned {query['partitions_scanned']}, "
         f"pruned {query['partitions_pruned']}) vs "
         f"full scan {query['full_scan_ms']:.2f}ms vs "
-        f"in-memory {query['flowstore_ms']:.2f}ms "
+        f"in-memory {query['memory_ms']:.2f}ms "
         f"-> {query['pruning_speedup']:.1f}x"
     )
     print(

@@ -20,7 +20,8 @@ Four measurements:
 
 Run:  PYTHONPATH=src python benchmarks/bench_collector.py [--flows N]
 
-Writes ``BENCH_collector.json``; ``--check`` gates on the 100k
+Writes ``BENCH_collector.json`` (stamped with the end-to-end
+benchmark's machine block); ``--check`` gates on the 100k
 flows/s acceptance floor for the end-to-end loopback path and on the
 relative floor: v9 and IPFIX decode at no less than half the v5 rate.
 """
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import platform
 import sys
 import threading
 import time
@@ -38,6 +38,9 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
+
+from bench_e2e import machine_block  # noqa: E402
 
 from repro.collector import (  # noqa: E402
     ChunkBatcher,
@@ -282,8 +285,7 @@ def main() -> int:
         "benchmark": "collector_loopback_ingest",
         "flows": args.flows,
         "datagrams": len(packets),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
+        "machine": machine_block(),
         "decode_v5_flows_per_sec": decode_v5,
         "decode_v9": decode_v9,
         "decode_ipfix": decode_ipfix,

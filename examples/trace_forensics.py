@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Forensics on an archived trace: store, filters and association rules.
+"""Forensics on an archived trace: window queries, filters and rules.
 
 A fourth workflow the system supports: no live detector, just an
 archived NetFlow spool. The example writes a synthetic trace through
 the NetFlow v5 binary codec (what an NfDump spool holds), loads it back
-into the time-partitioned store, hunts suspects with nfdump-style
-filters and top-N statistics, and finishes with association rules over
+as a time-binned trace, hunts suspects with nfdump-style window+filter
+queries and top-N statistics, and finishes with association rules over
 the suspicious window — the "association rules" view of the underlying
 IMC'09 technique.
 
@@ -15,8 +15,8 @@ Run:  python examples/trace_forensics.py
 import tempfile
 from pathlib import Path
 
-from repro.flows import FlowFeature, FlowStore, int_to_ip, top_n
-from repro.flows.flowio import read_binary, write_binary
+from repro.flows import FlowFeature, FlowTrace, int_to_ip, top_n
+from repro.flows.flowio import read_binary_table, write_binary
 from repro.mining import TransactionSet, derive_rules, mine_apriori
 from repro.synth import (
     BackgroundConfig,
@@ -51,21 +51,20 @@ def main() -> None:
     print(f"archived {len(labeled.trace)} flows as {packets} NetFlow v5 "
           f"packets ({spool.stat().st_size // 1024} KiB)")
 
-    # -- load it back into the nfdump-style store -------------------------
-    store = FlowStore(slice_seconds=300.0)
-    store.insert_many(read_binary(spool))
-    print(f"store: {len(store)} flows in {len(store.slices())} slices")
+    # -- load it back as a trace of 5-minute bins -------------------------
+    trace = FlowTrace(read_binary_table(spool), bin_seconds=300.0)
+    print(f"trace: {len(trace)} flows in {trace.bin_count} bins")
 
     # -- hunt: who is talking to port 445? --------------------------------
-    suspects = store.query(600.0, 900.0, "dst port 445 and flags S")
+    suspects = trace.query_table(600.0, 900.0, "dst port 445 and flags S")
     print(f"\nfilter 'dst port 445 and flags S' in [600, 900): "
           f"{len(suspects)} flows")
     for value, count in top_n(suspects, FlowFeature.SRC_IP, n=3):
         print(f"  src {int_to_ip(value)}: {count} flows")
 
     # -- association rules over the suspicious window --------------------
-    window = store.query(600.0, 900.0)
-    transactions = TransactionSet.from_flows(window)
+    window = trace.query_table(600.0, 900.0)
+    transactions = TransactionSet.from_table(window)
     itemsets = mine_apriori(
         transactions, min_flows=max(50, len(window) // 20)
     )

@@ -68,7 +68,6 @@ from repro.flows.flowio import (
     write_binary,
 )
 from repro.flows.record import FlowFeature
-from repro.flows.store import FlowStore
 from repro.flows.trace import FlowTrace
 from repro.obs import (
     events as obs_events,
@@ -492,15 +491,14 @@ class Session:
         triage: list[TriageResult] = []
         statuses: dict[str, tuple[str, str]] = {}
         open_count = len(alarms)
-        # Detection-only runs skip the store/DB assembly entirely — the
-        # legacy `detect` path never paid for a FlowStore it didn't use.
+        # Detection-only runs skip the backend/DB assembly entirely.
         if execution.triage or self.spec.sink.alarmdb:
             config = self._system_config()
             db = self._alarmdb()
             try:
                 system = ExtractionSystem(
                     FlowBackend(
-                        store=FlowStore.from_trace(trace),
+                        store=trace,
                         baseline_bins=config.baseline_bins,
                         pad_bins=config.pad_bins,
                     ),
@@ -831,40 +829,41 @@ class Session:
     def _run_query(self) -> RunResult:
         execution = self.spec.execution
         source = self._source()
-        scan = None
         reader = None
         if hasattr(source, "reader"):
-            reader = source.reader()
-            store = reader
-            archive_stats = reader.stats()
-            span = archive_stats.span
+            store = reader = source.reader()
+            span = reader.stats().span
         else:
-            trace = source.trace()
-            store = FlowStore.from_trace(trace)
-            span = trace.span if len(trace) else None
+            store = source.trace()
+            span = store.span if len(store) else None
         if span is None:
             return RunResult(mode="query", stats={"matched": 0},
                              payload={"flows": None})
-        start = execution.start if execution.start is not None else span[0]
-        end = execution.end if execution.end is not None else span[1] + 1.0
-        # Aggregate surfaces (--stats, archive --top) go through the
-        # planner: counts answer from zone-map sums, rankings from
-        # feature-index sidecars — no flow rows are materialised when
-        # the pushdown applies.
+        # The spec refuses an inverted window; a bound defaulted from
+        # the data span never inverts the other one.
+        start, end = execution.start, execution.end
+        if start is None:
+            start = span[0] if end is None else min(span[0], end)
+        if end is None:
+            end = max(span[1] + 1.0, start)
+        # Archive aggregates (--stats, --top) go through the planner:
+        # counts answer from zone-map sums, rankings from feature-index
+        # sidecars — no flow rows are materialised when the pushdown
+        # applies.
         payload: dict[str, Any] = {}
         timings: dict[str, float] = {}
         with obs_trace.span("query.run", timings, "query"):
-            if execution.stats:
-                counts = store.count(start, end, execution.filter)
+            if execution.stats and reader is not None:
+                counts = reader.count(start, end, execution.filter)
                 matched = counts.flows
                 payload.update({"flows": None, "stats": counts})
             elif execution.top and reader is not None:
-                matched = store.count(start, end, execution.filter).flows
+                matched = reader.count(start, end, execution.filter).flows
                 feature = _feature(execution.top, "execution.top")
                 payload.update({
                     "flows": None,
                     "top_feature": feature,
-                    "top": store.top_feature_values(
+                    "top": reader.top_feature_values(
                         start, end, feature,
                         n=execution.limit,
                         flow_filter=execution.filter,
@@ -874,7 +873,13 @@ class Session:
                 flows = store.query_table(start, end, execution.filter)
                 matched = len(flows)
                 payload["flows"] = flows
-                if execution.top:
+                if execution.stats:
+                    # A trace's counters come from the filtered rows.
+                    payload.update({
+                        "flows": None,
+                        "stats": FlowTrace(flows, origin=start).stats(),
+                    })
+                elif execution.top:
                     from repro.flows.aggregate import top_n
 
                     feature = _feature(execution.top, "execution.top")
@@ -882,12 +887,10 @@ class Session:
                     payload["top"] = top_n(
                         flows, feature, n=execution.limit
                     )
-        if hasattr(store, "last_scan"):
-            scan = store.last_scan
-        payload["scan"] = scan if payload.get("flows") is not None \
-            else None
-        if execution.explain and hasattr(store, "last_plan"):
-            payload["plan"] = store.last_plan
+        payload["scan"] = reader.last_scan \
+            if reader is not None and payload["flows"] is not None else None
+        if execution.explain and reader is not None:
+            payload["plan"] = reader.last_plan
         return RunResult(
             mode="query",
             stats={"matched": matched},

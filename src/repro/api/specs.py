@@ -284,6 +284,9 @@ class ExecutionSpec:
         _coerce_float(self, "execution", "window_seconds",
                       "lateness_seconds", "dedup_window", "speedup",
                       "start", "end")
+        _require(self.start is None or self.end is None
+                 or self.end >= self.start, "execution.end",
+                 f"window end {self.end!r} precedes start {self.start!r}")
         _require(self.window_seconds is None or self.window_seconds > 0,
                  "execution.window_seconds",
                  f"must be positive: {self.window_seconds!r}")

@@ -32,8 +32,9 @@ with no decode step between disk and the columnar hot path.
     scan tasks and the :class:`~repro.archive.planner.QueryPlan`.
 ``reader``
     :class:`ArchiveReader` — zone-map-pruned window+filter queries,
-    byte-identical to :class:`~repro.flows.store.FlowStore` over the
-    same rows, plus the FlowStore-compatible surface that lets
+    byte-identical to :meth:`~repro.flows.trace.FlowTrace.query_table`
+    over the same rows, behind the same ``query_table`` /
+    ``slice_seconds`` surface that lets
     :class:`~repro.system.backend.FlowBackend` (and the whole triage
     pipeline) run archive-backed.
 ``compaction``

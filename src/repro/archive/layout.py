@@ -114,7 +114,7 @@ class PartitionKey:
 
     The tuple order is the canonical scan order — slice (time) first,
     then shard, then write sequence — which is what keeps archive
-    query results byte-identical to :class:`~repro.flows.store.FlowStore`
+    query results byte-identical to an in-memory trace's
     (ties in the final sort resolve by input position).
     """
 

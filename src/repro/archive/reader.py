@@ -1,16 +1,16 @@
 """Querying an archive: prune with zone maps, serve mmap views.
 
 :class:`ArchiveReader` answers the same window+filter queries as the
-in-memory :class:`~repro.flows.store.FlowStore` — deliberately so: it
-implements the store's query surface (``query_table`` / ``query`` /
-``count`` / ``top_feature_values`` plus ``slice_seconds`` and
-``origin``), which lets a :class:`~repro.system.backend.FlowBackend`,
-and therefore the whole triage pipeline, run against the on-disk
-archive unchanged. Results are **byte-identical** to a `FlowStore`
-holding the same rows (the equivalence suite asserts it): partitions
-scan in canonical ``(slice, shard, seq)`` order and the final
+in-memory :meth:`~repro.flows.trace.FlowTrace.query_table` and
+:meth:`~repro.stream.window.WindowRing.query_table` — deliberately so:
+its ``query_table`` and ``slice_seconds`` let a
+:class:`~repro.system.backend.FlowBackend`, and therefore the whole
+triage pipeline, run against the on-disk archive unchanged. Results
+are **byte-identical** to a trace holding the same rows (the
+equivalence suite asserts it): partitions scan in canonical
+``(slice, shard, seq)`` order and the final
 :meth:`~repro.flows.table.FlowTable.in_query_order` sort resolves ties
-by that order, exactly as the store's slice-order concat does.
+by that order, exactly as a trace's stable start order does.
 
 A query touches a partition's payload only when it must:
 
@@ -391,7 +391,7 @@ class ArchiveReader:
         ))
         return selected
 
-    # -- FlowStore-compatible queries --------------------------------------
+    # -- window queries ------------------------------------------------------
 
     def query_table(
         self,
@@ -402,7 +402,7 @@ class ArchiveReader:
         """Columnar window+filter query, ordered by ``(start, 5-tuple)``.
 
         Same contract (and byte-identical results) as
-        :meth:`repro.flows.store.FlowStore.query_table`, with zone-map
+        :meth:`repro.flows.trace.FlowTrace.query_table`, with zone-map
         pruning deciding which partition files are touched at all.
         """
         if end < start:
@@ -510,7 +510,7 @@ class ArchiveReader:
 
         Two tiers, cheapest that applies wins, identical answers by
         construction (histogram merging is integer addition and the
-        ranking is the store's own
+        ranking is the one
         :func:`~repro.flows.aggregate.ranked_from_histogram` — count
         descending, ties by the value's string rendering):
 

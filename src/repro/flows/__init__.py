@@ -40,7 +40,6 @@ from repro.flows.sampling import (
     renormalize,
     sample_trace,
 )
-from repro.flows.store import FlowStore, SliceInfo
 from repro.flows.table import FLOW_DTYPE, FlowTable
 from repro.flows.trace import DEFAULT_BIN_SECONDS, FlowTrace, TraceStats
 
@@ -69,8 +68,6 @@ __all__ = [
     "RandomSampler",
     "renormalize",
     "sample_trace",
-    "FlowStore",
-    "SliceInfo",
     "FLOW_DTYPE",
     "FlowTable",
     "DEFAULT_BIN_SECONDS",

@@ -175,9 +175,9 @@ def ranked_from_histogram(
 ) -> list[tuple[int, int]]:
     """Top-``n`` of a histogram with the *store* ranking semantics.
 
-    The one ranking behind ``FlowStore.top_feature_values`` and
-    ``ArchiveReader.top_feature_values`` (scanned or pushed down), so
-    they are byte-identical by construction. It differs from
+    The one ranking behind ``ArchiveReader.top_feature_values``,
+    scanned or pushed down, so both answers are byte-identical by
+    construction. It differs from
     :func:`top_n` in its tie-break: equal weights order by the string
     rendering of the value (nfdump ``-s`` over arbitrary keys ranked
     that way; ``tests/record_oracle.py`` keeps the loop), not the

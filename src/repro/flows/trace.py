@@ -11,8 +11,8 @@ Since the columnar refactor the trace stores its flows as a
 bin queries come in two flavours: the historical record-based API
 (:meth:`between`, :meth:`bin`, iteration — which lazily materializes
 :class:`FlowRecord` objects and caches them) and the columnar API
-(:meth:`between_table`, :meth:`bin_table`, :meth:`filter`) that stays
-vectorized end to end.
+(:meth:`between_table`, :meth:`bin_table`, :meth:`filter`,
+:meth:`query_table`) that stays vectorized end to end.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from repro.errors import StoreError
+from repro.flows.filter import FilterNode, compile_mask
 from repro.flows.record import FlowRecord
 from repro.flows.table import FlowTable
 
@@ -167,6 +168,30 @@ class FlowTrace:
         lo, hi = self._window_bounds(start, end)
         return self._table.select(slice(lo, hi))
 
+    def query_table(
+        self,
+        start: float,
+        end: float,
+        flow_filter: str | FilterNode | None = None,
+    ) -> FlowTable:
+        """Window+filter query: rows starting in ``[start, end)`` that
+        match ``flow_filter``, ordered by ``(start, 5-tuple)``.
+
+        The in-memory form of ``nfdump -R <files> '<filter>'``: the
+        window is a bisection of the start-sorted table, the filter a
+        vectorized mask, and no :class:`FlowRecord` is materialized.
+        """
+        table = self.between_table(start, end)
+        if flow_filter is not None and len(table):
+            table = table.select(compile_mask(flow_filter)(table))
+        return table.in_query_order()
+
+    @property
+    def slice_seconds(self) -> float:
+        """The grid width a :class:`~repro.system.backend.FlowBackend`
+        pads and baselines alarm windows by (``bin_seconds``)."""
+        return self.bin_seconds
+
     def bin(self, index: int) -> list[FlowRecord]:
         """Flows starting inside bin ``index``."""
         start, end = self.bin_interval(index)
@@ -210,8 +235,6 @@ class FlowTrace:
         The columnar counterpart of :meth:`where`: the expression is
         compiled to a vectorized mask, no records are materialized.
         """
-        from repro.flows.filter import compile_mask
-
         mask = compile_mask(expression)(self._table)
         return FlowTrace(
             self._table.select(mask),

@@ -10,10 +10,10 @@ pipeline into that deployment shape:
     chunks — in-memory tables, recorded ``.rpv5`` traces, synth
     scenarios, and a growing-CSV tail.
 ``window``
-    :class:`WindowRing` — a bounded ring of time-sliced windows built on
-    :class:`~repro.flows.store.FlowStore` rotation semantics, with a
-    watermark and a configurable lateness horizon deciding when windows
-    close and when stragglers are dropped.
+    :class:`WindowRing` — a bounded ring of time-sliced windows (the
+    archive's rotation slices) that serves triage's window queries, with
+    a watermark and a configurable lateness horizon deciding when
+    windows close and when stragglers are dropped.
 ``incremental``
     :class:`WindowCounts` — the read-only view of a sealed window's one
     histogram pass (volume totals, value histograms, entropies) — plus

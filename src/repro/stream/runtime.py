@@ -183,7 +183,7 @@ class StreamEngine:
         if triage:
             self.system = ExtractionSystem(
                 FlowBackend(
-                    store=self.ring.store,
+                    store=self.ring,
                     baseline_bins=self.config.baseline_bins,
                     pad_bins=self.config.pad_bins,
                 ),

@@ -3,9 +3,9 @@
 :class:`WindowRing` is the streaming counterpart of NfDump's rotating
 capture directory. Incoming :class:`~repro.flows.table.FlowTable`
 chunks are routed by flow start time into fixed-width windows (the
-:class:`~repro.flows.store.FlowStore` rotation slices), a *watermark*
-tracks stream progress, and windows close — permanently — once the
-watermark passes their right edge.
+rotation slices of its archive), a *watermark* tracks stream
+progress, and windows close — permanently — once the watermark passes
+their right edge.
 
 The contract, which the test suite pins down:
 
@@ -22,9 +22,9 @@ The contract, which the test suite pins down:
 * Windows close **in index order**, including empty ones, so a
   downstream consumer sees exactly the bin sequence a batch run over
   the same data would see.
-* **Retention**: only the most recent ``retain_windows`` windows stay
-  in the backing store (the triage archive); older slices expire like
-  NfDump's disk budget.
+* **Retention**: only the most recent ``retain_windows`` sealed
+  windows stay in memory for triage (:meth:`query_table`); older ones
+  expire like NfDump's disk budget.
 * **Persistence**: with an ``archive``
   (:class:`~repro.archive.writer.ArchiveWriter`), every closed
   non-empty window is written to disk as one sealed, sorted partition
@@ -45,7 +45,6 @@ import numpy as np
 
 from repro.archive.index import FeatureIndex, index_histograms
 from repro.errors import StoreError
-from repro.flows.store import FlowStore
 from repro.flows.table import FlowTable
 from repro.flows.trace import DEFAULT_BIN_SECONDS
 from repro.stream.incremental import WindowCounts
@@ -68,7 +67,7 @@ class IngestResult:
     """Outcome of routing one chunk into the ring.
 
     ``routed`` lists ``(window_index, rows)`` sub-chunks in window
-    order, as the store received them.
+    order, as the ring keeps them.
     """
 
     admitted: int
@@ -77,7 +76,7 @@ class IngestResult:
 
 
 class WindowRing:
-    """Bounded ring of time-sliced windows over a rotating flow store."""
+    """Bounded ring of time-sliced windows: the live flow back-end."""
 
     def __init__(
         self,
@@ -122,9 +121,9 @@ class WindowRing:
             # ring must land windows on the same slice boundaries.
             origin = archive.origin
         self._origin = origin
-        self.store = FlowStore(
-            slice_seconds=self.window_seconds, origin=origin
-        )
+        #: Row chunks per retained window, in arrival order; a sealed
+        #: window holds one table.
+        self._windows: dict[int, list[FlowTable]] = {}
         if archive is not None and origin is not None:
             archive.set_origin(float(origin))
         self._max_event = -math.inf
@@ -146,6 +145,12 @@ class WindowRing:
             raise StoreError("ring origin not fixed yet (no rows ingested)")
         start = self._origin + index * self.window_seconds
         return (start, start + self.window_seconds)
+
+    @property
+    def slice_seconds(self) -> float:
+        """The grid width a :class:`~repro.system.backend.FlowBackend`
+        pads and baselines alarm windows by (``window_seconds``)."""
+        return self.window_seconds
 
     @property
     def watermark(self) -> float:
@@ -192,7 +197,6 @@ class WindowRing:
                 math.floor(first_seen / self.window_seconds)
                 * self.window_seconds
             )
-            self.store.set_origin(self._origin)
             if self.archive is not None:
                 self.archive.set_origin(self._origin)
 
@@ -200,9 +204,8 @@ class WindowRing:
         """Route one chunk's rows into their windows.
 
         Rows whose window has already closed (or that precede window 0)
-        are dropped as late; everything else is admitted to the backing
-        store, one sub-chunk per window. The watermark only ever
-        advances.
+        are dropped as late; everything else is kept, one sub-chunk per
+        window. The watermark only ever advances.
         """
         if not len(chunk):
             return IngestResult(admitted=0, late_dropped=0, routed=())
@@ -219,14 +222,12 @@ class WindowRing:
         if late:
             chunk = chunk.select(live)
             indices = indices[live]
-        for index in np.unique(indices):
+        for index in np.unique(indices).tolist():
             rows = chunk.select(indices == index)
-            routed.append((int(index), rows))
-            self._max_populated = max(self._max_populated, int(index))
-        # Window index == store slice index (same width, same origin),
-        # so the routed sub-chunks go straight into the archive — no
-        # second partitioning pass.
-        self._flows += self.store.insert_partitioned(routed)
+            routed.append((index, rows))
+            self._windows.setdefault(index, []).append(rows)
+            self._max_populated = max(self._max_populated, index)
+        self._flows += len(chunk)
         return IngestResult(
             admitted=len(chunk),
             late_dropped=late,
@@ -237,14 +238,15 @@ class WindowRing:
 
     def _seal(self, index: int) -> ClosedWindow:
         start, end = self.interval(index)
-        # The window's full row set (window index == store slice
-        # index). With an archive it is put in query order once, for
-        # its partition, and the store keeps that order: triage's
-        # queries over this window sort nothing.
-        if self.archive is None:
-            table = self.store.slice_table(index)
-        else:
-            table = self.store.order_slice(index)
+        # The window's full row set, kept as one table. With an archive
+        # it is put in query order once, for its partition, and the
+        # ring keeps that order: triage's queries over this window sort
+        # nothing.
+        table = FlowTable.concat(self._windows.get(index, ()))
+        if self.archive is not None:
+            table = table.in_query_order()
+        if len(table):
+            self._windows[index] = [table]
         if len(table) and (self.archive is not None
                            or self.weights is not None):
             # The window's one histogram pass: its partition index and
@@ -269,9 +271,9 @@ class WindowRing:
             index=index, start=start, end=end, flows=len(table)
         )
         self._next_to_close = index + 1
-        keep_from = self._next_to_close - self.retain_windows
-        if keep_from > 0:
-            self.store.expire_before(self.interval(keep_from)[0])
+        # Retention: windows seal one at a time, in index order, so
+        # each seal evicts the one window that falls out of the ring.
+        self._windows.pop(index - self.retain_windows, None)
         return window
 
     def close_due(self) -> list[ClosedWindow]:
@@ -301,7 +303,26 @@ class WindowRing:
 
     # -- queries -----------------------------------------------------------
 
-    def window_table(self, index: int) -> FlowTable:
-        """Columnar view of one retained window (sorted, like a query)."""
-        start, end = self.interval(index)
-        return self.store.query_table(start, end)
+    def query_table(self, start: float, end: float) -> FlowTable:
+        """Retained rows starting in ``[start, end)``, ordered by
+        ``(start, 5-tuple)`` — triage's alarm and baseline windows.
+
+        Each overlapping window is time-masked in index order; a sealed
+        window the mask keeps whole comes back as is, so a window
+        already in query order (sealed with an archive) sorts nothing.
+        """
+        if end < start:
+            raise StoreError(f"inverted interval [{start}, {end})")
+        selected = []
+        for index in sorted(self._windows):
+            lo, hi = self.interval(index)
+            if hi <= start or lo >= end:
+                continue
+            table = FlowTable.concat(self._windows[index])
+            starts = table.start
+            mask = (starts >= start) & (starts < end)
+            if mask.all():
+                selected.append(table)
+            elif mask.any():
+                selected.append(table.select(mask))
+        return FlowTable.concat(selected).in_query_order()

@@ -2,20 +2,22 @@
 
 The GUI "integrates with a back-end that stores flow records and that is
 based on the popular open-source tool NfDump". :class:`FlowBackend`
-wraps a :class:`~repro.flows.store.FlowStore` with the exact operations
-the extraction system and the console need:
+turns alarms into the window queries the extraction system needs:
 
 * pull the flows of an alarm interval (plus padding bins);
 * pull a pre-alarm baseline window for the popular-value filter;
-* drill down into the raw flows matching an extracted itemset;
-* nfdump-style ad-hoc filter queries and top-N statistics.
+* drill down into the raw flows matching an extracted itemset.
 
-The backend is agnostic about where the rows live: ``store`` may be
-the in-memory :class:`~repro.flows.store.FlowStore` *or* an on-disk
-:class:`~repro.archive.reader.ArchiveReader` — both expose the same
-query surface with byte-identical results, so triage runs unchanged
-against a live ring or a persistent archive (the restart-recovery
-path: :meth:`FlowBackend.from_archive`).
+The backend is agnostic about where the rows live. ``store`` is any
+object with a grid width ``slice_seconds`` and ``query_table(start,
+end)`` returning the window's rows in ``(start, 5-tuple)`` order: a
+bounded :class:`~repro.flows.trace.FlowTrace`, the stream's live
+:class:`~repro.stream.window.WindowRing`, or an on-disk
+:class:`~repro.archive.reader.ArchiveReader`. All three answer a
+window with the same bytes, so triage runs unchanged against a trace,
+a live ring or a persistent archive (the restart-recovery path:
+:meth:`FlowBackend.from_archive`). Ad-hoc nfdump-style queries go to
+the store itself.
 """
 
 from __future__ import annotations
@@ -25,15 +27,14 @@ from typing import TYPE_CHECKING
 
 from repro.detect.base import Alarm
 from repro.errors import StoreError
-from repro.flows.filter import FilterNode
-from repro.flows.record import FlowFeature, FlowRecord
-from repro.flows.store import FlowStore
+from repro.flows.record import FlowRecord
 from repro.flows.table import FlowTable
 from repro.flows.trace import FlowTrace
 from repro.mining.items import Itemset
 
 if TYPE_CHECKING:
     from repro.archive.reader import ArchiveReader
+    from repro.stream.window import WindowRing
 
 __all__ = ["BackendWindows", "FlowBackend"]
 
@@ -51,7 +52,7 @@ class FlowBackend:
 
     def __init__(
         self,
-        store: "FlowStore | ArchiveReader",
+        store: "FlowTrace | WindowRing | ArchiveReader",
         baseline_bins: int = 3,
         pad_bins: int = 0,
     ) -> None:
@@ -64,7 +65,7 @@ class FlowBackend:
     @classmethod
     def from_trace(cls, trace: FlowTrace, **kwargs: int) -> "FlowBackend":
         """Build a backend over an in-memory trace."""
-        return cls(FlowStore.from_trace(trace), **kwargs)
+        return cls(trace, **kwargs)
 
     @classmethod
     def from_archive(
@@ -133,27 +134,3 @@ class FlowBackend:
         window = self.store.query_table(start, end)
         matched = window.select(itemset.mask(window))
         return matched.heaviest_first(limit).to_records()
-
-    # -- ad-hoc queries ----------------------------------------------------------
-
-    def query_table(
-        self,
-        start: float,
-        end: float,
-        flow_filter: str | FilterNode | None = None,
-    ) -> FlowTable:
-        """nfdump-style filtered query (delegates to the store)."""
-        return self.store.query_table(start, end, flow_filter)
-
-    def top_feature_values(
-        self,
-        start: float,
-        end: float,
-        feature: FlowFeature,
-        n: int = 10,
-        by_packets: bool = False,
-    ) -> list[tuple[int, int]]:
-        """Top-N values of a flow feature in a window (vectorized)."""
-        return self.store.top_feature_values(
-            start, end, feature, n=n, by_packets=by_packets
-        )

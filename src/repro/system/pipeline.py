@@ -27,7 +27,6 @@ from repro.detect.base import Alarm, Detector
 from repro.errors import AlarmDatabaseError, ExtractionError, ReproError
 from repro.extraction.extractor import AnomalyExtractor, ExtractionReport
 from repro.extraction.validate import ValidationVerdict, validate_report
-from repro.flows.store import FlowStore
 from repro.flows.trace import FlowTrace
 from repro.system.alarmdb import AlarmDatabase, AlarmStatus
 from repro.system.backend import FlowBackend
@@ -74,7 +73,7 @@ class ExtractionSystem:
         """Build a system over an in-memory trace archive."""
         config = config or SystemConfig()
         backend = FlowBackend(
-            store=FlowStore.from_trace(trace),
+            store=trace,
             baseline_bins=config.baseline_bins,
             pad_bins=config.pad_bins,
         )

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.flows.addresses import ip_to_int
+from repro.flows.aggregate import ranked_from_histogram, table_histogram
 from repro.flows.record import FlowRecord, Protocol, TcpFlags
+from repro.flows.trace import FlowTrace, TraceStats
 from repro.synth.background import BackgroundConfig
 from repro.synth.scenario import Scenario
 from repro.synth.topology import Topology
@@ -39,6 +41,24 @@ def make_flow(
         tcp_flags=int(flags),
         router=router,
         sampling_rate=sampling,
+    )
+
+
+def window_count(trace, start, end, flow_filter=None) -> TraceStats:
+    """``ArchiveReader.count`` answered in memory: the counters of a
+    trace's window query (``start`` bounds an empty answer)."""
+    rows = trace.query_table(start, end, flow_filter)
+    return FlowTrace(rows, origin=start).stats()
+
+
+def window_top(trace, start, end, feature, n=10, by_packets=False,
+               flow_filter=None) -> list[tuple[int, int]]:
+    """``ArchiveReader.top_feature_values`` answered in memory, with
+    the same ranking."""
+    rows = trace.query_table(start, end, flow_filter)
+    weighting = "packets" if by_packets else "flows"
+    return ranked_from_histogram(
+        *table_histogram(rows, feature, (weighting,)), n
     )
 
 

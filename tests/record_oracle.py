@@ -87,11 +87,11 @@ def distinct_counts(flows):
     return {feature: len(values) for feature, values in seen.items()}
 
 
-# -- flows.store --------------------------------------------------------------
+# -- flows.aggregate.ranked_from_histogram ------------------------------------
 
 
 def top_talkers(flows, key, n=10, weight=None):
-    """``FlowStore.top_talkers`` over the flows of a window: totals per
+    """nfdump ``-s`` over the flows of a window: totals per
     ``key(flow)``, heaviest first, ties by the key's string form."""
     totals: dict[object, int] = {}
     for flow in flows:

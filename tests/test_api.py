@@ -18,7 +18,6 @@ from repro.detect.netreflex import NetReflexDetector
 from repro.errors import RegistryError, SpecError
 from repro.extraction.summarize import table_rows
 from repro.flows.flowio import read_binary_table
-from repro.flows.store import FlowStore
 from repro.flows.table import FlowTable
 from repro.flows.trace import DEFAULT_BIN_SECONDS, FlowTrace
 from repro.stream import ReplayDriver, StreamEngine, streaming_adapter
@@ -91,7 +90,7 @@ class TestBatchEquivalence:
         legacy_alarms = detector.detect(tail)
         legacy_db = tmp_path / "legacy.db"
         system = ExtractionSystem(
-            FlowBackend(store=FlowStore.from_trace(trace),
+            FlowBackend(store=trace,
                         baseline_bins=3, pad_bins=0),
             alarmdb=AlarmDatabase(legacy_db),
             config=SystemConfig(),

@@ -5,7 +5,7 @@ Four layers of guarantees:
 * **Round-trip / equivalence** — archive write → mmap read is
   byte-identical to the in-memory path: for any flow set and any
   window+filter query, the pruned archive query, the full-scan
-  archive query and ``FlowStore.query_table`` return the same bytes
+  archive query and ``FlowTrace.query_table`` return the same bytes
   (Hypothesis drives this over random traces, windows and filters).
 * **Durability / crash recovery** — partitions appear atomically
   (servable iff ``.flows`` and ``.idx`` exist and the ``.idx``
@@ -35,6 +35,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import window_count, window_top
 from repro.archive import (
     MAX_DICT_VALUES,
     ArchiveReader,
@@ -53,7 +54,6 @@ from repro.archive.index import (
 from repro.archive.layout import PARTITION_HEADER_SIZE, sidecar_path
 from repro.errors import ArchiveError, CodecError
 from repro.flows.record import FlowFeature, FlowRecord
-from repro.flows.store import FlowStore
 from repro.flows.table import FLOW_DTYPE, FlowTable
 from repro.flows.trace import FlowTrace
 from repro.parallel.partition import PartitionSpec, shard_ids
@@ -88,10 +88,9 @@ def _write(root, table, slice_seconds=300.0, chunk_rows=1000, **kwargs):
     return ArchiveReader(root)
 
 
-def _store(table, slice_seconds=300.0):
-    store = FlowStore(slice_seconds=slice_seconds)
-    store.insert_table(table)
-    return store
+def _memory(table):
+    """The same rows held in memory: a bounded trace."""
+    return FlowTrace(table, bin_seconds=300.0)
 
 
 def _same_bytes(a: FlowTable, b: FlowTable) -> bool:
@@ -117,7 +116,7 @@ class TestRoundTrip:
         table = _random_table(20_000, seed=11)
         reader = _write(tmp_path / "a", table, chunk_rows=3000)
         full = ArchiveReader(tmp_path / "a", use_zone_maps=False)
-        store = _store(table)
+        memory = _memory(table)
         queries = [
             (0.0, 1800.0, None),
             (300.0, 600.0, "dst port 443"),
@@ -128,7 +127,7 @@ class TestRoundTrip:
         ]
         for start, end, flt in queries:
             pruned = reader.query_table(start, end, flt)
-            assert _same_bytes(pruned, store.query_table(start, end, flt))
+            assert _same_bytes(pruned, memory.query_table(start, end, flt))
             assert _same_bytes(pruned, full.query_table(start, end, flt))
 
     def test_pruning_skips_partitions(self, tmp_path):
@@ -145,14 +144,14 @@ class TestRoundTrip:
     def test_count_matches_store(self, tmp_path):
         table = _random_table(8000, seed=2)
         reader = _write(tmp_path / "a", table)
-        store = _store(table)
+        memory = _memory(table)
         for start, end, flt in [
             (0.0, 1800.0, None),
             (300.0, 900.0, "proto tcp"),
             (0.0, 1800.0, "dst port 9999"),
         ]:
             ours = reader.count(start, end, flt)
-            theirs = store.count(start, end, flt)
+            theirs = window_count(memory, start, end, flt)
             assert ours.flows == theirs.flows
             assert ours.packets == theirs.packets
             assert ours.bytes == theirs.bytes
@@ -160,90 +159,10 @@ class TestRoundTrip:
     def test_top_feature_values_matches_store(self, tmp_path):
         table = _random_table(5000, seed=8)
         reader = _write(tmp_path / "a", table)
-        store = _store(table)
+        memory = _memory(table)
         assert reader.top_feature_values(
             0.0, 1800.0, FlowFeature.DST_PORT, n=5
-        ) == store.top_feature_values(0.0, 1800.0, FlowFeature.DST_PORT, n=5)
-
-    def test_spill_to_archives_a_store(self, tmp_path):
-        table = _random_table(6000, seed=4)
-        store = _store(table)
-        with ArchiveWriter(tmp_path / "a", slice_seconds=300.0) as writer:
-            assert store.spill_to(writer) == 6000
-        reader = ArchiveReader(tmp_path / "a")
-        assert _same_bytes(
-            reader.query_table(0.0, 1800.0),
-            store.query_table(0.0, 1800.0),
-        )
-
-    def test_repeated_spill_never_duplicates_rows(self, tmp_path):
-        table = _random_table(6000, seed=4)
-        store = _store(table)
-        with ArchiveWriter(tmp_path / "a", slice_seconds=300.0) as writer:
-            first = store.spill_to(writer, before=900.0)
-            assert first > 0
-            # A rotation policy re-runs the same call every interval;
-            # already-spilled slices must not re-archive.
-            assert store.spill_to(writer, before=900.0) == 0
-            later = store.spill_to(writer, before=1800.0)
-            assert first + later == 6000
-            assert store.spill_to(writer) == 0
-        reader = ArchiveReader(tmp_path / "a")
-        assert len(reader) == 6000
-
-    def test_late_rows_in_spilled_slices_reach_the_archive(
-        self, tmp_path
-    ):
-        table = _random_table(3000, seed=4)
-        store = _store(table)
-        with ArchiveWriter(tmp_path / "a", slice_seconds=300.0) as writer:
-            store.spill_to(writer)
-            # A straggler lands in an already-spilled slice...
-            late = _random_table(7, seed=99, span=250.0)
-            store.insert_table(late)
-            # ...and the next rotation pass (with expiry) must archive
-            # it rather than silently destroying the only copy.
-            assert store.spill_to(writer, expire=True) == 7
-        reader = ArchiveReader(tmp_path / "a")
-        assert len(reader) == 3007
-        assert store.count(0.0, 1e9).flows == 0
-
-    def test_ordering_a_partly_spilled_slice_spills_each_row_once(
-        self, tmp_path
-    ):
-        """``order_slice`` may reorder a slice in place only while none
-        of it is archived: afterwards "the first n rows are spilled"
-        must keep meaning the same rows."""
-        table = _random_table(3000, seed=4)
-        store = FlowStore(slice_seconds=300.0, origin=0.0)
-        store.insert_table(table)
-        with ArchiveWriter(tmp_path / "a", slice_seconds=300.0) as writer:
-            assert store.spill_to(writer) == 3000
-            # Stragglers that sort *before* rows already archived.
-            late = _random_table(40, seed=99, span=250.0)
-            store.insert_table(late)
-            ordered = store.order_slice(0)
-            assert ordered.in_query_order() is ordered
-            assert _same_bytes(ordered, store.query_table(0.0, 300.0))
-            assert store.spill_to(writer) == 40
-            assert store.spill_to(writer) == 0
-        reader = ArchiveReader(tmp_path / "a")
-        assert len(reader) == 3040
-        assert _same_bytes(
-            reader.query_table(0.0, 1800.0),
-            store.query_table(0.0, 1800.0),
-        )
-
-    def test_spill_to_with_expiry_tiers_old_slices(self, tmp_path):
-        table = _random_table(6000, seed=4)
-        store = _store(table)
-        with ArchiveWriter(tmp_path / "a", slice_seconds=300.0) as writer:
-            store.spill_to(writer, before=900.0, expire=True)
-        # Old slices now live only on disk; the live edge only in RAM.
-        assert store.count(0.0, 900.0).flows == 0
-        reader = ArchiveReader(tmp_path / "a")
-        assert reader.count(0.0, 900.0).flows > 0
-        assert reader.count(900.0, 1800.0).flows == 0
+        ) == window_top(memory, 0.0, 1800.0, FlowFeature.DST_PORT, n=5)
 
 
 # Value pools mirror test_stream: small enough to collide, rich enough
@@ -308,18 +227,18 @@ class TestHypothesisEquivalence:
     def test_archive_query_matches_store(
         self, tmp_path_factory, flows, chunk_rows, window, flt, compact
     ):
-        """write → (maybe compact) → mmap read == in-memory store."""
+        """write → (maybe compact) → mmap read == in-memory trace."""
         root = tmp_path_factory.mktemp("archive")
         table = FlowTrace(flows, bin_seconds=300.0).table
         reader = _write(root, table, chunk_rows=chunk_rows)
         if compact:
             compact_archive(root, reader=reader)
         full = ArchiveReader(root, use_zone_maps=False)
-        store = _store(table)
+        memory = _memory(table)
         start, width = window
         end = start + width
         pruned = reader.query_table(start, end, flt)
-        assert _same_bytes(pruned, store.query_table(start, end, flt))
+        assert _same_bytes(pruned, memory.query_table(start, end, flt))
         assert _same_bytes(pruned, full.query_table(start, end, flt))
 
 
@@ -576,7 +495,7 @@ class TestCompaction:
         assert all(p.zone.sorted for p in reader.partitions())
         assert _same_bytes(
             reader.query_table(0.0, 1800.0),
-            _store(table).query_table(0.0, 1800.0),
+            _memory(table).query_table(0.0, 1800.0),
         )
         # Already-terminal groups are left alone.
         again = compact_archive(root)
@@ -659,10 +578,10 @@ class TestShardAware:
         table = _random_table(8000, seed=14)
         reader = _write(tmp_path / "a", table,
                         shard_spec=PartitionSpec(shards=4))
-        store = _store(table)
+        memory = _memory(table)
         assert _same_bytes(
             reader.query_table(300.0, 900.0, "dst port 53"),
-            store.query_table(300.0, 900.0, "dst port 53"),
+            memory.query_table(300.0, 900.0, "dst port 53"),
         )
 
 
@@ -734,7 +653,7 @@ class TestStreamIntegration:
         # Every admitted flow is durable, despite retain_windows=2.
         reader = ArchiveReader(tmp_path / "spool")
         assert len(reader) == engine.stats.flows
-        assert engine.ring.store.count(split, split + 1e9).flows \
+        assert len(engine.ring.query_table(split, split + 1e9)) \
             < engine.stats.flows
         assert_flow_balance(engine, results, len(tail))
 
@@ -781,13 +700,13 @@ class TestStreamIntegration:
         with ArchiveWriter(tmp_path / "a",
                            slice_seconds=bin_seconds) as writer:
             writer.ingest_chunks(table_chunks(tail, 4096))
-        store = FlowStore(slice_seconds=bin_seconds)
-        store.insert_table(tail)
         alarms = trained.detect(
             FlowTrace(tail, bin_seconds=bin_seconds, origin=split)
         )
         archive_backend = FlowBackend.from_archive(tmp_path / "a")
-        memory_backend = FlowBackend(store)
+        memory_backend = FlowBackend.from_trace(
+            FlowTrace(tail, bin_seconds=bin_seconds)
+        )
         for alarm in alarms:
             assert _same_bytes(
                 archive_backend.alarm_table(alarm),
@@ -1042,10 +961,11 @@ class TestQueryPlanner:
     def test_filtered_count_scans_payload(self, tmp_path):
         table = _random_table(4000, seed=5)
         reader = _write(tmp_path / "a", table)
-        store = _store(table)
+        memory = _memory(table)
         ours = reader.count(0.0, 1800.0, "proto tcp")
         plan = reader.last_plan
-        assert ours.flows == store.count(0.0, 1800.0, "proto tcp").flows
+        assert ours.flows == \
+            window_count(memory, 0.0, 1800.0, "proto tcp").flows
         assert plan.pushdown is None
         assert plan.scanned > 0
         assert plan.payload_bytes_read > 0
@@ -1053,15 +973,15 @@ class TestQueryPlanner:
     def test_top_pushdown_matches_store(self, tmp_path):
         table = _random_table(5000, seed=8)
         reader = _write(tmp_path / "a", table)
-        store = _store(table)
+        memory = _memory(table)
         for by_packets in (False, True):
             ours = reader.top_feature_values(
                 0.0, 1800.0, FlowFeature.DST_PORT,
                 n=5, by_packets=by_packets,
             )
             plan = reader.last_plan
-            assert ours == store.top_feature_values(
-                0.0, 1800.0, FlowFeature.DST_PORT,
+            assert ours == window_top(
+                memory, 0.0, 1800.0, FlowFeature.DST_PORT,
                 n=5, by_packets=by_packets,
             )
             assert plan.pushdown == "feature-index"
@@ -1071,13 +991,13 @@ class TestQueryPlanner:
     def test_partial_window_falls_back_to_scan(self, tmp_path):
         table = _random_table(5000, seed=8)
         reader = _write(tmp_path / "a", table)
-        store = _store(table)
+        memory = _memory(table)
         # A window cutting through a slice cannot use per-partition
         # totals; the planner must notice and scan.
         assert reader.top_feature_values(
             150.0, 1234.0, FlowFeature.DST_PORT, n=5
-        ) == store.top_feature_values(
-            150.0, 1234.0, FlowFeature.DST_PORT, n=5
+        ) == window_top(
+            memory, 150.0, 1234.0, FlowFeature.DST_PORT, n=5
         )
         assert reader.last_plan.pushdown is None
         assert reader.last_plan.scanned > 0
@@ -1119,7 +1039,7 @@ class TestQueryPlanner:
         table = _random_table(6000, seed=4)
         root = tmp_path / "a"
         _write(root, table, chunk_rows=500, spill_rows=300)
-        store = _store(table)
+        memory = _memory(table)
         report = compact_archive(root)
         assert report.partitions_after < report.partitions_before
         names = {p.name for p in root.iterdir() if p.is_file()}
@@ -1130,8 +1050,8 @@ class TestQueryPlanner:
         reader = ArchiveReader(root)
         assert reader.top_feature_values(
             0.0, 1800.0, FlowFeature.DST_PORT, n=5
-        ) == store.top_feature_values(
-            0.0, 1800.0, FlowFeature.DST_PORT, n=5
+        ) == window_top(
+            memory, 0.0, 1800.0, FlowFeature.DST_PORT, n=5
         )
         assert reader.last_plan.pushdown == "feature-index"
 
@@ -1186,7 +1106,7 @@ class TestLegacyArchive:
 
     def test_opens_and_answers_like_a_store(self, legacy_root):
         rows = _payload_rows(legacy_root)
-        store = _store(rows)
+        memory = _memory(rows)
         reader = ArchiveReader(legacy_root)
         assert [p.legacy for p in reader.partitions()] == [True, True]
         assert reader.stats().quarantined == 0
@@ -1197,10 +1117,10 @@ class TestLegacyArchive:
         ]:
             assert _same_bytes(
                 reader.query_table(start, end, flt),
-                store.query_table(start, end, flt),
+                memory.query_table(start, end, flt),
             )
             ours, theirs = reader.count(start, end, flt), \
-                store.count(start, end, flt)
+                window_count(memory, start, end, flt)
             assert (ours.flows, ours.packets, ours.bytes) == \
                 (theirs.flows, theirs.packets, theirs.bytes)
         assert reader.count(0.0, 600.0).flows == len(rows) == 100
@@ -1209,14 +1129,14 @@ class TestLegacyArchive:
     def test_missing_sidecar_falls_back_to_scan(self, legacy_root):
         """Only a legacy partition can be servable without a feature
         index: slice 0 carries a ``.fidx.json``, slice 1 does not."""
-        store = _store(_payload_rows(legacy_root))
+        memory = _memory(_payload_rows(legacy_root))
         reader = ArchiveReader(legacy_root)
         for by_packets in (False, True):
             assert reader.top_feature_values(
                 0.0, 300.0, FlowFeature.SRC_IP, n=5,
                 by_packets=by_packets,
-            ) == store.top_feature_values(
-                0.0, 300.0, FlowFeature.SRC_IP, n=5,
+            ) == window_top(
+                memory, 0.0, 300.0, FlowFeature.SRC_IP, n=5,
                 by_packets=by_packets,
             )
             assert reader.last_plan.pushdown == "feature-index"
@@ -1224,8 +1144,8 @@ class TestLegacyArchive:
         for window in ((300.0, 600.0), (0.0, 600.0)):
             assert reader.top_feature_values(
                 *window, FlowFeature.SRC_IP, n=5
-            ) == store.top_feature_values(
-                *window, FlowFeature.SRC_IP, n=5
+            ) == window_top(
+                memory, *window, FlowFeature.SRC_IP, n=5
             )
             plan = reader.last_plan
             assert plan.pushdown is None
@@ -1233,12 +1153,12 @@ class TestLegacyArchive:
 
     def test_corrupt_sidecar_falls_back_to_scan(self, legacy_root):
         (legacy_root / "part0-h0-0.fidx.json").write_text("{ not json")
-        store = _store(_payload_rows(legacy_root))
+        memory = _memory(_payload_rows(legacy_root))
         reader = ArchiveReader(legacy_root)
         assert reader.top_feature_values(
             0.0, 300.0, FlowFeature.DST_PORT, n=5
-        ) == store.top_feature_values(
-            0.0, 300.0, FlowFeature.DST_PORT, n=5
+        ) == window_top(
+            memory, 0.0, 300.0, FlowFeature.DST_PORT, n=5
         )
         assert reader.last_plan.pushdown is None
         assert reader.stats().quarantined == 0
@@ -1246,7 +1166,7 @@ class TestLegacyArchive:
     def test_compaction_rewrites_into_the_current_format(
         self, legacy_root
     ):
-        store = _store(_payload_rows(legacy_root))
+        memory = _memory(_payload_rows(legacy_root))
         before = ArchiveReader(legacy_root).query_table(0.0, 600.0)
         result = compact_archive(legacy_root)
         assert result.groups == 2
@@ -1261,11 +1181,11 @@ class TestLegacyArchive:
         reader = ArchiveReader(legacy_root)
         assert not any(p.legacy for p in reader.partitions())
         assert _same_bytes(reader.query_table(0.0, 600.0), before)
-        assert _same_bytes(before, store.query_table(0.0, 600.0))
+        assert _same_bytes(before, memory.query_table(0.0, 600.0))
         for feature in (FlowFeature.SRC_IP, FlowFeature.DST_PORT):
             assert reader.top_feature_values(
                 0.0, 600.0, feature, n=5
-            ) == store.top_feature_values(0.0, 600.0, feature, n=5)
+            ) == window_top(memory, 0.0, 600.0, feature, n=5)
             assert reader.last_plan.pushdown == "feature-index"
         # Terminal now: a second pass has nothing to do.
         assert compact_archive(legacy_root).groups == 0

@@ -59,6 +59,53 @@ class TestQuery:
         assert "error:" in capsys.readouterr().err
 
 
+QUERY_SHAPES = [
+    pytest.param([], id="rows"),
+    pytest.param(["--set", "execution.top=dstIP"], id="top"),
+    pytest.param(["--set", "execution.stats=true"], id="stats"),
+]
+
+
+class TestQueryWindows:
+    """One answer per window, whatever the source and the answer
+    shape: an inverted window is a spec error (exit 2), and a start
+    past the data with the end left open is an empty answer."""
+
+    @pytest.fixture(params=["rpv5", "archive"])
+    def config(self, request, trace_path, tmp_path):
+        path = trace_path
+        if request.param == "archive":
+            path = tmp_path / "spool"
+            assert main([
+                "archive", "ingest", str(trace_path), "--dir", str(path),
+            ]) == 0
+        config = tmp_path / "query.toml"
+        config.write_text(
+            f'[source]\nkind = "{request.param}"\npath = "{path}"\n\n'
+            f'[execution]\nmode = "query"\n'
+        )
+        return str(config)
+
+    @pytest.mark.parametrize("shape", QUERY_SHAPES)
+    def test_inverted_window_is_a_spec_error(self, config, shape, capsys):
+        code = main([
+            "run", config, "--set", "execution.start=900",
+            "--set", "execution.end=600", *shape,
+        ])
+        assert code == 2
+        assert "execution.end: window end 600.0 precedes start 900.0" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", QUERY_SHAPES)
+    def test_start_past_the_data_is_empty(self, config, shape, capsys):
+        code = main(["run", config, "--set", "execution.start=9000",
+                     *shape])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("0 flows match")
+        assert "session query ok: matched=0" in out
+
+
 class TestExtract:
     def test_extract_window_with_hints(self, trace_path, capsys):
         code = main([

@@ -13,7 +13,6 @@ from repro.errors import ExtractionError, MiningError
 from repro.extraction.extractor import AnomalyExtractor, ExtractionConfig
 from repro.extraction.validate import validate_report
 from repro.flows.record import FlowFeature
-from repro.flows.store import FlowStore
 from repro.flows.trace import FlowTrace
 from repro.mining.extended import ExtendedApriori, ExtendedAprioriConfig
 from repro.mining.transactions import TransactionSet
@@ -120,7 +119,7 @@ class TestSystemRobustness:
             system.extract(alarm)
 
     def test_backend_empty_store(self):
-        backend = FlowBackend(FlowStore())
+        backend = FlowBackend(FlowTrace())
         alarm = _alarm()
         assert not len(backend.alarm_table(alarm))
         assert not len(backend.baseline_table(alarm))

@@ -1,4 +1,4 @@
-"""Tests for trace, store, sampling, aggregate, codec and IO modules."""
+"""Tests for trace, window store, sampling, aggregate, codec and IO modules."""
 
 import io
 import struct
@@ -35,8 +35,9 @@ from repro.flows.sampling import (
     renormalize,
     sample_trace,
 )
-from repro.flows.store import FlowStore
+from repro.flows.table import FlowTable
 from repro.flows.trace import FlowTrace
+from repro.stream.window import WindowRing
 
 
 def _flows(n=10, spacing=30.0):
@@ -117,58 +118,58 @@ class TestFlowTrace:
 
 
 class TestFlowStore:
+    """The NfDump-style window store: a bounded trace and the live
+    window ring answer ``[start, end)`` + filter queries."""
+
     def test_insert_and_query(self):
-        store = FlowStore(slice_seconds=60.0)
-        store.insert_many(_flows(10))
-        assert len(store) == 10
-        result = store.query(30.0, 90.0)
-        assert [f.start for f in result] == [30.0, 60.0]
+        trace = FlowTrace(_flows(10), bin_seconds=60.0)
+        assert len(trace) == 10
+        result = trace.query_table(30.0, 90.0)
+        assert list(result.start) == [30.0, 60.0]
 
     def test_query_with_filter(self):
-        store = FlowStore(slice_seconds=60.0)
-        store.insert_many(_flows(10))
-        result = store.query(0.0, 300.0, "src port 1003")
-        assert len(result) == 1
+        trace = FlowTrace(_flows(10), bin_seconds=60.0)
+        assert len(trace.query_table(0.0, 300.0, "src port 1003")) == 1
 
     def test_count(self):
-        store = FlowStore(slice_seconds=60.0)
-        store.insert_many(_flows(10))
-        stats = store.count(0.0, 300.0)
-        assert stats.flows == 10
-        stats = store.count(0.0, 300.0, "src port > 1004")
-        assert stats.flows == 5
+        trace = FlowTrace(_flows(10), bin_seconds=60.0)
+        assert len(trace.query_table(0.0, 300.0)) == 10
+        assert len(trace.query_table(0.0, 300.0, "src port > 1004")) == 5
 
     def test_slices_metadata(self):
-        store = FlowStore(slice_seconds=60.0)
-        store.insert_many(_flows(4))  # starts at 0, 30, 60, 90
-        infos = store.slices()
-        assert [s.flows for s in infos] == [2, 2]
-        assert infos[0].start == 0.0
-        assert infos[0].packets == 20
+        ring = WindowRing(window_seconds=60.0, origin=0.0, weights=())
+        ring.ingest(FlowTable.from_records(_flows(4)))  # 0, 30, 60, 90
+        windows = ring.flush()
+        assert [w.flows for w in windows] == [2, 2]
+        assert windows[0].start == 0.0
+        assert ring.take_counts(0).packets == 20
 
     def test_expire(self):
-        store = FlowStore(slice_seconds=60.0)
-        store.insert_many(_flows(10))
-        removed = store.expire_before(120.0)
-        assert removed == 4
-        assert len(store) == 6
-        assert store.query(0.0, 120.0) == []
+        ring = WindowRing(window_seconds=60.0, origin=0.0,
+                          retain_windows=3)
+        ring.ingest(FlowTable.from_records(_flows(10)))
+        assert len(ring.flush()) == 5
+        # Windows 0 and 1 (4 flows) fell out of the ring.
+        assert not ring.query_table(0.0, 120.0)
+        assert len(ring.query_table(0.0, 300.0)) == 6
 
     def test_from_trace_roundtrip(self):
         trace = FlowTrace(_flows(6), bin_seconds=60.0)
-        store = FlowStore.from_trace(trace)
-        back = store.to_trace()
+        lo, hi = trace.span
+        back = FlowTrace(trace.query_table(lo, hi + 1.0), bin_seconds=60.0)
         assert len(back) == 6
         assert sorted(f.key for f in back) == sorted(f.key for f in trace)
 
     def test_inverted_interval_rejected(self):
         with pytest.raises(StoreError):
-            FlowStore().query(10.0, 0.0)
+            FlowTrace().query_table(10.0, 0.0)
+        with pytest.raises(StoreError):
+            WindowRing().query_table(10.0, 0.0)
 
     def test_negative_time_slices(self):
-        store = FlowStore(slice_seconds=60.0, origin=0.0)
-        store.insert(make_flow(start=-30.0, end=-29.0))
-        assert store.query(-60.0, 0.0)
+        trace = FlowTrace([make_flow(start=-30.0, end=-29.0)],
+                          bin_seconds=60.0, origin=0.0)
+        assert trace.query_table(-60.0, 0.0)
 
 
 class TestSampling:

@@ -14,9 +14,10 @@ from repro.flows.flowio import (
     write_csv,
 )
 from repro.flows.record import FlowFeature
-from repro.flows.store import FlowStore
+from repro.flows.aggregate import ranked_from_histogram, table_histogram
 from repro.flows.table import FlowTable
 from repro.flows.trace import FlowTrace
+from repro.stream.window import WindowRing
 from tests import record_oracle
 
 import io
@@ -176,18 +177,16 @@ class TestTraceAndStoreIntegration:
         assert filtered.origin == trace.origin
 
     def test_store_query_table_equals_query(self):
-        store = FlowStore(slice_seconds=60.0)
-        store.insert_many(_flows(10))
-        table = store.query_table(0.0, 300.0, "src port > 1003")
-        records = store.query(0.0, 300.0, "src port > 1003")
+        trace = FlowTrace(_flows(10), bin_seconds=60.0)
+        table = trace.query_table(0.0, 300.0, "src port > 1003")
+        records = [f for f in trace.between(0.0, 300.0) if f.src_port > 1003]
         assert table.to_records() == records
 
     def test_store_insert_table(self):
-        store = FlowStore(slice_seconds=60.0)
-        inserted = store.insert_table(FlowTable.from_records(_flows(10)))
-        assert inserted == 10
-        assert len(store) == 10
-        assert len(store.query(30.0, 90.0)) == 2
+        ring = WindowRing(window_seconds=60.0)
+        ingested = ring.ingest(FlowTable.from_records(_flows(10)))
+        assert ingested.admitted == ring.flows_ingested == 10
+        assert len(ring.query_table(30.0, 90.0)) == 2
 
     def test_record_rejects_unpackable_fields(self):
         # The packed dtype and FlowRecord must agree on field ranges,
@@ -199,25 +198,14 @@ class TestTraceAndStoreIntegration:
         with pytest.raises(FlowError):
             make_flow(sampling=2**40)
 
-    def test_store_degenerate_interval_stats_are_empty(self):
-        store = FlowStore(slice_seconds=60.0)
-        store.insert_many(_flows(4))
-        assert store.count(10.0, 5.0).flows == 0
-        assert store.top_feature_values(
-            10.0, 5.0, FlowFeature.DST_PORT
-        ) == []
-        with pytest.raises(Exception):
-            store.query(10.0, 5.0)
-
     def test_scan_does_not_pin_record_cache(self):
-        store = FlowStore(slice_seconds=60.0)
-        store.insert_table(
-            FlowTable.from_records(_flows(6), cache_records=False)
+        trace = FlowTrace(
+            FlowTable.from_records(_flows(6), cache_records=False),
+            bin_seconds=60.0,
         )
-        store.top_feature_values(0.0, 300.0, FlowFeature.DST_PORT)
-        store.count(0.0, 300.0, "dst port 80")
-        for entry in store._slices.values():
-            assert entry.table()._rows is None
+        table_histogram(trace.query_table(0.0, 300.0), FlowFeature.DST_PORT)
+        trace.query_table(0.0, 300.0, "dst port 80")
+        assert trace.table._rows is None
 
     def test_weighted_histogram_exact_beyond_float53(self):
         from repro.flows.aggregate import feature_histogram
@@ -233,13 +221,13 @@ class TestTraceAndStoreIntegration:
         assert histogram[80] == big + 3
 
     def test_store_top_feature_values(self):
-        store = FlowStore(slice_seconds=60.0)
-        store.insert_many(_flows(10))
-        ranked = store.top_feature_values(
-            0.0, 300.0, FlowFeature.DST_PORT, n=2
+        trace = FlowTrace(_flows(10), bin_seconds=60.0)
+        window = trace.query_table(0.0, 300.0)
+        ranked = ranked_from_histogram(
+            *table_histogram(window, FlowFeature.DST_PORT), 2
         )
         expected = record_oracle.top_talkers(
-            store.query(0.0, 300.0), key=lambda f: f.dst_port, n=2
+            window.to_records(), key=lambda f: f.dst_port, n=2
         )
         assert ranked == expected
 

@@ -8,11 +8,14 @@ Three guarantees of the archive's read side:
   tie groups at the cut included.
 * **``sorted`` is a derived fact.** ``write_partition`` reads the flag
   off the rows; everything ``ingest_table`` spills is in query order.
-* **One answer, however the rows were archived.** Ring-sealed,
-  bulk-ingested from shuffled chunks, or written out of order (so the
-  reader takes the mask, not the bisection): ``query_table``, ``count``
-  and ``top_feature_values`` agree to the byte, on windows chosen to
-  sit on the cut's edges, and a query session answers the same at any
+* **One answer, however the rows are held.** A bounded trace, the
+  live window ring (sealed with or without an archive, open, or past
+  retention) and the archive it seals into answer a window with the
+  same bytes. Archived ring-sealed, bulk-ingested from shuffled
+  chunks, or written out of order (so the reader takes the mask, not
+  the bisection): ``query_table``, ``count`` and
+  ``top_feature_values`` agree to the byte, on windows chosen to sit
+  on the cut's edges, and a query session answers the same at any
   worker count.
 """
 
@@ -22,15 +25,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import window_count, window_top
 from repro import api
 from repro.archive import ArchiveReader, ArchiveWriter
 from repro.archive.planner import window_rows
 from repro.flows import aggregate
 from repro.flows.aggregate import ranked_from_histogram
-from repro.flows.filter import parse_filter
+from repro.flows.filter import compile_mask, parse_filter
 from repro.flows.record import FlowFeature
-from repro.flows.store import FlowStore
 from repro.flows.table import FlowTable
+from repro.flows.trace import FlowTrace
 from repro.stream.sources import table_chunks
 from repro.stream.window import WindowRing
 from tests import record_oracle
@@ -196,7 +200,7 @@ FILTERS = [
 
 @pytest.fixture(scope="module")
 def three_archives(tmp_path_factory):
-    """The same rows archived three ways, and the store they equal."""
+    """The same rows archived three ways, and the trace they equal."""
     table = _tied_table()
     root = tmp_path_factory.mktemp("order")
     # Ring-sealed: one sorted, sealed partition per window.
@@ -225,14 +229,12 @@ def three_archives(tmp_path_factory):
         name: ArchiveReader(root / name)
         for name in ("ring", "bulk", "unsorted")
     }
-    store = FlowStore(slice_seconds=WIDTH, origin=0.0)
-    store.insert_table(table)
-    return readers, store
+    return readers, FlowTrace(table, bin_seconds=WIDTH, origin=0.0)
 
 
 class TestArchivedThreeWays:
     def test_the_flags_are_what_the_cut_branches_on(self, three_archives):
-        readers, _store = three_archives
+        readers, _memory = three_archives
         flags = {
             name: {p.zone.sorted for p in reader.partitions()}
             for name, reader in readers.items()
@@ -243,23 +245,23 @@ class TestArchivedThreeWays:
         assert len(readers["bulk"].partitions()) > 3
 
     def test_row_queries_are_byte_identical(self, three_archives):
-        readers, store = three_archives
+        readers, memory = three_archives
         for start, end in WINDOWS:
             for flt in FILTERS:
-                want = store.query_table(start, end, flt)._data.tobytes()
+                want = memory.query_table(start, end, flt)._data.tobytes()
                 for name, reader in readers.items():
                     got = reader.query_table(start, end, flt)
                     assert got._data.tobytes() == want, \
                         (name, start, end, flt)
 
     def test_counts_and_rankings_agree(self, three_archives):
-        readers, store = three_archives
+        readers, memory = three_archives
         for start, end in WINDOWS:
             for flt in FILTERS:
-                want_count = store.count(start, end, flt)
+                want_count = window_count(memory, start, end, flt)
                 want_top = [
-                    store.top_feature_values(
-                        start, end, feature, n=5,
+                    window_top(
+                        memory, start, end, feature, n=5,
                         by_packets=by_packets, flow_filter=flt,
                     )
                     for feature in (FlowFeature.SRC_IP, FlowFeature.DST_PORT)
@@ -280,8 +282,8 @@ class TestArchivedThreeWays:
 
     def test_worker_scans_agree_with_serial(self, three_archives):
         # ``workers`` is deprecated: a query session asked for two
-        # workers scans in this process and answers as the store does.
-        readers, store = three_archives
+        # workers scans in this process and answers as memory does.
+        readers, memory = three_archives
         for name, reader in readers.items():
             def query(start, end, flt, **options):
                 return (
@@ -295,11 +297,89 @@ class TestArchivedThreeWays:
             for start, end in WINDOWS:
                 for flt in ("dst port 53", None):
                     assert query(start, end, flt, stats=True)["stats"] \
-                        == store.count(start, end, flt), \
+                        == window_count(memory, start, end, flt), \
                         (name, start, end, flt)
                     assert query(start, end, flt, top="srcIP",
                                  limit=5)["top"] \
-                        == store.top_feature_values(
-                            start, end, FlowFeature.SRC_IP, n=5,
+                        == window_top(
+                            memory, start, end, FlowFeature.SRC_IP, n=5,
                             flow_filter=flt,
                         ), (name, start, end, flt)
+
+
+# -- three paths to one window ------------------------------------------------
+
+
+@st.composite
+def window_tables(draw):
+    """Rows over five windows, in a drawn order, with ties in ``start``
+    and whole duplicated 5-tuples; ``bytes`` tags each row, so a
+    different order among tied rows shows in the bytes."""
+    starts = draw(st.lists(
+        st.floats(0.0, 5 * WIDTH, exclude_max=True), min_size=1,
+        max_size=8,
+    ))
+    count = draw(st.integers(0, 60))
+
+    def column(pool):
+        return draw(st.lists(
+            st.sampled_from(pool), min_size=count, max_size=count
+        ))
+
+    start = column(starts)
+    return FlowTable.from_columns(
+        src_ip=column([0x0A000011, 0x0A000002, 0xC0A80001]),
+        dst_ip=column([0x0A000001, 0x0A000002]),
+        src_port=column([53, 80, 1234]),
+        dst_port=column([53, 80, 9999]),
+        proto=column([6, 17]),
+        packets=column([1, 100, 251, 400]),
+        bytes=list(range(count)),
+        start=start,
+        end=start,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    table=window_tables(),
+    window=st.tuples(st.floats(-100.0, 1600.0), st.floats(0.0, 800.0)),
+    flt=st.sampled_from(FILTERS),
+    sealed=st.integers(0, 6),
+    retain=st.integers(1, 5),
+)
+def test_trace_ring_and_archive_answer_a_window_alike(
+    tmp_path_factory, table, window, flt, sealed, retain
+):
+    """``FlowTrace``, ``WindowRing`` and ``ArchiveReader`` return the
+    same bytes for one window over the rows each holds: the archive
+    the windows the ring sealed into it; the ring, with or without an
+    archive, the sealed windows retention kept plus the open ones."""
+    start, end = window[0], window[0] + window[1]
+    index = np.floor(table.start / WIDTH).astype(int)
+    root = tmp_path_factory.mktemp("three")
+    rings = []
+    with ArchiveWriter(root, slice_seconds=WIDTH) as writer:
+        for archive in (writer, None):
+            ring = WindowRing(WIDTH, origin=0.0, lateness_seconds=None,
+                              retain_windows=retain, archive=archive)
+            ring.ingest(table.select(index < sealed))
+            ring.flush()
+            ring.ingest(table.select(index >= sealed))  # left open
+            rings.append(ring)
+
+    def want(rows):
+        trace = FlowTrace(rows, bin_seconds=WIDTH, origin=0.0)
+        return trace.query_table(start, end, flt)._data.tobytes()
+
+    closed = rings[0].closed_through
+    assert ArchiveReader(root).query_table(
+        start, end, flt
+    )._data.tobytes() == want(table.select(index < closed))
+    retained = want(table.select(index >= closed - retain))
+    for ring in rings:
+        assert ring.closed_through == closed
+        rows = ring.query_table(start, end)
+        if flt is not None and len(rows):
+            rows = rows.select(compile_mask(flt)(rows))
+        assert rows._data.tobytes() == retained

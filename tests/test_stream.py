@@ -132,7 +132,7 @@ class TestWindowRing:
         assert result.late_dropped == 1
         assert ring.late_dropped == 1
         # The dropped row never reaches the archive.
-        assert ring.store.count(0.0, 300.0).flows == 1
+        assert len(ring.query_table(0.0, 300.0)) == 1
 
     def test_closed_windows_are_final(self):
         ring = WindowRing(window_seconds=300.0, lateness_seconds=0.0)
@@ -184,13 +184,13 @@ class TestWindowRing:
         ring.close_due()  # seals windows 0..3
         assert ring.closed_through == 4
         # Only the 2 most recent windows stay queryable.
-        assert ring.store.count(0.0, 600.0).flows == 0
-        assert ring.store.count(600.0, 1400.0).flows == 3
+        assert not ring.query_table(0.0, 600.0)
+        assert len(ring.query_table(600.0, 1400.0)) == 3
 
     def test_sealed_window_keeps_its_query_order(self, tmp_path):
-        """The seal sorts a window once, for its partition; the store
+        """The seal sorts a window once, for its partition; the ring
         keeps that order, so later queries over the window (triage's
-        alarm and baseline tables) are the slice itself, unsorted and
+        alarm and baseline tables) are the window itself, unsorted and
         uncopied."""
         from repro.archive import ArchiveReader, ArchiveWriter
 
@@ -206,12 +206,12 @@ class TestWindowRing:
             closed = ring.flush()
         assert [w.index for w in closed] == [0, 1, 2]
         for window in closed:
-            kept = ring.window_table(window.index)
+            kept = ring.query_table(window.start, window.end)
             assert len(kept) == window.flows > 0
-            assert ring.window_table(window.index) is kept
+            assert ring.query_table(window.start, window.end) is kept
         assert ArchiveReader(tmp_path / "a").query_table(
             0.0, 900.0
-        )._data.tobytes() == ring.store.query_table(
+        )._data.tobytes() == ring.query_table(
             0.0, 900.0
         )._data.tobytes() == table.in_query_order()._data.tobytes()
 

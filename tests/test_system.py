@@ -8,7 +8,6 @@ from repro.errors import AlarmDatabaseError, ConfigurationError, StoreError
 from repro.extraction.extractor import AnomalyExtractor
 from repro.extraction.validate import validate_report
 from repro.flows.record import FlowFeature, TcpFlags
-from repro.flows.store import FlowStore
 from repro.flows.trace import FlowTrace
 from repro.mining.items import Item, Itemset
 from repro.system.alarmdb import AlarmDatabase, AlarmStatus
@@ -195,9 +194,9 @@ def _backend(bin_seconds=300.0):
                 make_flow(sport=2000 + i, dport=80, start=start,
                           end=start + 1)
             )
-    store = FlowStore(slice_seconds=bin_seconds)
-    store.insert_many(flows)
-    return FlowBackend(store, baseline_bins=2)
+    return FlowBackend(
+        FlowTrace(flows, bin_seconds=bin_seconds), baseline_bins=2
+    )
 
 
 class TestFlowBackend:
@@ -229,16 +228,9 @@ class TestFlowBackend:
         with pytest.raises(StoreError):
             backend.itemset_flows(itemset, 0.0, 1200.0, limit=0)
 
-    def test_top_feature_values(self):
-        backend = _backend()
-        top = backend.top_feature_values(
-            0.0, 1200.0, FlowFeature.DST_PORT, n=1
-        )
-        assert top == [(80, 80)]
-
     def test_validation(self):
         with pytest.raises(StoreError):
-            FlowBackend(FlowStore(), baseline_bins=-1)
+            FlowBackend(FlowTrace(), baseline_bins=-1)
 
 
 class TestConsole:

@@ -36,9 +36,11 @@ from repro.flows.flowio import (
 )
 from repro.flows.netflow_v5 import decode_packet
 from repro.flows.record import FLOW_FEATURES, FlowFeature, FlowRecord
-from repro.flows.store import FlowStore
+from repro.archive import ArchiveWriter
 from repro.flows.table import FlowTable
+from repro.flows.trace import FlowTrace
 from repro.mining.transactions import TransactionSet
+from repro.stream.window import WindowRing
 from tests import record_oracle
 from tests.mining_oracle import OracleTransactionSet, columnar_transactions
 
@@ -210,11 +212,10 @@ def test_bin_features_match(flows):
 @given(flows=flow_lists, expression=st.sampled_from(_FILTER_EXPRESSIONS))
 @settings(max_examples=60, deadline=None)
 def test_store_query_orders_match_record_sort(flows, expression):
-    store = FlowStore(slice_seconds=300.0)
-    store.insert_many(flows)
+    trace = FlowTrace(flows, bin_seconds=300.0)
     lo = min((f.start for f in flows), default=0.0)
     hi = max((f.start for f in flows), default=0.0) + 1.0
-    result = store.query(lo, hi, expression)
+    result = trace.query_table(lo, hi, expression).to_records()
     node = parse_filter(expression)
     expected = sorted(
         (f for f in flows if node.matches(f)),
@@ -281,34 +282,44 @@ def test_query_order_is_the_six_key_lexsort(table):
 
 @given(table=tied_tables(), late=tied_tables(), cut=st.integers(0, 50))
 @settings(max_examples=150, deadline=None)
-def test_ordered_slices_answer_queries_without_sorting(table, late, cut):
-    """``order_slice`` keeps a slice in query order: whole-slice and
-    multi-slice queries then return rows ``in_query_order`` has nothing
-    to do on, equal to the lexsort oracle; rows inserted afterwards are
-    still returned in order."""
-    store = FlowStore(slice_seconds=300.0, origin=0.0)
-    # Two chunks per slice: ordering also consolidates.
-    store.insert_table(table.select(slice(None, cut)))
-    store.insert_table(table.select(slice(cut, None)))
+def test_ordered_slices_answer_queries_without_sorting(
+    tmp_path_factory, table, late, cut
+):
+    """A window the ring seals for its archive stays in query order:
+    whole-window and multi-window queries then return rows
+    ``in_query_order`` has nothing to do on, equal to the lexsort
+    oracle; rows of windows still open are returned in order too."""
+    root = tmp_path_factory.mktemp("ring")
+    with ArchiveWriter(root, slice_seconds=300.0) as writer:
+        ring = WindowRing(300.0, origin=0.0, lateness_seconds=None,
+                          archive=writer)
+        # Two chunks per window: sealing also consolidates.
+        ring.ingest(table.select(slice(None, cut)))
+        ring.ingest(table.select(slice(cut, None)))
+        sealed = ring.flush()
 
     def check(rows):
         for lo, hi in [(0.0, 300.0), (300.0, 600.0), (0.0, 900.0),
-                       (0.0, 1500.0), (100.0, 700.0)]:
+                       (0.0, 1500.0), (100.0, 700.0), (0.0, 3000.0)]:
             inside = rows.select((rows.start >= lo) & (rows.start < hi))
-            got = store.query_table(lo, hi)
+            got = ring.query_table(lo, hi)
             assert got._data.tobytes() == \
                 inside.select(_lexsort_order(inside))._data.tobytes()
             assert got.in_query_order() is got
 
-    for index in range(5):
-        kept = store.order_slice(index)
+    for window in sealed:
+        kept = ring.query_table(window.start, window.end)
+        assert len(kept) == window.flows
         assert kept.in_query_order() is kept
-        # The slice itself answers a query that covers it: no copy.
+        # The sealed window itself answers a query that covers it.
         if len(kept):
-            assert store.query_table(*store.slice_interval(index)) is kept
+            assert ring.query_table(window.start, window.end) is kept
     check(table)
-    store.insert_table(late)
-    check(FlowTable.concat([table, late]))
+    # Later rows land in open windows past the sealed ones.
+    later = FlowTable(late._data.copy())
+    later._data["start"] += 1500.0
+    ring.ingest(later)
+    check(FlowTable.concat([table, later]))
 
 
 # -- the histogram kernel ----------------------------------------------------
