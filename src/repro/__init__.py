@@ -61,8 +61,7 @@ Subpackages
 ``repro.system``
     Alarm DB, flow backend, console, the Figure-1 pipeline.
 ``repro.stream`` / ``repro.parallel`` / ``repro.archive``
-    Online windows, the archive's shard layout, persistent mmap'd
-    archive.
+    Online windows, the tracer stubs, persistent mmap'd archive.
 ``repro.eval``
     Harness regenerating the paper's tables and figures.
 """

@@ -931,7 +931,6 @@ class Session:
 
     def _run_ingest(self) -> RunResult:
         from repro.archive import ArchiveReader, ArchiveWriter
-        from repro.parallel.partition import PartitionSpec
 
         sink = self.spec.sink
         if not sink.archive:
@@ -941,30 +940,10 @@ class Session:
             )
         source = self._source()
         options = dict(sink.archive_options)
-        known = {"window", "shards", "key", "seed", "spill_rows"}
-        for key in options:
-            if key not in known:
-                raise SpecError(
-                    f"unknown archive option {key!r}; expected "
-                    f"{', '.join(sorted(known))}",
-                    field=f"sink.archive_options.{key}",
-                )
-        shard = {
-            key: options.pop(key)
-            for key in ("shards", "key", "seed") if key in options
-        }
-        writer_options: dict[str, Any] = {
-            "slice_seconds": options.pop("window", None),
-            "shard_spec": (
-                PartitionSpec(**shard) if shard.get("shards", 1) > 1
-                else None
-            ),
-            **options,
-        }
         timings: dict[str, float] = {}
         with obs_trace.span("ingest.load", timings, "ingest"):
-            with ArchiveWriter(sink.archive,
-                               **writer_options) as writer:
+            with ArchiveWriter(sink.archive, options.pop("window", None),
+                               **options) as writer:
                 rows = writer.ingest_chunks(
                     source.chunks(FILE_CHUNK_ROWS)
                 )
@@ -975,7 +954,6 @@ class Session:
                 "flows": rows,
                 "partitions": stats.partitions,
                 "slices": stats.slices,
-                "shards": stats.shards,
             },
             timings=timings,
             payload={"archived": stats, "archive_dir": sink.archive},

@@ -332,8 +332,8 @@ class SinkSpec:
     report_dir: str | None = None
     #: Output ``.rpv5`` path for ``synth`` mode.
     trace_out: str | None = None
-    #: Archive geometry for ``ingest`` (``window``, ``shards``, ``key``,
-    #: ``seed``, ``spill_rows``).
+    #: Archive geometry for ``ingest`` only: ``window`` (rotation
+    #: seconds) and ``spill_rows``.
     archive_options: dict = field(default_factory=dict)
     #: TCP port for the live telemetry endpoint: ``Session.run()``
     #: enables obs metrics and serves ``/metrics`` (Prometheus text)
@@ -382,6 +382,11 @@ class SinkSpec:
 
     def __post_init__(self) -> None:
         _check_mapping(self, "sink", "archive_options")
+        for key in self.archive_options:
+            _require(key in ("spill_rows", "window"),
+                     f"sink.archive_options.{key}",
+                     f"unknown archive option {key!r}; expected "
+                     f"spill_rows, window")
         if self.span_log is not None:
             _check_int(self, "sink", "span_log", 1)
         for name in ("metrics_port", "serve_port"):
@@ -405,6 +410,13 @@ class SessionSpec:
     mining: MiningSpec = field(default_factory=MiningSpec)
     execution: ExecutionSpec = field(default_factory=ExecutionSpec)
     sink: SinkSpec = field(default_factory=SinkSpec)
+
+    def __post_init__(self) -> None:
+        _require(not self.sink.archive_options
+                 or self.execution.mode == "ingest",
+                 "sink.archive_options",
+                 f"archive options apply to ingest mode only, not "
+                 f"{self.execution.mode!r}")
 
     # -- mapping round-trip -------------------------------------------------
 

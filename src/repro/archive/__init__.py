@@ -4,16 +4,16 @@ The durable leg of the deployment loop. The paper's system triages
 open alarms against a *rotating on-disk NfDump archive*; this package
 gives the reproduction the same substrate: closed stream windows,
 spilled store slices and bulk-ingested traces persist as
-time-partitioned (optionally shard-aware) files holding raw
+time-partitioned files holding raw
 little-endian :data:`~repro.flows.table.FLOW_DTYPE` rows — so a
 memory-mapped partition *is* a :class:`~repro.flows.table.FlowTable`,
 with no decode step between disk and the columnar hot path.
 
 ``layout``
     The directory contract: manifest (geometry + schema version),
-    partition naming ``part<slice>-h<shard>-<seq>.flows`` (+ ``.idx``),
-    the 32-byte versioned header, crash-safe atomic writes and the
-    directory fsync, quarantine.
+    partition naming ``part<slice>-h<shard>-<seq>.flows`` (+ ``.idx``;
+    new writes set ``shard`` to 0), the 32-byte versioned header,
+    crash-safe atomic writes and the directory fsync, quarantine.
 ``index``
     The partition index — per-column value histograms (feature index)
     and, read off them, the zone map (time bounds, per-column min/max
@@ -24,12 +24,12 @@ with no decode step between disk and the columnar hot path.
     One validated partition served as a read-only zero-copy
     ``np.memmap`` view.
 ``writer``
-    :class:`ArchiveWriter` — buffered, vectorized, shard-aware ingest
-    and the low-level partition write (one index pass, two atomic
-    writes, one directory fsync).
+    :class:`ArchiveWriter` — buffered, vectorized ingest and the
+    low-level partition write (one index pass, two atomic writes, one
+    directory fsync).
 ``planner``
-    Push-down arithmetic (histogram merging, ranking), worker-side
-    scan tasks and the :class:`~repro.archive.planner.QueryPlan`.
+    Push-down arithmetic (histogram merging, ranking), the window cut
+    and the :class:`~repro.archive.planner.QueryPlan`.
 ``reader``
     :class:`ArchiveReader` — zone-map-pruned window+filter queries,
     byte-identical to :meth:`~repro.flows.trace.FlowTrace.query_table`

@@ -1,14 +1,15 @@
 """Compaction: merge rotation spills into sorted, sealed partitions.
 
 A live archive accumulates many small partitions per rotation slice —
-one per ingest spill, one per streamed window, one per shard flush.
-Each carries its own file, sidecar and zone map, so query cost (and
-directory churn) grows with write count, not data size. Compaction
-restores the invariant an NfDump spool enjoys naturally — *one file
-per capture interval* — by merging every ``(slice, shard)`` group of
-unsealed partitions into a single partition whose rows are stably
-sorted by start time, marked **sealed**: immutable, never compacted
-again, the terminal state of archived data.
+one per ingest spill, one per streamed window. Each carries its own
+file, sidecar and zone map, so query cost (and directory churn) grows
+with write count, not data size. Compaction restores the invariant an
+NfDump spool enjoys naturally — *one file per capture interval* — by
+merging every slice's partitions into a single ``h0`` partition whose
+rows are stably sorted by start time, marked **sealed**: immutable,
+never compacted again, the terminal state of archived data. A slice an
+older build split into hash shards (several ``h`` numbers) merges the
+same way, so one pass migrates a sharded archive.
 
 Compaction is crash-safe without locks: the merged partition is
 written (atomically, under a fresh sequence number) with a
@@ -18,10 +19,11 @@ duplication by dropping any live partition named in another's
 ``replaces`` list, so queries never double-count. Re-running
 compaction completes the cleanup.
 
-Merging preserves query semantics exactly: rows of a group concatenate
-in sequence order (= write order = insertion order) and sort stably by
-start, so the canonical ``(start, 5-tuple)`` query order — including
-tie resolution — is byte-identical before and after compaction.
+Merging preserves query semantics exactly: rows of a slice concatenate
+in ``(shard, seq)`` order (= the order a reader scans them) and sort
+stably by start, so the canonical ``(start, 5-tuple)`` query order —
+including tie resolution — is byte-identical before and after
+compaction.
 """
 
 from __future__ import annotations
@@ -49,13 +51,10 @@ class CompactionResult:
     bytes_compacted: int
 
 
-def _groups(
-    partitions: list[Partition],
-) -> dict[tuple[int, int], list[Partition]]:
-    grouped: dict[tuple[int, int], list[Partition]] = {}
+def _groups(partitions: list[Partition]) -> dict[int, list[Partition]]:
+    grouped: dict[int, list[Partition]] = {}
     for partition in partitions:
-        key = (partition.key.slice_index, partition.key.shard)
-        grouped.setdefault(key, []).append(partition)
+        grouped.setdefault(partition.key.slice_index, []).append(partition)
     return grouped
 
 
@@ -63,7 +62,7 @@ def compact_archive(
     root: str | Path,
     reader: ArchiveReader | None = None,
 ) -> CompactionResult:
-    """Merge every multi-file or unsealed ``(slice, shard)`` group.
+    """Merge every slice that holds several or unsealed partitions.
 
     A group is left alone only when it is already terminal: exactly
     one partition, sealed, with an ``.idx`` sidecar (a legacy group is
@@ -91,7 +90,7 @@ def compact_archive(
     merged_rows = 0
     merged_bytes = 0
     before = sum(len(group) for group in grouped.values())
-    for (slice_index, shard), group in sorted(grouped.items()):
+    for slice_index, group in sorted(grouped.items()):
         if len(group) == 1 and group[0].zone.sealed \
                 and not group[0].legacy:
             continue
@@ -102,7 +101,6 @@ def compact_archive(
         writer.write_partition(
             merged,
             slice_index=slice_index,
-            shard=shard,
             sealed=True,
             replaces=tuple(p.path.name for p in group),
         )

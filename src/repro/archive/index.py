@@ -23,9 +23,9 @@ On disk (:func:`encode_index` / :func:`decode_index`) the pair is one
 file, ``part<slice>-h<shard>-<seq>.idx``::
 
     b"RIDX" | u32 version | u32 head length      12-byte prefix
-    head    JSON: the zone map's scalars, sealed/sorted/shard_spec/
-            replaces, and the column table [name, length, values
-            dtype, flows dtype, packets dtype]
+    head    JSON: the zone map's scalars, sealed/sorted/shard_spec
+            (always null)/replaces, and the column table [name,
+            length, values dtype, flows dtype, packets dtype]
     arrays  per column, in table order: values | flows | packets,
             raw little-endian; values at the column's own dtype,
             counts at the narrowest unsigned dtype that holds them
@@ -276,8 +276,6 @@ class ZoneMap:
     #: Rows are sorted by start time: :meth:`from_table` checks it,
     #: no caller asserts it, so a reader may bisect on it.
     sorted: bool = False
-    #: ``(shards, key, seed, shard)`` when written shard-aware.
-    shard_spec: tuple[int, str, int, int] | None = None
     #: File names this partition superseded (compaction provenance;
     #: a reader drops any live partition named here).
     replaces: tuple[str, ...] = ()
@@ -290,7 +288,6 @@ class ZoneMap:
         table: FlowTable,
         features: FeatureIndex | None = None,
         sealed: bool = False,
-        shard_spec: tuple[int, str, int, int] | None = None,
         replaces: tuple[str, ...] = (),
     ) -> "ZoneMap":
         """Summarise ``table``; the per-column zones are read off
@@ -319,7 +316,6 @@ class ZoneMap:
             columns=features.column_zones(),
             sealed=sealed,
             sorted=bool((starts[1:] >= starts[:-1]).all()),
-            shard_spec=shard_spec,
             replaces=tuple(replaces),
         )
 
@@ -329,12 +325,11 @@ class ZoneMap:
     def _from_head(cls, head: dict, columns: dict) -> "ZoneMap":
         """A zone map from its serialised scalars — the ``.idx`` head
         and the legacy ``.zone.json`` share the field names — and its
-        per-column zones."""
-        shard_spec = head["shard_spec"]
+        per-column zones. A ``shard_spec`` key, null or not, is
+        ignored."""
         return cls(
             **{name: head[name] for name in _HEAD_SCALARS},
             columns=columns,
-            shard_spec=tuple(shard_spec) if shard_spec else None,
             replaces=tuple(head["replaces"]),
         )
 
@@ -471,7 +466,10 @@ def encode_index(zone: ZoneMap, features: FeatureIndex) -> bytes:
         )
         arrays.extend(array.tobytes() for array in column)
     head = {name: getattr(zone, name) for name in _HEAD_SCALARS}
-    head["shard_spec"] = zone.shard_spec
+    # Always null: builds that wrote hash-sharded archives read a
+    # sidecar only when this key is present, and it keeps every
+    # unsharded ``.idx`` byte-identical to theirs.
+    head["shard_spec"] = None
     head["replaces"] = zone.replaces
     head["columns"] = table
     head_bytes = json.dumps(head, separators=(",", ":")).encode()

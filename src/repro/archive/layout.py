@@ -15,9 +15,11 @@ metadata, modelled on an NfDump spool directory:
     the payload *is* the dtype buffer, a reader maps it with
     ``np.memmap`` and hands the mapping straight to
     :class:`~repro.flows.table.FlowTable` — no decode step, no copy.
-    ``slice`` is the rotation-slice index (signed), ``shard`` the hash
-    shard the rows belong to (0 for unsharded archives) and ``seq`` a
-    per-``(slice, shard)`` write sequence number.
+    ``slice`` is the rotation-slice index (signed) and ``seq`` a
+    per-slice write sequence number. ``shard`` is a name component
+    every new write sets to 0; archives written hash-sharded by older
+    builds carry other values, read in ``(slice, shard, seq)`` order,
+    and compaction folds each of their slices into one ``h0`` file.
 ``part<slice>-h<shard>-<seq>.idx``
     The partition's index sidecar (:mod:`repro.archive.index`): zone
     map and feature index in one checksummed binary file. A partition
@@ -49,11 +51,13 @@ import json
 import logging
 import os
 import re
+import struct
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ArchiveError, CodecError
+from repro.flows.table import FLOW_SCHEMA_VERSION
 from repro.obs import metrics as obs_metrics
 
 logger = logging.getLogger(__name__)
@@ -62,12 +66,6 @@ _QUARANTINED = obs_metrics.counter(
     "repro_archive_quarantined_total",
     "Files refused by the archive and moved into quarantine/.",
 )
-from repro.flows.shmem import (
-    ROW_HEADER_SIZE,
-    pack_row_header,
-    unpack_row_header,
-)
-from repro.flows.table import FLOW_SCHEMA_VERSION
 
 __all__ = [
     "MANIFEST_NAME",
@@ -96,10 +94,10 @@ SIDECAR_SUFFIXES = (INDEX_SUFFIX, ".zone.json", ".fidx.json")
 QUARANTINE_DIR = "quarantine"
 _TMP_PREFIX = ".tmp-"
 
-#: Partition header: the row-block header of :mod:`repro.flows.shmem`
-#: (magic, schema version, reserved flags, row count, padded to 32
-#: bytes, little-endian like the payload) under the archive's magic.
-PARTITION_HEADER_SIZE = ROW_HEADER_SIZE
+#: Partition header: magic, flow schema version, reserved flags, row
+#: count, padded to 32 bytes, little-endian like the payload.
+_PARTITION_HEADER = struct.Struct("<4sHHQ16x")
+PARTITION_HEADER_SIZE = _PARTITION_HEADER.size
 _PARTITION_MAGIC = b"RPAR"
 
 _NAME_RE = re.compile(
@@ -125,7 +123,9 @@ class PartitionKey:
 
 def pack_partition_header(rows: int) -> bytes:
     """The 32-byte header preceding ``rows`` raw ``FLOW_DTYPE`` rows."""
-    return pack_row_header(rows, magic=_PARTITION_MAGIC)
+    return _PARTITION_HEADER.pack(
+        _PARTITION_MAGIC, FLOW_SCHEMA_VERSION, 0, rows
+    )
 
 
 def unpack_partition_header(header: bytes, source: object = "") -> int:
@@ -136,16 +136,18 @@ def unpack_partition_header(header: bytes, source: object = "") -> int:
     ``FLOW_DTYPE`` revision must never be silently misparsed) and on a
     short header.
     """
-    try:
-        return unpack_row_header(
-            header, magic=_PARTITION_MAGIC, source=source
-        )
-    except CodecError as exc:
+    where = f"{source}: " if source else ""
+    if len(header) < PARTITION_HEADER_SIZE:
+        raise CodecError(f"{where}truncated partition header")
+    found, version, _flags, rows = _PARTITION_HEADER.unpack_from(header)
+    if found != _PARTITION_MAGIC:
+        raise CodecError(f"{where}bad partition magic {found!r}")
+    if version != FLOW_SCHEMA_VERSION:
         raise CodecError(
-            str(exc).replace("row-block", "partition").replace(
-                "row block", "partition"
-            )
-        ) from None
+            f"{where}partition carries flow schema version {version}; "
+            f"this build reads version {FLOW_SCHEMA_VERSION}"
+        )
+    return int(rows)
 
 
 def partition_file_name(key: PartitionKey) -> str:

@@ -48,8 +48,8 @@ _FIDX_UNLOADED = object()
 
 
 def open_rows(path: str | Path, rows: int) -> FlowTable:
-    """Read-only mmap of one partition's payload (zero-copy); workers
-    open partitions with this directly, from a path and a row count."""
+    """Read-only mmap of one partition's payload (zero-copy), from its
+    path and row count."""
     return FlowTable(np.memmap(
         path,
         dtype=FLOW_DTYPE,

@@ -106,7 +106,6 @@ class ArchiveStats:
     rows: int
     payload_bytes: int
     slices: int
-    shards: int
     quarantined: int
     span: tuple[float, float] | None
 
@@ -274,7 +273,6 @@ class ArchiveReader:
             rows=sum(p.rows for p in parts),
             payload_bytes=sum(p.payload_bytes for p in parts),
             slices=len({p.key.slice_index for p in parts}),
-            shards=len({p.key.shard for p in parts}),
             quarantined=quarantined,
             span=span,
         )

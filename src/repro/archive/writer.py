@@ -2,10 +2,10 @@
 
 :class:`ArchiveWriter` is the single write path of the archive. It
 owns the directory's geometry (rotation width + origin, persisted in
-the manifest on first fix), allocates per-``(slice, shard)`` sequence
-numbers (restart-safe: initialised from the files already on disk)
-and emits partitions crash-safely in **one index pass and two atomic
-writes**: the rows are factorised once
+the manifest on first fix), allocates per-slice sequence numbers
+(restart-safe: initialised from the files already on disk) and emits
+partitions crash-safely in **one index pass and two atomic writes**:
+the rows are factorised once
 (:meth:`~repro.archive.index.FeatureIndex.from_table`, which the zone
 map is read off; the streaming ring hands in the index it counted at
 the seal), the payload goes to a temporary name, is fsynced and
@@ -21,28 +21,27 @@ Two write paths:
   Used by the streaming ring (a sealed window is exactly one slice)
   and by compaction.
 * :meth:`ingest_table` / :meth:`ingest_chunks` — arbitrary tables,
-  partitioned by start time with one vectorized floor-divide (and
-  optionally by shard hash), buffered per ``(slice, shard)`` and
-  spilled whenever a buffer reaches ``spill_rows`` — so an unbounded
-  chunk stream ingests with bounded memory. :meth:`flush` (or
-  :meth:`close`, or the context manager exit) spills the remainder.
+  partitioned by start time with one vectorized floor-divide,
+  buffered per slice and spilled whenever a buffer reaches
+  ``spill_rows`` — so an unbounded chunk stream ingests with bounded
+  memory. :meth:`flush` (or :meth:`close`, or the context manager
+  exit) spills the remainder.
 
 **Written in order.** Every caller hands :meth:`write_partition` rows
 in start order (the ring's sealed window, compaction's merge, a spill
 put in query order here), and the sidecar's ``sorted`` flag is derived
 from the rows, never taken on trust — it is what lets a reader bisect.
 
-Writing shard-aware (``shard_spec``) splits every slice's rows with
-the stable placement hash (:func:`repro.parallel.partition.shard_ids`)
-into per-shard files and records the spec in each sidecar, so a
-shard's rows are exactly its own files.
+Every partition this writer emits is named ``part<slice>-h0-<seq>``;
+other ``h`` numbers exist only in archives older builds wrote
+hash-sharded.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -59,9 +58,6 @@ from repro.flows.table import FlowTable
 from repro.flows.trace import DEFAULT_BIN_SECONDS
 from repro.obs import events as obs_events, metrics as obs_metrics
 
-if TYPE_CHECKING:
-    from repro.parallel.partition import PartitionSpec
-
 __all__ = ["DEFAULT_SPILL_ROWS", "ArchiveWriter"]
 
 _PARTITIONS_WRITTEN = obs_metrics.counter(
@@ -77,19 +73,18 @@ _ROWS_ARCHIVED = obs_metrics.counter(
     "Flow rows persisted into partition files.",
 )
 
-#: Buffered rows per (slice, shard) before an automatic spill.
+#: Buffered rows per slice before an automatic spill.
 DEFAULT_SPILL_ROWS = 65_536
 
 
 class ArchiveWriter:
-    """Writes time-partitioned (optionally shard-aware) flow files."""
+    """Writes time-partitioned flow files."""
 
     def __init__(
         self,
         root: str | Path,
         slice_seconds: float | None = None,
         origin: float | None = None,
-        shard_spec: "PartitionSpec | None" = None,
         spill_rows: int = DEFAULT_SPILL_ROWS,
     ) -> None:
         """``slice_seconds=None`` (the default) adopts an existing
@@ -107,7 +102,6 @@ class ArchiveWriter:
             )
         self.layout = ArchiveLayout(root)
         self.layout.ensure_root()
-        self.shard_spec = shard_spec
         self.spill_rows = spill_rows
         existing = self.layout.read_manifest()
         if existing is not None:
@@ -131,14 +125,16 @@ class ArchiveWriter:
         self._origin = origin
         if origin is not None:
             self.layout.write_manifest(self.slice_seconds, origin)
-        self._seq: dict[tuple[int, int], int] = {}
+        # The last sequence number of each slice over all its files,
+        # whatever their shard: a new ``h0`` name never collides with
+        # a file an old sharded archive holds.
+        self._seq: dict[int, int] = {}
         for key, _path in self.layout.partition_files():
-            bucket = (key.slice_index, key.shard)
-            self._seq[bucket] = max(
-                self._seq.get(bucket, -1), key.seq
+            self._seq[key.slice_index] = max(
+                self._seq.get(key.slice_index, -1), key.seq
             )
-        self._buffers: dict[tuple[int, int], list[FlowTable]] = {}
-        self._buffered_rows: dict[tuple[int, int], int] = {}
+        self._buffers: dict[int, list[FlowTable]] = {}
+        self._buffered_rows: dict[int, int] = {}
 
     # -- geometry ----------------------------------------------------------
 
@@ -179,7 +175,6 @@ class ArchiveWriter:
         self,
         table: FlowTable,
         slice_index: int,
-        shard: int = 0,
         sealed: bool = False,
         replaces: tuple[str, ...] = (),
         features: FeatureIndex | None = None,
@@ -210,21 +205,15 @@ class ArchiveWriter:
                 f"starts route to slices "
                 f"[{int(indices.min())}, {int(indices.max())}]"
             )
-        bucket = (slice_index, shard)
-        seq = self._seq.get(bucket, -1) + 1
-        self._seq[bucket] = seq
-        key = PartitionKey(slice_index=slice_index, shard=shard, seq=seq)
-        shard_spec = None
-        if self.shard_spec is not None:
-            spec = self.shard_spec
-            shard_spec = (spec.shards, spec.key, spec.seed, shard)
+        seq = self._seq.get(slice_index, -1) + 1
+        self._seq[slice_index] = seq
+        key = PartitionKey(slice_index=slice_index, shard=0, seq=seq)
         if features is None:
             features = FeatureIndex.from_table(table)
         zone = ZoneMap.from_table(
             table,
             features,
             sealed=sealed,
-            shard_spec=shard_spec,
             replaces=replaces,
         )
         data = np.ascontiguousarray(table._data)
@@ -253,7 +242,6 @@ class ArchiveWriter:
             obs_events.emit(
                 "archive.partition",
                 slice=slice_index,
-                shard=shard,
                 seq=seq,
                 rows=len(table),
                 sealed=sealed or None,
@@ -264,28 +252,19 @@ class ArchiveWriter:
     # -- buffered ingest ----------------------------------------------------
 
     def _route(self, table: FlowTable) -> None:
-        """Partition one table into the (slice, shard) buffers."""
+        """Partition one table into the per-slice buffers."""
         indices = np.floor(
             (table.start - self._origin) / self.slice_seconds
         ).astype(np.int64)
-        if self.shard_spec is not None and self.shard_spec.shards > 1:
-            from repro.parallel.partition import shard_ids
-
-            shards = shard_ids(table, self.shard_spec)
-        else:
-            shards = np.zeros(len(table), dtype=np.int64)
-        for slice_index in np.unique(indices):
-            slice_mask = indices == slice_index
-            for shard in np.unique(shards[slice_mask]):
-                rows = table.select(slice_mask & (shards == shard))
-                bucket = (int(slice_index), int(shard))
-                self._buffers.setdefault(bucket, []).append(rows)
-                self._buffered_rows[bucket] = (
-                    self._buffered_rows.get(bucket, 0) + len(rows)
-                )
+        for slice_index in np.unique(indices).tolist():
+            rows = table.select(indices == slice_index)
+            self._buffers.setdefault(slice_index, []).append(rows)
+            self._buffered_rows[slice_index] = (
+                self._buffered_rows.get(slice_index, 0) + len(rows)
+            )
 
     def ingest_table(self, table: FlowTable) -> int:
-        """Buffer one table's rows by (slice, shard); spill full buffers.
+        """Buffer one table's rows by slice; spill full buffers.
 
         Returns the number of rows ingested. Rows become *servable*
         when their buffer spills — call :meth:`flush` to make
@@ -295,12 +274,12 @@ class ArchiveWriter:
             return 0
         self._fix_origin(float(table.start.min()))
         self._route(table)
-        for bucket in [
-            b
-            for b, rows in self._buffered_rows.items()
+        for slice_index in [
+            index
+            for index, rows in self._buffered_rows.items()
             if rows >= self.spill_rows
         ]:
-            self._spill(bucket)
+            self._spill(slice_index)
         return len(table)
 
     def ingest_chunks(self, chunks: Iterable[FlowTable]) -> int:
@@ -310,24 +289,23 @@ class ArchiveWriter:
             total += self.ingest_table(chunk)
         return total
 
-    def _spill(self, bucket: tuple[int, int]) -> None:
-        parts = self._buffers.pop(bucket, [])
-        self._buffered_rows.pop(bucket, None)
+    def _spill(self, slice_index: int) -> None:
+        parts = self._buffers.pop(slice_index, [])
+        self._buffered_rows.pop(slice_index, None)
         if not parts:
             return
         # Chunks arrive in any order; a partition leaves in query
         # order (stable: equal rows keep their arrival order).
         self.write_partition(
             FlowTable.concat(parts).in_query_order(),
-            slice_index=bucket[0],
-            shard=bucket[1],
+            slice_index=slice_index,
         )
 
     def flush(self) -> int:
         """Spill every buffered row; returns how many were written."""
         pending = sum(self._buffered_rows.values())
-        for bucket in sorted(self._buffers):
-            self._spill(bucket)
+        for slice_index in sorted(self._buffers):
+            self._spill(slice_index)
         return pending
 
     def close(self) -> None:

@@ -333,16 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="rotation width in seconds (default: "
                                "300 for a new archive; an existing "
                                "archive keeps its width)")
-    a_ingest.add_argument("--shards", dest="sink.archive_options.shards",
-                          type=_positive("shards"), default=1,
-                          help="write shard-aware partition files for "
-                               "this many shards")
-    a_ingest.add_argument("--key", dest="sink.archive_options.key",
-                          default="src_ip",
-                          help="shard partition key column")
-    a_ingest.add_argument("--seed", dest="sink.archive_options.seed",
-                          type=int, default=0,
-                          help="shard placement seed")
     a_ingest.add_argument("--spill-rows",
                           dest="sink.archive_options.spill_rows", type=int,
                           help="buffered rows per partition before a "
@@ -632,12 +622,9 @@ def _render_triage(spec: api.SessionSpec, result: api.RunResult) -> None:
 
 def _render_ingest(spec: api.SessionSpec, result: api.RunResult) -> None:
     stats = result.stats
-    sharded = (
-        f", {stats['shards']} shards" if stats["shards"] > 1 else ""
-    )
     print(
         f"ingested {stats['flows']} flows into {stats['partitions']} "
-        f"partitions ({stats['slices']} slices{sharded}) under "
+        f"partitions ({stats['slices']} slices) under "
         f"{result.payload['archive_dir']}"
     )
 
@@ -679,7 +666,6 @@ def _render_stats(spec: api.SessionSpec, result: api.RunResult) -> None:
         ("partitions", str(stats.partitions)),
         ("sealed", str(stats.sealed)),
         ("slices", str(stats.slices)),
-        ("shards", str(stats.shards)),
         ("flows", str(stats.rows)),
         ("payload bytes", f"{stats.payload_bytes:,}"),
         ("start span", span),

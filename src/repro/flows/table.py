@@ -36,10 +36,10 @@ from repro.flows.record import FlowFeature, FlowRecord
 __all__ = ["FLOW_DTYPE", "FLOW_SCHEMA_VERSION", "FlowTable"]
 
 #: Version of the on-disk/on-wire ``FLOW_DTYPE`` layout. Bump whenever
-#: a column is added, removed, resized or reordered; every row-block
-#: header (:mod:`repro.flows.shmem`), and so every archive partition,
-#: carries it so stale bytes fail with a clear
-#: :class:`~repro.errors.CodecError` instead of silently misparsing.
+#: a column is added, removed, resized or reordered; every archive
+#: partition header (:mod:`repro.archive.layout`) carries it so stale
+#: bytes fail with a clear :class:`~repro.errors.CodecError` instead of
+#: silently misparsing.
 FLOW_SCHEMA_VERSION = 1
 
 #: Column layout of a flow table; mirrors :class:`FlowRecord` fields.

@@ -304,8 +304,14 @@ class TestTomlRoundTrip:
                   target_max_itemsets=20)
             .stream(window_seconds=120.0, workers=4, lateness_seconds=30,
                     dedup_window=600, triage=True)
-            .archive("spool", shards=2)
+            .archive("spool")
             .alarmdb("alarms.db")
+            .spec()
+        )
+        yield (
+            api.session()
+            .source("rpv5", path="t.rpv5")
+            .ingest("full", window=600.0, spill_rows=4096)
             .spec()
         )
         yield (
@@ -573,6 +579,44 @@ class TestSpecValidation:
         with pytest.raises(SpecError) as err:
             api.Session(spec).run()
         assert err.value.field == "detector.train_path"
+
+    @pytest.mark.parametrize("key", ["bogus", "shards"])
+    @pytest.mark.parametrize("mode", ["stream", "batch", "ingest"])
+    def test_archive_options_admit_only_ingest_geometry(
+        self, mode, key, tmp_path, capsys
+    ):
+        # ``shards`` went with the hash-shard layout: it is an unknown
+        # option now, refused in every mode like any other.
+        from repro.cli import main
+
+        config = tmp_path / "c.toml"
+        config.write_text(
+            f'[source]\nkind = "rpv5"\npath = "t.rpv5"\n'
+            f'[execution]\nmode = "{mode}"\n'
+            f'[sink]\narchive = "{tmp_path / "spool"}"\n'
+            f'[sink.archive_options]\n{key} = 4\n'
+        )
+        with pytest.raises(SpecError) as err:
+            api.load_spec(config)
+        assert err.value.field == f"sink.archive_options.{key}"
+        assert main(["run", str(config)]) == 2
+        assert f"unknown archive option {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "spool").exists()
+
+    @pytest.mark.parametrize("mode", ["stream", "batch"])
+    def test_archive_options_outside_ingest_are_refused(self, mode):
+        def spec(mode):
+            return api.SessionSpec.from_dict({
+                "source": {"kind": "rpv5", "path": "t"},
+                "execution": {"mode": mode},
+                "sink": {"archive": "spool",
+                         "archive_options": {"spill_rows": 4096}},
+            })
+
+        with pytest.raises(SpecError) as err:
+            spec(mode)
+        assert err.value.field == "sink.archive_options"
+        assert spec("ingest").sink.archive_options == {"spill_rows": 4096}
 
     def test_bad_hint_is_a_spec_error(self):
         with pytest.raises(SpecError) as err:

@@ -56,7 +56,6 @@ from repro.errors import ArchiveError, CodecError
 from repro.flows.record import FlowFeature, FlowRecord
 from repro.flows.table import FLOW_DTYPE, FlowTable
 from repro.flows.trace import FlowTrace
-from repro.parallel.partition import PartitionSpec, shard_ids
 from repro.stream import ReplayDriver, StreamEngine, streaming_adapter
 from tests.flow_balance import assert_flow_balance
 from repro.stream.sources import table_chunks
@@ -510,17 +509,15 @@ class TestCompaction:
         # Simulate the crash window: merged partitions written (with
         # provenance), originals still on disk.
         writer = ArchiveWriter(root)
-        by_group = {}
+        by_slice = {}
         for p in reader.partitions():
-            by_group.setdefault(
-                (p.key.slice_index, p.key.shard), []
-            ).append(p)
-        for (slice_index, shard), group in by_group.items():
+            by_slice.setdefault(p.key.slice_index, []).append(p)
+        for slice_index, group in by_slice.items():
             merged = FlowTable.concat(
                 [p.table() for p in sorted(group, key=lambda p: p.key)]
             ).sorted_by_start()
             writer.write_partition(
-                merged, slice_index=slice_index, shard=shard,
+                merged, slice_index=slice_index,
                 sealed=True,
                 replaces=tuple(p.path.name for p in group),
             )
@@ -544,45 +541,6 @@ class TestCompaction:
         # do not stay pinned through cached mmap views.
         final.refresh()
         assert set(final._loaded).isdisjoint(originals)
-
-
-class TestShardAware:
-    def test_direct_shard_reads_match_hashed_fallback(self, tmp_path):
-        # A shard's partition files hold exactly the rows the placement
-        # hash assigns it: reading them directly equals hashing the
-        # rows of an archive written without shards.
-        table = _random_table(10_000, seed=13)
-        spec = PartitionSpec(shards=3, seed=5)
-        sharded = _write(tmp_path / "sharded", table, shard_spec=spec)
-        rows = _write(tmp_path / "plain", table).query_table(0.0, 1e9)
-        ids = shard_ids(rows, spec)
-        key = lambda t: sorted(map(tuple, t._data.tolist()))  # noqa: E731
-        for shard in range(spec.shards):
-            direct = FlowTable.concat([
-                p.table() for p in sharded.partitions()
-                if p.key.shard == shard
-            ])
-            assert len(direct) == int((ids == shard).sum()) > 0
-            assert key(direct) == key(rows.select(ids == shard))
-
-    def test_shard_partition_files_carry_the_spec(self, tmp_path):
-        spec = PartitionSpec(shards=2, key="dst_ip", seed=9)
-        reader = _write(tmp_path / "a", _random_table(2000),
-                        shard_spec=spec)
-        for partition in reader.partitions():
-            assert partition.zone.shard_spec == (
-                2, "dst_ip", 9, partition.key.shard
-            )
-
-    def test_sharded_archive_queries_still_match_store(self, tmp_path):
-        table = _random_table(8000, seed=14)
-        reader = _write(tmp_path / "a", table,
-                        shard_spec=PartitionSpec(shards=4))
-        memory = _memory(table)
-        assert _same_bytes(
-            reader.query_table(300.0, 900.0, "dst port 53"),
-            memory.query_table(300.0, 900.0, "dst port 53"),
-        )
 
 
 def _scenario_split():
@@ -805,7 +763,6 @@ def _oracle_zone_map(table, **flags) -> ZoneMap:
         columns=columns,
         sealed=flags.get("sealed", False),
         sorted=bool(np.all(np.diff(starts) >= 0)),
-        shard_spec=flags.get("shard_spec"),
         replaces=tuple(flags.get("replaces", ())),
     )
 
@@ -862,7 +819,6 @@ class TestIndexSidecar:
     ):
         flags = dict(
             sealed=sealed,
-            shard_spec=(4, "src_ip", 7, 2) if sealed else None,
             replaces=("x.flows", "y.flows") if sealed else (),
         )
         features = FeatureIndex.from_table(table)
@@ -1210,3 +1166,129 @@ class TestLegacyArchive:
         assert sorted(p.name for p in legacy_root.glob("part1-*")) == [
             "part1-h0-2.flows", "part1-h0-2.idx",
         ]
+
+
+# -- archives written hash-sharded --------------------------------------------
+
+_SHARDED_FIXTURE = Path(__file__).parent / "data" / "archive_sharded"
+
+#: Windows x filters the sharded fixture must answer alike before and
+#: after compaction. 450.25 and 750.5 each start 19 rows that share
+#: the 5-tuple and differ by router.
+_SHARDED_QUERIES = [
+    (start, end, flt)
+    for start, end in (
+        (0.0, 900.0), (0.0, 300.0), (250.0, 650.0), (300.0, 300.0),
+        (450.25, 450.5), (600.0, 900.0),
+    )
+    for flt in (None, "proto tcp", "src ip 10.0.0.7", "router 3")
+]
+
+
+@pytest.fixture
+def sharded_root(tmp_path):
+    """A scratch copy of ``tests/data/archive_sharded``: 941 rows in
+    three 300 s slices, each split into hash shards 0 and 1 by
+    ``src_ip``, two or three spills per shard. A build that still had
+    shard placement wrote it, as ``ArchiveWriter(root, 300.0, 0.0,
+    shard_spec=PartitionSpec(2, "src_ip", 0), spill_rows=60)`` fed
+    the rows shuffled, in 120-row chunks."""
+    root = tmp_path / "sharded"
+    shutil.copytree(_SHARDED_FIXTURE, root)
+    return root
+
+
+def _sharded_answers(reader) -> list:
+    """Every answer the fixture's queries get: rows, counters, tops."""
+    answers = []
+    for start, end, flt in _SHARDED_QUERIES:
+        count = reader.count(start, end, flt)
+        answers.append((
+            reader.query_table(start, end, flt)._data.tobytes(),
+            (count.flows, count.packets, count.bytes),
+            reader.top_feature_values(
+                start, end, FlowFeature.SRC_IP, n=5, flow_filter=flt
+            ),
+            reader.top_feature_values(
+                start, end, FlowFeature.DST_PORT, n=5, by_packets=True,
+            ),
+        ))
+    return answers
+
+
+class TestShardedArchive:
+    def test_fixture_is_what_it_claims(self, sharded_root):
+        import json
+        import struct
+
+        parts = ArchiveReader(sharded_root).partitions()
+        keys = [p.key for p in parts]
+        assert {k.slice_index for k in keys} == {0, 1, 2}
+        assert {k.shard for k in keys} == {0, 1}
+        # More than one file per (slice, shard).
+        assert len(keys) == 15
+        assert sum(p.rows for p in parts) <= 2_000
+        # Every sidecar carries a non-null shard_spec and decodes.
+        for part in parts:
+            blob = sidecar_path(part.path).read_bytes()
+            (length,) = struct.unpack_from("<I", blob, 8)
+            head = json.loads(blob[12:12 + length])
+            assert head["shard_spec"] == [2, "src_ip", 0, part.key.shard]
+            assert decode_index(blob)[0] == part.zone
+
+    def test_reads_like_a_trace_of_its_rows_in_key_order(
+        self, sharded_root
+    ):
+        reader = ArchiveReader(sharded_root)
+        full = ArchiveReader(sharded_root, use_zone_maps=False)
+        rows = FlowTable.concat([p.table() for p in reader.partitions()])
+        memory = _memory(rows)
+        for start, end, flt in _SHARDED_QUERIES:
+            want = memory.query_table(start, end, flt)
+            assert _same_bytes(reader.query_table(start, end, flt), want)
+            assert _same_bytes(full.query_table(start, end, flt), want)
+            ours, theirs = reader.count(start, end, flt), \
+                window_count(memory, start, end, flt)
+            assert (ours.flows, ours.packets, ours.bytes) == \
+                (theirs.flows, theirs.packets, theirs.bytes)
+            assert reader.top_feature_values(
+                start, end, FlowFeature.SRC_IP, n=5, flow_filter=flt
+            ) == window_top(
+                memory, start, end, FlowFeature.SRC_IP, n=5,
+                flow_filter=flt,
+            )
+        tied = reader.query_table(450.25, 450.5)
+        assert len(tied) == 19 and len(set(tied.router.tolist())) == 19
+
+    def test_compaction_folds_each_slice_into_one_h0_partition(
+        self, sharded_root
+    ):
+        before = _sharded_answers(ArchiveReader(sharded_root))
+        result = compact_archive(sharded_root)
+        assert (result.groups, result.partitions_before,
+                result.partitions_after) == (3, 15, 3)
+        names = sorted(
+            p.name for p in sharded_root.iterdir() if p.is_file()
+        )
+        # Each slice's shard-0 files end at seq 2.
+        assert names == ["MANIFEST.json"] + [
+            f"part{index}-h0-3{suffix}"
+            for index in range(3) for suffix in (".flows", ".idx")
+        ]
+        reader = ArchiveReader(sharded_root)
+        assert all(
+            p.zone.sealed and p.zone.sorted for p in reader.partitions()
+        )
+        assert _sharded_answers(reader) == before
+        assert compact_archive(sharded_root).groups == 0
+
+    def test_new_names_follow_every_file_of_the_slice(self, sharded_root):
+        # Slice 0's highest sequence number is on shard 1: the next
+        # write takes the one after it, whatever shard held it.
+        for suffix in (".flows", ".idx"):
+            (sharded_root / f"part0-h1-1{suffix}").rename(
+                sharded_root / f"part0-h1-7{suffix}"
+            )
+        rows = ArchiveReader(sharded_root).partitions()[0].table()
+        path = ArchiveWriter(sharded_root).write_partition(rows, 0)
+        assert path.name == "part0-h0-8.flows"

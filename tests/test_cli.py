@@ -539,19 +539,12 @@ SPEC_CASES = [
         id="stream-serve-port",
     ),
     pytest.param(
-        ["archive", "ingest", T, "--dir", "full", "--spill-rows", "4096"],
+        ["archive", "ingest", T, "--dir", "full", "--window", "600",
+         "--spill-rows", "4096"],
         lambda: api.session().source("rpv5", path=T).ingest(
-            "full", shards=1, key="src_ip", seed=0, spill_rows=4096,
+            "full", window=600.0, spill_rows=4096,
         ),
         id="archive-ingest",
-    ),
-    pytest.param(
-        ["archive", "ingest", T, "--dir", "full", "--window", "600",
-         "--shards", "2", "--key", "dst_ip", "--seed", "3"],
-        lambda: api.session().source("rpv5", path=T).ingest(
-            "full", window=600.0, shards=2, key="dst_ip", seed=3,
-        ),
-        id="archive-ingest-sharded",
     ),
     pytest.param(
         ["archive", "query", "--dir", "full"],
@@ -760,13 +753,10 @@ class TestArchivePaths:
         assert reader is not None and reader.partitions() == []
         assert not spool.exists()
 
-    def test_positive_flag_error_names_its_flag(
-        self, trace_path, tmp_path, capsys
-    ):
+    def test_positive_flag_error_names_its_flag(self, trace_path, capsys):
         with pytest.raises(SystemExit):
-            main(["archive", "ingest", str(trace_path),
-                  "--dir", str(tmp_path / "x"), "--shards", "0"])
-        assert "argument --shards: shards must be >= 1: 0" in \
+            main(["detect", str(trace_path), "--workers", "0"])
+        assert "argument --workers: workers must be >= 1: 0" in \
             capsys.readouterr().err
 
 

@@ -248,7 +248,7 @@ def _synthetic_records():
         dispatch = journal.emit("exec.dispatch", window=0, rows=10,
                                 pieces=2)
         journal.emit("exec.fold", parent=dispatch, window=0, pieces=2)
-        journal.emit("archive.partition", slice=0, shard=0, seq=0,
+        journal.emit("archive.partition", slice=0, seq=0,
                      rows=10, path="part0-h0-0.flows")
         seal = journal.emit("window.seal", index=0, start=0.0,
                             end=300.0, flows=10, chunks=[chunk])

@@ -5,10 +5,9 @@ detection and archive scans run in the calling process at any value.
 :func:`test_no_process_at_any_worker_count` holds that end to end: with
 ``os.fork`` and ``SharedMemory`` made to raise, every session mode at
 ``workers=4`` answers as ``workers=1``; the classes below pin the same
-for single passes. What is left of :mod:`repro.parallel` is the
-archive's shard layout — stable, seedable hash placement — pinned by
-:class:`TestPartition`, and the two tracer stubs, pinned by
-:class:`TestExecutor` and :class:`TestPartitionedMining`.
+for single passes. What is left of :mod:`repro.parallel` is the two
+tracer stubs, pinned by :class:`TestExecutor` and
+:class:`TestPartitionedMining`.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro import api
 from repro.detect.base import Alarm
 from repro.detect.netreflex import NetReflexDetector
-from repro.errors import ExtractionError, FlowError
+from repro.errors import ExtractionError
 from repro.extraction.extractor import AnomalyExtractor
 from repro.extraction.summarize import table_rows
 from repro.flows.record import FlowRecord
@@ -31,7 +30,6 @@ from repro.flows.table import FlowTable
 from repro.mining.apriori import mine_apriori
 from repro.mining.extended import ExtendedApriori
 from repro.mining.transactions import TransactionSet
-from repro.parallel import PartitionSpec, shard_ids, stable_hash64
 from repro.parallel.executor import ShardExecutor
 from repro.parallel.mining import ShardedApriori
 from repro.system.alarmdb import AlarmDatabase
@@ -79,45 +77,6 @@ def _table(flows, shuffle_seed=None):
         order = np.random.default_rng(shuffle_seed).permutation(len(table))
         table = table.select(order)
     return table
-
-
-# -- the archive's shard layout ----------------------------------------------
-
-
-class TestPartition:
-    def test_stable_hash_is_deterministic_and_seeded(self):
-        values = np.array([1, 2, 3, 2**32 - 1], dtype=np.uint64)
-        a = stable_hash64(values, seed=0)
-        b = stable_hash64(values, seed=0)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, stable_hash64(values, seed=1))
-
-    def test_partition_covers_rows_exactly_once(self):
-        rng = np.random.default_rng(0)
-        n = 500
-        start = np.sort(rng.uniform(0, 100, n))
-        table = FlowTable.from_columns(
-            src_ip=rng.integers(0, 2**32, n),
-            dst_ip=rng.integers(0, 2**32, n),
-            src_port=rng.integers(0, 2**16, n),
-            dst_port=rng.integers(0, 2**16, n),
-            proto=rng.integers(0, 256, n),
-            start=start, end=start + 1.0,
-        )
-        ids = shard_ids(table, PartitionSpec(shards=5))
-        # One shard per row, in range, and a pure function of the key.
-        assert ids.shape == (n,)
-        assert set(ids.tolist()) <= set(range(5))
-        assert np.array_equal(
-            ids, (stable_hash64(table.src_ip) % np.uint64(5)).astype(ids.dtype)
-        )
-        assert not shard_ids(table, PartitionSpec(shards=1)).any()
-
-    def test_bad_spec_rejected(self):
-        with pytest.raises(FlowError):
-            PartitionSpec(shards=0)
-        with pytest.raises(FlowError):
-            PartitionSpec(key="bytes")
 
 
 # -- the mining kernel -------------------------------------------------------

@@ -314,7 +314,8 @@ class TestArchivedThreeWays:
 def window_tables(draw):
     """Rows over five windows, in a drawn order, with ties in ``start``
     and whole duplicated 5-tuples; ``bytes`` tags each row, so a
-    different order among tied rows shows in the bytes."""
+    different order among tied rows shows in the bytes, and ``router``
+    differs among rows tied on start and 5-tuple too."""
     starts = draw(st.lists(
         st.floats(0.0, 5 * WIDTH, exclude_max=True), min_size=1,
         max_size=8,
@@ -337,6 +338,7 @@ def window_tables(draw):
         bytes=list(range(count)),
         start=start,
         end=start,
+        router=column([1, 2, 3]),
     )
 
 

@@ -1,7 +1,8 @@
-"""The row-block header (repro.flows.shmem) and ``/dev/shm`` hygiene.
+"""The partition header (repro.archive.layout) and ``/dev/shm`` hygiene.
 
-Every file of raw ``FLOW_DTYPE`` rows starts with one 32-byte header
-whose magic and flow-schema version are checked on every read. No pass
+Every archive partition file of raw ``FLOW_DTYPE`` rows starts with one
+32-byte header whose magic and flow-schema version are checked on every
+read. No pass
 stages rows in shared memory: an extractor asked for workers leaves
 ``/dev/shm`` as it found it, serialises no table, and reports the same
 where shared memory is missing or every allocation of it fails.
@@ -22,11 +23,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.archive.layout import (
+    PARTITION_HEADER_SIZE,
+    pack_partition_header,
+    unpack_partition_header,
+)
 from repro.detect.base import Alarm
 from repro.errors import CodecError
 from repro.extraction.extractor import AnomalyExtractor
 from repro.extraction.summarize import table_rows
-from repro.flows import shmem
 from repro.flows.table import FlowTable
 from repro.mining.extended import ExtendedApriori
 
@@ -69,19 +74,19 @@ def _random_table(seed: int, count: int) -> FlowTable:
 
 class TestRowHeader:
     def test_roundtrip(self):
-        header = shmem.pack_row_header(12345)
-        assert len(header) == shmem.ROW_HEADER_SIZE == 32
-        assert shmem.unpack_row_header(header) == 12345
+        header = pack_partition_header(12345)
+        assert len(header) == PARTITION_HEADER_SIZE == 32
+        assert unpack_partition_header(header) == 12345
 
     def test_rejects_foreign_bytes(self):
-        with pytest.raises(CodecError, match="truncated"):
-            shmem.unpack_row_header(b"RPSM")
-        with pytest.raises(CodecError, match="magic"):
-            shmem.unpack_row_header(b"XXXX" + bytes(28))
+        with pytest.raises(CodecError, match="truncated partition header"):
+            unpack_partition_header(b"RPAR")
+        with pytest.raises(CodecError, match="bad partition magic"):
+            unpack_partition_header(b"XXXX" + bytes(28))
         # A foreign schema version must fail loudly, never misparse.
-        bad = struct.Struct("<4sHHQ16x").pack(b"RPSM", 9999, 0, 1)
+        bad = struct.Struct("<4sHHQ16x").pack(b"RPAR", 9999, 0, 1)
         with pytest.raises(CodecError, match="schema version"):
-            shmem.unpack_row_header(bad)
+            unpack_partition_header(bad)
 
 
 class TestShmHygiene:
