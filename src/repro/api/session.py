@@ -962,11 +962,12 @@ class Session:
     def _run_compact(self) -> RunResult:
         from repro.archive import compact_archive
 
+        # No reader first: compaction is the one migration of the old
+        # formats that a reader refuses.
         source = self._source()
-        reader = source.reader()
         timings: dict[str, float] = {}
         with obs_trace.span("compact.run", timings, "compact"):
-            result = compact_archive(source.describe(), reader=reader)
+            result = compact_archive(source.path)
         return RunResult(
             mode="compact",
             stats={

@@ -11,9 +11,9 @@ with no decode step between disk and the columnar hot path.
 
 ``layout``
     The directory contract: manifest (geometry + schema version),
-    partition naming ``part<slice>-h<shard>-<seq>.flows`` (+ ``.idx``;
-    new writes set ``shard`` to 0), the 32-byte versioned header,
-    crash-safe atomic writes and the directory fsync, quarantine.
+    partition naming ``part<slice>-h0-<seq>.flows`` (+ ``.idx``), the
+    32-byte versioned header, crash-safe atomic writes and the
+    directory fsync, quarantine.
 ``index``
     The partition index — per-column value histograms (feature index)
     and, read off them, the zone map (time bounds, per-column min/max
@@ -39,7 +39,8 @@ with no decode step between disk and the columnar hot path.
     pipeline) run archive-backed.
 ``compaction``
     Merging small rotation spills into sorted, sealed partitions with
-    crash-safe provenance.
+    crash-safe provenance — and the one migration of the formats older
+    builds wrote, which every reader refuses.
 
 ``repro archive`` is the CLI (ingest / ls / query / compact / stats /
 triage); ``--archive`` on ``repro stream`` persists closed windows so

@@ -20,7 +20,7 @@ same arrays) feeds both halves:
   suite asserts pruned results equal full scans.
 
 On disk (:func:`encode_index` / :func:`decode_index`) the pair is one
-file, ``part<slice>-h<shard>-<seq>.idx``::
+file, ``part<slice>-h0-<seq>.idx``::
 
     b"RIDX" | u32 version | u32 head length      12-byte prefix
     head    JSON: the zone map's scalars, sealed/sorted/shard_spec
@@ -34,9 +34,9 @@ file, ``part<slice>-h<shard>-<seq>.idx``::
 Decoding is ``np.frombuffer`` over the file's bytes; counts widen to
 ``int64`` when read. A torn or bit-flipped sidecar fails its length or
 checksum test with :class:`~repro.errors.ArchiveError` — the partition
-is quarantined, never served. The ``from_json`` classmethods parse the
-two JSON sidecars of archives that predate ``.idx``; nothing writes
-them.
+is quarantined, never served — and so does one whose column table
+lacks a :data:`ZONE_COLUMNS` column: every servable partition answers
+every indexed column from its sidecar.
 """
 
 from __future__ import annotations
@@ -200,17 +200,11 @@ class FeatureIndex:
 
     def histogram(
         self, column: str, by_packets: bool = False
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(values, int64 counts)`` of one column; ``None`` if absent."""
-        entry = self._columns.get(column)
-        if entry is None:
-            return None
-        values, flows, packet_sums = entry
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(values, int64 counts)`` of one indexed column."""
+        values, flows, packet_sums = self._columns[column]
         counts = packet_sums if by_packets else flows
         return values, counts.astype(np.int64, copy=False)
-
-    def __contains__(self, column: str) -> bool:
-        return column in self._columns
 
     def column_zones(self) -> dict[str, ColumnZone]:
         """The zone map's per-column summaries, read off the values."""
@@ -218,29 +212,6 @@ class FeatureIndex:
             name: ColumnZone.from_values(values)
             for name, (values, _flows, _packets) in self._columns.items()
         }
-
-    @classmethod
-    def from_json(cls, text: str, source: object = "") -> "FeatureIndex":
-        """Parse a legacy ``.fidx.json`` document."""
-        try:
-            data = json.loads(text)
-            if data["version"] != 1:
-                raise ValueError(f"version {data['version']}, not 1")
-            columns = {
-                name: tuple(
-                    np.asarray(entry[part], dtype=np.int64)
-                    for part in ("values", "flows", "packets")
-                )
-                for name, entry in data["columns"].items()
-            }
-            if any(len({len(a) for a in c}) != 1 for c in columns.values()):
-                raise ValueError("ragged columns")
-            return cls(columns)
-        except (ValueError, KeyError, TypeError) as exc:
-            where = f"{source}: " if source else ""
-            raise ArchiveError(
-                f"{where}corrupt feature index: {exc}"
-            ) from exc
 
 
 #: Zone-map fields serialised by name, in the sidecar head.
@@ -318,39 +289,6 @@ class ZoneMap:
             sorted=bool((starts[1:] >= starts[:-1]).all()),
             replaces=tuple(replaces),
         )
-
-    # -- deserialisation ---------------------------------------------------
-
-    @classmethod
-    def _from_head(cls, head: dict, columns: dict) -> "ZoneMap":
-        """A zone map from its serialised scalars — the ``.idx`` head
-        and the legacy ``.zone.json`` share the field names — and its
-        per-column zones. A ``shard_spec`` key, null or not, is
-        ignored."""
-        return cls(
-            **{name: head[name] for name in _HEAD_SCALARS},
-            columns=columns,
-            replaces=tuple(head["replaces"]),
-        )
-
-    @classmethod
-    def from_json(cls, text: str, source: object = "") -> "ZoneMap":
-        """Parse a legacy ``.zone.json`` document."""
-        try:
-            data = json.loads(text)
-            return cls._from_head(data, {
-                name: ColumnZone(
-                    zone["min"], zone["max"], zone["distinct"],
-                    None if zone["values"] is None
-                    else tuple(zone["values"]),
-                )
-                for name, zone in data["columns"].items()
-            })
-        except (ValueError, KeyError, TypeError) as exc:
-            where = f"{source}: " if source else ""
-            raise ArchiveError(
-                f"{where}corrupt zone map: {exc}"
-            ) from exc
 
     # -- pruning -----------------------------------------------------------
 
@@ -521,8 +459,16 @@ def decode_index(
             columns[name] = (values, flows, packets)
         if offset != end:
             raise ValueError("arrays do not fill the file")
+        missing = [name for name in ZONE_COLUMNS if name not in columns]
+        if missing:
+            raise ValueError(f"no column {missing[0]!r}")
         features = FeatureIndex(columns)
-        zone = ZoneMap._from_head(head, features.column_zones())
+        # The head's ``shard_spec`` key is ignored.
+        zone = ZoneMap(
+            **{name: head[name] for name in _HEAD_SCALARS},
+            columns=features.column_zones(),
+            replaces=tuple(head["replaces"]),
+        )
     except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise ArchiveError(
             f"{where}corrupt index sidecar: {exc}"

@@ -9,26 +9,20 @@ metadata, modelled on an NfDump spool directory:
     (``origin``). Written once, atomically, when the geometry is
     fixed; every reader and writer of the directory must agree with
     it.
-``part<slice>-h<shard>-<seq>.flows``
+``part<slice>-h0-<seq>.flows``
     One partition: a fixed 32-byte header followed by raw
     little-endian :data:`~repro.flows.table.FLOW_DTYPE` rows. Because
     the payload *is* the dtype buffer, a reader maps it with
     ``np.memmap`` and hands the mapping straight to
     :class:`~repro.flows.table.FlowTable` — no decode step, no copy.
     ``slice`` is the rotation-slice index (signed) and ``seq`` a
-    per-slice write sequence number. ``shard`` is a name component
-    every new write sets to 0; archives written hash-sharded by older
-    builds carry other values, read in ``(slice, shard, seq)`` order,
-    and compaction folds each of their slices into one ``h0`` file.
-``part<slice>-h<shard>-<seq>.idx``
+    per-slice write sequence number; ``h0`` is a literal part of the
+    name.
+``part<slice>-h0-<seq>.idx``
     The partition's index sidecar (:mod:`repro.archive.index`): zone
     map and feature index in one checksummed binary file. A partition
     is servable iff its ``.flows`` and ``.idx`` both exist under their
     final names and the ``.idx`` checksum holds.
-``part<slice>-h<shard>-<seq>.zone.json`` / ``.fidx.json``
-    The two JSON sidecars of archives written before the ``.idx``
-    format. Read-only: a partition with no ``.idx`` is served from
-    them, nothing writes them, compaction rewrites them away.
 ``quarantine/``
     Where the reader moves files it refuses to serve (truncated
     payloads, orphaned temporaries, missing or torn sidecars).
@@ -71,7 +65,6 @@ __all__ = [
     "MANIFEST_NAME",
     "PARTITION_SUFFIX",
     "INDEX_SUFFIX",
-    "SIDECAR_SUFFIXES",
     "QUARANTINE_DIR",
     "PARTITION_HEADER_SIZE",
     "PartitionKey",
@@ -88,9 +81,6 @@ __all__ = [
 MANIFEST_NAME = "MANIFEST.json"
 PARTITION_SUFFIX = ".flows"
 INDEX_SUFFIX = ".idx"
-#: Every sidecar a partition may own: the index, then the two legacy
-#: JSON names it replaced.
-SIDECAR_SUFFIXES = (INDEX_SUFFIX, ".zone.json", ".fidx.json")
 QUARANTINE_DIR = "quarantine"
 _TMP_PREFIX = ".tmp-"
 
@@ -101,23 +91,22 @@ PARTITION_HEADER_SIZE = _PARTITION_HEADER.size
 _PARTITION_MAGIC = b"RPAR"
 
 _NAME_RE = re.compile(
-    r"^part(?P<slice>-?\d+)-h(?P<shard>\d+)-(?P<seq>\d+)"
+    r"^part(?P<slice>-?\d+)-h0-(?P<seq>\d+)"
     + re.escape(PARTITION_SUFFIX) + r"$"
 )
 
 
 @dataclass(frozen=True, slots=True, order=True)
 class PartitionKey:
-    """Identity of one partition file: ``(slice, shard, seq)``.
+    """Identity of one partition file: ``(slice, seq)``.
 
     The tuple order is the canonical scan order — slice (time) first,
-    then shard, then write sequence — which is what keeps archive
-    query results byte-identical to an in-memory trace's
-    (ties in the final sort resolve by input position).
+    then write sequence — which is what keeps archive query results
+    byte-identical to an in-memory trace's (ties in the final sort
+    resolve by input position).
     """
 
     slice_index: int
-    shard: int
     seq: int
 
 
@@ -152,9 +141,7 @@ def unpack_partition_header(header: bytes, source: object = "") -> int:
 
 def partition_file_name(key: PartitionKey) -> str:
     """Canonical file name of a partition."""
-    return (
-        f"part{key.slice_index}-h{key.shard}-{key.seq}{PARTITION_SUFFIX}"
-    )
+    return f"part{key.slice_index}-h0-{key.seq}{PARTITION_SUFFIX}"
 
 
 def parse_partition_name(name: str) -> PartitionKey | None:
@@ -164,7 +151,6 @@ def parse_partition_name(name: str) -> PartitionKey | None:
         return None
     return PartitionKey(
         slice_index=int(match.group("slice")),
-        shard=int(match.group("shard")),
         seq=int(match.group("seq")),
     )
 
@@ -180,11 +166,9 @@ def sidecar_path(partition_path: Path, suffix: str = INDEX_SUFFIX) -> Path:
 
 
 def remove_partition(partition_path: Path) -> None:
-    """Unlink a superseded partition under every name it may own: the
-    data file and each sidecar, current and legacy."""
+    """Unlink a superseded partition: the data file, then its index."""
     partition_path.unlink(missing_ok=True)
-    for suffix in SIDECAR_SUFFIXES:
-        sidecar_path(partition_path, suffix).unlink(missing_ok=True)
+    sidecar_path(partition_path).unlink(missing_ok=True)
 
 
 def atomic_write(
@@ -195,7 +179,7 @@ def atomic_write(
     With ``exclusive`` the final link is created with
     ``os.link`` — which fails atomically if ``path`` already exists —
     instead of ``os.replace``. Partition files use this so two writers
-    racing on the same ``(slice, shard, seq)`` name (e.g. a long-lived
+    racing on the same ``(slice, seq)`` name (e.g. a long-lived
     ingest writer vs. a concurrent compaction) surface as a loud
     :class:`~repro.errors.ArchiveError` rather than one silently
     clobbering the other's data.
@@ -253,7 +237,7 @@ class ArchiveLayout:
     # -- directory scan ----------------------------------------------------
 
     def partition_files(self) -> list[tuple[PartitionKey, Path]]:
-        """All partition data files, in canonical ``(slice, shard, seq)``
+        """All partition data files, in canonical ``(slice, seq)``
         order. Non-partition names are ignored (the manifest, sidecars,
         the quarantine directory); orphaned temporaries are reported by
         :meth:`stray_files` instead."""
@@ -309,12 +293,9 @@ class ArchiveLayout:
         note = target.with_name(target.name + ".reason")
         note.write_text(reason + "\n")
         if path.name.endswith(PARTITION_SUFFIX):
-            for suffix in SIDECAR_SUFFIXES:
-                sidecar = sidecar_path(path, suffix)
-                if sidecar.exists():
-                    os.replace(
-                        sidecar, self.quarantine_dir / sidecar.name
-                    )
+            sidecar = sidecar_path(path)
+            if sidecar.exists():
+                os.replace(sidecar, self.quarantine_dir / sidecar.name)
         logger.warning(
             "quarantined %s -> %s: %s", path.name, target, reason
         )

@@ -19,9 +19,9 @@ scan):
   :class:`~repro.errors.ArchiveError` (the reader quarantines the
   partition and keeps serving the rest of the archive).
 
-A partition that predates ``.idx`` is served from its legacy JSON
-sidecars instead (:func:`_legacy`, read-only): ``.zone.json`` is
-required, ``.fidx.json`` optional and parsed on the first push-down.
+There is one partition format: the feature index is decoded with the
+zone map and is never absent. Files in the formats older builds wrote
+are :mod:`repro.archive.compaction`'s to read.
 """
 
 from __future__ import annotations
@@ -41,10 +41,7 @@ from repro.archive.layout import (
 from repro.errors import ArchiveError
 from repro.flows.table import FLOW_DTYPE, FlowTable
 
-__all__ = ["Partition", "load_partition", "open_rows"]
-
-#: Sentinel: a legacy partition's ``.fidx.json`` has not been read yet.
-_FIDX_UNLOADED = object()
+__all__ = ["Partition", "checked_rows", "load_partition", "open_rows"]
 
 
 def open_rows(path: str | Path, rows: int) -> FlowTable:
@@ -61,16 +58,13 @@ def open_rows(path: str | Path, rows: int) -> FlowTable:
 
 @dataclass
 class Partition:
-    """A servable partition: identity, files, zone map, lazy table."""
+    """A servable partition: identity, file, index, lazy table."""
 
     key: PartitionKey
     path: Path
     zone: ZoneMap
-    #: Served from pre-``.idx`` JSON sidecars: compaction rewrites such
-    #: a partition even when it is sealed.
-    legacy: bool = False
+    features: FeatureIndex = field(repr=False)
     _table: FlowTable | None = field(default=None, repr=False)
-    _fidx: object = field(default=None, repr=False)
 
     @property
     def rows(self) -> int:
@@ -92,51 +86,17 @@ class Partition:
             self._table = open_rows(self.path, self.zone.rows)
         return self._table
 
-    def feature_index(self) -> FeatureIndex | None:
-        """The partition's feature index.
 
-        ``None`` only for a legacy partition whose optional
-        ``.fidx.json`` is missing or unreadable — the planner then
-        scans the payload, which gives the same answer.
-        """
-        if self._fidx is _FIDX_UNLOADED:
-            try:
-                self._fidx = _legacy(
-                    self.path, ".fidx.json", FeatureIndex.from_json
-                )
-            except (OSError, ArchiveError):
-                self._fidx = None
-        return self._fidx
-
-
-def _legacy(path: Path, suffix: str, parse):
-    """One JSON sidecar of a partition written before ``.idx``."""
-    return parse(sidecar_path(path, suffix).read_text(), source=path)
-
-
-def load_partition(key: PartitionKey, path: Path) -> Partition:
-    """Validate one partition file and bind it to its sidecar.
-
-    Checks are metadata-only: the sidecar's checksum, the 32-byte
-    header (magic, schema version, row count) and the exact file size
-    the row count implies. Raises :class:`~repro.errors.CodecError`
-    for foreign bytes, :class:`~repro.errors.ArchiveError` for torn
-    ones and :class:`FileNotFoundError` when the partition has no
-    sidecar at all (a writer mid-write, or a crash leftover).
-    """
-    try:
-        blob = sidecar_path(path).read_bytes()
-    except FileNotFoundError:
-        zone = _legacy(path, ".zone.json", ZoneMap.from_json)
-        features = _FIDX_UNLOADED
-    else:
-        zone, features = decode_index(blob, source=path)
+def checked_rows(path: Path, sidecar_rows: int | None = None) -> int:
+    """The row count in a partition file's 32-byte header, once the
+    header (magic, schema version), the sidecar's count when one is
+    given, and the exact file size that count implies all agree."""
     with open(path, "rb") as handle:
         header = handle.read(PARTITION_HEADER_SIZE)
     rows = unpack_partition_header(header, source=path)
-    if rows != zone.rows:
+    if sidecar_rows is not None and rows != sidecar_rows:
         raise ArchiveError(
-            f"{path}: header says {rows} rows, sidecar says {zone.rows}"
+            f"{path}: header says {rows} rows, sidecar says {sidecar_rows}"
         )
     expected = PARTITION_HEADER_SIZE + rows * FLOW_DTYPE.itemsize
     actual = path.stat().st_size
@@ -145,7 +105,20 @@ def load_partition(key: PartitionKey, path: Path) -> Partition:
             f"{path}: file is {actual} bytes; {expected} expected "
             f"for {rows} rows — truncated or inflated partition"
         )
-    return Partition(
-        key=key, path=path, zone=zone,
-        legacy=features is _FIDX_UNLOADED, _fidx=features,
+    return rows
+
+
+def load_partition(key: PartitionKey, path: Path) -> Partition:
+    """Validate one partition file and bind it to its sidecar.
+
+    Checks are metadata-only: the sidecar's checksum, then
+    :func:`checked_rows`. Raises :class:`~repro.errors.CodecError`
+    for foreign bytes, :class:`~repro.errors.ArchiveError` for torn
+    ones and :class:`FileNotFoundError` when the partition has no
+    sidecar at all (a writer mid-write, or a crash leftover).
+    """
+    zone, features = decode_index(
+        sidecar_path(path).read_bytes(), source=path
     )
+    checked_rows(path, zone.rows)
+    return Partition(key=key, path=path, zone=zone, features=features)

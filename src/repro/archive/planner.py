@@ -21,10 +21,9 @@ This module is the brain behind
   ``repro archive query --explain`` renders it.
 
 The planner is an *optimizer*, never an oracle: every pushdown path
-has a row-scan fallback producing identical bytes. Every partition
-written since the ``.idx`` sidecar carries its feature index; only a
-legacy partition whose optional ``.fidx.json`` is missing or
-unreadable disqualifies the pushdown.
+has a row-scan twin producing identical bytes, taken when a filter
+applies or the window cuts a partition. Every servable partition
+carries its feature index, so the index itself never decides.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ its ``query_table`` and ``slice_seconds`` let a
 triage pipeline, run against the on-disk archive unchanged. Results
 are **byte-identical** to a trace holding the same rows (the
 equivalence suite asserts it): partitions scan in canonical
-``(slice, shard, seq)`` order and the final
+``(slice, seq)`` order and the final
 :meth:`~repro.flows.table.FlowTable.in_query_order` sort resolves ties
 by that order, exactly as a trace's stable start order does.
 
@@ -27,10 +27,14 @@ A query touches a partition's payload only when it must:
 
 Scanning the directory re-validates integrity cheaply (sidecar
 checksum, header, sizes): torn files, orphaned temporaries and
-sidecar-less data files are moved to ``quarantine/`` and counted, never served, and never
-fatal for the rest of the archive. Per-query pruning counters are
-kept on :attr:`last_scan` — the benchmark and the operator ``stats``
-command both read them.
+sidecar-less data files are moved to ``quarantine/`` and counted,
+never served, and never fatal for the rest of the archive. A directory
+that holds a partition in a format older builds wrote is refused
+whole, before anything is moved: the
+:class:`~repro.errors.ArchiveError` names ``repro archive compact``,
+the one migration (:mod:`repro.archive.compaction`). Per-query pruning
+counters are kept on :attr:`last_scan` — the benchmark and the
+operator ``stats`` command both read them.
 """
 
 from __future__ import annotations
@@ -38,11 +42,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
-from repro.archive.layout import SIDECAR_SUFFIXES, ArchiveLayout
+from repro.archive.compaction import refuse_outdated
+from repro.archive.layout import INDEX_SUFFIX, ArchiveLayout
 from repro.archive.partition import Partition, load_partition
 from repro.archive.planner import (
     QueryPlan,
@@ -51,10 +56,10 @@ from repro.archive.planner import (
     histogram_rows,
     window_rows,
 )
-from repro.errors import ArchiveError, CodecError, SpecError, StoreError
+from repro.errors import ArchiveError, SpecError, StoreError
 from repro.flows.aggregate import merge_histograms, ranked_from_histogram
 from repro.flows.filter import FilterNode, parse_filter
-from repro.flows.record import FlowFeature, FlowRecord
+from repro.flows.record import FlowFeature
 from repro.flows.table import FlowTable
 from repro.flows.trace import DEFAULT_BIN_SECONDS, FlowTrace, TraceStats
 from repro.obs import events as obs_events, metrics as obs_metrics
@@ -168,7 +173,9 @@ class ArchiveReader:
         must fail loudly, not shrink silently. An unchanged directory
         (same mtime as the last scan — file additions, renames and
         quarantine moves all bump it) short-circuits, which keeps
-        ``auto_refresh`` queries cheap on a quiet archive.
+        ``auto_refresh`` queries cheap on a quiet archive. A partition
+        in an old format raises :class:`~repro.errors.ArchiveError`
+        before anything is quarantined.
         """
         try:
             stamp = self.layout.root.stat().st_mtime_ns
@@ -183,6 +190,7 @@ class ArchiveReader:
         if stamp is not None and \
                 time.time_ns() - stamp < 50_000_000:  # 50 ms
             stamp = None
+        refuse_outdated(self.layout.root)
         for stray in self.layout.stray_files():
             self._quarantine(stray, "orphaned temporary file")
         live: list[Partition] = []
@@ -213,9 +221,7 @@ class ArchiveReader:
                     path, "partition without an index sidecar"
                 )
                 continue
-            except CodecError:
-                raise
-            except ArchiveError as exc:
+            except ArchiveError as exc:  # a CodecError propagates
                 self._quarantine(path, str(exc))
                 continue
             self._loaded[path.name] = partition
@@ -231,7 +237,6 @@ class ArchiveReader:
             # leave both the merged partition and its inputs on disk;
             # the merged one's provenance list wins.
             live = [p for p in live if p.path.name not in superseded]
-        live.sort(key=lambda p: p.key)
         self._partitions = live
         self._dir_stamp = stamp
 
@@ -265,7 +270,7 @@ class ArchiveReader:
                 1
                 for entry in quarantine.iterdir()
                 if entry.is_file()
-                and not entry.name.endswith((".reason", *SIDECAR_SUFFIXES))
+                and not entry.name.endswith((".reason", INDEX_SUFFIX))
             )
         return ArchiveStats(
             partitions=len(parts),
@@ -411,15 +416,6 @@ class ArchiveReader:
             self._window_tables(start, end, self._compile(flow_filter))
         ).in_query_order()
 
-    def query(
-        self,
-        start: float,
-        end: float,
-        flow_filter: str | FilterNode | None = None,
-    ) -> list[FlowRecord]:
-        """Record view of :meth:`query_table` (same rows, same order)."""
-        return self.query_table(start, end, flow_filter).to_records()
-
     def count(
         self,
         start: float,
@@ -513,9 +509,9 @@ class ArchiveReader:
         descending, ties by the value's string rendering):
 
         1. **feature-index pushdown** — no row filter, zone maps on,
-           every surviving partition fully covered by the window and
-           carrying a feature index: merge the per-partition
-           histograms and rank. Zero payload bytes read.
+           every surviving partition fully covered by the window:
+           merge the per-partition histograms and rank. Zero payload
+           bytes read.
         2. **histogram scan** — per-partition histograms of the
            query's cut, merged and ranked the same way.
         """
@@ -550,19 +546,17 @@ class ArchiveReader:
                 for p in candidates
             )
         ):
-            indexes = [p.feature_index() for p in candidates]
-            if all(idx is not None and column in idx for idx in indexes):
-                values, counts = merge_histograms(
-                    [idx.histogram(column, by_packets) for idx in indexes]
-                )
-                self._note_plan(QueryPlan(
-                    **{
-                        **plan,
-                        "sidecar_answered": len(candidates),
-                        "pushdown": "feature-index",
-                    }
-                ))
-                return ranked_from_histogram(values, counts, n)
+            values, counts = merge_histograms([
+                p.features.histogram(column, by_packets) for p in candidates
+            ])
+            self._note_plan(QueryPlan(
+                **{
+                    **plan,
+                    "sidecar_answered": len(candidates),
+                    "pushdown": "feature-index",
+                }
+            ))
+            return ranked_from_histogram(values, counts, n)
         values, counts = merge_histograms([
             histogram_rows(
                 p.table(), start, end, filter_node,
@@ -619,11 +613,6 @@ class ArchiveReader:
         if flow_filter is None or isinstance(flow_filter, FilterNode):
             return flow_filter
         return parse_filter(flow_filter)
-
-    def iter_tables(self) -> Iterable[FlowTable]:
-        """Every partition's rows as zero-copy views, scan order."""
-        for partition in self._partitions:
-            yield partition.table()
 
 
 def lazy_reader(
@@ -684,8 +673,8 @@ class ArchiveSource:
         return self.reader().to_trace()
 
     def chunks(self, chunk_rows: int):
-        for table in self.reader().iter_tables():
-            yield table
+        for partition in self.reader().partitions():
+            yield partition.table()
 
     def describe(self) -> str:
         return self.path

@@ -32,9 +32,7 @@ in start order (the ring's sealed window, compaction's merge, a spill
 put in query order here), and the sidecar's ``sorted`` flag is derived
 from the rows, never taken on trust — it is what lets a reader bisect.
 
-Every partition this writer emits is named ``part<slice>-h0-<seq>``;
-other ``h`` numbers exist only in archives older builds wrote
-hash-sharded.
+Every partition this writer emits is named ``part<slice>-h0-<seq>``.
 """
 
 from __future__ import annotations
@@ -125,9 +123,7 @@ class ArchiveWriter:
         self._origin = origin
         if origin is not None:
             self.layout.write_manifest(self.slice_seconds, origin)
-        # The last sequence number of each slice over all its files,
-        # whatever their shard: a new ``h0`` name never collides with
-        # a file an old sharded archive holds.
+        # The last sequence number of each slice on disk.
         self._seq: dict[int, int] = {}
         for key, _path in self.layout.partition_files():
             self._seq[key.slice_index] = max(
@@ -207,7 +203,7 @@ class ArchiveWriter:
             )
         seq = self._seq.get(slice_index, -1) + 1
         self._seq[slice_index] = seq
-        key = PartitionKey(slice_index=slice_index, shard=0, seq=seq)
+        key = PartitionKey(slice_index=slice_index, seq=seq)
         if features is None:
             features = FeatureIndex.from_table(table)
         zone = ZoneMap.from_table(

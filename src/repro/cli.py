@@ -630,13 +630,12 @@ def _render_ingest(spec: api.SessionSpec, result: api.RunResult) -> None:
 
 
 def _render_ls(spec: api.SessionSpec, result: api.RunResult) -> None:
-    rows = [("partition", "slice", "shard", "flows", "window", "sealed")]
+    rows = [("partition", "slice", "flows", "window", "sealed")]
     for part in result.payload["partitions"]:
         zone = part.zone
         rows.append((
             part.path.name,
             str(part.key.slice_index),
-            str(part.key.shard),
             str(zone.rows),
             f"[{zone.min_start:.0f}, {zone.max_start:.0f}]",
             "yes" if zone.sealed else "no",

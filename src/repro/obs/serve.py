@@ -70,16 +70,6 @@ def _render_labels(labels: tuple[tuple[str, str], ...]) -> str:
     return "{" + inner + "}"
 
 
-def _merge_le(
-    labels: tuple[tuple[str, str], ...], bound: str
-) -> str:
-    pairs = labels + (("le", bound),)
-    inner = ",".join(
-        f'{name}="{_escape_label(value)}"' for name, value in pairs
-    )
-    return "{" + inner + "}"
-
-
 def render_prometheus(
     registry: MetricsRegistry | None = None,
 ) -> str:
@@ -127,13 +117,15 @@ def render_prometheus(
                 cumulative = 0
                 for bound, bucket_count in zip(buckets, counts):
                     cumulative += bucket_count
+                    le = _format_value(float(bound))
                     lines.append(
                         f"{name}_bucket"
-                        f"{_merge_le(labels, _format_value(float(bound)))}"
+                        f"{_render_labels(labels + (('le', le),))}"
                         f" {cumulative}"
                     )
                 lines.append(
-                    f"{name}_bucket{_merge_le(labels, '+Inf')} {count}"
+                    f"{name}_bucket"
+                    f"{_render_labels(labels + (('le', '+Inf'),))} {count}"
                 )
                 lines.append(
                     f"{name}_sum{_render_labels(labels)}"

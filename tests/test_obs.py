@@ -337,6 +337,19 @@ class TestServeSink:
         assert 'repro_test_latency_seconds_bucket{le="10.0"} 2' in text
         assert 'repro_test_latency_seconds_bucket{le="+Inf"} 3' in text
         assert "repro_test_latency_seconds_count 3" in text
+        # A labelled series puts ``le`` after its own labels, escaped
+        # the same way.
+        _H.labels(stage='a"b').observe(0.5)
+        text = render_prometheus()
+        assert (
+            'repro_test_latency_seconds_bucket{stage="a\\"b",le="1.0"} 1'
+            in text
+        )
+        assert (
+            'repro_test_latency_seconds_bucket{stage="a\\"b",le="+Inf"} 1'
+            in text
+        )
+        assert 'repro_test_latency_seconds_count{stage="a\\"b"} 1' in text
 
     def test_status_payload_survives_broken_status(self):
         def broken() -> dict:

@@ -153,6 +153,34 @@ def test_plans_are_cached_per_layout_not_per_template():
     assert Template(256, fields + ((2, 4),)).plan is not refresh[0].plan
 
 
+def test_plan_cache_is_bounded_and_a_resent_template_keeps_its_plan():
+    """Template churn: more distinct layouts than the cache holds
+    arrive through the decode path, interleaved with the refresh of
+    one steady template. The cache never grows past its bound, and the
+    steady template decodes with the plan it compiled first."""
+    limit = compile_plan.cache_info().maxsize
+    cache = TemplateCache()
+
+    def send(template: Template, salt: int):
+        datagram = encode_v9_datagram(
+            [encode_template_set([template]),
+             encode_data_set(template, _values(template, salt, 1))],
+            sequence=salt, source_id=1, export_secs=100,
+        )
+        decoded = decode_datagram(datagram, 5.0, cache)
+        assert decoded.flows == 1
+        (region,) = decoded.regions
+        return region.plan
+
+    misses = compile_plan.cache_info().misses
+    steady = send(V9_LAYOUT, 0)
+    for i in range(limit + 44):
+        send(Template(300, ((8, 4), (99, 1 + i))), i)
+        assert compile_plan.cache_info().currsize <= limit
+        assert send(V9_LAYOUT, i) is steady
+    assert compile_plan.cache_info().misses - misses > limit
+
+
 def test_over_wide_time_field_saturates_instead_of_raising():
     """The seed raised OverflowError (through the listener) here."""
     template = Template(300, ((8, 4), (152, 200)))
