@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import sys
 import tempfile
@@ -90,6 +91,19 @@ def synth_table(count: int, span: float, seed: int = 7) -> FlowTable:
     )
 
 
+def _maps_file(data: np.ndarray, path: Path) -> bool:
+    """Is ``data`` a read-only view whose ``base`` chain ends at an
+    ``np.memmap`` of ``path`` (a zero-copy partition read)?"""
+    mapping = data
+    while isinstance(mapping.base, np.ndarray):
+        mapping = mapping.base
+    return (
+        isinstance(mapping, np.memmap)
+        and os.path.samefile(mapping.filename, path)
+        and not data.flags.writeable
+    )
+
+
 def _median_seconds(fn, repeats: int) -> float:
     samples = []
     for _ in range(repeats):
@@ -131,8 +145,7 @@ def run(flows: int, repeats: int) -> dict:
 
         result_rows = len(q(pruned))
         zero_copy = all(
-            isinstance(p.table()._data, np.memmap)
-            for p in pruned.partitions()
+            _maps_file(p.table()._data, p.path) for p in pruned.partitions()
         )
         match = (
             len(q(full)) == result_rows

@@ -21,14 +21,15 @@ with no decode step between disk and the columnar hot path.
     as one checksummed binary ``.idx`` sidecar; plus the sound
     partition-pruning logic over the nfdump filter AST.
 ``partition``
-    One validated partition served as a read-only zero-copy
-    ``np.memmap`` view.
+    One validated partition served as a read-only zero-copy plain
+    view of an ``np.memmap``.
 ``writer``
     :class:`ArchiveWriter` — buffered, vectorized ingest and the
     low-level partition write (one index pass, two atomic writes, one
     directory fsync).
 ``planner``
-    Push-down arithmetic (histogram merging, ranking), the window cut
+    The partition catalogue (zone bounds and sums as arrays),
+    push-down arithmetic (histogram merging, ranking), the window cut
     and the :class:`~repro.archive.planner.QueryPlan`.
 ``reader``
     :class:`ArchiveReader` — zone-map-pruned window+filter queries,

@@ -13,7 +13,7 @@ metadata, modelled on an NfDump spool directory:
     One partition: a fixed 32-byte header followed by raw
     little-endian :data:`~repro.flows.table.FLOW_DTYPE` rows. Because
     the payload *is* the dtype buffer, a reader maps it with
-    ``np.memmap`` and hands the mapping straight to
+    ``np.memmap`` and hands a plain view of the mapping straight to
     :class:`~repro.flows.table.FlowTable` — no decode step, no copy.
     ``slice`` is the rotation-slice index (signed) and ``seq`` a
     per-slice write sequence number; ``h0`` is a literal part of the

@@ -4,7 +4,8 @@ A :class:`Partition` binds a data file to its parsed ``.idx`` sidecar
 (:class:`~repro.archive.index.ZoneMap` +
 :class:`~repro.archive.index.FeatureIndex`) and serves the payload as
 a **zero-copy** :class:`~repro.flows.table.FlowTable`: a read-only
-``np.memmap`` view over the file at the 32-byte header offset —
+plain-array view of an ``np.memmap`` of the file at the 32-byte
+header offset —
 opening a partition does not read, decode or copy the payload, and a
 partition that prunes out of a query costs nothing at all.
 
@@ -46,14 +47,21 @@ __all__ = ["Partition", "checked_rows", "load_partition", "open_rows"]
 
 def open_rows(path: str | Path, rows: int) -> FlowTable:
     """Read-only mmap of one partition's payload (zero-copy), from its
-    path and row count."""
+    path and row count.
+
+    The table holds a plain ``ndarray`` view of the ``np.memmap``: the
+    same pages, still read-only, but a column read or a derived mask
+    does not run ``memmap``'s Python-level ``__getitem__`` and
+    ``__array_finalize__``. The view's ``base`` chain ends at the
+    ``np.memmap`` of ``path``, which keeps the mapping open.
+    """
     return FlowTable(np.memmap(
         path,
         dtype=FLOW_DTYPE,
         mode="r",
         offset=PARTITION_HEADER_SIZE,
         shape=(rows,),
-    ))
+    ).view(np.ndarray))
 
 
 @dataclass

@@ -16,6 +16,10 @@ This module is the brain behind
   takes a partition's rows in the query's window and filter (by
   bisection when the partition is sorted), and :func:`count_rows` /
   :func:`histogram_rows` reduce them to a tiny aggregate.
+* :class:`PartitionCatalogue` — every servable partition's zone-map
+  bounds and sums as arrays, so the time cut, the covered test and
+  the stats pushdown are a few vectorised operations whatever the
+  archive's partition count.
 * :class:`QueryPlan` — what the last query decided, partition by
   partition class: pruned, answered from sidecars, or scanned.
   ``repro archive query --explain`` renders it.
@@ -29,16 +33,17 @@ carries its feature index, so the index itself never decides.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from repro.archive.index import ZONE_COLUMNS
+from repro.archive.index import ZONE_COLUMNS, ZoneMap
 from repro.flows.aggregate import value_histogram
 from repro.flows.filter import FilterNode
 from repro.flows.record import FLOW_FEATURES, FlowFeature
 from repro.flows.table import FlowTable
 
-__all__ = ["QueryPlan", "feature_column"]
+__all__ = ["PartitionCatalogue", "QueryPlan", "feature_column"]
 
 #: ``ZONE_COLUMNS`` leads with the five mining features, in
 #: :data:`~repro.flows.record.FLOW_FEATURES` order.
@@ -50,6 +55,80 @@ _COLUMN_OF_FEATURE: dict[FlowFeature, str] = dict(
 def feature_column(feature: FlowFeature) -> str:
     """Table column backing one mining feature (always indexed)."""
     return _COLUMN_OF_FEATURE[feature]
+
+
+# -- the catalogue -------------------------------------------------------------
+
+@dataclass(frozen=True, slots=True)
+class PartitionCatalogue:
+    """Zone-map bounds and sums of an archive's partitions, one array
+    entry per partition in canonical scan order.
+
+    Built once per directory rescan. Every test it answers reads zone
+    bounds, never file names, so it is sound for any partition the
+    reader admits, whatever its slice.
+    """
+
+    min_start: np.ndarray
+    max_start: np.ndarray
+    max_end: np.ndarray
+    #: ``(rows, sum_packets, sum_bytes)`` per partition, int64 like
+    #: the row sums a zone map stores; a total over partitions would
+    #: wrap only past 2**63 packets or bytes.
+    sums: np.ndarray
+
+    @classmethod
+    def of(cls, zones: Sequence[ZoneMap]) -> "PartitionCatalogue":
+        def column(name: str) -> np.ndarray:
+            return np.fromiter(
+                (getattr(zone, name) for zone in zones),
+                np.float64,
+                len(zones),
+            )
+
+        return cls(
+            min_start=column("min_start"),
+            max_start=column("max_start"),
+            max_end=column("max_end"),
+            sums=np.array(
+                [(z.rows, z.sum_packets, z.sum_bytes) for z in zones],
+                dtype=np.int64,
+            ).reshape(len(zones), 3),
+        )
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.sums[:, 0]
+
+    def overlapping(self, start: float, end: float) -> np.ndarray:
+        """Positions of the partitions a row starting in ``[start,
+        end)`` may come from (:meth:`ZoneMap.overlaps_window`)."""
+        return ((self.max_start >= start) & (self.min_start < end)) \
+            .nonzero()[0]
+
+    def covered(
+        self, positions: np.ndarray, start: float, end: float
+    ) -> np.ndarray:
+        """Per position: do all its rows start inside ``[start, end)``?
+        (:meth:`ZoneMap.covered_by_window`)"""
+        return (self.min_start[positions] >= start) \
+            & (self.max_start[positions] < end)
+
+    def totals(
+        self, positions: np.ndarray
+    ) -> tuple[int, int, int, float, float] | None:
+        """``(flows, packets, bytes, lo, hi)`` of whole partitions,
+        from their zone maps alone: :func:`count_rows`' answer."""
+        if not len(positions):
+            return None
+        flows, packets, total_bytes = self.sums[positions].sum(0).tolist()
+        return (
+            flows,
+            packets,
+            total_bytes,
+            min(self.min_start[positions].tolist()),
+            max(self.max_end[positions].tolist()),
+        )
 
 
 # -- the window cut ------------------------------------------------------------

@@ -15,7 +15,12 @@ by that order, exactly as a trace's stable start order does.
 A query touches a partition's payload only when it must:
 
 1. the **zone map** (time bounds, per-feature summaries) prunes
-   partitions that cannot contribute — no file I/O at all;
+   partitions that cannot contribute — no file I/O at all. The time
+   cut is one vectorised test over the reader's
+   :class:`~repro.archive.planner.PartitionCatalogue` (zone bounds as
+   arrays, rebuilt when a rescan finds the directory changed), and
+   per-feature ``may_match`` runs only on its survivors, so a query's
+   fixed cost does not grow with the partition count;
 2. a surviving partition mmaps as a zero-copy
    :class:`~repro.flows.table.FlowTable`; if the zone map proves every
    row starts inside the window and there is no filter, the view is
@@ -35,10 +40,16 @@ whole, before anything is moved: the
 the one migration (:mod:`repro.archive.compaction`). Per-query pruning
 counters are kept on :attr:`last_scan` — the benchmark and the
 operator ``stats`` command both read them.
+
+Filter text is parsed once per distinct expression: the parsed
+:class:`~repro.flows.filter.FilterNode` trees (frozen, so safe to
+share) sit in a bounded LRU cache of :data:`FILTER_CACHE_SIZE`
+entries; a syntax error is raised every time, never cached.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,6 +61,7 @@ from repro.archive.compaction import refuse_outdated
 from repro.archive.layout import INDEX_SUFFIX, ArchiveLayout
 from repro.archive.partition import Partition, load_partition
 from repro.archive.planner import (
+    PartitionCatalogue,
     QueryPlan,
     count_rows,
     feature_column,
@@ -60,7 +72,7 @@ from repro.errors import ArchiveError, SpecError, StoreError
 from repro.flows.aggregate import merge_histograms, ranked_from_histogram
 from repro.flows.filter import FilterNode, parse_filter
 from repro.flows.record import FlowFeature
-from repro.flows.table import FlowTable
+from repro.flows.table import FLOW_DTYPE, FlowTable
 from repro.flows.trace import DEFAULT_BIN_SECONDS, FlowTrace, TraceStats
 from repro.obs import events as obs_events, metrics as obs_metrics
 
@@ -82,6 +94,14 @@ _PUSHDOWN = obs_metrics.counter(
     "repro_archive_pushdown_total",
     "Queries answered from sidecar metadata alone, by planner tier.",
 )
+
+#: Distinct filter expressions whose parsed trees a process keeps.
+FILTER_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=FILTER_CACHE_SIZE)
+def _parsed_filter(text: str) -> FilterNode:
+    return parse_filter(text)
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,6 +153,7 @@ class ArchiveReader:
         self.use_zone_maps = use_zone_maps
         self.auto_refresh = auto_refresh
         self._partitions: list[Partition] = []
+        self._catalogue = PartitionCatalogue.of(())
         self._loaded: dict[str, Partition] = {}
         self._quarantined = 0
         self._dir_stamp: int | None = None
@@ -238,6 +259,7 @@ class ArchiveReader:
             # the merged one's provenance list wins.
             live = [p for p in live if p.path.name not in superseded]
         self._partitions = live
+        self._catalogue = PartitionCatalogue.of([p.zone for p in live])
         self._dir_stamp = stamp
 
     def partitions(self) -> list[Partition]:
@@ -245,7 +267,7 @@ class ArchiveReader:
         return list(self._partitions)
 
     def __len__(self) -> int:
-        return sum(p.rows for p in self._partitions)
+        return int(self._catalogue.rows.sum())
 
     def stats(self) -> ArchiveStats:
         """Aggregate directory state (refreshes first).
@@ -257,11 +279,13 @@ class ArchiveReader:
         """
         self.refresh()
         parts = self._partitions
+        catalogue = self._catalogue
+        rows = int(catalogue.rows.sum())
         span = None
         if parts:
             span = (
-                min(p.zone.min_start for p in parts),
-                max(p.zone.max_start for p in parts),
+                float(catalogue.min_start.min()),
+                float(catalogue.max_start.max()),
             )
         quarantine = self.layout.quarantine_dir
         quarantined = 0
@@ -275,8 +299,8 @@ class ArchiveReader:
         return ArchiveStats(
             partitions=len(parts),
             sealed=sum(1 for p in parts if p.zone.sealed),
-            rows=sum(p.rows for p in parts),
-            payload_bytes=sum(p.payload_bytes for p in parts),
+            rows=rows,
+            payload_bytes=rows * FLOW_DTYPE.itemsize,
             slices=len({p.key.slice_index for p in parts}),
             quarantined=quarantined,
             span=span,
@@ -319,22 +343,41 @@ class ArchiveReader:
 
     def _prune(
         self, start: float, end: float, filter_node: FilterNode | None
-    ) -> tuple[list[Partition], int, int]:
-        """The partitions the zone maps cannot rule out, and how many
-        they did: by time, then by filter."""
+    ) -> tuple[np.ndarray, int, int]:
+        """Scan-order positions of the partitions the zone maps cannot
+        rule out, and how many they did: by time, then by filter.
+
+        The time cut is one test over the catalogue's bounds; only its
+        survivors run the per-feature ``may_match``.
+        """
+        total = len(self._partitions)
         if not self.use_zone_maps:
-            return self._partitions, 0, 0
-        kept: list[Partition] = []
-        pruned_time = pruned_filter = 0
-        for partition in self._partitions:
-            if not partition.zone.overlaps_window(start, end):
-                pruned_time += 1
-            elif filter_node is not None \
-                    and not partition.zone.may_match(filter_node):
-                pruned_filter += 1
-            else:
-                kept.append(partition)
-        return kept, pruned_time, pruned_filter
+            return np.arange(total), 0, 0
+        timely = self._catalogue.overlapping(start, end)
+        kept = timely
+        if filter_node is not None and len(timely):
+            kept = timely[np.fromiter(
+                (
+                    self._partitions[position].zone.may_match(filter_node)
+                    for position in timely.tolist()
+                ),
+                bool,
+                len(timely),
+            )]
+        return kept, total - len(timely), len(timely) - len(kept)
+
+    def _covered(
+        self,
+        positions: np.ndarray,
+        start: float,
+        end: float,
+        filter_node: FilterNode | None,
+    ) -> np.ndarray:
+        """Per position: may the partition serve whole, without a cut —
+        no filter, zone maps on, and every row starts in the window?"""
+        if filter_node is not None or not self.use_zone_maps:
+            return np.zeros(len(positions), dtype=bool)
+        return self._catalogue.covered(positions, start, end)
 
     def _ordered(self, partition: Partition) -> bool:
         """May a scan bisect ``partition``? Its sidecar says so; the
@@ -354,20 +397,18 @@ class ArchiveReader:
         sort is the caller's. Fully covered, unfiltered partitions
         pass through as whole zero-copy views.
         """
-        candidates, pruned_time, pruned_filter = self._prune(
+        positions, pruned_time, pruned_filter = self._prune(
             start, end, filter_node
         )
+        covered = self._covered(positions, start, end, filter_node)
         rows_scanned = rows_returned = payload_bytes = 0
         selected: list[FlowTable] = []
-        for partition in candidates:
+        for position, whole in zip(positions.tolist(), covered.tolist()):
+            partition = self._partitions[position]
             table = partition.table()
             rows_scanned += len(table)
             payload_bytes += partition.payload_bytes
-            if not (
-                filter_node is None
-                and self.use_zone_maps
-                and partition.zone.covered_by_window(start, end)
-            ):
+            if not whole:
                 table = window_rows(
                     table, start, end, filter_node,
                     self._ordered(partition),
@@ -378,7 +419,7 @@ class ArchiveReader:
             partitions=len(self._partitions),
             pruned_time=pruned_time,
             pruned_filter=pruned_filter,
-            scanned=len(candidates),
+            scanned=len(positions),
             rows_scanned=rows_scanned,
             rows_returned=rows_returned,
             payload_bytes=payload_bytes,
@@ -389,7 +430,7 @@ class ArchiveReader:
             pruned_time=pruned_time,
             pruned_filter=pruned_filter,
             sidecar_answered=0,
-            scanned=len(candidates),
+            scanned=len(positions),
             payload_bytes_read=payload_bytes,
         ))
         return selected
@@ -408,8 +449,7 @@ class ArchiveReader:
         :meth:`repro.flows.trace.FlowTrace.query_table`, with zone-map
         pruning deciding which partition files are touched at all.
         """
-        if end < start:
-            raise StoreError(f"inverted interval [{start}, {end})")
+        _check_window(start, end)
         if self.auto_refresh:
             self.refresh()
         return FlowTable.concat(
@@ -430,34 +470,28 @@ class ArchiveReader:
         ``pushdown="zone-map-stats"`` when *every* surviving partition
         answered that way.
         """
-        if end < start:
-            return TraceStats(
-                flows=0, packets=0, bytes=0, start=start, end=start
-            )
+        _check_window(start, end)
         if self.auto_refresh:
             self.refresh()
         filter_node = self._compile(flow_filter)
-        flows = packets = byte_total = 0
-        lo, hi = np.inf, -np.inf
-        candidates, pruned_time, pruned_filter = self._prune(
+        positions, pruned_time, pruned_filter = self._prune(
             start, end, filter_node
         )
-        needs_scan: list[Partition] = []
-        for partition in candidates:
-            zone = partition.zone
-            if self.use_zone_maps and filter_node is None \
-                    and zone.covered_by_window(start, end):
-                flows += zone.rows
-                packets += zone.sum_packets
-                byte_total += zone.sum_bytes
-                lo = min(lo, zone.min_start)
-                hi = max(hi, zone.max_end)
-            else:
-                needs_scan.append(partition)
-        parts = [
+        covered = self._covered(positions, start, end, filter_node)
+        if covered.all():
+            answered, needs_scan = positions, []
+        else:
+            answered = positions[covered]
+            needs_scan = [
+                self._partitions[position]
+                for position in positions[~covered].tolist()
+            ]
+        parts = [self._catalogue.totals(answered)] + [
             count_rows(p.table(), start, end, filter_node, self._ordered(p))
             for p in needs_scan
         ]
+        flows = packets = byte_total = 0
+        lo, hi = np.inf, -np.inf
         for part in parts:
             if part is None:
                 continue
@@ -472,7 +506,7 @@ class ArchiveReader:
             partitions=len(self._partitions),
             pruned_time=pruned_time,
             pruned_filter=pruned_filter,
-            sidecar_answered=len(candidates) - len(needs_scan),
+            sidecar_answered=len(answered),
             scanned=len(needs_scan),
             payload_bytes_read=sum(
                 p.payload_bytes for p in needs_scan
@@ -517,15 +551,17 @@ class ArchiveReader:
         """
         if n <= 0:
             raise StoreError(f"n must be positive: {n!r}")
-        if end < start:
-            return []
+        _check_window(start, end)
         if self.auto_refresh:
             self.refresh()
         filter_node = self._compile(flow_filter)
         column = feature_column(feature)
-        candidates, pruned_time, pruned_filter = self._prune(
+        positions, pruned_time, pruned_filter = self._prune(
             start, end, filter_node
         )
+        candidates = [
+            self._partitions[position] for position in positions.tolist()
+        ]
         plan = dict(
             query="top",
             partitions=len(self._partitions),
@@ -538,14 +574,7 @@ class ArchiveReader:
         if not candidates:
             self._note_plan(QueryPlan(**plan))
             return []
-        if (
-            filter_node is None
-            and self.use_zone_maps
-            and all(
-                p.zone.covered_by_window(start, end)
-                for p in candidates
-            )
-        ):
+        if self._covered(positions, start, end, filter_node).all():
             values, counts = merge_histograms([
                 p.features.histogram(column, by_packets) for p in candidates
             ])
@@ -590,13 +619,10 @@ class ArchiveReader:
                 bin_seconds=bin_seconds or self.slice_seconds,
                 origin=self.origin,
             )
-        lo = (
-            min(p.zone.min_start for p in parts) if start is None else start
-        )
+        catalogue = self._catalogue
+        lo = float(catalogue.min_start.min()) if start is None else start
         hi = (
-            max(p.zone.max_start for p in parts) + 1.0
-            if end is None
-            else end
+            float(catalogue.max_start.max()) + 1.0 if end is None else end
         )
         return FlowTrace(
             self.query_table(lo, hi),
@@ -612,7 +638,13 @@ class ArchiveReader:
     ) -> FilterNode | None:
         if flow_filter is None or isinstance(flow_filter, FilterNode):
             return flow_filter
-        return parse_filter(flow_filter)
+        return _parsed_filter(flow_filter)
+
+
+def _check_window(start: float, end: float) -> None:
+    """Refuse an inverted window, as every in-memory store does."""
+    if end < start:
+        raise StoreError(f"inverted interval [{start}, {end})")
 
 
 def lazy_reader(

@@ -190,9 +190,7 @@ class ArchiveWriter:
         # two grids disagree by one ulp near boundaries for fractional
         # widths, and a row must archive under exactly the slice it
         # routes to.
-        indices = np.floor(
-            (table.start - self._origin) / self.slice_seconds
-        ).astype(np.int64)
+        indices = self._slice_indices(table.start)
         if int(indices.min()) != slice_index \
                 or int(indices.max()) != slice_index:
             lo, hi = self.slice_interval(slice_index)
@@ -247,13 +245,27 @@ class ArchiveWriter:
 
     # -- buffered ingest ----------------------------------------------------
 
-    def _route(self, table: FlowTable) -> None:
-        """Partition one table into the per-slice buffers."""
-        indices = np.floor(
-            (table.start - self._origin) / self.slice_seconds
+    def _slice_indices(self, starts: np.ndarray) -> np.ndarray:
+        """The slice index of each start time (the routing expression)."""
+        return np.floor(
+            (starts - self._origin) / self.slice_seconds
         ).astype(np.int64)
-        for slice_index in np.unique(indices).tolist():
-            rows = table.select(indices == slice_index)
+
+    def _route(self, table: FlowTable, bounds: np.ndarray) -> None:
+        """Partition one table, whose least and greatest start are
+        ``bounds``, into the per-slice buffers."""
+        first, last = self._slice_indices(bounds).tolist()
+        if first == last and np.isfinite(bounds).all():
+            # One slice (the index is monotone in a finite ``start``):
+            # one copy, no per-slice masks.
+            pieces = [(first, table.copy())]
+        else:
+            indices = self._slice_indices(table.start)
+            pieces = [
+                (slice_index, table.select(indices == slice_index))
+                for slice_index in np.unique(indices).tolist()
+            ]
+        for slice_index, rows in pieces:
             self._buffers.setdefault(slice_index, []).append(rows)
             self._buffered_rows[slice_index] = (
                 self._buffered_rows.get(slice_index, 0) + len(rows)
@@ -268,8 +280,10 @@ class ArchiveWriter:
         """
         if not len(table):
             return 0
-        self._fix_origin(float(table.start.min()))
-        self._route(table)
+        starts = table.start
+        bounds = np.array((starts.min(), starts.max()))
+        self._fix_origin(float(bounds[0]))
+        self._route(table, bounds)
         for slice_index in [
             index
             for index, rows in self._buffered_rows.items()

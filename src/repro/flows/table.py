@@ -67,6 +67,9 @@ _COLUMN_NAMES = tuple(FLOW_DTYPE.names)
 #: byte move per row, several times faster, and bit-identical.
 _ROW_BYTES = np.dtype((np.void, FLOW_DTYPE.itemsize))
 
+#: The keys that order rows of equal ``start``, most significant first.
+_TIE_KEYS = ("src_ip", "dst_ip", "src_port", "dst_port", "proto")
+
 _FEATURE_TO_COLUMN = {
     FlowFeature.SRC_IP: "src_ip",
     FlowFeature.DST_IP: "dst_ip",
@@ -345,6 +348,11 @@ class FlowTable:
             self._data.view(_ROW_BYTES)[selector].view(FLOW_DTYPE)
         )
 
+    def copy(self) -> "FlowTable":
+        """New table owning a copy of the rows: for keeping rows of a
+        buffer its producer may reuse."""
+        return FlowTable(self._data.view(_ROW_BYTES).copy().view(FLOW_DTYPE))
+
     def sorted_by_start(self) -> "FlowTable":
         """New table stably sorted by flow start time."""
         starts = self._data["start"]
@@ -363,14 +371,21 @@ class FlowTable:
         dst_ip, src_ip, start))``, computed cheaply: ``start`` is the
         primary key, so one stable sort on it settles every row except
         those inside runs of equal ``start`` — the only place the
-        5-tuple is consulted. Returns ``self`` when the rows are
-        already in order (a sealed partition read back).
+        5-tuple is consulted.
+
+        Rows whose ``start`` is already non-decreasing (a sealed
+        partition or window read back) are checked without sorting:
+        each adjacent pair of tied rows is compared on the 5-tuple, one
+        key at a time. When no pair is out of order the table is
+        returned as is; otherwise the tied rows are sorted as above.
         """
         starts = self._data["start"]
         count = len(starts)
         if count < 2:
             return self
         if bool((starts[:-1] <= starts[1:]).all()):
+            if self._ties_in_order(starts):
+                return self
             order = np.arange(count)
         else:
             order = np.argsort(starts, kind="stable")
@@ -382,13 +397,27 @@ class FlowTable:
             in_run[:-1] |= tied
             positions = np.flatnonzero(in_run)
             rows = self._data[order[positions]]
-            order[positions] = order[positions][np.lexsort((
-                rows["proto"], rows["dst_port"], rows["src_port"],
-                rows["dst_ip"], rows["src_ip"], rows["start"],
-            ))]
+            order[positions] = order[positions][np.lexsort(
+                tuple(rows[name] for name in reversed(_TIE_KEYS))
+                + (rows["start"],)
+            )]
         if bool((order[1:] > order[:-1]).all()):
             return self
         return self.select(order)
+
+    def _ties_in_order(self, starts: np.ndarray) -> bool:
+        """Is every adjacent pair of rows with equal ``starts`` already
+        in 5-tuple order? (stable: an equal 5-tuple is in order)"""
+        left = (starts[1:] == starts[:-1]).nonzero()[0]
+        for name in _TIE_KEYS:
+            if not len(left):
+                break
+            column = self._data[name]
+            first, second = column[left], column[left + 1]
+            if bool((first > second).any()):
+                return False
+            left = left[first == second]
+        return True
 
     def heaviest_first(self, limit: int | None = None) -> "FlowTable":
         """The ``limit`` heaviest rows (all by default): most packets

@@ -200,6 +200,12 @@ class WindowRing:
             if self.archive is not None:
                 self.archive.set_origin(self._origin)
 
+    def _window_indices(self, starts: np.ndarray) -> np.ndarray:
+        """The window index of each start time."""
+        return np.floor(
+            (starts - self._origin) / self.window_seconds
+        ).astype(np.int64)
+
     def ingest(self, chunk: FlowTable) -> IngestResult:
         """Route one chunk's rows into their windows.
 
@@ -210,20 +216,31 @@ class WindowRing:
         if not len(chunk):
             return IngestResult(admitted=0, late_dropped=0, routed=())
         starts = chunk.start
-        self._fix_origin(float(starts.min()))
-        self._max_event = max(self._max_event, float(starts.max()))
-        indices = np.floor(
-            (starts - self._origin) / self.window_seconds
-        ).astype(np.int64)
-        live = indices >= self._next_to_close
-        late = int(len(chunk) - int(live.sum()))
+        bounds = np.array((starts.min(), starts.max()))
+        self._fix_origin(float(bounds[0]))
+        self._max_event = max(self._max_event, float(bounds[1]))
+        first, last = self._window_indices(bounds).tolist()
+        late = 0
+        if first == last >= self._next_to_close \
+                and np.isfinite(bounds).all():
+            # The whole chunk lies in one open window (the index is
+            # monotone in a finite ``start``): one copy, no per-window
+            # masks.
+            pieces = [(first, chunk.copy())]
+        else:
+            indices = self._window_indices(starts)
+            live = indices >= self._next_to_close
+            late = int(len(chunk) - int(live.sum()))
+            if late:
+                chunk = chunk.select(live)
+                indices = indices[live]
+            pieces = [
+                (index, chunk.select(indices == index))
+                for index in np.unique(indices).tolist()
+            ]
         self._late_dropped += late
         routed: list[tuple[int, FlowTable]] = []
-        if late:
-            chunk = chunk.select(live)
-            indices = indices[live]
-        for index in np.unique(indices).tolist():
-            rows = chunk.select(indices == index)
+        for index, rows in pieces:
             routed.append((index, rows))
             self._windows.setdefault(index, []).append(rows)
             self._max_populated = max(self._max_populated, index)

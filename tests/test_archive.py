@@ -99,11 +99,22 @@ def _same_bytes(a: FlowTable, b: FlowTable) -> bool:
     return a._data.tobytes() == b._data.tobytes()
 
 
+def _mapping(array: np.ndarray) -> np.ndarray:
+    """The array at the end of ``array``'s ``base`` chain."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
 class TestRoundTrip:
     def test_reads_are_zero_copy_mmap_views(self, tmp_path):
         reader = _write(tmp_path / "a", _random_table(5000))
         for partition in reader.partitions():
-            assert isinstance(partition.table()._data, np.memmap)
+            data = partition.table()._data
+            mapping = _mapping(data)
+            assert isinstance(mapping, np.memmap)
+            assert os.path.samefile(mapping.filename, partition.path)
+            assert not data.flags.writeable
         # A fully covered, unfiltered window comes back without the
         # reader copying covered partitions (only concat + sort).
         assert len(reader.query_table(0.0, 1e9)) == 5000

@@ -25,9 +25,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import api
+from repro.archive import ArchiveReader, ArchiveWriter
 from repro.detect.base import Alarm, MetadataItem
 from repro.errors import AlarmDatabaseError, AlarmTransitionError
 from repro.flows.record import FlowFeature
+from repro.flows.table import FlowTable
 from repro.obs import metrics as obs_metrics, trace as obs_trace
 from repro.obs.console import ConsoleServer
 from repro.obs.serve import MetricsServer
@@ -431,6 +433,27 @@ class TestConsoleApi:
         status, _, _ = _request(console.port, "GET",
                                 "/api/archive/query")
         assert status == 404
+
+    def test_archive_query_refuses_an_inverted_window(self, tmp_path):
+        rows = FlowTable.from_columns(
+            src_ip=[1, 2], dst_ip=[3, 4], src_port=[5, 6],
+            dst_port=[80, 443], proto=[6, 6], start=[1.0, 2.0],
+            end=[1.0, 2.0],
+        )
+        with ArchiveWriter(tmp_path / "a", slice_seconds=60.0) as writer:
+            writer.ingest_table(rows)
+        reader = ArchiveReader(tmp_path / "a")
+        server = ConsoleServer(port=0, archive=lambda: reader).start()
+        try:
+            for query in ("", "&top=dstPort"):
+                status, _, body = _request(
+                    server.port, "GET",
+                    f"/api/archive/query?start=20&end=10{query}",
+                )
+                assert status == 400
+                assert b"inverted interval" in body
+        finally:
+            server.stop()
 
     def test_dashboard_served_and_optional(self, db, console):
         for path in ("/", "/dashboard"):

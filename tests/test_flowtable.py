@@ -232,6 +232,59 @@ class TestTraceAndStoreIntegration:
         assert ranked == expected
 
 
+def _tied_table(seed, count=4000):
+    """Millisecond starts over half a second: runs of ~8 tied rows, and
+    5-tuples from small domains, so equal keys occur inside runs too."""
+    rng = np.random.default_rng(seed)
+    starts = np.round(rng.uniform(0.0, 0.5, count), 3)
+    return FlowTable.from_columns(
+        src_ip=rng.integers(0, 4, count),
+        dst_ip=rng.integers(0, 4, count),
+        src_port=rng.integers(0, 3, count),
+        dst_port=rng.integers(0, 3, count),
+        proto=rng.choice(np.array([6, 17]), count),
+        start=starts,
+        end=starts + 1.0,
+    )
+
+
+def _lexsorted(table):
+    return table.select(np.lexsort((
+        table.proto, table.dst_port, table.src_port,
+        table.dst_ip, table.src_ip, table.start,
+    )))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+class TestQueryOrder:
+    def test_canonical_rows_come_back_as_is(self, seed):
+        canonical = _lexsorted(_tied_table(seed))
+        assert canonical.in_query_order() is canonical
+
+    def test_one_swapped_tied_pair_is_sorted(self, seed):
+        canonical = _lexsorted(_tied_table(seed))
+        keys = np.stack([
+            canonical.column(name)
+            for name in ("src_ip", "dst_ip", "src_port", "dst_port", "proto")
+        ])
+        tied = canonical.start[1:] == canonical.start[:-1]
+        differs = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+        pair = int(np.flatnonzero(tied & differs)[seed])
+        order = np.arange(len(canonical))
+        order[[pair, pair + 1]] = order[[pair + 1, pair]]
+        swapped = canonical.select(order)
+        result = swapped.in_query_order()
+        assert result is not swapped
+        assert result._data.tobytes() == canonical._data.tobytes()
+        assert result._data.tobytes() == \
+            _lexsorted(swapped)._data.tobytes()
+
+    def test_unsorted_starts_equal_lexsort(self, seed):
+        table = _tied_table(seed)
+        assert table.in_query_order()._data.tobytes() == \
+            _lexsorted(table)._data.tobytes()
+
+
 class TestTableIO:
     def test_csv_table_roundtrip(self):
         flows = _flows(9)

@@ -242,6 +242,98 @@ def _sealed_counts(table, chunk_rows, weights=()):
     return ring.take_counts(window.index)
 
 
+#: Windows each test chunk's rows fall in: one window (most), two
+#: adjacent, two far apart, and chunks whose window already closed.
+_CHUNK_WINDOWS = [
+    (5,), (5,), (6,), (6, 7), (7,), (2,), (8,), (9, 60), (60,), (30,),
+]
+
+
+def _routing_chunks(seed, width):
+    rng = np.random.default_rng(seed)
+    for windows in _CHUNK_WINDOWS:
+        starts = np.concatenate([
+            (index + rng.uniform(0.0, 1.0, 300)) * width
+            for index in windows
+        ])
+        rng.shuffle(starts)
+        count = len(starts)
+        yield FlowTable.from_columns(
+            src_ip=rng.integers(0, 2**32, count),
+            dst_ip=rng.integers(0, 2**32, count),
+            src_port=rng.integers(0, 2**16, count),
+            dst_port=rng.integers(0, 2**16, count),
+            proto=rng.choice(np.array([6, 17]), count),
+            start=starts,
+            end=starts + 1.0,
+        )
+
+
+def _unique_route(chunk, width, first_open):
+    """The mask-per-window reference: late count and rows per window."""
+    indices = np.floor(chunk.start / width).astype(np.int64)
+    live = indices >= first_open
+    return int((~live).sum()), [
+        (index, chunk.select(live & (indices == index)))
+        for index in np.unique(indices[live]).tolist()
+    ]
+
+
+def _concat_bytes(tables):
+    return FlowTable.concat(tables)._data.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+class TestOneWindowRouting:
+    """A chunk inside one window is routed whole: same windows, late
+    counts and contents as one mask per ``np.unique`` window, and one
+    private copy of the rows."""
+
+    def test_ring_routes_like_the_unique_path(self, seed):
+        width = 60.0
+        ring = WindowRing(window_seconds=width, origin=0.0,
+                          retain_windows=1000)
+        expected: dict[int, list[FlowTable]] = {}
+        late_total = 0
+        for chunk in _routing_chunks(seed, width):
+            late, routes = _unique_route(chunk, width, ring.closed_through)
+            result = ring.ingest(chunk)
+            assert result.late_dropped == late
+            assert [index for index, _ in result.routed] == \
+                [index for index, _ in routes]
+            for (_, got), (index, want) in zip(result.routed, routes):
+                assert got._data.tobytes() == want._data.tobytes()
+                assert not np.shares_memory(got._data, chunk._data)
+                expected.setdefault(index, []).append(want)
+            late_total += late
+            # The source may reuse its buffer: the ring must not care.
+            chunk._data["start"] = -1.0
+            ring.close_due()
+        assert ring.late_dropped == late_total
+        assert sorted(ring._windows) == sorted(expected)
+        for index, tables in expected.items():
+            assert _concat_bytes(ring._windows[index]) == \
+                _concat_bytes(tables)
+
+    def test_writer_buffers_like_the_unique_path(self, seed, tmp_path):
+        width = 60.0
+        writer = ArchiveWriter(tmp_path / "a", slice_seconds=width,
+                               origin=0.0, spill_rows=10**9)
+        expected: dict[int, list[FlowTable]] = {}
+        for chunk in _routing_chunks(seed, width):
+            _, routes = _unique_route(chunk, width, -(2**62))
+            writer.ingest_table(chunk)
+            for index, rows in routes:
+                expected.setdefault(index, []).append(rows)
+            chunk._data["start"] = -1.0
+        assert sorted(writer._buffers) == sorted(expected)
+        for index, tables in expected.items():
+            assert _concat_bytes(writer._buffers[index]) == \
+                _concat_bytes(tables)
+            assert writer._buffered_rows[index] == \
+                sum(len(t) for t in tables)
+
+
 class TestWindowCounts:
     def test_matches_batch_bin_features_exactly(self):
         table = _random_table(500)
