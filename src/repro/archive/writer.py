@@ -52,6 +52,7 @@ from repro.archive.layout import (
     sidecar_path,
 )
 from repro.errors import ArchiveError
+from repro.flows.aggregate import distinct_values
 from repro.flows.table import FlowTable
 from repro.flows.trace import DEFAULT_BIN_SECONDS
 from repro.obs import events as obs_events, metrics as obs_metrics
@@ -263,7 +264,7 @@ class ArchiveWriter:
             indices = self._slice_indices(table.start)
             pieces = [
                 (slice_index, table.select(indices == slice_index))
-                for slice_index in np.unique(indices).tolist()
+                for slice_index in distinct_values(indices).tolist()
             ]
         for slice_index, rows in pieces:
             self._buffers.setdefault(slice_index, []).append(rows)
@@ -305,11 +306,16 @@ class ArchiveWriter:
         if not parts:
             return
         # Chunks arrive in any order; a partition leaves in query
-        # order (stable: equal rows keep their arrival order).
-        self.write_partition(
-            FlowTable.concat(parts).in_query_order(),
-            slice_index=slice_index,
-        )
+        # order (stable: equal rows keep their arrival order). A buffer
+        # one chunk pushed past ``spill_rows`` leaves as consecutive
+        # pieces of that order, each its own ``seq``, so no partition
+        # holds more than ``spill_rows`` rows.
+        rows = FlowTable.concat(parts).in_query_order()
+        for first in range(0, len(rows), self.spill_rows):
+            self.write_partition(
+                rows.select(slice(first, first + self.spill_rows)),
+                slice_index=slice_index,
+            )
 
     def flush(self) -> int:
         """Spill every buffered row; returns how many were written."""

@@ -34,6 +34,7 @@ from repro.flows.table import FlowTable
 
 __all__ = [
     "WEIGHTINGS",
+    "distinct_values",
     "value_histogram",
     "merge_histograms",
     "table_histogram",
@@ -46,6 +47,24 @@ __all__ = [
 
 #: How a flow contributes to an aggregate: by flow count, packets or bytes.
 WEIGHTINGS = ("flows", "packets", "bytes")
+
+
+def distinct_values(column: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of one integer ``column``:
+    ``np.unique(column)``'s answer, by one sort and a mask of adjacent
+    differences.
+
+    ``np.unique`` without ``return_*`` keywords answers through a hash
+    table on numpy >= 2.3, several times slower than a sort on feature
+    columns; the sort takes the same kind rule as
+    :func:`value_histogram`.
+    """
+    ordered = np.sort(
+        column, kind="stable" if column.itemsize <= 2 else None
+    )
+    if len(ordered) < 2:
+        return ordered
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
 
 
 def value_histogram(
@@ -207,6 +226,6 @@ def distinct_counts(
     """
     table = FlowTable.from_records(flows)
     return {
-        feature: int(len(np.unique(table.feature_column(feature))))
+        feature: len(distinct_values(table.feature_column(feature)))
         for feature in FLOW_FEATURES
     }

@@ -45,6 +45,7 @@ import numpy as np
 
 from repro.archive.index import FeatureIndex, index_histograms
 from repro.errors import StoreError
+from repro.flows.aggregate import distinct_values
 from repro.flows.table import FlowTable
 from repro.flows.trace import DEFAULT_BIN_SECONDS
 from repro.stream.incremental import WindowCounts
@@ -236,7 +237,7 @@ class WindowRing:
                 indices = indices[live]
             pieces = [
                 (index, chunk.select(indices == index))
-                for index in np.unique(indices).tolist()
+                for index in distinct_values(indices).tolist()
             ]
         self._late_dropped += late
         routed: list[tuple[int, FlowTable]] = []

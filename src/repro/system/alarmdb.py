@@ -23,6 +23,15 @@ a status column:
 
 The database is safe to share between the stream engine and the
 console's HTTP handler threads: one connection, one process-wide lock.
+
+A file-backed database runs sqlite's write-ahead log with
+``synchronous = FULL``: a commit is one WAL append and one fsync, and
+it is durable when it returns. Each public write is one transaction;
+:meth:`AlarmDatabase.transaction` groups several into one commit (a
+triage verdict records ``extracted`` and the verdict together). While
+a connection is open, the ``-wal`` and ``-shm`` files beside the
+database are part of it; the last connection to close folds them back
+in and removes them.
 """
 
 from __future__ import annotations
@@ -30,9 +39,10 @@ from __future__ import annotations
 import sqlite3
 import threading
 import time
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from repro.detect.base import Alarm, MetadataItem
 from repro.errors import AlarmDatabaseError, AlarmTransitionError
@@ -187,14 +197,21 @@ class AlarmDatabase:
         # the connection — a second connect() opens an empty one).
         self._conn = sqlite3.connect(str(path), check_same_thread=False)
         self._lock = threading.RLock()
+        # Nesting depth of :meth:`transaction` (guarded by ``_lock``).
+        self._depth = 0
         self._conn.execute("PRAGMA foreign_keys = ON")
+        # WAL for a file (an in-memory database answers ``memory`` and
+        # keeps it). FULL, not NORMAL: NORMAL may lose the last commits
+        # on power loss, and a commit must be durable when it returns.
+        self._conn.execute("PRAGMA journal_mode = WAL")
+        self._conn.execute("PRAGMA synchronous = FULL")
         with self._conn:
             self._conn.executescript(_SCHEMA)
         self._migrate()
 
     def _migrate(self) -> None:
         """Bring a pre-lifecycle database file up to this schema."""
-        with self._lock, self._conn:
+        with self.transaction():
             columns = {
                 row[1] for row in self._conn.execute(
                     "PRAGMA table_info(alarms)"
@@ -209,6 +226,26 @@ class AlarmDatabase:
     def close(self) -> None:
         """Close the underlying connection."""
         self._conn.close()
+
+    @contextmanager
+    def transaction(self) -> Iterator[None]:
+        """One sqlite transaction around the block: one commit.
+
+        Re-entrant: every write inside the block — and any nested
+        :meth:`transaction` — joins it, and commits when the outermost
+        block exits. An exception leaving the outermost block rolls
+        the whole block back. Holds the database lock throughout.
+        """
+        with self._lock:
+            self._depth += 1
+            try:
+                if self._depth > 1:
+                    yield
+                else:
+                    with self._conn:
+                        yield
+            finally:
+                self._depth -= 1
 
     def __enter__(self) -> "AlarmDatabase":
         return self
@@ -287,7 +324,7 @@ class AlarmDatabase:
         id when merged). Both the insert and the merge journal one
         audit row in the same transaction.
         """
-        with self._lock, self._conn:
+        with self.transaction():
             return self._insert_in_tx(alarm, dedup_window)
 
     def _insert_in_tx(
@@ -415,7 +452,7 @@ class AlarmDatabase:
         entire batch back before the error propagates.
         """
         stored = 0
-        with self._lock, self._conn:
+        with self.transaction():
             for alarm in alarms:
                 if self._insert_in_tx(alarm, dedup_window) \
                         == alarm.alarm_id:
@@ -438,7 +475,7 @@ class AlarmDatabase:
                 f"unknown status {status!r}; expected one of "
                 f"{AlarmStatus.ALL}"
             )
-        with self._lock, self._conn:
+        with self.transaction():
             row = self._conn.execute(
                 "SELECT status FROM alarms WHERE alarm_id = ?",
                 (alarm_id,),
@@ -485,7 +522,7 @@ class AlarmDatabase:
             raise AlarmDatabaseError(
                 "assign needs an assignee (who owns the case?)"
             )
-        with self._lock, self._conn:
+        with self.transaction():
             row = self._conn.execute(
                 "SELECT status, assignee, verdict FROM alarms "
                 "WHERE alarm_id = ?",
@@ -536,7 +573,7 @@ class AlarmDatabase:
         ids, oldest first.
         """
         placeholders = ", ".join("?" for _ in statuses)
-        with self._lock, self._conn:
+        with self.transaction():
             rows = self._conn.execute(
                 f"SELECT alarm_id, status FROM alarms "
                 f"WHERE status IN ({placeholders}) AND end < ? "
@@ -557,7 +594,7 @@ class AlarmDatabase:
 
     def delete(self, alarm_id: str) -> None:
         """Remove an alarm and its meta-data (the audit trail stays)."""
-        with self._lock, self._conn:
+        with self.transaction():
             deleted = self._conn.execute(
                 "DELETE FROM alarms WHERE alarm_id = ?", (alarm_id,)
             ).rowcount

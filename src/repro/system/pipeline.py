@@ -134,6 +134,12 @@ class ExtractionSystem:
         """
         if isinstance(alarm, str):
             alarm = self.alarmdb.get(alarm)
+        report = self._extract(alarm)
+        self._record_status(alarm, AlarmStatus.EXTRACTED)
+        return report
+
+    def _extract(self, alarm: Alarm) -> ExtractionReport:
+        """The report for one alarm; records nothing."""
         interval_table = self.backend.alarm_table(alarm)
         if not interval_table:
             raise ExtractionError(
@@ -141,26 +147,33 @@ class ExtractionSystem:
                 f"[{alarm.start}, {alarm.end})"
             )
         baseline_table = self.backend.baseline_table(alarm)
-        report = self.extractor.extract(
+        return self.extractor.extract(
             alarm, interval_table, baseline_table
         )
-        self._record_status(alarm, AlarmStatus.EXTRACTED)
-        return report
 
     def validate(self, alarm: Alarm | str) -> TriageResult:
-        """Extract and validate one alarm, recording the verdict."""
+        """Extract and validate one alarm, recording the verdict.
+
+        Extraction and validation run before anything is written;
+        ``extracted`` and the verdict then commit as one transaction,
+        so an alarm is either still ``open`` or carries its verdict —
+        a crash between the two cannot strand it ``extracted``,
+        a state :meth:`process_open_alarms` never picks up again.
+        """
         if isinstance(alarm, str):
             alarm = self.alarmdb.get(alarm)
-        report = self.extract(alarm)
+        report = self._extract(alarm)
         verdict = validate_report(
             report, sample_size=self.config.evidence_sample_size
         )
-        self._record_status(
-            alarm,
-            AlarmStatus.VALIDATED if verdict.useful
-            else AlarmStatus.DISMISSED,
-            verdict.summary(),
-        )
+        with self.alarmdb.transaction():
+            self._record_status(alarm, AlarmStatus.EXTRACTED)
+            self._record_status(
+                alarm,
+                AlarmStatus.VALIDATED if verdict.useful
+                else AlarmStatus.DISMISSED,
+                verdict.summary(),
+            )
         return TriageResult(alarm=alarm, report=report, verdict=verdict)
 
     def _record_status(

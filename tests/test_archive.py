@@ -495,6 +495,45 @@ class TestDurability:
         assert parse_partition_name("part1-h0-0.zone.json") is None
 
 
+class TestSpillBound:
+    def test_a_large_chunk_spills_in_pieces_of_at_most_spill_rows(
+        self, tmp_path
+    ):
+        # One 65,536-row chunk over two 300 s slices: each slice's
+        # buffer passes 4,096 rows at once and must still leave as
+        # partitions of at most 4,096 rows.
+        table = _random_table(65_536, seed=9, span=600.0)
+        bounded = _write(tmp_path / "bounded", table,
+                         chunk_rows=65_536, spill_rows=4096)
+        whole = _write(tmp_path / "whole", table,
+                       chunk_rows=65_536, spill_rows=65_536)
+        sizes = [p.zone.rows for p in bounded.partitions()]
+        assert max(sizes) <= 4096
+        assert sum(sizes) == len(table)
+        assert {p.key.slice_index for p in bounded.partitions()} \
+            == {0, 1}
+        assert len(whole.partitions()) == 2
+        assert all(p.zone.sorted for p in bounded.partitions())
+        for start, end, flow_filter in [
+            (0.0, 600.0, None),
+            (100.0, 450.0, None),
+            (0.0, 600.0, "dst port 443 and proto tcp"),
+            (250.0, 350.0, "src port < 1100"),
+        ]:
+            assert _same_bytes(
+                bounded.query_table(start, end, flow_filter),
+                whole.query_table(start, end, flow_filter),
+            )
+            assert bounded.count(start, end, flow_filter) \
+                == whole.count(start, end, flow_filter)
+            for feature in (FlowFeature.DST_PORT, FlowFeature.SRC_IP):
+                assert bounded.top_feature_values(
+                    start, end, feature, n=5, flow_filter=flow_filter
+                ) == whole.top_feature_values(
+                    start, end, feature, n=5, flow_filter=flow_filter
+                )
+
+
 class TestCompaction:
     def test_merges_spills_into_sealed_sorted_partitions(self, tmp_path):
         root = tmp_path / "a"

@@ -16,12 +16,13 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.detect.features import compute_bin_features
 from repro.flows.aggregate import (
     all_feature_histograms,
     distinct_counts,
+    distinct_values,
     feature_histogram,
     merge_histograms,
     top_n,
@@ -144,6 +145,45 @@ def test_distinct_counts_and_top_n_identical(flows):
         expected = record_oracle.top_n(flows, feature, n=3)
         assert top_n(table, feature, n=3) == expected
         assert top_n(flows, feature, n=3) == expected
+
+
+# Every feature column dtype, plus the int64 slice/window indices.
+_COLUMN_DTYPES = (np.uint8, np.uint16, np.uint32, np.int64)
+_COLLIDING = st.sampled_from(
+    [0, 1, 2, 255, 256, 65_535, 65_536, 2**32 - 1, -1, -(2**33)]
+)
+
+
+@given(
+    dtype=st.sampled_from(_COLUMN_DTYPES),
+    values=st.lists(
+        st.one_of(_COLLIDING, st.integers(-(2**40), 2**40)), max_size=80
+    ),
+)
+@example(dtype=np.uint32, values=[])
+@example(dtype=np.uint16, values=[7])
+@example(dtype=np.uint8, values=[3] * 20)
+@example(dtype=np.int64, values=[-5] * 3)
+@settings(max_examples=200, deadline=None)
+def test_distinct_values_equal_a_set(dtype, values):
+    # astype wraps out-of-range values, as a column of that dtype would.
+    column = np.array(values, dtype=np.int64).astype(dtype)
+    got = distinct_values(column)
+    assert got.dtype == column.dtype
+    assert got.tolist() == sorted(set(column.tolist()))
+    assert got.tobytes() == np.unique(column).tobytes()
+
+
+def test_distinct_counts_of_degenerate_tables():
+    flow = FlowRecord(
+        src_ip=0x0A000001, dst_ip=0xC0A80001, src_port=55548,
+        dst_port=80, proto=6, packets=1, bytes=40, start=0.0, end=1.0,
+    )
+    for flows in ([], [flow], [flow] * 20):
+        table = FlowTable.from_records(flows, cache_records=False)
+        assert distinct_counts(table) == record_oracle.distinct_counts(
+            flows
+        )
 
 
 def _assert_encodes_like_oracle(columnar, oracle):
