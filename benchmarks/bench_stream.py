@@ -49,11 +49,7 @@ from repro.flows.table import FlowTable  # noqa: E402
 from repro.flows.trace import FlowTrace  # noqa: E402
 from repro.obs import events as obs_events  # noqa: E402
 from repro.obs import metrics as obs_metrics  # noqa: E402
-from repro.stream import (  # noqa: E402
-    ReplayDriver,
-    StreamEngine,
-    streaming_adapter,
-)
+from repro.stream import ReplayDriver, StreamEngine  # noqa: E402
 
 WINDOW_SECONDS = 300.0
 TRAIN_WINDOWS = 5
@@ -90,7 +86,7 @@ def synth_table(count: int, span: float, seed: int = 7) -> FlowTable:
 
 def build_engine(detector: NetReflexDetector, origin: float) -> StreamEngine:
     return StreamEngine(
-        [streaming_adapter(detector)],
+        [detector],
         window_seconds=WINDOW_SECONDS,
         origin=origin,
         lateness_seconds=0.0,

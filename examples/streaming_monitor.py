@@ -19,7 +19,7 @@ Run:  python examples/streaming_monitor.py
 
 from repro.detect import NetReflexDetector
 from repro.flows import ip_to_int
-from repro.stream import ReplayDriver, StreamEngine, streaming_adapter
+from repro.stream import ReplayDriver, StreamEngine
 from repro.synth import (
     BackgroundConfig,
     PortScan,
@@ -78,7 +78,7 @@ def main() -> None:
                   f"{triaged.verdict.summary()}")
 
     engine = StreamEngine(
-        [streaming_adapter(detector)],
+        [detector],
         window_seconds=trace.bin_seconds,
         origin=split,
         lateness_seconds=0.0,

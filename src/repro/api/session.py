@@ -74,7 +74,7 @@ from repro.obs import (
     metrics as obs_metrics,
     trace as obs_trace,
 )
-from repro.stream import ReplayDriver, StreamEngine, streaming_adapter
+from repro.stream import ReplayDriver, StreamEngine
 from repro.system.alarmdb import AlarmDatabase
 from repro.system.backend import FlowBackend
 from repro.system.config import SystemConfig
@@ -645,7 +645,7 @@ class Session:
                 user_on_window(result)
 
         engine = StreamEngine(
-            [streaming_adapter(detector)],
+            [detector],
             workers=execution.workers,
             window_seconds=window_seconds,
             origin=origin,

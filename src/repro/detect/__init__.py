@@ -8,8 +8,10 @@ Two detector families, matching the paper's two evaluations:
   entropy features in the style of Lakhina et al. [4], standing in for
   the commercial Guavus NetReflex system (GEANT evaluation).
 
-Both emit :class:`Alarm` objects: a time interval, a label guess and
-fine-grained — possibly incomplete — meta-data hints.
+Both score one window at a time from its :class:`WindowCounts`
+(:meth:`Detector.evaluate_window`) and emit :class:`Alarm` objects: a
+time interval, a label guess and fine-grained — possibly incomplete —
+meta-data hints.
 """
 
 from repro.detect.base import Alarm, Detector, MetadataItem
@@ -23,8 +25,8 @@ from repro.detect.features import (
     VOLUME_COLUMNS,
     BinFeatures,
     FeatureMatrix,
+    WindowCounts,
     build_feature_matrix,
-    compute_bin_features,
 )
 from repro.detect.histogram import HistogramDetectorConfig, HistogramKLDetector
 from repro.detect.kl import kl_contributions, kl_distance, smooth_distributions
@@ -42,8 +44,8 @@ __all__ = [
     "VOLUME_COLUMNS",
     "BinFeatures",
     "FeatureMatrix",
+    "WindowCounts",
     "build_feature_matrix",
-    "compute_bin_features",
     "HistogramDetectorConfig",
     "HistogramKLDetector",
     "kl_contributions",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 
+from repro.detect.features import WindowCounts
 from repro.errors import DetectorError
 from repro.flows.record import FlowFeature, format_feature_value
 from repro.flows.trace import FlowTrace
@@ -80,20 +81,46 @@ class Alarm:
 class Detector(abc.ABC):
     """Base class of anomaly detectors.
 
-    Detectors are trained on a window of presumed-normal traffic and then
-    evaluate a target trace bin by bin, emitting :class:`Alarm` objects.
+    Detectors are trained on a window of presumed-normal traffic and
+    then score one window at a time from its counts
+    (:meth:`evaluate_window`): a stream engine calls it per sealed
+    window, :meth:`detect` per bin of a trace, so a plugin that
+    implements :meth:`train` and :meth:`evaluate_window` runs in every
+    mode.
     """
 
     #: Human-readable detector name recorded on alarms.
     name: str = "detector"
+
+    #: The histogram weightings :meth:`evaluate_window` reads off its
+    #: counts; flows and packets are always counted, bytes only when a
+    #: detector names them.
+    weightings: tuple[str, ...] = ("flows", "packets")
 
     @abc.abstractmethod
     def train(self, trace: FlowTrace) -> None:
         """Learn the baseline from a (presumed normal) training trace."""
 
     @abc.abstractmethod
+    def evaluate_window(
+        self, index: int, start: float, end: float, counts: WindowCounts
+    ) -> Alarm | None:
+        """Score window ``index`` (``[start, end)``) from its counts:
+        an alarm, or ``None`` for a quiet window."""
+
     def detect(self, trace: FlowTrace) -> list[Alarm]:
-        """Return alarms for the bins of ``trace`` (trained detectors only)."""
+        """Alarms for the bins of ``trace``: each bin counted once and
+        scored as a stream scores the same window."""
+        alarms = []
+        for index, table in trace.bin_tables():
+            start, end = trace.bin_interval(index)
+            alarm = self.evaluate_window(
+                index, start, end,
+                WindowCounts.from_table(table, self.weightings),
+            )
+            if alarm is not None:
+                alarms.append(alarm)
+        return alarms
 
     def _require_trained(self, trained: bool) -> None:
         if not trained:

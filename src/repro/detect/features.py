@@ -1,42 +1,55 @@
-"""Per-bin feature timeseries for the detectors.
+"""A window's counts, and the per-bin feature timeseries read off them.
 
-Both detectors consume the same raw material: for every time bin, volume
-counters (flows, packets, bytes) and the sample entropy of the four
-header features (srcIP, dstIP, srcPort, dstPort) — optionally broken out
-per exporting PoP, which is how the PCA subspace method localises
-anomalies in Lakhina et al. [4].
+Every detector scores a window — a trace bin in batch, a sealed window
+in a stream — from one :class:`WindowCounts`: the window's volume
+totals and, per feature, its ``(sorted distinct values, exact int64
+counts)`` histograms from one
+:func:`~repro.archive.index.index_histograms` pass, the pass that also
+indexes a stream window's archive partition. The PCA detector's
+features are read off them: volume counters (flows, packets, bytes)
+and the sample entropy of the four header features (srcIP, dstIP,
+srcPort, dstPort), as in Lakhina et al. [4].
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
+from repro.archive.index import index_histograms
 from repro.detect.entropy import entropy_of_count_array
 from repro.errors import DetectorError
-from repro.flows.record import FlowFeature, FlowRecord
-from repro.flows.table import FlowTable
+from repro.flows.aggregate import WEIGHTINGS
+from repro.flows.record import FlowFeature
+from repro.flows.table import _FEATURE_TO_COLUMN, FlowTable
 from repro.flows.trace import FlowTrace
 
 __all__ = [
     "VOLUME_COLUMNS",
     "ENTROPY_COLUMNS",
+    "HEADER_FEATURES",
     "BinFeatures",
+    "WindowCounts",
     "FeatureMatrix",
-    "compute_bin_features",
     "build_feature_matrix",
 ]
 
 VOLUME_COLUMNS = ("flows", "packets", "bytes")
 ENTROPY_COLUMNS = ("H(srcIP)", "H(dstIP)", "H(srcPort)", "H(dstPort)")
 
-_ENTROPY_FEATURES = (
+#: The features whose entropies and histograms the detectors read.
+HEADER_FEATURES = (
     FlowFeature.SRC_IP,
     FlowFeature.DST_IP,
     FlowFeature.SRC_PORT,
     FlowFeature.DST_PORT,
 )
+
+#: The histogram of a window that saw no rows.
+_NO_COUNTS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,31 +80,78 @@ class BinFeatures:
         )
 
 
-def compute_bin_features(
-    flows: list[FlowRecord] | FlowTable,
-) -> BinFeatures:
-    """Volume and entropy features of one bin's flows.
+class WindowCounts:
+    """Read-only view of one window's counts.
 
-    Records are tabulated once, here: per-feature counts come from
-    ``np.unique`` over the columns and the entropies from one array
-    expression, with no per-flow Python work.
+    ``columns`` is the window's one histogram pass
+    (:func:`~repro.archive.index.index_histograms`): per indexed
+    column, ``(values, flows, packet sums[, byte sums])`` — ascending
+    values, exact int64 counts. ``flows`` / ``packets`` / ``bytes`` are
+    the window's totals. An empty window has no columns and reads as
+    empty histograms.
     """
-    flows = FlowTable.from_records(flows)
-    entropies = {}
-    for feature in _ENTROPY_FEATURES:
-        _, counts = np.unique(
-            flows.feature_column(feature), return_counts=True
+
+    __slots__ = ("flows", "packets", "bytes", "columns")
+
+    def __init__(
+        self,
+        flows: int = 0,
+        packets: int = 0,
+        bytes: int = 0,
+        columns: dict[str, tuple[np.ndarray, ...]] | None = None,
+    ) -> None:
+        self.flows = flows
+        self.packets = packets
+        self.bytes = bytes
+        self.columns = columns or {}
+
+    @classmethod
+    def from_table(
+        cls, table: FlowTable, weightings: Iterable[str] = ()
+    ) -> "WindowCounts":
+        """Count ``table``'s rows in one pass; byte sums are counted
+        only when ``weightings`` reads them."""
+        weights = ("bytes",) if "bytes" in weightings else ()
+        return cls(
+            len(table), table.total_packets(), table.total_bytes(),
+            index_histograms(table, *weights),
         )
-        entropies[feature] = entropy_of_count_array(counts)
-    return BinFeatures(
-        flows=len(flows),
-        packets=flows.total_packets(),
-        bytes=flows.total_bytes(),
-        entropy_src_ip=entropies[FlowFeature.SRC_IP],
-        entropy_dst_ip=entropies[FlowFeature.DST_IP],
-        entropy_src_port=entropies[FlowFeature.SRC_PORT],
-        entropy_dst_port=entropies[FlowFeature.DST_PORT],
-    )
+
+    def value_counts(
+        self, feature: FlowFeature, weighting: str
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One (feature, weighting) histogram as ``(sorted distinct
+        values, exact int64 counts)`` arrays."""
+        entry = self.columns.get(_FEATURE_TO_COLUMN[feature])
+        if entry is None:
+            return _NO_COUNTS
+        position = 1 + WEIGHTINGS.index(weighting)
+        if position >= len(entry):
+            raise KeyError((feature, weighting))
+        return entry[0], entry[position]
+
+    def histogram(self, feature: FlowFeature, weighting: str) -> Counter:
+        """``Counter`` view of :meth:`value_counts`."""
+        values, counts = self.value_counts(feature, weighting)
+        return Counter(dict(zip(values.tolist(), counts.tolist())))
+
+    def bin_features(self) -> BinFeatures:
+        """The window's detector feature vector. Each entropy sums
+        flow counts in ascending value order, so a window's features
+        are the same floats however its rows were chunked."""
+        src_ip, dst_ip, src_port, dst_port = (
+            entropy_of_count_array(self.value_counts(feature, "flows")[1])
+            for feature in HEADER_FEATURES
+        )
+        return BinFeatures(
+            flows=self.flows,
+            packets=self.packets,
+            bytes=self.bytes,
+            entropy_src_ip=src_ip,
+            entropy_dst_ip=dst_ip,
+            entropy_src_port=src_port,
+            entropy_dst_port=dst_port,
+        )
 
 
 @dataclass
@@ -99,8 +159,6 @@ class FeatureMatrix:
     """A bins × columns matrix with labelled columns.
 
     ``data[i, j]`` is feature ``columns[j]`` in bin ``bin_indices[i]``.
-    For per-PoP matrices the column labels carry the PoP index, e.g.
-    ``"pop3:H(dstPort)"``.
     """
 
     data: np.ndarray
@@ -133,66 +191,19 @@ class FeatureMatrix:
         return self.data.shape[0]
 
 
-def build_feature_matrix(
-    trace: FlowTrace,
-    per_pop: bool = False,
-    pop_count: int | None = None,
-    include_volume: bool = True,
-    include_entropy: bool = True,
-) -> FeatureMatrix:
-    """Compute the bins × features matrix of ``trace``.
-
-    With ``per_pop`` each exporting router contributes its own column
-    group (rows stay time bins); ``pop_count`` bounds the router space
-    (defaults to ``max router + 1``).
-    """
-    if not include_volume and not include_entropy:
-        raise DetectorError("at least one feature group must be included")
+def build_feature_matrix(trace: FlowTrace) -> FeatureMatrix:
+    """The bins × ``VOLUME_COLUMNS + ENTROPY_COLUMNS`` matrix of
+    ``trace``: one row of :meth:`WindowCounts.bin_features` per bin."""
     if not len(trace):
         raise DetectorError("cannot build features from an empty trace")
-
-    column_labels: list[str] = []
-    groups: list[str] = []
-    if per_pop:
-        if pop_count is None:
-            pop_count = int(trace.table.router.max()) + 1
-        groups = [f"pop{p}" for p in range(pop_count)]
-    else:
-        groups = [""]
-
-    base_columns: list[str] = []
-    if include_volume:
-        base_columns.extend(VOLUME_COLUMNS)
-    if include_entropy:
-        base_columns.extend(ENTROPY_COLUMNS)
-    for group in groups:
-        prefix = f"{group}:" if group else ""
-        column_labels.extend(f"{prefix}{name}" for name in base_columns)
-
-    rows = []
-    bin_indices = []
-    for index, bin_table in trace.bin_tables():
-        bin_indices.append(index)
-        row: list[float] = []
-        for pop, group in enumerate(groups):
-            if per_pop:
-                selected = bin_table.select(bin_table.router == pop)
-            else:
-                selected = bin_table
-            features = compute_bin_features(selected)
-            vector = features.as_array()
-            if include_volume and include_entropy:
-                row.extend(vector)
-            elif include_volume:
-                row.extend(vector[:3])
-            else:
-                row.extend(vector[3:])
-        rows.append(row)
-
+    bins = list(trace.bin_tables())
     return FeatureMatrix(
-        data=np.array(rows, dtype=float),
-        columns=tuple(column_labels),
-        bin_indices=tuple(bin_indices),
+        data=np.array([
+            WindowCounts.from_table(table).bin_features().as_array()
+            for _, table in bins
+        ]),
+        columns=VOLUME_COLUMNS + ENTROPY_COLUMNS,
+        bin_indices=tuple(index for index, _ in bins),
         origin=trace.origin,
         bin_seconds=trace.bin_seconds,
     )

@@ -27,9 +27,10 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.detect.base import Alarm, Detector, MetadataItem
+from repro.detect.features import WindowCounts
 from repro.detect.kl import kl_contributions, kl_distance
 from repro.errors import DetectorError
-from repro.flows.aggregate import WEIGHTINGS, feature_histogram
+from repro.flows.aggregate import WEIGHTINGS
 from repro.flows.record import FlowFeature
 from repro.flows.trace import FlowTrace
 
@@ -106,22 +107,16 @@ class HistogramKLDetector(Detector):
         """Fold a raw value histogram into the hashed bucket histogram.
 
         Integer weights sum exactly, so the result is the same for any
-        ``values`` holding the same counts (a batch bin's or a sealed
-        stream window's).
+        ``values`` holding the same counts.
         """
         histogram: Counter = Counter()
         for value, weight in values.items():
             histogram[self._bucket(value)] += weight
         return histogram
 
-    def _window_values(
-        self, flows
-    ) -> dict[FlowFeature, Counter]:
-        """Per-feature raw value histograms of one bin or window."""
-        return {
-            feature: feature_histogram(flows, feature, self.config.weight)
-            for feature in self.config.features
-        }
+    @property
+    def weightings(self) -> tuple[str, ...]:
+        return (self.config.weight,)
 
     # -- training ------------------------------------------------------------
 
@@ -137,11 +132,11 @@ class HistogramKLDetector(Detector):
         for _, table in trace.bin_tables():
             if not len(table):
                 continue
-            values = self._window_values(table)
+            counts = WindowCounts.from_table(table, self.weightings)
             for feature in self.config.features:
-                per_bin[feature].append(
-                    self.bucket_values(values[feature])
-                )
+                per_bin[feature].append(self.bucket_values(
+                    counts.histogram(feature, self.config.weight)
+                ))
         for feature in self.config.features:
             histograms = per_bin[feature]
             if len(histograms) < 3:
@@ -182,40 +177,22 @@ class HistogramKLDetector(Detector):
 
     # -- detection -------------------------------------------------------------
 
-    def detect(self, trace: FlowTrace) -> list[Alarm]:
-        """Alarm every bin whose KL distance trips any feature threshold."""
-        self._require_trained(self._trained)
-        alarms = []
-        for index, table in trace.bin_tables():
-            if not len(table):
-                continue
-            start, end = trace.bin_interval(index)
-            alarm = self.evaluate_window(
-                index, start, end, self._window_values(table)
-            )
-            if alarm is not None:
-                alarms.append(alarm)
-        return alarms
-
     def evaluate_window(
-        self,
-        index: int,
-        start: float,
-        end: float,
-        values: Mapping[FlowFeature, Counter],
+        self, index: int, start: float, end: float, counts: WindowCounts
     ) -> Alarm | None:
-        """Evaluate one window from per-feature raw value histograms.
-
-        The streaming entry point: ``values`` may come from a sealed
-        window's counts; the batch path feeds it the histograms of a trace
-        bin. Both run the identical scoring and attribution code, so
-        streaming and batch detection agree window for window.
-        """
+        """Alarm the window if its KL distance trips any feature
+        threshold; an empty window stays silent."""
         self._require_trained(self._trained)
+        if counts.flows == 0:
+            return None
+        values = {
+            feature: counts.histogram(feature, self.config.weight)
+            for feature in self.config.features
+        }
         tripping: list[tuple[FlowFeature, float, Counter]] = []
         max_score = 0.0
         for feature in self.config.features:
-            histogram = self.bucket_values(values.get(feature, Counter()))
+            histogram = self.bucket_values(values[feature])
             distance = kl_distance(histogram, self._reference[feature])
             limit = self.threshold(feature)
             if distance > limit:

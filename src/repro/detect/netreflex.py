@@ -13,10 +13,9 @@ GEANT deployment (DESIGN.md §2). Like the original it:
   grew the most against the trained reference distribution — computed
   under both flow and packet weighting so low-flow/high-packet floods
   still yield endpoints. Window and reference histograms alike are the
-  ``(sorted values, int64 counts)`` arrays of
-  :mod:`repro.flows.aggregate`, so attribution is one ``searchsorted``
-  per histogram whether the window came from a trace slice or from a
-  sealed stream window's counts;
+  ``(sorted values, int64 counts)`` arrays of a
+  :class:`~repro.detect.features.WindowCounts`, so attribution is one
+  ``searchsorted`` per histogram;
 * may therefore *miss part of an anomaly* or flag popular values, which
   is precisely the incompleteness the extraction step compensates for.
 """
@@ -31,14 +30,12 @@ import numpy as np
 from repro.detect.base import Alarm, Detector, MetadataItem
 from repro.detect.features import (
     ENTROPY_COLUMNS,
-    VOLUME_COLUMNS,
-    BinFeatures,
+    HEADER_FEATURES,
+    WindowCounts,
     build_feature_matrix,
 )
-from repro.flows.table import FlowTable
 from repro.detect.pca import PCAModel, fit_pca_model
 from repro.errors import DetectorError
-from repro.flows.aggregate import table_histogram
 from repro.flows.record import FlowFeature
 from repro.flows.trace import FlowTrace
 
@@ -46,13 +43,6 @@ __all__ = ["NetReflexConfig", "NetReflexDetector"]
 
 #: ``(feature, weighting)`` -> ``(sorted distinct values, int64 counts)``.
 Histograms = Mapping[tuple[FlowFeature, str], tuple[np.ndarray, np.ndarray]]
-
-_HEADER_FEATURES = (
-    FlowFeature.SRC_IP,
-    FlowFeature.DST_IP,
-    FlowFeature.SRC_PORT,
-    FlowFeature.DST_PORT,
-)
 
 
 @dataclass(frozen=True)
@@ -95,8 +85,8 @@ class NetReflexDetector(Detector):
         self._columns: tuple[str, ...] = ()
         self._entropy_mean: dict[str, float] = {}
         self._entropy_std: dict[str, float] = {}
-        #: Trained value distributions, as ``window_histograms`` gives
-        #: them, each with its total: ``(values, counts, total)``.
+        #: Trained value distributions, as ``WindowCounts.value_counts``
+        #: gives them, each with its total: ``(values, counts, total)``.
         self._references: dict[
             tuple[FlowFeature, str], tuple[np.ndarray, np.ndarray, int]
         ] = {}
@@ -135,83 +125,28 @@ class NetReflexDetector(Detector):
         self._references = {
             key: (values, counts, int(counts.sum()))
             for key, (values, counts)
-            in self.window_histograms(trace.table).items()
+            in self._histograms(
+                WindowCounts.from_table(trace.table, self.weightings)
+            ).items()
         }
+
+    @property
+    def weightings(self) -> tuple[str, ...]:
+        return tuple(self.config.weightings)
 
     # -- detection ------------------------------------------------------------
 
-    def detect(self, trace: FlowTrace) -> list[Alarm]:
-        """Alarm bins whose SPE exceeds the Q-statistic threshold."""
-        self._require_trained(self._model is not None)
-        assert self._model is not None
-        matrix = build_feature_matrix(trace)
-        if matrix.columns != self._columns:
-            raise DetectorError(
-                "detection matrix columns differ from training"
-            )
-        spe = self._model.spe(matrix.data)
-        alarms = []
-        for row in range(matrix.bin_count):
-            if spe[row] <= self._model.spe_threshold:
-                continue
-            start, end = matrix.bin_interval(row)
-            histograms = self.window_histograms(
-                trace.between_table(start, end)
-            )
-            alarms.append(
-                self._make_alarm(
-                    index=matrix.bin_indices[row],
-                    start=start,
-                    end=end,
-                    spe=float(spe[row]),
-                    row=matrix.data[row],
-                    histograms=histograms,
-                )
-            )
-        return alarms
-
     def evaluate_window(
-        self,
-        index: int,
-        start: float,
-        end: float,
-        features: BinFeatures,
-        histograms: Histograms,
+        self, index: int, start: float, end: float, counts: WindowCounts
     ) -> Alarm | None:
-        """Evaluate one sealed window exactly like one detect() bin.
-
-        This is the streaming entry point: ``features`` and
-        ``histograms`` are read off the window's counts at its seal
-        instead of a trace slice, but the scoring, labelling and
-        attribution code is the batch path's, so a closed streaming
-        window agrees with the corresponding batch bin.
-        """
+        """Alarm the window if its SPE exceeds the Q-statistic
+        threshold, attributing it on the window's arrays as they are."""
         self._require_trained(self._model is not None)
         assert self._model is not None
-        if self._columns != VOLUME_COLUMNS + ENTROPY_COLUMNS:
-            raise DetectorError(
-                "streaming evaluation requires the default (non-per-PoP) "
-                "feature columns"
-            )
-        row = features.as_array()
+        row = counts.bin_features().as_array()
         spe = float(self._model.spe(row[np.newaxis, :])[0])
         if spe <= self._model.spe_threshold:
             return None
-        return self._make_alarm(
-            index=index, start=start, end=end, spe=spe, row=row,
-            histograms=histograms,
-        )
-
-    def _make_alarm(
-        self,
-        index: int,
-        start: float,
-        end: float,
-        spe: float,
-        row: np.ndarray,
-        histograms: Histograms,
-    ) -> Alarm:
-        assert self._model is not None
         return Alarm(
             alarm_id=f"{self.name}-bin{index}",
             detector=self.name,
@@ -219,31 +154,25 @@ class NetReflexDetector(Detector):
             end=end,
             score=float(spe / self._model.spe_threshold),
             label=self._label(row),
-            metadata=self.attribute_histograms(histograms),
+            metadata=self.attribute_histograms(self._histograms(counts)),
         )
 
     # -- meta-data attribution ---------------------------------------------
 
-    def window_histograms(self, table: FlowTable) -> Histograms:
-        """Per-(feature, weighting) histograms attribution consumes:
-        one kernel pass per feature, shared by its weightings."""
-        weightings = self.config.weightings
-        histograms = {}
-        for feature in _HEADER_FEATURES:
-            values, *counts = table_histogram(table, feature, weightings)
-            for weighting, column in zip(weightings, counts):
-                histograms[(feature, weighting)] = (values, column)
-        return histograms
+    def _histograms(self, counts: WindowCounts) -> Histograms:
+        """The (feature, weighting) histograms attribution reads."""
+        return {
+            (feature, weighting): counts.value_counts(feature, weighting)
+            for feature in HEADER_FEATURES
+            for weighting in self.config.weightings
+        }
 
     def attribute_histograms(
         self, observed: Histograms
     ) -> list[MetadataItem]:
         """Values whose probability mass grew most vs the reference.
 
-        Works on pre-computed array histograms so the batch path
-        (histograms of a trace slice) and the streaming path
-        (a sealed window's histograms) share the attribution logic
-        verbatim. Counts are non-negative, so a value's excess is at
+        Counts are non-negative, so a value's excess is at
         most its observed share: only the values whose share reaches
         ``excess_threshold`` — at most ``1 / excess_threshold`` per
         histogram — are looked up in the reference (``searchsorted``),
@@ -255,7 +184,7 @@ class NetReflexDetector(Detector):
         """
         threshold = self.config.excess_threshold
         metadata: list[MetadataItem] = []
-        for feature in _HEADER_FEATURES:
+        for feature in HEADER_FEATURES:
             best: dict[int, float] = {}
             for weighting in self.config.weightings:
                 if (feature, weighting) not in observed:

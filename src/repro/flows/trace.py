@@ -192,20 +192,10 @@ class FlowTrace:
         pads and baselines alarm windows by (``bin_seconds``)."""
         return self.bin_seconds
 
-    def bin(self, index: int) -> list[FlowRecord]:
-        """Flows starting inside bin ``index``."""
-        start, end = self.bin_interval(index)
-        return self.between(start, end)
-
     def bin_table(self, index: int) -> FlowTable:
         """Columnar slice of bin ``index``."""
         start, end = self.bin_interval(index)
         return self.between_table(start, end)
-
-    def bins(self) -> Iterator[tuple[int, list[FlowRecord]]]:
-        """Iterate ``(bin_index, flows)`` over all non-negative bins."""
-        for index in range(self.bin_count):
-            yield index, self.bin(index)
 
     def bin_tables(self) -> Iterator[tuple[int, FlowTable]]:
         """Iterate ``(bin_index, table)`` over all non-negative bins."""

@@ -15,10 +15,10 @@ pipeline into that deployment shape:
     a watermark and a configurable lateness horizon deciding when
     windows close and when stragglers are dropped.
 ``incremental``
-    :class:`WindowCounts` — the read-only view of a sealed window's one
-    histogram pass (volume totals, value histograms, entropies) — plus
-    :class:`StreamingDetector` adapters that wrap the batch detectors
-    of :mod:`repro.detect` with verified batch-equivalence.
+    :class:`StreamingDetector` — the engine's handle on a trained
+    :mod:`repro.detect` detector, which scores each sealed window's
+    :class:`~repro.detect.features.WindowCounts` with the call batch
+    ``detect()`` makes per bin.
 ``runtime``
     :class:`StreamEngine` — the loop that routes chunks, advances the
     watermark, fires detectors on window close, inserts alarms into the
@@ -32,16 +32,10 @@ pipeline into that deployment shape:
 The contract that makes this safe to deploy next to the batch tools:
 streaming a trace through the engine yields the same alarms as the
 batch ``detect`` path over the same trace (ids, windows, labels,
-meta-data; scores within float tolerance), asserted by the test suite.
+meta-data and scores, bit for bit), asserted by the test suite.
 """
 
-from repro.stream.incremental import (
-    StreamingDetector,
-    StreamingHistogramKL,
-    StreamingNetReflex,
-    WindowCounts,
-    streaming_adapter,
-)
+from repro.stream.incremental import StreamingDetector
 from repro.stream.replay import ReplayDriver, ReplayStats
 from repro.stream.runtime import StreamEngine, StreamStats, WindowResult
 from repro.stream.sources import (
@@ -63,10 +57,6 @@ __all__ = [
     "IngestResult",
     "WindowRing",
     "StreamingDetector",
-    "StreamingHistogramKL",
-    "StreamingNetReflex",
-    "WindowCounts",
-    "streaming_adapter",
     "StreamEngine",
     "StreamStats",
     "WindowResult",

@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from repro.detect.base import Alarm
+from repro.detect.base import Alarm, Detector
 from repro.flows.table import FlowTable
 from repro.flows.trace import DEFAULT_BIN_SECONDS
 from repro.obs import events as obs_events, metrics as obs_metrics
@@ -130,7 +130,7 @@ class StreamEngine:
 
     def __init__(
         self,
-        detectors: Iterable[StreamingDetector],
+        detectors: Iterable[Detector],
         window_seconds: float = DEFAULT_BIN_SECONDS,
         origin: float | None = None,
         lateness_seconds: float | None = 0.0,
@@ -158,11 +158,10 @@ class StreamEngine:
 
         ``workers`` is deprecated and has no effect: windows are
         counted and live triage mines in this process."""
-        self.detectors = list(detectors)
+        self.detectors = [StreamingDetector(d) for d in detectors]
         weights = None
         if self.detectors:
-            read = {w for d in self.detectors for w in d.weightings}
-            weights = ("bytes",) if "bytes" in read else ()
+            weights = tuple(w for d in self.detectors for w in d.weightings)
         self.ring = WindowRing(
             window_seconds=window_seconds,
             origin=origin,

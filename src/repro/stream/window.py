@@ -32,8 +32,9 @@ The contract, which the test suite pins down:
   tiering instead of loss, and a restarted process can triage
   against the archived windows.
 * **One count per window**: the seal's one histogram pass
-  (:func:`~repro.archive.index.index_histograms`) is both the archived
-  partition's index and the detectors' input (:meth:`take_counts`).
+  (:meth:`~repro.detect.features.WindowCounts.from_table`) is both the
+  archived partition's index and the detectors' input
+  (:meth:`take_counts`).
 """
 
 from __future__ import annotations
@@ -43,12 +44,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.archive.index import FeatureIndex, index_histograms
+from repro.archive.index import FeatureIndex
+from repro.detect.features import WindowCounts
 from repro.errors import StoreError
 from repro.flows.aggregate import distinct_values
 from repro.flows.table import FlowTable
 from repro.flows.trace import DEFAULT_BIN_SECONDS
-from repro.stream.incremental import WindowCounts
 
 __all__ = ["ClosedWindow", "IngestResult", "WindowRing"]
 
@@ -107,8 +108,8 @@ class WindowRing:
         #: closed windows persist through it. Its rotation width must
         #: equal the ring's so window index == archive slice index.
         self.archive = archive
-        #: Weight columns a seal sums beside flows and packets for the
-        #: detectors (``()`` or ``("bytes",)``); ``None``: no detectors.
+        #: The weightings the detectors read (a seal sums bytes only
+        #: when one is ``"bytes"``); ``None``: no detectors.
         self.weights = weights
         self._counts: dict[int, WindowCounts] = {}
         if archive is not None and \
@@ -269,7 +270,7 @@ class WindowRing:
                            or self.weights is not None):
             # The window's one histogram pass: its partition index and
             # its detectors read the same arrays.
-            columns = index_histograms(table, *(self.weights or ()))
+            counts = WindowCounts.from_table(table, self.weights or ())
             if self.archive is not None:
                 # Written before retention can evict the rows: the
                 # window's result is final (late rows can never reopen
@@ -277,14 +278,12 @@ class WindowRing:
                 self.archive.write_partition(
                     table, slice_index=index, sealed=True,
                     features=FeatureIndex({
-                        name: entry[:3] for name, entry in columns.items()
+                        name: entry[:3]
+                        for name, entry in counts.columns.items()
                     }),
                 )
             if self.weights is not None:
-                self._counts[index] = WindowCounts(
-                    len(table), table.total_packets(), table.total_bytes(),
-                    columns,
-                )
+                self._counts[index] = counts
         window = ClosedWindow(
             index=index, start=start, end=end, flows=len(table)
         )

@@ -13,14 +13,15 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.detect.base import Alarm
+from repro.detect.base import Alarm, Detector, MetadataItem
 from repro.detect.netreflex import NetReflexDetector
 from repro.errors import RegistryError, SpecError
 from repro.extraction.summarize import table_rows
 from repro.flows.flowio import read_binary_table
+from repro.flows.record import FlowFeature
 from repro.flows.table import FlowTable
 from repro.flows.trace import DEFAULT_BIN_SECONDS, FlowTrace
-from repro.stream import ReplayDriver, StreamEngine, streaming_adapter
+from repro.stream import ReplayDriver, StreamEngine
 from repro.system.alarmdb import AlarmDatabase
 from repro.system.backend import FlowBackend
 from repro.system.config import SystemConfig
@@ -55,6 +56,30 @@ def _trained_split(trace):
     detector = NetReflexDetector()
     detector.train(training)
     return detector, tail, split
+
+
+class _VolumeSpike(Detector):
+    """A plugin detector: alarms a window holding more than twice the
+    flows of the busiest training bin, naming its top source."""
+
+    name = "volume-spike"
+
+    def train(self, trace):
+        self.limit = 2 * max(len(table) for _, table in trace.bin_tables())
+
+    def evaluate_window(self, index, start, end, counts):
+        if counts.flows <= self.limit:
+            return None
+        values, flows = counts.value_counts(FlowFeature.SRC_IP, "flows")
+        top = int(np.argmax(flows))
+        return Alarm(
+            # Named by time: batch and stream number windows apart.
+            alarm_id=f"{self.name}@{start:.0f}", detector=self.name,
+            start=start, end=end, score=counts.flows / self.limit,
+            metadata=[MetadataItem(
+                FlowFeature.SRC_IP, int(values[top]), float(flows[top])
+            )],
+        )
 
 
 def _db_rows(path):
@@ -184,7 +209,7 @@ class TestStreamEquivalence:
             archive=archive_writer,
         )
         engine = StreamEngine(
-            [streaming_adapter(detector)], workers=workers, **options
+            [detector], workers=workers, **options
         )
         try:
             windows, _ = ReplayDriver(tail).replay(engine)
@@ -411,6 +436,27 @@ class TestRegistry:
             assert result.alarms == baseline.alarms
         finally:
             api.detectors._entries.pop("test-plugin-netreflex", None)
+
+    def test_plugin_detector_streams_like_its_batch_run(self, trace_path):
+        """A plugin implements only ``train`` and ``evaluate_window``;
+        batch and stream runs of it give the same alarms."""
+        api.detectors.register(
+            "test-plugin-volume", lambda **options: _VolumeSpike(),
+            replace=True,
+        )
+        try:
+            batch, streamed = (
+                api.session()
+                .source("rpv5", path=str(trace_path))
+                .detect("test-plugin-volume", train_bins=TRAIN_BINS)
+                .mode(mode)
+                .run()
+                for mode in ("batch", "stream")
+            )
+        finally:
+            api.detectors._entries.pop("test-plugin-volume", None)
+        assert batch.alarms, "the port scan must trip the plugin"
+        assert streamed.alarms == batch.alarms
 
     def test_plugin_miner_is_a_valid_engine(self):
         from repro.mining.extended import ENGINES, ExtendedAprioriConfig

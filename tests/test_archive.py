@@ -59,7 +59,7 @@ from repro.errors import ArchiveError, CodecError
 from repro.flows.record import FlowFeature, FlowRecord
 from repro.flows.table import FLOW_DTYPE, FlowTable
 from repro.flows.trace import FlowTrace
-from repro.stream import ReplayDriver, StreamEngine, streaming_adapter
+from repro.stream import ReplayDriver, StreamEngine
 from tests.flow_balance import assert_flow_balance
 from repro.stream.sources import table_chunks
 from repro.system.alarmdb import AlarmDatabase
@@ -649,7 +649,7 @@ class TestStreamIntegration:
             FlowTrace(tail, bin_seconds=bin_seconds, origin=split)
         )
         engine = StreamEngine(
-            [streaming_adapter(trained)],
+            [trained],
             window_seconds=bin_seconds,
             origin=split,
             retain_windows=2,  # RAM evicts aggressively; disk keeps all
@@ -680,7 +680,7 @@ class TestStreamIntegration:
         db_path = tmp_path / "alarms.db"
 
         engine = StreamEngine(
-            [streaming_adapter(trained)],
+            [trained],
             window_seconds=bin_seconds,
             origin=split,
             alarmdb=AlarmDatabase(db_path),

@@ -1,9 +1,11 @@
 """Tests for the detector package."""
 
+import ast
 import math
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ from repro.detect.entropy import entropy_of_counts, normalized_entropy, sample_e
 from repro.detect.features import (
     ENTROPY_COLUMNS,
     VOLUME_COLUMNS,
+    WindowCounts,
     build_feature_matrix,
-    compute_bin_features,
 )
 from repro.detect.histogram import HistogramDetectorConfig, HistogramKLDetector
 from repro.detect.kl import kl_contributions, kl_distance
@@ -86,10 +88,12 @@ class TestKL:
 
 
 class TestFeatures:
-    def test_compute_bin_features(self):
+    def test_window_counts_bin_features(self):
         flows = [make_flow(packets=3, bytes_=100),
                  make_flow(dport=53, packets=7, bytes_=200)]
-        features = compute_bin_features(flows)
+        features = WindowCounts.from_table(
+            FlowTable.from_records(flows)
+        ).bin_features()
         assert features.flows == 2
         assert features.packets == 10
         assert features.bytes == 300
@@ -102,24 +106,9 @@ class TestFeatures:
         assert matrix.columns == VOLUME_COLUMNS + ENTROPY_COLUMNS
         assert matrix.bin_interval(1)[0] == trace.origin + trace.bin_seconds
 
-    def test_per_pop_matrix(self, topology):
-        trace = _train_trace(topology, bins=3)
-        matrix = build_feature_matrix(trace, per_pop=True, pop_count=3)
-        assert matrix.data.shape == (3, 21)
-        assert matrix.columns[0].startswith("pop0:")
-
     def test_empty_trace_rejected(self):
         with pytest.raises(DetectorError):
             build_feature_matrix(FlowTrace())
-
-    def test_group_selection(self, topology):
-        trace = _train_trace(topology, bins=3)
-        volume = build_feature_matrix(trace, include_entropy=False)
-        assert volume.columns == VOLUME_COLUMNS
-        with pytest.raises(DetectorError):
-            build_feature_matrix(
-                trace, include_volume=False, include_entropy=False
-            )
 
 
 class TestPCA:
@@ -403,7 +392,9 @@ class TestAttributionKernel:
             assert np.array_equal(got[1], counts)
             assert got[2] == total
             assert not np.array_equal(stale._references[key][0], values)
-        histograms = fresh.window_histograms(window)
+        histograms = fresh._histograms(
+            WindowCounts.from_table(window, fresh.weightings)
+        )
         assert retrained.attribute_histograms(histograms) == \
             fresh.attribute_histograms(histograms)
 
@@ -415,6 +406,26 @@ class TestAttributionKernel:
         NetReflexDetector().train(trace)
         assert trace.table is table
         assert table._rows is None
+
+
+def test_detect_is_defined_once():
+    """Every detector scores windows through ``evaluate_window``; the
+    one ``detect`` is the base class's loop over a trace's bins."""
+    import repro.detect
+
+    root = Path(repro.detect.__file__).parent
+    defined = [
+        f"{path.name}:{node.name}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and item.name == "detect"
+            for item in node.body
+        )
+    ]
+    assert defined == ["base.py:Detector"]
 
 
 class TestAlarmModel:

@@ -67,7 +67,7 @@ class TestFlowTrace:
     def test_bins(self):
         trace = FlowTrace(_flows(10), bin_seconds=60.0, origin=0.0)
         assert trace.bin_count == 5
-        assert [len(b) for _, b in trace.bins()] == [2] * 5
+        assert [len(b) for _, b in trace.bin_tables()] == [2] * 5
 
     def test_bin_interval_and_index(self):
         trace = FlowTrace(_flows(4), bin_seconds=60.0, origin=0.0)

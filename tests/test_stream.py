@@ -33,7 +33,7 @@ from repro import api
 from repro.archive import ArchiveReader, ArchiveWriter
 from repro.archive.index import FeatureIndex, ZoneMap, encode_index
 from repro.archive.layout import sidecar_path
-from repro.detect.features import compute_bin_features
+from repro.detect.features import WindowCounts
 from repro.detect.histogram import (
     HistogramDetectorConfig,
     HistogramKLDetector,
@@ -49,9 +49,7 @@ from repro.flows.trace import FlowTrace
 from repro.stream import (
     ReplayDriver,
     StreamEngine,
-    WindowCounts,
     WindowRing,
-    streaming_adapter,
     table_chunks,
     tail_csv_chunks,
 )
@@ -340,7 +338,7 @@ class TestWindowCounts:
         streamed = _sealed_counts(table, chunk_rows=37).bin_features()
         # Bit-exact, not approximate: integer counters and
         # value-ordered entropy sums reproduce the batch floats.
-        assert streamed == compute_bin_features(table)
+        assert streamed == WindowCounts.from_table(table).bin_features()
 
     def test_histograms_equal_batch(self):
         table = _random_table(300, seed=9)
@@ -356,7 +354,8 @@ class TestWindowCounts:
 
     def test_empty_window_is_all_zero(self):
         features = WindowCounts().bin_features()
-        assert features == compute_bin_features(FlowTable.empty())
+        assert features == \
+            WindowCounts.from_table(FlowTable.empty()).bin_features()
         ring = WindowRing(window_seconds=300.0, origin=0.0, weights=())
         ring.ingest(_table([10.0, 950.0]))
         assert [w.flows for w in ring.close_due()] == [1, 0, 0]
@@ -424,15 +423,12 @@ def _assert_same_alarms(batch, streamed):
         assert actual.start == expected.start
         assert actual.end == expected.end
         assert actual.label == expected.label
-        assert actual.score == pytest.approx(expected.score, rel=1e-9)
-        assert [(m.feature, m.value) for m in actual.metadata] == \
-            [(m.feature, m.value) for m in expected.metadata]
-        for meta_actual, meta_expected in zip(
-            actual.metadata, expected.metadata
-        ):
-            assert meta_actual.weight == pytest.approx(
-                meta_expected.weight, rel=1e-9
-            )
+        # Bit for bit: both paths score each window by one call.
+        assert actual.score.hex() == expected.score.hex()
+        assert [(m.feature, m.value, m.weight.hex())
+                for m in actual.metadata] == \
+            [(m.feature, m.value, m.weight.hex())
+             for m in expected.metadata]
 
 
 def _stream_alarms(detector, table, origin, window_seconds,
@@ -441,7 +437,7 @@ def _stream_alarms(detector, table, origin, window_seconds,
     """Alarms of ``detector`` (and of the ``also`` detectors) streaming
     ``table``; the engine's flow balance is checked on the way."""
     engine = StreamEngine(
-        [streaming_adapter(d) for d in (detector, *also)],
+        [detector, *also],
         window_seconds=window_seconds,
         origin=origin,
         lateness_seconds=lateness,
@@ -627,7 +623,7 @@ class TestOneCountPerWindow:
         _, tail, split, bin_seconds = scenario_split
         calls = _counting_value_histogram(monkeypatch)
         engine = StreamEngine(
-            [streaming_adapter(trained_netreflex)],
+            [trained_netreflex],
             window_seconds=bin_seconds,
             origin=split,
             archive=ArchiveWriter(tmp_path / "spool",
@@ -715,7 +711,7 @@ class TestStreamEngine:
     def test_dedup_merges_refires(self, scenario_split, trained_netreflex):
         _, tail, split, bin_seconds = scenario_split
         engine = StreamEngine(
-            [streaming_adapter(trained_netreflex)],
+            [trained_netreflex],
             window_seconds=bin_seconds,
             origin=split,
             dedup_window=5 * bin_seconds,
@@ -730,7 +726,7 @@ class TestStreamEngine:
 
     def test_late_flows_counted_not_detected(self, trained_netreflex):
         engine = StreamEngine(
-            [streaming_adapter(trained_netreflex)],
+            [trained_netreflex],
             window_seconds=300.0,
             origin=0.0,
             lateness_seconds=0.0,
@@ -748,7 +744,7 @@ class TestStreamEngine:
     ):
         _, tail, split, bin_seconds = scenario_split
         engine = StreamEngine(
-            [streaming_adapter(trained_netreflex)],
+            [trained_netreflex],
             window_seconds=bin_seconds,
             origin=split,
             triage=True,

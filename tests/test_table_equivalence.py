@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from repro.detect.features import compute_bin_features
+from repro.detect.features import WindowCounts
 from repro.flows.aggregate import (
     all_feature_histograms,
     distinct_counts,
@@ -237,8 +237,7 @@ def test_transaction_encoding_feature_subsets(flows, features):
 @settings(max_examples=60, deadline=None)
 def test_bin_features_match(flows):
     table = FlowTable.from_records(flows, cache_records=False)
-    vectorized = compute_bin_features(table)
-    assert compute_bin_features(flows) == vectorized
+    vectorized = WindowCounts.from_table(table).bin_features()
     scalar = record_oracle.compute_bin_features(flows)
     assert vectorized.flows == scalar.flows
     assert vectorized.packets == scalar.packets
