@@ -55,8 +55,8 @@ from repro.collector.decode import (  # noqa: E402
     encode_template_set,
     encode_v9_datagram,
 )
-from repro.flows.netflow_v5 import encode_stream  # noqa: E402
-from repro.flows.record import FlowRecord  # noqa: E402
+from repro.flows.netflow_v5 import encode_packets  # noqa: E402
+from repro.flows.table import FlowTable  # noqa: E402
 
 ACCEPTANCE_FLOWS_PER_SEC = 100_000.0
 #: Template decode (v9, IPFIX) over v5 decode, one datagram at a time.
@@ -68,30 +68,23 @@ V9_TEMPLATE = Template(256, _COMMON + ((22, 4), (21, 4)))
 IPFIX_TEMPLATE = Template(257, _COMMON + ((152, 8), (153, 8)))
 
 
-def synth_records(count: int, seed: int = 7) -> list[FlowRecord]:
-    """Plausible mixed traffic as FlowRecords (encoder input)."""
+def synth_table(count: int, seed: int = 7) -> FlowTable:
+    """Plausible mixed traffic (encoder input)."""
     rng = np.random.default_rng(seed)
     start = np.sort(rng.uniform(0.0, 600.0, count))
     duration = rng.uniform(0.0, 120.0, count)
-    src = rng.integers(0x0A000000, 0x0AFFFFFF, count)
-    dst = rng.integers(0xC0A80000, 0xC0A8FFFF, count)
-    sport = rng.integers(1024, 65536, count)
-    dport = rng.choice(np.array([53, 80, 443, 8080, 25, 123]), count)
-    proto = rng.choice(np.array([6, 6, 6, 17, 1]), count)
-    packets = rng.integers(1, 2000, count)
-    octets = rng.integers(40, 1_000_000, count)
-    flags = rng.integers(0, 0x40, count)
-    return [
-        FlowRecord(
-            src_ip=int(src[i]), dst_ip=int(dst[i]),
-            src_port=int(sport[i]), dst_port=int(dport[i]),
-            proto=int(proto[i]), packets=int(packets[i]),
-            bytes=int(octets[i]), start=float(start[i]),
-            end=float(start[i] + duration[i]),
-            tcp_flags=int(flags[i]), router=0, sampling_rate=1,
-        )
-        for i in range(count)
-    ]
+    return FlowTable.from_columns(
+        src_ip=rng.integers(0x0A000000, 0x0AFFFFFF, count),
+        dst_ip=rng.integers(0xC0A80000, 0xC0A8FFFF, count),
+        src_port=rng.integers(1024, 65536, count),
+        dst_port=rng.choice(np.array([53, 80, 443, 8080, 25, 123]), count),
+        proto=rng.choice(np.array([6, 6, 6, 17, 1]), count),
+        packets=rng.integers(1, 2000, count),
+        bytes=rng.integers(40, 1_000_000, count),
+        start=start,
+        end=start + duration,
+        tcp_flags=rng.integers(0, 0x40, count),
+    )
 
 
 def v5_decode_rate(packets: list[bytes], flows: int) -> float:
@@ -268,9 +261,7 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    records = synth_records(args.flows)
-    packets = list(encode_stream(records, boot_time=0.0))
-    del records
+    packets = encode_packets(synth_table(args.flows))
 
     decode_v5 = v5_decode_rate(packets, args.flows)
     decode_v9 = template_decode_rate(ipfix=False)

@@ -47,7 +47,7 @@ def main() -> None:
     labeled = scenario.build(seed=9)
 
     spool = Path(tempfile.mkdtemp()) / "archive.rpv5"
-    packets = write_binary(labeled.trace, spool, boot_time=0.0)
+    packets = write_binary(labeled.trace.table, spool, boot_time=0.0)
     print(f"archived {len(labeled.trace)} flows as {packets} NetFlow v5 "
           f"packets ({spool.stat().st_size // 1024} KiB)")
 

@@ -917,7 +917,7 @@ class Session:
         with obs_trace.span("synth.render", timings, "synth"):
             labeled = source.labeled()
             packets = write_binary(
-                labeled.trace, out, boot_time=0.0,
+                labeled.trace.table, out, boot_time=0.0,
                 sampling_rate=source.sampling_rate,
             )
         return RunResult(

@@ -27,13 +27,13 @@ bytes of its regions and scatters the rows back into arrival order:
 once per chunk in the batcher, once per datagram behind
 ``DecodedDatagram.rows``.
 
-Timestamp convention: all three formats reconstruct absolute times the
-same way the file codec does — ``boot_time + sysuptime_ms / 1000.0``
-for uptime-relative fields (v5 first/last, v9 FIRST/LAST_SWITCHED),
+Timestamp convention: ``boot_time + sysuptime_ms / 1000.0`` for
+uptime-relative fields (v5 first/last, v9 FIRST/LAST_SWITCHED),
 absolute values passed through for IPFIX millisecond/second elements.
-A replayed capture therefore decodes to byte-identical ``start``/
-``end`` columns regardless of which path (file reader or UDP
-listener) consumed it.
+The ``.rpv5`` file reader (:func:`repro.flows.flowio.iter_binary_tables`)
+decodes through :func:`decode_datagram` and :func:`decode_regions`
+too, so a replayed capture decodes to byte-identical rows whichever
+of the two consumed it.
 
 Encoders for v9/IPFIX live here too. Production only receives, but
 the golden-datagram fixtures, the Hypothesis roundtrip suite and the

@@ -42,7 +42,6 @@ import os
 import queue
 import selectors
 import socket
-import struct
 import threading
 import time
 from pathlib import Path
@@ -637,25 +636,15 @@ def read_recorded_datagrams(
     v5 export packets (:func:`repro.flows.flowio.write_binary`), so a
     recorded trace doubles as a datagram capture: replaying these
     bytes over loopback exercises the collector with exactly what a
-    router would have sent.
+    router would have sent. The walk is
+    :func:`repro.flows.flowio.iter_packets`, which refuses a damaged
+    container with :class:`~repro.errors.CodecError`.
     """
-    from repro.flows.flowio import _BINARY_MAGIC, _FILE_HEADER, _PACKET_LEN
+    # flowio decodes through this package: import it at call time.
+    from repro.flows.flowio import iter_packets
 
-    path = Path(path)
-    blob = path.read_bytes()
-    if len(blob) < _FILE_HEADER.size:
-        raise CodecError(f"{path}: not an rpv5 container")
-    magic, boot_time, packet_count = _FILE_HEADER.unpack_from(blob, 0)
-    if magic != _BINARY_MAGIC:
-        raise CodecError(f"{path}: bad magic {magic!r}")
-    packets: list[bytes] = []
-    offset = _FILE_HEADER.size
-    for _ in range(packet_count):
-        (length,) = _PACKET_LEN.unpack_from(blob, offset)
-        offset += _PACKET_LEN.size
-        packets.append(blob[offset:offset + length])
-        offset += length
-    return boot_time, packets
+    boot_time, packets = iter_packets(path)
+    return boot_time, list(packets)
 
 
 def send_datagrams(

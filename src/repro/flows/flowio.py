@@ -4,39 +4,40 @@ Two interchange formats:
 
 * **CSV** — human-inspectable, one flow per row, with a fixed header.
   Used by the examples and for exporting extraction evidence.
-* **Binary** — a container of NetFlow v5 export packets with a small
-  file header carrying the router boot time, so absolute timestamps
-  survive the v5 sys-uptime encoding. This is the on-disk shape a real
-  NfDump spool directory would hold.
+* **Binary** (``.rpv5``) — a container of NetFlow v5 export packets
+  with a small file header carrying the router boot time, so absolute
+  timestamps survive the v5 sys-uptime encoding. This is the on-disk
+  shape a real NfDump spool directory would hold.
 
-Both formats stream straight into :class:`~repro.flows.table.FlowTable`
+Both formats read straight into :class:`~repro.flows.table.FlowTable`
 chunks (:func:`iter_csv_tables` / :func:`read_csv_table`,
-:func:`iter_binary_tables` / :func:`read_binary_table`). The binary
-reader views each chunk's record bytes through the one v5 record
-layout, :data:`repro.flows.netflow_v5.V5_RECORD_DTYPE`; no
-``FlowRecord`` exists between the file and the table, and
-:func:`read_binary` is the record view of those chunks.
-:func:`read_csv` parses rows into records itself.
+:func:`iter_binary_tables` / :func:`read_binary_table`), and both
+writers take a table (record input is coerced once at the entry).
+The binary reader walks the container with :func:`iter_packets` and
+decodes its packets as the UDP collector decodes datagrams:
+:func:`~repro.collector.decode.decode_datagram` finds each packet's
+records by header arithmetic, :func:`~repro.collector.decode.decode_regions`
+runs the v5 plan once per chunk. What the socket counts, a file
+refuses.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import struct
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from repro.errors import CodecError, FlowError
-from repro.flows.netflow_v5 import (
-    HEADER_SIZE,
-    RECORD_SIZE,
-    decode_header,
-    decode_records,
-    encode_stream,
+from repro.collector.decode import (
+    Region,
+    decode_datagram,
+    decode_regions,
+    parse_header,
 )
+from repro.errors import CodecError, FlowError
+from repro.flows.netflow_v5 import NETFLOW_V5_VERSION, encode_packets
 from repro.flows.record import FlowRecord
 from repro.flows.table import FlowTable
 from repro.flows.addresses import int_to_ip, ip_to_int
@@ -45,11 +46,10 @@ __all__ = [
     "CSV_FIELDS",
     "DEFAULT_CHUNK_ROWS",
     "write_csv",
-    "read_csv",
     "read_csv_table",
     "iter_csv_tables",
     "write_binary",
-    "read_binary",
+    "iter_packets",
     "read_binary_table",
     "iter_binary_tables",
 ]
@@ -77,8 +77,14 @@ _FILE_HEADER = struct.Struct("!4sdI")  # magic, boot_time, packet_count
 _PACKET_LEN = struct.Struct("!I")
 
 
-def write_csv(flows: Iterable[FlowRecord], destination: str | Path | TextIO) -> int:
-    """Write flows as CSV; returns the number of rows written."""
+def write_csv(
+    table: FlowTable,
+    destination: str | Path | TextIO,
+) -> int:
+    """Write a table as CSV; returns the number of rows written."""
+    columns = [table.column(name).tolist() for name in CSV_FIELDS]
+    columns[0] = map(int_to_ip, columns[0])
+    columns[1] = map(int_to_ip, columns[1])
     own_handle = isinstance(destination, (str, Path))
     handle: TextIO
     if own_handle:
@@ -88,26 +94,8 @@ def write_csv(flows: Iterable[FlowRecord], destination: str | Path | TextIO) -> 
     try:
         writer = csv.writer(handle)
         writer.writerow(CSV_FIELDS)
-        count = 0
-        for flow in flows:
-            writer.writerow(
-                (
-                    int_to_ip(flow.src_ip),
-                    int_to_ip(flow.dst_ip),
-                    flow.src_port,
-                    flow.dst_port,
-                    flow.proto,
-                    flow.packets,
-                    flow.bytes,
-                    repr(flow.start),
-                    repr(flow.end),
-                    flow.tcp_flags,
-                    flow.router,
-                    flow.sampling_rate,
-                )
-            )
-            count += 1
-        return count
+        writer.writerows(zip(*columns))
+        return len(table)
     finally:
         if own_handle:
             handle.close()
@@ -176,32 +164,6 @@ def _iter_csv_rows(
             handle.close()
 
 
-def read_csv(source: str | Path | TextIO) -> Iterator[FlowRecord]:
-    """Read flows from CSV written by :func:`write_csv`.
-
-    Malformed rows raise :class:`CodecError` carrying the row number and
-    the offending field (``row 7, field 'src_ip'='10.0.0'``).
-    """
-    for line_number, values in _iter_csv_rows(source):
-        try:
-            yield FlowRecord(
-                src_ip=values[0],
-                dst_ip=values[1],
-                src_port=values[2],
-                dst_port=values[3],
-                proto=values[4],
-                packets=values[5],
-                bytes=values[6],
-                start=values[7],
-                end=values[8],
-                tcp_flags=values[9],
-                router=values[10],
-                sampling_rate=values[11],
-            )
-        except FlowError as exc:
-            raise CodecError(f"row {line_number}: {exc}") from exc
-
-
 def _table_from_rows(
     rows: list[tuple], first_line: int
 ) -> FlowTable:
@@ -261,40 +223,68 @@ def read_csv_table(
 
 
 def write_binary(
-    flows: Iterable[FlowRecord],
+    flows: FlowTable | Iterable[FlowRecord],
     path: str | Path,
     boot_time: float = 0.0,
     sampling_rate: int = 1,
 ) -> int:
-    """Write flows as a container of NetFlow v5 packets.
+    """Write flows as a container of NetFlow v5 packets
+    (:func:`~repro.flows.netflow_v5.encode_packets`).
 
     Returns the number of export packets written. Flow timestamps must
-    not precede ``boot_time`` (the v5 sys-uptime anchor).
+    not precede ``boot_time`` (the v5 sys-uptime anchor). Record input
+    is coerced once with :meth:`FlowTable.from_records`.
     """
-    packets = list(
-        encode_stream(flows, boot_time=boot_time, sampling_rate=sampling_rate)
-    )
+    table = FlowTable.from_records(flows, cache_records=False)
+    packets = encode_packets(table, boot_time, sampling_rate)
+    parts = [_FILE_HEADER.pack(_BINARY_MAGIC, boot_time, len(packets))]
+    for packet in packets:
+        parts += (_PACKET_LEN.pack(len(packet)), packet)
     with open(path, "wb") as handle:
-        handle.write(_FILE_HEADER.pack(_BINARY_MAGIC, boot_time, len(packets)))
-        for packet in packets:
-            handle.write(_PACKET_LEN.pack(len(packet)))
-            handle.write(packet)
+        handle.write(b"".join(parts))
     return len(packets)
 
 
-def read_binary(path: str | Path) -> Iterator[FlowRecord]:
-    """Read flows from a file written by :func:`write_binary`."""
-    for table in iter_binary_tables(path):
-        yield from table.to_records()
+def iter_packets(path: str | Path) -> tuple[float, Iterator[bytes]]:
+    """``(boot_time, packets)`` of an ``.rpv5`` container: the file
+    header's boot time and an iterator over its export packets, in
+    file order and undecoded.
+
+    The walk is strict: bad magic and a truncated file header raise
+    :class:`~repro.errors.CodecError` here, a truncated packet length
+    or packet body when the iterator reaches it.
+    """
+    with open(path, "rb") as handle:
+        file_header = handle.read(_FILE_HEADER.size)
+    if len(file_header) < _FILE_HEADER.size:
+        raise CodecError(f"{path}: truncated file header")
+    magic, boot_time, packet_count = _FILE_HEADER.unpack(file_header)
+    if magic != _BINARY_MAGIC:
+        raise CodecError(f"{path}: bad magic {magic!r}")
+    return boot_time, _walk_packets(path, packet_count)
 
 
-def _take_chunk(
-    records: bytearray, sampling: list[int], count: int, boot_time: float
+def _walk_packets(path: str | Path, packet_count: int) -> Iterator[bytes]:
+    with open(path, "rb") as handle:
+        handle.seek(_FILE_HEADER.size)
+        for index in range(packet_count):
+            length_raw = handle.read(_PACKET_LEN.size)
+            if len(length_raw) < _PACKET_LEN.size:
+                raise CodecError(f"{path}: truncated packet {index} length")
+            (length,) = _PACKET_LEN.unpack(length_raw)
+            packet = handle.read(length)
+            if len(packet) < length:
+                raise CodecError(f"{path}: truncated packet {index} body")
+            yield packet
+
+
+def _decode_chunk(
+    regions: list[Region], boot_time: float, where: str
 ) -> FlowTable:
-    """Decode the first ``count`` buffered records and drop them."""
-    size = count * RECORD_SIZE
-    rows = decode_records(records[:size], boot_time, sampling[:count])
-    del records[:size], sampling[:count]
+    """One ``decode_regions`` pass; a clamped record is refused."""
+    rows, clamped = decode_regions(regions, boot_time)
+    if clamped:
+        raise FlowError(f"{where}: {clamped} record(s) end before they start")
     return FlowTable(rows)
 
 
@@ -304,46 +294,51 @@ def iter_binary_tables(
 ) -> Iterator[FlowTable]:
     """Stream a binary trace as :class:`FlowTable` chunks.
 
-    The packets' record bytes are gathered until ``chunk_rows`` records
-    are in hand and decoded in one pass, so a multi-gigabyte spool
-    never holds more than a chunk (plus one packet) in memory and no
-    Python runs per record. A packet shorter than its header declares
-    is corruption here (:class:`~repro.errors.CodecError`), and so is
-    a record that ends before it starts
+    Each packet is parsed by header arithmetic alone; its record bytes
+    are held as a region until ``chunk_rows`` records are in hand and
+    decoded in one pass, so a multi-gigabyte spool never holds more
+    than a chunk (plus one packet) in memory and no Python runs per
+    record. A packet that is not v5 or is shorter than its header
+    declares is corruption here (:class:`~repro.errors.CodecError`),
+    and so is a record that ends before it starts
     (:class:`~repro.errors.FlowError`).
     """
     if chunk_rows <= 0:
         raise CodecError(f"chunk_rows must be positive: {chunk_rows!r}")
-    with open(path, "rb") as handle:
-        file_header = handle.read(_FILE_HEADER.size)
-        if len(file_header) < _FILE_HEADER.size:
-            raise CodecError(f"{path}: truncated file header")
-        magic, boot_time, packet_count = _FILE_HEADER.unpack(file_header)
-        if magic != _BINARY_MAGIC:
-            raise CodecError(f"{path}: bad magic {magic!r}")
-        records = bytearray()
-        sampling: list[int] = []  # one interval per buffered record
-        for index in range(packet_count):
-            length_raw = handle.read(_PACKET_LEN.size)
-            if len(length_raw) < _PACKET_LEN.size:
-                raise CodecError(f"{path}: truncated packet {index} length")
-            (length,) = _PACKET_LEN.unpack(length_raw)
-            data = handle.read(length)
-            if len(data) < length:
-                raise CodecError(f"{path}: truncated packet {index} body")
-            header = decode_header(data)
-            body = data[HEADER_SIZE:HEADER_SIZE + header.count * RECORD_SIZE]
-            if len(body) < header.count * RECORD_SIZE:
-                raise CodecError(
-                    f"{path}: packet {index} declares {header.count} "
-                    f"records, holds {len(body) // RECORD_SIZE}"
+    boot_time, packets = iter_packets(path)
+    regions: list[Region] = []
+    held = first = last = 0
+    for index, packet in enumerate(packets):
+        header = parse_header(packet)
+        if header.version != NETFLOW_V5_VERSION:
+            raise CodecError(
+                f"{path}: packet {index} is NetFlow v{header.version}"
+            )
+        datagram = decode_datagram(packet, boot_time, header=header)
+        if datagram.malformed:
+            raise CodecError(
+                f"{path}: packet {index} declares {header.count} "
+                f"records, holds {datagram.flows}"
+            )
+        for region in datagram.regions:
+            while held + region.count >= chunk_rows:
+                head, region = region.split(chunk_rows - held)
+                yield _decode_chunk(
+                    regions + [head], boot_time,
+                    f"{path}: packets {first if regions else index}"
+                    f"..{index}",
                 )
-            records += body
-            sampling += [header.sampling_interval] * header.count
-            while len(sampling) >= chunk_rows:
-                yield _take_chunk(records, sampling, chunk_rows, boot_time)
-        if sampling:
-            yield _take_chunk(records, sampling, len(sampling), boot_time)
+                regions, held = [], 0
+            if region.count:
+                if not regions:
+                    first = index
+                regions.append(region)
+                held += region.count
+                last = index
+    if regions:
+        yield _decode_chunk(
+            regions, boot_time, f"{path}: packets {first}..{last}"
+        )
 
 
 def read_binary_table(
@@ -352,11 +347,3 @@ def read_binary_table(
 ) -> FlowTable:
     """Read a whole binary trace into one :class:`FlowTable`."""
     return FlowTable.concat(list(iter_binary_tables(path, chunk_rows)))
-
-
-def csv_roundtrip(flows: Iterable[FlowRecord]) -> list[FlowRecord]:
-    """Serialise to CSV text and parse back (testing helper)."""
-    buffer = io.StringIO()
-    write_csv(flows, buffer)
-    buffer.seek(0)
-    return list(read_csv(buffer))

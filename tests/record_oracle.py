@@ -190,8 +190,8 @@ _V5_RECORD = struct.Struct("!IIIHHIIIIHHBBBBHHBBH")
 
 
 def decode_v5_packet(data: bytes, boot_time: float = 0.0):
-    """``netflow_v5.decode_packet``'s body before it ran on the record
-    dtype: one ``struct`` unpack and one ``FlowRecord`` per record.
+    """The v5 packet decoder's body before it ran on the record dtype:
+    one ``struct`` unpack and one ``FlowRecord`` per record.
     Returns ``(sampling interval, records)``; a body shorter than the
     header's count raises ``struct.error``."""
     _, count, _, _, _, _, _, _, sampling = _V5_HEADER.unpack_from(data, 0)
@@ -224,6 +224,64 @@ def decode_v5_packet(data: bytes, boot_time: float = 0.0):
     return interval, flows
 
 
+def encode_v5_packet(
+    flows,
+    boot_time: float = 0.0,
+    export_time: float | None = None,
+    flow_sequence: int = 0,
+    engine_id: int = 0,
+    sampling_rate: int = 1,
+) -> bytes:
+    """``netflow_v5.encode_packet``'s body before it wrote record
+    columns: one ``struct`` pack per ``FlowRecord``. Raises
+    ``ValueError`` for what the product refuses with ``CodecError``."""
+    flows = list(flows)
+    if not 1 <= len(flows) <= 30:
+        raise ValueError(f"{len(flows)} records per packet")
+    if not 1 <= sampling_rate <= 0x3FFF:
+        raise ValueError(f"sampling rate {sampling_rate}")
+    if export_time is None:
+        export_time = max(flow.end for flow in flows)
+    unix_secs = int(export_time)
+    unix_nsecs = int(round((export_time - unix_secs) * 1e9))
+    sys_uptime = max(0, int(round((export_time - boot_time) * 1000.0)))
+    sampling = (0x1 << 14) | sampling_rate if sampling_rate > 1 else 0
+    parts = [_V5_HEADER.pack(
+        5, len(flows), sys_uptime & 0xFFFFFFFF, unix_secs, unix_nsecs,
+        flow_sequence & 0xFFFFFFFF, 0, engine_id & 0xFF, sampling,
+    )]
+    for flow in flows:
+        first_ms = round((flow.start - boot_time) * 1000.0)
+        last_ms = round((flow.end - boot_time) * 1000.0)
+        if first_ms < 0 or last_ms < 0:
+            raise ValueError("flow starts before router boot time")
+        if max(first_ms, last_ms, flow.packets, flow.bytes) > 0xFFFFFFFF:
+            raise ValueError("field overflows 32 bits")
+        parts.append(_V5_RECORD.pack(
+            flow.src_ip, flow.dst_ip, 0, flow.router & 0xFFFF, 0,
+            flow.packets, flow.bytes, first_ms, last_ms,
+            flow.src_port, flow.dst_port, 0, flow.tcp_flags & 0xFF,
+            flow.proto, 0, 0, 0, 0, 0, 0,
+        ))
+    return b"".join(parts)
+
+
+def rpv5_bytes(flows, boot_time: float = 0.0, sampling_rate: int = 1):
+    """``flowio.write_binary``'s file before it wrote record columns:
+    30-flow packets through the loop above, cumulative sequence."""
+    flows = list(flows)
+    packets = [
+        encode_v5_packet(
+            flows[first:first + 30], boot_time, flow_sequence=first,
+            sampling_rate=sampling_rate,
+        )
+        for first in range(0, len(flows), 30)
+    ]
+    return struct.pack("!4sdI", b"RPV5", boot_time, len(packets)) + b"".join(
+        struct.pack("!I", len(packet)) + packet for packet in packets
+    )
+
+
 def rpv5_packets(path):
     """``(boot_time, packet bytes)`` of every packet in a container:
     file header, then length-prefixed packets."""
@@ -237,8 +295,8 @@ def rpv5_packets(path):
 
 
 def read_rpv5(path) -> list[FlowRecord]:
-    """``flowio.read_binary`` as a walk over the container, each
-    packet through the loop above."""
+    """The record view of an ``.rpv5`` file as a walk over the
+    container, each packet through the decode loop above."""
     return [
         flow
         for boot_time, packet in rpv5_packets(path)

@@ -682,7 +682,7 @@ class TestUnboundedTail:
         _, tail, _ = _trained_split(trace)
         log = tmp_path / "live.csv"
         # Time-ordered, like a live capture appending to the log.
-        write_csv(tail.table.sorted_by_start().to_records(), log)
+        write_csv(tail.table.sorted_by_start(), log)
         result = (
             api.session()
             .source("tail", path=str(log), idle_polls=2,
@@ -823,7 +823,7 @@ class TestReviewRegressions:
         trace = _load(trace_path)
         _, tail, _ = _trained_split(trace)
         log = tmp_path / "live.csv"
-        write_csv(tail.table.sorted_by_start().to_records(), log)
+        write_csv(tail.table.sorted_by_start(), log)
         config = tmp_path / "tail.toml"
         config.write_text(f"""
 [source]

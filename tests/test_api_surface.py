@@ -158,3 +158,35 @@ def test_no_values_only_np_unique_under_src():
         "adjacent-difference mask; the hash-table np.unique of numpy "
         ">= 2.3 measured 40x slower on 17k uint32 values)"
     )
+
+
+#: The v5 codec and the trace files are table-in and table-out: record
+#: input is coerced once, at the writer entries, and nothing else
+#: there builds or asks for ``FlowRecord`` objects.
+_CODEC_MODULES = ("flows/netflow_v5.py", "flows/flowio.py")
+_CODEC_COERCIONS = {
+    ("flows/netflow_v5.py", "encode_packet"),
+    ("flows/flowio.py", "write_binary"),
+}
+
+
+def test_codecs_make_no_records():
+    root = Path(repro.__file__).parent
+    offenders, coercions = [], set()
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "from_records":
+                coercions.add((module, function))
+            elif name in {"FlowRecord", "to_records", "records"}:
+                offenders.append(f"{module}:{node.lineno} {name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for module in _CODEC_MODULES:
+        visit(ast.parse((root / module).read_text()), module, None)
+    assert not offenders
+    assert coercions == _CODEC_COERCIONS

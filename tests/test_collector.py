@@ -51,14 +51,9 @@ from repro.collector.exporters import ExporterState, ExporterTable
 from repro.errors import CodecError, CollectorError
 from repro.flows.addresses import ip_to_int
 from repro.flows.flowio import read_binary_table, write_binary
-from repro.flows.netflow_v5 import (
-    HEADER_SIZE,
-    RECORD_SIZE,
-    decode_packet,
-    decode_packet_tolerant,
-    encode_packet,
-)
+from repro.flows.netflow_v5 import HEADER_SIZE, RECORD_SIZE, encode_packet
 from repro.synth.presets import build_preset_scenario
+from tests import record_oracle
 
 DATA = Path(__file__).parent / "data"
 
@@ -93,7 +88,8 @@ class TestGoldenV5:
     def test_matches_per_record_codec(self):
         blob = (DATA / "golden_v5.bin").read_bytes()
         decoded = decode_datagram(blob, boot_time=1000.0)
-        _, records = decode_packet(blob, boot_time=1000.0)
+        _, records = record_oracle.decode_v5_packet(blob, boot_time=1000.0)
+        assert len(records) == len(decoded.rows) == 3
         for row, rec in zip(decoded.rows, records):
             assert row["src_ip"] == rec.src_ip
             assert row["start"] == rec.start
@@ -205,17 +201,26 @@ class TestTolerantV5:
     def test_truncated_tail_salvages_whole_records(self):
         packet = _v5_packet(5)
         cut = packet[: HEADER_SIZE + 3 * RECORD_SIZE + 10]
-        header, flows, malformed = decode_packet_tolerant(cut)
-        assert header.count == 5
-        assert len(flows) == 3
-        assert malformed == 2
-        assert flows[0].src_port == 1000
+        decoded = decode_datagram(cut)
+        assert decoded.seq_units == 5
+        assert len(decoded.rows) == decoded.flows == 3
+        assert decoded.malformed == 2
+        assert decoded.rows["src_port"][0] == 1000
 
-    def test_strict_decode_still_raises_with_offset_context(self):
+    def test_strict_decode_still_raises_with_offset_context(self, tmp_path):
+        # The socket salvages a cut packet; the file reader refuses it
+        # and names the packet.
         packet = _v5_packet(4)
         cut = packet[: HEADER_SIZE + 2 * RECORD_SIZE]
-        with pytest.raises(CodecError, match="cut at offset"):
-            decode_packet(cut)
+        path = tmp_path / "cut.rpv5"
+        path.write_bytes(
+            struct.pack("!4sdI", b"RPV5", 0.0, 1)
+            + struct.pack("!I", len(cut)) + cut
+        )
+        with pytest.raises(
+            CodecError, match="packet 0 declares 4 records, holds 2"
+        ):
+            read_binary_table(path)
 
     def test_vectorized_counts_malformed_and_keeps_sequence(self):
         packet = _v5_packet(5)
@@ -234,7 +239,7 @@ class TestTolerantV5:
     def test_vectorized_equals_per_record_on_many_flows(self):
         packet = _v5_packet(30, boot=500.0)
         decoded = decode_datagram(packet, boot_time=500.0)
-        _, records = decode_packet(packet, boot_time=500.0)
+        _, records = record_oracle.decode_v5_packet(packet, boot_time=500.0)
         assert len(decoded.rows) == len(records) == 30
         for row, rec in zip(decoded.rows, records):
             for col in (
@@ -501,7 +506,7 @@ def _capture(tmp_path, bins=4, fps=6.0):
     ).build(seed=3)
     table = labeled.trace.table
     path = tmp_path / "capture.rpv5"
-    write_binary(table.records(0, len(table)), path, boot_time=0.0)
+    write_binary(table, path, boot_time=0.0)
     return path, len(table)
 
 
@@ -697,9 +702,7 @@ def replay_bundle(tmp_path_factory):
     trace = labeled.trace
     split = trace.origin + 8 * trace.bin_seconds
     full = root / "full.rpv5"
-    write_binary(
-        trace.table.records(0, len(trace.table)), full, boot_time=0.0
-    )
+    write_binary(trace.table, full, boot_time=0.0)
     from repro.flows.trace import FlowTrace
 
     quantized = FlowTrace(read_binary_table(full), bin_seconds=300.0)
@@ -707,11 +710,8 @@ def replay_bundle(tmp_path_factory):
     tail = quantized.between_table(split, quantized.span[1] + 1.0)
     train_path = root / "train.rpv5"
     tail_path = root / "tail.rpv5"
-    write_binary(
-        train.table.records(0, len(train.table)), train_path,
-        boot_time=0.0,
-    )
-    write_binary(tail.records(0, len(tail)), tail_path, boot_time=0.0)
+    write_binary(train.table, train_path, boot_time=0.0)
+    write_binary(tail, tail_path, boot_time=0.0)
     return {
         "split": split,
         "train": train_path,

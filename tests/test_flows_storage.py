@@ -13,21 +13,19 @@ from repro.flows.aggregate import (
     feature_histogram,
     top_n,
 )
+from repro.collector import ExporterTable, read_recorded_datagrams
+from repro.collector.decode import (
+    decode_datagram,
+    decode_regions,
+    parse_header,
+)
 from repro.flows.flowio import (
-    csv_roundtrip,
-    read_binary,
     read_binary_table,
-    read_csv,
+    read_csv_table,
     write_binary,
     write_csv,
 )
-from repro.flows.netflow_v5 import (
-    MAX_RECORDS_PER_PACKET,
-    decode_packet,
-    decode_stream,
-    encode_packet,
-    encode_stream,
-)
+from repro.flows.netflow_v5 import MAX_RECORDS_PER_PACKET, encode_packet
 from repro.flows.record import FlowFeature
 from repro.flows.sampling import (
     DeterministicSampler,
@@ -260,22 +258,31 @@ class TestAggregate:
         assert counts[FlowFeature.SRC_IP] == 1
 
 
+def _rpv5_with_packet(packet: bytes, boot_time: float = 0.0) -> bytes:
+    """A one-packet container around ``packet``."""
+    return (
+        struct.pack("!4sdI", b"RPV5", boot_time, 1)
+        + struct.pack("!I", len(packet)) + packet
+    )
+
+
 class TestNetflowV5:
     def test_roundtrip_single(self):
         flow = make_flow(start=10.0, end=11.0)
         packet = encode_packet([flow], boot_time=0.0)
-        header, decoded = decode_packet(packet, boot_time=0.0)
-        assert header.count == 1
-        assert decoded[0].key == flow.key
-        assert decoded[0].packets == flow.packets
-        assert abs(decoded[0].start - flow.start) < 0.002
+        decoded = decode_datagram(packet, boot_time=0.0)
+        assert parse_header(packet).count == 1
+        (record,) = FlowTable(decoded.rows).to_records()
+        assert record.key == flow.key
+        assert record.packets == flow.packets
+        assert abs(record.start - flow.start) < 0.002
 
     def test_sampling_header_propagates(self):
         flow = make_flow()
         packet = encode_packet([flow], sampling_rate=100)
-        header, decoded = decode_packet(packet)
-        assert header.sampling_interval == 100
-        assert decoded[0].sampling_rate == 100
+        assert parse_header(packet).sampling == 100
+        assert decode_datagram(packet).rows["sampling_rate"].tolist() \
+            == [100]
 
     def test_rejects_empty_and_oversized(self):
         with pytest.raises(CodecError):
@@ -287,52 +294,66 @@ class TestNetflowV5:
         with pytest.raises(CodecError):
             encode_packet([make_flow(start=5.0, end=6.0)], boot_time=10.0)
 
-    def test_rejects_truncated(self):
+    def test_rejects_truncated(self, tmp_path):
         packet = encode_packet([make_flow()])
         with pytest.raises(CodecError):
-            decode_packet(packet[:10])
+            decode_datagram(packet[:10])
+        # The socket counts a cut record; a file refuses it.
+        assert decode_datagram(packet[:-5]).malformed == 1
+        path = tmp_path / "cut.rpv5"
+        path.write_bytes(_rpv5_with_packet(packet[:-5]))
         with pytest.raises(CodecError):
-            decode_packet(packet[:-5])
+            read_binary_table(path)
 
     def test_rejects_wrong_version(self):
         packet = bytearray(encode_packet([make_flow()]))
         packet[0:2] = (0).to_bytes(2, "big")
         with pytest.raises(CodecError):
-            decode_packet(bytes(packet))
+            decode_datagram(bytes(packet))
 
-    def test_stream_roundtrip_and_sequence(self):
+    def test_stream_roundtrip_and_sequence(self, tmp_path):
         flows = [make_flow(sport=1000 + i, start=float(i), end=float(i) + 1)
                  for i in range(75)]
-        packets = list(encode_stream(flows))
-        assert len(packets) == 3  # 30 + 30 + 15
-        decoded = list(decode_stream(packets))
+        path = tmp_path / "trace.rpv5"
+        assert write_binary(flows, path) == 3  # 30 + 30 + 15
+        _, packets = read_recorded_datagrams(path)
+        assert [parse_header(p)[2:4] for p in packets] == \
+            [(0, 30), (30, 30), (60, 15)]
+        decoded = read_binary_table(path).to_records()
         assert [f.key for f in decoded] == [f.key for f in flows]
 
-    def test_stream_detects_sequence_gap(self):
+    def test_stream_detects_sequence_gap(self, tmp_path):
         flows = [make_flow(sport=1000 + i, start=float(i), end=float(i) + 1)
                  for i in range(75)]
-        packets = list(encode_stream(flows))
-        with pytest.raises(CodecError):
-            list(decode_stream([packets[0], packets[2]]))
+        path = tmp_path / "trace.rpv5"
+        write_binary(flows, path)
+        _, packets = read_recorded_datagrams(path)
+        exporter = ExporterTable().get("192.0.2.1", 5, 0)
+        assert exporter.note(decode_datagram(packets[0]), 1.0) == 0
+        assert exporter.note(decode_datagram(packets[2]), 2.0) == 30
+        assert exporter.sequence_lost == 30
 
 
 class TestFlowIO:
     def test_csv_roundtrip(self):
         flows = [make_flow(sport=i, start=float(i), end=i + 0.5)
                  for i in range(1, 20)]
-        assert csv_roundtrip(flows) == flows
+        buffer = io.StringIO()
+        assert write_csv(FlowTable.from_records(flows), buffer) == 19
+        buffer.seek(0)
+        assert read_csv_table(buffer).to_records() == flows
 
     def test_csv_rejects_bad_header(self):
         handle = io.StringIO("a,b,c\n1,2,3\n")
         with pytest.raises(CodecError):
-            list(read_csv(handle))
+            read_csv_table(handle)
 
     def test_csv_rejects_bad_row(self):
         buffer = io.StringIO()
-        write_csv([make_flow()], buffer)
+        write_csv(FlowTable.from_records([make_flow()]), buffer)
         text = buffer.getvalue() + "only,three,fields\n"
         with pytest.raises(CodecError):
-            list(read_csv(io.StringIO(text)))
+            read_csv_table(io.StringIO(text))
 
     def test_binary_roundtrip(self, tmp_path):
         flows = [make_flow(sport=1000 + i, start=float(i), end=float(i) + 1)
@@ -340,7 +361,7 @@ class TestFlowIO:
         path = tmp_path / "trace.rpv5"
         packets_written = write_binary(flows, path, boot_time=0.0)
         assert packets_written == 3
-        decoded = list(read_binary(path))
+        decoded = read_binary_table(path).to_records()
         assert [f.key for f in decoded] == [f.key for f in flows]
 
     def test_binary_rejects_corruption(self, tmp_path):
@@ -349,18 +370,10 @@ class TestFlowIO:
         data = path.read_bytes()
         (tmp_path / "bad.rpv5").write_bytes(b"XXXX" + data[4:])
         with pytest.raises(CodecError):
-            list(read_binary(tmp_path / "bad.rpv5"))
+            read_binary_table(tmp_path / "bad.rpv5")
         (tmp_path / "trunc.rpv5").write_bytes(data[:-10])
         with pytest.raises(CodecError):
-            list(read_binary(tmp_path / "trunc.rpv5"))
-
-
-def _rpv5_with_packet(packet: bytes, boot_time: float = 0.0) -> bytes:
-    """A one-packet container around ``packet``."""
-    return (
-        struct.pack("!4sdI", b"RPV5", boot_time, 1)
-        + struct.pack("!I", len(packet)) + packet
-    )
+            read_binary_table(tmp_path / "trunc.rpv5")
 
 
 _GOOD_PACKET = encode_packet(
@@ -405,14 +418,51 @@ class TestBinaryReaderRefusals:
         path.write_bytes(content)
         with pytest.raises(error):
             read_binary_table(path)
-        with pytest.raises(error):
-            list(read_binary(path))
+
+    @pytest.mark.parametrize("content", [
+        pytest.param(b"XXXX" + _GOOD_FILE[4:], id="bad-magic"),
+        pytest.param(_GOOD_FILE[:10], id="short-file-header"),
+        pytest.param(_GOOD_FILE[:18], id="short-packet-length"),
+        pytest.param(_GOOD_FILE[:-10], id="short-packet-body"),
+    ])
+    def test_recorded_datagrams_refuse_a_damaged_container(
+        self, tmp_path, content
+    ):
+        path = tmp_path / "trace.rpv5"
+        path.write_bytes(content)
+        with pytest.raises(CodecError):
+            read_recorded_datagrams(path)
 
     def test_good_file_reads(self, tmp_path):
         path = tmp_path / "trace.rpv5"
         path.write_bytes(_GOOD_FILE)
         assert read_binary_table(path).start.tolist() == [10.0, 12.0]
+        assert read_recorded_datagrams(path) == (0.0, [_GOOD_PACKET])
 
-    def test_single_packet_decoders_refuse_an_inverted_record(self):
-        with pytest.raises(FlowError):
-            decode_packet(_INVERTED_PACKET)
+    def test_empty_container_keeps_its_boot_time(self, tmp_path):
+        path = tmp_path / "empty.rpv5"
+        assert write_binary(FlowTable.from_records([]), path,
+                            boot_time=5.0) == 0
+        assert read_recorded_datagrams(path) == (5.0, [])
+        assert len(read_binary_table(path)) == 0
+
+    @pytest.mark.parametrize("chunk_rows, packets", [
+        (10, "packets 0..2"), (2, "packets 1..1"), (3, "packets 0..1"),
+    ])
+    def test_inverted_record_names_file_and_packets(
+        self, tmp_path, chunk_rows, packets
+    ):
+        path = tmp_path / "trace.rpv5"
+        body = b"".join(
+            struct.pack("!I", len(packet)) + packet
+            for packet in (_GOOD_PACKET, _INVERTED_PACKET, _GOOD_PACKET)
+        )
+        path.write_bytes(struct.pack("!4sdI", b"RPV5", 0.0, 3) + body)
+        with pytest.raises(FlowError, match=rf"trace\.rpv5: {packets}: 1 "):
+            read_binary_table(path, chunk_rows=chunk_rows)
+
+    def test_datagram_decoder_counts_an_inverted_record(self):
+        datagram = decode_datagram(_INVERTED_PACKET)
+        rows, clamped = decode_regions(datagram.regions, 0.0)
+        assert clamped == 1
+        assert rows["end"][0] == rows["start"][0]

@@ -289,7 +289,7 @@ class TestTableIO:
     def test_csv_table_roundtrip(self):
         flows = _flows(9)
         buffer = io.StringIO()
-        write_csv(flows, buffer)
+        write_csv(FlowTable.from_records(flows), buffer)
         buffer.seek(0)
         table = read_csv_table(buffer)
         assert table.to_records() == flows
@@ -297,7 +297,7 @@ class TestTableIO:
     def test_csv_chunked(self):
         flows = _flows(9)
         buffer = io.StringIO()
-        write_csv(flows, buffer)
+        write_csv(FlowTable.from_records(flows), buffer)
         buffer.seek(0)
         chunks = list(iter_csv_tables(buffer, chunk_rows=4))
         assert [len(c) for c in chunks] == [4, 4, 1]
@@ -311,10 +311,7 @@ class TestTableIO:
             "not-an-ip,10.0.0.2,1,2,6,1,64,0.0,1.0,0,0,1\n"
         )
         from repro.errors import CodecError
-        from repro.flows.flowio import read_csv
 
-        with pytest.raises(CodecError, match=r"row 3.*src_ip.*not-an-ip"):
-            list(read_csv(io.StringIO(text)))
         with pytest.raises(CodecError, match=r"row 3.*src_ip.*not-an-ip"):
             read_csv_table(io.StringIO(text))
 

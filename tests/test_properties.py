@@ -8,16 +8,19 @@
 * maximal/closed reductions lose no information.
 """
 
+import io
 import math
 
 from hypothesis import given, settings, strategies as st
 
 from repro.detect.entropy import entropy_of_counts, normalized_entropy
 from repro.detect.kl import kl_distance
+from repro.collector.decode import decode_datagram
 from repro.flows.filter import parse_filter
-from repro.flows.flowio import csv_roundtrip
-from repro.flows.netflow_v5 import decode_packet, encode_packet
+from repro.flows.flowio import read_csv_table, write_csv
+from repro.flows.netflow_v5 import encode_packet
 from repro.flows.record import FlowRecord
+from repro.flows.table import FlowTable
 from repro.mining.apriori import mine_apriori
 from repro.mining.maximal import closed_itemsets, maximal_itemsets
 from repro.mining.transactions import TransactionSet
@@ -121,8 +124,7 @@ def test_reduction_reconstruction(flows, min_flows):
 @given(flow=exact_flow_records)
 def test_netflow_v5_roundtrip(flow):
     packet = encode_packet([flow], boot_time=0.0)
-    _, decoded = decode_packet(packet, boot_time=0.0)
-    out = decoded[0]
+    (out,) = FlowTable(decode_datagram(packet).rows).to_records()
     assert out.key == flow.key
     assert out.packets == flow.packets
     assert out.bytes == flow.bytes
@@ -134,7 +136,10 @@ def test_netflow_v5_roundtrip(flow):
 @settings(max_examples=40, deadline=None)
 @given(flows=st.lists(exact_flow_records, max_size=25))
 def test_csv_roundtrip_property(flows):
-    assert csv_roundtrip(flows) == flows
+    buffer = io.StringIO()
+    write_csv(FlowTable.from_records(flows), buffer)
+    buffer.seek(0)
+    assert read_csv_table(buffer).to_records() == flows
 
 
 # -- filter language -----------------------------------------------------------

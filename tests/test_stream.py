@@ -811,7 +811,8 @@ class TestSources:
     def test_tail_csv_follows_appends(self, tmp_path):
         path = tmp_path / "live.csv"
         table = _random_table(30, seed=11)
-        first, second = table.records(0, 20), table.records(20, 30)
+        first = table.select(slice(0, 20))
+        second = table.select(slice(20, 30))
         write_csv(first, path)
 
         appended = []

@@ -16,6 +16,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.detect.features import WindowCounts
@@ -28,14 +29,15 @@ from repro.flows.aggregate import (
     top_n,
     value_histogram,
 )
+from repro.collector.decode import decode_datagram
+from repro.errors import CodecError
 from repro.flows.filter import compile_mask, parse_filter
 from repro.flows.flowio import (
     iter_binary_tables,
-    read_binary,
     read_binary_table,
     write_binary,
 )
-from repro.flows.netflow_v5 import decode_packet
+from repro.flows.netflow_v5 import encode_packet
 from repro.flows.record import FLOW_FEATURES, FlowFeature, FlowRecord
 from repro.archive import ArchiveWriter
 from repro.flows.table import FlowTable
@@ -479,7 +481,6 @@ def test_binary_table_reader_equals_packet_walk(
                      sampling_rate=sampling_rate)
         expected = record_oracle.read_rpv5(path)
         chunks = list(iter_binary_tables(path, chunk_rows))
-        by_records = list(read_binary(path))
     assert [f.key for f in expected] == [f.key for f in flows]
     assert all(f.sampling_rate == sampling_rate for f in expected)
     assert [len(c) for c in chunks] == \
@@ -487,7 +488,6 @@ def test_binary_table_reader_equals_packet_walk(
         + [len(flows) % chunk_rows] * bool(len(flows) % chunk_rows)
     assert all(chunk._rows is None for chunk in chunks)
     assert FlowTable.concat(chunks).to_records() == expected
-    assert by_records == expected
 
 
 def test_binary_table_reader_on_a_short_last_packet(tmp_path):
@@ -505,8 +505,91 @@ def test_binary_table_reader_on_a_short_last_packet(tmp_path):
     assert read_binary_table(path).to_records() == expected
     walked = []
     for boot_time, packet in record_oracle.rpv5_packets(path):
-        header, records = decode_packet(packet, boot_time)
-        assert (header.sampling_interval, records) == \
-            record_oracle.decode_v5_packet(packet, boot_time)
+        rows = decode_datagram(packet, boot_time).rows
+        interval, records = record_oracle.decode_v5_packet(packet, boot_time)
+        assert rows["sampling_rate"].tolist() == [interval] * len(records)
+        assert FlowTable(rows).to_records() == records
         walked.extend(records)
     assert walked == expected
+
+
+# -- .rpv5: the column encoder ≡ the per-record struct encoder --------------
+
+
+@given(
+    flows=st.lists(v5_flow_records(), min_size=1, max_size=30),
+    boot_time=st.floats(0.0, 50.0),
+    export_time=st.none() | st.floats(0.0, 4e9),
+    flow_sequence=st.integers(0, 2**33),
+    engine_id=st.integers(0, 300),
+    sampling_rate=st.sampled_from([1, 2, 100, 0x3FFF]),
+)
+@example(  # uptimes of exactly x.5 ms: both round half to even
+    flows=[FlowRecord(src_ip=1, dst_ip=2, src_port=3, dst_port=4,
+                      proto=6, start=50.0, end=50.002)],
+    boot_time=0.0015, export_time=None, flow_sequence=0, engine_id=0,
+    sampling_rate=1,
+)
+@settings(max_examples=80, deadline=None)
+def test_encode_packet_equals_struct_encoder(
+    flows, boot_time, export_time, flow_sequence, engine_id, sampling_rate
+):
+    arguments = dict(
+        boot_time=boot_time, export_time=export_time,
+        flow_sequence=flow_sequence, engine_id=engine_id,
+        sampling_rate=sampling_rate,
+    )
+    expected = record_oracle.encode_v5_packet(flows, **arguments)
+    assert encode_packet(flows, **arguments) == expected
+    assert encode_packet(FlowTable.from_records(flows), **arguments) \
+        == expected
+
+
+@given(
+    flows=st.lists(v5_flow_records(), min_size=0, max_size=100),
+    boot_time=st.floats(0.0, 50.0),
+    sampling_rate=st.sampled_from([1, 7, 0x3FFF]),
+)
+@settings(max_examples=60, deadline=None)
+def test_write_binary_equals_struct_encoder(flows, boot_time, sampling_rate):
+    expected = record_oracle.rpv5_bytes(flows, boot_time, sampling_rate)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "trace.rpv5"
+        packets = write_binary(
+            FlowTable.from_records(flows), path, boot_time=boot_time,
+            sampling_rate=sampling_rate,
+        )
+        assert path.read_bytes() == expected
+        write_binary(flows, path, boot_time, sampling_rate)
+        assert path.read_bytes() == expected
+    assert packets == -(-len(flows) // 30)
+
+
+def _v5_flow(**fields):
+    values = dict(src_ip=1, dst_ip=2, src_port=3, dst_port=4, proto=6,
+                  start=60.0, end=61.0)
+    return FlowRecord(**{**values, **fields})
+
+
+@pytest.mark.parametrize("flows, arguments", [
+    pytest.param([], {}, id="empty"),
+    pytest.param([_v5_flow()] * 31, {}, id="31-records"),
+    pytest.param([_v5_flow()], {"boot_time": 60.5}, id="before-boot"),
+    pytest.param([_v5_flow(end=4_294_968.0)], {}, id="uptime-overflow"),
+    pytest.param([_v5_flow(packets=2**32)], {}, id="packets-overflow"),
+    pytest.param([_v5_flow(bytes=2**32)], {}, id="bytes-overflow"),
+    pytest.param([_v5_flow()], {"sampling_rate": 0}, id="sampling-0"),
+    pytest.param(
+        [_v5_flow()], {"sampling_rate": 0x4000}, id="sampling-2^14",
+    ),
+])
+def test_encoder_refusals(tmp_path, flows, arguments):
+    with pytest.raises(ValueError):
+        record_oracle.encode_v5_packet(flows, **arguments)
+    with pytest.raises(CodecError):
+        encode_packet(flows, **arguments)
+    if flows and len(flows) <= 30:
+        path = tmp_path / "trace.rpv5"
+        with pytest.raises(CodecError):
+            write_binary(flows, path, **arguments)
+        assert not path.exists()
