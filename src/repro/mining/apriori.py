@@ -13,15 +13,22 @@ so is their disjunction, so Apriori pruning remains sound.
 
 :func:`mine_apriori` runs the levels as group-bys over the code columns
 of a :class:`~repro.mining.transactions.TransactionSet`, with the
-pruning applied to *rows* instead of candidates. A flow holds exactly
-one item per feature, so the k-itemsets over one feature subset are the
-value combinations occurring in those columns; the subset
-``prefix + (last,)`` is counted only over the rows whose prefix
-combination and whose last item both survived their own levels. That
-is exact: a frequent k-itemset has a frequent prefix and a frequent
-last item, so every row supporting it is still live, and supports are
-integer sums filtered at the thresholds as given. No Python runs per
-flow; the per-transaction formulation this replaced is the test oracle
+pruning applied to *patterns* instead of candidates. Level 1 counts
+each code column over the rows. The rows then collapse into their
+distinct patterns of frequent level-1 items — one mixed-radix key per
+row, one sort, run lengths as flow weights and ``np.add.reduceat``
+packet and byte sums — and every further level counts patterns, not
+rows. That is exact: rows with equal frequent items support the same
+itemsets, since an itemset of two or more items holding an infrequent
+item cannot be frequent. A flow holds exactly one item per feature, so
+the k-itemsets over one feature subset are the value combinations
+occurring in those columns; the subset ``prefix + (last,)`` is counted
+only over the patterns whose prefix combination and whose last item
+both survived their own levels. That is exact too: a frequent
+k-itemset has a frequent prefix and a frequent last item, so every
+pattern supporting it is still live, and supports are integer sums
+filtered at the thresholds as given. No Python runs per flow; the
+per-transaction formulation this replaced is the test oracle
 (``tests/mining_oracle.py``).
 """
 
@@ -32,7 +39,8 @@ from itertools import combinations
 import numpy as np
 
 from repro.errors import MiningError
-from repro.mining.items import ItemsetSupport
+from repro.flows.aggregate import factorise
+from repro.mining.items import Item, Itemset, ItemsetSupport
 from repro.mining.transactions import TransactionSet
 
 __all__ = [
@@ -109,92 +117,177 @@ def mine_apriori(
         return []
 
     columns = transactions.columns
-    packets, bytes_ = transactions.packets, transactions.bytes
     exact_float = (
         transactions.total_packets < EXACT_FLOAT_LIMIT
         and transactions.total_bytes < EXACT_FLOAT_LIMIT
     )
     #: (item ids, flows, packets, bytes) of every frequent group found.
     found: list[tuple[np.ndarray, ...]] = []
+    #: item id -> its Item, for every frequent item (the only ids a
+    #: frequent itemset can hold).
+    items: dict[int, Item] = {}
 
-    def count(rows, codes, size):
-        """Count the groups ``codes`` (dense, below ``size``) puts the
-        rows ``rows`` in. Returns the frequent groups, the rows in
-        them, those rows' codes renumbered over the frequent groups
-        only, and the (flows, packets, bytes) supports — bytes summed
-        over the surviving rows alone — or ``None`` when no group is
-        frequent."""
-        flows = np.bincount(codes, minlength=size)
-        packet_sums = group_sum(codes, packets[rows], size, exact_float)
+    def frequent(codes, size, flows, packets, bytes_):
+        """Group the units — rows or patterns — by ``codes`` (dense,
+        below ``size``), each unit weighing ``flows`` transactions
+        (``None``: one each), ``packets`` and ``bytes_``. Returns the
+        frequent groups and their (flows, packets, bytes) supports, or
+        ``None`` when no group is frequent."""
+        if flows is None:
+            flow_sums = np.bincount(codes, minlength=size)
+        else:
+            flow_sums = group_sum(codes, flows, size, exact_float)
+        packet_sums = group_sum(codes, packets, size, exact_float)
         keep = np.zeros(size, dtype=bool)
         if min_flows is not None:
-            keep |= flows >= min_flows
+            keep |= flow_sums >= min_flows
         if min_packets is not None:
             keep |= packet_sums >= min_packets
         kept = np.flatnonzero(keep)
         if not len(kept):
             return None
-        renumber = np.full(size, -1, dtype=np.int64)
-        renumber[kept] = np.arange(len(kept))
-        codes = renumber[codes]
-        alive = codes >= 0
-        rows, codes = rows[alive], codes[alive]
-        byte_sums = group_sum(codes, bytes_[rows], len(kept), exact_float)
-        return kept, rows, codes, (flows[kept], packet_sums[kept], byte_sums)
+        byte_sums = group_sum(codes, bytes_, size, exact_float)
+        return kept, (flow_sums[kept], packet_sums[kept], byte_sums[kept])
 
-    #: column index -> (per-row code of its frequent item or -1, ids).
-    singles: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    #: feature subset of the current size -> (live rows, codes, ids).
-    level: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
-    every_row = np.arange(len(transactions))
+    # Level 1 on the rows. ``digits`` holds, per column with a frequent
+    # item, each row's frequent code + 1 (0: none) in the narrowest
+    # unsigned dtype, and its radix; ``ids_of`` the frequent item ids.
+    digits: dict[int, tuple[np.ndarray, int]] = {}
+    ids_of: dict[int, np.ndarray] = {}
     for index, column in enumerate(columns):
-        hit = count(every_row, column.codes, len(column.values))
+        hit = frequent(
+            column.codes, len(column.values),
+            None, transactions.packets, transactions.bytes,
+        )
         if hit is None:
             continue
-        kept, rows, codes, supports = hit
-        ids = (column.offset + kept)[:, None]
-        by_row = np.full(len(transactions), -1, dtype=np.int64)
-        by_row[rows] = codes
-        singles[index] = (by_row, ids)
-        level[(index,)] = (rows, codes, ids)
-        found.append((ids, *supports))
+        kept, supports = hit
+        ids = column.offset + kept
+        for item_id, value in zip(
+            ids.tolist(), column.values[kept].tolist()
+        ):
+            items[item_id] = Item(column.feature, value)
+        digit_of = np.zeros(
+            len(column.values), dtype=np.min_scalar_type(len(kept))
+        )
+        digit_of[kept] = np.arange(1, len(kept) + 1)
+        digits[index] = (digit_of[column.codes], len(kept) + 1)
+        ids_of[index] = ids[:, None]
+        found.append((ids_of[index], *supports))
 
-    for size in range(2, min(max_size, len(columns)) + 1):
-        previous, level = level, {}
-        for subset in combinations(range(len(columns)), size):
-            prefix, last = subset[:-1], subset[-1]
-            if prefix not in previous or last not in singles:
-                continue
-            rows, codes, prefix_ids = previous[prefix]
-            by_row, last_ids = singles[last]
-            last_codes = by_row[rows]
-            both = last_codes >= 0
-            base = len(last_ids)
-            # Factorised by sort: memory is bounded by the live rows,
-            # not by groups(prefix) x groups(last).
-            groups, codes = np.unique(
-                codes[both] * base + last_codes[both], return_inverse=True
-            )
-            hit = count(rows[both], codes, len(groups))
-            if hit is None:
-                continue
-            kept, rows, codes, supports = hit
-            groups = groups[kept]
-            ids = np.concatenate(
-                [prefix_ids[groups // base], last_ids[groups % base]],
-                axis=1,
-            )
-            level[subset] = (rows, codes, ids)
-            found.append((ids, *supports))
+    if max_size > 1 and len(digits) > 1:
+        # Rows with equal frequent items support the same itemsets:
+        # every further level counts the distinct patterns, weighted.
+        pattern_codes, weights = _collapse(
+            digits, transactions.packets, transactions.bytes
+        )
+        del digits
+        #: column index -> (per-pattern code or -1, frequent item ids).
+        singles = {
+            index: (codes, ids_of[index])
+            for index, codes in pattern_codes.items()
+        }
+        #: feature subset of the current size -> (live patterns,
+        #: their codes, ids).
+        level: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
+        for index, (codes, ids) in singles.items():
+            live = np.flatnonzero(codes >= 0)
+            level[(index,)] = (live, codes[live], ids)
+
+        for size in range(2, min(max_size, len(columns)) + 1):
+            previous, level = level, {}
+            for subset in combinations(range(len(columns)), size):
+                prefix, last = subset[:-1], subset[-1]
+                if prefix not in previous or last not in singles:
+                    continue
+                units, codes, prefix_ids = previous[prefix]
+                by_unit, last_ids = singles[last]
+                last_codes = by_unit[units]
+                both = last_codes >= 0
+                units = units[both]
+                base = len(last_ids)
+                # Factorised by sort: memory is bounded by the live
+                # patterns, not by groups(prefix) x groups(last).
+                groups, codes = factorise(
+                    codes[both] * base + last_codes[both]
+                )
+                hit = frequent(
+                    codes, len(groups),
+                    *(weight[units] for weight in weights),
+                )
+                if hit is None:
+                    continue
+                kept, supports = hit
+                renumber = np.full(len(groups), -1, dtype=np.int64)
+                renumber[kept] = np.arange(len(kept))
+                codes = renumber[codes]
+                alive = codes >= 0
+                groups = groups[kept]
+                ids = np.concatenate(
+                    [prefix_ids[groups // base], last_ids[groups % base]],
+                    axis=1,
+                )
+                level[subset] = (units[alive], codes[alive], ids)
+                found.append((ids, *supports))
 
     mined = [
         row
         for block in found
         for row in zip(*(array.tolist() for array in block))
     ]
-    # Ids are in item order, so sorting id lists is sorting itemsets.
+    # Ids are in item order, so sorting id lists is sorting itemsets;
+    # each id list holds one id per feature, so it decodes as is.
     mined.sort(key=lambda row: (-row[1], -row[2], row[0]))
     return [
-        ItemsetSupport(transactions.decode(ids), *supports)
+        ItemsetSupport(
+            Itemset._from_sorted(tuple(items[i] for i in ids)), *supports
+        )
         for ids, *supports in mined
     ]
+
+
+#: A mixed-radix pattern key is re-densified before its radix product
+#: passes this bound, so it never overflows int64.
+_KEY_LIMIT = 2**62
+
+
+def _collapse(
+    digits: dict[int, tuple[np.ndarray, int]],
+    packets: np.ndarray,
+    bytes_: np.ndarray,
+) -> tuple[dict[int, np.ndarray], tuple[np.ndarray, ...]]:
+    """Collapse rows into their distinct patterns of frequent level-1
+    items.
+
+    ``digits`` maps column index to each row's frequent code + 1 (0:
+    no frequent item) and that digit's radix. Returns, per column, each
+    pattern's code (-1: none) and the per-pattern (flows, packets,
+    bytes) weights: run lengths and ``np.add.reduceat`` sums of one
+    sort of a mixed-radix key over the digits.
+    """
+    key = np.zeros(len(packets), dtype=np.int64)
+    radix = 1
+    for digit, base in digits.values():
+        if radix * base > _KEY_LIMIT:
+            # Rank the key: the radix becomes the number of distinct
+            # partial patterns seen so far, at most the row count.
+            values, key = factorise(key)
+            radix = len(values)
+        key *= base
+        key += digit
+        radix *= base
+    order = np.argsort(key)
+    ordered = key[order]
+    heads = np.flatnonzero(
+        np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    )
+    first = order[heads]
+    weights = (
+        np.diff(heads, append=len(ordered)),
+        np.add.reduceat(packets[order], heads),
+        np.add.reduceat(bytes_[order], heads),
+    )
+    return {
+        index: digit[first].astype(np.int64) - 1
+        for index, (digit, _) in digits.items()
+    }, weights

@@ -88,6 +88,17 @@ class Itemset:
         self._by_feature = by_feature
         self._hash = hash(ordered)
 
+    @classmethod
+    def _from_sorted(cls, items: tuple[Item, ...]) -> "Itemset":
+        """An itemset of ``items`` as given, unchecked: the caller
+        guarantees a non-empty tuple in item order with one item per
+        feature (the mining kernel's id lists are so by construction)."""
+        itemset = object.__new__(cls)
+        itemset._items = items
+        itemset._by_feature = {item.feature: item.value for item in items}
+        itemset._hash = hash(items)
+        return itemset
+
     # -- container protocol ------------------------------------------------
 
     def __iter__(self) -> Iterator[Item]:

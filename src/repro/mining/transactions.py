@@ -6,7 +6,11 @@ dense integer ids ordered by (feature, value). A
 factorisation per feature (:class:`ItemColumn`: the ascending distinct
 ``values`` and one dense ``code`` per flow) beside the table's packet
 and byte columns. An item's id is its column's ``offset`` plus its
-code, so ids sort items consistently across the whole set.
+code, so ids sort items consistently across the whole set. Each
+factorisation is one argsort of the feature column — numpy's radix
+sort for the 2-byte port and protocol columns — and a cumulative sum
+over the sorted run heads
+(:func:`repro.flows.aggregate.factorise`).
 
 The mining engine (:func:`repro.mining.apriori.mine_apriori`)
 group-counts the code columns directly; no per-flow transaction is
@@ -20,6 +24,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from repro.errors import MiningError
+from repro.flows.aggregate import factorise
 from repro.flows.record import FLOW_FEATURES, FlowFeature, FlowRecord
 from repro.flows.table import FlowTable
 from repro.mining.items import Item, Itemset
@@ -89,14 +94,13 @@ class TransactionSet:
         features: tuple[FlowFeature, ...] = FLOW_FEATURES,
     ) -> "TransactionSet":
         """Encode a flow table over the chosen features (default: all
-        five): one ``np.unique`` per feature column, nothing per flow."""
+        five): one sort factorisation per feature column
+        (:func:`~repro.flows.aggregate.factorise`), nothing per flow."""
         cls._check_features(features)
         columns = []
         offset = 0
         for feature in sorted(features, key=FLOW_FEATURES.index):
-            values, codes = np.unique(
-                table.feature_column(feature), return_inverse=True
-            )
+            values, codes = factorise(table.feature_column(feature))
             columns.append(ItemColumn(feature, offset, values, codes))
             offset += len(values)
         return cls(tuple(features), tuple(columns), table)

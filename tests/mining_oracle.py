@@ -1,13 +1,15 @@
-"""The per-flow transaction encoder and per-transaction Apriori, kept
-as the test oracle.
+"""The per-flow transaction encoder, per-transaction Apriori and
+every-pair itemset reducers, kept as the test oracle.
 
-Both were production code until the columnar
-:class:`~repro.mining.transactions.TransactionSet` and the group-by
-kernel of :mod:`repro.mining.apriori` replaced them: the record-
-interning loop was ``TransactionSet.from_flows`` and the level-wise
-candidate join + per-transaction counting was ``mine_apriori``. They
-moved here unchanged (only the class and function names differ), so
-the columnar path can be checked for equal ids, transactions, totals,
+All were production code until the columnar
+:class:`~repro.mining.transactions.TransactionSet`, the group-by
+kernel of :mod:`repro.mining.apriori` and the subset-key reducers of
+:mod:`repro.mining.maximal` replaced them: the record-interning loop
+was ``TransactionSet.from_flows``, the level-wise candidate join +
+per-transaction counting was ``mine_apriori``, and the two reducers
+compared every itemset with every larger one. They moved here
+unchanged (only the class and function names differ), so the
+production path can be checked for equal ids, transactions, totals,
 itemsets, supports and order against plain Python integers and dicts.
 """
 
@@ -286,3 +288,67 @@ class OracleApriori(ExtendedApriori):
 
     def _frequent(self, transactions, min_flows, min_packets):
         return oracle_apriori(transactions, min_flows, min_packets)
+
+
+def _by_size(
+    supports: list[ItemsetSupport],
+) -> dict[int, list[ItemsetSupport]]:
+    buckets: dict[int, list[ItemsetSupport]] = {}
+    for support in supports:
+        buckets.setdefault(len(support.itemset), []).append(support)
+    return buckets
+
+
+def oracle_maximal_itemsets(
+    supports: list[ItemsetSupport],
+) -> list[ItemsetSupport]:
+    """Keep only itemsets without a frequent proper superset, by
+    comparing each with every larger one. Input order is preserved
+    among survivors."""
+    buckets = _by_size(supports)
+    sizes = sorted(buckets, reverse=True)
+    kept: list[ItemsetSupport] = []
+    for size in sizes:
+        larger = [
+            s
+            for larger_size in sizes
+            if larger_size > size
+            for s in buckets[larger_size]
+        ]
+        for support in buckets[size]:
+            if not any(
+                support.itemset.issubset(big.itemset) for big in larger
+            ):
+                kept.append(support)
+    order = {id(s): i for i, s in enumerate(supports)}
+    kept.sort(key=lambda s: order[id(s)])
+    return kept
+
+
+def oracle_closed_itemsets(
+    supports: list[ItemsetSupport],
+) -> list[ItemsetSupport]:
+    """Keep itemsets with no proper superset of identical flow *and*
+    packet support, by comparing each with every larger one."""
+    buckets = _by_size(supports)
+    sizes = sorted(buckets, reverse=True)
+    kept: list[ItemsetSupport] = []
+    for size in sizes:
+        larger = [
+            s
+            for larger_size in sizes
+            if larger_size > size
+            for s in buckets[larger_size]
+        ]
+        for support in buckets[size]:
+            absorbed = any(
+                support.flows == big.flows
+                and support.packets == big.packets
+                and support.itemset.issubset(big.itemset)
+                for big in larger
+            )
+            if not absorbed:
+                kept.append(support)
+    order = {id(s): i for i, s in enumerate(supports)}
+    kept.sort(key=lambda s: order[id(s)])
+    return kept

@@ -128,15 +128,14 @@ def test_flowtable_dispatch_sites_are_pinned():
     assert _flowtable_type_tests() == FLOWTABLE_TYPE_TESTS
 
 
-#: Keywords that put ``np.unique`` on numpy's sort path.
-_UNIQUE_SORT_KEYWORDS = {"return_index", "return_inverse", "return_counts"}
-
-
 def test_no_values_only_np_unique_under_src():
     # numpy >= 2.3 answers a values-only np.unique with a hash table:
     # on 17k uint32 feature values 2.8 ms against 0.07 ms for np.sort
-    # (2-vCPU Xeon, numpy 2.4). repro.flows.aggregate.distinct_values
-    # gives the same array by one sort.
+    # (2-vCPU Xeon, numpy 2.4). With return_inverse= it took 1.9-2.3
+    # ms on a uint16 port column of 17k distinct values, against
+    # 0.7-0.8 ms for one radix argsort and a cumsum. repro.flows.
+    # aggregate.distinct_values and factorise give the same arrays by
+    # one sort each, so src/ calls np.unique nowhere.
     root = Path(repro.__file__).parent
     offenders = []
     for path in sorted(root.rglob("*.py")):
@@ -145,18 +144,18 @@ def test_no_values_only_np_unique_under_src():
                     and isinstance(node.func, ast.Attribute) \
                     and node.func.attr == "unique" \
                     and getattr(node.func.value, "id", None) \
-                    in {"np", "numpy"} \
-                    and not _UNIQUE_SORT_KEYWORDS & {
-                        keyword.arg for keyword in node.keywords
-                    }:
+                    in {"np", "numpy"}:
                 offenders.append(
                     f"{path.relative_to(root).as_posix()}:{node.lineno}"
                 )
     assert not offenders, (
-        f"values-only np.unique at {offenders}: use "
-        "repro.flows.aggregate.distinct_values (one np.sort and an "
-        "adjacent-difference mask; the hash-table np.unique of numpy "
-        ">= 2.3 measured 40x slower on 17k uint32 values)"
+        f"np.unique at {offenders}: use "
+        "repro.flows.aggregate.distinct_values for the values alone "
+        "(one np.sort and an adjacent-difference mask; the hash-table "
+        "np.unique of numpy >= 2.3 measured 40x slower on 17k uint32 "
+        "values) or repro.flows.aggregate.factorise for values and "
+        "per-row codes (one argsort and a cumsum over the run heads, "
+        "radix-sorted on columns of 2 bytes or less)"
     )
 
 
