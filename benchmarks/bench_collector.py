@@ -13,8 +13,8 @@ Four measurements:
   per 8192-row flush;
 * **sustained loopback ingest** — a sender thread blasting the same
   v5 packets at a live :class:`repro.collector.FlowCollector` while
-  the consumer drains chunks, end to end through the listener thread,
-  batcher and bounded queue. The rate counts *decoded* flows only;
+  the consumer drains chunks, end to end through the listener
+  process, batcher and chunk pipe. The rate counts *decoded* flows only;
   queue drops and kernel loss (visible as sequence gaps) are reported
   alongside — honest accounting, nothing silently uncounted.
 

@@ -329,23 +329,29 @@ class Session:
     def _source(self):
         """The spec's flow source, checked against what the mode needs:
         a bounded source, except to stream or synth; an archive, to
-        triage or manage one."""
+        triage or manage one; a scenario, to synth. A source refused
+        here is closed first (a collector owns a socket and a
+        process)."""
         mode = self.spec.execution.mode
         kind = self.spec.source.kind
         source = sources.get(kind, field="source.kind")(self.spec.source)
         if mode in _ARCHIVE_MODES and not hasattr(source, "reader"):
-            raise SpecError(
+            problem = (
                 f"mode {mode!r} operates on an archive source, not "
-                f"{kind!r}",
-                field="source.kind",
+                f"{kind!r}"
             )
-        if mode not in ("stream", "synth") and not source.bounded:
-            raise SpecError(
+        elif mode not in ("stream", "synth") and not source.bounded:
+            problem = (
                 f"mode {mode!r} needs a bounded source, but {kind!r} "
-                f"is unbounded",
-                field="source.kind",
+                f"is unbounded"
             )
-        return source
+        elif mode == "synth" and not hasattr(source, "labeled"):
+            problem = "synth mode needs a scenario source"
+        else:
+            return source
+        if hasattr(source, "close"):
+            source.close()
+        raise SpecError(problem, field="source.kind")
 
     def _detector(self) -> Detector:
         spec = self.spec.detector
@@ -598,9 +604,18 @@ class Session:
     # -- stream ------------------------------------------------------------
 
     def _run_stream(self) -> RunResult:
+        source = self._source()
+        try:
+            return self._stream(source)
+        finally:
+            # Also when training or sink set-up fails before the engine
+            # runs: a collector source owns a socket and a process.
+            if hasattr(source, "close"):
+                source.close()
+
+    def _stream(self, source) -> RunResult:
         execution = self.spec.execution
         sink = self.spec.sink
-        source = self._source()
         timings: dict[str, float] = {}
         context: dict[str, Any] = {}
         if hasattr(source, "port"):
@@ -902,11 +917,6 @@ class Session:
 
     def _run_synth(self) -> RunResult:
         source = self._source()
-        if not hasattr(source, "labeled"):
-            raise SpecError(
-                "synth mode needs a scenario source",
-                field="source.kind",
-            )
         out = self.spec.sink.trace_out
         if not out:
             raise SpecError(

@@ -2,12 +2,14 @@
 
 The paper's deployment receives NetFlow from GEANT routers; every
 other source in this repo reads files, tables or synth scenarios.
-This package is the missing first mile: a stdlib-only UDP listener
-(:mod:`~repro.collector.listener`) that decodes NetFlow v5, v9 and
-IPFIX datagrams (:mod:`~repro.collector.decode`), tracks per-exporter
-sequence/template state (:mod:`~repro.collector.exporters`) and
-batches rows into :class:`~repro.flows.table.FlowTable` chunks
-(:mod:`~repro.collector.batcher`) for the stream engines.
+This package is the missing first mile: a UDP listener in its own
+process (:mod:`~repro.collector.listener`) that decodes NetFlow v5, v9
+and IPFIX datagrams (:mod:`~repro.collector.decode`), tracks
+per-exporter sequence/template state
+(:mod:`~repro.collector.exporters`) and batches rows into
+:class:`~repro.flows.table.FlowTable` chunks
+(:mod:`~repro.collector.batcher`) that reach the stream engine over a
+pipe.
 
 Importing the package registers ``SourceSpec(kind="udp")`` with
 :data:`repro.api.registry.sources`, so::

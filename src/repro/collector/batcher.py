@@ -21,7 +21,9 @@ table, when either trigger fires:
 
 The batcher is deliberately queue-agnostic: it hands finished tables
 to an ``on_flush`` callback and reports whether the callback accepted
-them, so the listener owns the bounded-queue/drop policy in one place.
+them, so the listener owns the bounded-queue/drop policy in one place,
+and it records no metric: the listener publishes ``time_clamped``
+with its other counters.
 """
 
 from __future__ import annotations
@@ -31,15 +33,8 @@ from typing import Callable, Iterable
 
 from repro.collector.decode import Region, decode_regions
 from repro.flows.table import FlowTable
-from repro.obs import metrics as obs_metrics
 
 __all__ = ["ChunkBatcher"]
-
-_TIME_CLAMPED = obs_metrics.counter(
-    "repro_collector_time_clamped_total",
-    "Flow rows whose end preceded their start on the wire (sysUptime "
-    "wrap), kept with zero duration",
-)
 
 
 class ChunkBatcher:
@@ -119,7 +114,5 @@ class ChunkBatcher:
         # validating from_columns pass is unnecessary.
         self.flushes += 1
         rows, clamped = decode_regions(take, self.boot_time)
-        if clamped:
-            self.time_clamped += clamped
-            _TIME_CLAMPED.inc(clamped)
+        self.time_clamped += clamped
         self.on_flush(FlowTable(rows), reason)

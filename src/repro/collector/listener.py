@@ -2,28 +2,34 @@
 
 :class:`FlowCollector` is the first mile of a live deployment: routers
 export NetFlow v5/v9/IPFIX datagrams at a loopback-default host/port,
-a selectors-driven listener thread parses them
+and one dedicated listener process parses them
 (:mod:`repro.collector.decode`), tracks per-exporter sequence/loss
 state (:mod:`repro.collector.exporters`) and stages their records for
 one decode per :class:`~repro.flows.table.FlowTable` chunk
-(:mod:`repro.collector.batcher`) on a bounded queue that the stream
-engine drains.
+(:mod:`repro.collector.batcher`). Decoded chunks cross to the stream
+engine's process over a pipe.
 
 Backpressure contract — the socket is never stalled:
 
-* the listener thread keeps the kernel buffer drained even while the
-  engine is busy sealing windows (that is why it is a thread and not
-  an inline generator). It takes a burst of datagrams per system
-  call where the platform has ``recvmmsg`` (:class:`_BurstReceiver`):
-  listener and engine share one interpreter lock, and a receive call
-  per datagram is a lock hand-off per datagram;
-* when the chunk queue is full, *newly arrived datagrams are dropped
-  and counted* (``repro_collector_datagrams_dropped_total``) before
-  any decode work is spent on them, and a flushed batch that finds
-  the queue full drops its rows with a count rather than block;
+* the listener keeps the kernel buffer drained even while the engine
+  is busy sealing windows, and it does so in its own process: socket,
+  decode and batching never hold the engine's interpreter lock. It
+  takes a burst of datagrams per system call where the platform has
+  ``recvmmsg`` (:class:`_BurstReceiver`) and writes chunks to the
+  pipe without blocking, so one event loop serves both;
+* at most ``queue_chunks`` decoded chunks wait for the engine. Past
+  that, *newly arrived datagrams are dropped and counted*
+  (``repro_collector_datagrams_dropped_total``) before any decode
+  work is spent on them, and a flushed batch drops its rows with a
+  count rather than block;
 * kernel-level loss (socket buffer overflow) shows up in the
   per-exporter sequence accounting, so the drop story is honest end
   to end: counted at the queue, inferred at the wire.
+
+The counters live in one shared anonymous mapping that both processes
+read and the listener writes as it counts, so they are live in the
+engine's process (``/status``, the ``repro_collector_*`` families it
+mirrors them into) and survive the listener's death.
 
 Determinism caveat: UDP arrival order is not replayable — two runs of
 the same capture may interleave exporters differently. All
@@ -36,22 +42,31 @@ from __future__ import annotations
 
 import ctypes
 import errno
+import fcntl
+import gc
+import json
 import logging
 import mmap
 import os
-import queue
+import select
 import selectors
+import signal
 import socket
+import struct
+import sys
 import threading
 import time
+import traceback
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.collector.batcher import ChunkBatcher
 from repro.collector.decode import decode_datagram, parse_header
 from repro.collector.exporters import ExporterTable
 from repro.errors import CodecError, CollectorError, SpecError
-from repro.flows.table import FlowTable
+from repro.flows.table import FLOW_DTYPE, FlowTable
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 
@@ -106,8 +121,56 @@ _QUEUE_DEPTH = obs_metrics.gauge(
     "repro_collector_queue_depth",
     "Flow-table chunks waiting in the collector queue",
 )
+_TIME_CLAMPED = obs_metrics.counter(
+    "repro_collector_time_clamped_total",
+    "Flow rows whose end preceded their start on the wire (sysUptime "
+    "wrap), kept with zero duration",
+)
 
-_EOF = object()
+#: Slots of the shared counter block, one int64 each. The counters
+#: are written by the listener process; ``taken`` by the engine's.
+_SLOTS = (
+    "datagrams", "flows", "malformed", "datagrams_dropped",
+    "flows_dropped", "sequence_lost", "template_misses",
+    "template_drops", "time_clamped", "exporters", "enqueued", "taken",
+)
+_SLOT_CLAMPED = _SLOTS.index("time_clamped")
+_SLOT_EXPORTERS = _SLOTS.index("exporters")
+_SLOT_ENQUEUED = _SLOTS.index("enqueued")
+_SLOT_TAKEN = _SLOTS.index("taken")
+#: The ``repro_collector_*`` counter each slot is mirrored into.
+_MIRRORED = (
+    (_SLOTS.index("datagrams"), _DATAGRAMS),
+    (_SLOTS.index("flows"), _FLOWS),
+    (_SLOTS.index("malformed"), _MALFORMED),
+    (_SLOTS.index("datagrams_dropped"), _DGRAM_DROPPED),
+    (_SLOTS.index("flows_dropped"), _FLOW_DROPPED),
+    (_SLOTS.index("sequence_lost"), _SEQ_LOST),
+    (_SLOTS.index("template_misses"), _TMPL_MISS),
+    (_SLOTS.index("template_drops"), _TMPL_DROPPED),
+    (_SLOT_CLAMPED, _TIME_CLAMPED),
+)
+
+#: One message on the chunk pipe: (size, kind). A chunk is ``size``
+#: ``FLOW_DTYPE`` rows and ``kind`` indexes its flush reason; a
+#: snapshot is ``size`` bytes of JSON (the exporter table).
+_HEADER = struct.Struct("<qq")
+_REASONS = ("size", "age", "final")
+_SNAPSHOT = -1
+#: Bytes the chunk pipe buffers where the kernel lets it be resized.
+_PIPE_BYTES = 1 << 20
+#: Buffers per ``writev`` call (well below any ``IOV_MAX``).
+_WRITEV_MAX = 64
+#: How long the engine waits for a chunk before it refreshes the
+#: mirrored metrics anyway, and how long ``close()`` waits for the
+#: listener process to finish before it kills it.
+_MIRROR_SECONDS = 1.0
+_EXIT_SECONDS = 5.0
+
+#: Parent-side descriptors of every live collector: a listener forked
+#: later closes them, so that only its own collector holds each pipe
+#: end and socket.
+_PARENT_FDS: set[int] = set()
 
 #: Datagrams drained per socket-readable wakeup before the loop
 #: yields to flush/sweep housekeeping, and per receive call.
@@ -213,6 +276,22 @@ class _BurstReceiver:
         return burst
 
 
+class _Count:
+    """A counter kept in the collector's shared block: the listener
+    process writes it as it counts, the engine's process reads it."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._slot = _SLOTS.index(name)
+
+    def __get__(self, collector, owner=None):
+        if collector is None:
+            return self
+        return collector._counts[self._slot]
+
+    def __set__(self, collector, value: int) -> None:
+        collector._counts[self._slot] = value
+
+
 class FlowCollector:
     """Bind a UDP socket and stream decoded ``FlowTable`` chunks.
 
@@ -221,7 +300,26 @@ class FlowCollector:
     pipeline spends time training a detector, and the kernel buffers
     early datagrams meanwhile. Bind failures raise
     :class:`~repro.errors.CollectorError` (CLI exit code 7).
+
+    The constructor then forks the listener process (``os.fork``:
+    POSIX only), so build the collector before starting threads, as
+    the stream session does. The listener waits on a control pipe
+    until :meth:`start` sends the chunk size, and leaves the moment
+    the engine's end of that pipe closes (:meth:`stop`,
+    :meth:`close`, or the engine's process ending), so a collector
+    built and never started leaves no process behind. It leaves only
+    through ``os._exit``: no journal, database or archive handle it
+    inherited is flushed or closed there.
     """
+
+    datagrams = _Count()
+    flows = _Count()
+    malformed = _Count()
+    datagrams_dropped = _Count()
+    flows_dropped = _Count()
+    sequence_lost = _Count()
+    template_misses = _Count()
+    template_drops = _Count()
 
     def __init__(
         self,
@@ -243,26 +341,29 @@ class FlowCollector:
         self.idle_seconds = idle_seconds
         self.max_flows = max_flows
         self.max_batch_seconds = max_batch_seconds
-        self._queue: queue.Queue = queue.Queue(maxsize=queue_chunks)
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
+        #: Decoded chunks that may wait for the engine (0: no bound).
+        self.queue_chunks = queue_chunks
         self._batcher: ChunkBatcher | None = None
         self.exporters = ExporterTable(
             max_pending_sets=template_pending,
             pending_expiry=template_expiry,
             idle_expiry=exporter_idle,
         )
-        # Listener-thread counters; single-writer, torn reads are
-        # impossible for Python ints, so snapshots need no lock.
-        self.datagrams = 0
-        self.flows = 0
-        self.malformed = 0
-        self.datagrams_dropped = 0
-        self.flows_dropped = 0
-        self.sequence_lost = 0
-        self.template_misses = 0
-        self.template_drops = 0
+        self._block = mmap.mmap(-1, 8 * len(_SLOTS))
+        self._counts = memoryview(self._block).cast("q")
+        #: Engine side: the counts already added to the metric
+        #: families, and the exporter table the listener sent last.
+        self._mirrored = [0] * len(_SLOTS)
+        self._mirror_lock = threading.Lock()
+        self._reported: list[dict[str, Any]] | None = None
         self.chunks_emitted = 0
+        #: Listener side: pipe writes not yet taken by the pipe.
+        self._outbox: list[Any] = []
+        self._stop = False
+        self._started = False
+        self._torn = False
+        self._pid: int | None = None
+        self._exit_status: int | None = None
         try:
             sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             sock.setsockopt(
@@ -281,6 +382,7 @@ class FlowCollector:
         )
         # Cached: snapshots must still report the port after close().
         self._port = sock.getsockname()[1]
+        self._fork()
 
     @property
     def port(self) -> int:
@@ -290,35 +392,67 @@ class FlowCollector:
     def address(self) -> str:
         return f"udp://{self.listen}:{self.port}"
 
-    # -- listener thread ---------------------------------------------------
+    # -- the listener process ----------------------------------------------
 
-    def start(self, chunk_rows: int = 8192) -> None:
-        """Start the listener thread (idempotent)."""
-        if self._thread is not None:
-            return
-        self._batcher = ChunkBatcher(
-            self._enqueue,
-            chunk_rows=chunk_rows,
-            max_batch_seconds=self.max_batch_seconds,
-            boot_time=self.boot_time,
-        )
-        self._thread = threading.Thread(
-            target=self._serve, name="repro-collector", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Ask the listener to flush and finish."""
-        self._stop.set()
-
-    def close(self) -> None:
-        """Stop, join and release the socket."""
-        self._stop.set()
-        thread = self._thread
-        if thread is not None and thread.is_alive():
-            thread.join(timeout=5.0)
-        if self._sock.fileno() != -1:
+    def _fork(self) -> None:
+        control, self._control = os.pipe()
+        self._chunks, chunk_end = os.pipe()
+        if hasattr(fcntl, "F_SETPIPE_SZ"):
+            try:
+                fcntl.fcntl(chunk_end, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+            except OSError:
+                pass  # a smaller pipe only costs more wake-ups
+        try:
+            pid = os.fork()
+        except OSError as exc:
+            for fd in (control, self._control, self._chunks, chunk_end):
+                os.close(fd)
             self._sock.close()
+            raise CollectorError(
+                f"cannot start the collector process: {exc}"
+            ) from exc
+        if pid == 0:
+            self._listener_main(control, chunk_end)
+        self._pid = pid
+        os.close(control)
+        os.close(chunk_end)
+        self._poll = select.poll()
+        self._poll.register(self._chunks, select.POLLIN)
+        _PARENT_FDS.update(
+            (self._sock.fileno(), self._control, self._chunks)
+        )
+
+    def _listener_main(self, control: int, chunk_end: int) -> None:
+        """The listener process: wait for start, serve, ``os._exit``."""
+        status = 1
+        try:
+            # The engine's process decides when to shut down.
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            signal.signal(signal.SIGTERM, signal.SIG_IGN)
+            for fd in _PARENT_FDS | {self._control, self._chunks}:
+                os.close(fd)
+            # The inherited heap is never collected here: keeping the
+            # collector off it keeps its pages shared.
+            gc.freeze()
+            self._control, self._out = control, chunk_end
+            command = os.read(control, 8)
+            if len(command) == 8:
+                self._batcher = ChunkBatcher(
+                    self._enqueue,
+                    chunk_rows=struct.unpack("<q", command)[0],
+                    max_batch_seconds=self.max_batch_seconds,
+                    boot_time=self.boot_time,
+                )
+                os.set_blocking(chunk_end, False)
+                self._serve()
+            status = 0
+        except BrokenPipeError:
+            pass  # the engine's process is gone
+        except BaseException:
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
 
     def _serve(self) -> None:
         batcher = self._batcher
@@ -326,15 +460,20 @@ class FlowCollector:
         tick = min(self.max_batch_seconds, 0.1)
         idle_since: float | None = None
         last_sweep = time.monotonic()
+        sock = self._sock.fileno()
         selector = selectors.DefaultSelector()
-        selector.register(self._sock, selectors.EVENT_READ)
+        selector.register(sock, selectors.EVENT_READ)
+        selector.register(self._control, selectors.EVENT_READ)
+        writing = False
         try:
-            while not self._stop.is_set():
-                ready = selector.select(timeout=tick)
+            while not self._stop:
+                ready = {key.fd for key, _ in selector.select(tick)}
+                if self._control in ready:
+                    break  # the engine closed its end: stop or close
                 now = time.monotonic()
-                got_any = False
-                if ready:
-                    got_any = self._drain_socket(batcher, now)
+                got_any = sock in ready and self._drain_socket(
+                    batcher, now
+                )
                 if got_any:
                     idle_since = None
                 elif self.datagrams and self.idle_seconds is not None:
@@ -348,17 +487,28 @@ class FlowCollector:
                     break
                 if now - last_sweep >= 1.0:
                     last_sweep = now
-                    dropped_exp, expired = self.exporters.sweep(now)
+                    _, expired = self.exporters.sweep(now)
                     if expired:
                         self.template_drops += expired
-                        _TMPL_DROPPED.inc(expired)
-                    if dropped_exp or expired:
-                        _EXPORTERS.set(len(self.exporters))
+                    self._counts[_SLOT_EXPORTERS] = len(self.exporters)
+                    if not self._outbox:
+                        # Behind an engine that is not reading, the
+                        # next second's table will do.
+                        self._post_exporters()
+                self._pump()
+                if writing != bool(self._outbox):
+                    # Wake up when the pipe takes more, not before.
+                    writing = not writing
+                    if writing:
+                        selector.register(self._out, selectors.EVENT_WRITE)
+                    else:
+                        selector.unregister(self._out)
         finally:
-            selector.unregister(self._sock)
             selector.close()
             batcher.flush("final")
-            self._put_eof()
+            self._post_exporters()
+            os.set_blocking(self._out, True)
+            self._pump()
 
     def _recvfrom_burst(self) -> list[tuple[bytes, str]]:
         """:meth:`_BurstReceiver.receive` where there is no
@@ -379,17 +529,16 @@ class FlowCollector:
                 burst = self._receive()
             except OSError:
                 # Socket closed under us during shutdown.
-                self._stop.set()
+                self._stop = True
                 break
-            for data, address in burst:
+            if burst:
                 got_any = True
-                self.datagrams += 1
-                _DATAGRAMS.inc()
-                if self._queue.full():
+                self.datagrams += len(burst)
+            for data, address in burst:
+                if self._backlogged():
                     # Backpressure: shed load before spending decode
                     # cycles; never block the socket.
                     self.datagrams_dropped += 1
-                    _DGRAM_DROPPED.inc()
                     continue
                 self._on_datagram(data, address, now)
             if len(burst) < _BURST_SLOTS:
@@ -406,13 +555,12 @@ class FlowCollector:
                 address, header.version, header.domain
             )
             if len(self.exporters) != before:
-                _EXPORTERS.set(len(self.exporters))
+                self._counts[_SLOT_EXPORTERS] = len(self.exporters)
             decoded = decode_datagram(
                 data, self.boot_time, state.templates, now, header
             )
         except CodecError as exc:
             self.malformed += 1
-            _MALFORMED.inc()
             logger.debug(
                 "malformed datagram from %s (%d bytes): %s",
                 address, len(data), exc,
@@ -421,48 +569,201 @@ class FlowCollector:
         lost = state.note(decoded, now)
         if lost:
             self.sequence_lost += lost
-            _SEQ_LOST.inc(lost)
         if decoded.malformed:
             self.malformed += decoded.malformed
-            _MALFORMED.inc(decoded.malformed)
         if decoded.buffered_sets:
             self.template_misses += decoded.buffered_sets
-            _TMPL_MISS.inc(decoded.buffered_sets)
         if decoded.dropped_sets:
             self.template_drops += decoded.dropped_sets
-            _TMPL_DROPPED.inc(decoded.dropped_sets)
         if decoded.flows:
             self.flows += decoded.flows
-            _FLOWS.inc(decoded.flows)
             assert self._batcher is not None
             self._batcher.add(decoded.regions)
 
+    def _backlogged(self) -> bool:
+        """Whether ``queue_chunks`` chunks already wait for the engine."""
+        waiting = self._counts[_SLOT_ENQUEUED] - self._counts[_SLOT_TAKEN]
+        return 0 < self.queue_chunks <= waiting
+
     def _enqueue(self, table: FlowTable, reason: str) -> bool:
-        try:
-            self._queue.put_nowait((table, reason))
-        except queue.Full:
+        assert self._batcher is not None
+        self._counts[_SLOT_CLAMPED] = self._batcher.time_clamped
+        if self._backlogged():
             self.flows_dropped += len(table)
-            _FLOW_DROPPED.inc(len(table))
             return False
-        _QUEUE_DEPTH.set(self._queue.qsize())
+        self._outbox += (
+            _HEADER.pack(len(table), _REASONS.index(reason)),
+            memoryview(table._data).cast("B"),
+        )
+        self._counts[_SLOT_ENQUEUED] += 1
+        self._pump()
         return True
 
-    def _put_eof(self) -> None:
-        while True:
-            try:
-                self._queue.put_nowait(_EOF)
-                return
-            except queue.Full:
-                # Make room: dropping one pending chunk is honest
-                # (counted) and guarantees shutdown always lands.
-                try:
-                    table, _ = self._queue.get_nowait()
-                    self.flows_dropped += len(table)
-                    _FLOW_DROPPED.inc(len(table))
-                except queue.Empty:
-                    continue
+    def _post_exporters(self) -> None:
+        """Queue the exporter table for the engine's :meth:`snapshot`."""
+        body = json.dumps(self.exporters.snapshot()).encode()
+        self._outbox += (_HEADER.pack(len(body), _SNAPSHOT), body)
 
-    # -- consumer side -----------------------------------------------------
+    def _pump(self) -> None:
+        """Hand the pipe what it takes of the outbox: without waiting
+        while serving, all of it once the pipe blocks again."""
+        outbox = self._outbox
+        while outbox:
+            try:
+                written = os.writev(self._out, outbox[:_WRITEV_MAX])
+            except BlockingIOError:
+                return
+            while written:
+                head = outbox[0]
+                if written < len(head):
+                    outbox[0] = memoryview(head)[written:]
+                    break
+                written -= len(head)
+                del outbox[0]
+
+    # -- engine side -------------------------------------------------------
+
+    def start(self, chunk_rows: int = 8192) -> None:
+        """Send the listener process its chunk size (idempotent)."""
+        if self._started or self._control < 0:
+            return
+        self._started = True
+        try:
+            os.write(self._control, struct.pack("<q", int(chunk_rows)))
+        except OSError as exc:
+            raise CollectorError(
+                f"collector process {self._pid} is gone: {exc}"
+            ) from exc
+
+    def stop(self) -> None:
+        """Ask the listener to flush and finish: its control pipe
+        closes."""
+        if self._control >= 0:
+            _PARENT_FDS.discard(self._control)
+            os.close(self._control)
+            self._control = -1
+
+    def close(self) -> None:
+        """Stop, reap the listener process and release the socket.
+
+        A consumer that left :meth:`chunks` early still gets the
+        listener's final counters: the chunks it left in the pipe are
+        read and dropped until the process ends, which is killed if
+        it has not ended within a few seconds.
+        """
+        self.stop()
+        if self._chunks >= 0:
+            deadline = time.monotonic() + _EXIT_SECONDS
+            try:
+                while not self._torn \
+                        and self._next_chunk(deadline) is not None:
+                    pass
+            except CollectorError:
+                pass  # the consumer is leaving; the status is kept
+            # A listener still writing (to a pipe a read was cut off
+            # in, or past the deadline) ends at EPIPE once this end
+            # is closed.
+            _PARENT_FDS.discard(self._chunks)
+            os.close(self._chunks)
+            self._chunks = -1
+            self._reap(deadline)
+        if self._sock.fileno() != -1:
+            _PARENT_FDS.discard(self._sock.fileno())
+            self._sock.close()
+
+    def _next_chunk(
+        self, deadline: float = float("inf")
+    ) -> tuple[FlowTable, str] | None:
+        """The next chunk on the pipe, or ``None`` once the listener
+        process has ended (or ``deadline`` passed first). Exporter
+        tables on the way are kept for :meth:`snapshot`. A listener
+        that did not end cleanly raises :class:`CollectorError`."""
+        if self._exit_status is not None:
+            return None
+        header = bytearray(_HEADER.size)
+        while True:
+            while not self._poll.poll(1000.0 * max(0.0, min(
+                _MIRROR_SECONDS, deadline - time.monotonic()
+            ))):
+                if time.monotonic() >= deadline:
+                    return None
+                self._mirror()
+            self._torn = True  # until one whole message is read
+            if not self._read_into(memoryview(header)):
+                self._reap(time.monotonic() + _EXIT_SECONDS)
+                if self._exit_status:
+                    raise self._failure()
+                return None
+            size, kind = _HEADER.unpack(header)
+            body = (
+                bytearray(size) if kind == _SNAPSHOT
+                else np.empty(size, FLOW_DTYPE)
+            )
+            self._read_into(memoryview(body).cast("B"), whole=True)
+            self._torn = False
+            if kind == _SNAPSHOT:
+                self._reported = json.loads(body)
+                continue
+            self._counts[_SLOT_TAKEN] += 1
+            self._mirror()
+            return FlowTable(body), _REASONS[kind]
+
+    def _read_into(self, view: memoryview, whole: bool = False) -> bool:
+        """Fill ``view`` from the pipe; ``False`` at its end. A message
+        cut short (``whole``, or after its first byte) raises."""
+        got = 0
+        while got < len(view):
+            count = os.readv(self._chunks, [view[got:]])
+            if not count:
+                if got or whole:
+                    self._reap(time.monotonic() + _EXIT_SECONDS)
+                    raise self._failure()
+                return False
+            got += count
+        return True
+
+    def _reap(self, deadline: float) -> None:
+        """Wait for the listener process to exit, killing it once
+        ``deadline`` passes, and keep its wait status."""
+        if self._exit_status is not None:
+            return
+        try:
+            while True:
+                pid, status = os.waitpid(self._pid, os.WNOHANG)
+                if pid:
+                    break
+                if time.monotonic() >= deadline:
+                    os.kill(self._pid, signal.SIGKILL)
+                    _, status = os.waitpid(self._pid, 0)
+                    break
+                time.sleep(0.001)
+        except ChildProcessError:
+            status = 0  # reaped by someone else; nothing to report
+        self._exit_status = status
+        self._mirror()
+
+    def _failure(self) -> CollectorError:
+        code = os.waitstatus_to_exitcode(self._exit_status or 0)
+        ended = (
+            f"was killed by signal {-code}" if code < 0
+            else f"exited with status {code}"
+        )
+        return CollectorError(
+            f"collector process {self._pid} {ended} mid-stream"
+        )
+
+    def _mirror(self) -> None:
+        """Bring this process's ``repro_collector_*`` series up to the
+        shared counters: the engine's process serves ``/metrics``."""
+        counts = self._counts
+        with self._mirror_lock:
+            for slot, family in _MIRRORED:
+                delta = counts[slot] - self._mirrored[slot]
+                if delta:
+                    family.inc(delta)
+                    self._mirrored[slot] += delta
+            _EXPORTERS.set(counts[_SLOT_EXPORTERS])
+            _QUEUE_DEPTH.set(counts[_SLOT_ENQUEUED] - counts[_SLOT_TAKEN])
 
     def chunks(self, chunk_rows: int = 8192) -> Iterator[FlowTable]:
         """Consume the collector as a chunk stream (starts it).
@@ -471,7 +772,9 @@ class FlowCollector:
         event made the ambient causal parent for the duration of the
         yield — the contextvar survives into the engine's
         ``process()`` call, so every ``chunk.ingest`` event links back
-        to the datagram batch that caused it.
+        to the datagram batch that caused it. A listener process that
+        dies mid-stream raises :class:`~repro.errors.CollectorError`;
+        the counters it reached are kept.
         """
         self.start(chunk_rows)
         obs_events.emit(
@@ -479,12 +782,8 @@ class FlowCollector:
         )
         seq = 0
         try:
-            while True:
-                item = self._queue.get()
-                if item is _EOF:
-                    break
+            while (item := self._next_chunk()) is not None:
                 table, reason = item
-                _QUEUE_DEPTH.set(self._queue.qsize())
                 seq += 1
                 self.chunks_emitted = seq
                 event = obs_events.emit(
@@ -494,8 +793,8 @@ class FlowCollector:
                 with obs_events.causal(event):
                     yield table
         finally:
-            obs_events.emit("collector.stop", **self.counters())
             self.close()
+            obs_events.emit("collector.stop", **self.counters())
 
     # -- reporting ---------------------------------------------------------
 
@@ -511,7 +810,10 @@ class FlowCollector:
             "template_misses": self.template_misses,
             "template_drops": self.template_drops,
             "time_clamped": (
-                self._batcher.time_clamped if self._batcher else 0
+                # A batcher in this process (tests drive one directly)
+                # counts here; the listener's is published per flush.
+                self._batcher.time_clamped if self._batcher
+                else self._counts[_SLOT_CLAMPED]
             ),
             "chunks": self.chunks_emitted,
         }
@@ -521,8 +823,13 @@ class FlowCollector:
         state = dict(self.counters())
         state["listen"] = self.listen
         state["port"] = self.port
-        state["queue_depth"] = self._queue.qsize()
-        state["exporters"] = self.exporters.snapshot()
+        state["queue_depth"] = (
+            self._counts[_SLOT_ENQUEUED] - self._counts[_SLOT_TAKEN]
+        )
+        state["exporters"] = (
+            self.exporters.snapshot() if self._reported is None
+            else self._reported
+        )
         return state
 
 

@@ -10,6 +10,9 @@ Layered the same way the subsystem is:
   same values the encoder was fed;
 * exporter sequence accounting — gaps, resets, unreliable re-baseline;
 * the listener end to end over loopback, including queue-full drops;
+* the listener process: every way out of a collector reaps it, a
+  killed listener surfaces as ``CollectorError``, and the counters it
+  shares with the engine's process account for every flow;
 * CLI surface — exit code 7 on bind failure, ``--port 0`` reporting;
 * file/UDP session equivalence: replaying a capture through
   ``SourceSpec(kind="udp")`` produces byte-identical windows and
@@ -18,6 +21,8 @@ Layered the same way the subsystem is:
 
 from __future__ import annotations
 
+import os
+import signal
 import socket
 import struct
 import threading
@@ -657,6 +662,137 @@ class TestFlowCollector:
         assert collector.counters()["datagrams"] == len(packets)
 
 
+# -- the listener process -----------------------------------------------------
+
+
+def _assert_reaped(pid: int) -> None:
+    """``pid`` is neither running nor a zombie child of this process."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+
+
+class TestListenerProcess:
+    def test_closed_without_start_leaves_no_process(self):
+        collector = FlowCollector()
+        pid = collector._pid
+        assert pid != os.getpid()
+        os.kill(pid, 0)  # forked at construction, parked
+        started = time.monotonic()
+        collector.close()
+        assert time.monotonic() - started < 5.0
+        _assert_reaped(pid)
+        assert collector.counters()["datagrams"] == 0
+
+    def test_abandoned_consumer_reaps_listener(self, tmp_path):
+        path, nflows = _capture(tmp_path)
+        boot, packets = read_recorded_datagrams(path)
+        collector = FlowCollector(boot_time=boot)
+        send_datagrams(packets, collector.port)
+        stream = collector.chunks(chunk_rows=64)
+        assert len(next(stream)) == 64
+        stream.close()  # the consumer leaves after one chunk
+        _assert_reaped(collector._pid)
+        # The listener's final state still reached this process.
+        snap = collector.snapshot()
+        assert 64 <= snap["flows"] <= nflows
+        assert [e["flows"] for e in snap["exporters"]] == [snap["flows"]]
+
+    def test_killed_listener_raises_and_keeps_counters(self, tmp_path):
+        path, _ = _capture(tmp_path)
+        boot, packets = read_recorded_datagrams(path)
+        collector = FlowCollector(
+            boot_time=boot, idle_seconds=30.0, max_batch_seconds=0.05
+        )
+        send_datagrams(packets, collector.port)
+        stream = collector.chunks(chunk_rows=64)
+        delivered = len(next(stream))
+        os.kill(collector._pid, signal.SIGKILL)
+        started = time.monotonic()
+        with pytest.raises(CollectorError, match="killed by signal 9"):
+            for table in stream:
+                delivered += len(table)
+        assert time.monotonic() - started < 10.0  # raised, not hung
+        _assert_reaped(collector._pid)
+        counters = collector.counters()
+        assert counters["flows"] >= delivered >= 64
+        assert counters["datagrams"] > 0
+
+    def test_read_interrupted_mid_chunk_still_reaps(
+        self, tmp_path, monkeypatch
+    ):
+        """A KeyboardInterrupt inside a chunk's bytes leaves the pipe
+        mid-message: close() must not parse it, and still reaps."""
+        path, _ = _capture(tmp_path)
+        boot, packets = read_recorded_datagrams(path)
+        collector = FlowCollector(boot_time=boot)
+        send_datagrams(packets, collector.port)
+        stream = collector.chunks(chunk_rows=64)
+        next(stream)
+        readv = os.readv
+
+        def interrupted(fd, buffers):
+            monkeypatch.setattr(listener.os, "readv", readv)
+            readv(fd, [buffers[0][:1]])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(listener.os, "readv", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            next(stream)
+        _assert_reaped(collector._pid)
+
+    def test_shedding_is_conserved_and_mirrored(self, tmp_path):
+        """A one-chunk queue and a slow engine: datagrams are shed
+        before decode and flushed rows dropped, each counted in the
+        shared block, and this process's metric families and status
+        block carry the listener's final counts."""
+        from repro.obs import metrics as obs_metrics
+
+        path, nflows = _capture(tmp_path)
+        boot, packets = read_recorded_datagrams(path)
+        previous = obs_metrics.install(obs_metrics.MetricsRegistry())
+        try:
+            collector = FlowCollector(
+                boot_time=boot, queue_chunks=1, max_batch_seconds=0.02,
+                idle_seconds=1.0,
+            )
+            sender = threading.Thread(
+                target=send_datagrams, args=(packets, collector.port)
+            )
+            sender.start()
+            delivered = 0
+            for table in collector.chunks(chunk_rows=30):
+                delivered += len(table)
+                time.sleep(0.05)  # the engine is busy
+            sender.join()
+            registry = obs_metrics.active()
+        finally:
+            obs_metrics.install(previous)
+        counters = collector.counters()
+        assert counters["datagrams"] == len(packets)
+        assert counters["datagrams_dropped"] > 0
+        assert counters["flows"] < nflows  # shed datagrams never decode
+        assert counters["flows"] == delivered + counters["flows_dropped"]
+        families = {
+            "datagrams": "repro_collector_datagrams_total",
+            "flows": "repro_collector_flows_total",
+            "malformed": "repro_collector_malformed_total",
+            "datagrams_dropped": "repro_collector_datagrams_dropped_total",
+            "flows_dropped": "repro_collector_flows_dropped_total",
+            "sequence_lost": "repro_collector_sequence_lost_total",
+            "template_misses": "repro_collector_template_miss_total",
+            "template_drops": "repro_collector_template_dropped_total",
+            "time_clamped": "repro_collector_time_clamped_total",
+        }
+        for name, family in families.items():
+            assert registry.value(family) == counters[name], name
+        assert registry.value("repro_collector_exporters") == 1
+        assert registry.value("repro_collector_queue_depth") == 0
+        status = collector.snapshot()
+        assert {name: status[name] for name in counters} == counters
+        assert status["queue_depth"] == 0
+        assert status["exporters"][0]["flows"] == counters["flows"]
+
+
 # -- CLI surface --------------------------------------------------------------
 
 
@@ -804,3 +940,167 @@ def test_udp_session_equivalent_to_file(replay_bundle, workers):
     assert context["listen"].startswith("udp://127.0.0.1:")
     # The summary line CI greps carries the ephemeral port.
     assert f"port={context['port']}" in udp_result.summary()
+
+
+def _udp_source_capture(on_built=None):
+    """Register a ``udp`` factory that keeps the source it builds and
+    runs ``on_built(source)`` right after (the listener is forked)."""
+    holder: dict = {}
+
+    def make_source(spec):
+        holder["source"] = listener.UdpSource(spec)
+        if on_built is not None:
+            on_built(holder["source"])
+        return holder["source"]
+
+    api.sources.register("udp", make_source, replace=True)
+    return holder
+
+
+def test_session_forks_the_listener_single_threaded(
+    replay_bundle, monkeypatch
+):
+    """The stream session builds its collector before it trains,
+    serves or lets anyone send, so the fork happens with one thread
+    (Python 3.12 warns on ``fork()`` in a multi-threaded process)."""
+    threads_at_fork = []
+    fork = os.fork
+
+    def counting_fork():
+        threads_at_fork.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(listener.os, "fork", counting_fork)
+    boot, packets = read_recorded_datagrams(replay_bundle["tail"])
+    senders = []
+
+    def on_start(context):
+        sender = threading.Thread(
+            target=send_datagrams, args=(packets, context["port"])
+        )
+        sender.start()
+        senders.append(sender)
+
+    holder = _udp_source_capture()
+    try:
+        result = (
+            api.session()
+            .source("udp", origin=replay_bundle["split"], port=0,
+                    boot_time=boot, max_flows=replay_bundle["tail_flows"],
+                    idle_seconds=15.0)
+            .detect("netreflex", train_path=str(replay_bundle["train"]))
+            .stream(window_seconds=300.0, chunk_rows=2048)
+            .serve(0)
+            .on_start(on_start)
+            .run()
+        )
+    finally:
+        api.sources.register("udp", listener.UdpSource, replace=True)
+        for sender in senders:
+            sender.join(timeout=60)
+    assert threads_at_fork == [1]
+    assert result.stats["flows"] == replay_bundle["tail_flows"]
+    _assert_reaped(holder["source"].collector._pid)
+
+
+def test_engine_error_reaps_listener(replay_bundle):
+    boot, packets = read_recorded_datagrams(replay_bundle["tail"])
+    senders = []
+
+    def on_start(context):
+        sender = threading.Thread(
+            target=send_datagrams, args=(packets, context["port"])
+        )
+        sender.start()
+        senders.append(sender)
+
+    def on_window(result):
+        raise RuntimeError("the engine failed")
+
+    holder = _udp_source_capture()
+    try:
+        with pytest.raises(RuntimeError, match="the engine failed"):
+            (
+                api.session()
+                .source("udp", origin=replay_bundle["split"], port=0,
+                        boot_time=boot, idle_seconds=15.0)
+                .detect("netreflex",
+                        train_path=str(replay_bundle["train"]))
+                .stream(window_seconds=300.0, chunk_rows=2048)
+                .on_start(on_start)
+                .on_window(on_window)
+                .run()
+            )
+    finally:
+        api.sources.register("udp", listener.UdpSource, replace=True)
+        for sender in senders:
+            sender.join(timeout=60)
+    _assert_reaped(holder["source"].collector._pid)
+
+
+def test_cli_exits_7_when_the_listener_dies(replay_bundle, tmp_path, capsys):
+    config = tmp_path / "collector.toml"
+    config.write_text(
+        "[source]\n"
+        'kind = "udp"\n'
+        "[source.options]\n"
+        "port = 0\n"
+        "idle_seconds = 30.0\n"
+        "[detector]\n"
+        'name = "netreflex"\n'
+        f'train_path = "{replay_bundle["train"]}"\n'
+        "[execution]\n"
+        'mode = "stream"\n'
+    )
+    _, packets = read_recorded_datagrams(replay_bundle["tail"])
+    killers = []
+
+    def kill_mid_stream(collector):
+        send_datagrams(packets[: len(packets) // 2], collector.port)
+        deadline = time.monotonic() + 30.0
+        while not collector.flows and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os.kill(collector._pid, signal.SIGKILL)
+
+    def on_built(source):
+        killer = threading.Thread(
+            target=kill_mid_stream, args=(source.collector,)
+        )
+        killer.start()
+        killers.append(killer)
+
+    holder = _udp_source_capture(on_built)
+    try:
+        code = main(["run", str(config)])
+    finally:
+        api.sources.register("udp", listener.UdpSource, replace=True)
+        for killer in killers:
+            killer.join(timeout=60)
+    assert code == 7
+    assert "killed by signal 9" in capsys.readouterr().err
+    collector = holder["source"].collector
+    assert collector.counters()["flows"] > 0
+    _assert_reaped(collector._pid)
+
+
+@pytest.mark.parametrize("mode", ["stream", "batch", "synth"])
+def test_failed_session_set_up_reaps_listener(tmp_path, mode):
+    """A session that fails after building its collector (no training
+    file; a mode that needs a bounded source or a scenario) still
+    ends the listener process."""
+    from repro.errors import SpecError
+
+    holder = _udp_source_capture()
+    try:
+        with pytest.raises(SpecError):
+            (
+                api.session()
+                .source("udp", port=0)
+                .detect("netreflex",
+                        train_path=str(tmp_path / "missing.rpv5"))
+                .mode(mode)
+                .run()
+            )
+    finally:
+        api.sources.register("udp", listener.UdpSource, replace=True)
+    _assert_reaped(holder["source"].collector._pid)
