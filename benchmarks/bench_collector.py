@@ -151,9 +151,8 @@ def chunk_decode_rate(packets: list[bytes], rounds: int = 4_000) -> dict:
         mix.append(datagram)
     emitted = [0]
 
-    def on_flush(table, reason) -> bool:
+    def on_flush(table, reason) -> None:
         emitted[0] += len(table)
-        return True
 
     batcher = ChunkBatcher(on_flush, chunk_rows=8192)
     t0 = time.perf_counter()

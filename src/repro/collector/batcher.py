@@ -20,10 +20,9 @@ table, when either trigger fires:
   advancing).
 
 The batcher is deliberately queue-agnostic: it hands finished tables
-to an ``on_flush`` callback and reports whether the callback accepted
-them, so the listener owns the bounded-queue/drop policy in one place,
-and it records no metric: the listener publishes ``time_clamped``
-with its other counters.
+to an ``on_flush`` callback, so the listener owns the bounded-queue/drop
+policy in one place, and it records no metric: the listener publishes
+``time_clamped`` with its other counters.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ class ChunkBatcher:
 
     def __init__(
         self,
-        on_flush: Callable[[FlowTable, str], bool],
+        on_flush: Callable[[FlowTable, str], None],
         chunk_rows: int = 8192,
         max_batch_seconds: float = 0.25,
         clock: Callable[[], float] = time.monotonic,

@@ -71,7 +71,6 @@ __all__ = [
     "V5_PLAN",
     "compile_plan",
     "parse_header",
-    "peek_exporter",
     "decode_datagram",
     "decode_regions",
     "encode_v9_datagram",
@@ -573,11 +572,6 @@ def parse_header(data: bytes) -> Header:
     return Header(
         version, domain, seq, count, secs, sampling, size, limit
     )
-
-
-def peek_exporter(data: bytes) -> tuple[int, int]:
-    """``(version, observation_domain)`` of a datagram's header."""
-    return parse_header(data)[:2]
 
 
 def _parse_templates(

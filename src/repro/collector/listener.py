@@ -14,9 +14,9 @@ Backpressure contract — the socket is never stalled:
 * the listener keeps the kernel buffer drained even while the engine
   is busy sealing windows, and it does so in its own process: socket,
   decode and batching never hold the engine's interpreter lock. It
-  takes a burst of datagrams per system call where the platform has
-  ``recvmmsg`` (:class:`_BurstReceiver`) and writes chunks to the
-  pipe without blocking, so one event loop serves both;
+  takes up to 512 datagrams per wake-up, one ``recvfrom`` each, and
+  writes chunks to the pipe without blocking, so one event loop
+  serves both;
 * at most ``queue_chunks`` decoded chunks wait for the engine. Past
   that, *newly arrived datagrams are dropped and counted*
   (``repro_collector_datagrams_dropped_total``) before any decode
@@ -40,8 +40,6 @@ determinism claims therefore live at the *window* level, where the
 
 from __future__ import annotations
 
-import ctypes
-import errno
 import fcntl
 import gc
 import json
@@ -173,107 +171,9 @@ _EXIT_SECONDS = 5.0
 _PARENT_FDS: set[int] = set()
 
 #: Datagrams drained per socket-readable wakeup before the loop
-#: yields to flush/sweep housekeeping, and per receive call.
+#: yields to flush/sweep housekeeping.
 _RECV_BURST = 512
-_BURST_SLOTS = 64
 _MAX_DATAGRAM = 65535
-
-
-class _IoVec(ctypes.Structure):
-    _fields_ = [("base", ctypes.c_void_p), ("len", ctypes.c_size_t)]
-
-
-class _MsgHdr(ctypes.Structure):
-    _fields_ = [
-        ("name", ctypes.c_void_p),
-        ("namelen", ctypes.c_uint32),
-        ("iov", ctypes.POINTER(_IoVec)),
-        ("iovlen", ctypes.c_size_t),
-        ("control", ctypes.c_void_p),
-        ("controllen", ctypes.c_size_t),
-        ("flags", ctypes.c_int),
-    ]
-
-
-class _MMsgHdr(ctypes.Structure):
-    _fields_ = [("hdr", _MsgHdr), ("len", ctypes.c_uint)]
-
-
-def _find_recvmmsg():
-    """The C library's ``recvmmsg``, or ``None`` where there is none."""
-    try:
-        function = ctypes.CDLL(None, use_errno=True).recvmmsg
-    except (OSError, AttributeError, TypeError):
-        return None
-    function.argtypes = [
-        ctypes.c_int, ctypes.POINTER(_MMsgHdr), ctypes.c_uint,
-        ctypes.c_int, ctypes.c_void_p,
-    ]
-    function.restype = ctypes.c_int
-    return function
-
-
-_recvmmsg = _find_recvmmsg()
-_SOCKADDR_IN = 16
-
-
-class _BurstReceiver:
-    """Up to ``_BURST_SLOTS`` datagrams of an IPv4 socket per system
-    call, through ``recvmmsg(2)``.
-
-    ``socket.recvfrom`` releases the interpreter lock once per
-    datagram. With the engine waiting for that lock on another core,
-    every release wakes it and every wake-up is a cross-core hand-off:
-    the same pipeline then runs a quarter slower than with all its
-    threads on one core, and which of the two a run gets is the
-    scheduler's choice. One call per burst makes the listener's cost
-    the same wherever its thread runs. The slots are one anonymous
-    mapping, so only the pages datagrams land on become resident.
-    """
-
-    def __init__(self, sock: socket.socket) -> None:
-        self._sock = sock
-        self._data = mmap.mmap(-1, _BURST_SLOTS * _MAX_DATAGRAM)
-        self._names = bytearray(_BURST_SLOTS * _SOCKADDR_IN)
-        self._view = memoryview(self._data)
-        data = ctypes.addressof(ctypes.c_char.from_buffer(self._data))
-        names = ctypes.addressof(ctypes.c_char.from_buffer(self._names))
-        self._iov = (_IoVec * _BURST_SLOTS)()
-        self._messages = (_MMsgHdr * _BURST_SLOTS)()
-        iov = ctypes.addressof(self._iov)
-        for slot, message in enumerate(self._messages):
-            self._iov[slot].base = data + slot * _MAX_DATAGRAM
-            self._iov[slot].len = _MAX_DATAGRAM
-            message.hdr.name = names + slot * _SOCKADDR_IN
-            message.hdr.namelen = _SOCKADDR_IN
-            message.hdr.iov = ctypes.cast(
-                iov + slot * ctypes.sizeof(_IoVec), ctypes.POINTER(_IoVec)
-            )
-            message.hdr.iovlen = 1
-
-    def receive(self) -> list[tuple[bytes, str]]:
-        """(payload, source address) of the datagrams waiting, oldest
-        first; empty when there are none. ``OSError`` on a closed
-        socket, as ``recvfrom`` raises it."""
-        count = _recvmmsg(
-            self._sock.fileno(), self._messages, _BURST_SLOTS, 0, None
-        )
-        if count < 0:
-            code = ctypes.get_errno()
-            if code in (errno.EAGAIN, errno.EWOULDBLOCK, errno.EINTR):
-                return []
-            raise OSError(code, os.strerror(code))
-        view, names, messages = self._view, self._names, self._messages
-        burst = []
-        for slot in range(count):
-            start = slot * _MAX_DATAGRAM
-            name = slot * _SOCKADDR_IN
-            burst.append((
-                bytes(view[start:start + messages[slot].len]),
-                # sockaddr_in: family, port, then the four address bytes.
-                socket.inet_ntoa(names[name + 4:name + 8]),
-            ))
-        return burst
 
 
 class _Count:
@@ -376,10 +276,6 @@ class FlowCollector:
             ) from exc
         sock.setblocking(False)
         self._sock = sock
-        self._receive = (
-            _BurstReceiver(sock).receive if _recvmmsg is not None
-            else self._recvfrom_burst
-        )
         # Cached: snapshots must still report the port after close().
         self._port = sock.getsockname()[1]
         self._fork()
@@ -471,9 +367,7 @@ class FlowCollector:
                 if self._control in ready:
                     break  # the engine closed its end: stop or close
                 now = time.monotonic()
-                got_any = sock in ready and self._drain_socket(
-                    batcher, now
-                )
+                got_any = sock in ready and self._drain_socket(now)
                 if got_any:
                     idle_since = None
                 elif self.datagrams and self.idle_seconds is not None:
@@ -510,40 +404,28 @@ class FlowCollector:
             os.set_blocking(self._out, True)
             self._pump()
 
-    def _recvfrom_burst(self) -> list[tuple[bytes, str]]:
-        """:meth:`_BurstReceiver.receive` where there is no
-        ``recvmmsg``: one ``recvfrom`` per datagram."""
-        burst: list[tuple[bytes, str]] = []
-        try:
-            while len(burst) < _BURST_SLOTS:
-                data, addr = self._sock.recvfrom(_MAX_DATAGRAM)
-                burst.append((data, addr[0]))
-        except BlockingIOError:
-            pass
-        return burst
-
-    def _drain_socket(self, batcher: ChunkBatcher, now: float) -> bool:
-        got_any = False
-        for _ in range(_RECV_BURST // _BURST_SLOTS):
+    def _drain_socket(self, now: float) -> bool:
+        """Receive up to ``_RECV_BURST`` datagrams, one ``recvfrom``
+        each; whether any arrived."""
+        got = 0
+        while got < _RECV_BURST:
             try:
-                burst = self._receive()
+                data, address = self._sock.recvfrom(_MAX_DATAGRAM)
+            except BlockingIOError:
+                break
             except OSError:
                 # Socket closed under us during shutdown.
                 self._stop = True
                 break
-            if burst:
-                got_any = True
-                self.datagrams += len(burst)
-            for data, address in burst:
-                if self._backlogged():
-                    # Backpressure: shed load before spending decode
-                    # cycles; never block the socket.
-                    self.datagrams_dropped += 1
-                    continue
-                self._on_datagram(data, address, now)
-            if len(burst) < _BURST_SLOTS:
-                break
-        return got_any
+            got += 1
+            self.datagrams += 1
+            if self._backlogged():
+                # Backpressure: shed load before spending decode
+                # cycles; never block the socket.
+                self.datagrams_dropped += 1
+                continue
+            self._on_datagram(data, address[0], now)
+        return got > 0
 
     def _on_datagram(self, data: bytes, address: str, now: float) -> None:
         """Header arithmetic and accounting only; the record bytes are
@@ -585,19 +467,18 @@ class FlowCollector:
         waiting = self._counts[_SLOT_ENQUEUED] - self._counts[_SLOT_TAKEN]
         return 0 < self.queue_chunks <= waiting
 
-    def _enqueue(self, table: FlowTable, reason: str) -> bool:
+    def _enqueue(self, table: FlowTable, reason: str) -> None:
         assert self._batcher is not None
         self._counts[_SLOT_CLAMPED] = self._batcher.time_clamped
         if self._backlogged():
             self.flows_dropped += len(table)
-            return False
+            return
         self._outbox += (
             _HEADER.pack(len(table), _REASONS.index(reason)),
             memoryview(table._data).cast("B"),
         )
         self._counts[_SLOT_ENQUEUED] += 1
         self._pump()
-        return True
 
     def _post_exporters(self) -> None:
         """Queue the exporter table for the engine's :meth:`snapshot`."""
@@ -809,12 +690,7 @@ class FlowCollector:
             "sequence_lost": self.sequence_lost,
             "template_misses": self.template_misses,
             "template_drops": self.template_drops,
-            "time_clamped": (
-                # A batcher in this process (tests drive one directly)
-                # counts here; the listener's is published per flush.
-                self._batcher.time_clamped if self._batcher
-                else self._counts[_SLOT_CLAMPED]
-            ),
+            "time_clamped": self._counts[_SLOT_CLAMPED],
             "chunks": self.chunks_emitted,
         }
 
@@ -852,41 +728,29 @@ class UdpSource:
     kind = "udp"
     bounded = False
 
-    _KNOWN = (
-        "listen", "port", "boot_time", "queue_chunks",
-        "max_batch_seconds", "idle_seconds", "max_flows", "rcvbuf",
-        "template_pending", "template_expiry", "exporter_idle",
-    )
+    #: Each option's type; an option left out keeps
+    #: :class:`FlowCollector`'s default.
+    _OPTIONS = {
+        "listen": str, "port": int, "boot_time": float,
+        "queue_chunks": int, "max_batch_seconds": float,
+        "idle_seconds": float, "max_flows": int, "rcvbuf": int,
+        "template_pending": int, "template_expiry": float,
+        "exporter_idle": float,
+    }
 
     def __init__(self, spec) -> None:
         self.spec = spec
         for key in spec.options:
-            if key not in self._KNOWN:
+            if key not in self._OPTIONS:
                 raise SpecError(
                     f"unknown udp option {key!r}; expected "
-                    f"{', '.join(self._KNOWN)}",
+                    f"{', '.join(self._OPTIONS)}",
                     field=f"source.options.{key}",
                 )
-        options = spec.options
-        idle = options.get("idle_seconds")
-        limit = options.get("max_flows")
-        self.collector = FlowCollector(
-            listen=str(options.get("listen", "127.0.0.1")),
-            port=int(options.get("port", 0)),
-            boot_time=float(options.get("boot_time", 0.0)),
-            queue_chunks=int(options.get("queue_chunks", 64)),
-            max_batch_seconds=float(
-                options.get("max_batch_seconds", 0.25)
-            ),
-            idle_seconds=None if idle is None else float(idle),
-            max_flows=None if limit is None else int(limit),
-            rcvbuf=int(options.get("rcvbuf", 1 << 22)),
-            template_pending=int(options.get("template_pending", 32)),
-            template_expiry=float(
-                options.get("template_expiry", 300.0)
-            ),
-            exporter_idle=float(options.get("exporter_idle", 900.0)),
-        )
+        self.collector = FlowCollector(**{
+            key: None if value is None else self._OPTIONS[key](value)
+            for key, value in spec.options.items()
+        })
 
     @property
     def port(self) -> int:

@@ -493,17 +493,6 @@ class _Parser:
             return token
         return None
 
-    def _expect_word(self, *words: str) -> _Token:
-        token = self._accept_word(*words)
-        if token is None:
-            got = self._peek()
-            where = got.position if got else len(self.expression)
-            shown = got.text if got else "end of input"
-            raise FilterSyntaxError(
-                f"expected {' or '.join(words)!s}, got {shown!r}", where
-            )
-        return token
-
     def _accept_kind(self, kind: str) -> _Token | None:
         token = self._peek()
         if token is not None and token.kind == kind:

@@ -7,8 +7,7 @@ pipeline into that deployment shape:
 
 ``sources``
     Unbounded flow sources delivering :class:`~repro.flows.table.FlowTable`
-    chunks — in-memory tables, recorded ``.rpv5`` traces, synth
-    scenarios, and a growing-CSV tail.
+    chunks — in-memory tables and a growing-CSV tail.
 ``window``
     :class:`WindowRing` — a bounded ring of time-sliced windows (the
     archive's rotation slices) that serves triage's window queries, with
@@ -40,8 +39,6 @@ from repro.stream.replay import ReplayDriver, ReplayStats
 from repro.stream.runtime import StreamEngine, StreamStats, WindowResult
 from repro.stream.sources import (
     DEFAULT_CHUNK_ROWS,
-    binary_file_chunks,
-    scenario_chunks,
     table_chunks,
     tail_csv_chunks,
 )
@@ -49,8 +46,6 @@ from repro.stream.window import ClosedWindow, IngestResult, WindowRing
 
 __all__ = [
     "DEFAULT_CHUNK_ROWS",
-    "binary_file_chunks",
-    "scenario_chunks",
     "table_chunks",
     "tail_csv_chunks",
     "ClosedWindow",

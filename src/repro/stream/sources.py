@@ -2,10 +2,10 @@
 
 A *source* is any iterable of :class:`~repro.flows.table.FlowTable`
 chunks; the engine consumes chunks one at a time and never needs the
-whole stream in memory. The helpers here adapt the shapes a deployment
-actually has — an in-memory table, a recorded ``.rpv5`` trace, a synth
-scenario, a CSV file another process keeps appending to — into that
-common chunk protocol.
+whole stream in memory. The helpers here adapt an in-memory table and
+a CSV file another process keeps appending to into that common chunk
+protocol; a recorded ``.rpv5`` trace streams through
+:func:`~repro.flows.flowio.iter_binary_tables`.
 
 Chunks carry no ordering contract: the :class:`~repro.stream.window.WindowRing`
 routes every row by its start time and handles out-of-order and late
@@ -22,15 +22,12 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from repro.errors import CodecError
-from repro.flows.flowio import iter_binary_tables
 from repro.flows.table import FlowTable
 from repro.flows.trace import FlowTrace
 
 __all__ = [
     "DEFAULT_CHUNK_ROWS",
     "table_chunks",
-    "binary_file_chunks",
-    "scenario_chunks",
     "tail_csv_chunks",
 ]
 
@@ -50,31 +47,6 @@ def table_chunks(
     table = flows.table if isinstance(flows, FlowTrace) else flows
     for offset in range(0, len(table), chunk_rows):
         yield table.select(slice(offset, offset + chunk_rows))
-
-
-def binary_file_chunks(
-    path: str | Path,
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-) -> Iterator[FlowTable]:
-    """Stream a recorded ``.rpv5`` trace as table chunks."""
-    yield from iter_binary_tables(path, chunk_rows=chunk_rows)
-
-
-def scenario_chunks(
-    scenario,
-    seed: int = 0,
-    sampling_rate: int = 1,
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-) -> Iterator[FlowTable]:
-    """Render a :class:`~repro.synth.scenario.Scenario` and stream it.
-
-    The scenario is rendered once (same semantics as the batch
-    :meth:`~repro.synth.scenario.Scenario.build`) and then chunked in
-    time order, so the stream behaves like a live capture of the
-    scenario's epoch.
-    """
-    labeled = scenario.build(seed=seed, sampling_rate=sampling_rate)
-    yield from table_chunks(labeled.trace.table, chunk_rows=chunk_rows)
 
 
 def tail_csv_chunks(

@@ -49,7 +49,7 @@ from repro.collector.decode import (
     encode_ipfix_datagram,
     encode_template_set,
     encode_v9_datagram,
-    peek_exporter,
+    parse_header,
 )
 from repro.collector import listener
 from repro.collector.exporters import ExporterState, ExporterTable
@@ -61,6 +61,30 @@ from repro.synth.presets import build_preset_scenario
 from tests import record_oracle
 
 DATA = Path(__file__).parent / "data"
+
+
+@pytest.fixture(autouse=True)
+def _fork_single_threaded(monkeypatch):
+    """Every listener in this file is forked while one thread runs:
+    Python 3.12 warns on ``fork()`` in a multi-threaded process, and
+    this check catches such a fork on every version."""
+    fork = os.fork
+
+    def checked_fork():
+        assert threading.active_count() == 1, "forked with threads running"
+        return fork()
+
+    monkeypatch.setattr(listener.os, "fork", checked_fork)
+
+
+def _clamped_v5_datagram() -> bytes:
+    """``golden_v5.bin`` with record 0's LAST_SWITCHED moved before its
+    FIRST_SWITCHED (the exporter's sysUptime wrapped between the two)."""
+    blob = bytearray((DATA / "golden_v5.bin").read_bytes())
+    first = HEADER_SIZE + 24  # record 0: first @24, last @28
+    assert struct.unpack_from("!II", blob, first) == (1500, 2250)
+    struct.pack_into("!I", blob, first + 4, 250)  # last < first
+    return bytes(blob)
 
 
 # -- golden datagrams ---------------------------------------------------------
@@ -109,18 +133,15 @@ class TestGoldenV5:
         raised FlowError — far from the socket that let it in."""
         from repro.stream import WindowRing
 
-        blob = bytearray((DATA / "golden_v5.bin").read_bytes())
-        first = HEADER_SIZE + 24  # record 0: first @24, last @28
-        assert struct.unpack_from("!II", blob, first) == (1500, 2250)
-        struct.pack_into("!I", blob, first + 4, 250)  # last < first
         collector = FlowCollector(boot_time=1000.0)
         tables = []
         collector._batcher = ChunkBatcher(
-            lambda table, reason: tables.append(table) or True,
-            boot_time=1000.0,
+            lambda table, reason: tables.append(table), boot_time=1000.0,
         )
         try:
-            collector._on_datagram(bytes(blob), "10.0.0.1", now=1.0)
+            collector._on_datagram(
+                _clamped_v5_datagram(), "10.0.0.1", now=1.0
+            )
             collector._batcher.flush()
             counters = collector.counters()
         finally:
@@ -129,7 +150,7 @@ class TestGoldenV5:
         assert table.start.tolist() == [1001.5, 1003.0, 1000.125]
         assert table.end.tolist() == [1001.5, 1003.0, 1010.875]
         assert table.to_records()[0].duration == 0.0  # no FlowError
-        assert counters["time_clamped"] == 1
+        assert collector._batcher.time_clamped == 1
         assert counters["malformed"] == counters["flows_dropped"] == 0
         # Conservation: the clamped row is kept, not a drop class.
         ring = WindowRing(window_seconds=300.0, origin=900.0)
@@ -142,7 +163,7 @@ class TestGoldenV5:
 class TestGoldenV9:
     def test_template_plus_data_in_one_datagram(self):
         blob = (DATA / "golden_v9.bin").read_bytes()
-        assert peek_exporter(blob) == (9, 9)
+        assert parse_header(blob)[:2] == (9, 9)
         cache = TemplateCache()
         decoded = decode_datagram(
             blob, boot_time=1700000000.0, cache=cache
@@ -170,7 +191,7 @@ class TestGoldenV9:
 class TestGoldenIpfix:
     def test_absolute_millisecond_timestamps(self):
         blob = (DATA / "golden_ipfix.bin").read_bytes()
-        assert peek_exporter(blob) == (10, 77)
+        assert parse_header(blob)[:2] == (10, 77)
         cache = TemplateCache()
         decoded = decode_datagram(
             blob, boot_time=0.0, cache=cache
@@ -612,54 +633,37 @@ class TestFlowCollector:
         assert exporter["version"] == 5
         assert exporter["flows"] == nflows
 
-    def test_burst_receive_equals_recvfrom(self, monkeypatch):
-        """``recvmmsg`` bursts hand over what the ``recvfrom`` loop
-        does — payload bytes (empty, one byte, a jumbo frame and the
-        largest UDP payload included), source address, arrival order —
-        over more datagrams than one burst holds."""
-        if listener._recvmmsg is None:
-            pytest.skip("no recvmmsg on this platform")
-        burst = FlowCollector()
-        with monkeypatch.context() as patch:
-            patch.setattr(listener, "_recvmmsg", None)
-            single = FlowCollector()
-        assert burst._receive.__self__.__class__ is listener._BurstReceiver
-        assert single._receive == single._recvfrom_burst
+    def test_receive_hands_over_every_datagram(self, monkeypatch):
+        """One ``recvfrom`` per datagram hands over the payload bytes
+        (empty, one byte, a jumbo frame and the largest UDP payload
+        included), the source address and the arrival order, at most
+        ``_RECV_BURST`` datagrams per wake-up; a closed socket stops
+        the loop."""
+        monkeypatch.setattr(listener, "_RECV_BURST", 64)
+        collector = FlowCollector()
+        got = []
+        monkeypatch.setattr(
+            collector, "_on_datagram",
+            lambda data, address, now: got.append((data, address)),
+        )
         sizes = [0, 1, 48, 1464, 9000, 65507] + [100] * 70
         sent = [bytes([k % 251]) * size for k, size in enumerate(sizes)]
-        received = []
-        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
-            for collector in (burst, single):
-                assert collector._receive() == []
+        try:
+            assert not collector._drain_socket(now=0.0)
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
                 for datagram in sent:
-                    sender.sendto(datagram, ("127.0.0.1", collector.port))
-                got = []
-                while batch := collector._receive():
-                    assert len(batch) <= listener._BURST_SLOTS
-                    got.extend(batch)
-                received.append(got)
-                collector.close()
-                with pytest.raises(OSError):
-                    collector._receive()
-        assert received[0] == received[1]
-        assert received[0] == [(datagram, "127.0.0.1") for datagram in sent]
-
-    def test_replay_without_recvmmsg(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(listener, "_recvmmsg", None)
-        path, nflows = _capture(tmp_path)
-        boot, packets = read_recorded_datagrams(path)
-        collector = FlowCollector(
-            boot_time=boot, max_flows=nflows, idle_seconds=10.0,
-        )
-        sender = threading.Thread(
-            target=send_datagrams, args=(packets, collector.port)
-        )
-        sender.start()
-        chunks = list(collector.chunks(chunk_rows=100_000))
-        sender.join()
-        got = np.concatenate([c._data for c in chunks])
-        assert np.array_equal(got, read_binary_table(path)._data)
-        assert collector.counters()["datagrams"] == len(packets)
+                    out.sendto(datagram, ("127.0.0.1", collector.port))
+            assert collector._drain_socket(now=0.0)
+            assert len(got) == 64
+            assert collector._drain_socket(now=0.0)
+            assert not collector._drain_socket(now=0.0)
+        finally:
+            collector.close()
+        assert got == [(datagram, "127.0.0.1") for datagram in sent]
+        assert collector.datagrams == len(sent)
+        assert not collector._stop
+        assert not collector._drain_socket(now=0.0)
+        assert collector._stop  # the OSError of the closed socket
 
 
 # -- the listener process -----------------------------------------------------
@@ -792,6 +796,27 @@ class TestListenerProcess:
         assert status["queue_depth"] == 0
         assert status["exporters"][0]["flows"] == counters["flows"]
 
+    def test_time_clamped_crosses_the_process_boundary(self):
+        """A row clamped in the listener process is counted in the
+        shared block, mirrored into this process's metric family and
+        delivered at zero duration."""
+        from repro.obs import metrics as obs_metrics
+
+        previous = obs_metrics.install(obs_metrics.MetricsRegistry())
+        try:
+            collector = FlowCollector(
+                boot_time=1000.0, max_flows=3, idle_seconds=10.0
+            )
+            send_datagrams([_clamped_v5_datagram()], collector.port)
+            (table,) = collector.chunks()
+            registry = obs_metrics.active()
+        finally:
+            obs_metrics.install(previous)
+        assert collector.counters()["time_clamped"] == 1
+        assert registry.value("repro_collector_time_clamped_total") == 1
+        assert table.end.tolist() == [1001.5, 1003.0, 1010.875]
+        assert table.to_records()[0].duration == 0.0
+
 
 # -- CLI surface --------------------------------------------------------------
 
@@ -818,6 +843,71 @@ class TestCliExitCodes:
             keeper.close()
         assert code == 7
         assert "cannot bind" in capsys.readouterr().err
+
+
+# -- the udp source adapter ----------------------------------------------------
+
+
+def _settings(collector: FlowCollector) -> dict:
+    """Every constructor setting of ``collector`` but its port."""
+    exporters = collector.exporters
+    return {
+        "listen": collector.listen,
+        "boot_time": collector.boot_time,
+        "queue_chunks": collector.queue_chunks,
+        "max_batch_seconds": collector.max_batch_seconds,
+        "idle_seconds": collector.idle_seconds,
+        "max_flows": collector.max_flows,
+        "rcvbuf": collector._sock.getsockopt(
+            socket.SOL_SOCKET, socket.SO_RCVBUF
+        ),
+        "template_pending": exporters.max_pending_sets,
+        "template_expiry": exporters.pending_expiry,
+        "exporter_idle": exporters.idle_expiry,
+    }
+
+
+class TestUdpSource:
+    def test_no_options_builds_the_default_collector(self):
+        import inspect
+
+        source = listener.UdpSource(api.SourceSpec(kind="udp"))
+        default = FlowCollector()
+        try:
+            settings = _settings(default)
+            assert _settings(source.collector) == settings
+        finally:
+            source.close()
+            default.close()
+        assert set(settings) | {"port"} \
+            == set(inspect.signature(FlowCollector).parameters) \
+            == set(listener.UdpSource._OPTIONS)
+
+    def test_options_are_coerced_by_type(self):
+        source = listener.UdpSource(api.SourceSpec(
+            kind="udp",
+            options={"port": "0", "idle_seconds": 2, "max_flows": "5"},
+        ))
+        source.close()
+        collector = source.collector
+        assert (collector.idle_seconds, collector.max_flows) == (2.0, 5)
+        assert isinstance(collector.idle_seconds, float)
+        assert collector.max_batch_seconds == 0.25  # left out: default
+
+    def test_unknown_option_names_the_field(self):
+        from repro.errors import SpecError
+
+        with pytest.raises(
+            SpecError,
+            match="unknown udp option 'bogus'; expected listen, port, "
+                  "boot_time, queue_chunks, max_batch_seconds, "
+                  "idle_seconds, max_flows, rcvbuf, template_pending, "
+                  "template_expiry, exporter_idle",
+        ) as raised:
+            listener.UdpSource(
+                api.SourceSpec(kind="udp", options={"bogus": 1})
+            )
+        assert raised.value.field == "source.options.bogus"
 
 
 # -- file/UDP session equivalence ---------------------------------------------
@@ -878,25 +968,24 @@ def _run_udp(bundle, workers):
         .stream(window_seconds=300.0, workers=workers,
                 chunk_rows=2048)
     )
-    ready = threading.Event()
     context = {}
+    senders = []
 
     def on_start(ctx):
+        # The collector is built (its listener forked) by now.
         context.update(ctx)
-        ready.set()
+        sender = threading.Thread(
+            target=send_datagrams, args=(packets, ctx["port"])
+        )
+        sender.start()
+        senders.append(sender)
 
     builder.on_start(on_start)
-
-    def sender():
-        if ready.wait(60):
-            send_datagrams(packets, context["port"])
-
-    thread = threading.Thread(target=sender)
-    thread.start()
     try:
         result = builder.run()
     finally:
-        thread.join()
+        for sender in senders:
+            sender.join(timeout=60)
     return result, context
 
 
