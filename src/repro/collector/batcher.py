@@ -19,10 +19,14 @@ table, when either trigger fires:
   the detector within a bounded delay, and the engine watermark keeps
   advancing).
 
-The batcher is deliberately queue-agnostic: it hands finished tables
-to an ``on_flush`` callback, so the listener owns the bounded-queue/drop
-policy in one place, and it records no metric: the listener publishes
-``time_clamped`` with its other counters.
+The batcher keeps no timer: :attr:`ChunkBatcher.deadline` tells the
+listener when to wake for :meth:`ChunkBatcher.poll`, so an age flush
+lands at its deadline and an empty stage costs no wake-up.
+
+The batcher is deliberately queue-agnostic: it hands each table, with
+its first row's arrival time, to an ``on_flush`` callback, so the
+listener owns the bounded-queue/drop policy in one place; it records
+no metric (the listener publishes ``time_clamped``).
 """
 
 from __future__ import annotations
@@ -33,7 +37,12 @@ from typing import Callable, Iterable
 from repro.collector.decode import Region, decode_regions
 from repro.flows.table import FlowTable
 
-__all__ = ["ChunkBatcher"]
+__all__ = ["ChunkBatcher", "MAX_BATCH_SECONDS"]
+
+#: The default age bound: the longest a staged row waits for its chunk.
+#: A row waits about half of it, and each hand-off costs the two
+#: processes a fixed ~0.5-0.8 ms of CPU: latency against CPU as 1/T.
+MAX_BATCH_SECONDS = 0.05
 
 
 class ChunkBatcher:
@@ -41,9 +50,9 @@ class ChunkBatcher:
 
     def __init__(
         self,
-        on_flush: Callable[[FlowTable, str], None],
+        on_flush: Callable[[FlowTable, str, float], None],
         chunk_rows: int = 8192,
-        max_batch_seconds: float = 0.25,
+        max_batch_seconds: float = MAX_BATCH_SECONDS,
         clock: Callable[[], float] = time.monotonic,
         boot_time: float = 0.0,
     ) -> None:
@@ -56,13 +65,20 @@ class ChunkBatcher:
         self._rows = 0
         self._oldest: float | None = None
         self.flushes = 0
-        self.age_flushes = 0
         #: Rows decoded with ``end < start`` (kept, at zero duration).
         self.time_clamped = 0
 
     @property
     def pending_rows(self) -> int:
         return self._rows
+
+    @property
+    def deadline(self) -> float | None:
+        """When the open batch falls due for an age flush (on the
+        batcher's clock), or ``None`` while nothing is staged."""
+        if self._oldest is None:
+            return None
+        return self._oldest + self.max_batch_seconds
 
     def add(self, regions: Iterable[Region]) -> None:
         """Stage a datagram's regions; size-flush when the batch fills."""
@@ -82,7 +98,6 @@ class ChunkBatcher:
             now = self._clock()
         if now - self._oldest < self.max_batch_seconds:
             return False
-        self.age_flushes += 1
         self._flush_rows(self._rows, "age")
         return True
 
@@ -108,10 +123,11 @@ class ChunkBatcher:
             )
             staged.insert(0, rest)
         self._rows -= rows
+        oldest = self._oldest
         self._oldest = None if not self._rows else self._clock()
         # The wire plans mask every column to its legal range, so the
         # validating from_columns pass is unnecessary.
         self.flushes += 1
         rows, clamped = decode_regions(take, self.boot_time)
         self.time_clamped += clamped
-        self.on_flush(FlowTable(rows), reason)
+        self.on_flush(FlowTable(rows), reason, oldest)

@@ -134,9 +134,10 @@ class ExporterTable:
     def sweep(self, now: float | None = None) -> tuple[int, int]:
         """Expire idle exporters and aged pending sets.
 
-        Returns ``(exporters_dropped, pending_sets_dropped)``. Runs on
-        the listener's select-timeout tick, so a dead exporter's
-        template cache and buffered data sets cannot pin memory.
+        Returns ``(exporters_dropped, pending_sets_dropped)``. Runs in
+        the listener's once-a-second housekeeping pass, so a dead
+        exporter's template cache and buffered data sets cannot pin
+        memory.
         """
         if now is None:
             now = self._clock()

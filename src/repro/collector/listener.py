@@ -16,7 +16,10 @@ Backpressure contract — the socket is never stalled:
   decode and batching never hold the engine's interpreter lock. It
   takes up to 512 datagrams per wake-up, one ``recvfrom`` each, and
   writes chunks to the pipe without blocking, so one event loop
-  serves both;
+  serves both. Each pass of that loop sleeps until a socket or pipe
+  event or its earliest deadline: the open batch's age flush
+  (:attr:`~repro.collector.batcher.ChunkBatcher.deadline`), the
+  once-a-second housekeeping pass, the ``idle_seconds`` stop;
 * at most ``queue_chunks`` decoded chunks wait for the engine. Past
   that, *newly arrived datagrams are dropped and counted*
   (``repro_collector_datagrams_dropped_total``) before any decode
@@ -29,7 +32,9 @@ Backpressure contract — the socket is never stalled:
 The counters live in one shared anonymous mapping that both processes
 read and the listener writes as it counts, so they are live in the
 engine's process (``/status``, the ``repro_collector_*`` families it
-mirrors them into) and survive the listener's death.
+mirrors them into) and survive the listener's death; so does the
+listener's CPU time. Every chunk carries the arrival time of its first
+row, and the engine's process observes each batch's age as it takes it.
 
 Determinism caveat: UDP arrival order is not replayable — two runs of
 the same capture may interleave exporters differently. All
@@ -44,6 +49,7 @@ import fcntl
 import gc
 import json
 import logging
+import math
 import mmap
 import os
 import select
@@ -60,7 +66,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.collector.batcher import ChunkBatcher
+from repro.collector.batcher import MAX_BATCH_SECONDS, ChunkBatcher
 from repro.collector.decode import decode_datagram, parse_header
 from repro.collector.exporters import ExporterTable
 from repro.errors import CodecError, CollectorError, SpecError
@@ -124,16 +130,29 @@ _TIME_CLAMPED = obs_metrics.counter(
     "Flow rows whose end preceded their start on the wire (sysUptime "
     "wrap), kept with zero duration",
 )
+_CPU = obs_metrics.counter(
+    "repro_collector_cpu_seconds_total",
+    "CPU seconds spent by the listener process",
+)
+_BATCH_AGE = obs_metrics.histogram(
+    "repro_collector_batch_age_seconds",
+    "Seconds from a chunk's first row reaching the listener to the "
+    "engine taking the chunk",
+)
 
-#: Slots of the shared counter block, one int64 each. The counters
-#: are written by the listener process; ``taken`` by the engine's.
+#: Slots of the shared counter block, one int64 each. The counters and
+#: ``cpu_ns`` (``time.process_time_ns()`` at each housekeeping pass and
+#: at exit) are written by the listener process; ``taken`` by the
+#: engine's.
 _SLOTS = (
     "datagrams", "flows", "malformed", "datagrams_dropped",
     "flows_dropped", "sequence_lost", "template_misses",
-    "template_drops", "time_clamped", "exporters", "enqueued", "taken",
+    "template_drops", "time_clamped", "exporters", "cpu_ns",
+    "enqueued", "taken",
 )
 _SLOT_CLAMPED = _SLOTS.index("time_clamped")
 _SLOT_EXPORTERS = _SLOTS.index("exporters")
+_SLOT_CPU = _SLOTS.index("cpu_ns")
 _SLOT_ENQUEUED = _SLOTS.index("enqueued")
 _SLOT_TAKEN = _SLOTS.index("taken")
 #: The ``repro_collector_*`` counter each slot is mirrored into.
@@ -149,10 +168,11 @@ _MIRRORED = (
     (_SLOT_CLAMPED, _TIME_CLAMPED),
 )
 
-#: One message on the chunk pipe: (size, kind). A chunk is ``size``
-#: ``FLOW_DTYPE`` rows and ``kind`` indexes its flush reason; a
-#: snapshot is ``size`` bytes of JSON (the exporter table).
-_HEADER = struct.Struct("<qq")
+#: One message on the chunk pipe: (size, kind, oldest). A chunk is
+#: ``size`` ``FLOW_DTYPE`` rows, ``kind`` indexes its flush reason and
+#: ``oldest`` is the ``time.monotonic()`` (one clock system-wide) its
+#: first row arrived at; a snapshot is ``size`` bytes of JSON.
+_HEADER = struct.Struct("<qqd")
 _REASONS = ("size", "age", "final")
 _SNAPSHOT = -1
 #: Bytes the chunk pipe buffers where the kernel lets it be resized.
@@ -164,6 +184,9 @@ _WRITEV_MAX = 64
 #: listener process to finish before it kills it.
 _MIRROR_SECONDS = 1.0
 _EXIT_SECONDS = 5.0
+#: Seconds between the listener's housekeeping passes (exporter sweep,
+#: exporter count, CPU time and exporter table out to the engine).
+_HOUSEKEEPING_SECONDS = 1.0
 
 #: Parent-side descriptors of every live collector: a listener forked
 #: later closes them, so that only its own collector holds each pipe
@@ -228,7 +251,7 @@ class FlowCollector:
         *,
         boot_time: float = 0.0,
         queue_chunks: int = 64,
-        max_batch_seconds: float = 0.25,
+        max_batch_seconds: float = MAX_BATCH_SECONDS,
         idle_seconds: float | None = None,
         max_flows: int | None = None,
         rcvbuf: int = 1 << 22,
@@ -348,14 +371,16 @@ class FlowCollector:
             traceback.print_exc()
             sys.stderr.flush()
         finally:
+            self._counts[_SLOT_CPU] = time.process_time_ns()
             os._exit(status)
 
     def _serve(self) -> None:
+        """Each pass sleeps until the socket or a pipe is ready or the
+        earliest deadline passes, then does what is due."""
         batcher = self._batcher
         assert batcher is not None
-        tick = min(self.max_batch_seconds, 0.1)
-        idle_since: float | None = None
-        last_sweep = time.monotonic()
+        housekeeping = time.monotonic() + _HOUSEKEEPING_SECONDS
+        quiet_until = math.inf  # the idle stop, once datagrams arrive
         sock = self._sock.fileno()
         selector = selectors.DefaultSelector()
         selector.register(sock, selectors.EVENT_READ)
@@ -363,28 +388,30 @@ class FlowCollector:
         writing = False
         try:
             while not self._stop:
-                ready = {key.fd for key, _ in selector.select(tick)}
+                due = min(housekeeping, quiet_until)
+                if batcher.deadline is not None:
+                    due = min(due, batcher.deadline)
+                timeout = max(0.0, due - time.monotonic())
+                ready = {key.fd for key, _ in selector.select(timeout)}
                 if self._control in ready:
                     break  # the engine closed its end: stop or close
                 now = time.monotonic()
-                got_any = sock in ready and self._drain_socket(now)
-                if got_any:
-                    idle_since = None
-                elif self.datagrams and self.idle_seconds is not None:
-                    if idle_since is None:
-                        idle_since = now
-                    elif now - idle_since >= self.idle_seconds:
-                        break
-                batcher.poll(now)
+                if sock in ready and self._drain_socket(now):
+                    if self.idle_seconds is not None:
+                        quiet_until = now + self.idle_seconds
+                elif now >= quiet_until:
+                    break
+                batcher.poll()
                 if self.max_flows is not None \
                         and self.flows >= self.max_flows:
                     break
-                if now - last_sweep >= 1.0:
-                    last_sweep = now
+                if now >= housekeeping:
+                    housekeeping = now + _HOUSEKEEPING_SECONDS
                     _, expired = self.exporters.sweep(now)
                     if expired:
                         self.template_drops += expired
                     self._counts[_SLOT_EXPORTERS] = len(self.exporters)
+                    self._counts[_SLOT_CPU] = time.process_time_ns()
                     if not self._outbox:
                         # Behind an engine that is not reading, the
                         # next second's table will do.
@@ -467,14 +494,14 @@ class FlowCollector:
         waiting = self._counts[_SLOT_ENQUEUED] - self._counts[_SLOT_TAKEN]
         return 0 < self.queue_chunks <= waiting
 
-    def _enqueue(self, table: FlowTable, reason: str) -> None:
+    def _enqueue(self, table: FlowTable, reason: str, oldest: float) -> None:
         assert self._batcher is not None
         self._counts[_SLOT_CLAMPED] = self._batcher.time_clamped
         if self._backlogged():
             self.flows_dropped += len(table)
             return
         self._outbox += (
-            _HEADER.pack(len(table), _REASONS.index(reason)),
+            _HEADER.pack(len(table), _REASONS.index(reason), oldest),
             memoryview(table._data).cast("B"),
         )
         self._counts[_SLOT_ENQUEUED] += 1
@@ -483,7 +510,7 @@ class FlowCollector:
     def _post_exporters(self) -> None:
         """Queue the exporter table for the engine's :meth:`snapshot`."""
         body = json.dumps(self.exporters.snapshot()).encode()
-        self._outbox += (_HEADER.pack(len(body), _SNAPSHOT), body)
+        self._outbox += (_HEADER.pack(len(body), _SNAPSHOT, 0.0), body)
 
     def _pump(self) -> None:
         """Hand the pipe what it takes of the outbox: without waiting
@@ -575,7 +602,7 @@ class FlowCollector:
                 if self._exit_status:
                     raise self._failure()
                 return None
-            size, kind = _HEADER.unpack(header)
+            size, kind, oldest = _HEADER.unpack(header)
             body = (
                 bytearray(size) if kind == _SNAPSHOT
                 else np.empty(size, FLOW_DTYPE)
@@ -586,6 +613,7 @@ class FlowCollector:
                 self._reported = json.loads(body)
                 continue
             self._counts[_SLOT_TAKEN] += 1
+            _BATCH_AGE.observe(time.monotonic() - oldest)
             self._mirror()
             return FlowTable(body), _REASONS[kind]
 
@@ -643,6 +671,10 @@ class FlowCollector:
                 if delta:
                     family.inc(delta)
                     self._mirrored[slot] += delta
+            cpu_ns = counts[_SLOT_CPU] - self._mirrored[_SLOT_CPU]
+            if cpu_ns:
+                _CPU.inc(cpu_ns / 1e9)
+                self._mirrored[_SLOT_CPU] += cpu_ns
             _EXPORTERS.set(counts[_SLOT_EXPORTERS])
             _QUEUE_DEPTH.set(counts[_SLOT_ENQUEUED] - counts[_SLOT_TAKEN])
 
@@ -702,6 +734,8 @@ class FlowCollector:
         state["queue_depth"] = (
             self._counts[_SLOT_ENQUEUED] - self._counts[_SLOT_TAKEN]
         )
+        # The listener's CPU as of its last housekeeping pass or exit.
+        state["cpu_s"] = self._counts[_SLOT_CPU] / 1e9
         state["exporters"] = (
             self.exporters.snapshot() if self._reported is None
             else self._reported
@@ -718,11 +752,16 @@ class UdpSource:
     Options (``[source.options]``): ``listen`` (default 127.0.0.1),
     ``port`` (default 0 = ephemeral; the bound port lands in the run
     summary and payload), ``boot_time`` (sys-uptime anchor for
-    timestamp reconstruction), ``queue_chunks``, ``max_batch_seconds``,
-    ``idle_seconds`` (stop after this much quiet following the first
-    datagram — replay/CI mode; default: listen forever), ``max_flows``
-    (stop after decoding this many rows — test mode), ``rcvbuf``,
-    ``template_pending``, ``template_expiry``, ``exporter_idle``.
+    timestamp reconstruction), ``queue_chunks`` (0: no bound),
+    ``max_batch_seconds`` (default
+    :data:`~repro.collector.batcher.MAX_BATCH_SECONDS`; 0 flushes on
+    every wake-up), ``idle_seconds`` (stop after this much quiet
+    following the first datagram — replay/CI mode; default: listen
+    forever), ``max_flows`` (stop after decoding this many rows — test
+    mode), ``rcvbuf``, ``template_pending``, ``template_expiry``,
+    ``exporter_idle``. A value that does not convert, or falls outside
+    its range (:attr:`_RANGES`; floats finite), raises
+    :class:`~repro.errors.SpecError` naming ``source.options.<key>``.
     """
 
     kind = "udp"
@@ -737,20 +776,54 @@ class UdpSource:
         "template_pending": int, "template_expiry": float,
         "exporter_idle": float,
     }
+    #: ``(least, greatest)`` legal value of each option with a range
+    #: (``None``: unbounded). Every float option must also be finite.
+    _RANGES = {
+        "port": (0, 65535), "queue_chunks": (0, None),
+        "max_batch_seconds": (0.0, None), "idle_seconds": (0.0, None),
+        "template_expiry": (0.0, None), "rcvbuf": (1, None),
+    }
 
     def __init__(self, spec) -> None:
         self.spec = spec
-        for key in spec.options:
+        options = {}
+        for key, value in spec.options.items():
             if key not in self._OPTIONS:
                 raise SpecError(
                     f"unknown udp option {key!r}; expected "
                     f"{', '.join(self._OPTIONS)}",
                     field=f"source.options.{key}",
                 )
-        self.collector = FlowCollector(**{
-            key: None if value is None else self._OPTIONS[key](value)
-            for key, value in spec.options.items()
-        })
+            options[key] = None if value is None \
+                else self._coerce(key, value)
+        self.collector = FlowCollector(**options)
+
+    @classmethod
+    def _coerce(cls, key: str, value: Any) -> Any:
+        """``value`` as option ``key``'s type, inside its range, or a
+        :class:`SpecError` naming the option."""
+        kind = cls._OPTIONS[key]
+        least, most = cls._RANGES.get(key, (None, None))
+        try:
+            coerced = kind(value)
+        except (TypeError, ValueError, OverflowError):
+            legal = False
+        else:
+            legal = (kind is not float or math.isfinite(coerced)) \
+                and (least is None or coerced >= least) \
+                and (most is None or coerced <= most)
+        if not legal:
+            expected = {int: "an integer", float: "a finite number"}.get(
+                kind, "a string"
+            )
+            if least is not None:
+                expected += f" >= {least}" if most is None \
+                    else f" in {least}..{most}"
+            raise SpecError(
+                f"udp option {key!r} must be {expected}, got {value!r}",
+                field=f"source.options.{key}",
+            )
+        return coerced
 
     @property
     def port(self) -> int:

@@ -13,7 +13,11 @@ Layered the same way the subsystem is:
 * the listener process: every way out of a collector reaps it, a
   killed listener surfaces as ``CollectorError``, and the counters it
   shares with the engine's process account for every flow;
+* the listener loop — it sleeps until its earliest deadline, so an
+  idle listener costs no CPU and a lone datagram arrives as an age
+  chunk;
 * CLI surface — exit code 7 on bind failure, ``--port 0`` reporting;
+* the ``udp`` source's option checks — exit code 2 on a bad value;
 * file/UDP session equivalence: replaying a capture through
   ``SourceSpec(kind="udp")`` produces byte-identical windows and
   alarms to reading the same capture from disk, serial and sharded.
@@ -52,6 +56,7 @@ from repro.collector.decode import (
     parse_header,
 )
 from repro.collector import listener
+from repro.collector.batcher import MAX_BATCH_SECONDS
 from repro.collector.exporters import ExporterState, ExporterTable
 from repro.errors import CodecError, CollectorError
 from repro.flows.addresses import ip_to_int
@@ -136,7 +141,8 @@ class TestGoldenV5:
         collector = FlowCollector(boot_time=1000.0)
         tables = []
         collector._batcher = ChunkBatcher(
-            lambda table, reason: tables.append(table), boot_time=1000.0,
+            lambda table, reason, oldest: tables.append(table),
+            boot_time=1000.0,
         )
         try:
             collector._on_datagram(
@@ -494,7 +500,7 @@ class TestChunkBatcher:
     def test_size_flush_emits_exact_chunks(self):
         got = []
         batcher = ChunkBatcher(
-            lambda table, reason: got.append((table, reason)),
+            lambda table, reason, oldest: got.append((table, reason)),
             chunk_rows=100,
         )
         for _ in range(14):
@@ -511,7 +517,7 @@ class TestChunkBatcher:
         clock = [0.0]
         got = []
         batcher = ChunkBatcher(
-            lambda table, reason: got.append(reason),
+            lambda table, reason, oldest: got.append(reason),
             chunk_rows=10_000, max_batch_seconds=0.5,
             clock=lambda: clock[0],
         )
@@ -521,6 +527,33 @@ class TestChunkBatcher:
         assert batcher.poll()
         assert got == ["age"]
         assert batcher.pending_rows == 0
+
+    def test_deadline_follows_the_oldest_staged_row(self):
+        clock = [1.0]
+        got = []
+        batcher = ChunkBatcher(
+            lambda table, reason, oldest: got.append((reason, oldest)),
+            chunk_rows=40, max_batch_seconds=0.5,
+            clock=lambda: clock[0],
+        )
+        assert batcher.deadline is None
+        batcher.add(self._regions(5))
+        assert batcher.deadline == 1.5
+        clock[0] = 1.2
+        batcher.add(self._regions(5))
+        assert batcher.deadline == 1.5  # the oldest row sets it
+        clock[0] = 1.3
+        batcher.add(self._regions(30))  # size flush, 0 rows left
+        assert got == [("size", 1.0)] and batcher.deadline is None
+        clock[0] = 2.0
+        batcher.add(self._regions(30))
+        clock[0] = 2.1
+        batcher.add(self._regions(30))  # size flush, 20 rows left
+        assert got[-1] == ("size", 2.0)
+        assert batcher.deadline == 2.6  # they arrived at 2.1
+        clock[0] = 2.6
+        assert batcher.poll()
+        assert got[-1] == ("age", 2.1) and batcher.deadline is None
 
 
 # -- the listener end to end --------------------------------------------------
@@ -818,6 +851,95 @@ class TestListenerProcess:
         assert table.to_records()[0].duration == 0.0
 
 
+class TestListenerLoop:
+    """The listener sleeps until its earliest deadline: the open
+    batch's age flush, the housekeeping pass, the idle stop."""
+
+    def test_idle_listener_sleeps_at_zero_age_bound(self):
+        collector = FlowCollector(max_batch_seconds=0.0)
+        collector.start()
+        time.sleep(1.0)
+        collector.close()  # the listener writes its CPU as it exits
+        _assert_reaped(collector._pid)
+        assert 0.0 < collector.snapshot()["cpu_s"] < 0.1
+
+    def test_one_datagram_arrives_as_an_age_chunk(self):
+        from repro.obs import events as obs_events
+
+        collector = FlowCollector(boot_time=1000.0)
+        journal = obs_events.EventJournal()
+        previous = obs_events.install(journal)
+        try:
+            stream = collector.chunks()
+            time.sleep(0.3)  # the listener is started and idle
+            started = time.monotonic()
+            send_datagrams([(DATA / "golden_v5.bin").read_bytes()],
+                           collector.port)
+            table = next(stream)
+            waited = time.monotonic() - started
+            stream.close()
+        finally:
+            obs_events.install(previous)
+        assert len(table) == 3
+        assert waited <= collector.max_batch_seconds + 0.5
+        (chunk,) = [
+            event for event in journal.read()
+            if event["kind"] == "collector.chunk"
+        ]
+        assert chunk["reason"] == "age"
+
+    def test_idle_stop_ends_the_stream(self, tmp_path):
+        path, nflows = _capture(tmp_path, bins=2, fps=3.0)
+        boot, packets = read_recorded_datagrams(path)
+        collector = FlowCollector(boot_time=boot, idle_seconds=0.3)
+        send_datagrams(packets, collector.port)
+        started = time.monotonic()
+        total = sum(len(table) for table in collector.chunks())
+        assert total == nflows
+        assert time.monotonic() - started < 5.0
+        _assert_reaped(collector._pid)
+
+    def test_every_chunk_observes_its_batch_age(
+        self, tmp_path, monkeypatch
+    ):
+        """One ``repro_collector_batch_age_seconds`` sample per chunk
+        taken, none negative (one monotonic clock for both
+        processes), and the listener's CPU time mirrored."""
+        from repro.obs import metrics as obs_metrics
+
+        ages: list[float] = []
+
+        class Ages:
+            def observe(self, value: float) -> None:
+                ages.append(value)
+
+        monkeypatch.setattr(listener, "_BATCH_AGE", Ages())
+        path, nflows = _capture(tmp_path)
+        boot, packets = read_recorded_datagrams(path)
+        previous = obs_metrics.install(obs_metrics.MetricsRegistry())
+        try:
+            collector = FlowCollector(
+                boot_time=boot, max_flows=nflows, idle_seconds=10.0,
+            )
+            sender = threading.Thread(
+                target=send_datagrams, args=(packets, collector.port)
+            )
+            sender.start()
+            total = sum(len(t) for t in collector.chunks(chunk_rows=256))
+            sender.join()
+            registry = obs_metrics.active()
+        finally:
+            obs_metrics.install(previous)
+        assert total == nflows
+        assert len(ages) == collector.chunks_emitted > 1
+        assert min(ages) >= 0.0
+        cpu_s = collector.snapshot()["cpu_s"]
+        assert cpu_s > 0.0
+        assert registry.value("repro_collector_cpu_seconds_total") \
+            == pytest.approx(cpu_s)
+        assert "cpu_s" not in collector.counters()
+
+
 # -- CLI surface --------------------------------------------------------------
 
 
@@ -892,7 +1014,8 @@ class TestUdpSource:
         collector = source.collector
         assert (collector.idle_seconds, collector.max_flows) == (2.0, 5)
         assert isinstance(collector.idle_seconds, float)
-        assert collector.max_batch_seconds == 0.25  # left out: default
+        # Left out: the one default.
+        assert collector.max_batch_seconds == MAX_BATCH_SECONDS
 
     def test_unknown_option_names_the_field(self):
         from repro.errors import SpecError
@@ -908,6 +1031,60 @@ class TestUdpSource:
                 api.SourceSpec(kind="udp", options={"bogus": 1})
             )
         assert raised.value.field == "source.options.bogus"
+
+    @pytest.mark.parametrize("key, value", [
+        ("port", "abc"), ("port", -1), ("port", 65536),
+        ("queue_chunks", -1), ("queue_chunks", "1.5"),
+        ("rcvbuf", 0), ("rcvbuf", -4096),
+        ("max_batch_seconds", -0.01), ("max_batch_seconds", "inf"),
+        ("max_batch_seconds", float("nan")),
+        ("idle_seconds", -1.0), ("idle_seconds", float("inf")),
+        ("template_expiry", -300.0), ("template_expiry", "nan"),
+        ("max_flows", "many"), ("boot_time", [1.0]),
+        ("boot_time", float("-inf")),
+    ])
+    def test_invalid_option_value_names_the_field(self, key, value):
+        from repro.errors import SpecError
+
+        built = []
+        with pytest.raises(SpecError, match=f"udp option '{key}'") \
+                as raised:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(
+                    listener, "FlowCollector",
+                    lambda **options: built.append(options),
+                )
+                listener.UdpSource(
+                    api.SourceSpec(kind="udp", options={key: value})
+                )
+        assert raised.value.field == f"source.options.{key}"
+        assert built == []  # refused before any socket or process
+
+    def test_least_legal_values_build(self):
+        source = listener.UdpSource(api.SourceSpec(kind="udp", options={
+            "port": 0, "queue_chunks": 0, "rcvbuf": 1,
+            "max_batch_seconds": 0, "idle_seconds": 0,
+            "template_expiry": 0,
+        }))
+        source.close()
+        collector = source.collector
+        assert collector.max_batch_seconds == 0.0
+        assert collector.queue_chunks == 0
+
+    def test_invalid_option_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "collector.toml"
+        config.write_text(
+            "[source]\n"
+            'kind = "udp"\n'
+            "[source.options]\n"
+            'port = "abc"\n'
+            "[detector]\n"
+            'name = "netreflex"\n'
+            "[execution]\n"
+            'mode = "stream"\n'
+        )
+        assert main(["run", str(config)]) == 2
+        assert "source.options.port" in capsys.readouterr().err
 
 
 # -- file/UDP session equivalence ---------------------------------------------

@@ -270,7 +270,7 @@ class Exporters:
 def _collecting_batcher(**options):
     tables: list[tuple[FlowTable, str]] = []
     batcher = ChunkBatcher(
-        lambda table, reason: tables.append((table, reason)),
+        lambda table, reason, oldest: tables.append((table, reason)),
         boot_time=5.0, **options,
     )
     return batcher, tables
@@ -490,7 +490,7 @@ def fuzz_collector():
     collector = FlowCollector(template_pending=3)
     tables: list[FlowTable] = []
     collector._batcher = ChunkBatcher(
-        lambda table, reason: tables.append(table), chunk_rows=64
+        lambda table, reason, oldest: tables.append(table), chunk_rows=64
     )
     yield collector, tables
     collector.close()
