@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """UDP collector benchmark: wire-speed ingest over loopback.
 
-Four measurements:
+Five measurements:
 
 * **decode rate (v5, v9, IPFIX)** — ``decode_datagram(...).rows`` one
   30-record datagram at a time, no sockets: the one-datagram API. All
@@ -20,7 +20,12 @@ Four measurements:
   pass takes a fifth of a second, and on two vCPUs its rate depends
   on where the scheduler puts the sender, listener and consumer, so
   the figure is the median of seven passes (each with a fresh
-  collector), reported with its range.
+  collector), reported with its range;
+* **listener CPU at a trickle** — 2,000 v5 datagrams sent on a
+  schedule of 1,000 per second, far below the rate that fills a chunk
+  per age bound: the listener process's CPU seconds per 10k datagrams
+  (its ``time.process_time()``, the ``cpu_ns`` slot of the shared
+  counter block) and its wake-ups per datagram.
 
 Run:  PYTHONPATH=src python benchmarks/bench_collector.py [--flows N]
 
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import struct
 import sys
 import threading
 import time
@@ -65,6 +71,9 @@ from repro.flows.table import FlowTable  # noqa: E402
 ACCEPTANCE_FLOWS_PER_SEC = 100_000.0
 #: Loopback ingest passes; the median is the reported rate.
 LOOPBACK_PASSES = 7
+#: The trickle case: datagrams sent, and their rate per second.
+TRICKLE_DATAGRAMS = 2_000
+TRICKLE_PER_SEC = 1_000.0
 #: Template decode (v9, IPFIX) over v5 decode, one datagram at a time.
 ACCEPTANCE_TEMPLATE_OVER_V5 = 0.5
 _COMMON = (
@@ -270,6 +279,45 @@ def loopback_pass(packets: list[bytes], flows: int) -> dict:
     }
 
 
+def _trickle(packets: list[bytes], collector: FlowCollector) -> None:
+    """Open-loop sender: one datagram per 1/:data:`TRICKLE_PER_SEC`
+    seconds on a fixed schedule (a late send is caught up)."""
+    import socket
+
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        address = ("127.0.0.1", collector.port)
+        t0 = time.perf_counter()
+        for index, packet in enumerate(packets):
+            delay = t0 + index / TRICKLE_PER_SEC - time.perf_counter()
+            if delay > 0:
+                time.sleep(delay)
+            sock.sendto(packet, address)
+
+
+def trickle_cost(packets: list[bytes]) -> dict:
+    """Listener CPU and wake-ups while datagrams trickle in."""
+    sent = packets[:TRICKLE_DATAGRAMS]
+    flows = sum(struct.unpack_from("!H", packet, 2)[0] for packet in sent)
+    collector = FlowCollector(
+        boot_time=0.0, max_flows=flows, idle_seconds=5.0
+    )
+    sender = threading.Thread(target=_trickle, args=(sent, collector))
+    sender.start()
+    consumed = sum(len(table) for table in collector.chunks())
+    sender.join()
+    status = collector.snapshot()
+    datagrams = status["datagrams"]
+    return {
+        "datagrams_per_sec": TRICKLE_PER_SEC,
+        "datagrams": datagrams,
+        "flows_consumed": consumed,
+        "listener_cpu_s": status["cpu_s"],
+        "wakeups": status["wakeups"],
+        "cpu_s_per_10k_datagrams": status["cpu_s"] / datagrams * 1e4,
+        "wakeups_per_datagram": status["wakeups"] / datagrams,
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--flows", type=int, default=240_000,
@@ -294,6 +342,7 @@ def main() -> int:
     decode_ipfix = template_decode_rate(ipfix=True)
     chunk = chunk_decode_rate(packets)
     ingest = loopback_ingest(packets, args.flows)
+    trickle = trickle_cost(packets)
     template_over_v5 = min(
         decode_v9["flows_per_sec"], decode_ipfix["flows_per_sec"]
     ) / decode_v5
@@ -308,6 +357,7 @@ def main() -> int:
         "decode_ipfix": decode_ipfix,
         "chunk_decode_mixed": chunk,
         "loopback": ingest,
+        "trickle": trickle,
         "acceptance_min_flows_per_sec": ACCEPTANCE_FLOWS_PER_SEC,
         "acceptance_min_template_over_v5": ACCEPTANCE_TEMPLATE_OVER_V5,
         "template_over_v5": template_over_v5,
@@ -335,6 +385,11 @@ def main() -> int:
           f"(median of {ingest['repetitions']}, range "
           f"{low:,.0f}-{high:,.0f}; {ingest['wall_s']:.2f}s wall, "
           f"{ingest['flows_consumed']:,} consumed)")
+    print(f"  trickle listener  "
+          f"{trickle['cpu_s_per_10k_datagrams']:12.3f} CPU-s per 10k "
+          f"datagrams at {trickle['datagrams_per_sec']:,.0f}/s "
+          f"({trickle['wakeups_per_datagram']:.2f} wake-ups per "
+          f"datagram)")
     print(f"  accounting        malformed={ingest['malformed']} "
           f"queue_dropped={ingest['queue_dropped']} "
           f"sequence_lost={ingest['sequence_lost']} "

@@ -19,7 +19,9 @@ Backpressure contract — the socket is never stalled:
   serves both. Each pass of that loop sleeps until a socket or pipe
   event or its earliest deadline: the open batch's age flush
   (:attr:`~repro.collector.batcher.ChunkBatcher.deadline`), the
-  once-a-second housekeeping pass, the ``idle_seconds`` stop;
+  once-a-second housekeeping pass, the ``idle_seconds`` stop. While
+  the open batch will age-flush anyway the socket rests out of the
+  wait, as long as its buffer allows (:meth:`FlowCollector._serve`);
 * at most ``queue_chunks`` decoded chunks wait for the engine. Past
   that, *newly arrived datagrams are dropped and counted*
   (``repro_collector_datagrams_dropped_total``) before any decode
@@ -53,7 +55,6 @@ import math
 import mmap
 import os
 import select
-import selectors
 import signal
 import socket
 import struct
@@ -134,25 +135,30 @@ _CPU = obs_metrics.counter(
     "repro_collector_cpu_seconds_total",
     "CPU seconds spent by the listener process",
 )
+_WAKEUPS = obs_metrics.counter(
+    "repro_collector_wakeups_total",
+    "Wake-ups of the listener process's event loop",
+)
 _BATCH_AGE = obs_metrics.histogram(
     "repro_collector_batch_age_seconds",
     "Seconds from a chunk's first row reaching the listener to the "
     "engine taking the chunk",
 )
 
-#: Slots of the shared counter block, one int64 each. The counters and
+#: Slots of the shared counter block, one int64 each. The counters,
 #: ``cpu_ns`` (``time.process_time_ns()`` at each housekeeping pass and
-#: at exit) are written by the listener process; ``taken`` by the
-#: engine's.
+#: at exit) and ``wakeups`` (one per return of the event loop's wait)
+#: are written by the listener process; ``taken`` by the engine's.
 _SLOTS = (
     "datagrams", "flows", "malformed", "datagrams_dropped",
     "flows_dropped", "sequence_lost", "template_misses",
     "template_drops", "time_clamped", "exporters", "cpu_ns",
-    "enqueued", "taken",
+    "wakeups", "enqueued", "taken",
 )
 _SLOT_CLAMPED = _SLOTS.index("time_clamped")
 _SLOT_EXPORTERS = _SLOTS.index("exporters")
 _SLOT_CPU = _SLOTS.index("cpu_ns")
+_SLOT_WAKEUPS = _SLOTS.index("wakeups")
 _SLOT_ENQUEUED = _SLOTS.index("enqueued")
 _SLOT_TAKEN = _SLOTS.index("taken")
 #: The ``repro_collector_*`` counter each slot is mirrored into.
@@ -166,6 +172,7 @@ _MIRRORED = (
     (_SLOTS.index("template_misses"), _TMPL_MISS),
     (_SLOTS.index("template_drops"), _TMPL_DROPPED),
     (_SLOT_CLAMPED, _TIME_CLAMPED),
+    (_SLOT_WAKEUPS, _WAKEUPS),
 )
 
 #: One message on the chunk pipe: (size, kind, oldest). A chunk is
@@ -197,6 +204,10 @@ _PARENT_FDS: set[int] = set()
 #: yields to flush/sweep housekeeping.
 _RECV_BURST = 512
 _MAX_DATAGRAM = 65535
+#: Socket buffer bytes the kernel charges for one datagram of an
+#: Ethernet MTU, the size NetFlow exporters keep to: a 1,464-byte v5
+#: datagram on loopback is charged 2,304 (Linux, x86-64).
+_DATAGRAM_CHARGE = 2304
 
 
 class _Count:
@@ -376,27 +387,51 @@ class FlowCollector:
 
     def _serve(self) -> None:
         """Each pass sleeps until the socket or a pipe is ready or the
-        earliest deadline passes, then does what is due."""
+        earliest deadline passes, then does what is due.
+
+        While the open batch will age-flush anyway
+        (:meth:`ChunkBatcher.rest_until`), the socket rests out of the
+        wait and the pass that ends the rest drains what queued: a few
+        wake-ups per batch, not one per datagram. A rest lasts at most
+        a fifth of the age bound, and half the time the socket buffer
+        takes to fill at the highest arrival rate seen, charging each
+        datagram as one of an MTU: the 8 MB the default ``rcvbuf``
+        reads back where ``rmem_max`` allows holds ~3,600, the ~416 KB
+        of a stock ``rmem_max`` (212,992) ~180. A drain that stopped
+        at ``_RECV_BURST`` left datagrams queued: no rest follows it.
+        The control pipe stays in the wait, so a stop ends a rest.
+        """
         batcher = self._batcher
         assert batcher is not None
         housekeeping = time.monotonic() + _HOUSEKEEPING_SECONDS
         quiet_until = math.inf  # the idle stop, once datagrams arrive
         sock = self._sock.fileno()
-        selector = selectors.DefaultSelector()
-        selector.register(sock, selectors.EVENT_READ)
-        selector.register(self._control, selectors.EVENT_READ)
-        writing = False
+        room = self._sock.getsockopt(
+            socket.SOL_SOCKET, socket.SO_RCVBUF
+        ) // _DATAGRAM_CHARGE
+        peak = 0.0  # the highest arrival rate seen, datagrams/s
+        waiter = select.poll()
+        waiter.register(sock, select.POLLIN)
+        waiter.register(self._control, select.POLLIN)
+        writing = resting = False
+        rest_end = math.inf
+        last = time.monotonic()
         try:
             while not self._stop:
-                due = min(housekeeping, quiet_until)
+                due = min(housekeeping, quiet_until, rest_end)
                 if batcher.deadline is not None:
                     due = min(due, batcher.deadline)
-                timeout = max(0.0, due - time.monotonic())
-                ready = {key.fd for key, _ in selector.select(timeout)}
+                events = waiter.poll(
+                    1000.0 * max(0.0, due - time.monotonic())
+                )
+                self._counts[_SLOT_WAKEUPS] += 1
+                ready = {fd for fd, _ in events}
+                now = time.monotonic()
+                got = self._drain_socket(now) \
+                    if resting or sock in ready else 0
                 if self._control in ready:
                     break  # the engine closed its end: stop or close
-                now = time.monotonic()
-                if sock in ready and self._drain_socket(now):
+                if got:
                     if self.idle_seconds is not None:
                         quiet_until = now + self.idle_seconds
                 elif now >= quiet_until:
@@ -421,19 +456,33 @@ class FlowCollector:
                     # Wake up when the pipe takes more, not before.
                     writing = not writing
                     if writing:
-                        selector.register(self._out, selectors.EVENT_WRITE)
+                        waiter.register(self._out, select.POLLOUT)
                     else:
-                        selector.unregister(self._out)
+                        waiter.unregister(self._out)
+                if got >= _RECV_BURST:
+                    unread_for = 0.0
+                else:
+                    if got and now > last:
+                        peak = max(peak, got / (now - last))
+                    unread_for = room / (2.0 * peak) if peak else math.inf
+                last = now
+                rest = batcher.rest_until(unread_for)
+                if resting != (rest is not None):
+                    resting = not resting
+                    if resting:
+                        waiter.unregister(sock)
+                    else:
+                        waiter.register(sock, select.POLLIN)
+                rest_end = math.inf if rest is None else rest
         finally:
-            selector.close()
             batcher.flush("final")
             self._post_exporters()
             os.set_blocking(self._out, True)
             self._pump()
 
-    def _drain_socket(self, now: float) -> bool:
+    def _drain_socket(self, now: float) -> int:
         """Receive up to ``_RECV_BURST`` datagrams, one ``recvfrom``
-        each; whether any arrived."""
+        each; how many arrived."""
         got = 0
         while got < _RECV_BURST:
             try:
@@ -452,7 +501,7 @@ class FlowCollector:
                 self.datagrams_dropped += 1
                 continue
             self._on_datagram(data, address[0], now)
-        return got > 0
+        return got
 
     def _on_datagram(self, data: bytes, address: str, now: float) -> None:
         """Header arithmetic and accounting only; the record bytes are
@@ -736,6 +785,7 @@ class FlowCollector:
         )
         # The listener's CPU as of its last housekeeping pass or exit.
         state["cpu_s"] = self._counts[_SLOT_CPU] / 1e9
+        state["wakeups"] = self._counts[_SLOT_WAKEUPS]
         state["exporters"] = (
             self.exporters.snapshot() if self._reported is None
             else self._reported

@@ -16,6 +16,9 @@ Layered the same way the subsystem is:
 * the listener loop — it sleeps until its earliest deadline, so an
   idle listener costs no CPU and a lone datagram arrives as an age
   chunk;
+* the wake rule — while the open batch is going to age-flush anyway
+  the socket rests, so a trickle wakes the listener a few times per
+  batch, and a burst that fits the socket buffer loses nothing;
 * CLI surface — exit code 7 on bind failure, ``--port 0`` reporting;
 * the ``udp`` source's option checks — exit code 2 on a bad value;
 * file/UDP session equivalence: replaying a capture through
@@ -25,6 +28,7 @@ Layered the same way the subsystem is:
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 import socket
@@ -555,6 +559,48 @@ class TestChunkBatcher:
         assert batcher.poll()
         assert got[-1] == ("age", 2.1) and batcher.deadline is None
 
+    def test_socket_rests_only_while_the_batch_will_age_flush(self):
+        """No rest at a batch's first look, while its rate projects a
+        full chunk by the deadline, or behind a size flush; otherwise
+        until the deadline, a fifth of the age bound or what the
+        socket buffer allows, whichever comes first."""
+        clock = [0.0]
+        got = []
+        batcher = ChunkBatcher(
+            lambda table, reason, oldest: got.append(reason),
+            chunk_rows=100, max_batch_seconds=0.5,
+            clock=lambda: clock[0],
+        )
+        assert batcher.rest_until(math.inf) is None  # nothing staged
+        batcher.add(self._regions(5))
+        assert batcher.rest_until(math.inf) is None  # its first look
+        clock[0] = 0.1
+        batcher.add(self._regions(5))  # 10 rows in 0.1 s: 50 by 0.5
+        assert batcher.rest_until(math.inf) == pytest.approx(0.2)
+        assert batcher.rest_until(0.01) == pytest.approx(0.11)
+        clock[0] = 0.45
+        assert batcher.rest_until(math.inf) == pytest.approx(0.5)
+        clock[0] = 0.5
+        assert batcher.poll() and got == ["age"]
+        clock[0] = 1.0
+        batcher.add(self._regions(30))
+        assert batcher.rest_until(math.inf) is None
+        clock[0] = 1.1
+        batcher.add(self._regions(30))  # 60 rows in 0.1 s: 300 by 1.5
+        assert batcher.rest_until(math.inf) is None
+        batcher.add(self._regions(30))
+        batcher.add(self._regions(30))  # a size flush, 20 rows left
+        assert got == ["age", "size"]
+        for clock[0] in (1.2, 1.4, 1.5):
+            assert batcher.rest_until(math.inf) is None
+        clock[0] = 1.7
+        assert batcher.poll() and got[-1] == "age"
+        clock[0] = 2.0
+        batcher.add(self._regions(5))
+        assert batcher.rest_until(math.inf) is None
+        clock[0] = 2.1
+        assert batcher.rest_until(math.inf) == pytest.approx(2.2)
+
 
 # -- the listener end to end --------------------------------------------------
 
@@ -856,12 +902,21 @@ class TestListenerLoop:
     batch's age flush, the housekeeping pass, the idle stop."""
 
     def test_idle_listener_sleeps_at_zero_age_bound(self):
-        collector = FlowCollector(max_batch_seconds=0.0)
-        collector.start()
-        time.sleep(1.0)
-        collector.close()  # the listener writes its CPU as it exits
-        _assert_reaped(collector._pid)
-        assert 0.0 < collector.snapshot()["cpu_s"] < 0.1
+        """Idle, or under a trickle that it flushes on every wake-up,
+        a listener at a zero age bound never spins."""
+        blob = (DATA / "golden_v5.bin").read_bytes()
+        for trickle, most_cpu_s in ((False, 0.1), (True, 0.6)):
+            collector = FlowCollector(
+                max_batch_seconds=0.0, queue_chunks=0
+            )
+            collector.start()
+            if trickle:
+                _trickle([blob] * 1000, collector.port, every=0.001)
+            else:
+                time.sleep(1.0)
+            collector.close()  # the listener writes its CPU as it exits
+            _assert_reaped(collector._pid)
+            assert 0.0 < collector.snapshot()["cpu_s"] < most_cpu_s
 
     def test_one_datagram_arrives_as_an_age_chunk(self):
         from repro.obs import events as obs_events
@@ -938,6 +993,127 @@ class TestListenerLoop:
         assert registry.value("repro_collector_cpu_seconds_total") \
             == pytest.approx(cpu_s)
         assert "cpu_s" not in collector.counters()
+
+
+def _trickle(packets, port: int, every: float) -> None:
+    """Send ``packets`` to ``port`` on a schedule of one per ``every``
+    seconds (a late send is caught up, not skipped)."""
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
+        started = time.monotonic()
+        for k, packet in enumerate(packets):
+            delay = started + k * every - time.monotonic()
+            if delay > 0:
+                time.sleep(delay)
+            out.sendto(packet, ("127.0.0.1", port))
+
+
+def _wait_for_datagrams(collector: FlowCollector, count: int) -> None:
+    deadline = time.monotonic() + 10.0
+    while collector.datagrams < count and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+class TestWakeRule:
+    """While the open batch is going to age-flush anyway the listener
+    leaves its socket out of the wait for a bounded rest, and drains
+    what queued at the next wake-up
+    (:meth:`ChunkBatcher.rest_until`)."""
+
+    def test_trickle_wakes_a_third_as_often_as_datagrams_arrive(self):
+        from repro.obs import metrics as obs_metrics
+
+        blob = (DATA / "golden_v5.bin").read_bytes()
+        previous = obs_metrics.install(obs_metrics.MetricsRegistry())
+        collector = FlowCollector(boot_time=1000.0)
+        try:
+            collector.start()
+            time.sleep(0.2)  # the listener is started and idle
+            before = collector.snapshot()["wakeups"]
+            _trickle([blob] * 500, collector.port, every=0.001)
+            _wait_for_datagrams(collector, 500)
+            woken = collector.snapshot()["wakeups"] - before
+        finally:
+            collector.close()
+            registry = obs_metrics.install(previous)
+        _assert_reaped(collector._pid)
+        status = collector.snapshot()
+        assert status["datagrams"] == 500
+        assert 0 < woken <= 500 / 3
+        assert registry.value("repro_collector_wakeups_total") \
+            == status["wakeups"] > woken
+        assert "wakeups" not in collector.counters()
+
+    def test_burst_after_a_trickle_loses_nothing(self, tmp_path):
+        """A back-to-back burst that fits the socket buffer, sent while
+        a trickle lets the socket rest: nothing lost, size chunks, and
+        the rows of decoding the same datagrams from the file."""
+        from repro.obs import events as obs_events
+
+        path, _ = _capture(tmp_path)
+        boot, packets = read_recorded_datagrams(path)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+            probe.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 22)
+            room = probe.getsockopt(
+                socket.SOL_SOCKET, socket.SO_RCVBUF
+            ) // listener._DATAGRAM_CHARGE
+        trickle, burst = packets[:40], packets[40:40 + min(room // 2, 100)]
+
+        def count(sent) -> int:
+            return sum(struct.unpack_from("!H", p, 2)[0] for p in sent)
+
+        assert count(burst) >= 1024  # the burst alone fills a chunk
+        rows = count(trickle) + count(burst)
+        collector = FlowCollector(
+            boot_time=boot, max_flows=rows, idle_seconds=10.0
+        )
+
+        def send() -> None:
+            _trickle(trickle, collector.port, every=0.005)
+            send_datagrams(burst, collector.port, pace_every=0)
+
+        journal = obs_events.EventJournal()
+        previous = obs_events.install(journal)
+        sender = threading.Thread(target=send)
+        try:
+            stream = collector.chunks(chunk_rows=1024)
+            sender.start()
+            chunks = list(stream)
+        finally:
+            obs_events.install(previous)
+            sender.join(10.0)
+        _assert_reaped(collector._pid)
+        counters = collector.counters()
+        assert counters["datagrams"] == len(trickle) + len(burst)
+        assert counters["datagrams_dropped"] == 0
+        assert counters["sequence_lost"] == 0
+        reasons = [
+            event["reason"] for event in journal.read()
+            if event["kind"] == "collector.chunk"
+        ]
+        assert "size" in reasons
+        got = np.concatenate([chunk._data for chunk in chunks])
+        assert np.array_equal(got, read_binary_table(path)._data[:rows])
+
+    def test_close_during_a_rest_reaps_promptly(self):
+        """The control pipe stays in the wait while the socket rests:
+        a stop ends the rest at once, and takes what queued in it."""
+        blob = (DATA / "golden_v5.bin").read_bytes()
+        collector = FlowCollector(boot_time=1000.0, max_batch_seconds=10.0)
+        try:
+            collector.start(chunk_rows=65536)  # rests of up to 1 s
+            time.sleep(0.2)  # the listener is started and idle
+            before = collector.snapshot()["wakeups"]
+            _trickle([blob] * 20, collector.port, every=0.005)
+            time.sleep(0.05)
+            woken = collector.snapshot()["wakeups"] - before
+        finally:
+            started = time.monotonic()
+            collector.close()
+            took = time.monotonic() - started
+        assert woken < 10  # the socket was resting
+        assert took < 0.5
+        _assert_reaped(collector._pid)
+        assert collector.snapshot()["datagrams"] == 20
 
 
 # -- CLI surface --------------------------------------------------------------
