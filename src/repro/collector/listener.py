@@ -62,6 +62,7 @@ import sys
 import threading
 import time
 import traceback
+import weakref
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -195,11 +196,6 @@ _EXIT_SECONDS = 5.0
 #: exporter count, CPU time and exporter table out to the engine).
 _HOUSEKEEPING_SECONDS = 1.0
 
-#: Parent-side descriptors of every live collector: a listener forked
-#: later closes them, so that only its own collector holds each pipe
-#: end and socket.
-_PARENT_FDS: set[int] = set()
-
 #: Datagrams drained per socket-readable wakeup before the loop
 #: yields to flush/sweep housekeeping.
 _RECV_BURST = 512
@@ -237,13 +233,14 @@ class FlowCollector:
 
     The constructor then forks the listener process (``os.fork``:
     POSIX only), so build the collector before starting threads, as
-    the stream session does. The listener waits on a control pipe
+    the stream session does. The listener holds only the descriptors
+    it serves (:meth:`_listener_main`). It waits on a control pipe
     until :meth:`start` sends the chunk size, and leaves the moment
-    the engine's end of that pipe closes (:meth:`stop`,
-    :meth:`close`, or the engine's process ending), so a collector
-    built and never started leaves no process behind. It leaves only
-    through ``os._exit``: no journal, database or archive handle it
-    inherited is flushed or closed there.
+    the engine's end of that pipe closes, so a collector built and
+    never started leaves no process behind. It leaves only through
+    ``os._exit``: no handle it inherited is flushed there. One
+    finalizer (:func:`_release`) frees what the collector holds: run
+    by :meth:`close`, or when a collector dropped unclosed is collected.
     """
 
     datagrams = _Count()
@@ -300,10 +297,14 @@ class FlowCollector:
         self._exit_status: int | None = None
         try:
             sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            sock.setsockopt(
-                socket.SOL_SOCKET, socket.SO_RCVBUF, int(rcvbuf)
-            )
-            sock.bind((listen, int(port)))
+            try:
+                sock.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_RCVBUF, int(rcvbuf)
+                )
+                sock.bind((listen, int(port)))
+            except OSError:
+                sock.close()
+                raise
         except OSError as exc:
             raise CollectorError(
                 f"cannot bind udp://{listen}:{port}: {exc}"
@@ -325,8 +326,8 @@ class FlowCollector:
     # -- the listener process ----------------------------------------------
 
     def _fork(self) -> None:
-        control, self._control = os.pipe()
-        self._chunks, chunk_end = os.pipe()
+        control, control_end = os.pipe()
+        chunks, chunk_end = os.pipe()
         if hasattr(fcntl, "F_SETPIPE_SZ"):
             try:
                 fcntl.fcntl(chunk_end, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
@@ -335,7 +336,7 @@ class FlowCollector:
         try:
             pid = os.fork()
         except OSError as exc:
-            for fd in (control, self._control, self._chunks, chunk_end):
+            for fd in (control, control_end, chunks, chunk_end):
                 os.close(fd)
             self._sock.close()
             raise CollectorError(
@@ -346,21 +347,26 @@ class FlowCollector:
         self._pid = pid
         os.close(control)
         os.close(chunk_end)
+        #: What the collector still holds here: its pipe ends and the
+        #: unreaped listener. An entry leaves once released, so none
+        #: is closed twice and no reaped pid is signalled or waited on.
+        self._held = {"control": control_end, "chunks": chunks, "pid": pid}
+        self._release = weakref.finalize(self, _release, self._held, self._sock)
         self._poll = select.poll()
-        self._poll.register(self._chunks, select.POLLIN)
-        _PARENT_FDS.update(
-            (self._sock.fileno(), self._control, self._chunks)
-        )
+        self._poll.register(chunks, select.POLLIN)
 
     def _listener_main(self, control: int, chunk_end: int) -> None:
-        """The listener process: wait for start, serve, ``os._exit``."""
+        """The listener process: wait for start, serve, ``os._exit``.
+        It holds what an exec'd child given ``pass_fds`` would: 0, 1,
+        2, its socket and its ends of the two pipes."""
         status = 1
         try:
             # The engine's process decides when to shut down.
             signal.signal(signal.SIGINT, signal.SIG_IGN)
             signal.signal(signal.SIGTERM, signal.SIG_IGN)
-            for fd in _PARENT_FDS | {self._control, self._chunks}:
-                os.close(fd)
+            keep = sorted({0, 1, 2, self._sock.fileno(), control, chunk_end})
+            for low, high in zip(keep, keep[1:] + [os.sysconf("SC_OPEN_MAX")]):
+                os.closerange(low + 1, high)
             # The inherited heap is never collected here: keeping the
             # collector off it keeps its pages shared.
             gc.freeze()
@@ -582,51 +588,36 @@ class FlowCollector:
 
     def start(self, chunk_rows: int = 8192) -> None:
         """Send the listener process its chunk size (idempotent)."""
-        if self._started or self._control < 0:
+        if self._started or "control" not in self._held:
             return
         self._started = True
         try:
-            os.write(self._control, struct.pack("<q", int(chunk_rows)))
+            os.write(self._held["control"], struct.pack("<q", int(chunk_rows)))
         except OSError as exc:
             raise CollectorError(
                 f"collector process {self._pid} is gone: {exc}"
             ) from exc
-
-    def stop(self) -> None:
-        """Ask the listener to flush and finish: its control pipe
-        closes."""
-        if self._control >= 0:
-            _PARENT_FDS.discard(self._control)
-            os.close(self._control)
-            self._control = -1
 
     def close(self) -> None:
         """Stop, reap the listener process and release the socket.
 
         A consumer that left :meth:`chunks` early still gets the
         listener's final counters: the chunks it left in the pipe are
-        read and dropped until the process ends, which is killed if
-        it has not ended within a few seconds.
+        read and dropped until the process ends, and :func:`_release`
+        kills it if it has not ended within a few seconds (at once
+        after a read cut off mid-message).
         """
-        self.stop()
-        if self._chunks >= 0:
-            deadline = time.monotonic() + _EXIT_SECONDS
-            try:
-                while not self._torn \
-                        and self._next_chunk(deadline) is not None:
-                    pass
-            except CollectorError:
-                pass  # the consumer is leaving; the status is kept
-            # A listener still writing (to a pipe a read was cut off
-            # in, or past the deadline) ends at EPIPE once this end
-            # is closed.
-            _PARENT_FDS.discard(self._chunks)
-            os.close(self._chunks)
-            self._chunks = -1
-            self._reap(deadline)
-        if self._sock.fileno() != -1:
-            _PARENT_FDS.discard(self._sock.fileno())
-            self._sock.close()
+        if "control" in self._held:
+            os.close(self._held.pop("control"))
+        deadline = time.monotonic() + _EXIT_SECONDS
+        try:
+            while not self._torn \
+                    and self._next_chunk(deadline) is not None:
+                pass
+        except CollectorError:
+            pass  # the consumer is leaving; the status is kept
+        self._release()
+        self._mirror()
 
     def _next_chunk(
         self, deadline: float = float("inf")
@@ -635,7 +626,7 @@ class FlowCollector:
         process has ended (or ``deadline`` passed first). Exporter
         tables on the way are kept for :meth:`snapshot`. A listener
         that did not end cleanly raises :class:`CollectorError`."""
-        if self._exit_status is not None:
+        if "pid" not in self._held:
             return None
         header = bytearray(_HEADER.size)
         while True:
@@ -647,7 +638,7 @@ class FlowCollector:
                 self._mirror()
             self._torn = True  # until one whole message is read
             if not self._read_into(memoryview(header)):
-                self._reap(time.monotonic() + _EXIT_SECONDS)
+                self._reap()
                 if self._exit_status:
                     raise self._failure()
                 return None
@@ -671,34 +662,18 @@ class FlowCollector:
         cut short (``whole``, or after its first byte) raises."""
         got = 0
         while got < len(view):
-            count = os.readv(self._chunks, [view[got:]])
+            count = os.readv(self._held["chunks"], [view[got:]])
             if not count:
                 if got or whole:
-                    self._reap(time.monotonic() + _EXIT_SECONDS)
+                    self._reap()
                     raise self._failure()
                 return False
             got += count
         return True
 
-    def _reap(self, deadline: float) -> None:
-        """Wait for the listener process to exit, killing it once
-        ``deadline`` passes, and keep its wait status."""
-        if self._exit_status is not None:
-            return
-        try:
-            while True:
-                pid, status = os.waitpid(self._pid, os.WNOHANG)
-                if pid:
-                    break
-                if time.monotonic() >= deadline:
-                    os.kill(self._pid, signal.SIGKILL)
-                    _, status = os.waitpid(self._pid, 0)
-                    break
-                time.sleep(0.001)
-        except ChildProcessError:
-            status = 0  # reaped by someone else; nothing to report
-        self._exit_status = status
-        self._mirror()
+    def _reap(self) -> None:
+        """Reap the listener, which closed its end of the chunk pipe."""
+        self._exit_status = _reap_listener(self._held, _EXIT_SECONDS)
 
     def _failure(self) -> CollectorError:
         code = os.waitstatus_to_exitcode(self._exit_status or 0)
@@ -791,6 +766,40 @@ class FlowCollector:
             else self._reported
         )
         return state
+
+
+def _reap_listener(held: dict[str, int], seconds: float) -> int | None:
+    """Wait for the listener in ``held`` to exit, killing it after
+    ``seconds``; its wait status (``None``: reaped before). Its pid
+    leaves ``held`` as it is reaped."""
+    if "pid" not in held:
+        return None
+    pid, deadline = held["pid"], time.monotonic() + seconds
+    try:
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() >= deadline:
+                os.kill(pid, signal.SIGKILL)
+                _, status = os.waitpid(pid, 0)
+                break
+            time.sleep(0.001)
+    except ChildProcessError:
+        status = 0  # reaped by someone else; nothing to report
+    del held["pid"]
+    return status
+
+
+def _release(held: dict[str, int], sock: socket.socket) -> None:
+    """A collector's finalizer, also run by ``close()``: close the pipe
+    ends it still holds and its socket, then reap its listener, killed
+    at once if still running (a dropped collector's has no reader)."""
+    for end in ("control", "chunks"):
+        if end in held:
+            os.close(held.pop(end))
+    sock.close()
+    _reap_listener(held, 0.0)
 
 
 # -- session-facade registration ----------------------------------------------

@@ -10,9 +10,12 @@ Layered the same way the subsystem is:
   same values the encoder was fed;
 * exporter sequence accounting — gaps, resets, unreliable re-baseline;
 * the listener end to end over loopback, including queue-full drops;
-* the listener process: every way out of a collector reaps it, a
-  killed listener surfaces as ``CollectorError``, and the counters it
-  shares with the engine's process account for every flow;
+* the listener process: every way out of a collector reaps it (a
+  collector dropped unclosed included), it holds only the descriptors
+  it serves, a killed listener surfaces as ``CollectorError``, and the
+  counters it shares with the engine's process account for every flow;
+  every test here fails if it leaves a process, a descriptor or a
+  ``ResourceWarning`` behind;
 * the listener loop — it sleeps until its earliest deadline, so an
   idle listener costs no CPU and a lone datagram arrives as an age
   chunk;
@@ -28,6 +31,7 @@ Layered the same way the subsystem is:
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import signal
@@ -70,6 +74,37 @@ from repro.synth.presets import build_preset_scenario
 from tests import record_oracle
 
 DATA = Path(__file__).parent / "data"
+
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning",
+    "error::pytest.PytestUnraisableExceptionWarning",
+)
+
+
+def _children() -> set[str]:
+    """Pids whose parent is this process, zombies included."""
+    children = set()
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except OSError:
+            continue  # it ended meanwhile
+        if stat.rsplit(")", 1)[1].split()[1] == str(os.getpid()):
+            children.add(pid)
+    return children
+
+
+@pytest.fixture(autouse=True)
+def _leaves_nothing():
+    """Every test leaves no child process, running or a zombie, and no
+    descriptor it did not find. Nothing is garbage-collected first: a
+    collector its test dropped must already be released. Children
+    that were there before (the resource tracker of an earlier test
+    module's ``spawn`` context) are not this file's."""
+    children, fds = _children(), set(os.listdir("/proc/self/fd"))
+    yield
+    assert _children() <= children
+    assert set(os.listdir("/proc/self/fd")) <= fds
 
 
 @pytest.fixture(autouse=True)
@@ -748,6 +783,18 @@ class TestFlowCollector:
 # -- the listener process -----------------------------------------------------
 
 
+def _descriptors(pid: int | str = "self") -> dict[int, str]:
+    """What each descriptor of process ``pid`` names."""
+    fds = f"/proc/{pid}/fd"
+    names = {}
+    for fd in os.listdir(fds):
+        try:
+            names[int(fd)] = os.readlink(f"{fds}/{fd}")
+        except FileNotFoundError:
+            pass  # the one the listing itself used
+    return names
+
+
 def _assert_reaped(pid: int) -> None:
     """``pid`` is neither running nor a zombie child of this process."""
     with pytest.raises(ChildProcessError):
@@ -765,6 +812,91 @@ class TestListenerProcess:
         assert time.monotonic() - started < 5.0
         _assert_reaped(pid)
         assert collector.counters()["datagrams"] == 0
+
+    def test_dropped_collector_is_released_and_spares_the_next(self):
+        """A collector dropped unclosed is released when collected, and
+        the next collector, which may take its descriptor numbers,
+        streams."""
+        dropped = FlowCollector()
+        pid = dropped._pid
+        del dropped
+        collector = FlowCollector(
+            boot_time=1000.0, max_flows=3, idle_seconds=10.0
+        )
+        send_datagrams([(DATA / "golden_v5.bin").read_bytes()],
+                       collector.port)
+        assert sum(len(table) for table in collector.chunks()) == 3
+        gc.collect()
+        _assert_reaped(pid)
+
+    def test_listener_holds_only_what_it_serves(self):
+        """Whatever the engine's process has open (here an unrelated
+        socket), the parked listener holds 0, 1, 2 and what its
+        collector opened: the socket and the two pipes."""
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM):
+            before = set(_descriptors().values())
+            collector = FlowCollector()
+            try:
+                own = _descriptors()
+                opened = sorted(set(own.values()) - before)
+                fds = f"/proc/{collector._pid}/fd"
+                deadline = time.monotonic() + 5.0
+                while len(os.listdir(fds)) > 6 \
+                        and time.monotonic() < deadline:
+                    time.sleep(0.01)  # it is closing what it inherited
+                held = _descriptors(collector._pid)
+            finally:
+                collector.close()
+        standard = {fd: own[fd] for fd in (0, 1, 2)}
+        assert {fd: held.pop(fd, None) for fd in standard} == standard
+        assert sorted(held.values()) == opened
+
+    def test_a_reaped_listener_is_never_named_again(self, monkeypatch):
+        """Once ``chunks()`` has reaped the listener, neither a second
+        close nor the finalizer signals or waits on its pid, which the
+        system may already have given to another process."""
+        collector = FlowCollector(
+            boot_time=1000.0, max_flows=3, idle_seconds=10.0
+        )
+        pid = collector._pid
+        send_datagrams([(DATA / "golden_v5.bin").read_bytes()],
+                       collector.port)
+        assert sum(len(table) for table in collector.chunks()) == 3
+        named = []
+
+        def recorded(call):
+            def record(target, *args):
+                named.append(target)
+                return call(target, *args)
+            return record
+
+        monkeypatch.setattr(listener.os, "kill", recorded(os.kill))
+        monkeypatch.setattr(listener.os, "waitpid", recorded(os.waitpid))
+        collector.close()
+        del collector
+        gc.collect()
+        monkeypatch.undo()
+        assert pid not in named
+        _assert_reaped(pid)
+
+    def test_a_descriptor_opened_after_close_is_spared(self):
+        """A descriptor opened between two ``close()`` calls, likely on
+        a number the first one freed, stays open after the second and
+        after the collector is dropped."""
+        collector = FlowCollector()
+        collector.close()
+        read_end, write_end = os.pipe()
+        spare = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            collector.close()
+            del collector
+            gc.collect()
+            for fd in (read_end, write_end, spare.fileno()):
+                os.fstat(fd)  # EBADF had the collector closed it
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+            spare.close()
 
     def test_abandoned_consumer_reaps_listener(self, tmp_path):
         path, nflows = _capture(tmp_path)
